@@ -14,14 +14,13 @@ from .codec import (
     DistortionBreakdown,
     IndexAssignment,
     build_decoder_tables,
-    da_weights,
     design_annealed,
     evaluate_distortion,
     gibbs_update,
     harden,
     ia_entropy,
 )
-from .decode_asym import Posterior, decode, mse_optimality_check, posterior, reconstruct
+from .decode_asym import Posterior, decode, posterior, reconstruct
 from .decode_sym import (
     CrossSourceTables,
     CrossTableCache,
@@ -32,27 +31,11 @@ from .decode_sym import (
     soft_si_posterior,
     soft_si_reconstruct,
 )
-from .gaussian import (
-    CorrelationLadder,
-    GaussianSource,
-    JointGaussianPair,
-    SampleGrid,
-    conditional_density,
-    default_grid,
-    integrate,
-    quantize_rho,
-)
+from .gaussian import CorrelationLadder, GaussianSource, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
-from .quantizer import ScalarQuantizer, cell_of, cell_probs_given_si, lloyd_design, si_conditional_density
+from .quantizer import ScalarQuantizer, cell_of, lloyd_design
 from .rd_bound import BoundQuery, BoundResult, beta, central_bound, min_avg_distortion
-from .si_select import (
-    SiAssignment,
-    pairwise_mi,
-    partial_si_reconstruct,
-    select_max_mi,
-    select_min_distance,
-    select_min_distortion,
-)
+from .si_select import SiAssignment, pairwise_mi, partial_si_reconstruct, select_min_distance
 from .simulator import (
     AsymConfig,
     ExperimentResult,

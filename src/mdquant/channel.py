@@ -122,30 +122,6 @@ class ChannelOutcome:
         object.__setattr__(self, "flags", flags)
 
 
-def sample_outcome(I, channels, rng: np.random.Generator) -> ChannelOutcome:
-    """Transmit the index tuple I over all description channels once."""
-    received = []
-    flags = []
-    for i_m, ch in zip(I, channels, strict=True):
-        if not 0 <= int(i_m) < ch.index_count:
-            raise ValueError("description index out of range")
-        if rng.random() < ch.loss_prob:
-            received.append(None)
-            flags.append(False)
-            continue
-        flags.append(True)
-        if ch.kind == "bsc":
-            flips = rng.random(ch.bits) < ch.bit_error_rate
-            bits = bit_patterns(ch.bits)[int(i_m)] ^ flips
-            j = int(bits @ (1 << np.arange(ch.bits - 1, -1, -1)))
-            received.append(j)
-        else:
-            sym = bpsk_symbols(ch.bits)[int(i_m)]
-            noise = rng.normal(0.0, np.sqrt(ch.noise_psd / 2.0), ch.bits)
-            received.append(sym + noise)
-    return ChannelOutcome(tuple(received), np.array(flags))
-
-
 def loss_pattern_prob(Q, channels) -> float:
     """Probability of the loss pattern Q (True = received)."""
     Q = np.asarray(Q, dtype=bool)
@@ -154,40 +130,6 @@ def loss_pattern_prob(Q, channels) -> float:
     prob = 1.0
     for q_m, ch in zip(Q, channels):
         prob *= (1.0 - ch.loss_prob) if q_m else ch.loss_prob
-    return float(prob)
-
-
-def likelihood(j_m, i_m: int, q_m: bool, channel: DescriptionChannel) -> float:
-    """P(J_m | I_m, Q_m) for a single description."""
-    if not 0 <= int(i_m) < channel.index_count:
-        raise ValueError("description index out of range")
-    if not q_m:
-        return 1.0 / channel.index_count
-    if channel.kind == "bsc":
-        if not isinstance(j_m, (int, np.integer)):
-            raise ValueError("BSC channel expects an integer received index")
-        if not 0 <= int(j_m) < channel.received_alphabet:
-            raise ValueError("received index out of range")
-        d = int(hamming_table(channel.bits)[int(i_m), int(j_m)])
-        p = channel.bit_error_rate
-        return float(p ** d * (1.0 - p) ** (channel.bits - d))
-    j_m = np.asarray(j_m, dtype=float)
-    if j_m.shape != (channel.bits,):
-        raise ValueError("AWGN payload length must equal the bit count")
-    sym = bpsk_symbols(channel.bits)[int(i_m)]
-    # Unnormalized: the 1/sqrt(pi*N0)^bits prefactor cancels in every
-    # posterior, and dropping it avoids per-symbol ambiguity.
-    return float(np.exp(-np.sum((sym - j_m) ** 2) / channel.noise_psd))
-
-
-def joint_likelihood(J, I, Q, channels) -> float:
-    """Product of per-description likelihoods (independent channels)."""
-    Q = np.asarray(Q, dtype=bool)
-    if not (len(J) == len(I) == Q.size == len(channels)):
-        raise ValueError("inconsistent lengths")
-    prob = 1.0
-    for j_m, i_m, q_m, ch in zip(J, I, Q, channels):
-        prob *= likelihood(j_m, int(i_m), bool(q_m), ch)
     return float(prob)
 
 
@@ -215,14 +157,6 @@ class TupleSpace:
         """Description-m index of every tuple, shape (L,)."""
         return self.tuples[:, m]
 
-    def flatten(self, indices) -> np.ndarray:
-        """Row-major tuple id from per-description indices, shape (..., M) -> (...)."""
-        indices = np.asarray(indices, dtype=int)
-        out = np.zeros(indices.shape[:-1], dtype=int)
-        for m, n in enumerate(self.counts):
-            out = out * n + indices[..., m]
-        return out
-
 
 def tuple_space(channels) -> TupleSpace:
     return TupleSpace(tuple(ch.index_count for ch in channels))
@@ -231,14 +165,6 @@ def tuple_space(channels) -> TupleSpace:
 def loss_patterns(M: int) -> list:
     """All 2^M loss patterns in row-major order ((False,...) first)."""
     return [np.array(q, dtype=bool) for q in product((False, True), repeat=M)]
-
-
-def pattern_index(Q) -> int:
-    """Row-major pattern id matching :func:`loss_patterns` ordering."""
-    idx = 0
-    for q in np.asarray(Q, dtype=bool):
-        idx = idx * 2 + int(q)
-    return idx
 
 
 @dataclass(frozen=True)
@@ -253,19 +179,10 @@ class PatternLikelihoods:
 
     pattern: np.ndarray
     table: np.ndarray
-    received_alphabets: tuple
 
     @property
     def n_j(self) -> int:
         return int(self.table.shape[1])
-
-    def combine_received(self, j_per_desc: np.ndarray) -> np.ndarray:
-        """Row-major combined id from (..., n_received) per-description words."""
-        j_per_desc = np.asarray(j_per_desc, dtype=int)
-        out = np.zeros(j_per_desc.shape[:-1], dtype=int)
-        for col, n in enumerate(self.received_alphabets):
-            out = out * n + j_per_desc[..., col]
-        return out
 
 
 def pattern_table(channels, Q, space: TupleSpace | None = None) -> PatternLikelihoods:
@@ -277,15 +194,13 @@ def pattern_table(channels, Q, space: TupleSpace | None = None) -> PatternLikeli
         space = tuple_space(channels)
     Q = np.asarray(Q, dtype=bool)
     table = np.ones((space.size, 1))
-    alphabets = []
     for m, ch in enumerate(channels):
         if not Q[m]:
             continue
         lik_m = ch.bsc_likelihood_matrix()[space.component(m), :]  # (L, 2^b)
         table = table[:, :, None] * lik_m[:, None, :]
         table = table.reshape(space.size, -1)
-        alphabets.append(ch.received_alphabet)
-    return PatternLikelihoods(Q, table, tuple(alphabets))
+    return PatternLikelihoods(Q, table)
 
 
 def pattern_likelihood_tables(channels, space: TupleSpace | None = None) -> list:

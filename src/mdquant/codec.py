@@ -47,6 +47,24 @@ TAIL_CLIP = 8.0  # SI integration range in std units; mass beyond is < 1e-15
 PROB_FLOOR = 1e-250
 
 
+def masked_ratio(num, den, floor: float = 0.0):
+    """``num / den`` where ``den > floor`` and 0 elsewhere, never dividing by masked entries."""
+    ok = den > floor
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+
+
+def pattern_lookups(pattern_tables, joint, first) -> list:
+    """Posterior-mean lookup per loss pattern: ``xhat[p][j, y]``.
+
+    ``joint`` and ``first`` are (L, S) tuple/SI-level masses P(I, y) and first
+    moments; each pattern table contracts the tuple axis to received words.
+    """
+    return [
+        masked_ratio(pt.table.T @ first, pt.table.T @ joint, PROB_FLOOR)
+        for pt in pattern_tables
+    ]
+
+
 @dataclass(frozen=True)
 class IndexAssignment:
     """Row-stochastic K x L table P(index tuple | quantizer cell)."""
@@ -118,18 +136,12 @@ def gibbs_update(weights: np.ndarray, T: float, cell_probs) -> IndexAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _si_panels(q_si: ScalarQuantizer | None, sd_y: float, n_gauss: int):
+def _si_panels(q_si: ScalarQuantizer, sd_y: float, n_gauss: int):
     """Gauss-Legendre nodes/weights per SI cell, tails clipped at TAIL_CLIP."""
-    lo, hi = -TAIL_CLIP * sd_y, TAIL_CLIP * sd_y
-    if q_si is None:
-        edges = np.array([lo, hi])
-        n_levels = 1
-    else:
-        edges = np.clip(q_si.edges(), lo, hi)
-        n_levels = q_si.size
+    edges = np.clip(q_si.edges(), -TAIL_CLIP * sd_y, TAIL_CLIP * sd_y)
     base_x, base_w = leggauss(n_gauss)
     nodes, weights, owner = [], [], []
-    for lvl in range(n_levels):
+    for lvl in range(q_si.size):
         a, b = edges[lvl], edges[lvl + 1]
         if b <= a:
             continue
@@ -140,12 +152,7 @@ def _si_panels(q_si: ScalarQuantizer | None, sd_y: float, n_gauss: int):
             nodes.append(0.5 * (pa + pb) + half * base_x)
             weights.append(half * base_w)
             owner.append(np.full(n_gauss, lvl, dtype=int))
-    return (
-        np.concatenate(nodes),
-        np.concatenate(weights),
-        np.concatenate(owner),
-        n_levels,
-    )
+    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(owner)
 
 
 def si_moment_matrices(
@@ -158,23 +165,19 @@ def si_moment_matrices(
 
     The y-integral uses panelled Gauss-Legendre per SI cell; the inner
     x-moments over quantizer cells are exact Gaussian interval moments of the
-    conditional law X | Y=y.  With ``si_quantizer`` None a single
-    unconditional column is returned.
+    conditional law X | Y=y.  With ``si_quantizer`` None (or a single level)
+    one unconditional column is returned.
     """
     edges = quantizer.edges()
     K = quantizer.size
-    if pair.rho == 0.0 or (si_quantizer is not None and si_quantizer.size == 1) or si_quantizer is None:
+    n_levels = 1 if si_quantizer is None else si_quantizer.size
+    if n_levels == 1 or pair.rho == 0.0:
+        # Independent SI: every level sees the marginal, weighted by P(level).
         p, m1, m2 = gauss_interval_moments(edges, 0.0, pair.sd_x)
-        if si_quantizer is None or pair.rho == 0.0:
-            n_levels = 1 if si_quantizer is None else si_quantizer.size
-            if n_levels == 1:
-                return p[:, None], m1[:, None], m2[:, None]
-            # Independent SI: every level sees the marginal, weighted by P(level).
-            w = si_quantizer.cell_probs[None, :]
-            return p[:, None] * w, m1[:, None] * w, m2[:, None] * w
-        return p[:, None], m1[:, None], m2[:, None]
+        w = si_quantizer.cell_probs[None, :] if n_levels > 1 else 1.0
+        return p[:, None] * w, m1[:, None] * w, m2[:, None] * w
 
-    nodes, wts, owner, n_levels = _si_panels(si_quantizer, pair.sd_y, n_gauss)
+    nodes, wts, owner = _si_panels(si_quantizer, pair.sd_y, n_gauss)
     fy = np.exp(-0.5 * (nodes / pair.sd_y) ** 2) / (pair.sd_y * np.sqrt(2 * np.pi))
     wts = wts * fy
     cond_sd = max(pair.sd_x * np.sqrt(1.0 - pair.rho ** 2), 1e-300)
@@ -224,8 +227,7 @@ class DecoderTables:
     Arrays are indexed (correlation level, SI level, tuple).  ``prior_nosi``
     and ``codebook_nosi`` are the no-side-information fallbacks used when the
     decoder has no SI (first iteration of the joint decoder, or an SI-blind
-    system).  Tuples with zero prior keep codebook value 0 and are flagged in
-    ``zero_mask``.
+    system).  Tuples with zero prior keep codebook value 0.
     """
 
     rho_values: np.ndarray
@@ -234,7 +236,6 @@ class DecoderTables:
     codebook: np.ndarray
     prior_nosi: np.ndarray
     codebook_nosi: np.ndarray
-    zero_mask: np.ndarray
 
     def __post_init__(self):
         sums = self.prior.sum(axis=2)
@@ -260,10 +261,7 @@ def _nosi_tables(quantizer, table, sd_x):
     p, m1, _ = gauss_interval_moments(quantizer.edges(), 0.0, sd_x)
     prior = table.T @ p
     first = table.T @ m1
-    zero = prior <= PROB_FLOOR
-    prior = np.where(zero, 0.0, prior)
-    codebook = np.where(zero, 0.0, first / np.where(zero, 1.0, prior))
-    return prior, codebook, zero
+    return np.where(prior > PROB_FLOOR, prior, 0.0), masked_ratio(first, prior, PROB_FLOOR)
 
 
 def _tables_for_pair(quantizer, si_quantizer, table, pair, n_gauss):
@@ -271,26 +269,15 @@ def _tables_for_pair(quantizer, si_quantizer, table, pair, n_gauss):
     if pair.rho == 0.0:
         # Independent SI: every level must reproduce the no-SI tables
         # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
-        prior, codebook, zero = _nosi_tables(quantizer, table, pair.sd_x)
-        psi = (
-            np.array([1.0])
-            if si_quantizer is None
-            else si_quantizer.cell_probs.copy()
-        )
-        return (
-            np.tile(prior, (n_si, 1)),
-            np.tile(codebook, (n_si, 1)),
-            np.tile(zero, (n_si, 1)),
-            psi,
-        )
+        prior, codebook = _nosi_tables(quantizer, table, pair.sd_x)
+        return np.tile(prior, (n_si, 1)), np.tile(codebook, (n_si, 1))
     s0, s1, _ = si_moment_matrices(quantizer, si_quantizer, pair, n_gauss)
     joint = table.T @ s0  # (L, S): P(I, SI level)
     first = table.T @ s1
     psi = joint.sum(axis=0)
     zero = joint <= PROB_FLOOR
     prior = np.where(zero, 0.0, joint / np.maximum(psi[None, :], 1e-300))
-    codebook = np.where(zero, 0.0, first / np.where(zero, 1.0, joint))
-    return prior.T, codebook.T, zero.T, psi  # (S, L) each
+    return prior.T, masked_ratio(first, joint, PROB_FLOOR).T  # (S, L) each
 
 
 def build_decoder_tables(
@@ -303,18 +290,15 @@ def build_decoder_tables(
     """Build stored decoder tables for one pair or a whole correlation ladder."""
     if isinstance(pairs, JointGaussianPair):
         pairs = [pairs]
-    priors, codebooks, zeros = [], [], []
+    priors, codebooks = [], []
     for pair in pairs:
-        prior, codebook, zero, _ = _tables_for_pair(
-            quantizer, si_quantizer, ia.table, pair, n_gauss
-        )
+        prior, codebook = _tables_for_pair(quantizer, si_quantizer, ia.table, pair, n_gauss)
         priors.append(prior)
         codebooks.append(codebook)
-        zeros.append(zero)
     si_probs = (
         np.array([1.0]) if si_quantizer is None else si_quantizer.cell_probs.copy()
     )
-    prior_nosi, codebook_nosi, _ = _nosi_tables(quantizer, ia.table, pairs[0].sd_x)
+    prior_nosi, codebook_nosi = _nosi_tables(quantizer, ia.table, pairs[0].sd_x)
     return DecoderTables(
         rho_values=np.array([pr.rho for pr in pairs]),
         si_probs=np.asarray(si_probs),
@@ -322,7 +306,6 @@ def build_decoder_tables(
         codebook=np.stack(codebooks),
         prior_nosi=prior_nosi,
         codebook_nosi=codebook_nosi,
-        zero_mask=np.stack(zeros),
     )
 
 
@@ -375,14 +358,7 @@ class DesignContext:
         """Joint tables and reconstruction lookups implied by an assignment."""
         joint = table.T @ self.s0  # (L, S) joint P(I, SI level)
         first = table.T @ self.s1
-        xhats = []
-        for pt in self.pattern_tables:
-            den = pt.table.T @ joint  # (n_j, S)
-            num = pt.table.T @ first
-            ok = den > PROB_FLOOR
-            xhat = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-            xhats.append(xhat)
-        return joint, first, xhats
+        return joint, first, pattern_lookups(self.pattern_tables, joint, first)
 
     def distortion(self, table: np.ndarray, state=None) -> DistortionBreakdown:
         """Matched-decoder average distortion split into encoder/channel parts."""
@@ -392,17 +368,11 @@ class DesignContext:
         d_se = float(second.sum() - np.sum(first[pos] ** 2 / joint[pos]))
         d_ch = 0.0
         for pq, pt, xhat in zip(self.pattern_probs, self.pattern_tables, xhats):
-            e2 = pt.table.T @ (np.where(pos, first**2 / np.where(pos, joint, 1.0), 0.0))
+            e2 = pt.table.T @ masked_ratio(first**2, joint, PROB_FLOOR)
             num = pt.table.T @ first
             den = pt.table.T @ joint
             d_ch += pq * float(np.sum(e2 - 2.0 * num * xhat + den * xhat**2))
         return DistortionBreakdown(d_se, max(d_ch, 0.0))
-
-    def distortion_direct(self, table: np.ndarray, state=None) -> float:
-        """Single-pass expectation E[(X - Xhat)^2] without the SE/Ch split."""
-        if state is None:
-            state = self.decoder_state(table)
-        return float(np.sum(table * self.weights(state)))
 
     def weights(self, state) -> np.ndarray:
         """Distortion derivative d D / d P(I | cell k), shape (K, L).
@@ -435,19 +405,6 @@ def evaluate_distortion(
     """Analytic D_se / D_ch / D_av for a codec over BSC channels."""
     ctx = DesignContext(quantizer, si_quantizer, pair, channels, n_gauss)
     return ctx.distortion(ia.table)
-
-
-def da_weights(
-    quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer | None,
-    ia: IndexAssignment,
-    pair: JointGaussianPair,
-    channels,
-    n_gauss: int = 16,
-) -> np.ndarray:
-    """Annealing weight matrix with reconstructions built from ``ia``."""
-    ctx = DesignContext(quantizer, si_quantizer, pair, channels, n_gauss)
-    return ctx.weights(ctx.decoder_state(ia.table))
 
 
 # ---------------------------------------------------------------------------

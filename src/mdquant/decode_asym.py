@@ -94,83 +94,3 @@ def reconstruct(
 def decode(outcome, si_level, rho_level, bundle) -> float:
     """Posterior + reconstruction in one call."""
     return reconstruct(posterior(outcome, si_level, rho_level, bundle), si_level, rho_level, bundle)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force optimality audit
-# ---------------------------------------------------------------------------
-
-
-def _simpson_nodes(lo: float, hi: float, n: int = 801):
-    if n % 2 == 0:
-        n += 1
-    x = np.linspace(lo, hi, n)
-    h = (hi - lo) / (n - 1)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return x, w * h / 3.0
-
-
-def mse_optimality_check(
-    bundle: CodecBundle,
-    rho_level: int = 0,
-    clip: float = 8.0,
-    n_points: int = 801,
-) -> float:
-    """Max |decoder - E[X | SI level, Q, J]| over every discrete decoder input.
-
-    The conditional mean is computed from first principles: Simpson panels
-    per quantizer cell, explicit SI-cell masses, and full enumeration of loss
-    patterns and received words.  Intended for tiny (K <= 4, L <= 4) BSC
-    instances.
-    """
-    from itertools import product
-
-    from .channel import loss_patterns
-    from .quantizer import si_cell_mass_given_x
-
-    q = bundle.quantizer
-    q_si = bundle.si_quantizer
-    channels = bundle.channels
-    space = tuple_space(channels)
-    pair_rho = float(bundle.tables.rho_values[rho_level])
-    from .gaussian import JointGaussianPair
-
-    pair = JointGaussianPair(1.0, 1.0, pair_rho)
-
-    edges = np.clip(q.edges(), -clip, clip)
-    nodes, weights, owners = [], [], []
-    for k in range(q.size):
-        x, w = _simpson_nodes(edges[k], edges[k + 1], n_points)
-        nodes.append(x)
-        weights.append(w)
-        owners.append(np.full(x.size, k))
-    x = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    owners = np.concatenate(owners)
-    fx = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
-    si_mass = si_cell_mass_given_x(q_si, pair, x)  # (n, S)
-    base = w * fx
-
-    A = bundle.ia.table
-    worst = 0.0
-    for Q in loss_patterns(len(channels)):
-        j_alphabets = [
-            range(ch.received_alphabet) if got else [None]
-            for ch, got in zip(channels, Q)
-        ]
-        for J in product(*j_alphabets):
-            outcome = ChannelOutcome(tuple(J), Q)
-            lik = np.exp(tuple_log_likelihood(outcome, channels))
-            # per-node mixture weight: sum_I A[cell(x), I] * lik[I]
-            node_lik = (A @ lik)[owners]
-            for level in range(q_si.size):
-                mass = base * si_mass[:, level] * node_lik
-                den = mass.sum()
-                if den <= 0:
-                    continue
-                exact = float(np.dot(mass, x) / den)
-                got = decode(outcome, level, rho_level, bundle)
-                worst = max(worst, abs(got - exact))
-    return worst

@@ -1,7 +1,10 @@
 """Joint iterative decoding of multiple correlated sources.
 
 Each source is decoded by the asymmetric MMSE decoder while another source
-serves as its side information.  Two variants are supported:
+serves as its side information.  The cross-source tables that couple two
+sources are read off the same moment matrices S0/S1 as the stored decoder
+tables (:func:`mdquant.codec.si_moment_matrices`, with the neighbor's
+quantizer in the role of the SI quantizer).  Two variants are supported:
 
 * estimated-SI: the neighbor's reconstructed value is quantized with the SI
   quantizer and used exactly like external side information;
@@ -12,6 +15,10 @@ Iteration 1 of both variants decodes every source without side information
 (no posteriors or estimates exist yet); coupling starts at iteration 2.
 Sweeps are synchronous: every source reads the neighbor state of the
 previous iteration, which makes results independent of source ordering.
+
+These are the per-symbol (single-trial) decoders; the Monte-Carlo
+experiments in :mod:`mdquant.simulator` run the same sweeps vectorized over
+trials and are tested against them.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .channel import ChannelOutcome
-from .codec import TAIL_CLIP, CodecBundle
+from .codec import CodecBundle, masked_ratio, si_moment_matrices
 from .decode_asym import Posterior, decode, posterior, tuple_log_likelihood
-from .gaussian import JointGaussianPair, gauss_interval_moments, gauss_interval_moments_batch
+from .gaussian import JointGaussianPair
+from .gaussian import gauss_interval_moments_batch  # noqa: F401  (perfbench/spans.py patches this binding)
 from .quantizer import cell_of
 
 
@@ -61,62 +68,27 @@ def build_cross_tables(
     """Cross-source tables for decoding ``bundle_u`` with ``bundle_s`` as SI.
 
     ``pair_us`` holds the correlation between the two sources (own source on
-    the X axis, neighbor on the Y axis).
+    the X axis, neighbor on the Y axis).  ``cell_cross`` and ``cell_cross_m1``
+    are the moment matrices S0/S1 with the neighbor's quantizer as SI
+    quantizer, divided by the neighbor's cell probabilities.
     """
-    qu, qs = bundle_u.quantizer, bundle_s.quantizer
+    qs = bundle_s.quantizer
     au, a_s = bundle_u.ia.table, bundle_s.ia.table
-    rho = pair_us.rho
-    edges_u = qu.edges()
-    ps = qs.cell_probs
-
-    if rho == 0.0:
-        p, m1, _ = gauss_interval_moments(edges_u, 0.0, pair_us.sd_x)
-        cell_cross = np.tile(p[:, None], (1, qs.size))
-        cell_cross_m1 = np.tile(m1[:, None], (1, qs.size))
-    else:
-        base_x, base_w = leggauss(n_gauss)
-        lo, hi = -TAIL_CLIP * pair_us.sd_y, TAIL_CLIP * pair_us.sd_y
-        edges_s = np.clip(qs.edges(), lo, hi)
-        cond_sd = max(pair_us.sd_x * np.sqrt(1.0 - rho**2), 1e-300)
-        cell_cross = np.zeros((qu.size, qs.size))
-        cell_cross_m1 = np.zeros((qu.size, qs.size))
-        for k in range(qs.size):
-            a, b = edges_s[k], edges_s[k + 1]
-            if b <= a:
-                continue
-            n_panels = max(1, int(np.ceil((b - a) / (0.75 * pair_us.sd_y))))
-            bounds = np.linspace(a, b, n_panels + 1)
-            xs = (0.5 * (bounds[:-1] + bounds[1:])[:, None]
-                  + 0.5 * (bounds[1:] - bounds[:-1])[:, None] * base_x[None, :]).ravel()
-            ws = (0.5 * (bounds[1:] - bounds[:-1])[:, None] * base_w[None, :]).ravel()
-            fy = np.exp(-0.5 * (xs / pair_us.sd_y) ** 2) / (
-                pair_us.sd_y * np.sqrt(2 * np.pi)
-            )
-            cond_means = rho * (pair_us.sd_x / pair_us.sd_y) * xs
-            p, m1, _ = gauss_interval_moments_batch(edges_u, cond_means, cond_sd)
-            wt = ws * fy
-            cell_cross[:, k] = wt @ p / max(ps[k], 1e-300)
-            cell_cross_m1[:, k] = wt @ m1 / max(ps[k], 1e-300)
-        # Same noise-floor cleanup as the SI moment matrices: far-tail
-        # cancellation residue must not survive into ratio computations.
-        noise = 1e-14 * cell_cross.max()
-        bad = cell_cross <= noise
-        cell_cross = np.where(bad, 0.0, cell_cross)
-        cell_cross_m1 = np.where(bad, 0.0, cell_cross_m1)
+    s0, s1, _ = si_moment_matrices(bundle_u.quantizer, qs, pair_us, n_gauss)
+    ps = np.maximum(qs.cell_probs, 1e-300)
+    cell_cross, cell_cross_m1 = s0 / ps, s1 / ps
 
     idx_given_cell = au.T @ cell_cross  # (Lu, Ks)
     raw_first = au.T @ cell_cross_m1
-    pos = idx_given_cell > 0
-    cent_given_cell = np.where(pos, raw_first / np.where(pos, idx_given_cell, 1.0), 0.0)
+    cent_given_cell = masked_ratio(raw_first, idx_given_cell)
 
-    mass = a_s * ps[:, None]  # (Ks, Ls)
-    col = mass.sum(axis=0)
-    cell_given_idx = np.where(col[None, :] > 0, mass / np.where(col[None, :] > 0, col[None, :], 1.0), 0.0)
+    mass = a_s * qs.cell_probs[:, None]  # (Ks, Ls)
+    cell_given_idx = masked_ratio(mass, mass.sum(axis=0)[None, :])
 
     mix_prob = idx_given_cell @ cell_given_idx
     mix_first = raw_first @ cell_given_idx
     return CrossSourceTables(
-        rho=float(rho),
+        rho=float(pair_us.rho),
         cell_cross=cell_cross,
         cell_cross_m1=cell_cross_m1,
         idx_given_cell=idx_given_cell,
@@ -182,8 +154,7 @@ def soft_si_reconstruct(
     """MMSE estimate under soft SI; zero-prior tuples contribute nothing."""
     den = cross.mix_prob @ neighbor_posterior.probs
     num = cross.mix_first @ neighbor_posterior.probs
-    cent = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    return float(np.dot(posterior_u.probs, cent))
+    return float(np.dot(posterior_u.probs, masked_ratio(num, den)))
 
 
 @dataclass(frozen=True)

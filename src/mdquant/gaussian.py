@@ -1,15 +1,14 @@
-"""Gaussian source/side-information models and deterministic integration grids.
+"""Gaussian source/side-information models and exact interval moments.
 
 Everything downstream (quantizers, decoder tables, distortion integrals)
 conditions on a jointly Gaussian (source, side information) pair, so the
-conditional-density and interval-moment helpers here are the numerical
-foundation of the whole package.
+closed-form interval-moment helpers here are the numerical foundation of the
+whole package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -98,72 +97,6 @@ class JointGaussianPair:
         if var <= 0:
             var = 1e-300
         return GaussianSource(float(mean), var)
-
-
-@dataclass(frozen=True)
-class SampleGrid:
-    """Deterministic quadrature grid: strictly increasing points plus weights."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or wts.shape != pts.shape:
-            raise ValueError("points and weights must be matching 1-D vectors")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if np.any(wts < 0):
-            raise ValueError("quadrature weights must be nonnegative")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-    @property
-    def lo(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.points[-1])
-
-    @classmethod
-    def uniform(cls, lo: float = -6.0, hi: float = 6.0, n: int = 1201) -> "SampleGrid":
-        """Uniform grid with composite-trapezoid weights."""
-        if n < 2:
-            raise ValueError("need at least two grid points")
-        pts = np.linspace(lo, hi, n)
-        h = (hi - lo) / (n - 1)
-        wts = np.full(n, h)
-        wts[0] = wts[-1] = h / 2.0
-        return cls(pts, wts)
-
-
-@lru_cache(maxsize=8)
-def _cached_uniform(lo: float, hi: float, n: int) -> SampleGrid:
-    return SampleGrid.uniform(lo, hi, n)
-
-
-def default_grid() -> SampleGrid:
-    """The package default: [-6, 6] in source std units, 1201 trapezoid points."""
-    return _cached_uniform(-6.0, 6.0, 1201)
-
-
-def integrate(grid: SampleGrid, values) -> float:
-    """Weighted sum of sampled values over the grid."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.points.shape:
-        raise ValueError("value vector length does not match grid")
-    return float(np.dot(grid.weights, values))
-
-
-def conditional_density(pair: JointGaussianPair, y: float, grid: SampleGrid) -> np.ndarray:
-    """Density of X given Y=y evaluated at the grid points."""
-    if not np.isfinite(y):
-        raise ValueError("invalid SI value")
-    if pair.rho == 0.0:
-        return pair.x_marginal().pdf(grid.points)
-    return pair.x_given_y(float(y)).pdf(grid.points)
 
 
 def gauss_interval_moments(edges, mean: float = 0.0, sd: float = 1.0):

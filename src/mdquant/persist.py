@@ -81,15 +81,13 @@ def bundle_from_dict(data: dict) -> CodecBundle:
             f"codec format version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
     t = data["tables"]
-    prior = np.array(t["prior"])
     tables = DecoderTables(
         rho_values=np.array(t["rho_values"]),
         si_probs=np.array(t["si_probs"]),
-        prior=prior,
+        prior=np.array(t["prior"]),
         codebook=np.array(t["codebook"]),
         prior_nosi=np.array(t["prior_nosi"]),
         codebook_nosi=np.array(t["codebook_nosi"]),
-        zero_mask=prior <= 0.0,
     )
     channels = tuple(
         DescriptionChannel(

@@ -1,4 +1,4 @@
-"""Lloyd scalar quantizer design and cell-probability computations.
+"""Lloyd scalar quantizer design, cell lookup and quantizer MSE.
 
 Cells are half-open intervals between consecutive thresholds; values sitting
 exactly on a threshold belong to the lower cell so that encoding is
@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    GaussianSource,
-    JointGaussianPair,
-    SampleGrid,
-    gauss_interval_moments,
-)
+from .gaussian import GaussianSource, gauss_interval_moments
 
 LLOYD_MAX_ITERATIONS = 500
 LLOYD_REL_TOL = 1e-9
@@ -65,18 +60,13 @@ def cell_of(q: ScalarQuantizer, x: float) -> int:
     return int(np.searchsorted(q.thresholds, x, side="left"))
 
 
-def cells_of(q: ScalarQuantizer, x) -> np.ndarray:
-    """Vectorized ``cell_of``."""
-    return np.searchsorted(q.thresholds, np.asarray(x, dtype=float), side="left")
-
-
 def quantizer_mse(q: ScalarQuantizer, source: GaussianSource) -> float:
     """Exact mean squared quantization error of q against the source density."""
     p, m1, m2 = gauss_interval_moments(q.edges(), source.mean, source.std)
     return float(np.sum(m2 - 2.0 * q.codewords * m1 + q.codewords ** 2 * p))
 
 
-def lloyd_design(source: GaussianSource, K: int, grid: SampleGrid | None = None) -> ScalarQuantizer:
+def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
     """Design a K-level Lloyd quantizer for the Gaussian source.
 
     Initialization is deterministic (codewords at uniform quantiles), the
@@ -85,8 +75,6 @@ def lloyd_design(source: GaussianSource, K: int, grid: SampleGrid | None = None)
     """
     if K < 1:
         raise ValueError("need at least one quantizer level")
-    if grid is not None and K > grid.points.size // 2:
-        raise ValueError("quantizer too large for the supplied grid")
     if K == 1:
         return ScalarQuantizer(
             np.array([source.mean]), np.array([]), np.array([1.0])
@@ -109,54 +97,3 @@ def lloyd_design(source: GaussianSource, K: int, grid: SampleGrid | None = None)
             return q
         prev_mse = mse
     return q
-
-
-def cell_probs_given_si(
-    q: ScalarQuantizer, pair: JointGaussianPair, y: float
-) -> np.ndarray:
-    """P(cell k | Y=y) for every cell: conditional Gaussian mass per cell."""
-    if not np.isfinite(y):
-        raise ValueError("invalid SI value")
-    if pair.rho == 0.0:
-        return q.cell_probs.copy()
-    cond = pair.x_given_y(y)
-    p, _, _ = gauss_interval_moments(q.edges(), cond.mean, cond.std)
-    return p
-
-
-def si_cell_mass_given_x(
-    q_si: ScalarQuantizer, pair: JointGaussianPair, x
-) -> np.ndarray:
-    """P(Y lands in each SI cell | X=x) for an array of x values, shape (n, N_si)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    edges = q_si.edges()
-    if pair.rho == 0.0:
-        return np.broadcast_to(q_si.cell_probs, (x.size, q_si.size)).copy()
-    sd = np.sqrt(pair.var_y * (1.0 - pair.rho ** 2))
-    means = pair.rho * (pair.sd_y / pair.sd_x) * x
-    from .gaussian import gauss_interval_moments_batch
-
-    p, _, _ = gauss_interval_moments_batch(edges, means, max(sd, 1e-300))
-    return p
-
-
-def si_conditional_density(
-    q_si: ScalarQuantizer,
-    pair: JointGaussianPair,
-    si_level: int,
-    grid: SampleGrid,
-) -> np.ndarray:
-    """Density of X given that Y fell in SI cell ``si_level``, on the grid.
-
-    f(x | cell) = f(x) * P(Y in cell | X=x) / P(cell).
-    """
-    if not 0 <= si_level < q_si.size:
-        raise ValueError("SI level out of range")
-    p_cell = float(q_si.cell_probs[si_level])
-    if p_cell < 1e-300:
-        raise ValueError("degenerate SI cell")
-    fx = pair.x_marginal().pdf(grid.points)
-    if pair.rho == 0.0 or q_si.size == 1:
-        return fx
-    mass = si_cell_mass_given_x(q_si, pair, grid.points)[:, si_level]
-    return fx * mass / p_cell

@@ -1,10 +1,14 @@
-"""Side-information source selection for the joint decoder.
+"""Side-information source selection criteria for the joint decoder.
 
 Three criteria are provided, in increasing order of cost and quality:
-nearest node by physical distance, largest mutual information between the
-received words given the current loss patterns, and smallest expected
-end-to-end distortion of the partial-SI decoder.  All ties resolve to the
-lowest candidate index so selections are deterministic.
+nearest node by physical distance (:func:`select_min_distance`), largest
+mutual information between the received words given the current loss
+patterns (:func:`pairwise_mi`), and smallest expected end-to-end distortion
+of the partial-SI decoder (:func:`expected_partial_si_distortion`).  The two
+pattern-dependent criteria are pairwise scores; the per-trial selection that
+tabulates them over loss patterns and picks each source's best candidate
+runs in :mod:`mdquant.simulator`.  All ties resolve to the lowest candidate
+index so selections are deterministic.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOutcome, pattern_index, pattern_table, tuple_space
-from .codec import CodecBundle
+from .channel import ChannelOutcome, pattern_table, tuple_space
+from .codec import CodecBundle, masked_ratio
 from .decode_asym import tuple_log_likelihood
-from .decode_sym import CrossSourceTables, CrossTableCache
+from .decode_sym import CrossSourceTables
 
 
 @dataclass(frozen=True)
@@ -80,36 +84,6 @@ def pairwise_mi(
     return max(float(mi), 0.0)
 
 
-def select_max_mi(
-    q_patterns,
-    bundle: CodecBundle,
-    rho_matrix,
-    cache: CrossTableCache,
-) -> SiAssignment:
-    """Per-source argmax of pairwise MI given the realized loss patterns.
-
-    Scores use the exact pairwise correlations (the criterion is not tied to
-    the stored decoder-table grid).
-    """
-    q_patterns = np.asarray(q_patterns, dtype=bool)
-    rho_matrix = np.asarray(rho_matrix, dtype=float)
-    n = q_patterns.shape[0]
-    scores = np.full((n, n), -np.inf)
-    memo: dict = {}
-    for u in range(n):
-        for t in range(n):
-            if t == u:
-                continue
-            rho_key = round(float(rho_matrix[u, t]), 12)
-            key = (rho_key, pattern_index(q_patterns[u]), pattern_index(q_patterns[t]))
-            if key not in memo:
-                memo[key] = pairwise_mi(
-                    bundle, bundle, cache.get_rho(rho_key), q_patterns[u], q_patterns[t]
-                )
-            scores[u, t] = memo[key]
-    return SiAssignment(np.argmax(scores, axis=1), "mutual_info", scores)
-
-
 def _neighbor_cell_posterior(outcome_t: ChannelOutcome, bundle_t: CodecBundle) -> np.ndarray:
     """P(neighbor cell | its received words): prior cell mass times channel evidence."""
     lik = np.exp(tuple_log_likelihood(outcome_t, bundle_t.channels))
@@ -137,8 +111,7 @@ def partial_si_reconstruct(
     if total <= 0:
         raise ValueError("inconsistent tables")
     post /= total
-    cent = np.where(prior > 0, first / np.where(prior > 0, prior, 1.0), 0.0)
-    return float(np.dot(post, cent))
+    return float(np.dot(post, masked_ratio(first, prior)))
 
 
 def expected_partial_si_distortion(
@@ -170,36 +143,7 @@ def expected_partial_si_distortion(
     first_jt = (cross.idx_given_cell * cross.cent_given_cell) @ w_cells
     den = t_u.T @ prior_jt  # (nJu, nJt)
     num = t_u.T @ first_jt
-    xhat = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    xhat = masked_ratio(num, den)
     d = var_x - 2.0 * np.sum(njj * xhat) + np.sum(pjj * xhat**2)
     return float(max(d, 0.0))
 
-
-def select_min_distortion(
-    q_patterns,
-    bundle: CodecBundle,
-    rho_matrix,
-    cache: CrossTableCache,
-    var_x: float = 1.0,
-) -> SiAssignment:
-    """Per-source argmin of the expected partial-SI decoder distortion.
-
-    Scores use the exact pairwise correlations, like :func:`select_max_mi`.
-    """
-    q_patterns = np.asarray(q_patterns, dtype=bool)
-    rho_matrix = np.asarray(rho_matrix, dtype=float)
-    n = q_patterns.shape[0]
-    scores = np.full((n, n), np.inf)
-    memo: dict = {}
-    for u in range(n):
-        for t in range(n):
-            if t == u:
-                continue
-            rho_key = round(float(rho_matrix[u, t]), 12)
-            key = (rho_key, pattern_index(q_patterns[u]), pattern_index(q_patterns[t]))
-            if key not in memo:
-                memo[key] = expected_partial_si_distortion(
-                    bundle, cache.get_rho(rho_key), q_patterns[u], q_patterns[t], var_x
-                )
-            scores[u, t] = memo[key]
-    return SiAssignment(np.argmin(scores, axis=1), "min_distortion", scores)

@@ -21,7 +21,7 @@ from .channel import (
     pattern_likelihood_tables,
     tuple_space,
 )
-from .codec import PROB_FLOOR, CodecBundle, si_moment_matrices
+from .codec import CodecBundle, masked_ratio, pattern_lookups, si_moment_matrices
 from .decode_sym import CrossTableCache
 from .gaussian import JointGaussianPair, quantize_rho
 from .si_select import (
@@ -31,6 +31,8 @@ from .si_select import (
 )
 
 PSD_EIGEN_FLOOR = 1e-9
+SYM_MODES = ("estimated", "soft")
+SI_METHODS = ("distance", "mutual_info", "min_distortion")
 
 
 def to_db(linear: float) -> float:
@@ -182,8 +184,7 @@ class _AsymLookup:
     """Reconstruction lookup tables for one (rho level, channel set).
 
     ``xhat[p][j, y]`` reconstructs from combined word j under loss pattern p
-    with SI level y; ``posterior[p][j]`` is the normalized tuple posterior
-    row used by the soft joint decoder.  ``level`` None means no SI.
+    with SI level y.  ``level`` None means no SI.
     """
 
     def __init__(self, bundle: CodecBundle, channels, level: int | None):
@@ -195,12 +196,7 @@ class _AsymLookup:
             joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
             first = joint * t.codebook[level].T
         self.patterns = pattern_likelihood_tables(channels)
-        self.xhat = []
-        for pt in self.patterns:
-            den = pt.table.T @ joint  # (n_j, S)
-            num = pt.table.T @ first
-            ok = den > PROB_FLOOR
-            self.xhat.append(np.where(ok, num / np.where(ok, den, 1.0), 0.0))
+        self.xhat = pattern_lookups(self.patterns, joint, first)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +334,12 @@ def _run_asym_awgn(cfg, channels, space, x, tuple_ids, si_levels, level):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymConfig:
-    """One symmetric Monte-Carlo configuration over a WSN scenario."""
+    """One symmetric Monte-Carlo configuration over a WSN scenario.
+
+    ``mode`` and ``si_method`` are checked here, before any sampling starts.
+    """
 
     scenario: WsnScenario
     bundle: CodecBundle
@@ -351,6 +350,12 @@ class SymConfig:
     max_iters: int = 10
     tol: float = 1e-6
     name: str = "sym"
+
+    def __post_init__(self):
+        if self.mode not in SYM_MODES:
+            raise ValueError("mode must be 'estimated' or 'soft'")
+        if self.si_method not in SI_METHODS:
+            raise ValueError("unknown SI selection method")
 
 
 def sample_correlated_sources(scenario: WsnScenario, trials: int, seed: int):
@@ -393,8 +398,6 @@ def _select_maps(cfg: SymConfig, pids, cache) -> np.ndarray:
     if cfg.si_method == "distance":
         fixed = select_min_distance(cfg.scenario.positions).map
         return np.broadcast_to(fixed, (trials, n_nodes))
-    if cfg.si_method not in ("mutual_info", "min_distortion"):
-        raise ValueError("unknown SI selection method")
     rho = cfg.scenario.pairwise_rho
     rho_keys = sorted(set(
         round(float(rho[u, t]), 12)
@@ -542,7 +545,7 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
             if delta < cfg.tol:
                 break
         xhat = ests
-    elif cfg.mode == "soft":
+    else:
         prev_posts = posts
         iterated = False
         for _ in range(cfg.max_iters - 1):
@@ -565,12 +568,9 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
                 num = dec.soft_prior(
                     prev_posts, s_map[:, u], level_per_trial[u], use_first=True
                 )
-                cent = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-                xhat[u] = np.sum(posts[u] * cent, axis=1)
+                xhat[u] = np.sum(posts[u] * masked_ratio(num, den), axis=1)
         else:
             xhat = ests
-    else:
-        raise ValueError("mode must be 'estimated' or 'soft'")
 
     sq = (x.T - xhat) ** 2  # (n_nodes, trials)
     per_trial = sq.mean(axis=0)

@@ -23,7 +23,6 @@ from mdquant import (
     evaluate_distortion,
     lloyd_design,
     min_avg_distortion,
-    mse_optimality_check,
     pairwise_mi,
     run_decoder,
 )
@@ -38,6 +37,7 @@ from mdquant.simulator import (
 )
 
 from conftest import make_bundle
+from oracles import mse_optimality_check
 
 SOURCE = GaussianSource(0.0, 1.0)
 

@@ -3,14 +3,13 @@ import pytest
 
 from mdquant import DescriptionChannel, derive_rng
 from mdquant.channel import (
-    joint_likelihood,
-    likelihood,
     loss_pattern_prob,
     loss_patterns,
     pattern_likelihood_tables,
-    sample_outcome,
     tuple_space,
 )
+
+from oracles import joint_likelihood, likelihood, sample_outcome
 
 
 def bsc_pair(p=0.0, mu=0.05, n=8):

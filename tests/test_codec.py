@@ -7,7 +7,6 @@ from mdquant import (
     IndexAssignment,
     JointGaussianPair,
     build_decoder_tables,
-    da_weights,
     design_annealed,
     evaluate_distortion,
     gibbs_update,
@@ -16,10 +15,12 @@ from mdquant import (
     lloyd_design,
 )
 from mdquant.channel import tuple_space
-from mdquant.codec import DesignContext
-from mdquant.quantizer import quantizer_mse, si_cell_mass_given_x
+from mdquant.codec import DesignContext, si_moment_matrices
+from mdquant.gaussian import gauss_interval_moments
+from mdquant.quantizer import quantizer_mse
 
 from conftest import simpson_nodes, std_normal_pdf
+from oracles import da_weights, distortion_direct, flatten_tuples, si_cell_mass_given_x
 
 
 class TestIaEntropy:
@@ -91,6 +92,34 @@ class TestHarden:
         assert np.array_equal(harden(ia).table, [[1.0, 0.0]])
 
 
+class TestSiMomentMatricesMarginalBranch:
+    """SI that carries no information about X: exact marginal interval moments."""
+
+    def marginal(self, q):
+        p, m1, m2 = gauss_interval_moments(q.edges(), 0.0, 1.0)
+        return p[:, None], m1[:, None], m2[:, None]
+
+    def test_no_si_quantizer(self, q4):
+        got = si_moment_matrices(q4, None, JointGaussianPair(1, 1, 0.8))
+        for g, e in zip(got, self.marginal(q4)):
+            assert g.shape == (4, 1)
+            assert np.array_equal(g, e)
+
+    def test_one_level_si_quantizer(self, source, q4):
+        si = lloyd_design(source, 1)
+        got = si_moment_matrices(q4, si, JointGaussianPair(1, 1, 0.8))
+        for g, e in zip(got, self.marginal(q4)):
+            assert g.shape == (4, 1)
+            assert np.array_equal(g, e)
+
+    def test_independent_si_weights_levels(self, source, q4):
+        si = lloyd_design(source, 8)
+        got = si_moment_matrices(q4, si, JointGaussianPair(1, 1, 0.0))
+        for g, e in zip(got, self.marginal(q4)):
+            assert g.shape == (4, 8)
+            assert np.array_equal(g, e * si.cell_probs[None, :])
+
+
 class TestDecoderTables:
     def test_bijective_no_si(self, source, q4):
         ia = IndexAssignment(np.eye(4), hard=True)
@@ -158,7 +187,7 @@ class TestEvaluateDistortion:
         for _ in range(5):
             table = rng.dirichlet(np.ones(4), size=4)
             split = ctx.distortion(table)
-            direct = ctx.distortion_direct(table)
+            direct = distortion_direct(ctx, table)
             assert abs(split.d_av - direct) < 1e-9
 
     def test_matches_monte_carlo(self, source):
@@ -208,8 +237,8 @@ class TestDaWeights:
         ctx = self.make_ctx(source, q4)
         space = tuple_space(ctx.channels)
         # Mirror: cell k -> K-1-k, each description index complemented.
-        mirror_tuple = space.flatten(
-            np.array([[1 - i1, 1 - i2] for i1, i2 in space.tuples])
+        mirror_tuple = flatten_tuples(
+            space, np.array([[1 - i1, 1 - i2] for i1, i2 in space.tuples])
         )
         rng = np.random.default_rng(3)
         a = rng.dirichlet(np.ones(4), size=4)
@@ -226,7 +255,7 @@ class TestDaWeights:
         w = ctx.weights(ctx.decoder_state(a))
 
         def d_av(table):
-            return ctx.distortion_direct(table)
+            return distortion_direct(ctx, table)
 
         eps = 1e-5
         for k, i in ((0, 0), (1, 3), (2, 2), (3, 1)):

@@ -6,14 +6,13 @@ from mdquant import (
     JointGaussianPair,
     decode,
     lloyd_design,
-    mse_optimality_check,
     posterior,
     reconstruct,
 )
-from mdquant.channel import joint_likelihood, loss_patterns, tuple_space
-from mdquant.quantizer import si_cell_mass_given_x
+from mdquant.channel import loss_patterns, tuple_space
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
+from oracles import joint_likelihood, mse_optimality_check, si_cell_mass_given_x
 
 
 def oracle_prior_and_centroids(bundle, rho, level):

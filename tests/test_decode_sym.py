@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from mdquant import (
@@ -14,10 +17,11 @@ from mdquant import (
     soft_si_posterior,
     soft_si_reconstruct,
 )
-from mdquant.channel import joint_likelihood, tuple_space
+from mdquant.channel import tuple_space
 from mdquant.decode_sym import CrossTableCache, SymmetricState, estimated_si_iterate
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
+from oracles import joint_likelihood
 
 
 def oracle_cell_joint(q, rho, n=6001):
@@ -82,6 +86,35 @@ class TestCrossTables:
         joint, _ = oracle_cell_joint(tiny_bundle.quantizer, rho)
         cond = joint / tiny_bundle.quantizer.cell_probs[None, :]
         assert np.max(np.abs(cross.cell_cross - cond)) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def k16_bundle(source):
+    """K=16 codec over two 4-index descriptions; cells k and k+12 share a tuple."""
+    table = np.zeros((16, 16))
+    table[np.arange(16), np.arange(16) % 12] = 1.0
+    channels = (
+        DescriptionChannel.bsc(0.005, 0.05, 4),
+        DescriptionChannel.bsc(0.005, 0.05, 4),
+    )
+    return make_bundle(lloyd_design(source, 16), lloyd_design(source, 64), table, channels)
+
+
+class TestCrossTableProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(rho=st.floats(0.0, 0.99))
+    def test_conditional_columns_and_symmetric_joint(self, tiny_bundle, k16_bundle, rho):
+        for bundle in (tiny_bundle, k16_bundle):
+            cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, rho))
+            assert np.max(np.abs(cross.cell_cross.sum(axis=0) - 1.0)) < 1e-12
+            joint = cross.cell_cross * bundle.quantizer.cell_probs[None, :]
+            assert np.max(np.abs(joint - joint.T)) < 1e-14
+
+    def test_independent_columns_equal_marginal(self, tiny_bundle, k16_bundle):
+        for bundle in (tiny_bundle, k16_bundle):
+            cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, 0.0))
+            marginal = bundle.quantizer.cell_probs[:, None]
+            assert np.max(np.abs(cross.cell_cross - marginal)) < 1e-15
 
 
 class TestSoftSi:

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from mdquant import (
-    CorrelationLadder,
-    JointGaussianPair,
-    SampleGrid,
-    conditional_density,
-    default_grid,
-    integrate,
-    quantize_rho,
-)
+from mdquant import CorrelationLadder, JointGaussianPair, quantize_rho
 from mdquant.gaussian import gauss_interval_moments
 
 from conftest import simpson_nodes, std_normal_pdf
+from oracles import SampleGrid, conditional_density, default_grid, integrate
 
 
 class TestConditionalDensity:

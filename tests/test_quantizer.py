@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from mdquant import (
-    JointGaussianPair,
-    cell_of,
-    cell_probs_given_si,
-    default_grid,
-    integrate,
-    lloyd_design,
-    si_conditional_density,
-)
+from mdquant import JointGaussianPair, cell_of, lloyd_design
 from mdquant.quantizer import quantizer_mse
 
 from conftest import simpson_nodes, std_normal_pdf
+from oracles import cell_probs_given_si, default_grid, integrate, si_conditional_density
 
 
 class TestLloydDesign:
@@ -40,12 +33,6 @@ class TestLloydDesign:
 
         p, m1, _ = gauss_interval_moments(q.edges(), 0.0, 1.0)
         assert np.max(np.abs(q.codewords - m1 / p)) < 1e-6
-
-    def test_grid_capacity_guard(self, source):
-        from mdquant import SampleGrid
-
-        with pytest.raises(ValueError):
-            lloyd_design(source, 100, SampleGrid.uniform(-6, 6, 51))
 
 
 class TestCellOf:

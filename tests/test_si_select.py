@@ -11,17 +11,45 @@ from mdquant import (
     pairwise_mi,
     partial_si_reconstruct,
     posterior,
-    select_max_mi,
     select_min_distance,
-    select_min_distortion,
     soft_si_posterior,
     soft_si_reconstruct,
 )
 from mdquant.channel import tuple_space
 from mdquant.decode_sym import CrossTableCache
 from mdquant.si_select import expected_partial_si_distortion
+from mdquant.simulator import (
+    SymConfig,
+    WsnScenario,
+    _pattern_ids,
+    _select_maps,
+    _selection_score_tables,
+)
 
 from conftest import make_bundle
+
+
+def select_one_trial(bundle, rho, q, method):
+    """Per-trial selection of one trial: (chosen SI source per node, scores).
+
+    ``scores[u, t]`` is the score table entry the selector read for
+    candidate t of source u; the diagonal is left at NaN.
+    """
+    rho = np.asarray(rho, dtype=float)
+    n = rho.shape[0]
+    scenario = WsnScenario(np.zeros((n, 2)), 2.0, rho, bundle.channels, 0)
+    cfg = SymConfig(scenario=scenario, bundle=bundle, si_method=method, trials=1)
+    pids = _pattern_ids(np.asarray(q, dtype=bool))[None, :]  # (1 trial, n nodes)
+    cache = CrossTableCache(bundle)
+    chosen = _select_maps(cfg, pids, cache)[0]
+    keys = sorted({round(float(rho[u, t]), 12) for u in range(n) for t in range(n) if t != u})
+    tables = _selection_score_tables(bundle, cache, keys, method)
+    scores = np.full((n, n), np.nan)
+    for u in range(n):
+        for t in range(n):
+            if t != u:
+                scores[u, t] = tables[round(float(rho[u, t]), 12)][pids[0, u], pids[0, t]]
+    return chosen, scores
 
 
 class TestMinDistance:
@@ -115,23 +143,20 @@ class TestSelectMaxMi:
     def test_surviving_candidate_wins(self, tiny_bundle):
         rho = np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.8], [0.8, 0.8, 1.0]])
         q = np.array([[True, True], [False, False], [True, True]])
-        cache = CrossTableCache(tiny_bundle)
-        a = select_max_mi(q, tiny_bundle, rho, cache)
-        assert a.map[0] == 2  # candidate 1 lost everything
+        chosen, _ = select_one_trial(tiny_bundle, rho, q, "mutual_info")
+        assert chosen[0] == 2  # candidate 1 lost everything
 
     def test_higher_rho_wins(self, tiny_bundle):
         rho = np.array([[1.0, 0.9, 0.2], [0.9, 1.0, 0.5], [0.2, 0.5, 1.0]])
         q = np.ones((3, 2), dtype=bool)
-        cache = CrossTableCache(tiny_bundle)
-        a = select_max_mi(q, tiny_bundle, rho, cache)
-        assert a.map[0] == 1
+        chosen, _ = select_one_trial(tiny_bundle, rho, q, "mutual_info")
+        assert chosen[0] == 1
 
     def test_tie_breaks_low(self, tiny_bundle):
         rho = np.array([[1.0, 0.7, 0.7], [0.7, 1.0, 0.7], [0.7, 0.7, 1.0]])
         q = np.ones((3, 2), dtype=bool)
-        cache = CrossTableCache(tiny_bundle)
-        a = select_max_mi(q, tiny_bundle, rho, cache)
-        assert a.map[0] == 1
+        chosen, _ = select_one_trial(tiny_bundle, rho, q, "mutual_info")
+        assert chosen[0] == 1
 
 
 class TestPartialSiReconstruct:
@@ -175,17 +200,15 @@ class TestSelectMinDistortion:
     def test_high_rho_candidate_wins(self, tiny_bundle):
         rho = np.array([[1.0, 0.9, 1e-9], [0.9, 1.0, 0.5], [1e-9, 0.5, 1.0]])
         q = np.ones((3, 2), dtype=bool)
-        cache = CrossTableCache(tiny_bundle)
-        a = select_min_distortion(q, tiny_bundle, rho, cache)
-        assert a.map[0] == 1
-        assert a.scores[0, 1] < a.scores[0, 2]
+        chosen, scores = select_one_trial(tiny_bundle, rho, q, "min_distortion")
+        assert chosen[0] == 1
+        assert scores[0, 1] < scores[0, 2]
 
     def test_intact_candidate_beats_lost(self, tiny_bundle):
         rho = np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.8], [0.8, 0.8, 1.0]])
         q = np.array([[True, True], [False, False], [True, True]])
-        cache = CrossTableCache(tiny_bundle)
-        a = select_min_distortion(q, tiny_bundle, rho, cache)
-        assert a.map[0] == 2
+        chosen, _ = select_one_trial(tiny_bundle, rho, q, "min_distortion")
+        assert chosen[0] == 2
 
     def test_expected_distortion_monte_carlo(self, tiny_bundle):
         # Analytic expectation vs simulation for one (Q_u, Q_t) pair.

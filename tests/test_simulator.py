@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,13 @@ from mdquant import (
     ChannelOutcome,
     DescriptionChannel,
     JointGaussianPair,
+    decode,
     design_annealed,
     lloyd_design,
     quantize_rho,
     run_decoder,
 )
-from mdquant.channel import tuple_space
+from mdquant.channel import loss_patterns, tuple_space
 from mdquant.decode_sym import CrossTableCache
 from mdquant.simulator import (
     AsymConfig,
@@ -22,6 +25,7 @@ from mdquant.simulator import (
     run_asym_experiment,
     run_sym_experiment,
     sample_correlated_sources,
+    _AsymLookup,
     _pattern_ids,
     _transmit_bsc,
 )
@@ -111,6 +115,33 @@ class TestConditionalEntropyRates:
         assert all(b <= a + 1e-12 for a, b in zip(r0, r8))
 
 
+class TestAsymLookup:
+    def test_equals_per_symbol_decode_exhaustively(self, tiny_bundle):
+        # Every loss pattern, received word, SI level and rho level (None:
+        # no SI) of the tiny codec: the batched lookup is the MMSE decoder.
+        channels = tiny_bundle.channels
+        levels = [None] + list(range(tiny_bundle.ladder.count))
+        cases = 0
+        worst = 0.0
+        for level in levels:
+            lookup = _AsymLookup(tiny_bundle, channels, level)
+            si_levels = [None] if level is None else range(tiny_bundle.tables.n_si)
+            for p, q in enumerate(loss_patterns(len(channels))):
+                alphabets = [
+                    range(ch.received_alphabet) if got else [None]
+                    for ch, got in zip(channels, q)
+                ]
+                for key, words in enumerate(product(*alphabets)):
+                    outcome = ChannelOutcome(tuple(words), q)
+                    for y in si_levels:
+                        got = lookup.xhat[p][key, 0 if y is None else y]
+                        expect = decode(outcome, y, level, tiny_bundle)
+                        worst = max(worst, abs(got - expect))
+                        cases += 1
+        assert cases == 585
+        assert worst < 1e-12
+
+
 class TestAsymExperiment:
     def test_matches_analytic(self, designed_bundle):
         res = run_asym_experiment(
@@ -171,6 +202,18 @@ class TestAsymExperiment:
             )
         )
         assert 0 < res.d_av < 1.0
+
+
+class TestSymConfig:
+    def test_rejects_unknown_mode_at_construction(self, tiny_bundle):
+        scen = generate_scenario(3, tiny_bundle.channels, seed=0)
+        with pytest.raises(ValueError, match="mode must be 'estimated' or 'soft'"):
+            SymConfig(scenario=scen, bundle=tiny_bundle, mode="sfot")
+
+    def test_rejects_unknown_si_method_at_construction(self, tiny_bundle):
+        scen = generate_scenario(3, tiny_bundle.channels, seed=0)
+        with pytest.raises(ValueError, match="unknown SI selection method"):
+            SymConfig(scenario=scen, bundle=tiny_bundle, si_method="max_mi")
 
 
 class TestSymExperiment:
