@@ -208,3 +208,15 @@ def pattern_likelihood_tables(channels, space: TupleSpace | None = None) -> list
     if space is None:
         space = tuple_space(channels)
     return [pattern_table(channels, Q, space) for Q in loss_patterns(len(channels))]
+
+
+def stacked_pattern_table(channels, space: TupleSpace | None = None):
+    """Every loss pattern's likelihood table side by side, shape (L, sum n_j).
+
+    Also returns the column offsets, one more than there are patterns:
+    pattern p (in ``loss_patterns`` order) owns columns
+    ``offsets[p]:offsets[p + 1]``.
+    """
+    tables = pattern_likelihood_tables(channels, space)
+    offsets = np.cumsum([0] + [pt.n_j for pt in tables])
+    return np.hstack([pt.table for pt in tables]), offsets

@@ -75,6 +75,20 @@ def _design_bundle(args):
     )
 
 
+def _check_output_path(output) -> None:
+    """Reject an output path that cannot be written before any work starts."""
+    path = Path(output)
+    if path.is_dir():
+        raise ValueError(f"output path {output!s} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"output directory {str(path.parent)!r} does not exist")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError("--trials must be at least 2 (the standard error needs two samples)")
+
+
 def cmd_design(args) -> int:
     bundle = _design_bundle(args)
     if args.output:
@@ -114,25 +128,30 @@ def cmd_bound(args) -> int:
             raise ValueError("need --rho, --r1, --r2, --mu1 (or a --sweep)")
         mu2 = args.mu1 if args.mu2 is None else args.mu2
         points = [(args.rho, args.r1, args.r2, args.mu1, mu2)]
+    # Built before any row, so an invalid query exits 2 instead of being
+    # reported as an infeasible row.
+    queries = [
+        BoundQuery(r1=r1, r2=r2, rho=rho, mu1=mu1, mu2=mu2)
+        for rho, r1, r2, mu1, mu2 in points
+    ]
     lines = ["rho,r1,r2,mu1,mu2,d_min_db,d1_opt,d2_opt"]
-    for rho, r1, r2, mu1, mu2 in points:
+    for q in queries:
+        point = f"{q.rho!r},{q.r1!r},{q.r2!r},{q.mu1!r},{q.mu2!r}"
         try:
             res = min_avg_distortion(
-                BoundQuery(r1=r1, r2=r2, rho=rho, mu1=mu1, mu2=mu2),
+                q,
                 literal_weighting=args.literal_weighting,
                 natural_delta=args.natural_delta,
             )
-            lines.append(
-                f"{rho!r},{r1!r},{r2!r},{mu1!r},{mu2!r},"
-                f"{res.d_min_db:.6f},{res.d1!r},{res.d2!r}"
-            )
+            lines.append(f"{point},{res.d_min_db:.6f},{res.d1!r},{res.d2!r}")
         except ValueError:
-            lines.append(f"{rho!r},{r1!r},{r2!r},{mu1!r},{mu2!r},infeasible,,")
+            lines.append(f"{point},infeasible,,")
     _emit(lines, args.output)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    _check_trials(args.trials)
     bundle = load_codec(args.codec)
     if args.nsi_sweep and (args.bsc_sweep or args.awgn is not None):
         raise ValueError("--nsi-sweep cannot be combined with channel sweeps")
@@ -221,6 +240,7 @@ def _load_scenario_file(path, channels):
 
 
 def cmd_scenario(args) -> int:
+    _check_trials(args.trials)
     if args.codec:
         bundle = load_codec(args.codec)
         channels = bundle.channels
@@ -398,6 +418,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output_path(args.output)
         return args.func(args)
     except CodecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

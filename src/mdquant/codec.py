@@ -13,12 +13,18 @@ All analytic machinery reduces to three moment matrices S0, S1, S2 of shape
 
 from which priors P(I | y), codebooks C(I | y), reconstruction lookups and
 the annealing weights are all small matrix contractions.
+
+The likelihood tables of the 2^M loss patterns are stacked side by side into
+one (L x sum n_j) matrix, so every per-word quantity of every pattern (masses,
+first moments, reconstructions, the annealing gradient) comes from one matrix
+product per quantity; row ``offsets[p] + j`` is received word j of pattern p.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -26,7 +32,8 @@ from numpy.polynomial.legendre import leggauss
 from .channel import (
     derive_rng,
     loss_pattern_prob,
-    pattern_likelihood_tables,
+    loss_patterns,
+    stacked_pattern_table,
     tuple_space,
 )
 from .gaussian import (
@@ -53,16 +60,19 @@ def masked_ratio(num, den, floor: float = 0.0):
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def pattern_lookups(pattern_tables, joint, first) -> list:
-    """Posterior-mean lookup per loss pattern: ``xhat[p][j, y]``.
+def pattern_lookups(stacked, joint, first):
+    """Posterior-mean lookup for every loss pattern and received word.
 
-    ``joint`` and ``first`` are (L, S) tuple/SI-level masses P(I, y) and first
-    moments; each pattern table contracts the tuple axis to received words.
+    ``stacked`` is the (L, N) table of ``channel.stacked_pattern_table``; ``joint``
+    and ``first`` are (L, S) tuple/SI-level masses P(I, y) and first moments.
+    Returns the (N, S) received-word masses ``den``, first moments ``num`` and
+    reconstructions ``xhat = num / den`` (0 where the mass is below
+    ``PROB_FLOOR``).
     """
-    return [
-        masked_ratio(pt.table.T @ first, pt.table.T @ joint, PROB_FLOOR)
-        for pt in pattern_tables
-    ]
+    S = joint.shape[1]
+    den_num = stacked.T @ np.hstack([joint, first])
+    den, num = den_num[:, :S], den_num[:, S:]
+    return den, num, masked_ratio(num, den, PROB_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,10 @@ def gibbs_update(weights: np.ndarray, T: float, cell_probs) -> IndexAssignment:
     """Softmax re-estimation of the assignment at temperature T.
 
     Row k becomes exp(-W[k,I] / (T * P(k))) normalized over I, computed with
-    per-row max subtraction so extreme exponents cannot overflow.
+    per-row max subtraction so extreme exponents cannot overflow.  Entries
+    below ``PROB_FLOOR`` are set to 0: they change no sum they enter, while
+    their products with the moment matrices underflow to subnormal numbers,
+    which slow every later matrix product several-fold.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
@@ -128,6 +141,7 @@ def gibbs_update(weights: np.ndarray, T: float, cell_probs) -> IndexAssignment:
     expo -= expo.max(axis=1, keepdims=True)
     rows = np.exp(expo)
     rows /= rows.sum(axis=1, keepdims=True)
+    rows[rows < PROB_FLOOR] = 0.0
     return IndexAssignment(rows, hard=False)
 
 
@@ -329,6 +343,17 @@ class DistortionBreakdown:
         return 10.0 * np.log10(self.d_av / reference_var)
 
 
+class DecoderState(NamedTuple):
+    """Matched decoder of one assignment: (L, S) tuple tables, (N, S) word tables."""
+
+    joint: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    den: np.ndarray
+    num: np.ndarray
+    xhat: np.ndarray
+
+
 class DesignContext:
     """Precomputed quantities for analytic distortion/weight evaluation.
 
@@ -348,50 +373,51 @@ class DesignContext:
         self.s0, self.s1, self.s2 = si_moment_matrices(
             quantizer, si_quantizer, pair, n_gauss
         )
-        self.pattern_tables = pattern_likelihood_tables(channels, self.space)
-        self.pattern_probs = np.array(
-            [loss_pattern_prob(pt.pattern, channels) for pt in self.pattern_tables]
-        )
         self.cell_probs = quantizer.cell_probs
+        self.stacked, self.offsets = stacked_pattern_table(channels, self.space)
+        self.pattern_probs = np.array(
+            [loss_pattern_prob(q, channels) for q in loss_patterns(len(channels))]
+        )
+        # Constant factors of the fused products.
+        self.s012 = np.hstack([self.s0, self.s1, self.s2])  # (K, 3S)
+        col_probs = np.repeat(self.pattern_probs, np.diff(self.offsets))
+        self.weighted_stacked = self.stacked * col_probs[None, :]  # (L, N)
+        self.s01_t = np.vstack([self.s0.T, self.s1.T])  # (2S, K)
+        self.s2_tot = self.s2.sum(axis=1)  # (K,)
 
-    def decoder_state(self, table: np.ndarray):
+    def decoder_state(self, table: np.ndarray) -> DecoderState:
         """Joint tables and reconstruction lookups implied by an assignment."""
-        joint = table.T @ self.s0  # (L, S) joint P(I, SI level)
-        first = table.T @ self.s1
-        return joint, first, pattern_lookups(self.pattern_tables, joint, first)
+        S = self.s0.shape[1]
+        moments = table.T @ self.s012  # (L, 3S): P(I, y), first and second moments
+        joint, first, second = moments[:, :S], moments[:, S:2 * S], moments[:, 2 * S:]
+        den, num, xhat = pattern_lookups(self.stacked, joint, first)
+        return DecoderState(joint, first, second, den, num, xhat)
 
     def distortion(self, table: np.ndarray, state=None) -> DistortionBreakdown:
         """Matched-decoder average distortion split into encoder/channel parts."""
-        joint, first, xhats = state if state is not None else self.decoder_state(table)
-        second = table.T @ self.s2
+        if state is None:
+            state = self.decoder_state(table)
+        joint, first, second, den, num, xhat = state
         pos = joint > PROB_FLOOR
         d_se = float(second.sum() - np.sum(first[pos] ** 2 / joint[pos]))
+        e2 = self.stacked.T @ masked_ratio(first**2, joint, PROB_FLOOR)  # E[x^2] mass per word
+        terms = e2 - 2.0 * num * xhat + den * xhat**2
+        # Summed pattern by pattern: one flat sum moves d_ch in the last bit.
         d_ch = 0.0
-        for pq, pt, xhat in zip(self.pattern_probs, self.pattern_tables, xhats):
-            e2 = pt.table.T @ masked_ratio(first**2, joint, PROB_FLOOR)
-            num = pt.table.T @ first
-            den = pt.table.T @ joint
-            d_ch += pq * float(np.sum(e2 - 2.0 * num * xhat + den * xhat**2))
+        for pq, a, b in zip(self.pattern_probs, self.offsets[:-1], self.offsets[1:]):
+            d_ch += pq * float(np.sum(terms[a:b]))
         return DistortionBreakdown(d_se, max(d_ch, 0.0))
 
-    def weights(self, state) -> np.ndarray:
+    def weights(self, state: DecoderState) -> np.ndarray:
         """Distortion derivative d D / d P(I | cell k), shape (K, L).
 
         Uses the reconstruction lookups of ``state`` (i.e., the decoder built
-        from the assignment of the previous step).
+        from the assignment of the previous step):
+        ``W[k, I] = sum_y S2[k, y] + sum_(p, j) P(p) T[I, j] (xhat^2 S0 - 2 xhat S1)``.
         """
-        _, _, xhats = state
-        L = self.space.size
-        K = self.quantizer.size
-        a1 = np.zeros((L, K))
-        a0 = np.zeros((L, K))
-        for pq, pt, xhat in zip(self.pattern_probs, self.pattern_tables, xhats):
-            e1 = xhat @ self.s1.T  # (n_j, K)
-            e0 = (xhat**2) @ self.s0.T
-            a1 += pq * (pt.table @ e1)
-            a0 += pq * (pt.table @ e0)
-        s2_tot = self.s2.sum(axis=1)  # (K,)
-        return (s2_tot[None, :] - 2.0 * a1 + a0).T
+        xhat = state.xhat
+        per_tuple = self.weighted_stacked @ np.hstack([xhat**2, -2.0 * xhat])  # (L, 2S)
+        return self.s2_tot[:, None] + (per_tuple @ self.s01_t).T
 
 
 def evaluate_distortion(
@@ -496,14 +522,14 @@ def _auto_t_init(weights, cell_probs, entropy_target: float) -> float:
 def _anneal_once(ctx: DesignContext, schedule: AnnealingSchedule, rng):
     L = ctx.space.size
     K = ctx.quantizer.size
-    table = rng.dirichlet(np.ones(L), size=K)
-    state = ctx.decoder_state(table)
+    ia = IndexAssignment(rng.dirichlet(np.ones(L), size=K))
+    state = ctx.decoder_state(ia.table)
     weights = ctx.weights(state)
     t_init = schedule.t_init or _auto_t_init(weights, ctx.cell_probs, schedule.entropy_target)
     t_min = schedule.t_min_ratio * t_init
 
     T = t_init
-    d_av = ctx.distortion(table, state).d_av
+    d_av = ctx.distortion(ia.table, state).d_av
     violations = 0
     cap_hits = 0
     prev_entropy = None
@@ -512,9 +538,8 @@ def _anneal_once(ctx: DesignContext, schedule: AnnealingSchedule, rng):
         d_prev = np.inf
         for _ in range(schedule.inner_cap):
             ia = gibbs_update(weights, T, ctx.cell_probs)
-            table = ia.table
-            state = ctx.decoder_state(table)
-            d_av = ctx.distortion(table, state).d_av
+            state = ctx.decoder_state(ia.table)
+            d_av = ctx.distortion(ia.table, state).d_av
             weights = ctx.weights(state)
             if d_av > d_prev * (1.0 + 1e-12):
                 violations += 1
@@ -523,14 +548,14 @@ def _anneal_once(ctx: DesignContext, schedule: AnnealingSchedule, rng):
             d_prev = d_av
         else:
             cap_hits += 1
-        ent = ia_entropy(IndexAssignment(table), ctx.cell_probs)
+        ent = ia_entropy(ia, ctx.cell_probs)
         if prev_entropy is not None and ent > prev_entropy + 1e-9:
             entropy_increases += 1
         prev_entropy = ent
         T *= schedule.cooling
 
     soft_d = d_av
-    hard_ia = harden(IndexAssignment(table))
+    hard_ia = harden(ia)
     hard_d = ctx.distortion(hard_ia.table).d_av
     info = {
         "t_init": float(t_init),

@@ -80,6 +80,15 @@ def bundle_from_dict(data: dict) -> CodecBundle:
         raise CodecFormatError(
             f"codec format version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
+    try:
+        return _bundle_from_fields(data)
+    except KeyError as exc:
+        raise ValueError(f"codec file lacks field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed codec file: {exc}") from exc
+
+
+def _bundle_from_fields(data: dict) -> CodecBundle:
     t = data["tables"]
     tables = DecoderTables(
         rho_values=np.array(t["rho_values"]),

@@ -35,7 +35,9 @@ class BoundQuery:
             raise ValueError("rates must be nonnegative")
         if not (0 <= self.mu1 <= 1 and 0 <= self.mu2 <= 1):
             raise ValueError("loss probabilities must lie in [0, 1]")
-        if abs(self.rho) > 1 or self.var_x <= 0 or self.var_y <= 0:
+        if not abs(self.rho) < 1:
+            raise ValueError("correlation must lie in (-1, 1)")
+        if self.var_x <= 0 or self.var_y <= 0:
             raise ValueError("invalid source parameters")
 
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    derive_rng,
-    loss_patterns,
-    pattern_likelihood_tables,
-    tuple_space,
-)
+from .channel import derive_rng, loss_patterns, stacked_pattern_table, tuple_space
 from .codec import CodecBundle, masked_ratio, pattern_lookups, si_moment_matrices
 from .decode_sym import CrossTableCache
 from .gaussian import JointGaussianPair, quantize_rho
@@ -171,20 +166,29 @@ def _pattern_ids(received: np.ndarray) -> np.ndarray:
     return received.astype(int) @ weights
 
 
-def _combined_keys(words: np.ndarray, channels, pattern) -> np.ndarray:
-    """Row-major combined received word over the pattern's received descriptions."""
+def _word_rows(words: np.ndarray, pids: np.ndarray, channels, offsets) -> np.ndarray:
+    """Row of each trial's received word in a stacked pattern table.
+
+    Loss pattern p owns rows ``offsets[p]:offsets[p + 1]`` (see
+    ``channel.stacked_pattern_table``); within them the words of the pattern's
+    received descriptions combine row-major.
+    """
+    M = len(channels)
     key = np.zeros(words.shape[0], dtype=int)
     for m, ch in enumerate(channels):
-        if pattern[m]:
-            key = key * ch.received_alphabet + words[:, m]
+        got = (pids & (1 << (M - 1 - m))).astype(bool)
+        np.multiply(key, ch.received_alphabet, out=key, where=got)
+        np.add(key, words[:, m], out=key, where=got)
+    key += offsets[pids]
     return key
 
 
 class _AsymLookup:
-    """Reconstruction lookup tables for one (rho level, channel set).
+    """Reconstruction lookup table for one (rho level, channel set).
 
-    ``xhat[p][j, y]`` reconstructs from combined word j under loss pattern p
-    with SI level y.  ``level`` None means no SI.
+    ``table[offsets[p] + j, y]`` reconstructs from combined word j under loss
+    pattern p with SI level y, and ``xhat[p]`` is pattern p's block of it.
+    ``level`` None means no SI.
     """
 
     def __init__(self, bundle: CodecBundle, channels, level: int | None):
@@ -195,8 +199,9 @@ class _AsymLookup:
         else:
             joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
             first = joint * t.codebook[level].T
-        self.patterns = pattern_likelihood_tables(channels)
-        self.xhat = pattern_lookups(self.patterns, joint, first)
+        stacked, self.offsets = stacked_pattern_table(channels)
+        _, _, self.table = pattern_lookups(stacked, joint, first)
+        self.xhat = np.split(self.table, self.offsets[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +250,8 @@ def run_asym_experiment(cfg: AsymConfig) -> ExperimentResult:
     if all(ch.kind == "bsc" for ch in channels):
         words, received = _transmit_bsc(tuple_ids, channels, space, (2,), cfg.seed)
         lookup = _AsymLookup(bundle, channels, level)
-        xhat = np.empty(n)
-        pids = _pattern_ids(received)
-        for p, (pt, table) in enumerate(zip(lookup.patterns, lookup.xhat)):
-            mask = pids == p
-            if not np.any(mask):
-                continue
-            keys = _combined_keys(words[mask], channels, pt.pattern)
-            xhat[mask] = table[keys, si_levels[mask]]
-        err = (x - xhat) ** 2
+        rows = _word_rows(words, _pattern_ids(received), channels, lookup.offsets)
+        err = (x - lookup.table[rows, si_levels]) ** 2
 
         extra = {}
         d_side = None
@@ -262,8 +260,8 @@ def run_asym_experiment(cfg: AsymConfig) -> ExperimentResult:
             forced = {}
             for pattern in ((True, False), (False, True), (True, True)):
                 p = 2 * pattern[0] + pattern[1]
-                keys = _combined_keys(words, channels, pattern)
-                xh = lookup.xhat[p][keys, si_levels]
+                rows = _word_rows(words, np.full(n, p), channels, lookup.offsets)
+                xh = lookup.table[rows, si_levels]
                 forced[pattern] = float(np.mean((x - xh) ** 2))
             d_side = (forced[(True, False)], forced[(False, True)])
             d_central = forced[(True, True)]
@@ -429,7 +427,8 @@ class _SymDecoder:
         self.space = tuple_space(self.channels)
         self.cache = cache
         self.level_matrix = level_matrix
-        self.pattern_tabs = pattern_likelihood_tables(self.channels, self.space)
+        stacked, self.offsets = stacked_pattern_table(self.channels, self.space)
+        self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
         t = self.bundle.tables
         self.nosi_prior = t.prior_nosi
         self.nosi_codebook = t.codebook_nosi
@@ -442,14 +441,7 @@ class _SymDecoder:
 
     def lik_rows(self, words_u, pids_u):
         """(trials, L) channel likelihood rows for one source."""
-        rows = np.empty((words_u.shape[0], self.space.size))
-        for p, pt in enumerate(self.pattern_tabs):
-            mask = pids_u == p
-            if not np.any(mask):
-                continue
-            keys = _combined_keys(words_u[mask], self.channels, pt.pattern)
-            rows[mask] = pt.table[:, keys].T
-        return rows
+        return self.word_lik[_word_rows(words_u, pids_u, self.channels, self.offsets)]
 
     def no_si_pass(self, lik):
         """lik: (trials, L) -> (posteriors, estimates)."""
@@ -464,16 +456,11 @@ class _SymDecoder:
         y_levels = np.searchsorted(
             self.bundle.si_quantizer.thresholds, neighbor, side="left"
         )
+        rows_u = _word_rows(words_u, pids_u, self.channels, self.offsets)
         out = np.empty(trials)
         for level in np.unique(level_u):
             lsel = level_u == level
-            lk = self.lookup(int(level))
-            for p, pt in enumerate(lk.patterns):
-                mask = lsel & (pids_u == p)
-                if not np.any(mask):
-                    continue
-                keys = _combined_keys(words_u[mask], self.channels, pt.pattern)
-                out[mask] = lk.xhat[p][keys, y_levels[mask]]
+            out[lsel] = self.lookup(int(level)).table[rows_u[lsel], y_levels[lsel]]
         return out
 
     def soft_prior(self, posts_prev, s_map_u, level_u, use_first=False):

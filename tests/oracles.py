@@ -1,8 +1,8 @@
 """Reference implementations that only the tests use.
 
 Grids and grid densities, SI-conditional cell probabilities, per-description
-likelihoods and per-symbol transmission, the single-pass distortion, and the
-brute-force MMSE audit.  They compute from first principles what the package
+likelihoods and per-symbol transmission, the single-pass distortion, the
+per-loss-pattern design quantities, and the brute-force MMSE audit.  They compute from first principles what the package
 computes from moment matrices and lookup tables, so the tests can check one
 against the other.
 """
@@ -21,9 +21,17 @@ from mdquant.channel import (
     bit_patterns,
     bpsk_symbols,
     hamming_table,
+    loss_pattern_prob,
     loss_patterns,
+    pattern_likelihood_tables,
 )
-from mdquant.codec import CodecBundle, DesignContext, IndexAssignment
+from mdquant.codec import (
+    PROB_FLOOR,
+    CodecBundle,
+    DesignContext,
+    IndexAssignment,
+    masked_ratio,
+)
 from mdquant.decode_asym import decode, tuple_log_likelihood
 from mdquant.gaussian import JointGaussianPair, gauss_interval_moments, gauss_interval_moments_batch
 from mdquant.quantizer import ScalarQuantizer
@@ -250,6 +258,44 @@ def da_weights(
     """Annealing weight matrix with reconstructions built from ``ia``."""
     ctx = DesignContext(quantizer, si_quantizer, pair, channels, n_gauss)
     return ctx.weights(ctx.decoder_state(ia.table))
+
+
+def per_pattern_lookups(pattern_tables, joint, first) -> list:
+    """Posterior-mean lookup per loss pattern, ``xhat[p][j, y]``, one product each."""
+    return [
+        masked_ratio(pt.table.T @ first, pt.table.T @ joint, PROB_FLOOR)
+        for pt in pattern_tables
+    ]
+
+
+def per_pattern_design(ctx: DesignContext, table: np.ndarray):
+    """``(d_se, d_ch, weights, lookups)`` of ``table`` with a loop over loss patterns.
+
+    The reference for the stacked products of :class:`DesignContext`: each
+    pattern's likelihood table contracts its own small matrices, and the
+    channel distortion and the annealing weights accumulate pattern by
+    pattern.
+    """
+    pattern_tables = pattern_likelihood_tables(ctx.channels, ctx.space)
+    joint = table.T @ ctx.s0
+    first = table.T @ ctx.s1
+    second = table.T @ ctx.s2
+    xhats = per_pattern_lookups(pattern_tables, joint, first)
+    pos = joint > PROB_FLOOR
+    d_se = float(second.sum() - np.sum(first[pos] ** 2 / joint[pos]))
+    d_ch = 0.0
+    a1 = np.zeros((ctx.space.size, ctx.quantizer.size))
+    a0 = np.zeros_like(a1)
+    for pt, xhat in zip(pattern_tables, xhats):
+        pq = loss_pattern_prob(pt.pattern, ctx.channels)
+        e2 = pt.table.T @ masked_ratio(first**2, joint, PROB_FLOOR)
+        num = pt.table.T @ first
+        den = pt.table.T @ joint
+        d_ch += pq * float(np.sum(e2 - 2.0 * num * xhat + den * xhat**2))
+        a1 += pq * (pt.table @ (xhat @ ctx.s1.T))
+        a0 += pq * (pt.table @ ((xhat**2) @ ctx.s0.T))
+    weights = (ctx.s2.sum(axis=1)[None, :] - 2.0 * a1 + a0).T
+    return d_se, max(d_ch, 0.0), weights, xhats
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 DESIGN = [
     "design", "--K", "8", "--desc", "2,2", "--bsc", "0.01", "--loss", "0.05",
     "--rho-enc", "0.8", "--nsi", "16", "--restarts", "1", "--seed", "7",
@@ -45,6 +50,15 @@ class TestDesign:
         rc = run_cli("design", "--K", "4", "--desc", "2,2", "--awgn", "0.5",
                      "--rho-enc", "0.5", "--seed", "1", "-o", tmp_path / "x.json")
         assert rc == 2
+
+    def test_missing_output_dir_exits_2_before_design(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("design ran before the output path was checked")
+
+        monkeypatch.setattr("mdquant.cli.design_annealed", must_not_run)
+        rc = run_cli(*DESIGN, "-o", tmp_path / "missing" / "c.json")
+        assert rc == 2
+        assert_one_line_error(capsys)
 
     def test_round_trip_exact(self, codec_file):
         bundle = load_codec(codec_file)
@@ -89,6 +103,14 @@ class TestBound:
     def test_missing_args_exit_2(self):
         assert run_cli("bound", "--rho", "0.8") == 2
 
+    def test_unit_correlation_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bound.csv"
+        rc = run_cli("bound", "--rho", "1.0", "--r1", "1", "--r2", "1", "--mu1", "0.1",
+                     "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_schema_and_rows(self, codec_file, tmp_path):
@@ -113,6 +135,27 @@ class TestEvaluate:
         rc = run_cli("evaluate", "--codec", tmp_path / "nope.json",
                      "--rho-real", "0.8", "--trials", "100", "--seed", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_too_few_trials_exit_2(self, codec_file, tmp_path, capsys, trials):
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8",
+                     "--trials", trials, "--seed", "1", "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_codec_without_tables_exits_2(self, codec_file, tmp_path, capsys):
+        data = json.loads(codec_file.read_text())
+        del data["tables"]
+        bad = tmp_path / "no_tables.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", bad, "--rho-real", "0.8",
+                     "--trials", "100", "--seed", "1")
+        assert rc == 2
+        assert_one_line_error(capsys)
 
     def test_nsi_sweep_monotone(self, codec_file, tmp_path):
         out = tmp_path / "nsi.csv"
@@ -156,6 +199,15 @@ class TestScenario:
         assert run_cli(*args, "-o", a) == 0
         assert run_cli(*args, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_trial_exits_2(self, codec_file, tmp_path, capsys):
+        out = tmp_path / "scen.csv"
+        capsys.readouterr()
+        rc = run_cli("scenario", "--nodes", "4", "--codec", codec_file,
+                     "--trials", "1", "--seed", "5", "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_empty_scenario_file_exits_2(self, codec_file, tmp_path):
         bad = tmp_path / "empty.json"

@@ -1,9 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdquant import (
     AnnealingSchedule,
     DescriptionChannel,
+    GaussianSource,
     IndexAssignment,
     JointGaussianPair,
     build_decoder_tables,
@@ -20,7 +25,13 @@ from mdquant.gaussian import gauss_interval_moments
 from mdquant.quantizer import quantizer_mse
 
 from conftest import simpson_nodes, std_normal_pdf
-from oracles import da_weights, distortion_direct, flatten_tuples, si_cell_mass_given_x
+from oracles import (
+    da_weights,
+    distortion_direct,
+    flatten_tuples,
+    per_pattern_design,
+    si_cell_mass_given_x,
+)
 
 
 class TestIaEntropy:
@@ -264,6 +275,72 @@ class TestDaWeights:
             dn[k, i] -= eps
             fd = (d_av(up) - d_av(dn)) / (2 * eps)
             assert abs(fd - w[k, i]) < 1e-7 * max(1.0, abs(w[k, i]))
+
+
+@lru_cache(maxsize=None)
+def _lloyd(levels):
+    return lloyd_design(GaussianSource(0.0, 1.0), levels)
+
+
+def _with_ends(lo, hi):
+    """Floats in [lo, hi] that also draw each end exactly."""
+    return st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
+
+
+@st.composite
+def design_cases(draw):
+    """A random design context and a Dirichlet assignment table."""
+    K = draw(st.integers(2, 8))
+    channels = tuple(
+        DescriptionChannel.bsc(draw(_with_ends(0.0, 0.5)), draw(_with_ends(0.0, 1.0)), n)
+        for n in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    )
+    nsi = draw(st.sampled_from([None, 2, 5, 8]))
+    rho = draw(st.floats(0.0, 0.95))
+    ctx = DesignContext(
+        _lloyd(K), None if nsi is None else _lloyd(nsi), JointGaussianPair(1, 1, rho), channels
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ctx, rng.dirichlet(np.ones(ctx.space.size), size=K)
+
+
+class TestFusedStep:
+    """The stacked loss-pattern products against the per-pattern loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=design_cases())
+    def test_matches_per_pattern_oracle(self, case):
+        ctx, table = case
+        state = ctx.decoder_state(table)
+        split = ctx.distortion(table, state)
+        weights = ctx.weights(state)
+        d_se, d_ch, w_ref, xhat_ref = per_pattern_design(ctx, table)
+        # d_ch is exactly 0 on a clean channel, so both parts are measured
+        # against the total distortion.
+        d_av = d_se + d_ch
+        assert abs(split.d_se - d_se) <= 1e-13 * d_av
+        assert abs(split.d_ch - d_ch) <= 1e-13 * d_av
+        assert np.max(np.abs(weights - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+        blocks = np.split(state.xhat, ctx.offsets[1:-1])
+        assert len(blocks) == len(xhat_ref)
+        for got, ref in zip(blocks, xhat_ref):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+class TestDeskDesignPin:
+    def test_sym_setup_hard_map(self, source):
+        # The acceptance suite's sym_setup codec (criteria 8 and 9); the map
+        # was recorded from the per-pattern implementation of the step.
+        q, si = lloyd_design(source, 16), lloyd_design(source, 64)
+        ch = (DescriptionChannel.bsc(0.005, 0.05, 4),) * 2
+        bundle = design_annealed(
+            q, si, JointGaussianPair(1, 1, 0.4), ch,
+            schedule=AnnealingSchedule(restarts=2), seed=7,
+        )
+        assert bundle.ia.hard_map().tolist() == [
+            8, 8, 8, 10, 0, 2, 2, 14, 3, 15, 15, 13, 7, 5, 5, 5,
+        ]
 
 
 class TestDesignAnnealed:
