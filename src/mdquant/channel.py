@@ -167,6 +167,13 @@ def loss_patterns(M: int) -> list:
     return [np.array(q, dtype=bool) for q in product((False, True), repeat=M)]
 
 
+def pattern_ids(received: np.ndarray) -> np.ndarray:
+    """Position in ``loss_patterns`` of each pattern along the last axis of ``received``."""
+    M = received.shape[-1]
+    weights = 1 << np.arange(M - 1, -1, -1)
+    return received.astype(int) @ weights
+
+
 @dataclass(frozen=True)
 class PatternLikelihoods:
     """Analytic likelihood tables for one loss pattern over BSC channels.

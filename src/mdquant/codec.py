@@ -52,6 +52,11 @@ TAIL_CLIP = 8.0  # SI integration range in std units; mass beyond is < 1e-15
 # cell/level joints otherwise amplify float underflow into huge codebook
 # values whose squares overflow.
 PROB_FLOOR = 1e-250
+# Channel distortion below this share of E[x^2] is roundoff and reads as 0.
+D_CH_FLOOR = 1e-14
+# Moment quadrature chunk: (correlation, node) pairs times cells.  About 1 MB
+# per temporary; larger chunks fall out of cache and run slower.
+MOMENT_CHUNK = 131_072
 
 
 def masked_ratio(num, den, floor: float = 0.0):
@@ -175,41 +180,78 @@ def si_moment_matrices(
     pair: JointGaussianPair,
     n_gauss: int = 16,
 ):
-    """S0, S1, S2 moment matrices of shape (K, N_si).
+    """S0, S1, S2 moment matrices of shape (K, N_si): a batch of one correlation.
 
     The y-integral uses panelled Gauss-Legendre per SI cell; the inner
     x-moments over quantizer cells are exact Gaussian interval moments of the
     conditional law X | Y=y.  With ``si_quantizer`` None (or a single level)
     one unconditional column is returned.
     """
+    s0, s1, s2 = si_moment_stack(
+        quantizer, si_quantizer, [pair.rho], pair.sd_x, pair.sd_y, n_gauss
+    )
+    return s0[0], s1[0], s2[0]
+
+
+def si_moment_stack(
+    quantizer: ScalarQuantizer,
+    si_quantizer: ScalarQuantizer | None,
+    rhos,
+    sd_x: float = 1.0,
+    sd_y: float = 1.0,
+    n_gauss: int = 16,
+):
+    """S0, S1, S2 for many correlations at once, each of shape (R, K, N_si).
+
+    Entry r is the moment matrix at correlation ``rhos[r]`` and does not
+    depend on the rest of the batch: independent SI (one level, or rho = 0)
+    sees the marginal, weighted by P(level); otherwise each SI level adds up
+    its quadrature nodes one at a time in node order, whatever the chunking.
+    Chunks hold at most ``MOMENT_CHUNK // K`` (correlation, node) pairs.
+    """
     edges = quantizer.edges()
     K = quantizer.size
+    rhos = np.asarray(rhos, dtype=float).reshape(-1)
     n_levels = 1 if si_quantizer is None else si_quantizer.size
-    if n_levels == 1 or pair.rho == 0.0:
-        # Independent SI: every level sees the marginal, weighted by P(level).
-        p, m1, m2 = gauss_interval_moments(edges, 0.0, pair.sd_x)
+    out = np.zeros((3, rhos.size, K, n_levels))
+    coupled = np.flatnonzero(rhos != 0.0) if n_levels > 1 else np.array([], dtype=int)
+    marginal = np.setdiff1d(np.arange(rhos.size), coupled)
+    if marginal.size:
         w = si_quantizer.cell_probs[None, :] if n_levels > 1 else 1.0
-        return p[:, None] * w, m1[:, None] * w, m2[:, None] * w
+        for i, m in enumerate(gauss_interval_moments(edges, 0.0, sd_x)):
+            out[i, marginal] = m[:, None] * w
+    if not coupled.size:
+        return out[0], out[1], out[2]
 
-    nodes, wts, owner = _si_panels(si_quantizer, pair.sd_y, n_gauss)
-    fy = np.exp(-0.5 * (nodes / pair.sd_y) ** 2) / (pair.sd_y * np.sqrt(2 * np.pi))
-    wts = wts * fy
-    cond_sd = max(pair.sd_x * np.sqrt(1.0 - pair.rho ** 2), 1e-300)
-    cond_means = pair.rho * (pair.sd_x / pair.sd_y) * nodes
+    nodes, wts, owner = _si_panels(si_quantizer, sd_y, n_gauss)
+    fy = np.exp(-0.5 * (nodes / sd_y) ** 2) / (sd_y * np.sqrt(2 * np.pi))
+    wts = (wts * fy)[:, None, None]
+    cond_sd = np.array([max(sd_x * np.sqrt(1.0 - r ** 2), 1e-300) for r in rhos[coupled]])
+    mean_slope = rhos[coupled] * (sd_x / sd_y)
 
-    s0 = np.zeros((K, n_levels))
-    s1 = np.zeros((K, n_levels))
-    s2 = np.zeros((K, n_levels))
-    chunk = max(1, 2_000_000 // max(K, 1))
-    for start in range(0, nodes.size, chunk):
-        sl = slice(start, start + chunk)
-        p, m1, m2 = gauss_interval_moments_batch(edges, cond_means[sl], cond_sd)
-        w = wts[sl][:, None]
-        own = owner[sl]
-        np.add.at(s0.T, own, p * w)
-        np.add.at(s1.T, own, m1 * w)
-        np.add.at(s2.T, own, m2 * w)
-    return _clean_moments(s0, s1, s2)
+    chunk = max(1, MOMENT_CHUNK // max(K, 1))
+    node_step = min(nodes.size, chunk)
+    rho_step = max(1, chunk // nodes.size)
+    # Per node chunk, the nodes taken together in step j: the j-th node of
+    # every SI level present, so each level gets its nodes in order.
+    steps = []
+    for start in range(0, nodes.size, node_step):
+        own = owner[start:start + node_step]
+        rank = np.arange(own.size) - np.searchsorted(own, own)
+        picks = [np.flatnonzero(rank == j) for j in range(rank.max() + 1)]
+        steps.append((slice(start, start + own.size), [(at, own[at]) for at in picks]))
+    for r0 in range(0, coupled.size, rho_step):
+        rs = slice(r0, r0 + rho_step)
+        acc = np.zeros((3, n_levels, mean_slope[rs].size, K))  # (moment, level, rho, cell)
+        for sl, picks in steps:
+            cond_means = nodes[sl, None] * mean_slope[None, rs]
+            moments = gauss_interval_moments_batch(edges, cond_means, cond_sd[rs])
+            for a, m in zip(acc, moments):
+                vals = m * wts[sl]
+                for at, levels in picks:
+                    a[levels] += vals[at]
+        out[:, coupled[rs]] = _clean_moments(*acc.transpose(0, 2, 3, 1))
+    return out[0], out[1], out[2]
 
 
 def _clean_moments(s0, s1, s2):
@@ -219,9 +261,10 @@ def _clean_moments(s0, s1, s2):
     while the pdf-difference terms of the first/second moments leave ~1e-19
     residue; ratios of that residue explode.  Mass below 1e-14 of the peak is
     numerically indistinguishable from zero and is dropped consistently from
-    all three moments.
+    all three moments.  Arrays may carry a leading correlation axis; each
+    correlation has its own peak.
     """
-    noise = 1e-14 * s0.max()
+    noise = 1e-14 * s0.max(axis=(-2, -1), keepdims=True)
     bad = s0 <= noise
     s0 = np.where(bad, 0.0, s0)
     s1 = np.where(bad, 0.0, s1)
@@ -399,14 +442,18 @@ class DesignContext:
             state = self.decoder_state(table)
         joint, first, second, den, num, xhat = state
         pos = joint > PROB_FLOOR
-        d_se = float(second.sum() - np.sum(first[pos] ** 2 / joint[pos]))
+        e_x2 = second.sum()
+        d_se = float(e_x2 - np.sum(first[pos] ** 2 / joint[pos]))
         e2 = self.stacked.T @ masked_ratio(first**2, joint, PROB_FLOOR)  # E[x^2] mass per word
         terms = e2 - 2.0 * num * xhat + den * xhat**2
         # Summed pattern by pattern: one flat sum moves d_ch in the last bit.
         d_ch = 0.0
         for pq, a, b in zip(self.pattern_probs, self.offsets[:-1], self.offsets[1:]):
             d_ch += pq * float(np.sum(terms[a:b]))
-        return DistortionBreakdown(d_se, max(d_ch, 0.0))
+        # Each term is a difference of E[x^2]-sized masses, so d_ch below
+        # D_CH_FLOOR of E[x^2] is cancellation residue (a word whose
+        # reconstruction is its one tuple's centroid leaves ~1e-17), not a loss.
+        return DistortionBreakdown(d_se, d_ch if d_ch > D_CH_FLOOR * e_x2 else 0.0)
 
     def weights(self, state: DecoderState) -> np.ndarray:
         """Distortion derivative d D / d P(I | cell k), shape (K, L).

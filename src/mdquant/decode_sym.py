@@ -4,7 +4,10 @@ Each source is decoded by the asymmetric MMSE decoder while another source
 serves as its side information.  The cross-source tables that couple two
 sources are read off the same moment matrices S0/S1 as the stored decoder
 tables (:func:`mdquant.codec.si_moment_matrices`, with the neighbor's
-quantizer in the role of the SI quantizer).  Two variants are supported:
+quantizer in the role of the SI quantizer); :func:`cross_table_stack` builds
+them for many correlations from one batched quadrature, which is how the SI
+selection gets the tables of every pair of a field.  Two variants are
+supported:
 
 * estimated-SI: the neighbor's reconstructed value is quantized with the SI
   quantizer and used exactly like external side information;
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelOutcome
-from .codec import CodecBundle, masked_ratio, si_moment_matrices
+from .codec import CodecBundle, masked_ratio, si_moment_matrices, si_moment_stack
 from .decode_asym import Posterior, decode, posterior, tuple_log_likelihood
 from .gaussian import JointGaussianPair
 from .gaussian import gauss_interval_moments_batch  # noqa: F401  (perfbench/spans.py patches this binding)
@@ -47,9 +50,13 @@ class CrossSourceTables:
     ``mix_prob`` / ``mix_first`` contract the neighbor-cell axis against
     ``cell_given_idx`` so a neighbor tuple posterior maps straight to the own
     tuple prior and its first moment.
+
+    A stack for many correlations (:func:`cross_table_stack`) has an array
+    of correlations in ``rho`` and a leading correlation axis on every table
+    but ``cell_given_idx``.
     """
 
-    rho: float
+    rho: float | np.ndarray
     cell_cross: np.ndarray
     cell_cross_m1: np.ndarray
     idx_given_cell: np.ndarray
@@ -57,6 +64,34 @@ class CrossSourceTables:
     cell_given_idx: np.ndarray
     mix_prob: np.ndarray
     mix_first: np.ndarray
+
+
+def _cross_tables(bundle_u, bundle_s, s0, s1, rho) -> CrossSourceTables:
+    """Cross tables from the moment matrices, one (K, K) pair or a stack of them."""
+    qs = bundle_s.quantizer
+    au, a_s = bundle_u.ia.table, bundle_s.ia.table
+    ps = np.maximum(qs.cell_probs, 1e-300)
+    cell_cross, cell_cross_m1 = s0 / ps, s1 / ps
+
+    idx_given_cell = au.T @ cell_cross  # (..., Lu, Ks)
+    raw_first = au.T @ cell_cross_m1
+    cent_given_cell = masked_ratio(raw_first, idx_given_cell)
+
+    mass = a_s * qs.cell_probs[:, None]  # (Ks, Ls)
+    cell_given_idx = masked_ratio(mass, mass.sum(axis=0)[None, :])
+
+    mix_prob = idx_given_cell @ cell_given_idx
+    mix_first = raw_first @ cell_given_idx
+    return CrossSourceTables(
+        rho=rho,
+        cell_cross=cell_cross,
+        cell_cross_m1=cell_cross_m1,
+        idx_given_cell=idx_given_cell,
+        cent_given_cell=cent_given_cell,
+        cell_given_idx=cell_given_idx,
+        mix_prob=mix_prob,
+        mix_first=mix_first,
+    )
 
 
 def build_cross_tables(
@@ -72,39 +107,33 @@ def build_cross_tables(
     are the moment matrices S0/S1 with the neighbor's quantizer as SI
     quantizer, divided by the neighbor's cell probabilities.
     """
-    qs = bundle_s.quantizer
-    au, a_s = bundle_u.ia.table, bundle_s.ia.table
-    s0, s1, _ = si_moment_matrices(bundle_u.quantizer, qs, pair_us, n_gauss)
-    ps = np.maximum(qs.cell_probs, 1e-300)
-    cell_cross, cell_cross_m1 = s0 / ps, s1 / ps
+    s0, s1, _ = si_moment_matrices(bundle_u.quantizer, bundle_s.quantizer, pair_us, n_gauss)
+    return _cross_tables(bundle_u, bundle_s, s0, s1, float(pair_us.rho))
 
-    idx_given_cell = au.T @ cell_cross  # (Lu, Ks)
-    raw_first = au.T @ cell_cross_m1
-    cent_given_cell = masked_ratio(raw_first, idx_given_cell)
 
-    mass = a_s * qs.cell_probs[:, None]  # (Ks, Ls)
-    cell_given_idx = masked_ratio(mass, mass.sum(axis=0)[None, :])
+def cross_table_stack(
+    bundle_u: CodecBundle,
+    bundle_s: CodecBundle,
+    rhos,
+    n_gauss: int = 16,
+) -> CrossSourceTables:
+    """Cross tables of unit-variance sources at many correlations at once.
 
-    mix_prob = idx_given_cell @ cell_given_idx
-    mix_first = raw_first @ cell_given_idx
-    return CrossSourceTables(
-        rho=float(pair_us.rho),
-        cell_cross=cell_cross,
-        cell_cross_m1=cell_cross_m1,
-        idx_given_cell=idx_given_cell,
-        cent_given_cell=cent_given_cell,
-        cell_given_idx=cell_given_idx,
-        mix_prob=mix_prob,
-        mix_first=mix_first,
-    )
+    Entry r of every table equals ``build_cross_tables`` at ``rhos[r]`` bit
+    for bit (one moment quadrature, :func:`mdquant.codec.si_moment_stack`).
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    s0, s1, _ = si_moment_stack(bundle_u.quantizer, bundle_s.quantizer, rhos, n_gauss=n_gauss)
+    return _cross_tables(bundle_u, bundle_s, s0, s1, rhos)
 
 
 class CrossTableCache:
     """Lazy cache of cross tables for one shared codec.
 
-    ``get`` serves the ladder-quantized levels used by the stored decoder;
-    ``get_rho`` serves exact correlations (used by the SI selection criteria,
-    which are not tied to the stored-table grid).
+    ``get`` serves the ladder-quantized levels used by the joint decoder;
+    ``get_rho`` serves any correlation, rounded to 12 decimals.  The SI
+    selection builds its tables for all pair correlations in one stack
+    (:func:`cross_table_stack`) instead.
     """
 
     def __init__(self, bundle: CodecBundle, n_gauss: int = 16):

@@ -120,22 +120,29 @@ def gauss_interval_moments(edges, mean: float = 0.0, sd: float = 1.0):
     return dp, m1, m2
 
 
-def gauss_interval_moments_batch(edges, means, sd: float):
+def gauss_interval_moments_batch(edges, means, sd):
     """Vectorized ``gauss_interval_moments`` for many conditional means.
 
-    ``means`` has shape (n,); returns arrays of shape (n, K).
+    ``sd`` is one standard deviation, or an array that broadcasts against
+    ``means``; returns arrays of shape ``means.shape + (K,)``.  Every entry
+    equals the scalar call with its own mean and sd bit for bit: the variance
+    is taken as a float64 scalar power (libm ``pow``), which can differ in
+    the last bit from an array square.
     """
     edges = np.asarray(edges, dtype=float)
-    means = np.asarray(means, dtype=float)[:, None]
-    z = (edges[None, :] - means) / sd
+    means = np.asarray(means, dtype=float)[..., None]
+    sd = np.asarray(sd, dtype=float)
+    var = np.array([s ** 2 for s in sd.ravel()]).reshape(sd.shape)[..., None]
+    sd = sd[..., None]
+    z = (edges - means) / sd
     cdf = ndtr(z)
     pdf = _phi(z)
-    zpdf = np.where(np.isfinite(z), z, 0.0) * pdf
-    dp = np.diff(cdf, axis=1)
-    dpdf = np.diff(pdf, axis=1)
-    dzpdf = np.diff(zpdf, axis=1)
+    zpdf = np.where(np.isfinite(z), z, 0.0) * pdf  # pdf is exactly 0 at +-inf
+    dp = np.diff(cdf, axis=-1)
+    dpdf = np.diff(pdf, axis=-1)
+    dzpdf = np.diff(zpdf, axis=-1)
     m1 = means * dp - sd * dpdf
-    m2 = (means ** 2 + sd ** 2) * dp - sd * (2.0 * means * dpdf + sd * dzpdf)
+    m2 = (means ** 2 + var) * dp - sd * (2.0 * means * dpdf + sd * dzpdf)
     return dp, m1, m2
 
 

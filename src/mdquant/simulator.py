@@ -6,6 +6,13 @@ sensor-field scenario.  Both are vectorized over trials: with discrete
 channels every decoder input is finite, so reconstructions reduce to table
 lookups built once per configuration.  Results carry the Monte-Carlo
 standard error of every estimate.
+
+In the symmetric experiment the SI selection scores every distinct pair
+correlation of the field in one batch (one moment quadrature, one table per
+criterion), and each source picks its SI source per trial with a single
+gather.  The selection is fixed for the run, so the decoder groups each
+node's trials by the ladder level of their SI source once and every sweep
+reuses the groups.
 """
 
 from __future__ import annotations
@@ -15,14 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import derive_rng, loss_patterns, stacked_pattern_table, tuple_space
+from .channel import derive_rng, pattern_ids, stacked_pattern_table, tuple_space
 from .codec import CodecBundle, masked_ratio, pattern_lookups, si_moment_matrices
-from .decode_sym import CrossTableCache
+from .decode_sym import CrossTableCache, cross_table_stack
 from .gaussian import JointGaussianPair, quantize_rho
-from .si_select import (
+from .si_select import score_tables, select_min_distance
+from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindings)
     expected_partial_si_distortion,
     pairwise_mi,
-    select_min_distance,
 )
 
 PSD_EIGEN_FLOOR = 1e-9
@@ -70,10 +77,14 @@ def generate_scenario(
     """Uniform random node placement; correlation decays as exp(-distance/alpha)."""
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if positions is None:
         rng = derive_rng(seed, 0)
         positions = rng.random((n_nodes, 2))
     positions = np.asarray(positions, dtype=float)
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("node positions must be finite")
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
     rho = np.exp(-dist / alpha)
@@ -125,7 +136,8 @@ def conditional_entropy_rates(
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = joint_m / np.maximum(psi[None, :], 1e-300)
             logs = np.where(joint_m > 0, np.log2(np.maximum(cond, 1e-300)), 0.0)
-        rates.append(float(-np.sum(joint_m * logs)))
+        # Clamped at 0: an entropy of exactly 0 would otherwise read -0.0.
+        rates.append(max(0.0, float(-np.sum(joint_m * logs))))
     return tuple(rates)
 
 
@@ -157,13 +169,6 @@ def _transmit_bsc(tuple_ids, channels, space, rng_tags, seed):
         words[:, m] = idx ^ (flips @ _bit_weights(ch.bits))
         received[:, m] = loss_rng.random(n) >= ch.loss_prob
     return words, received
-
-
-def _pattern_ids(received: np.ndarray) -> np.ndarray:
-    """Row-major loss-pattern id per trial, matching ``loss_patterns`` order."""
-    M = received.shape[1]
-    weights = 1 << np.arange(M - 1, -1, -1)
-    return received.astype(int) @ weights
 
 
 def _word_rows(words: np.ndarray, pids: np.ndarray, channels, offsets) -> np.ndarray:
@@ -250,7 +255,7 @@ def run_asym_experiment(cfg: AsymConfig) -> ExperimentResult:
     if all(ch.kind == "bsc" for ch in channels):
         words, received = _transmit_bsc(tuple_ids, channels, space, (2,), cfg.seed)
         lookup = _AsymLookup(bundle, channels, level)
-        rows = _word_rows(words, _pattern_ids(received), channels, lookup.offsets)
+        rows = _word_rows(words, pattern_ids(received), channels, lookup.offsets)
         err = (x - lookup.table[rows, si_levels]) ** 2
 
         extra = {}
@@ -368,28 +373,28 @@ def sample_correlated_sources(scenario: WsnScenario, trials: int, seed: int):
     return z @ factor.T, projected
 
 
-def _selection_score_tables(bundle, cache, rho_keys, method):
-    """score[rho_key][qu_id, qt_id] for the Q-dependent selection criteria.
+# Cross tables per selection chunk: correlations times K^2 cells.
+SELECT_CHUNK = 2_000_000
+
+
+def _selection_score_tables(bundle, rho_keys, method):
+    """score[r, q_u, q_t] of the pattern-dependent criterion at correlation ``rho_keys[r]``.
 
     Scores are evaluated at the exact pair correlations; only the stored
-    decoder tables live on the quantized grid.
+    decoder tables live on the quantized grid.  The correlations are scored
+    in chunks of at most ``SELECT_CHUNK // K^2``, so the cross tables of a
+    full-scale codec stay bounded.
     """
-    patterns = loss_patterns(len(bundle.channels))
-    out = {}
-    for rho_key in rho_keys:
-        cross = cache.get_rho(rho_key)
-        tab = np.zeros((len(patterns), len(patterns)))
-        for iu, qu in enumerate(patterns):
-            for it, qt in enumerate(patterns):
-                if method == "mutual_info":
-                    tab[iu, it] = pairwise_mi(bundle, bundle, cross, qu, qt)
-                else:
-                    tab[iu, it] = expected_partial_si_distortion(bundle, cross, qu, qt)
-        out[rho_key] = tab
-    return out
+    K = bundle.quantizer.size
+    step = max(1, SELECT_CHUNK // (K * K))
+    parts = []
+    for i in range(0, len(rho_keys), step):
+        cross = cross_table_stack(bundle, bundle, rho_keys[i:i + step])
+        parts.append(score_tables(bundle, bundle, cross, method))
+    return np.concatenate(parts)
 
 
-def _select_maps(cfg: SymConfig, pids, cache) -> np.ndarray:
+def _select_maps(cfg: SymConfig, pids) -> np.ndarray:
     """(trials, N) chosen SI source per trial under the configured criterion."""
     n_nodes = cfg.scenario.n_nodes
     trials = pids.shape[0]
@@ -397,24 +402,37 @@ def _select_maps(cfg: SymConfig, pids, cache) -> np.ndarray:
         fixed = select_min_distance(cfg.scenario.positions).map
         return np.broadcast_to(fixed, (trials, n_nodes))
     rho = cfg.scenario.pairwise_rho
-    rho_keys = sorted(set(
-        round(float(rho[u, t]), 12)
+    keys = {
+        (u, t): round(float(rho[u, t]), 12)
         for u in range(n_nodes) for t in range(n_nodes) if t != u
-    ))
-    tables = _selection_score_tables(cfg.bundle, cache, rho_keys, cfg.si_method)
+    }
+    rho_keys = sorted(set(keys.values()))
+    position = {key: i for i, key in enumerate(rho_keys)}
+    ridx = np.zeros((n_nodes, n_nodes), dtype=int)
+    for (u, t), key in keys.items():
+        ridx[u, t] = position[key]
+    tables = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)
     pick_best = np.argmax if cfg.si_method == "mutual_info" else np.argmin
     worst = -np.inf if cfg.si_method == "mutual_info" else np.inf
     smap = np.empty((trials, n_nodes), dtype=int)
     for u in range(n_nodes):
-        scores = np.empty((trials, n_nodes))
-        for t in range(n_nodes):
-            if t == u:
-                scores[:, t] = worst
-                continue
-            tab = tables[round(float(rho[u, t]), 12)]
-            scores[:, t] = tab[pids[:, u], pids[:, t]]
+        scores = tables[ridx[u], pids[:, u, None], pids]  # (trials, candidates)
+        scores[:, u] = worst
         smap[:, u] = pick_best(scores, axis=1)
     return smap
+
+
+def _trial_groups(level_u, s_map_u) -> list:
+    """One node's trials grouped by the ladder level of their SI source.
+
+    Each group is (level, trial indices, SI source per trial).  The selection
+    is fixed for a whole run, so every decoder sweep reuses the groups.
+    """
+    groups = []
+    for level in np.unique(level_u):
+        idx = np.flatnonzero(level_u == level)
+        groups.append((int(level), idx, s_map_u[idx]))
+    return groups
 
 
 class _SymDecoder:
@@ -433,15 +451,28 @@ class _SymDecoder:
         self.nosi_prior = t.prior_nosi
         self.nosi_codebook = t.codebook_nosi
         self.lookups = {}
+        self.mixes = {}
 
     def lookup(self, level):
         if level not in self.lookups:
             self.lookups[level] = _AsymLookup(self.bundle, self.channels, level)
         return self.lookups[level]
 
+    def mix(self, level, final):
+        """Neighbor tuple posterior -> own prior, or [prior | first moment] when ``final``."""
+        if (level, final) not in self.mixes:
+            cross = self.cache.get(level)
+            mat = np.vstack([cross.mix_prob, cross.mix_first]) if final else cross.mix_prob
+            self.mixes[level, final] = mat.T
+        return self.mixes[level, final]
+
+    def word_rows(self, words_u, pids_u):
+        """Row of each trial's received word in the stacked pattern table."""
+        return _word_rows(words_u, pids_u, self.channels, self.offsets)
+
     def lik_rows(self, words_u, pids_u):
         """(trials, L) channel likelihood rows for one source."""
-        return self.word_lik[_word_rows(words_u, pids_u, self.channels, self.offsets)]
+        return self.word_lik[self.word_rows(words_u, pids_u)]
 
     def no_si_pass(self, lik):
         """lik: (trials, L) -> (posteriors, estimates)."""
@@ -449,30 +480,25 @@ class _SymDecoder:
         post /= post.sum(axis=1, keepdims=True)
         return post, post @ self.nosi_codebook
 
-    def estimated_step(self, est_prev, s_map_u, words_u, pids_u, level_u):
+    def estimated_step(self, est_prev, groups_u, rows_u):
         """One estimated-SI update of a single source across all trials."""
-        trials = est_prev.shape[1]
-        neighbor = est_prev[s_map_u, np.arange(trials)]
-        y_levels = np.searchsorted(
-            self.bundle.si_quantizer.thresholds, neighbor, side="left"
-        )
-        rows_u = _word_rows(words_u, pids_u, self.channels, self.offsets)
-        out = np.empty(trials)
-        for level in np.unique(level_u):
-            lsel = level_u == level
-            out[lsel] = self.lookup(int(level)).table[rows_u[lsel], y_levels[lsel]]
+        out = np.empty(est_prev.shape[1])
+        thresholds = self.bundle.si_quantizer.thresholds
+        for level, idx, nbr in groups_u:
+            y_levels = np.searchsorted(thresholds, est_prev[nbr, idx], side="left")
+            out[idx] = self.lookup(level).table[rows_u[idx], y_levels]
         return out
 
-    def soft_prior(self, posts_prev, s_map_u, level_u, use_first=False):
-        """Neighbor posterior -> own prior (or first-moment row) per trial."""
-        trials = posts_prev.shape[1]
-        neighbor_post = posts_prev[s_map_u, np.arange(trials), :]
-        out = np.empty((trials, self.space.size))
-        for level in np.unique(level_u):
-            mask = level_u == level
-            cross = self.cache.get(int(level))
-            mat = cross.mix_first if use_first else cross.mix_prob
-            out[mask] = neighbor_post[mask] @ mat.T
+    def soft_prior(self, posts_prev, groups_u, final=False):
+        """Neighbor posterior -> own prior per trial, (trials, L).
+
+        With ``final`` the rows are [prior | first moment], (trials, 2L), from
+        one product per group.
+        """
+        L = self.space.size
+        out = np.empty((posts_prev.shape[1], 2 * L if final else L))
+        for level, idx, nbr in groups_u:
+            out[idx] = posts_prev[nbr, idx] @ self.mix(level, final)
         return out
 
 
@@ -502,62 +528,59 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
         words[:, u], received[:, u] = _transmit_bsc(
             tuple_ids[:, u], bundle.channels, space, (4, u), cfg.seed
         )
-    pids = np.stack(
-        [_pattern_ids(received[:, u]) for u in range(n_nodes)], axis=1
-    )
+    pids = pattern_ids(received)  # (trials, nodes)
 
     cache = CrossTableCache(bundle)
-    s_map = _select_maps(cfg, pids, cache)
+    s_map = _select_maps(cfg, pids)
     dec = _SymDecoder(cfg, level_matrix, cache)
-
-    lik = [dec.lik_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
-    posts = np.empty((n_nodes, cfg.trials, space.size))
-    ests = np.empty((n_nodes, cfg.trials))
-    for u in range(n_nodes):
-        posts[u], ests[u] = dec.no_si_pass(lik[u])
-
-    level_per_trial = [
-        level_matrix[u, s_map[:, u]] for u in range(n_nodes)
+    groups = [
+        _trial_groups(level_matrix[u, s_map[:, u]], s_map[:, u]) for u in range(n_nodes)
     ]
 
+    ests = np.empty((n_nodes, cfg.trials))
     if cfg.mode == "estimated":
+        # Only the no-SI estimates carry over; no posterior is kept.
+        for u in range(n_nodes):
+            _, ests[u] = dec.no_si_pass(dec.lik_rows(words[:, u], pids[:, u]))
+        rows = [dec.word_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
         for _ in range(cfg.max_iters - 1):
             new_ests = np.empty_like(ests)
             for u in range(n_nodes):
-                new_ests[u] = dec.estimated_step(
-                    ests, s_map[:, u], words[:, u], pids[:, u], level_per_trial[u]
-                )
+                new_ests[u] = dec.estimated_step(ests, groups[u], rows[u])
             delta = float(np.max(np.abs(new_ests - ests)))
             ests = new_ests
             if delta < cfg.tol:
                 break
         xhat = ests
     else:
-        prev_posts = posts
-        iterated = False
+        lik = [dec.lik_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
+        posts = np.empty((n_nodes, cfg.trials, space.size))
+        for u in range(n_nodes):
+            posts[u], ests[u] = dec.no_si_pass(lik[u])
+        # Three posterior buffers rotate: the sweep writes ``new`` from
+        # ``posts``, and ``prev`` keeps the posteriors behind the final priors.
+        prev, spare = posts, None
         for _ in range(cfg.max_iters - 1):
-            new_posts = np.empty_like(posts)
+            new = np.empty_like(posts) if spare is None else spare
+            delta = 0.0
             for u in range(n_nodes):
-                prior = dec.soft_prior(posts, s_map[:, u], level_per_trial[u])
-                p = lik[u] * prior
+                p = np.multiply(lik[u], dec.soft_prior(posts, groups[u]), out=new[u])
                 p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
-                new_posts[u] = p
-            delta = float(np.max(np.abs(new_posts - posts)))
-            prev_posts = posts
-            posts = new_posts
-            iterated = True
+                delta = max(delta, float(np.max(np.abs(p - posts[u]))))
+            spare = None if prev is posts else prev
+            prev, posts = posts, new
             if delta < cfg.tol:
                 break
-        if iterated:
+        if prev is posts:
+            xhat = ests
+        else:
+            L = space.size
             xhat = np.empty_like(ests)
             for u in range(n_nodes):
-                den = dec.soft_prior(prev_posts, s_map[:, u], level_per_trial[u])
-                num = dec.soft_prior(
-                    prev_posts, s_map[:, u], level_per_trial[u], use_first=True
+                den_num = dec.soft_prior(prev, groups[u], final=True)
+                xhat[u] = np.sum(
+                    posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1
                 )
-                xhat[u] = np.sum(posts[u] * masked_ratio(num, den), axis=1)
-        else:
-            xhat = ests
 
     sq = (x.T - xhat) ** 2  # (n_nodes, trials)
     per_trial = sq.mean(axis=0)

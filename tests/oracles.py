@@ -2,7 +2,8 @@
 
 Grids and grid densities, SI-conditional cell probabilities, per-description
 likelihoods and per-symbol transmission, the single-pass distortion, the
-per-loss-pattern design quantities, and the brute-force MMSE audit.  They compute from first principles what the package
+per-loss-pattern design quantities, the SI selection scores of one pair of
+loss patterns, and the brute-force MMSE audit.  They compute from first principles what the package
 computes from moment matrices and lookup tables, so the tests can check one
 against the other.
 """
@@ -24,6 +25,7 @@ from mdquant.channel import (
     loss_pattern_prob,
     loss_patterns,
     pattern_likelihood_tables,
+    pattern_table,
 )
 from mdquant.codec import (
     PROB_FLOOR,
@@ -296,6 +298,49 @@ def per_pattern_design(ctx: DesignContext, table: np.ndarray):
         a0 += pq * (pt.table @ ((xhat**2) @ ctx.s0.T))
     weights = (ctx.s2.sum(axis=1)[None, :] - 2.0 * a1 + a0).T
     return d_se, max(d_ch, 0.0), weights, xhats
+
+
+# ---------------------------------------------------------------------------
+# SI selection scores, one pair of loss patterns at a time
+# ---------------------------------------------------------------------------
+
+
+def _entropy_of_positive(p) -> float:
+    p = np.ravel(p)
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def per_pair_mi(bundle_u, bundle_t, cross, q_u, q_t) -> float:
+    """Mutual information (bits) of the received words for one pair of loss patterns."""
+    t_u = pattern_table(bundle_u.channels, q_u).table
+    t_t = pattern_table(bundle_t.channels, q_t).table
+    g_u = bundle_u.ia.table @ t_u  # P(J_u | own cell)
+    g_t = bundle_t.ia.table @ t_t
+    p_cells_t = bundle_t.quantizer.cell_probs
+    cell_joint = cross.cell_cross * p_cells_t[None, :]
+    pj_u = g_u.T @ cell_joint.sum(axis=1)
+    pj_t = g_t.T @ p_cells_t
+    joint = g_u.T @ cell_joint @ g_t
+    mi = _entropy_of_positive(pj_u) + _entropy_of_positive(pj_t) - _entropy_of_positive(joint)
+    return max(mi, 0.0)
+
+
+def per_pair_partial_si_distortion(bundle, cross, q_u, q_t, var_x: float = 1.0) -> float:
+    """E[(X - Xhat)^2] of the partial-SI decoder for one pair of loss patterns."""
+    t_u = pattern_table(bundle.channels, q_u).table  # (L, nJu)
+    t_t = pattern_table(bundle.channels, q_t).table
+    a = bundle.ia.table
+    p_cells = bundle.quantizer.cell_probs
+    g_u, g_t = a @ t_u, a @ t_t
+    pjj = g_u.T @ (cross.cell_cross * p_cells[None, :]) @ g_t  # P(J_u, J_t)
+    njj = g_u.T @ (cross.cell_cross_m1 * p_cells[None, :]) @ g_t  # E[X 1{J_u, J_t}]
+    w_cells = p_cells[:, None] * g_t  # unnormalized neighbor cell posterior
+    den = t_u.T @ (cross.idx_given_cell @ w_cells)
+    num = t_u.T @ ((cross.idx_given_cell * cross.cent_given_cell) @ w_cells)
+    xhat = masked_ratio(num, den)
+    d = var_x - 2.0 * np.sum(njj * xhat) + np.sum(pjj * xhat**2)
+    return max(float(d), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ class TestDesign:
                      "--rho-enc", "0.5", "--seed", "1", "-o", tmp_path / "x.json")
         assert rc == 2
 
+    def test_all_lost_prints_clean_zeros(self, capsys):
+        rc = run_cli("design", "--K", "4", "--desc", "2,2", "--loss", "1",
+                     "--rho-enc", "0.5", "--nsi", "4", "--restarts", "1", "--seed", "1")
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert " d_ch_db=-inf " in out[0]
+        assert out[1] == "rates_bits=0.000000,0.000000"
+
     def test_missing_output_dir_exits_2_before_design(self, tmp_path, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
             raise AssertionError("design ran before the output path was checked")
@@ -208,6 +216,41 @@ class TestScenario:
         assert rc == 2
         assert_one_line_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_bad_alpha_exits_2_before_design(self, tmp_path, monkeypatch, capsys, alpha):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the shared codec was designed before alpha was checked")
+
+        monkeypatch.setattr("mdquant.cli.design_annealed", must_not_run)
+        out = tmp_path / "scen.csv"
+        rc = run_cli("scenario", "--nodes", "3", "--alpha", alpha, "--K", "4",
+                     "--desc", "2,2", "--nsi", "4", "--restarts", "1",
+                     "--trials", "200", "--seed", "1", "-o", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must be positive and finite")
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_scenario_file_bad_alpha_exits_2(self, codec_file, tmp_path, capsys):
+        bad = tmp_path / "field.json"
+        bad.write_text(json.dumps({"positions": [[0.0, 0.0], [0.5, 0.5]], "alpha": 0.0}))
+        capsys.readouterr()
+        rc = run_cli("scenario", "--scenario-file", bad, "--codec", codec_file,
+                     "--trials", "100", "--seed", "1")
+        assert rc == 2
+        assert "alpha must be positive and finite" in capsys.readouterr().err
+
+    def test_scenario_file_nan_position_exits_2(self, codec_file, tmp_path, capsys):
+        bad = tmp_path / "field.json"
+        bad.write_text('{"positions": [[0.0, 0.0], [NaN, 0.5], [0.2, 0.1]], "alpha": 2.0}')
+        capsys.readouterr()
+        rc = run_cli("scenario", "--scenario-file", bad, "--codec", codec_file,
+                     "--trials", "100", "--seed", "1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: node positions must be finite\n"
 
     def test_empty_scenario_file_exits_2(self, codec_file, tmp_path):
         bad = tmp_path / "empty.json"

@@ -20,7 +20,8 @@ from mdquant import (
     lloyd_design,
 )
 from mdquant.channel import tuple_space
-from mdquant.codec import DesignContext, si_moment_matrices
+from mdquant import codec
+from mdquant.codec import DesignContext, si_moment_matrices, si_moment_stack
 from mdquant.gaussian import gauss_interval_moments
 from mdquant.quantizer import quantizer_mse
 
@@ -131,6 +132,34 @@ class TestSiMomentMatricesMarginalBranch:
             assert np.array_equal(g, e * si.cell_probs[None, :])
 
 
+class TestSiMomentStack:
+    """A batch of correlations equals one call per correlation, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.sampled_from([2, 4, 16]),
+        nsi=st.sampled_from([None, 1, 4, 16, 64]),
+        rhos=st.lists(st.floats(0.0, 0.999), max_size=5),
+        chunk=st.sampled_from([None, 300, 5_000]),
+    )
+    def test_equals_per_rho_calls(self, K, nsi, rhos, chunk):
+        # A small chunk budget splits one correlation's nodes (300) or groups
+        # a few correlations per chunk (5,000); neither may change a bit.
+        rhos = [0.0, 0.99, *rhos, 0.0]
+        q, si = _lloyd(K), None if nsi is None else _lloyd(nsi)
+        expect = [si_moment_matrices(q, si, JointGaussianPair(1, 1, r)) for r in rhos]
+        default = codec.MOMENT_CHUNK
+        codec.MOMENT_CHUNK = chunk or default
+        try:
+            got = si_moment_stack(q, si, rhos)
+        finally:
+            codec.MOMENT_CHUNK = default
+        for m in range(3):
+            assert got[m].shape == (len(rhos), K, 1 if nsi is None else nsi)
+            for r in range(len(rhos)):
+                assert got[m][r].tobytes() == expect[r][m].tobytes(), (m, rhos[r])
+
+
 class TestDecoderTables:
     def test_bijective_no_si(self, source, q4):
         ia = IndexAssignment(np.eye(4), hard=True)
@@ -179,6 +208,18 @@ class TestEvaluateDistortion:
         ch = (DescriptionChannel.bsc(0.0, 1.0, 2),)
         d = evaluate_distortion(q2, None, ia, JointGaussianPair(1, 1, 0.0), ch)
         assert abs(d.d_av - 1.0) < 1e-6
+
+    def test_all_loss_one_tuple_has_no_channel_distortion(self, source, q4):
+        # Every cell sends tuple 0 and every description is lost: the decoder
+        # sees exactly what the encoder gives it, so d_ch is 0, not the ~1e-17
+        # cancellation residue of its terms; a real loss stays far above
+        # the D_CH_FLOOR share of E[x^2].
+        ch = (DescriptionChannel.bsc(0.0, 1.0, 2), DescriptionChannel.bsc(0.0, 1.0, 2))
+        si, pair = lloyd_design(source, 4), JointGaussianPair(1, 1, 0.5)
+        collapsed = IndexAssignment(np.eye(4)[[0, 0, 0, 0]], hard=True)
+        assert evaluate_distortion(q4, si, collapsed, pair, ch).d_ch == 0.0
+        spread = IndexAssignment(np.eye(4), hard=True)
+        assert evaluate_distortion(q4, si, spread, pair, ch).d_ch > 1e-3
 
     def test_awgn_rejected(self, q2):
         ia = IndexAssignment(np.eye(2), hard=True)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdquant import (
     ChannelOutcome,
     DescriptionChannel,
+    GaussianSource,
     JointGaussianPair,
     build_cross_tables,
     decode,
@@ -15,18 +18,18 @@ from mdquant import (
     soft_si_posterior,
     soft_si_reconstruct,
 )
-from mdquant.channel import tuple_space
-from mdquant.decode_sym import CrossTableCache
-from mdquant.si_select import expected_partial_si_distortion
+from mdquant.channel import loss_patterns, pattern_ids, tuple_space
+from mdquant.decode_sym import CrossTableCache, cross_table_stack
+from mdquant.si_select import expected_partial_si_distortion, score_tables
 from mdquant.simulator import (
     SymConfig,
     WsnScenario,
-    _pattern_ids,
     _select_maps,
     _selection_score_tables,
 )
 
 from conftest import make_bundle
+from oracles import per_pair_mi, per_pair_partial_si_distortion
 
 
 def select_one_trial(bundle, rho, q, method):
@@ -39,16 +42,16 @@ def select_one_trial(bundle, rho, q, method):
     n = rho.shape[0]
     scenario = WsnScenario(np.zeros((n, 2)), 2.0, rho, bundle.channels, 0)
     cfg = SymConfig(scenario=scenario, bundle=bundle, si_method=method, trials=1)
-    pids = _pattern_ids(np.asarray(q, dtype=bool))[None, :]  # (1 trial, n nodes)
-    cache = CrossTableCache(bundle)
-    chosen = _select_maps(cfg, pids, cache)[0]
+    pids = pattern_ids(np.asarray(q, dtype=bool))[None, :]  # (1 trial, n nodes)
+    chosen = _select_maps(cfg, pids)[0]
     keys = sorted({round(float(rho[u, t]), 12) for u in range(n) for t in range(n) if t != u})
-    tables = _selection_score_tables(bundle, cache, keys, method)
+    tables = _selection_score_tables(bundle, keys, method)
     scores = np.full((n, n), np.nan)
     for u in range(n):
         for t in range(n):
             if t != u:
-                scores[u, t] = tables[round(float(rho[u, t]), 12)][pids[0, u], pids[0, t]]
+                r = keys.index(round(float(rho[u, t]), 12))
+                scores[u, t] = tables[r, pids[0, u], pids[0, t]]
     return chosen, scores
 
 
@@ -242,3 +245,42 @@ class TestSelectMinDistortion:
             se[i] = (xu[i] - xhat) ** 2
         stderr = se.std(ddof=1) / np.sqrt(n)
         assert abs(se.mean() - analytic) < 3 * stderr
+
+
+@st.composite
+def selection_cases(draw):
+    """A hard-assignment codec over 1-2 BSC descriptions and a few correlations."""
+    K = draw(st.sampled_from([2, 4, 8]))
+    channels = tuple(
+        DescriptionChannel.bsc(draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 1.0)), n)
+        for n in draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    )
+    L = int(np.prod([ch.index_count for ch in channels]))
+    table = np.zeros((K, L))
+    table[np.arange(K), draw(st.lists(st.integers(0, L - 1), min_size=K, max_size=K))] = 1.0
+    source = GaussianSource()
+    bundle = make_bundle(lloyd_design(source, K), lloyd_design(source, 4), table, channels)
+    rhos = [0.0, *draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4))]
+    return bundle, rhos
+
+
+class TestScoreTables:
+    """The batched score tables against one pair of loss patterns at a time."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=selection_cases())
+    def test_matches_per_pair_oracle(self, case):
+        bundle, rhos = case
+        patterns = loss_patterns(len(bundle.channels))
+        stack = cross_table_stack(bundle, bundle, rhos)
+        mi = score_tables(bundle, bundle, stack, "mutual_info")
+        dist = score_tables(bundle, bundle, stack, "min_distortion")
+        assert mi.shape == dist.shape == (len(rhos), len(patterns), len(patterns))
+        for r, rho in enumerate(rhos):
+            cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, rho))
+            for iu, q_u in enumerate(patterns):
+                for it, q_t in enumerate(patterns):
+                    expect_mi = per_pair_mi(bundle, bundle, cross, q_u, q_t)
+                    expect_d = per_pair_partial_si_distortion(bundle, cross, q_u, q_t)
+                    assert abs(mi[r, iu, it] - expect_mi) <= 1e-13
+                    assert abs(dist[r, iu, it] - expect_d) <= 1e-13

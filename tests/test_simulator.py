@@ -14,7 +14,7 @@ from mdquant import (
     quantize_rho,
     run_decoder,
 )
-from mdquant.channel import loss_patterns, tuple_space
+from mdquant.channel import loss_patterns, pattern_ids, tuple_space
 from mdquant.decode_sym import CrossTableCache
 from mdquant.simulator import (
     AsymConfig,
@@ -26,8 +26,10 @@ from mdquant.simulator import (
     run_sym_experiment,
     sample_correlated_sources,
     _AsymLookup,
-    _pattern_ids,
+    _select_maps,
+    _selection_score_tables,
     _transmit_bsc,
+    _trial_groups,
 )
 
 from conftest import make_bundle
@@ -74,6 +76,16 @@ class TestScenario:
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
             generate_scenario(1, bsc_channels(0.0, 0.05), seed=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            generate_scenario(3, bsc_channels(0.0, 0.05), alpha=alpha, seed=0)
+
+    def test_rejects_non_finite_positions(self):
+        pos = np.array([[0.0, 0.0], [np.nan, 0.5], [0.2, np.inf]])
+        with pytest.raises(ValueError, match="node positions must be finite"):
+            generate_scenario(3, bsc_channels(0.0, 0.05), seed=0, positions=pos)
 
     def test_sampling_matches_target_covariance(self):
         s = generate_scenario(4, bsc_channels(0.0, 0.05), seed=8)
@@ -267,7 +279,7 @@ class TestSymExperiment:
                 trials=trials, seed=21, max_iters=4, tol=0.0,
             )
             dec = _SymDecoder(cfg, level_matrix, cache)
-            pids = np.stack([_pattern_ids(rec[:, u]) for u in range(n_nodes)], axis=1)
+            pids = np.stack([pattern_ids(rec[:, u]) for u in range(n_nodes)], axis=1)
             lik = [dec.lik_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
             posts = np.empty((n_nodes, trials, space.size))
             ests = np.empty((n_nodes, trials))
@@ -275,12 +287,13 @@ class TestSymExperiment:
                 posts[u], ests[u] = dec.no_si_pass(lik[u])
             smap = np.broadcast_to(si_map, (trials, n_nodes))
             lvl = [level_matrix[u, smap[:, u]] for u in range(n_nodes)]
+            groups = [_trial_groups(lvl[u], smap[:, u]) for u in range(n_nodes)]
             if mode == "estimated":
                 for _ in range(3):
                     new = np.empty_like(ests)
                     for u in range(n_nodes):
                         new[u] = dec.estimated_step(
-                            ests, smap[:, u], words[:, u], pids[:, u], lvl[u]
+                            ests, groups[u], dec.word_rows(words[:, u], pids[:, u])
                         )
                     ests = new
                 vec = ests.T
@@ -289,16 +302,17 @@ class TestSymExperiment:
                 for _ in range(3):
                     new = np.empty_like(posts)
                     for u in range(n_nodes):
-                        prior = dec.soft_prior(posts, smap[:, u], lvl[u])
+                        prior = dec.soft_prior(posts, groups[u])
                         p = lik[u] * prior
                         p /= p.sum(axis=1, keepdims=True)
                         new[u] = p
                     prev = posts
                     posts = new
                 xh = np.empty((n_nodes, trials))
+                L = space.size
                 for u in range(n_nodes):
-                    den = dec.soft_prior(prev, smap[:, u], lvl[u])
-                    num = dec.soft_prior(prev, smap[:, u], lvl[u], use_first=True)
+                    den_num = dec.soft_prior(prev, groups[u], final=True)
+                    den, num = den_num[:, :L], den_num[:, L:]
                     cent = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
                     xh[u] = np.sum(posts[u] * cent, axis=1)
                 vec = xh.T
@@ -330,3 +344,58 @@ class TestSymExperiment:
         a = run_sym_experiment(SymConfig(**cfg))
         b = run_sym_experiment(SymConfig(**cfg))
         assert a.d_av == b.d_av
+
+
+# d_av and stderr of a 6-node field of the tiny codec (scenario seed 3, run
+# seed 5, 2,000 trials), recorded with the per-pair selection scores and the
+# per-sweep soft-SI setup that the batched selector and the grouped sweeps
+# replaced; both must reproduce them exactly.
+SEEDED_FIELD = {
+    ("estimated", "distance"): (0.868534202865587, 0.02983325939890639),
+    ("estimated", "mutual_info"): (0.8551796725843713, 0.02981584856743268),
+    ("estimated", "min_distortion"): (0.8436554189822582, 0.03019219197097455),
+    ("soft", "distance"): (0.8400495701481807, 0.02761519379935091),
+    ("soft", "mutual_info"): (0.8350710598479509, 0.02765044238645017),
+    ("soft", "min_distortion"): (0.8282684012706386, 0.02773828065625892),
+}
+
+
+def loop_select(cfg, pids):
+    """Per-candidate selection loop: the reference for the one-gather ``_select_maps``."""
+    n = cfg.scenario.n_nodes
+    rho = cfg.scenario.pairwise_rho
+    keys = sorted({round(float(rho[u, t]), 12) for u in range(n) for t in range(n) if t != u})
+    tables = _selection_score_tables(cfg.bundle, keys, cfg.si_method)
+    mi = cfg.si_method == "mutual_info"
+    smap = np.empty(pids.shape, dtype=int)
+    for u in range(n):
+        scores = np.empty(pids.shape)
+        for t in range(n):
+            if t == u:
+                scores[:, t] = -np.inf if mi else np.inf
+                continue
+            tab = tables[keys.index(round(float(rho[u, t]), 12))]
+            scores[:, t] = tab[pids[:, u], pids[:, t]]
+        smap[:, u] = (np.argmax if mi else np.argmin)(scores, axis=1)
+    return smap
+
+
+class TestSeededField:
+    @pytest.mark.parametrize("mode, method", sorted(SEEDED_FIELD))
+    def test_pinned_result(self, tiny_bundle, mode, method):
+        scen = generate_scenario(6, tiny_bundle.channels, seed=3)
+        res = run_sym_experiment(SymConfig(
+            scenario=scen, bundle=tiny_bundle, mode=mode, si_method=method,
+            trials=2_000, seed=5,
+        ))
+        assert (res.d_av, res.stderr) == SEEDED_FIELD[mode, method]
+
+    @pytest.mark.parametrize("method", ["mutual_info", "min_distortion"])
+    def test_select_maps_equal_candidate_loop(self, tiny_bundle, method):
+        scen = generate_scenario(6, tiny_bundle.channels, seed=3)
+        cfg = SymConfig(scenario=scen, bundle=tiny_bundle, si_method=method, trials=2_000)
+        rng = np.random.default_rng(4)
+        pids = rng.integers(0, 4, size=(2_000, 6))
+        got = _select_maps(cfg, pids)
+        assert np.array_equal(got, loop_select(cfg, pids))
+        assert not np.any(got == np.arange(6))
