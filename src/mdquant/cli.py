@@ -157,35 +157,42 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--nsi-sweep cannot be combined with channel sweeps")
     if args.nsi_sweep:
         return _evaluate_nsi_sweep(args, bundle)
-    sweep = [float(v) for v in args.bsc_sweep.split(",")] if args.bsc_sweep else [None]
-    lines = ["p,d_side_db,d_central_db,d_av_db,stderr"]
-    for p in sweep:
-        if p is None and args.awgn is None:
-            eval_channels = None
-            p_label = bundle.channels[0].bit_error_rate
-        elif args.awgn is not None:
-            eval_channels = tuple(
+    if args.bsc_sweep and args.awgn is not None:
+        raise ValueError("--awgn cannot be combined with --bsc-sweep")
+    # Every row decodes the same draws: one simulator call for the whole sweep.
+    if args.awgn is not None:
+        labels = [args.awgn]
+        channel_sets = [
+            tuple(
                 DescriptionChannel.awgn(args.awgn, ch.loss_prob, ch.index_count)
                 for ch in bundle.channels
             )
-            p_label = args.awgn
-        else:
-            eval_channels = tuple(
+        ]
+    elif args.bsc_sweep:
+        labels = [float(v) for v in args.bsc_sweep.split(",")]
+        channel_sets = [
+            tuple(
                 DescriptionChannel.bsc(p, ch.loss_prob, ch.index_count)
                 for ch in bundle.channels
             )
-            p_label = p
-        res = run_asym_experiment(
-            AsymConfig(
-                bundle=bundle,
-                rho_real=args.rho_real,
-                rho_dec=args.rho_dec,
-                use_si=not args.no_si,
-                eval_channels=eval_channels,
-                trials=args.trials,
-                seed=args.seed,
-            )
-        )
+            for p in labels
+        ]
+    else:
+        labels = [bundle.channels[0].bit_error_rate]
+        channel_sets = [bundle.channels]
+    results = run_asym_experiment(
+        AsymConfig(
+            bundle=bundle,
+            rho_real=args.rho_real,
+            rho_dec=args.rho_dec,
+            use_si=not args.no_si,
+            trials=args.trials,
+            seed=args.seed,
+        ),
+        channel_sets,
+    )
+    lines = ["p,d_side_db,d_central_db,d_av_db,stderr"]
+    for p_label, res in zip(labels, results):
         side = "" if res.d_side is None else f"{to_db(float(np.mean(res.d_side))):.6f}"
         central = "" if res.d_central is None else f"{res.d_central_db:.6f}"
         lines.append(

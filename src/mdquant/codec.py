@@ -520,6 +520,34 @@ class CodecBundle:
     def __post_init__(self):
         if not self.ia.hard:
             raise ValueError("bundle requires a hardened index assignment")
+        self._check_shapes()
+
+    def _check_shapes(self) -> None:
+        """The assignment and the stored tables must fit the quantizers, channels and ladder."""
+        K = self.quantizer.size
+        L = int(np.prod([ch.index_count for ch in self.channels]))
+        S = 1 if self.si_quantizer is None else self.si_quantizer.size
+        n_rho = self.ladder.count
+        t = self.tables
+        if self.ia.table.shape != (K, L):
+            raise ValueError(
+                f"index assignment is {self.ia.table.shape[0]} x {self.ia.table.shape[1]}, "
+                f"expected {K} cells x {L} index tuples"
+            )
+        if t.rho_values.shape != (n_rho,):
+            raise ValueError(
+                f"decoder tables hold {t.rho_values.size} correlation levels "
+                f"for a {n_rho}-level ladder"
+            )
+        for name in ("prior", "codebook"):
+            shape = getattr(t, name).shape
+            if shape != (n_rho, S, L):
+                raise ValueError(f"{name} table has shape {shape}, expected {(n_rho, S, L)}")
+        if t.si_probs.shape != (S,):
+            raise ValueError(f"si_probs has {t.si_probs.size} entries for {S} SI levels")
+        for name in ("prior_nosi", "codebook_nosi"):
+            if getattr(t, name).shape != (L,):
+                raise ValueError(f"{name} has {getattr(t, name).size} entries for {L} tuples")
 
     def rho_level(self, rho: float) -> int:
         return quantize_rho(rho, self.ladder)

@@ -7,6 +7,15 @@ channels every decoder input is finite, so reconstructions reduce to table
 lookups built once per configuration.  Results carry the Monte-Carlo
 standard error of every estimate.
 
+The asymmetric experiment takes a list of channel sets (a BSC sweep) and
+does the shared work once: one draw of the source and its SI, one pass of
+quantizer cells, tuple ids and SI levels, one set of conditional entropy
+rates, and one set of flip and loss uniforms (or AWGN noise) per
+description, to which every set applies its own rates.  It decodes in blocks
+of ``DECODE_BLOCK`` trials drawn in turn from the same generators, so the
+results equal one-call draws bit for bit and only the per-trial error arrays
+grow with the trial count.
+
 In the symmetric experiment the SI selection scores every distinct pair
 correlation of the field in one batch (one moment quadrature, one table per
 criterion), and each source picks its SI source per trial with a single
@@ -22,7 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import derive_rng, pattern_ids, stacked_pattern_table, tuple_space
+from .channel import (
+    bpsk_symbols,
+    derive_rng,
+    pattern_ids,
+    stacked_pattern_table,
+    tuple_space,
+)
 from .codec import CodecBundle, masked_ratio, pattern_lookups, si_moment_matrices
 from .decode_sym import CrossTableCache, cross_table_stack
 from .gaussian import JointGaussianPair, quantize_rho
@@ -150,6 +165,33 @@ def _bit_weights(bits: int) -> np.ndarray:
     return 1 << np.arange(bits - 1, -1, -1)
 
 
+def _channel_streams(n_desc: int, rng_tags, seed):
+    """(bit flips or noise, losses) generators of each description m.
+
+    They derive from ``(seed, *rng_tags, 2m)`` and ``(seed, *rng_tags, 2m + 1)``.
+    """
+    return [
+        (derive_rng(seed, *rng_tags, 2 * m), derive_rng(seed, *rng_tags, 2 * m + 1))
+        for m in range(n_desc)
+    ]
+
+
+def _bsc_words(indices, channels, draws):
+    """(trials, M) received words and loss flags of the sent ``indices[m]``.
+
+    ``draws[m]`` holds description m's flip uniforms (trials, bits) and loss
+    uniforms (trials,): a bit flips below the channel's bit error rate, and
+    the description arrives at or above its loss probability.
+    """
+    shape = (indices[0].size, len(channels))
+    words = np.empty(shape, dtype=int)
+    received = np.empty(shape, dtype=bool)
+    for m, (ch, idx, (flip_u, loss_u)) in enumerate(zip(channels, indices, draws)):
+        words[:, m] = idx ^ ((flip_u < ch.bit_error_rate) @ _bit_weights(ch.bits))
+        received[:, m] = loss_u >= ch.loss_prob
+    return words, received
+
+
 def _transmit_bsc(tuple_ids, channels, space, rng_tags, seed):
     """Vectorized transmission: returns per-description words and loss flags.
 
@@ -158,17 +200,13 @@ def _transmit_bsc(tuple_ids, channels, space, rng_tags, seed):
     flags say which ones the decoder may look at.
     """
     n = tuple_ids.shape[0]
-    M = len(channels)
-    words = np.empty((n, M), dtype=int)
-    received = np.empty((n, M), dtype=bool)
-    for m, ch in enumerate(channels):
-        idx = space.component(m)[tuple_ids]
-        flip_rng = derive_rng(seed, *rng_tags, 2 * m)
-        loss_rng = derive_rng(seed, *rng_tags, 2 * m + 1)
-        flips = flip_rng.random((n, ch.bits)) < ch.bit_error_rate
-        words[:, m] = idx ^ (flips @ _bit_weights(ch.bits))
-        received[:, m] = loss_rng.random(n) >= ch.loss_prob
-    return words, received
+    streams = _channel_streams(len(channels), rng_tags, seed)
+    draws = [
+        (flip_rng.random((n, ch.bits)), loss_rng.random(n))
+        for ch, (flip_rng, loss_rng) in zip(channels, streams)
+    ]
+    indices = [space.component(m)[tuple_ids] for m in range(len(channels))]
+    return _bsc_words(indices, channels, draws)
 
 
 def _word_rows(words: np.ndarray, pids: np.ndarray, channels, offsets) -> np.ndarray:
@@ -213,6 +251,10 @@ class _AsymLookup:
 # Asymmetric experiment
 # ---------------------------------------------------------------------------
 
+# Trials per decode block of the asymmetric experiment.  Block draws continue
+# the same generators, so results do not depend on the block size.
+DECODE_BLOCK = 65_536
+
 
 @dataclass
 class AsymConfig:
@@ -229,107 +271,180 @@ class AsymConfig:
     name: str = "asym"
 
 
-def run_asym_experiment(cfg: AsymConfig) -> ExperimentResult:
-    """Monte-Carlo transmission of one source decoded with (optional) SI."""
+def run_asym_experiment(
+    cfg: AsymConfig, channel_sets=None
+) -> ExperimentResult | list[ExperimentResult]:
+    """Monte-Carlo transmission of one source decoded with (optional) SI.
+
+    Without ``channel_sets`` this returns one result, for ``cfg.eval_channels``
+    or the codec's own channels.  With a list of channel sets it returns one
+    result per set, each equal to a run with ``eval_channels`` set to it: the
+    source, its quantizer cells and SI levels, the rates and the channel
+    randomness are drawn once, and every set applies its own error and loss
+    rates to the same draws.  Every result's ``wall_time`` is that of the
+    whole call up to the end of decoding.
+    """
     start = time.perf_counter()
     bundle = cfg.bundle
-    channels = tuple(cfg.eval_channels or bundle.channels)
-    space = tuple_space(channels)
+    if channel_sets is None:
+        sets = [tuple(cfg.eval_channels or bundle.channels)]
+    elif cfg.eval_channels is not None:
+        raise ValueError("give eval_channels or channel_sets, not both")
+    else:
+        sets = [tuple(chs) for chs in channel_sets]
+    _check_channel_sets(bundle, sets)
     rho_dec = cfg.rho_real if cfg.rho_dec is None else cfg.rho_dec
     level = bundle.rho_level(rho_dec) if cfg.use_si else None
-
-    rng_src = derive_rng(cfg.seed, 1)
-    n = cfg.trials
-    x = rng_src.standard_normal(n)
-    z = rng_src.standard_normal(n)
-    rho = cfg.rho_real
-    y = rho * x + np.sqrt(max(1.0 - rho**2, 0.0)) * z
-
-    cells = np.searchsorted(bundle.quantizer.thresholds, x, side="left")
-    tuple_ids = bundle.ia.hard_map()[cells]
-    if cfg.use_si:
-        si_levels = np.searchsorted(bundle.si_quantizer.thresholds, y, side="left")
-    else:
-        si_levels = np.zeros(n, dtype=int)
-
-    if all(ch.kind == "bsc" for ch in channels):
-        words, received = _transmit_bsc(tuple_ids, channels, space, (2,), cfg.seed)
-        lookup = _AsymLookup(bundle, channels, level)
-        rows = _word_rows(words, pattern_ids(received), channels, lookup.offsets)
-        err = (x - lookup.table[rows, si_levels]) ** 2
-
-        extra = {}
-        d_side = None
-        d_central = None
-        if cfg.compute_side and len(channels) == 2:
-            forced = {}
-            for pattern in ((True, False), (False, True), (True, True)):
-                p = 2 * pattern[0] + pattern[1]
-                rows = _word_rows(words, np.full(n, p), channels, lookup.offsets)
-                xh = lookup.table[rows, si_levels]
-                forced[pattern] = float(np.mean((x - xh) ** 2))
-            d_side = (forced[(True, False)], forced[(False, True)])
-            d_central = forced[(True, True)]
-    else:
-        err, d_side, d_central, extra = _run_asym_awgn(
-            cfg, channels, space, x, tuple_ids, si_levels, level
-        )
-
     rates = conditional_entropy_rates(bundle, JointGaussianPair(1.0, 1.0, rho_dec))
-    return ExperimentResult(
-        name=cfg.name,
-        d_av=float(err.mean()),
-        trials=n,
-        stderr=float(err.std(ddof=1) / np.sqrt(n)),
-        d_side=d_side,
-        d_central=d_central,
-        rates=rates,
-        wall_time=time.perf_counter() - start,
-        extra=extra,
-    )
 
-
-def _run_asym_awgn(cfg, channels, space, x, tuple_ids, si_levels, level):
-    """AWGN path: per-trial log-likelihoods instead of lookups."""
-    from .channel import bpsk_symbols
-
-    bundle = cfg.bundle
-    t = bundle.tables
-    n = x.size
-    if level is None:
-        prior = np.broadcast_to(t.prior_nosi, (n, t.prior_nosi.size))
-        codebook = np.broadcast_to(t.codebook_nosi, prior.shape)
+    # x and z come whole from one stream; everything after is per block.
+    rng_src = derive_rng(cfg.seed, 1)
+    x = rng_src.standard_normal(cfg.trials)
+    z = rng_src.standard_normal(cfg.trials)
+    if sets[0][0].kind == "bsc":
+        decoded, extra = _run_asym_bsc(cfg, sets, x, z, level), {}
     else:
-        prior = t.prior[level][si_levels]  # (n, L)
-        codebook = t.codebook[level][si_levels]
+        decoded, extra = _run_asym_awgn(cfg, sets, x, z, level), {"channel": "awgn"}
 
-    loglik = np.zeros((n, space.size))
-    received_all = np.empty((n, len(channels)), dtype=bool)
-    for m, ch in enumerate(channels):
-        idx = space.component(m)[tuple_ids]
-        noise_rng = derive_rng(cfg.seed, 2, 2 * m)
-        loss_rng = derive_rng(cfg.seed, 2, 2 * m + 1)
-        received = loss_rng.random(n) >= ch.loss_prob
-        received_all[:, m] = received
-        sym = bpsk_symbols(ch.bits)[: ch.index_count]
-        sent = sym[idx]
-        out = sent + noise_rng.normal(0.0, np.sqrt(ch.noise_psd / 2.0), sent.shape)
-        # Up to per-trial constants: log lik = 2 <out, s_i> / N0.
-        ll = 2.0 * (out @ sym.T) / ch.noise_psd
-        ll[~received] = 0.0
-        loglik += ll[:, space.component(m)]
+    wall_time = time.perf_counter() - start
+    n = cfg.trials
+    results = [
+        ExperimentResult(
+            name=cfg.name,
+            d_av=float(err.mean()),
+            trials=n,
+            stderr=float(err.std(ddof=1) / np.sqrt(n)),
+            d_side=d_side,
+            d_central=d_central,
+            rates=rates,
+            wall_time=wall_time,
+            extra=dict(extra),
+        )
+        for err, d_side, d_central in decoded
+    ]
+    return results[0] if channel_sets is None else results
 
-    def decode_rows(ll):
-        with np.errstate(divide="ignore"):
-            lp = ll + np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
-        lp -= lp.max(axis=1, keepdims=True)
-        post = np.exp(lp)
-        post /= post.sum(axis=1, keepdims=True)
-        return np.sum(post * codebook, axis=1)
 
-    xhat = decode_rows(loglik)
-    err = (x - xhat) ** 2
-    return err, None, None, {"channel": "awgn"}
+def _check_channel_sets(bundle: CodecBundle, sets) -> None:
+    """Every set carries the codec's index tuples over channels of one kind."""
+    if not sets:
+        raise ValueError("need at least one channel set")
+    counts = tuple(ch.index_count for ch in bundle.channels)
+    kinds = {ch.kind for chs in sets for ch in chs}
+    for chs in sets:
+        if tuple(ch.index_count for ch in chs) != counts:
+            raise ValueError(
+                f"channel set carries {[ch.index_count for ch in chs]} indices, "
+                f"the codec {list(counts)}"
+            )
+    if len(kinds) > 1:
+        raise ValueError("channel sets must be all BSC or all AWGN")
+
+
+def _source_blocks(cfg: AsymConfig, x, z):
+    """Per decode block: (slice, x, tuple ids, SI levels).
+
+    The SI y = rho x + sqrt(1 - rho^2) z is formed block by block, and
+    ``DECODE_BLOCK`` is read at call time.
+    """
+    bundle = cfg.bundle
+    rho = cfg.rho_real
+    scale = np.sqrt(max(1.0 - rho**2, 0.0))
+    hard = bundle.ia.hard_map()
+    for lo in range(0, x.size, DECODE_BLOCK):
+        blk = slice(lo, min(lo + DECODE_BLOCK, x.size))
+        xb = x[blk]
+        tuple_ids = hard[np.searchsorted(bundle.quantizer.thresholds, xb, side="left")]
+        if cfg.use_si:
+            y = rho * xb + scale * z[blk]
+            si_levels = np.searchsorted(bundle.si_quantizer.thresholds, y, side="left")
+        else:
+            si_levels = np.zeros(xb.size, dtype=int)
+        yield blk, xb, tuple_ids, si_levels
+
+
+def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
+    """BSC path: one lookup per set; (squared errors, d_side, d_central) per set.
+
+    d_side and d_central force the loss patterns of two descriptions; every
+    error array is kept whole so its mean is the one-call mean.
+    """
+    n = x.size
+    channels = sets[0]
+    space = tuple_space(channels)
+    comps = [space.component(m) for m in range(len(channels))]
+    streams = _channel_streams(len(channels), (2,), cfg.seed)
+    lookups = [_AsymLookup(cfg.bundle, chs, level) for chs in sets]
+    forced_patterns = (2, 1, 3) if cfg.compute_side and len(channels) == 2 else ()
+    errs = [np.empty(n) for _ in sets]
+    forced = [[np.empty(n) for _ in forced_patterns] for _ in sets]
+    for blk, xb, tuple_ids, si_levels in _source_blocks(cfg, x, z):
+        draws = [
+            (flip_rng.random((xb.size, ch.bits)), loss_rng.random(xb.size))
+            for ch, (flip_rng, loss_rng) in zip(channels, streams)
+        ]
+        indices = [comp[tuple_ids] for comp in comps]
+        for chs, lookup, err, forced_s in zip(sets, lookups, errs, forced):
+            words, received = _bsc_words(indices, chs, draws)
+            rows = _word_rows(words, pattern_ids(received), chs, lookup.offsets)
+            err[blk] = (xb - lookup.table[rows, si_levels]) ** 2
+            for p, out in zip(forced_patterns, forced_s):
+                rows = _word_rows(words, np.full(xb.size, p), chs, lookup.offsets)
+                out[blk] = (xb - lookup.table[rows, si_levels]) ** 2
+    decoded = []
+    for err, forced_s in zip(errs, forced):
+        if forced_s:
+            d10, d01, d11 = (float(np.mean(out)) for out in forced_s)
+            decoded.append((err, (d10, d01), d11))
+        else:
+            decoded.append((err, None, None))
+    return decoded
+
+
+def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
+    """AWGN path: per-trial log-likelihoods instead of lookups.
+
+    Returns (squared errors, None, None) per set.  The log-prior is taken
+    once per (SI level, tuple) table and gathered per trial; the noise of
+    each description is drawn once per block as N(0, 1) and scaled by each
+    set's sqrt(N0 / 2), which equals drawing N(0, N0 / 2) from the stream.
+    """
+    t = cfg.bundle.tables
+    n = x.size
+    channels = sets[0]
+    space = tuple_space(channels)
+    comps = [space.component(m) for m in range(len(channels))]
+    syms = [bpsk_symbols(ch.bits)[: ch.index_count] for ch in channels]
+    streams = _channel_streams(len(channels), (2,), cfg.seed)
+    if level is None:
+        prior, codebook = t.prior_nosi[None, :], t.codebook_nosi[None, :]
+    else:
+        prior, codebook = t.prior[level], t.codebook[level]
+    with np.errstate(divide="ignore"):
+        log_prior = np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
+    errs = [np.empty(n) for _ in sets]
+    for blk, xb, tuple_ids, si_levels in _source_blocks(cfg, x, z):
+        draws = [
+            (noise_rng.standard_normal((xb.size, ch.bits)), loss_rng.random(xb.size))
+            for ch, (noise_rng, loss_rng) in zip(channels, streams)
+        ]
+        log_prior_b = np.take(log_prior, si_levels, axis=0)
+        codebook_b = np.take(codebook, si_levels, axis=0)
+        for chs, err in zip(sets, errs):
+            post = np.zeros((xb.size, space.size))
+            for ch, comp, sym, (noise, loss_u) in zip(chs, comps, syms, draws):
+                out = sym[comp[tuple_ids]] + np.sqrt(ch.noise_psd / 2.0) * noise
+                # Up to per-trial constants: log lik = 2 <out, s_i> / N0.
+                ll = 2.0 * (out @ sym.T) / ch.noise_psd
+                ll[loss_u < ch.loss_prob] = 0.0
+                post += ll[:, comp]
+            post += log_prior_b
+            post -= post.max(axis=1, keepdims=True)
+            np.exp(post, out=post)
+            post /= post.sum(axis=1, keepdims=True)
+            post *= codebook_b
+            err[blk] = (xb - post.sum(axis=1)) ** 2
+    return [(err, None, None) for err in errs]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Grids and grid densities, SI-conditional cell probabilities, per-description
 likelihoods and per-symbol transmission, the single-pass distortion, the
 per-loss-pattern design quantities, the SI selection scores of one pair of
-loss patterns, and the brute-force MMSE audit.  They compute from first principles what the package
+loss patterns, the whole-array AWGN decode of the asymmetric experiment and
+the brute-force MMSE audit.  They compute from first principles what the package
 computes from moment matrices and lookup tables, so the tests can check one
 against the other.
 """
@@ -21,11 +22,13 @@ from mdquant.channel import (
     DescriptionChannel,
     bit_patterns,
     bpsk_symbols,
+    derive_rng,
     hamming_table,
     loss_pattern_prob,
     loss_patterns,
     pattern_likelihood_tables,
     pattern_table,
+    tuple_space,
 )
 from mdquant.codec import (
     PROB_FLOOR,
@@ -235,6 +238,48 @@ def flatten_tuples(space, indices) -> np.ndarray:
     for m, n in enumerate(space.counts):
         out = out * n + indices[..., m]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-array asymmetric AWGN decode
+# ---------------------------------------------------------------------------
+
+
+def asym_awgn_errors(bundle: CodecBundle, channels, x, tuple_ids, si_levels, level, seed):
+    """Squared errors of the AWGN decode over all trials at once.
+
+    Draws the loss flags and N(0, N0 / 2) noise of description m in one call
+    each from the ``(seed, 2, 2m + 1)`` and ``(seed, 2, 2m)`` streams, and
+    keeps every (trials, tuples) array whole; the reference for the blocked
+    ``simulator._run_asym_awgn``.
+    """
+    t = bundle.tables
+    space = tuple_space(channels)
+    n = x.size
+    if level is None:
+        prior = np.broadcast_to(t.prior_nosi, (n, t.prior_nosi.size))
+        codebook = np.broadcast_to(t.codebook_nosi, prior.shape)
+    else:
+        prior = t.prior[level][si_levels]  # (n, L)
+        codebook = t.codebook[level][si_levels]
+    loglik = np.zeros((n, space.size))
+    for m, ch in enumerate(channels):
+        idx = space.component(m)[tuple_ids]
+        noise_rng = derive_rng(seed, 2, 2 * m)
+        loss_rng = derive_rng(seed, 2, 2 * m + 1)
+        received = loss_rng.random(n) >= ch.loss_prob
+        sym = bpsk_symbols(ch.bits)[: ch.index_count]
+        sent = sym[idx]
+        out = sent + noise_rng.normal(0.0, np.sqrt(ch.noise_psd / 2.0), sent.shape)
+        ll = 2.0 * (out @ sym.T) / ch.noise_psd
+        ll[~received] = 0.0
+        loglik += ll[:, space.component(m)]
+    with np.errstate(divide="ignore"):
+        lp = loglik + np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
+    lp -= lp.max(axis=1, keepdims=True)
+    post = np.exp(lp)
+    post /= post.sum(axis=1, keepdims=True)
+    return (x - np.sum(post * codebook, axis=1)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mdquant import GaussianSource, lloyd_design
 from mdquant.cli import main
 from mdquant.persist import load_codec, save_codec
 
@@ -186,6 +188,148 @@ class TestEvaluate:
                      "--nsi-sweep", "2,8", "--bsc-sweep", "0.1",
                      "--trials", "100", "--seed", "1")
         assert rc == 2
+
+    def test_awgn_with_bsc_sweep_exits_2_before_any_draw(
+        self, codec_file, tmp_path, monkeypatch, capsys
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before the flags were checked")
+
+        monkeypatch.setattr("mdquant.cli.run_asym_experiment", must_not_run)
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8",
+                     "--awgn", "0.5", "--bsc-sweep", "0.1,0.01",
+                     "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_sweep_rows_equal_single_value_runs(self, codec_file, tmp_path):
+        args = ["evaluate", "--codec", codec_file, "--rho-real", "0.8",
+                "--trials", "3000", "--seed", "4"]
+        swept = tmp_path / "swept.csv"
+        assert run_cli(*args, "--bsc-sweep", "0.1,0.01,0", "-o", swept) == 0
+        rows = swept.read_text().splitlines()[1:]
+        for i, p in enumerate(["0.1", "0.01", "0"]):
+            single = tmp_path / f"single{i}.csv"
+            assert run_cli(*args, "--bsc-sweep", p, "-o", single) == 0
+            assert single.read_text().splitlines()[1:] == [rows[i]]
+
+
+def _drop_ladder_levels(data):
+    data["ladder"] = data["ladder"][:-3]
+
+
+def _coarser_si_quantizer(data):
+    q = lloyd_design(GaussianSource(), 4)
+    data["si_quantizer"] = {
+        "codewords": q.codewords.tolist(),
+        "thresholds": q.thresholds.tolist(),
+        "cell_probs": q.cell_probs.tolist(),
+    }
+
+
+def _three_index_channel(data):
+    data["channels"][0]["index_count"] = 3
+
+
+def _short_si_probs(data):
+    data["tables"]["si_probs"] = data["tables"]["si_probs"][:-1]
+
+
+def _short_codebook_nosi(data):
+    data["tables"]["codebook_nosi"] = data["tables"]["codebook_nosi"][:-1]
+
+
+def _short_codebook(data):
+    data["tables"]["codebook"] = [rows[:-1] for rows in data["tables"]["codebook"]]
+
+
+class TestCodecConsistency:
+    """A codec file whose parts do not fit together exits 2 with one line."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_ladder_levels, "correlation levels for a"),
+        (_coarser_si_quantizer, "prior table has shape"),
+        (_three_index_channel, "index assignment is 8 x 4, expected 8 cells x 6 index tuples"),
+        (_short_si_probs, "si_probs has 15 entries for 16 SI levels"),
+        (_short_codebook_nosi, "codebook_nosi has 3 entries for 4 tuples"),
+        (_short_codebook, "codebook table has shape"),
+    ], ids=["ladder", "si_quantizer", "index_count", "si_probs", "codebook_nosi", "codebook"])
+    def test_inconsistent_codec_exits_2(self, codec_file, tmp_path, capsys, edit, message):
+        data = json.loads(codec_file.read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", bad, "--rho-real", "0.8",
+                     "--trials", "100", "--seed", "1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+
+
+# A desk codec (K=16, two 4-index descriptions, 64-level SI quantizer) and the
+# evaluate CSVs it gave at 20k trials before the asymmetric experiment shared
+# its draws across a sweep and decoded in trial blocks.
+DESK_DESIGN = [
+    "design", "--K", "16", "--desc", "4,4", "--bsc", "0.005", "--loss", "0.05",
+    "--rho-enc", "0.8", "--nsi", "64", "--restarts", "2", "--seed", "5",
+]
+DESK_SHA256 = "534401edce9a45de80507b4c35eb7b30af92e56058534ec97bfbcd67d49ef923"
+DESK_EVAL = ["--trials", "20000", "--seed", "3"]
+PINNED_EVALUATE = {
+    "bsc_sweep": (
+        ["--rho-real", "0.8", "--bsc-sweep", "0.01,0.001,0"],
+        "p,d_side_db,d_central_db,d_av_db,stderr\n"
+        "0.01,-7.956078,-15.445195,-13.773541,0.001730854368683245\n"
+        "0.001,-8.258151,-17.889509,-15.227500,0.0014918054082606015\n"
+        "0.0,-8.285052,-18.107435,-15.348989,0.0014930105003065851\n",
+    ),
+    "bsc_sweep_no_si": (
+        ["--rho-real", "0.8", "--bsc-sweep", "0.02,0", "--no-si"],
+        "p,d_side_db,d_central_db,d_av_db,stderr\n"
+        "0.02,-1.785565,-3.149567,-3.021369,0.013044769445373635\n"
+        "0.0,-1.981844,-3.485068,-3.336211,0.013186773910341686\n",
+    ),
+    "codec_channels": (
+        ["--rho-real", "0.7", "--rho-dec", "0.9"],
+        "p,d_side_db,d_central_db,d_av_db,stderr\n"
+        "0.005,-5.545098,-11.448667,-10.250644,0.004968279660806158\n",
+    ),
+    "awgn": (
+        ["--rho-real", "0.8", "--awgn", "0.5"],
+        "p,d_side_db,d_central_db,d_av_db,stderr\n"
+        "0.5,,,-13.497449,0.0018287171372466347\n",
+    ),
+    "awgn_no_si": (
+        ["--rho-real", "0.8", "--awgn", "0.5", "--no-si"],
+        "p,d_side_db,d_central_db,d_av_db,stderr\n"
+        "0.5,,,-3.168263,0.013012795566102357\n",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def desk_codec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("desk") / "desk.json"
+    assert run_cli(*DESK_DESIGN, "-o", path) == 0
+    return path
+
+
+class TestPinnedEvaluate:
+    def test_desk_codec_is_the_recorded_one(self, desk_codec):
+        digest = hashlib.sha256(desk_codec.read_bytes()).hexdigest()
+        assert digest == DESK_SHA256, "the design moved; the pinned CSVs below assume this codec"
+
+    @pytest.mark.parametrize("case", sorted(PINNED_EVALUATE))
+    def test_csv_unchanged(self, desk_codec, tmp_path, case):
+        args, expected = PINNED_EVALUATE[case]
+        out = tmp_path / "eval.csv"
+        assert run_cli("evaluate", "--codec", desk_codec, *args, *DESK_EVAL, "-o", out) == 0
+        assert out.read_text() == expected
 
 
 class TestScenario:

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -14,7 +16,8 @@ from mdquant import (
     quantize_rho,
     run_decoder,
 )
-from mdquant.channel import loss_patterns, pattern_ids, tuple_space
+from mdquant import simulator
+from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
 from mdquant.decode_sym import CrossTableCache
 from mdquant.simulator import (
     AsymConfig,
@@ -26,6 +29,7 @@ from mdquant.simulator import (
     run_sym_experiment,
     sample_correlated_sources,
     _AsymLookup,
+    _run_asym_awgn,
     _select_maps,
     _selection_score_tables,
     _transmit_bsc,
@@ -33,6 +37,7 @@ from mdquant.simulator import (
 )
 
 from conftest import make_bundle
+from oracles import asym_awgn_errors
 
 
 def bsc_channels(p, mu, n=2):
@@ -214,6 +219,134 @@ class TestAsymExperiment:
             )
         )
         assert 0 < res.d_av < 1.0
+
+    def test_rejects_mixed_channel_kinds(self, designed_bundle):
+        cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100, seed=1)
+        awgn = tuple(DescriptionChannel.awgn(0.5, 0.05, 2) for _ in range(2))
+        with pytest.raises(ValueError, match="all BSC or all AWGN"):
+            run_asym_experiment(cfg, [bsc_channels(0.01, 0.05), awgn])
+
+    def test_rejects_foreign_index_counts(self, designed_bundle):
+        cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100, seed=1)
+        with pytest.raises(ValueError, match="indices"):
+            run_asym_experiment(cfg, [bsc_channels(0.01, 0.05, n=4)])
+
+
+# ---------------------------------------------------------------------------
+# Shared draws and blocked decoding of the asymmetric experiment
+# ---------------------------------------------------------------------------
+
+BLOCK = 64
+BLOCK_TRIALS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+def summary(res):
+    return res.d_av, res.stderr, res.d_side, res.d_central
+
+
+def asym_sources(cfg):
+    """x, z and the whole-array tuple ids and SI levels ``run_asym_experiment`` draws."""
+    b = cfg.bundle
+    rng = derive_rng(cfg.seed, 1)
+    x = rng.standard_normal(cfg.trials)
+    z = rng.standard_normal(cfg.trials)
+    y = cfg.rho_real * x + np.sqrt(max(1.0 - cfg.rho_real**2, 0.0)) * z
+    tuple_ids = b.ia.hard_map()[np.searchsorted(b.quantizer.thresholds, x, side="left")]
+    if cfg.use_si:
+        si_levels = np.searchsorted(b.si_quantizer.thresholds, y, side="left")
+    else:
+        si_levels = np.zeros(cfg.trials, dtype=int)
+    return x, z, tuple_ids, si_levels
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("block", [BLOCK, simulator.DECODE_BLOCK])
+    def test_sweep_rows_equal_single_runs(self, designed_bundle, monkeypatch, block):
+        monkeypatch.setattr(simulator, "DECODE_BLOCK", block)
+        cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=5_000, seed=21)
+        sets = [bsc_channels(p, 0.05) for p in (0.1, 0.01, 0.0)]
+        rows = run_asym_experiment(cfg, sets)
+        assert len(rows) == 3
+        for chs, row in zip(sets, rows):
+            single = run_asym_experiment(replace(cfg, eval_channels=chs))
+            assert summary(row) == summary(single)
+        assert rows[0].d_av > rows[2].d_av
+
+    @pytest.mark.parametrize("use_si", [True, False])
+    def test_blocked_bsc_equals_one_block(self, designed_bundle, monkeypatch, use_si):
+        sets = [bsc_channels(p, 0.1) for p in (0.05, 0.0)]
+        cfgs = [
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=n, seed=19, use_si=use_si)
+            for n in BLOCK_TRIALS
+        ]
+        whole = [run_asym_experiment(cfg, sets) for cfg in cfgs]
+        monkeypatch.setattr(simulator, "DECODE_BLOCK", BLOCK)
+        for cfg, rows in zip(cfgs, whole):
+            blocked = run_asym_experiment(cfg, sets)
+            assert [summary(r) for r in blocked] == [summary(r) for r in rows]
+
+    @pytest.mark.parametrize("use_si", [True, False])
+    @pytest.mark.parametrize("trials", BLOCK_TRIALS)
+    def test_blocked_awgn_equals_whole_array(self, designed_bundle, monkeypatch, use_si, trials):
+        monkeypatch.setattr(simulator, "DECODE_BLOCK", BLOCK)
+        awgn = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
+        cfg = AsymConfig(
+            bundle=designed_bundle, rho_real=0.8, trials=trials, seed=17,
+            use_si=use_si, eval_channels=awgn,
+        )
+        x, z, tuple_ids, si_levels = asym_sources(cfg)
+        level = designed_bundle.rho_level(0.8) if use_si else None
+        [(err, _, _)] = _run_asym_awgn(cfg, [awgn], x, z, level)
+        expect = asym_awgn_errors(designed_bundle, awgn, x, tuple_ids, si_levels, level, 17)
+        assert np.array_equal(err, expect)
+        res = run_asym_experiment(cfg)
+        assert res.d_av == float(expect.mean())
+        assert res.stderr == float(expect.std(ddof=1) / np.sqrt(trials))
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak, in bytes, of one call of ``fn`` in this process."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def k16_bundle(source):
+    """K=16 codec over two 4-index BSC descriptions, one cell per tuple."""
+    q = lloyd_design(source, 16)
+    si = lloyd_design(source, 64)
+    return make_bundle(q, si, np.eye(16), bsc_channels(0.005, 0.05, n=4))
+
+
+class TestAsymMemory:
+    """The traced peak grows by at most 24 float64 per trial from 200k to 400k trials."""
+
+    def growth_per_trial(self, run) -> float:
+        small, large = (traced_peak(lambda: run(n)) for n in (200_000, 400_000))
+        return (large - small) / (200_000 * 8)
+
+    def test_awgn_row(self, k16_bundle):
+        awgn = tuple(DescriptionChannel.awgn(0.5, 0.05, 4) for _ in range(2))
+
+        def run(trials):
+            run_asym_experiment(AsymConfig(
+                bundle=k16_bundle, rho_real=0.8, trials=trials, seed=1, eval_channels=awgn,
+            ))
+
+        assert self.growth_per_trial(run) <= 24
+
+    def test_three_row_bsc_sweep(self, k16_bundle):
+        sets = [bsc_channels(p, 0.05, n=4) for p in (0.01, 0.001, 0.0)]
+
+        def run(trials):
+            cfg = AsymConfig(bundle=k16_bundle, rho_real=0.8, trials=trials, seed=1)
+            run_asym_experiment(cfg, sets)
+
+        assert self.growth_per_trial(run) <= 24
 
 
 class TestSymConfig:
