@@ -64,8 +64,8 @@ class DescriptionChannel:
             if self.bit_error_rate is None or not 0.0 <= self.bit_error_rate <= 0.5:
                 raise ValueError("BSC bit error rate must lie in [0, 0.5]")
         else:
-            if self.noise_psd is None or self.noise_psd <= 0:
-                raise ValueError("AWGN noise spectral density must be positive")
+            if self.noise_psd is None or not 0 < self.noise_psd < np.inf:
+                raise ValueError("AWGN noise spectral density must be positive and finite")
 
     @classmethod
     def bsc(cls, bit_error_rate: float, loss_prob: float, index_count: int) -> "DescriptionChannel":

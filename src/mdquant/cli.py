@@ -152,6 +152,10 @@ def cmd_bound(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _check_trials(args.trials)
+    # The decoder's correlation is checked where it is quantized; the SI draw
+    # y = rho x + sqrt(1 - rho^2) z needs |rho_real| < 1 whatever rho_dec is.
+    if not -1.0 < args.rho_real < 1.0:
+        raise ValueError("--rho-real must be finite and lie in (-1, 1)")
     bundle = load_codec(args.codec)
     if args.nsi_sweep and (args.bsc_sweep or args.awgn is not None):
         raise ValueError("--nsi-sweep cannot be combined with channel sweeps")

@@ -3,8 +3,8 @@
 Grids and grid densities, SI-conditional cell probabilities, per-description
 likelihoods and per-symbol transmission, the single-pass distortion, the
 per-loss-pattern design quantities, the SI selection scores of one pair of
-loss patterns, the whole-array AWGN decode of the asymmetric experiment and
-the brute-force MMSE audit.  They compute from first principles what the package
+loss patterns, the whole-array AWGN decode of the asymmetric experiment, the
+serial annealing restarts and the brute-force MMSE audit.  They compute from first principles what the package
 computes from moment matrices and lookup tables, so the tests can check one
 against the other.
 """
@@ -32,9 +32,11 @@ from mdquant.channel import (
 )
 from mdquant.codec import (
     PROB_FLOOR,
+    AnnealingSchedule,
     CodecBundle,
     DesignContext,
     IndexAssignment,
+    _anneal_once,
     masked_ratio,
 )
 from mdquant.decode_asym import decode, tuple_log_likelihood
@@ -292,6 +294,23 @@ def distortion_direct(ctx: DesignContext, table: np.ndarray, state=None) -> floa
     if state is None:
         state = ctx.decoder_state(table)
     return float(np.sum(table * ctx.weights(state)))
+
+
+def serial_restarts(ctx: DesignContext, schedule: AnnealingSchedule, seed: int):
+    """Every restart of ``design_annealed`` in this process, and the best of them.
+
+    Returns ``(results, best)``: the ``(hard_ia, hard_d, info)`` of each
+    restart in order, and ``(hard_ia, hard_d, info, restart)`` of the first
+    restart with the strictly lowest hardened distortion.
+    """
+    results = [
+        _anneal_once(ctx, schedule, derive_rng(seed, r)) for r in range(schedule.restarts)
+    ]
+    best = None
+    for restart, (hard_ia, hard_d, info) in enumerate(results):
+        if best is None or hard_d < best[1]:
+            best = (hard_ia, hard_d, info, restart)
+    return results, best
 
 
 def da_weights(

@@ -114,6 +114,11 @@ class TestLikelihood:
         with pytest.raises(ValueError):
             likelihood(0.5, 0, True, DescriptionChannel.bsc(0.1, 0.0, 8))
 
+    @pytest.mark.parametrize("noise_psd", [0.0, -0.5, float("nan"), float("inf")])
+    def test_awgn_rejects_non_positive_or_non_finite_noise(self, noise_psd):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DescriptionChannel.awgn(noise_psd, 0.0, 8)
+
     def test_awgn_outcome_payload(self):
         ch = (DescriptionChannel.awgn(0.01, 0.0, 8),)
         rng = derive_rng(5)

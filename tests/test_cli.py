@@ -156,6 +156,32 @@ class TestEvaluate:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--awgn", "nan"],
+        ["--awgn", "inf"],
+        ["--rho-real", "1.5", "--rho-dec", "0.8"],
+        ["--rho-real", "nan", "--rho-dec", "0.8"],
+        ["--rho-real", "-1", "--rho-dec", "0.5"],
+        ["--rho-real", "1"],
+    ], ids=" ".join)
+    def test_bad_noise_or_real_correlation_exits_2(self, codec_file, tmp_path, capsys, flags):
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", *flags,
+                     "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_negative_real_correlation_with_decoder_correlation_runs(self, codec_file, tmp_path):
+        # A decoder that assumes the wrong sign of correlation is a valid
+        # mismatch experiment; only |rho_real| >= 1 leaves the SI model.
+        out = tmp_path / "eval.csv"
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "-0.5", "--rho-dec", "0.5",
+                     "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 0
+        assert "nan" not in out.read_text()
+
     def test_codec_without_tables_exits_2(self, codec_file, tmp_path, capsys):
         data = json.loads(codec_file.read_text())
         del data["tables"]
