@@ -6,7 +6,7 @@ information, select SI sources, evaluate the two-description rate-distortion
 bound, and run the Monte-Carlo experiment harness.
 """
 
-from .channel import ChannelOutcome, DescriptionChannel, derive_rng
+from .channel import DescriptionChannel, derive_rng
 from .codec import (
     AnnealingSchedule,
     CodecBundle,
@@ -20,22 +20,12 @@ from .codec import (
     harden,
     ia_entropy,
 )
-from .decode_asym import Posterior, decode, posterior, reconstruct
-from .decode_sym import (
-    CrossSourceTables,
-    CrossTableCache,
-    SymmetricState,
-    build_cross_tables,
-    estimated_si_iterate,
-    run_decoder,
-    soft_si_posterior,
-    soft_si_reconstruct,
-)
+from .decode_sym import CrossSourceTables, CrossTableCache, build_cross_tables
 from .gaussian import CorrelationLadder, GaussianSource, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
 from .quantizer import ScalarQuantizer, cell_of, lloyd_design
 from .rd_bound import BoundQuery, BoundResult, beta, central_bound, min_avg_distortion
-from .si_select import SiAssignment, pairwise_mi, partial_si_reconstruct, select_min_distance
+from .si_select import SiAssignment, pairwise_mi, select_min_distance
 from .simulator import (
     AsymConfig,
     ExperimentResult,

@@ -99,29 +99,6 @@ class DescriptionChannel:
         return (p ** d) * ((1.0 - p) ** (b - d))
 
 
-@dataclass(frozen=True)
-class ChannelOutcome:
-    """Realized channel outputs for one transmitted index tuple.
-
-    ``received[m]`` is an int (BSC) or a float vector (AWGN) when flag m is
-    True, and None when the description was lost.
-    """
-
-    received: tuple
-    flags: np.ndarray
-
-    def __post_init__(self):
-        flags = np.asarray(self.flags, dtype=bool)
-        if len(self.received) != flags.size:
-            raise ValueError("payload count must match flag count")
-        for payload, got in zip(self.received, flags):
-            if got and payload is None:
-                raise ValueError("received description missing payload")
-            if not got and payload is not None:
-                raise ValueError("lost description carries a payload")
-        object.__setattr__(self, "flags", flags)
-
-
 def loss_pattern_prob(Q, channels) -> float:
     """Probability of the loss pattern Q (True = received)."""
     Q = np.asarray(Q, dtype=bool)

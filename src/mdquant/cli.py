@@ -1,6 +1,7 @@
 """Command-line driver: codec design, bound evaluation, experiments, reports.
 
-Exit codes: 0 success, 2 invalid input, 3 incompatible codec file version.
+Exit codes: 0 success, 2 invalid input or a report whose verdict is FAIL,
+3 incompatible codec file version.
 Every stochastic command requires --seed and is byte-reproducible at a fixed
 seed (wall-clock timing goes to stderr, never into result files).
 """
@@ -347,6 +348,8 @@ def cmd_report(args) -> int:
         )
     lines.append("overall: " + ("PASS" if all_pass else "FAIL"))
     _emit(lines, args.output)
+    if not all_pass:
+        raise ValueError("report verdict is FAIL")
     return 0
 
 

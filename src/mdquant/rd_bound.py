@@ -31,8 +31,8 @@ class BoundQuery:
     var_y: float = 1.0
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (0 <= self.r1 < np.inf and 0 <= self.r2 < np.inf):
+            raise ValueError("rates must be nonnegative and finite")
         if not (0 <= self.mu1 <= 1 and 0 <= self.mu2 <= 1):
             raise ValueError("loss probabilities must lie in [0, 1]")
         if not abs(self.rho) < 1:

@@ -4,7 +4,8 @@ Three criteria are provided, in increasing order of cost and quality:
 nearest node by physical distance (:func:`select_min_distance`), largest
 mutual information between the received words given the current loss
 patterns (:func:`pairwise_mi`), and smallest expected end-to-end distortion
-of the partial-SI decoder (:func:`expected_partial_si_distortion`).  The two
+of the partial-SI decoder, which reconstructs a source from its own received
+words and the candidate's (:func:`expected_partial_si_distortion`).  The two
 pattern-dependent criteria come from :func:`score_tables`, which scores every
 pair of loss patterns at once, for one correlation or for a stack of them
 (the cross tables of :func:`mdquant.decode_sym.cross_table_stack`); the two
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOutcome, pattern_ids, stacked_pattern_table
+from .channel import pattern_ids, stacked_pattern_table
 from .channel import pattern_table  # noqa: F401  (perfbench/spans.py patches this binding)
 from .codec import CodecBundle, masked_ratio
-from .decode_asym import tuple_log_likelihood
 from .decode_sym import CrossSourceTables
 
 
@@ -146,36 +146,6 @@ def pairwise_mi(
     """
     tab = score_tables(bundle_u, bundle_t, cross, "mutual_info")
     return float(tab[pattern_ids(np.asarray(q_u, bool)), pattern_ids(np.asarray(q_t, bool))])
-
-
-def _neighbor_cell_posterior(outcome_t: ChannelOutcome, bundle_t: CodecBundle) -> np.ndarray:
-    """P(neighbor cell | its received words): prior cell mass times channel evidence."""
-    lik = np.exp(tuple_log_likelihood(outcome_t, bundle_t.channels))
-    w = bundle_t.quantizer.cell_probs * (bundle_t.ia.table @ lik)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("inconsistent tables")
-    return w / total
-
-
-def partial_si_reconstruct(
-    outcome_u: ChannelOutcome,
-    outcome_t: ChannelOutcome,
-    bundle_u: CodecBundle,
-    bundle_t: CodecBundle,
-    cross: CrossSourceTables,
-) -> float:
-    """MMSE estimate of source u using the neighbor's raw received words as SI."""
-    w = _neighbor_cell_posterior(outcome_t, bundle_t)
-    prior = cross.idx_given_cell @ w
-    first = (cross.idx_given_cell * cross.cent_given_cell) @ w
-    lik = np.exp(tuple_log_likelihood(outcome_u, bundle_u.channels))
-    post = lik * prior
-    total = post.sum()
-    if total <= 0:
-        raise ValueError("inconsistent tables")
-    post /= total
-    return float(np.dot(post, masked_ratio(first, prior)))
 
 
 def expected_partial_si_distortion(

@@ -1,11 +1,16 @@
-"""Scenario generation and Monte-Carlo experiments.
+"""Scenario generation, the package's decoders and Monte-Carlo experiments.
 
 The asymmetric experiment transmits one source with external side
 information; the symmetric experiment jointly decodes every node of a
-sensor-field scenario.  Both are vectorized over trials: with discrete
+sensor-field scenario.  Both decoders live here and work on all trials at
+once: the asymmetric MMSE decoder is a lookup table per (correlation level,
+channel set) for BSC channels (:class:`_AsymLookup`) and a per-trial
+posterior for AWGN (:func:`_run_asym_awgn`); the joint decoder runs its
+estimated-SI or soft-SI sweeps in :meth:`_SymDecoder.decode`.  With discrete
 channels every decoder input is finite, so reconstructions reduce to table
 lookups built once per configuration.  Results carry the Monte-Carlo
-standard error of every estimate.
+standard error of every estimate.  The per-symbol decoders that these are
+tested against live in the test suite's oracles.
 
 The asymmetric experiment takes a list of channel sets (a BSC sweep) and
 does the shared work once: one draw of the source and its SI, one pass of
@@ -48,6 +53,10 @@ from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindin
 )
 
 PSD_EIGEN_FLOOR = 1e-9
+# Pair correlations are capped here before they are quantized or scored:
+# coincident nodes have rho = 1, where the conditional sd of one source given
+# the other is 0.
+RHO_CAP = 1.0 - 1e-12
 SYM_MODES = ("estimated", "soft")
 SI_METHODS = ("distance", "mutual_info", "min_distortion")
 
@@ -518,7 +527,7 @@ def _select_maps(cfg: SymConfig, pids) -> np.ndarray:
         return np.broadcast_to(fixed, (trials, n_nodes))
     rho = cfg.scenario.pairwise_rho
     keys = {
-        (u, t): round(float(rho[u, t]), 12)
+        (u, t): round(min(float(rho[u, t]), RHO_CAP), 12)
         for u in range(n_nodes) for t in range(n_nodes) if t != u
     }
     rho_keys = sorted(set(keys.values()))
@@ -551,15 +560,19 @@ def _trial_groups(level_u, s_map_u) -> list:
 
 
 class _SymDecoder:
-    """Vectorized synchronous joint decoder over all trials of a scenario."""
+    """The joint decoder: synchronous estimated-SI or soft-SI sweeps over all trials.
 
-    def __init__(self, cfg: SymConfig, level_matrix, cache):
+    Iteration 1 decodes every node without SI; each later sweep reads the
+    state the previous one left.  :meth:`decode` runs the sweeps, and the
+    other methods are its steps for one node across all trials.
+    """
+
+    def __init__(self, cfg: SymConfig, cache):
         self.cfg = cfg
         self.bundle = cfg.bundle
         self.channels = tuple(cfg.bundle.channels)
         self.space = tuple_space(self.channels)
         self.cache = cache
-        self.level_matrix = level_matrix
         stacked, self.offsets = stacked_pattern_table(self.channels, self.space)
         self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
         t = self.bundle.tables
@@ -616,6 +629,61 @@ class _SymDecoder:
             out[idx] = posts_prev[nbr, idx] @ self.mix(level, final)
         return out
 
+    def decode(self, words, pids, groups):
+        """(nodes, trials) estimates from the received words of every node.
+
+        ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
+        pattern ids and ``groups[u]`` node u's trial groups
+        (:func:`_trial_groups`).  The sweeps stop after ``max_iters``
+        iterations, or once the largest change falls below ``tol``: of the
+        estimates (estimated-SI), or of the posteriors (soft-SI, which
+        reconstructs once, after its last sweep).
+        """
+        cfg = self.cfg
+        trials, n_nodes = pids.shape
+        ests = np.empty((n_nodes, trials))
+        if cfg.mode == "estimated":
+            # Only the no-SI estimates carry over; no posterior is kept.
+            for u in range(n_nodes):
+                _, ests[u] = self.no_si_pass(self.lik_rows(words[:, u], pids[:, u]))
+            rows = [self.word_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
+            for _ in range(cfg.max_iters - 1):
+                new_ests = np.empty_like(ests)
+                for u in range(n_nodes):
+                    new_ests[u] = self.estimated_step(ests, groups[u], rows[u])
+                delta = float(np.max(np.abs(new_ests - ests)))
+                ests = new_ests
+                if delta < cfg.tol:
+                    break
+            return ests
+
+        lik = [self.lik_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
+        posts = np.empty((n_nodes, trials, self.space.size))
+        for u in range(n_nodes):
+            posts[u], ests[u] = self.no_si_pass(lik[u])
+        # Three posterior buffers rotate: the sweep writes ``new`` from
+        # ``posts``, and ``prev`` keeps the posteriors behind the final priors.
+        prev, spare = posts, None
+        for _ in range(cfg.max_iters - 1):
+            new = np.empty_like(posts) if spare is None else spare
+            delta = 0.0
+            for u in range(n_nodes):
+                p = np.multiply(lik[u], self.soft_prior(posts, groups[u]), out=new[u])
+                p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+                delta = max(delta, float(np.max(np.abs(p - posts[u]))))
+            spare = None if prev is posts else prev
+            prev, posts = posts, new
+            if delta < cfg.tol:
+                break
+        if prev is posts:
+            return ests
+        L = self.space.size
+        xhat = np.empty_like(ests)
+        for u in range(n_nodes):
+            den_num = self.soft_prior(prev, groups[u], final=True)
+            xhat[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
+        return xhat
+
 
 def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     """Monte-Carlo joint decoding of a scenario; averages distortion over nodes."""
@@ -627,7 +695,7 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
         for t in range(n_nodes):
             if t != u:
                 level_matrix[u, t] = quantize_rho(
-                    min(scenario.pairwise_rho[u, t], 1.0 - 1e-12), bundle.ladder
+                    min(scenario.pairwise_rho[u, t], RHO_CAP), bundle.ladder
                 )
 
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
@@ -645,57 +713,12 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
         )
     pids = pattern_ids(received)  # (trials, nodes)
 
-    cache = CrossTableCache(bundle)
     s_map = _select_maps(cfg, pids)
-    dec = _SymDecoder(cfg, level_matrix, cache)
+    dec = _SymDecoder(cfg, CrossTableCache(bundle))
     groups = [
         _trial_groups(level_matrix[u, s_map[:, u]], s_map[:, u]) for u in range(n_nodes)
     ]
-
-    ests = np.empty((n_nodes, cfg.trials))
-    if cfg.mode == "estimated":
-        # Only the no-SI estimates carry over; no posterior is kept.
-        for u in range(n_nodes):
-            _, ests[u] = dec.no_si_pass(dec.lik_rows(words[:, u], pids[:, u]))
-        rows = [dec.word_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
-        for _ in range(cfg.max_iters - 1):
-            new_ests = np.empty_like(ests)
-            for u in range(n_nodes):
-                new_ests[u] = dec.estimated_step(ests, groups[u], rows[u])
-            delta = float(np.max(np.abs(new_ests - ests)))
-            ests = new_ests
-            if delta < cfg.tol:
-                break
-        xhat = ests
-    else:
-        lik = [dec.lik_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
-        posts = np.empty((n_nodes, cfg.trials, space.size))
-        for u in range(n_nodes):
-            posts[u], ests[u] = dec.no_si_pass(lik[u])
-        # Three posterior buffers rotate: the sweep writes ``new`` from
-        # ``posts``, and ``prev`` keeps the posteriors behind the final priors.
-        prev, spare = posts, None
-        for _ in range(cfg.max_iters - 1):
-            new = np.empty_like(posts) if spare is None else spare
-            delta = 0.0
-            for u in range(n_nodes):
-                p = np.multiply(lik[u], dec.soft_prior(posts, groups[u]), out=new[u])
-                p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
-                delta = max(delta, float(np.max(np.abs(p - posts[u]))))
-            spare = None if prev is posts else prev
-            prev, posts = posts, new
-            if delta < cfg.tol:
-                break
-        if prev is posts:
-            xhat = ests
-        else:
-            L = space.size
-            xhat = np.empty_like(ests)
-            for u in range(n_nodes):
-                den_num = dec.soft_prior(prev, groups[u], final=True)
-                xhat[u] = np.sum(
-                    posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1
-                )
+    xhat = dec.decode(words, pids, groups)
 
     sq = (x.T - xhat) ** 2  # (n_nodes, trials)
     per_trial = sq.mean(axis=0)

@@ -1,24 +1,25 @@
 """Reference implementations that only the tests use.
 
 Grids and grid densities, SI-conditional cell probabilities, per-description
-likelihoods and per-symbol transmission, the single-pass distortion, the
-per-loss-pattern design quantities, the SI selection scores of one pair of
-loss patterns, the whole-array AWGN decode of the asymmetric experiment, the
-serial annealing restarts and the brute-force MMSE audit.  They compute from first principles what the package
-computes from moment matrices and lookup tables, so the tests can check one
-against the other.
+likelihoods and per-symbol transmission, the per-symbol decoders (asymmetric
+MMSE, estimated-SI and soft-SI joint, partial-SI), the single-pass
+distortion, the per-loss-pattern design quantities, the SI selection scores
+of one pair of loss patterns, the whole-array AWGN decode of the asymmetric
+experiment, the serial annealing restarts and the brute-force MMSE audit.
+They compute symbol by symbol, or from first principles, what the package
+computes from moment matrices and lookup tables over all trials at once, so
+the tests can check one against the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from mdquant.channel import (
-    ChannelOutcome,
     DescriptionChannel,
     bit_patterns,
     bpsk_symbols,
@@ -39,9 +40,10 @@ from mdquant.codec import (
     _anneal_once,
     masked_ratio,
 )
-from mdquant.decode_asym import decode, tuple_log_likelihood
+from mdquant.decode_sym import CrossSourceTables, CrossTableCache
 from mdquant.gaussian import JointGaussianPair, gauss_interval_moments, gauss_interval_moments_batch
-from mdquant.quantizer import ScalarQuantizer
+from mdquant.quantizer import ScalarQuantizer, cell_of
+from mdquant.simulator import _AsymLookup
 
 from conftest import simpson_nodes
 
@@ -175,6 +177,29 @@ def si_conditional_density(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ChannelOutcome:
+    """Realized channel outputs for one transmitted index tuple.
+
+    ``received[m]`` is an int (BSC) or a float vector (AWGN) when flag m is
+    True, and None when the description was lost.
+    """
+
+    received: tuple
+    flags: np.ndarray
+
+    def __post_init__(self):
+        flags = np.asarray(self.flags, dtype=bool)
+        if len(self.received) != flags.size:
+            raise ValueError("payload count must match flag count")
+        for payload, got in zip(self.received, flags):
+            if got and payload is None:
+                raise ValueError("received description missing payload")
+            if not got and payload is not None:
+                raise ValueError("lost description carries a payload")
+        object.__setattr__(self, "flags", flags)
+
+
 def sample_outcome(I, channels, rng: np.random.Generator) -> ChannelOutcome:
     """Transmit the index tuple I over all description channels once."""
     received = []
@@ -240,6 +265,271 @@ def flatten_tuples(space, indices) -> np.ndarray:
     for m, n in enumerate(space.counts):
         out = out * n + indices[..., m]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-symbol asymmetric decoder
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Posterior:
+    """Normalized distribution over index tuples given (Y, Q, J)."""
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.probs, dtype=float)
+        if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+            raise ValueError("posterior must be a distribution")
+        object.__setattr__(self, "probs", p)
+
+
+def tuple_log_likelihood(outcome: ChannelOutcome, channels) -> np.ndarray:
+    """log P(J | I, Q) for every index tuple, up to a common constant.
+
+    Lost descriptions contribute the constant 1/N and are dropped; for AWGN
+    the Gaussian prefactor is likewise dropped.  Impossible tuples map to
+    -inf.
+    """
+    space = tuple_space(channels)
+    loglik = np.zeros(space.size)
+    for m, (payload, got, ch) in enumerate(
+        zip(outcome.received, outcome.flags, channels)
+    ):
+        if not got:
+            continue
+        if ch.kind == "bsc":
+            col = ch.bsc_likelihood_matrix()[:, int(payload)]
+            with np.errstate(divide="ignore"):
+                ll_m = np.log(col)
+        else:
+            sym = bpsk_symbols(ch.bits)[: ch.index_count]
+            ll_m = -np.sum((sym - np.asarray(payload)[None, :]) ** 2, axis=1) / ch.noise_psd
+        loglik += ll_m[space.component(m)]
+    return loglik
+
+
+def _prior_and_codebook(bundle: CodecBundle, si_level, rho_level):
+    t = bundle.tables
+    if si_level is None or rho_level is None:
+        return t.prior_nosi, t.codebook_nosi
+    return t.prior[rho_level, si_level], t.codebook[rho_level, si_level]
+
+
+def posterior(outcome: ChannelOutcome, si_level, rho_level, bundle: CodecBundle) -> Posterior:
+    """A posteriori tuple probabilities; ``si_level`` None decodes without SI."""
+    prior, _ = _prior_and_codebook(bundle, si_level, rho_level)
+    loglik = tuple_log_likelihood(outcome, bundle.channels)
+    with np.errstate(divide="ignore"):
+        logpost = loglik + np.log(np.where(prior > 0, prior, 1e-300))
+    logpost = np.where(prior > 0, logpost, -np.inf)
+    peak = logpost.max()
+    if not np.isfinite(peak):
+        raise ValueError("inconsistent tables")
+    probs = np.exp(logpost - peak)
+    return Posterior(probs / probs.sum())
+
+
+def reconstruct(post: Posterior, si_level, rho_level, bundle: CodecBundle) -> float:
+    """MMSE estimate: posterior-weighted sum of stored codebook entries."""
+    _, codebook = _prior_and_codebook(bundle, si_level, rho_level)
+    return float(np.dot(post.probs, codebook))
+
+
+def decode(outcome, si_level, rho_level, bundle) -> float:
+    """Posterior + reconstruction in one call; the reference for ``simulator._AsymLookup``."""
+    return reconstruct(posterior(outcome, si_level, rho_level, bundle), si_level, rho_level, bundle)
+
+
+# ---------------------------------------------------------------------------
+# Per-symbol joint decoder
+# ---------------------------------------------------------------------------
+#
+# Iteration 1 of both variants decodes every source without side information;
+# coupling starts at iteration 2.  Sweeps are synchronous: every source reads
+# the neighbor state of the previous iteration.  The reference for
+# ``simulator._SymDecoder.decode``.
+
+
+def soft_si_posterior(
+    outcome_u: ChannelOutcome,
+    neighbor_posterior: Posterior,
+    cross: CrossSourceTables,
+    channels,
+) -> Posterior:
+    """Own-tuple posterior using the neighbor's tuple posterior as soft SI."""
+    prior = cross.mix_prob @ neighbor_posterior.probs
+    loglik = tuple_log_likelihood(outcome_u, channels)
+    with np.errstate(divide="ignore"):
+        logpost = np.where(prior > 0, loglik + np.log(np.maximum(prior, 1e-300)), -np.inf)
+    peak = logpost.max()
+    if not np.isfinite(peak):
+        raise ValueError("inconsistent tables")
+    probs = np.exp(logpost - peak)
+    return Posterior(probs / probs.sum())
+
+
+def soft_si_reconstruct(
+    posterior_u: Posterior,
+    neighbor_posterior: Posterior,
+    cross: CrossSourceTables,
+) -> float:
+    """MMSE estimate under soft SI; zero-prior tuples contribute nothing."""
+    den = cross.mix_prob @ neighbor_posterior.probs
+    num = cross.mix_first @ neighbor_posterior.probs
+    return float(np.dot(posterior_u.probs, masked_ratio(num, den)))
+
+
+@dataclass(frozen=True)
+class SymmetricState:
+    """Per-iteration decoder state for all sources (synchronous sweep)."""
+
+    outcomes: tuple
+    estimates: np.ndarray
+    posteriors: tuple
+    si_map: np.ndarray
+    iteration: int
+
+    def __post_init__(self):
+        si = np.asarray(self.si_map, dtype=int)
+        if si.size > 1 and np.any(si == np.arange(si.size)):
+            raise ValueError("a source cannot be its own SI")
+        object.__setattr__(self, "si_map", si)
+
+
+def _no_si_pass(outcomes, bundle: CodecBundle, si_map) -> SymmetricState:
+    posts = tuple(posterior(oc, None, None, bundle) for oc in outcomes)
+    ests = np.array([float(np.dot(p.probs, bundle.tables.codebook_nosi)) for p in posts])
+    return SymmetricState(tuple(outcomes), ests, posts, si_map, 1)
+
+
+def estimated_si_iterate(
+    state: SymmetricState,
+    bundle: CodecBundle,
+    level_matrix: np.ndarray,
+) -> SymmetricState:
+    """One synchronous estimated-SI sweep (neighbor estimates from ``state``)."""
+    n = len(state.outcomes)
+    new_est = np.empty(n)
+    new_posts = []
+    for u in range(n):
+        s = int(state.si_map[u])
+        level = int(level_matrix[u, s])
+        y_level = cell_of(bundle.si_quantizer, float(state.estimates[s]))
+        post = posterior(state.outcomes[u], y_level, level, bundle)
+        new_posts.append(post)
+        new_est[u] = float(np.dot(post.probs, bundle.tables.codebook[level, y_level]))
+    return replace(
+        state, estimates=new_est, posteriors=tuple(new_posts),
+        iteration=state.iteration + 1,
+    )
+
+
+def _soft_iterate(state: SymmetricState, bundle, level_matrix, cache) -> SymmetricState:
+    new_posts = []
+    for u in range(len(state.outcomes)):
+        s = int(state.si_map[u])
+        cross = cache.get(int(level_matrix[u, s]))
+        new_posts.append(
+            soft_si_posterior(state.outcomes[u], state.posteriors[s], cross, bundle.channels)
+        )
+    return replace(state, posteriors=tuple(new_posts), iteration=state.iteration + 1)
+
+
+def run_decoder(
+    outcomes,
+    bundle: CodecBundle,
+    si_map,
+    level_matrix,
+    mode: str = "soft",
+    max_iters: int = 10,
+    tol: float = 1e-6,
+    cross_cache: CrossTableCache | None = None,
+) -> tuple[np.ndarray, int]:
+    """Iterate the joint decoder and return final estimates per source.
+
+    ``mode`` is "estimated" or "soft".  Convergence is judged on the maximum
+    change of the estimates (estimated-SI) or of the posteriors (soft-SI,
+    whose reconstructions are only computed after the final sweep).
+    """
+    if mode not in ("estimated", "soft"):
+        raise ValueError("mode must be 'estimated' or 'soft'")
+    outcomes = tuple(outcomes)
+    si_map = np.asarray(si_map, dtype=int)
+    if len(outcomes) == 1:
+        return np.array([decode(outcomes[0], None, None, bundle)]), 1
+
+    state = _no_si_pass(outcomes, bundle, si_map)
+    if mode == "estimated":
+        for _ in range(max_iters - 1):
+            nxt = estimated_si_iterate(state, bundle, level_matrix)
+            delta = float(np.max(np.abs(nxt.estimates - state.estimates)))
+            state = nxt
+            if delta < tol:
+                break
+        return state.estimates, state.iteration
+
+    cache = cross_cache or CrossTableCache(bundle)
+    neighbor_src = state
+    for _ in range(max_iters - 1):
+        nxt = _soft_iterate(state, bundle, level_matrix, cache)
+        delta = max(
+            float(np.max(np.abs(a.probs - b.probs)))
+            for a, b in zip(nxt.posteriors, state.posteriors)
+        )
+        neighbor_src = state
+        state = nxt
+        if delta < tol:
+            break
+    if state.iteration == 1:
+        return state.estimates, state.iteration
+    # Reconstruct with the neighbor posteriors that formed the final priors.
+    ests = np.empty(len(outcomes))
+    for u in range(len(outcomes)):
+        s = int(state.si_map[u])
+        cross = cache.get(int(level_matrix[u, s]))
+        ests[u] = soft_si_reconstruct(state.posteriors[u], neighbor_src.posteriors[s], cross)
+    return ests, state.iteration
+
+
+# ---------------------------------------------------------------------------
+# Per-symbol partial-SI decoder
+# ---------------------------------------------------------------------------
+
+
+def _neighbor_cell_posterior(outcome_t: ChannelOutcome, bundle_t: CodecBundle) -> np.ndarray:
+    """P(neighbor cell | its received words): prior cell mass times channel evidence."""
+    lik = np.exp(tuple_log_likelihood(outcome_t, bundle_t.channels))
+    w = bundle_t.quantizer.cell_probs * (bundle_t.ia.table @ lik)
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("inconsistent tables")
+    return w / total
+
+
+def partial_si_reconstruct(
+    outcome_u: ChannelOutcome,
+    outcome_t: ChannelOutcome,
+    bundle_u: CodecBundle,
+    bundle_t: CodecBundle,
+    cross: CrossSourceTables,
+) -> float:
+    """MMSE estimate of source u using the neighbor's raw received words as SI.
+
+    The decoder whose expected distortion ``si_select.score_tables`` scores
+    for the "min_distortion" selection.
+    """
+    w = _neighbor_cell_posterior(outcome_t, bundle_t)
+    prior = cross.idx_given_cell @ w
+    first = (cross.idx_given_cell * cross.cent_given_cell) @ w
+    lik = np.exp(tuple_log_likelihood(outcome_u, bundle_u.channels))
+    post = lik * prior
+    total = post.sum()
+    if total <= 0:
+        raise ValueError("inconsistent tables")
+    post /= total
+    return float(np.dot(post, masked_ratio(first, prior)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +710,9 @@ def mse_optimality_check(
 ) -> float:
     """Max |decoder - E[X | SI level, Q, J]| over every discrete decoder input.
 
-    The conditional mean is computed from first principles: Simpson panels
-    per quantizer cell, explicit SI-cell masses, and full enumeration of loss
+    The decoder is the package's lookup, ``simulator._AsymLookup``.  The
+    conditional mean is computed from first principles: Simpson panels per
+    quantizer cell, explicit SI-cell masses, and full enumeration of loss
     patterns and received words.  Intended for tiny (K <= 4, L <= 4) BSC
     instances.
     """
@@ -445,13 +736,14 @@ def mse_optimality_check(
     base = w * fx
 
     A = bundle.ia.table
+    lookup = _AsymLookup(bundle, channels, rho_level)
     worst = 0.0
-    for Q in loss_patterns(len(channels)):
+    for p, Q in enumerate(loss_patterns(len(channels))):
         j_alphabets = [
             range(ch.received_alphabet) if got else [None]
             for ch, got in zip(channels, Q)
         ]
-        for J in product(*j_alphabets):
+        for word, J in enumerate(product(*j_alphabets)):
             outcome = ChannelOutcome(tuple(J), Q)
             lik = np.exp(tuple_log_likelihood(outcome, channels))
             # per-node mixture weight: sum_I A[cell(x), I] * lik[I]
@@ -462,6 +754,6 @@ def mse_optimality_check(
                 if den <= 0:
                     continue
                 exact = float(np.dot(mass, x) / den)
-                got = decode(outcome, level, rho_level, bundle)
+                got = lookup.xhat[p][word, level]
                 worst = max(worst, abs(got - exact))
     return worst

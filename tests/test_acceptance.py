@@ -13,18 +13,15 @@ import pytest
 from mdquant import (
     AnnealingSchedule,
     BoundQuery,
-    ChannelOutcome,
     DescriptionChannel,
     GaussianSource,
     JointGaussianPair,
     build_cross_tables,
-    decode,
     design_annealed,
     evaluate_distortion,
     lloyd_design,
     min_avg_distortion,
     pairwise_mi,
-    run_decoder,
 )
 from mdquant.codec import DesignContext
 from mdquant.simulator import (
@@ -37,7 +34,7 @@ from mdquant.simulator import (
 )
 
 from conftest import make_bundle
-from oracles import mse_optimality_check
+from oracles import ChannelOutcome, decode, mse_optimality_check, run_decoder
 
 SOURCE = GaussianSource(0.0, 1.0)
 

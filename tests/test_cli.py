@@ -1,13 +1,17 @@
 import hashlib
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdquant import GaussianSource, lloyd_design
+from mdquant import reference_values as refs
 from mdquant.cli import main
 from mdquant.persist import load_codec, save_codec
+from mdquant.simulator import run_sym_experiment
 
 
 def run_cli(*args):
@@ -119,6 +123,18 @@ class TestBound:
                      "-o", out)
         assert rc == 2
         assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--r1", "--r2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_exits_2(self, tmp_path, capsys, flag, value):
+        rates = {"--r1": "2.321", "--r2": "2.319", flag: value}
+        out = tmp_path / "bound.csv"
+        rc = run_cli("bound", "--rho", "0.8", *[v for kv in rates.items() for v in kv],
+                     "--mu1", "0.05", "-o", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: rates must be nonnegative and finite\n"
         assert not out.exists()
 
 
@@ -429,6 +445,32 @@ class TestScenario:
                      "--trials", "100", "--seed", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["estimated", "soft"])
+    @pytest.mark.parametrize("method", ["distance", "mutual_info", "min_distortion"])
+    def test_coincident_nodes_run_clean(self, codec_file, tmp_path, monkeypatch, mode, method):
+        # Nodes 0 and 1 coincide: rho = 1 between them, and the correlation
+        # matrix is singular, so sampling projects it onto the PSD cone.
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"positions": [[0.1, 0.1], [0.1, 0.1], [0.5, 0.5]]}))
+        results = []
+
+        def recorded(cfg):
+            results.append(run_sym_experiment(cfg))
+            return results[-1]
+
+        monkeypatch.setattr("mdquant.cli.run_sym_experiment", recorded)
+        out = tmp_path / "scen.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("scenario", "--scenario-file", field, "--codec", codec_file,
+                         "--mode", mode, "--si-method", method,
+                         "--trials", "500", "--seed", "3", "-o", out)
+        assert rc == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[:3] == ["3", mode, method]
+        assert math.isfinite(float(row[4])) and math.isfinite(float(row[5]))
+        assert results[0].extra["psd_projected"] is True
+
     def test_scenario_file_round_trip(self, codec_file, tmp_path):
         saved = tmp_path / "field.json"
         out1 = tmp_path / "r1.csv"
@@ -450,3 +492,15 @@ class TestReport:
         text = out.read_text()
         assert "overall: PASS" in text
         assert "FAIL" not in text.replace("PASS/FAIL", "")
+
+    def test_failed_verdict_exits_2_after_full_report(self, tmp_path, monkeypatch, capsys):
+        row = refs.BOUND_VS_LOSS[0]
+        monkeypatch.setitem(row, "bound_db", row["bound_db"] + 1.0)
+        out = tmp_path / "report.txt"
+        assert run_cli("report", "-o", out) == 2
+        assert capsys.readouterr().err == "error: report verdict is FAIL\n"
+        lines = out.read_text().splitlines()
+        rows = len(refs.BOUND_VS_LOSS) + len(refs.BOUND_VS_CORRELATION)
+        assert sum(line.endswith(("PASS", "FAIL")) for line in lines) == rows + 1
+        assert sum(line.endswith(" FAIL") for line in lines[:-1]) == 1
+        assert lines[-1] == "overall: FAIL"

@@ -1,18 +1,18 @@
 import numpy as np
 
-from mdquant import (
-    ChannelOutcome,
-    DescriptionChannel,
-    JointGaussianPair,
-    decode,
-    lloyd_design,
-    posterior,
-    reconstruct,
-)
+from mdquant import DescriptionChannel, JointGaussianPair, lloyd_design
 from mdquant.channel import loss_patterns, tuple_space
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
-from oracles import joint_likelihood, mse_optimality_check, si_cell_mass_given_x
+from oracles import (
+    ChannelOutcome,
+    decode,
+    joint_likelihood,
+    mse_optimality_check,
+    posterior,
+    reconstruct,
+    si_cell_mass_given_x,
+)
 
 
 def oracle_prior_and_centroids(bundle, rho, level):

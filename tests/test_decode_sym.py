@@ -4,24 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from mdquant import (
+from mdquant import DescriptionChannel, JointGaussianPair, build_cross_tables, lloyd_design
+from mdquant.channel import tuple_space
+
+from conftest import make_bundle, simpson_nodes, std_normal_pdf
+from oracles import (
     ChannelOutcome,
-    DescriptionChannel,
-    JointGaussianPair,
     Posterior,
-    build_cross_tables,
+    SymmetricState,
     decode,
-    lloyd_design,
+    estimated_si_iterate,
+    joint_likelihood,
     posterior,
     run_decoder,
     soft_si_posterior,
     soft_si_reconstruct,
 )
-from mdquant.channel import tuple_space
-from mdquant.decode_sym import CrossTableCache, SymmetricState, estimated_si_iterate
-
-from conftest import make_bundle, simpson_nodes, std_normal_pdf
-from oracles import joint_likelihood
 
 
 def oracle_cell_joint(q, rho, n=6001):

@@ -4,22 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdquant import (
-    ChannelOutcome,
     DescriptionChannel,
     GaussianSource,
     JointGaussianPair,
     build_cross_tables,
-    decode,
     lloyd_design,
     pairwise_mi,
-    partial_si_reconstruct,
-    posterior,
     select_min_distance,
-    soft_si_posterior,
-    soft_si_reconstruct,
 )
 from mdquant.channel import loss_patterns, pattern_ids, tuple_space
-from mdquant.decode_sym import CrossTableCache, cross_table_stack
+from mdquant.decode_sym import cross_table_stack
 from mdquant.si_select import expected_partial_si_distortion, score_tables
 from mdquant.simulator import (
     SymConfig,
@@ -29,7 +23,17 @@ from mdquant.simulator import (
 )
 
 from conftest import make_bundle
-from oracles import per_pair_mi, per_pair_partial_si_distortion
+from oracles import (
+    ChannelOutcome,
+    Posterior,
+    decode,
+    partial_si_reconstruct,
+    per_pair_mi,
+    per_pair_partial_si_distortion,
+    posterior,
+    soft_si_posterior,
+    soft_si_reconstruct,
+)
 
 
 def select_one_trial(bundle, rho, q, method):
@@ -133,9 +137,8 @@ class TestPairwiseMi:
         assert abs(joint_pp - expect) < 1e-10
 
     def test_nonnegative_and_symmetric(self, mi_bundle):
-        cache = CrossTableCache(mi_bundle)
         for rho in (0.0, 0.3, 0.8):
-            cross = cache.get_rho(rho)
+            cross = build_cross_tables(mi_bundle, mi_bundle, JointGaussianPair(1, 1, rho))
             a = pairwise_mi(mi_bundle, mi_bundle, cross, (True,), (True,))
             b = pairwise_mi(mi_bundle, mi_bundle, cross, (True,), (True,))
             assert a >= 0
@@ -181,8 +184,6 @@ class TestPartialSiReconstruct:
         assert abs(got - expect) < 1e-9
 
     def test_noiseless_neighbor_indicator_equivalence(self, source, q4):
-        from mdquant import Posterior
-
         ch = (
             DescriptionChannel.bsc(0.0, 0.05, 2),
             DescriptionChannel.bsc(0.0, 0.05, 2),

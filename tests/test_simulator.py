@@ -7,18 +7,16 @@ import pytest
 
 from mdquant import (
     AnnealingSchedule,
-    ChannelOutcome,
     DescriptionChannel,
     JointGaussianPair,
-    decode,
     design_annealed,
     lloyd_design,
     quantize_rho,
-    run_decoder,
 )
 from mdquant import simulator
 from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
 from mdquant.decode_sym import CrossTableCache
+from mdquant.si_select import select_min_distance
 from mdquant.simulator import (
     AsymConfig,
     ExperimentResult,
@@ -29,6 +27,7 @@ from mdquant.simulator import (
     run_sym_experiment,
     sample_correlated_sources,
     _AsymLookup,
+    _SymDecoder,
     _run_asym_awgn,
     _select_maps,
     _selection_score_tables,
@@ -37,7 +36,7 @@ from mdquant.simulator import (
 )
 
 from conftest import make_bundle
-from oracles import asym_awgn_errors
+from oracles import ChannelOutcome, asym_awgn_errors, decode, run_decoder
 
 
 def bsc_channels(p, mu, n=2):
@@ -363,8 +362,8 @@ class TestSymConfig:
 
 class TestSymExperiment:
     def test_vectorized_equals_per_symbol(self, tiny_bundle):
-        # Drive run_decoder symbol by symbol with the same transmissions the
-        # vectorized path would see and compare exactly (fixed iterations).
+        # Drive the per-symbol oracle with the same transmissions the
+        # vectorized decoder sees and compare exactly (fixed iterations).
         n_nodes, trials = 4, 25
         scen = generate_scenario(n_nodes, tiny_bundle.channels, seed=6)
         x, _ = sample_correlated_sources(scen, trials, 21)
@@ -385,71 +384,38 @@ class TestSymExperiment:
                     level_matrix[u, t] = quantize_rho(
                         min(scen.pairwise_rho[u, t], 1 - 1e-12), tiny_bundle.ladder
                     )
-        from mdquant.si_select import select_min_distance
-
         si_map = select_min_distance(scen.positions).map
         cache = CrossTableCache(tiny_bundle)
-        from mdquant.simulator import _SymDecoder
-
-        for mode in ("estimated", "soft"):
-            per_symbol = np.empty((trials, n_nodes))
-            for tr in range(trials):
-                ocs = []
-                for u in range(n_nodes):
-                    payloads = tuple(
-                        int(words[tr, u, m]) if rec[tr, u, m] else None
-                        for m in range(2)
-                    )
-                    ocs.append(ChannelOutcome(payloads, rec[tr, u]))
-                est, _ = run_decoder(
-                    ocs, tiny_bundle, si_map, level_matrix, mode=mode,
-                    max_iters=4, tol=0.0, cross_cache=cache,
+        pids = pattern_ids(rec)
+        smap = np.broadcast_to(si_map, (trials, n_nodes))
+        groups = [
+            _trial_groups(level_matrix[u, smap[:, u]], smap[:, u]) for u in range(n_nodes)
+        ]
+        outcomes = [
+            [
+                ChannelOutcome(
+                    tuple(int(words[tr, u, m]) if rec[tr, u, m] else None for m in range(2)),
+                    rec[tr, u],
                 )
-                per_symbol[tr] = est
+                for u in range(n_nodes)
+            ]
+            for tr in range(trials)
+        ]
 
+        for mode, max_iters in product(("estimated", "soft"), (1, 4)):
+            per_symbol = np.array([
+                run_decoder(
+                    ocs, tiny_bundle, si_map, level_matrix, mode=mode,
+                    max_iters=max_iters, tol=0.0, cross_cache=cache,
+                )[0]
+                for ocs in outcomes
+            ])
             cfg = SymConfig(
                 scenario=scen, bundle=tiny_bundle, mode=mode, si_method="distance",
-                trials=trials, seed=21, max_iters=4, tol=0.0,
+                trials=trials, seed=21, max_iters=max_iters, tol=0.0,
             )
-            dec = _SymDecoder(cfg, level_matrix, cache)
-            pids = np.stack([pattern_ids(rec[:, u]) for u in range(n_nodes)], axis=1)
-            lik = [dec.lik_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
-            posts = np.empty((n_nodes, trials, space.size))
-            ests = np.empty((n_nodes, trials))
-            for u in range(n_nodes):
-                posts[u], ests[u] = dec.no_si_pass(lik[u])
-            smap = np.broadcast_to(si_map, (trials, n_nodes))
-            lvl = [level_matrix[u, smap[:, u]] for u in range(n_nodes)]
-            groups = [_trial_groups(lvl[u], smap[:, u]) for u in range(n_nodes)]
-            if mode == "estimated":
-                for _ in range(3):
-                    new = np.empty_like(ests)
-                    for u in range(n_nodes):
-                        new[u] = dec.estimated_step(
-                            ests, groups[u], dec.word_rows(words[:, u], pids[:, u])
-                        )
-                    ests = new
-                vec = ests.T
-            else:
-                prev = posts
-                for _ in range(3):
-                    new = np.empty_like(posts)
-                    for u in range(n_nodes):
-                        prior = dec.soft_prior(posts, groups[u])
-                        p = lik[u] * prior
-                        p /= p.sum(axis=1, keepdims=True)
-                        new[u] = p
-                    prev = posts
-                    posts = new
-                xh = np.empty((n_nodes, trials))
-                L = space.size
-                for u in range(n_nodes):
-                    den_num = dec.soft_prior(prev, groups[u], final=True)
-                    den, num = den_num[:, :L], den_num[:, L:]
-                    cent = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-                    xh[u] = np.sum(posts[u] * cent, axis=1)
-                vec = xh.T
-            assert np.max(np.abs(vec - per_symbol)) < 1e-12, mode
+            vec = _SymDecoder(cfg, cache).decode(words, pids, groups)
+            assert np.max(np.abs(vec.T - per_symbol)) < 1e-12, (mode, max_iters)
 
     def test_uncorrelated_pair_equals_independent_asym(self, source, q4):
         # Two far-apart nodes (rho ~ 0): symmetric decode == no-SI decode.
