@@ -8,7 +8,6 @@ bound, and run the Monte-Carlo experiment harness.
 
 from .channel import DescriptionChannel, derive_rng
 from .codec import (
-    AnnealingSchedule,
     CodecBundle,
     DecoderTables,
     DistortionBreakdown,
@@ -25,7 +24,7 @@ from .gaussian import CorrelationLadder, GaussianSource, JointGaussianPair, quan
 from .persist import CodecFormatError, load_codec, save_codec
 from .quantizer import ScalarQuantizer, cell_of, lloyd_design
 from .rd_bound import BoundQuery, BoundResult, beta, central_bound, min_avg_distortion
-from .si_select import SiAssignment, pairwise_mi, select_min_distance
+from .si_select import pairwise_mi, select_min_distance
 from .simulator import (
     AsymConfig,
     ExperimentResult,

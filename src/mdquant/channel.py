@@ -16,6 +16,11 @@ from itertools import product
 
 import numpy as np
 
+# Smallest AWGN noise PSD.  Below it the AWGN decoder's log-likelihoods
+# 2 <out, s> / N0 overflow; BPSK is error-free in double precision from
+# N0 of about 1e-3 down, so no channel is lost.
+NOISE_PSD_MIN = 1e-100
+
 
 def derive_rng(seed: int, *ids) -> np.random.Generator:
     """Independent reproducible stream for (seed, id...) tuples."""
@@ -64,8 +69,11 @@ class DescriptionChannel:
             if self.bit_error_rate is None or not 0.0 <= self.bit_error_rate <= 0.5:
                 raise ValueError("BSC bit error rate must lie in [0, 0.5]")
         else:
-            if self.noise_psd is None or not 0 < self.noise_psd < np.inf:
-                raise ValueError("AWGN noise spectral density must be positive and finite")
+            if self.noise_psd is None or not NOISE_PSD_MIN <= self.noise_psd < np.inf:
+                raise ValueError(
+                    "AWGN noise spectral density must be positive and finite, "
+                    f"at least {NOISE_PSD_MIN:g}"
+                )
 
     @classmethod
     def bsc(cls, bit_error_rate: float, loss_prob: float, index_count: int) -> "DescriptionChannel":

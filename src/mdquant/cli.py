@@ -16,12 +16,14 @@ import numpy as np
 
 from . import reference_values as refs
 from .channel import DescriptionChannel
-from .codec import AnnealingSchedule, DistortionBreakdown, design_annealed
-from .gaussian import CorrelationLadder, JointGaussianPair, quantize_rho
+from .codec import DistortionBreakdown, design_annealed
+from .gaussian import CorrelationLadder, GaussianSource, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
 from .quantizer import lloyd_design
 from .rd_bound import BoundQuery, min_avg_distortion
 from .simulator import (
+    SI_METHODS,
+    SYM_MODES,
     AsymConfig,
     SymConfig,
     conditional_entropy_rates,
@@ -30,7 +32,6 @@ from .simulator import (
     run_sym_experiment,
     to_db,
 )
-from .gaussian import GaussianSource
 
 
 def _parse_desc(text: str) -> list[int]:
@@ -69,10 +70,9 @@ def _design_bundle(args):
     source = GaussianSource(0.0, 1.0)
     quantizer = lloyd_design(source, args.K)
     si_quantizer = lloyd_design(source, args.nsi)
-    schedule = AnnealingSchedule(restarts=args.restarts)
     pair = JointGaussianPair(1.0, 1.0, args.rho_enc)
     return design_annealed(
-        quantizer, si_quantizer, pair, channels, schedule=schedule, seed=args.seed
+        quantizer, si_quantizer, pair, channels, restarts=args.restarts, seed=args.seed
     )
 
 
@@ -183,7 +183,9 @@ def cmd_evaluate(args) -> int:
             for p in labels
         ]
     else:
-        labels = [bundle.channels[0].bit_error_rate]
+        # A codec's own channels are labelled like the flag that would set them.
+        ch = bundle.channels[0]
+        labels = [ch.bit_error_rate if ch.kind == "bsc" else ch.noise_psd]
         channel_sets = [bundle.channels]
     results = run_asym_experiment(
         AsymConfig(
@@ -414,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-enc", type=float, default=None, dest="rho_enc",
                    help="override the shared codec's design correlation")
     p.add_argument("--restarts", type=int, default=2)
-    p.add_argument("--mode", choices=["estimated", "soft"], default="soft")
-    p.add_argument("--si-method", choices=["distance", "mutual_info", "min_distortion"],
-                   default="min_distortion", dest="si_method")
+    p.add_argument("--mode", choices=SYM_MODES, default="soft")
+    p.add_argument("--si-method", choices=SI_METHODS, default="min_distortion",
+                   dest="si_method")
     p.add_argument("--trials", type=int, default=20_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
@@ -432,8 +434,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.output:
-            _check_output_path(args.output)
+        # Checked before any work: a negative seed fails only once the
+        # random streams are derived, which may be inside forked workers.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be non-negative")
+        for output in (args.output, getattr(args, "save_scenario", None)):
+            if output:
+                _check_output_path(output)
         return args.func(args)
     except CodecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,14 @@ The likelihood tables of the 2^M loss patterns are stacked side by side into
 one (L x sum n_j) matrix, so every per-word quantity of every pattern (masses,
 first moments, reconstructions, the annealing gradient) comes from one matrix
 product per quantity; row ``offsets[p] + j`` is received word j of pattern p.
+
+The annealing schedule is fixed by module constants: the start temperature
+is found by bisection so the first Gibbs table has ``ENTROPY_TARGET`` of the
+maximal assignment entropy, each temperature iterates until the distortion
+changes by less than ``INNER_TOL`` (relative) or ``INNER_CAP`` steps pass,
+and the temperature is multiplied by ``COOLING`` until it falls to
+``T_MIN_RATIO`` of the start.  Every codec file records these values in its
+metadata ``schedule`` block.
 """
 
 from __future__ import annotations
@@ -58,6 +66,17 @@ D_CH_FLOOR = 1e-14
 # Moment quadrature chunk: (correlation, node) pairs times cells.  About 1 MB
 # per temporary; larger chunks fall out of cache and run slower.
 MOMENT_CHUNK = 131_072
+# Gauss-Legendre nodes per SI-cell panel of the moment quadrature.
+N_GAUSS = 16
+# Correlations are capped to [-RHO_CAP, RHO_CAP] before the quadrature: at
+# |rho| = 1 the conditional sd of X given Y is 0 and the moments overflow.
+RHO_CAP = 1.0 - 1e-12
+# Annealing schedule (see the module docstring).
+COOLING = 0.9
+T_MIN_RATIO = 1e-6
+INNER_TOL = 1e-5
+INNER_CAP = 50
+ENTROPY_TARGET = 0.95
 
 
 def masked_ratio(num, den, floor: float = 0.0):
@@ -156,10 +175,10 @@ def gibbs_update(weights: np.ndarray, T: float, cell_probs) -> IndexAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _si_panels(q_si: ScalarQuantizer, sd_y: float, n_gauss: int):
+def _si_panels(q_si: ScalarQuantizer, sd_y: float):
     """Gauss-Legendre nodes/weights per SI cell, tails clipped at TAIL_CLIP."""
     edges = np.clip(q_si.edges(), -TAIL_CLIP * sd_y, TAIL_CLIP * sd_y)
-    base_x, base_w = leggauss(n_gauss)
+    base_x, base_w = leggauss(N_GAUSS)
     nodes, weights, owner = [], [], []
     for lvl in range(q_si.size):
         a, b = edges[lvl], edges[lvl + 1]
@@ -171,7 +190,7 @@ def _si_panels(q_si: ScalarQuantizer, sd_y: float, n_gauss: int):
             half = 0.5 * (pb - pa)
             nodes.append(0.5 * (pa + pb) + half * base_x)
             weights.append(half * base_w)
-            owner.append(np.full(n_gauss, lvl, dtype=int))
+            owner.append(np.full(N_GAUSS, lvl, dtype=int))
     return np.concatenate(nodes), np.concatenate(weights), np.concatenate(owner)
 
 
@@ -179,7 +198,6 @@ def si_moment_matrices(
     quantizer: ScalarQuantizer,
     si_quantizer: ScalarQuantizer | None,
     pair: JointGaussianPair,
-    n_gauss: int = 16,
 ):
     """S0, S1, S2 moment matrices of shape (K, N_si): a batch of one correlation.
 
@@ -188,9 +206,7 @@ def si_moment_matrices(
     conditional law X | Y=y.  With ``si_quantizer`` None (or a single level)
     one unconditional column is returned.
     """
-    s0, s1, s2 = si_moment_stack(
-        quantizer, si_quantizer, [pair.rho], pair.sd_x, pair.sd_y, n_gauss
-    )
+    s0, s1, s2 = si_moment_stack(quantizer, si_quantizer, [pair.rho], pair.sd_x, pair.sd_y)
     return s0[0], s1[0], s2[0]
 
 
@@ -200,7 +216,6 @@ def si_moment_stack(
     rhos,
     sd_x: float = 1.0,
     sd_y: float = 1.0,
-    n_gauss: int = 16,
 ):
     """S0, S1, S2 for many correlations at once, each of shape (R, K, N_si).
 
@@ -212,7 +227,7 @@ def si_moment_stack(
     """
     edges = quantizer.edges()
     K = quantizer.size
-    rhos = np.asarray(rhos, dtype=float).reshape(-1)
+    rhos = np.clip(np.asarray(rhos, dtype=float).reshape(-1), -RHO_CAP, RHO_CAP)
     n_levels = 1 if si_quantizer is None else si_quantizer.size
     out = np.zeros((3, rhos.size, K, n_levels))
     coupled = np.flatnonzero(rhos != 0.0) if n_levels > 1 else np.array([], dtype=int)
@@ -224,10 +239,10 @@ def si_moment_stack(
     if not coupled.size:
         return out[0], out[1], out[2]
 
-    nodes, wts, owner = _si_panels(si_quantizer, sd_y, n_gauss)
+    nodes, wts, owner = _si_panels(si_quantizer, sd_y)
     fy = np.exp(-0.5 * (nodes / sd_y) ** 2) / (sd_y * np.sqrt(2 * np.pi))
     wts = (wts * fy)[:, None, None]
-    cond_sd = np.array([max(sd_x * np.sqrt(1.0 - r ** 2), 1e-300) for r in rhos[coupled]])
+    cond_sd = np.array([sd_x * np.sqrt(1.0 - r ** 2) for r in rhos[coupled]])
     mean_slope = rhos[coupled] * (sd_x / sd_y)
 
     chunk = max(1, MOMENT_CHUNK // max(K, 1))
@@ -322,14 +337,14 @@ def _nosi_tables(quantizer, table, sd_x):
     return np.where(prior > PROB_FLOOR, prior, 0.0), masked_ratio(first, prior, PROB_FLOOR)
 
 
-def _tables_for_pair(quantizer, si_quantizer, table, pair, n_gauss):
+def _tables_for_pair(quantizer, si_quantizer, table, pair):
     n_si = 1 if si_quantizer is None else si_quantizer.size
     if pair.rho == 0.0:
         # Independent SI: every level must reproduce the no-SI tables
         # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
         prior, codebook = _nosi_tables(quantizer, table, pair.sd_x)
         return np.tile(prior, (n_si, 1)), np.tile(codebook, (n_si, 1))
-    s0, s1, _ = si_moment_matrices(quantizer, si_quantizer, pair, n_gauss)
+    s0, s1, _ = si_moment_matrices(quantizer, si_quantizer, pair)
     joint = table.T @ s0  # (L, S): P(I, SI level)
     first = table.T @ s1
     psi = joint.sum(axis=0)
@@ -343,14 +358,11 @@ def build_decoder_tables(
     si_quantizer: ScalarQuantizer | None,
     ia: IndexAssignment,
     pairs,
-    n_gauss: int = 16,
 ) -> DecoderTables:
-    """Build stored decoder tables for one pair or a whole correlation ladder."""
-    if isinstance(pairs, JointGaussianPair):
-        pairs = [pairs]
+    """Build stored decoder tables for a list of pairs, one per correlation level."""
     priors, codebooks = [], []
     for pair in pairs:
-        prior, codebook = _tables_for_pair(quantizer, si_quantizer, ia.table, pair, n_gauss)
+        prior, codebook = _tables_for_pair(quantizer, si_quantizer, ia.table, pair)
         priors.append(prior)
         codebooks.append(codebook)
     si_probs = (
@@ -405,7 +417,7 @@ class DesignContext:
     combination; the index assignment varies across calls.
     """
 
-    def __init__(self, quantizer, si_quantizer, pair, channels, n_gauss: int = 16):
+    def __init__(self, quantizer, si_quantizer, pair, channels):
         for ch in channels:
             if ch.kind != "bsc":
                 raise ValueError("analytic evaluation requires discrete channel")
@@ -414,9 +426,7 @@ class DesignContext:
         self.pair = pair
         self.channels = tuple(channels)
         self.space = tuple_space(channels)
-        self.s0, self.s1, self.s2 = si_moment_matrices(
-            quantizer, si_quantizer, pair, n_gauss
-        )
+        self.s0, self.s1, self.s2 = si_moment_matrices(quantizer, si_quantizer, pair)
         self.cell_probs = quantizer.cell_probs
         self.stacked, self.offsets = stacked_pattern_table(channels, self.space)
         self.pattern_probs = np.array(
@@ -474,35 +484,15 @@ def evaluate_distortion(
     ia: IndexAssignment,
     pair: JointGaussianPair,
     channels,
-    n_gauss: int = 16,
 ) -> DistortionBreakdown:
     """Analytic D_se / D_ch / D_av for a codec over BSC channels."""
-    ctx = DesignContext(quantizer, si_quantizer, pair, channels, n_gauss)
+    ctx = DesignContext(quantizer, si_quantizer, pair, channels)
     return ctx.distortion(ia.table)
 
 
 # ---------------------------------------------------------------------------
 # Deterministic annealing design
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnnealingSchedule:
-    """Knobs of the annealing loop; defaults favor reproducible desk runs."""
-
-    t_init: float | None = None
-    cooling: float = 0.9
-    t_min_ratio: float = 1e-6
-    inner_tol: float = 1e-5
-    inner_cap: int = 50
-    restarts: int = 3
-    entropy_target: float = 0.95
-
-    def __post_init__(self):
-        if not 0 < self.cooling < 1:
-            raise ValueError("cooling factor must lie in (0, 1)")
-        if self.inner_cap < 1 or self.restarts < 1:
-            raise ValueError("inner cap and restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -553,10 +543,10 @@ class CodecBundle:
     def rho_level(self, rho: float) -> int:
         return quantize_rho(rho, self.ladder)
 
-    def with_si_quantizer(self, si_quantizer, n_gauss: int = 16) -> "CodecBundle":
+    def with_si_quantizer(self, si_quantizer) -> "CodecBundle":
         """Same codec with decoder tables rebuilt for another SI quantizer."""
         pairs = [JointGaussianPair(1.0, 1.0, float(r)) for r in self.ladder.levels]
-        tables = build_decoder_tables(self.quantizer, si_quantizer, self.ia, pairs, n_gauss)
+        tables = build_decoder_tables(self.quantizer, si_quantizer, self.ia, pairs)
         return CodecBundle(
             quantizer=self.quantizer,
             si_quantizer=si_quantizer,
@@ -569,9 +559,9 @@ class CodecBundle:
         )
 
 
-def _auto_t_init(weights, cell_probs, entropy_target: float) -> float:
+def _auto_t_init(weights, cell_probs) -> float:
     L = weights.shape[1]
-    target = entropy_target * np.log2(L)
+    target = ENTROPY_TARGET * np.log2(L)
     if target <= 0:
         return 1.0
 
@@ -595,14 +585,14 @@ def _auto_t_init(weights, cell_probs, entropy_target: float) -> float:
     return 2.0 * hi
 
 
-def _anneal_once(ctx: DesignContext, schedule: AnnealingSchedule, rng):
+def _anneal_once(ctx: DesignContext, rng):
     L = ctx.space.size
     K = ctx.quantizer.size
     ia = IndexAssignment(rng.dirichlet(np.ones(L), size=K))
     state = ctx.decoder_state(ia.table)
     weights = ctx.weights(state)
-    t_init = schedule.t_init or _auto_t_init(weights, ctx.cell_probs, schedule.entropy_target)
-    t_min = schedule.t_min_ratio * t_init
+    t_init = _auto_t_init(weights, ctx.cell_probs)
+    t_min = T_MIN_RATIO * t_init
 
     T = t_init
     d_av = ctx.distortion(ia.table, state).d_av
@@ -612,14 +602,14 @@ def _anneal_once(ctx: DesignContext, schedule: AnnealingSchedule, rng):
     entropy_increases = 0
     while T > t_min:
         d_prev = np.inf
-        for _ in range(schedule.inner_cap):
+        for _ in range(INNER_CAP):
             ia = gibbs_update(weights, T, ctx.cell_probs)
             state = ctx.decoder_state(ia.table)
             d_av = ctx.distortion(ia.table, state).d_av
             weights = ctx.weights(state)
             if d_av > d_prev * (1.0 + 1e-12):
                 violations += 1
-            if abs(d_prev - d_av) < schedule.inner_tol * max(d_av, 1e-300):
+            if abs(d_prev - d_av) < INNER_TOL * max(d_av, 1e-300):
                 break
             d_prev = d_av
         else:
@@ -628,7 +618,7 @@ def _anneal_once(ctx: DesignContext, schedule: AnnealingSchedule, rng):
         if prev_entropy is not None and ent > prev_entropy + 1e-9:
             entropy_increases += 1
         prev_entropy = ent
-        T *= schedule.cooling
+        T *= COOLING
 
     soft_d = d_av
     hard_ia = harden(ia)
@@ -686,7 +676,7 @@ def _restart_workers(restarts: int) -> int:
     return min(restarts, len(os.sched_getaffinity(0)))
 
 
-def _restart_worker(inherited, send, ctx, schedule, seed, restarts) -> None:
+def _restart_worker(inherited, send, ctx, seed, restarts) -> None:
     """Body of one forked worker: run ``restarts`` and send their results once.
 
     ``inherited`` are the parent's read ends forked into this worker; closing
@@ -695,23 +685,22 @@ def _restart_worker(inherited, send, ctx, schedule, seed, restarts) -> None:
     for conn in inherited:
         conn.close()
     _blas_thread_setter()(1)
-    results = [_anneal_once(ctx, schedule, derive_rng(seed, r)) for r in restarts]
+    results = [_anneal_once(ctx, derive_rng(seed, r)) for r in restarts]
     try:
         send.send(results)
     except BrokenPipeError:  # the parent is gone; nobody wants the results
         pass
 
 
-def _run_restarts(ctx: DesignContext, schedule: AnnealingSchedule, seed: int, workers: int):
+def _run_restarts(ctx: DesignContext, restarts: int, seed: int, workers: int):
     """``_anneal_once`` results of every restart, in restart order.
 
     Worker ``w`` of ``workers`` runs restarts ``w, w + workers, ...`` and
     exits; each restart draws from ``derive_rng(seed, restart)`` wherever it
     runs, so the results do not depend on ``workers``.
     """
-    restarts = range(schedule.restarts)
     if workers <= 1:
-        return [_anneal_once(ctx, schedule, derive_rng(seed, r)) for r in restarts]
+        return [_anneal_once(ctx, derive_rng(seed, r)) for r in range(restarts)]
     import multiprocessing
 
     mp = multiprocessing.get_context("fork")
@@ -722,7 +711,7 @@ def _run_restarts(ctx: DesignContext, schedule: AnnealingSchedule, seed: int, wo
             conns.append(recv)
             proc = mp.Process(
                 target=_restart_worker,
-                args=(tuple(conns), send, ctx, schedule, seed, restarts[w::workers]),
+                args=(tuple(conns), send, ctx, seed, range(w, restarts, workers)),
                 name=f"mdquant-anneal-{w}",
             )
             proc.start()
@@ -746,7 +735,7 @@ def _run_restarts(ctx: DesignContext, schedule: AnnealingSchedule, seed: int, wo
             proc.join()
         for recv in conns:
             recv.close()
-    results = [None] * schedule.restarts
+    results = [None] * restarts
     for w, chunk in enumerate(chunks):
         results[w::workers] = chunk
     return results
@@ -757,26 +746,27 @@ def design_annealed(
     si_quantizer: ScalarQuantizer | None,
     pair: JointGaussianPair,
     channels,
-    schedule: AnnealingSchedule | None = None,
+    restarts: int = 3,
     seed: int = 0,
-    ladder: CorrelationLadder | None = None,
-    n_gauss: int = 16,
 ) -> CodecBundle:
     """Design a codec by deterministic annealing and package it with tables.
 
-    Runs ``schedule.restarts`` independent seeded starts and keeps the best
+    Runs ``restarts`` independent seeded starts and keeps the best
     hardened table (the first of equals).  The restarts run in forked worker
     processes, one per usable CPU up to the restart count, each with one BLAS
     thread; the result is the same as running them one after another.  The
-    returned bundle carries decoder tables for every ladder level plus the
-    no-SI variant.
+    returned bundle carries decoder tables for every level of the default
+    ``CorrelationLadder`` plus the no-SI variant.
     """
-    schedule = schedule or AnnealingSchedule()
-    ladder = ladder or CorrelationLadder()
-    ctx = DesignContext(quantizer, si_quantizer, pair, channels, n_gauss)
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    ladder = CorrelationLadder()
+    ctx = DesignContext(quantizer, si_quantizer, pair, channels)
 
     best = None
-    results = _run_restarts(ctx, schedule, seed, _restart_workers(schedule.restarts))
+    results = _run_restarts(ctx, restarts, seed, _restart_workers(restarts))
     for restart, (hard_ia, hard_d, info) in enumerate(results):
         if info["inner_cap_hits"]:
             log.warning(
@@ -794,11 +784,11 @@ def design_annealed(
     pairs = [
         JointGaussianPair(pair.var_x, pair.var_y, float(r)) for r in ladder.levels
     ]
-    tables = build_decoder_tables(quantizer, si_quantizer, hard_ia, pairs, n_gauss)
+    tables = build_decoder_tables(quantizer, si_quantizer, hard_ia, pairs)
     metadata = {
         "format_version": 1,
         "seed": int(seed),
-        "restarts": int(schedule.restarts),
+        "restarts": int(restarts),
         "best_restart": int(best_restart),
         "design_rho": float(pair.rho),
         "d_se": float(breakdown.d_se),
@@ -806,11 +796,11 @@ def design_annealed(
         "d_av": float(breakdown.d_av),
         "schedule": {
             "t_init": info["t_init"],
-            "cooling": schedule.cooling,
-            "t_min_ratio": schedule.t_min_ratio,
-            "inner_tol": schedule.inner_tol,
-            "inner_cap": schedule.inner_cap,
-            "entropy_target": schedule.entropy_target,
+            "cooling": COOLING,
+            "t_min_ratio": T_MIN_RATIO,
+            "inner_tol": INNER_TOL,
+            "inner_cap": INNER_CAP,
+            "entropy_target": ENTROPY_TARGET,
         },
         "warning_non_converged": bool(info["inner_cap_hits"]),
         **{k: info[k] for k in (

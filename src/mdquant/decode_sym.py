@@ -82,7 +82,6 @@ def build_cross_tables(
     bundle_u: CodecBundle,
     bundle_s: CodecBundle,
     pair_us: JointGaussianPair,
-    n_gauss: int = 16,
 ) -> CrossSourceTables:
     """Cross-source tables for decoding ``bundle_u`` with ``bundle_s`` as SI.
 
@@ -91,23 +90,18 @@ def build_cross_tables(
     are the moment matrices S0/S1 with the neighbor's quantizer as SI
     quantizer, divided by the neighbor's cell probabilities.
     """
-    s0, s1, _ = si_moment_matrices(bundle_u.quantizer, bundle_s.quantizer, pair_us, n_gauss)
+    s0, s1, _ = si_moment_matrices(bundle_u.quantizer, bundle_s.quantizer, pair_us)
     return _cross_tables(bundle_u, bundle_s, s0, s1, float(pair_us.rho))
 
 
-def cross_table_stack(
-    bundle_u: CodecBundle,
-    bundle_s: CodecBundle,
-    rhos,
-    n_gauss: int = 16,
-) -> CrossSourceTables:
+def cross_table_stack(bundle_u: CodecBundle, bundle_s: CodecBundle, rhos) -> CrossSourceTables:
     """Cross tables of unit-variance sources at many correlations at once.
 
     Entry r of every table equals ``build_cross_tables`` at ``rhos[r]`` bit
     for bit (one moment quadrature, :func:`mdquant.codec.si_moment_stack`).
     """
     rhos = np.asarray(rhos, dtype=float)
-    s0, s1, _ = si_moment_stack(bundle_u.quantizer, bundle_s.quantizer, rhos, n_gauss=n_gauss)
+    s0, s1, _ = si_moment_stack(bundle_u.quantizer, bundle_s.quantizer, rhos)
     return _cross_tables(bundle_u, bundle_s, s0, s1, rhos)
 
 
@@ -117,15 +111,14 @@ class CrossTableCache:
     The ladder value is rounded to 12 decimals before the tables are built.
     """
 
-    def __init__(self, bundle: CodecBundle, n_gauss: int = 16):
+    def __init__(self, bundle: CodecBundle):
         self.bundle = bundle
-        self.n_gauss = n_gauss
         self._by_level: dict[int, CrossSourceTables] = {}
 
     def get(self, level: int) -> CrossSourceTables:
         if level not in self._by_level:
             rho = round(float(self.bundle.ladder.levels[level]), 12)
             self._by_level[level] = build_cross_tables(
-                self.bundle, self.bundle, JointGaussianPair(1.0, 1.0, rho), self.n_gauss
+                self.bundle, self.bundle, JointGaussianPair(1.0, 1.0, rho)
             )
         return self._by_level[level]

@@ -74,27 +74,13 @@ class JointGaussianPair:
     def sd_y(self) -> float:
         return float(np.sqrt(self.var_y))
 
-    @property
-    def cov_xy(self) -> float:
-        return self.rho * self.sd_x * self.sd_y
-
     def x_marginal(self) -> GaussianSource:
         return GaussianSource(0.0, self.var_x)
-
-    def y_marginal(self) -> GaussianSource:
-        return GaussianSource(0.0, self.var_y)
 
     def x_given_y(self, y: float) -> GaussianSource:
         mean = self.rho * (self.sd_x / self.sd_y) * y
         var = self.var_x * (1.0 - self.rho ** 2)
         if var <= 0:  # |rho| == 1 degenerates; keep a tiny floor
-            var = 1e-300
-        return GaussianSource(float(mean), var)
-
-    def y_given_x(self, x: float) -> GaussianSource:
-        mean = self.rho * (self.sd_y / self.sd_x) * x
-        var = self.var_y * (1.0 - self.rho ** 2)
-        if var <= 0:
             var = 1e-300
         return GaussianSource(float(mean), var)
 

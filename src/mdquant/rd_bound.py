@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Points per axis of the grid search in ``min_avg_distortion``.
+GRID_N = 200
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,6 @@ class BoundResult:
 
 def min_avg_distortion(
     query: BoundQuery,
-    grid_n: int = 200,
     literal_weighting: bool = False,
     natural_delta: bool = False,
 ) -> BoundResult:
@@ -131,8 +132,8 @@ def min_avg_distortion(
         d12 = central_bound(query, d1, d2, natural_delta)
         return _loss_average(query, d1, d2, d12, literal_weighting)
 
-    d1_axis = np.exp(np.linspace(np.log(d1_min), np.log(b), grid_n))
-    d2_axis = np.exp(np.linspace(np.log(d2_min), np.log(b), grid_n))
+    d1_axis = np.exp(np.linspace(np.log(d1_min), np.log(b), GRID_N))
+    d2_axis = np.exp(np.linspace(np.log(d2_min), np.log(b), GRID_N))
     dd1, dd2 = np.meshgrid(d1_axis, d2_axis, indexing="ij")
     rsum = query.r1 + query.r2
     # Clamp: the D == beta grid edge can give -1e-17 in float.
@@ -165,12 +166,12 @@ def min_avg_distortion(
     d1_best, d2_best, val_best = best
     for _ in range(3):
         lo = d1_axis[max(i - 1, 0)]
-        hi = d1_axis[min(i + 1, grid_n - 1)]
+        hi = d1_axis[min(i + 1, GRID_N - 1)]
         v, fv = golden_axis(d2_best, lo, hi, along_d1=True)
         if fv < val_best:
             d1_best, val_best = v, fv
         lo = d2_axis[max(j - 1, 0)]
-        hi = d2_axis[min(j + 1, grid_n - 1)]
+        hi = d2_axis[min(j + 1, GRID_N - 1)]
         v, fv = golden_axis(d1_best, lo, hi, along_d1=False)
         if fv < val_best:
             d2_best, val_best = v, fv

@@ -1,7 +1,8 @@
 """Side-information source selection criteria for the joint decoder.
 
 Three criteria are provided, in increasing order of cost and quality:
-nearest node by physical distance (:func:`select_min_distance`), largest
+nearest node by physical distance (:func:`select_min_distance`, which returns
+the chosen SI source of every node as one (N,) array), largest
 mutual information between the received words given the current loss
 patterns (:func:`pairwise_mi`), and smallest expected end-to-end distortion
 of the partial-SI decoder, which reconstructs a source from its own received
@@ -17,8 +18,6 @@ selections are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import pattern_ids, stacked_pattern_table
@@ -27,30 +26,19 @@ from .codec import CodecBundle, masked_ratio
 from .decode_sym import CrossSourceTables
 
 
-@dataclass(frozen=True)
-class SiAssignment:
-    """Chosen SI source per source plus the evaluated criterion scores."""
+def select_min_distance(positions) -> np.ndarray:
+    """(N,) nearest neighbor of each node by Euclidean distance; ties pick the lower index.
 
-    map: np.ndarray
-    method: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.map, dtype=int)
-        if np.any(m == np.arange(m.size)):
-            raise ValueError("a source cannot be its own SI")
-        object.__setattr__(self, "map", m)
-
-
-def select_min_distance(positions) -> SiAssignment:
-    """Nearest neighbor by Euclidean distance; ties pick the lower index."""
+    The diagonal is infinite and every other distance finite, so no node is
+    its own SI source.
+    """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[0] < 2 or not np.all(np.isfinite(pos)):
         raise ValueError("need at least two sources with finite coordinates")
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
     np.fill_diagonal(dist, np.inf)
-    return SiAssignment(np.argmin(dist, axis=1), "distance", dist)
+    return np.argmin(dist, axis=1)
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -79,7 +67,6 @@ def score_tables(
     bundle_t: CodecBundle,
     cross: CrossSourceTables,
     method: str,
-    var_x: float = 1.0,
 ) -> np.ndarray:
     """Selection score of SI source t for source u, for every pair of loss patterns.
 
@@ -91,7 +78,8 @@ def score_tables(
     pair is computed for all correlations at once, with the same matrix
     products as for one pair, so a stack repeats the one-pair scores bit for
     bit; that includes the ~1e-16 mutual-information residues that decide
-    among candidates when a source has lost every description.
+    among candidates when a source has lost every description.  The
+    cross tables are those of unit-variance sources, so E[X^2] is 1.
     """
     t_u, g_u = _pattern_blocks(bundle_u)
     t_t, g_t = _pattern_blocks(bundle_t)
@@ -123,7 +111,7 @@ def score_tables(
             njj = xu1 @ gt
             xhat = masked_ratio(tu.T @ first_jt[it], tu.T @ prior_jt[it])
             d = (
-                var_x - 2.0 * np.sum(njj * xhat, axis=(-2, -1))
+                1.0 - 2.0 * np.sum(njj * xhat, axis=(-2, -1))
                 + np.sum(pjj * xhat**2, axis=(-2, -1))
             )
             out[..., iu, it] = np.maximum(d, 0.0)
@@ -153,11 +141,10 @@ def expected_partial_si_distortion(
     cross: CrossSourceTables,
     q_u,
     q_t,
-    var_x: float = 1.0,
 ) -> float:
     """E[(X - Xhat)^2] of the partial-SI decoder given both loss patterns.
 
     Exact enumeration over both sources' received words (BSC channels).
     """
-    tab = score_tables(bundle, bundle, cross, "min_distortion", var_x)
+    tab = score_tables(bundle, bundle, cross, "min_distortion")
     return float(tab[pattern_ids(np.asarray(q_u, bool)), pattern_ids(np.asarray(q_t, bool))])

@@ -53,10 +53,6 @@ from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindin
 )
 
 PSD_EIGEN_FLOOR = 1e-9
-# Pair correlations are capped here before they are quantized or scored:
-# coincident nodes have rho = 1, where the conditional sd of one source given
-# the other is 0.
-RHO_CAP = 1.0 - 1e-12
 SYM_MODES = ("estimated", "soft")
 SI_METHODS = ("distance", "mutual_info", "min_distortion")
 
@@ -111,7 +107,8 @@ def generate_scenario(
         raise ValueError("node positions must be finite")
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
-    rho = np.exp(-dist / alpha)
+    with np.errstate(over="ignore"):  # a tiny alpha takes dist / alpha to inf: rho is 0
+        rho = np.exp(-dist / alpha)
     np.fill_diagonal(rho, 1.0)
     return WsnScenario(positions, float(alpha), rho, tuple(channel_template), int(seed))
 
@@ -120,7 +117,6 @@ def generate_scenario(
 class ExperimentResult:
     """Monte-Carlo (or analytic) distortion summary for one configuration."""
 
-    name: str
     d_av: float
     trials: int
     stderr: float
@@ -143,11 +139,9 @@ class ExperimentResult:
         return None if self.d_side is None else tuple(to_db(v) for v in self.d_side)
 
 
-def conditional_entropy_rates(
-    bundle: CodecBundle, pair: JointGaussianPair, n_gauss: int = 16
-) -> tuple:
+def conditional_entropy_rates(bundle: CodecBundle, pair: JointGaussianPair) -> tuple:
     """Per-description conditional entropies H(description index | SI level), bits."""
-    s0, _, _ = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair, n_gauss)
+    s0, _, _ = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair)
     joint = bundle.ia.table.T @ s0  # (L, S): P(I, SI level)
     psi = joint.sum(axis=0)
     space = tuple_space(bundle.channels)
@@ -275,9 +269,6 @@ class AsymConfig:
     seed: int = 0
     rho_dec: float | None = None
     use_si: bool = True
-    eval_channels: tuple | None = None
-    compute_side: bool = True
-    name: str = "asym"
 
 
 def run_asym_experiment(
@@ -285,22 +276,17 @@ def run_asym_experiment(
 ) -> ExperimentResult | list[ExperimentResult]:
     """Monte-Carlo transmission of one source decoded with (optional) SI.
 
-    Without ``channel_sets`` this returns one result, for ``cfg.eval_channels``
-    or the codec's own channels.  With a list of channel sets it returns one
-    result per set, each equal to a run with ``eval_channels`` set to it: the
-    source, its quantizer cells and SI levels, the rates and the channel
-    randomness are drawn once, and every set applies its own error and loss
-    rates to the same draws.  Every result's ``wall_time`` is that of the
-    whole call up to the end of decoding.
+    Without ``channel_sets`` this returns one result, for the codec's own
+    channels.  With a list of channel sets it returns one result per set,
+    each equal to a run with that set alone: the source, its quantizer cells
+    and SI levels, the rates and the channel randomness are drawn once, and
+    every set applies its own error and loss rates to the same draws.  Every
+    result's ``wall_time`` is that of the whole call up to the end of
+    decoding.
     """
     start = time.perf_counter()
     bundle = cfg.bundle
-    if channel_sets is None:
-        sets = [tuple(cfg.eval_channels or bundle.channels)]
-    elif cfg.eval_channels is not None:
-        raise ValueError("give eval_channels or channel_sets, not both")
-    else:
-        sets = [tuple(chs) for chs in channel_sets]
+    sets = [tuple(chs) for chs in ([bundle.channels] if channel_sets is None else channel_sets)]
     _check_channel_sets(bundle, sets)
     rho_dec = cfg.rho_real if cfg.rho_dec is None else cfg.rho_dec
     level = bundle.rho_level(rho_dec) if cfg.use_si else None
@@ -319,7 +305,6 @@ def run_asym_experiment(
     n = cfg.trials
     results = [
         ExperimentResult(
-            name=cfg.name,
             d_av=float(err.mean()),
             trials=n,
             stderr=float(err.std(ddof=1) / np.sqrt(n)),
@@ -384,7 +369,7 @@ def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
     comps = [space.component(m) for m in range(len(channels))]
     streams = _channel_streams(len(channels), (2,), cfg.seed)
     lookups = [_AsymLookup(cfg.bundle, chs, level) for chs in sets]
-    forced_patterns = (2, 1, 3) if cfg.compute_side and len(channels) == 2 else ()
+    forced_patterns = (2, 1, 3) if len(channels) == 2 else ()
     errs = [np.empty(n) for _ in sets]
     forced = [[np.empty(n) for _ in forced_patterns] for _ in sets]
     for blk, xb, tuple_ids, si_levels in _source_blocks(cfg, x, z):
@@ -465,7 +450,8 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
 class SymConfig:
     """One symmetric Monte-Carlo configuration over a WSN scenario.
 
-    ``mode`` and ``si_method`` are checked here, before any sampling starts.
+    ``mode``, ``si_method`` and the codec's channels (the joint decoder reads
+    BSC words) are checked here, before any sampling starts.
     """
 
     scenario: WsnScenario
@@ -476,13 +462,14 @@ class SymConfig:
     seed: int = 0
     max_iters: int = 10
     tol: float = 1e-6
-    name: str = "sym"
 
     def __post_init__(self):
         if self.mode not in SYM_MODES:
             raise ValueError("mode must be 'estimated' or 'soft'")
         if self.si_method not in SI_METHODS:
             raise ValueError("unknown SI selection method")
+        if any(ch.kind != "bsc" for ch in self.bundle.channels):
+            raise ValueError("the symmetric experiment requires a codec with BSC channels")
 
 
 def sample_correlated_sources(scenario: WsnScenario, trials: int, seed: int):
@@ -523,11 +510,11 @@ def _select_maps(cfg: SymConfig, pids) -> np.ndarray:
     n_nodes = cfg.scenario.n_nodes
     trials = pids.shape[0]
     if cfg.si_method == "distance":
-        fixed = select_min_distance(cfg.scenario.positions).map
+        fixed = select_min_distance(cfg.scenario.positions)
         return np.broadcast_to(fixed, (trials, n_nodes))
     rho = cfg.scenario.pairwise_rho
     keys = {
-        (u, t): round(min(float(rho[u, t]), RHO_CAP), 12)
+        (u, t): round(float(rho[u, t]), 12)
         for u in range(n_nodes) for t in range(n_nodes) if t != u
     }
     rho_keys = sorted(set(keys.values()))
@@ -694,9 +681,7 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     for u in range(n_nodes):
         for t in range(n_nodes):
             if t != u:
-                level_matrix[u, t] = quantize_rho(
-                    min(scenario.pairwise_rho[u, t], RHO_CAP), bundle.ladder
-                )
+                level_matrix[u, t] = quantize_rho(scenario.pairwise_rho[u, t], bundle.ladder)
 
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
     cells = np.searchsorted(
@@ -723,7 +708,6 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     sq = (x.T - xhat) ** 2  # (n_nodes, trials)
     per_trial = sq.mean(axis=0)
     return ExperimentResult(
-        name=cfg.name,
         d_av=float(per_trial.mean()),
         trials=cfg.trials,
         stderr=float(per_trial.std(ddof=1) / np.sqrt(cfg.trials)),

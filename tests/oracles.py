@@ -33,7 +33,6 @@ from mdquant.channel import (
 )
 from mdquant.codec import (
     PROB_FLOOR,
-    AnnealingSchedule,
     CodecBundle,
     DesignContext,
     IndexAssignment,
@@ -586,16 +585,14 @@ def distortion_direct(ctx: DesignContext, table: np.ndarray, state=None) -> floa
     return float(np.sum(table * ctx.weights(state)))
 
 
-def serial_restarts(ctx: DesignContext, schedule: AnnealingSchedule, seed: int):
+def serial_restarts(ctx: DesignContext, restarts: int, seed: int):
     """Every restart of ``design_annealed`` in this process, and the best of them.
 
     Returns ``(results, best)``: the ``(hard_ia, hard_d, info)`` of each
     restart in order, and ``(hard_ia, hard_d, info, restart)`` of the first
     restart with the strictly lowest hardened distortion.
     """
-    results = [
-        _anneal_once(ctx, schedule, derive_rng(seed, r)) for r in range(schedule.restarts)
-    ]
+    results = [_anneal_once(ctx, derive_rng(seed, r)) for r in range(restarts)]
     best = None
     for restart, (hard_ia, hard_d, info) in enumerate(results):
         if best is None or hard_d < best[1]:
@@ -609,10 +606,9 @@ def da_weights(
     ia: IndexAssignment,
     pair: JointGaussianPair,
     channels,
-    n_gauss: int = 16,
 ) -> np.ndarray:
     """Annealing weight matrix with reconstructions built from ``ia``."""
-    ctx = DesignContext(quantizer, si_quantizer, pair, channels, n_gauss)
+    ctx = DesignContext(quantizer, si_quantizer, pair, channels)
     return ctx.weights(ctx.decoder_state(ia.table))
 
 

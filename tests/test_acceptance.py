@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mdquant import (
-    AnnealingSchedule,
     BoundQuery,
     DescriptionChannel,
     GaussianSource,
@@ -63,7 +62,7 @@ def sym_setup(desk_quantizers):
     ch = desk_channels(0.005)
     bundle = design_annealed(
         q, si, JointGaussianPair(1, 1, 0.4), ch,
-        schedule=AnnealingSchedule(restarts=2), seed=7,
+        restarts=2, seed=7,
     )
     scen10 = generate_scenario(10, ch, alpha=2.0, seed=42)
     scen40 = generate_scenario(40, ch, alpha=2.0, seed=42)
@@ -134,7 +133,7 @@ def test_criterion_3_annealing_near_exhaustive_optimum():
     hits = 0
     for seed in range(10):
         bundle = design_annealed(
-            q6, si, pair, ch, schedule=AnnealingSchedule(restarts=1), seed=seed
+            q6, si, pair, ch, restarts=1, seed=seed
         )
         if bundle.metadata["d_av"] <= 1.05 * best:
             hits += 1
@@ -152,7 +151,7 @@ def test_criterion_4_distortion_decomposition(desk_quantizers):
     pair = JointGaussianPair(1, 1, 0.8)
     bundle = design_annealed(
         q, si, pair, desk_channels(0.01),
-        schedule=AnnealingSchedule(restarts=2), seed=55,
+        restarts=2, seed=55,
     )
     oks = []
     details = []
@@ -160,9 +159,8 @@ def test_criterion_4_distortion_decomposition(desk_quantizers):
         ch = desk_channels(p)
         split = evaluate_distortion(q, si, bundle.ia, pair, ch)
         res = run_asym_experiment(
-            AsymConfig(bundle=bundle, rho_real=0.8, eval_channels=ch,
-                       trials=1_000_000, seed=23)
-        )
+            AsymConfig(bundle=bundle, rho_real=0.8, trials=1_000_000, seed=23), [ch]
+        )[0]
         gap = abs(res.d_av - split.d_av)
         oks.append(gap < 3 * res.stderr)
         details.append(f"p={p}: |MC-analytic|={gap:.2e} vs 3sig={3*res.stderr:.2e}")
@@ -178,13 +176,12 @@ def test_criterion_5_encoder_gain_trend(desk_quantizers):
     start = time.perf_counter()
     q, si = desk_quantizers
     ch = desk_channels(0.0)
-    sched = AnnealingSchedule(restarts=3)
-    blind = design_annealed(q, si, JointGaussianPair(1, 1, 0.0), ch, schedule=sched, seed=101)
+    blind = design_annealed(q, si, JointGaussianPair(1, 1, 0.0), ch, restarts=3, seed=101)
     gains_enc = []
     gains_both = []
     trials = 300_000
     for rho in (0.4, 0.6, 0.8, 0.9):
-        aware = design_annealed(q, si, JointGaussianPair(1, 1, rho), ch, schedule=sched, seed=101)
+        aware = design_annealed(q, si, JointGaussianPair(1, 1, rho), ch, restarts=3, seed=101)
         d_sim = run_asym_experiment(
             AsymConfig(bundle=aware, rho_real=rho, trials=trials, seed=3)
         ).d_av
@@ -217,7 +214,7 @@ def test_criterion_5_extended_full_scale():
     ch = (DescriptionChannel.bsc(0.0, 0.05, 8), DescriptionChannel.bsc(0.0, 0.05, 8))
     bundle = design_annealed(
         q, si, JointGaussianPair(1, 1, 0.8), ch,
-        schedule=AnnealingSchedule(restarts=2), seed=1,
+        restarts=2, seed=1,
     )
     res = run_asym_experiment(
         AsymConfig(bundle=bundle, rho_real=0.8, trials=400_000, seed=3)
@@ -236,16 +233,16 @@ def test_criterion_6_ber_sweep_monotone(desk_quantizers):
     pair = JointGaussianPair(1, 1, 0.8)
     bundle = design_annealed(
         q, si, pair, desk_channels(0.01),
-        schedule=AnnealingSchedule(restarts=2), seed=55,
+        restarts=2, seed=55,
     )
     sweep = (0.1, 0.01, 0.001, 0.0001, 0.0)
     values = []
     sigmas = []
     for p in sweep:
         res = run_asym_experiment(
-            AsymConfig(bundle=bundle, rho_real=0.8, eval_channels=desk_channels(p),
-                       trials=300_000, seed=31)
-        )
+            AsymConfig(bundle=bundle, rho_real=0.8, trials=300_000, seed=31),
+            [desk_channels(p)],
+        )[0]
         values.append(res.d_av)
         sigmas.append(res.stderr)
     monotone = all(
@@ -364,12 +361,11 @@ def test_criterion_10_mismatch_asymmetry(desk_quantizers):
     start = time.perf_counter()
     q, si = desk_quantizers
     ch = desk_channels(0.005)
-    sched = AnnealingSchedule(restarts=3)
     d = {}
     sig = {}
     for rho_enc in (0.65, 0.8, 0.95):
         bundle = design_annealed(
-            q, si, JointGaussianPair(1, 1, rho_enc), ch, schedule=sched, seed=77
+            q, si, JointGaussianPair(1, 1, rho_enc), ch, restarts=3, seed=77
         )
         res = run_asym_experiment(
             AsymConfig(bundle=bundle, rho_real=0.8, rho_dec=0.8,
@@ -399,7 +395,7 @@ def test_criterion_11_si_quantizer_sufficiency(desk_quantizers):
     for rho in (0.4, 0.8, 0.9):
         bundle = design_annealed(
             q, si, JointGaussianPair(1, 1, rho), ch,
-            schedule=AnnealingSchedule(restarts=2), seed=77,
+            restarts=2, seed=77,
         )
         pair = JointGaussianPair(1, 1, rho)
         d64 = to_db(evaluate_distortion(q, lloyd_design(SOURCE, 64), bundle.ia, pair, ch).d_av)

@@ -3,6 +3,7 @@ import pytest
 
 from mdquant import DescriptionChannel, derive_rng
 from mdquant.channel import (
+    NOISE_PSD_MIN,
     loss_pattern_prob,
     loss_patterns,
     pattern_likelihood_tables,
@@ -118,6 +119,11 @@ class TestLikelihood:
     def test_awgn_rejects_non_positive_or_non_finite_noise(self, noise_psd):
         with pytest.raises(ValueError, match="positive and finite"):
             DescriptionChannel.awgn(noise_psd, 0.0, 8)
+
+    def test_awgn_noise_floor_edge(self):
+        assert DescriptionChannel.awgn(NOISE_PSD_MIN, 0.0, 8).noise_psd == NOISE_PSD_MIN
+        with pytest.raises(ValueError, match="at least 1e-100"):
+            DescriptionChannel.awgn(np.nextafter(NOISE_PSD_MIN, 0.0), 0.0, 8)
 
     def test_awgn_outcome_payload(self):
         ch = (DescriptionChannel.awgn(0.01, 0.0, 8),)

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +18,15 @@ from mdquant.persist import load_codec, save_codec
 from mdquant.simulator import run_sym_experiment
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the command line was checked")
 
 
 def assert_one_line_error(capsys):
@@ -504,3 +515,134 @@ class TestReport:
         assert sum(line.endswith(("PASS", "FAIL")) for line in lines) == rows + 1
         assert sum(line.endswith(" FAIL") for line in lines[:-1]) == 1
         assert lines[-1] == "overall: FAIL"
+
+
+TINY = ["--K", "4", "--desc", "2,2", "--nsi", "4"]
+
+
+def three_node_field(tmp_path):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"positions": [[0.1, 0.2], [0.5, 0.5], [0.8, 0.3]]}))
+    return path
+
+
+class TestNegativeSeed:
+    """A negative seed exits 2 with one line before any work, workers included."""
+
+    def argv(self, command, tmp_path, codec_file):
+        return {
+            "design": ["design", *TINY, "--rho-enc", "0.5", "--restarts", "2"],
+            "evaluate": ["evaluate", "--codec", codec_file, "--rho-real", "0.8",
+                         "--trials", "100"],
+            "scenario": ["scenario", "--scenario-file", three_node_field(tmp_path),
+                         *TINY, "--trials", "100"],
+        }[command] + ["--seed", "-1"]
+
+    @pytest.mark.parametrize("command", ["design", "scenario"])
+    def test_exits_2_without_traceback_or_leftover_process(self, tmp_path, codec_file, command):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mdquant.cli",
+             *map(str, self.argv(command, tmp_path, codec_file))],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err == "error: --seed must be non-negative\n"
+        with pytest.raises(ProcessLookupError):  # nothing is left in its process group
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.parametrize("command", ["design", "evaluate", "scenario"])
+    def test_rejected_before_any_work(self, tmp_path, codec_file, monkeypatch, capsys, command):
+        for name in ("design_annealed", "load_codec", "lloyd_design", "generate_scenario"):
+            monkeypatch.setattr(f"mdquant.cli.{name}", must_not_run)
+        monkeypatch.setattr(BaseProcess, "start", must_not_run)
+        capsys.readouterr()
+        assert run_cli(*self.argv(command, tmp_path, codec_file)) == 2
+        assert_one_line_error(capsys)
+
+
+def test_zero_restarts_exit_2_with_one_line(capsys):
+    rc = run_cli("design", *TINY, "--rho-enc", "0.5", "--restarts", "0",
+                 "--seed", "1")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: restarts must be positive\n"
+
+
+class TestSaveScenarioPath:
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_path_exits_2_before_design(self, tmp_path, monkeypatch, capsys, where):
+        monkeypatch.setattr("mdquant.cli.design_annealed", must_not_run)
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "field.json"
+        out = tmp_path / "scen.csv"
+        capsys.readouterr()
+        rc = run_cli("scenario", "--nodes", "3", "--K", "4", "--desc", "2,2", "--nsi", "4",
+                     "--save-scenario", target, "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def awgn_codec(codec_file, tmp_path_factory):
+    """The ``codec_file`` codec with its channels edited to AWGN at N0 = 0.5."""
+    data = json.loads(codec_file.read_text())
+    for ch in data["channels"]:
+        ch.update(kind="awgn", bit_error_rate=None, noise_psd=0.5)
+    path = tmp_path_factory.mktemp("awgn") / "awgn.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestAwgnCodecFile:
+    def test_evaluate_labels_the_row_with_the_noise_psd(self, awgn_codec, tmp_path):
+        out = tmp_path / "eval.csv"
+        rc = run_cli("evaluate", "--codec", awgn_codec, "--rho-real", "0.8",
+                     "--trials", "500", "--seed", "1", "-o", out)
+        assert rc == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[:3] == ["0.5", "", ""]
+        assert math.isfinite(float(row[3]))
+
+    def test_scenario_exits_2_with_one_line(self, awgn_codec, tmp_path, capsys):
+        out = tmp_path / "scen.csv"
+        capsys.readouterr()
+        rc = run_cli("scenario", "--nodes", "3", "--codec", awgn_codec,
+                     "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: the symmetric experiment requires a codec with BSC channels\n"
+        assert not out.exists()
+
+
+class TestNumericalEdges:
+    def test_decoder_correlation_one_runs_clean(self, codec_file, tmp_path):
+        out = tmp_path / "eval.csv"
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", "--rho-dec", "1",
+                     "--trials", "500", "--seed", "1", "-o", out)
+        assert rc == 0
+        assert "nan" not in out.read_text()
+
+    def test_tiny_alpha_runs_clean(self, codec_file, tmp_path):
+        # dist / alpha overflows to inf, so every pair correlation is 0.
+        out = tmp_path / "scen.csv"
+        rc = run_cli("scenario", "--nodes", "3", "--alpha", "1e-310", "--codec", codec_file,
+                     "--si-method", "distance", "--trials", "200", "--seed", "1", "-o", out)
+        assert rc == 0
+        assert "nan" not in out.read_text()
+
+    def test_noise_psd_below_the_floor_exits_2(self, codec_file, tmp_path, capsys):
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", "--awgn", "1e-300",
+                     "--trials", "500", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_smallest_noise_psd_runs_clean(self, codec_file, tmp_path):
+        out = tmp_path / "eval.csv"
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", "--awgn", "1e-100",
+                     "--trials", "500", "--seed", "1", "-o", out)
+        assert rc == 0
+        assert "nan" not in out.read_text()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdquant import (
-    AnnealingSchedule,
     DescriptionChannel,
     GaussianSource,
     IndexAssignment,
@@ -159,11 +158,20 @@ class TestSiMomentStack:
             for r in range(len(rhos)):
                 assert got[m][r].tobytes() == expect[r][m].tobytes(), (m, rhos[r])
 
+    def test_unit_correlation_is_capped(self, source, q4):
+        # At |rho| = 1 the conditional sd is 0; the cap keeps every moment finite.
+        si = lloyd_design(source, 8)
+        got = si_moment_stack(q4, si, [1.0, -1.0])
+        capped = si_moment_stack(q4, si, [codec.RHO_CAP, -codec.RHO_CAP])
+        for g, c in zip(got, capped):
+            assert np.all(np.isfinite(g))
+            assert g.tobytes() == c.tobytes()
+
 
 class TestDecoderTables:
     def test_bijective_no_si(self, source, q4):
         ia = IndexAssignment(np.eye(4), hard=True)
-        tables = build_decoder_tables(q4, None, ia, JointGaussianPair(1, 1, 0.0))
+        tables = build_decoder_tables(q4, None, ia, [JointGaussianPair(1, 1, 0.0)])
         assert np.allclose(tables.prior[0, 0], q4.cell_probs, atol=1e-12)
         assert np.allclose(tables.codebook[0, 0], q4.codewords, atol=1e-9)
 
@@ -182,7 +190,7 @@ class TestDecoderTables:
         table = np.zeros((4, 4))
         table[0, 0] = table[3, 0] = table[1, 1] = table[2, 2] = 1.0
         ia = IndexAssignment(table, hard=True)
-        tables = build_decoder_tables(q4, si, ia, pair)
+        tables = build_decoder_tables(q4, si, ia, [pair])
         edges = np.clip(q4.edges(), -9, 9)
         for level in (1, 4, 6):
             num = den = 0.0
@@ -377,7 +385,7 @@ class TestDeskDesignPin:
         ch = (DescriptionChannel.bsc(0.005, 0.05, 4),) * 2
         bundle = design_annealed(
             q, si, JointGaussianPair(1, 1, 0.4), ch,
-            schedule=AnnealingSchedule(restarts=2), seed=7,
+            restarts=2, seed=7,
         )
         assert bundle.ia.hard_map().tolist() == [
             8, 8, 8, 10, 0, 2, 2, 14, 3, 15, 15, 13, 7, 5, 5, 5,
@@ -399,7 +407,7 @@ class TestDesignAnnealed:
             )
         )
         bundle = design_annealed(
-            q2, None, pair, ch, schedule=AnnealingSchedule(restarts=1), seed=1
+            q2, None, pair, ch, restarts=1, seed=1
         )
         assert abs(bundle.metadata["d_av"] - best) < 1e-6
         assert abs(best - quantizer_mse(q2, source)) < 1e-9
@@ -421,7 +429,7 @@ class TestDesignAnnealed:
             table[np.arange(6), list(assign)] = 1.0
             best = min(best, ctx.distortion(table).d_av)
         bundle = design_annealed(
-            q6, si, pair, ch, schedule=AnnealingSchedule(restarts=1), seed=0
+            q6, si, pair, ch, restarts=1, seed=0
         )
         assert bundle.metadata["d_av"] <= 1.05 * best
 
@@ -432,9 +440,8 @@ class TestDesignAnnealed:
             DescriptionChannel.bsc(0.02, 0.1, 2),
             DescriptionChannel.bsc(0.02, 0.1, 2),
         )
-        sched = AnnealingSchedule(restarts=2)
-        b1 = design_annealed(q4, si, pair, ch, schedule=sched, seed=5)
-        b2 = design_annealed(q4, si, pair, ch, schedule=sched, seed=5)
+        b1 = design_annealed(q4, si, pair, ch, restarts=2, seed=5)
+        b2 = design_annealed(q4, si, pair, ch, restarts=2, seed=5)
         assert np.array_equal(b1.ia.table, b2.ia.table)
         assert b1.metadata == b2.metadata
         for key in ("t_init", "soft_d_av", "hardening_gap", "monotonicity_violations"):

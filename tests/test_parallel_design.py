@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from mdquant import (
-    AnnealingSchedule,
     DescriptionChannel,
     JointGaussianPair,
     design_annealed,
@@ -29,7 +28,7 @@ from oracles import serial_restarts
 SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR = JointGaussianPair(1.0, 1.0, 0.8)
 CHANNELS = (DescriptionChannel.bsc(0.0, 0.05, 4),) * 2
-SCHEDULE = AnnealingSchedule(restarts=3)
+RESTARTS = 3
 
 needs_workers = pytest.mark.skipif(
     codec._restart_workers(2) < 2,
@@ -85,8 +84,8 @@ class TestSameCodecAsSerial:
     @needs_workers
     def test_each_restart_matches_the_serial_oracle(self, quantizers, started):
         ctx = DesignContext(*quantizers, PAIR, CHANNELS)
-        expected, _ = serial_restarts(ctx, SCHEDULE, seed=2)
-        got = codec._run_restarts(ctx, SCHEDULE, 2, workers=2)
+        expected, _ = serial_restarts(ctx, RESTARTS, seed=2)
+        got = codec._run_restarts(ctx, RESTARTS, 2, workers=2)
         assert len(started) == 2
         assert len(got) == len(expected)
         for (ia_e, d_e, info_e), (ia_g, d_g, info_g) in zip(expected, got):
@@ -95,9 +94,9 @@ class TestSameCodecAsSerial:
             assert info_g == info_e
 
     def test_design_keeps_the_oracle_best(self, quantizers):
-        bundle = design_annealed(*quantizers, PAIR, CHANNELS, schedule=SCHEDULE, seed=3)
+        bundle = design_annealed(*quantizers, PAIR, CHANNELS, restarts=RESTARTS, seed=3)
         _, (best_ia, _, _, best_restart) = serial_restarts(
-            DesignContext(*quantizers, PAIR, CHANNELS), SCHEDULE, seed=3
+            DesignContext(*quantizers, PAIR, CHANNELS), RESTARTS, seed=3
         )
         assert np.array_equal(bundle.ia.table, best_ia.table)
         assert bundle.metadata["best_restart"] == best_restart
@@ -109,7 +108,7 @@ class TestSameCodecAsSerial:
         saved = []
         for workers in (1, 2):
             monkeypatch.setattr(codec, "_restart_workers", lambda restarts, w=workers: w)
-            bundle = design_annealed(*quantizers, PAIR, CHANNELS, schedule=SCHEDULE, seed=4)
+            bundle = design_annealed(*quantizers, PAIR, CHANNELS, restarts=RESTARTS, seed=4)
             path = tmp_path / f"codec{workers}.json"
             save_codec(bundle, path)
             saved.append(path.read_bytes())
@@ -149,7 +148,7 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         q = lloyd_design(source, 4)
         design_annealed(q, q, PAIR, (DescriptionChannel.bsc(0.0, 0.05, 2),) * 2,
-                        schedule=AnnealingSchedule(restarts=5), seed=1)
+                        restarts=5, seed=1)
         assert len(started) == 2
 
     @pytest.mark.parametrize(
@@ -173,19 +172,19 @@ class TestWorkerCount:
 class TestProcessHygiene:
     def test_no_child_left_after_design(self, quantizers, started):
         before = child_pids(os.getpid())
-        design_annealed(*quantizers, PAIR, CHANNELS, schedule=SCHEDULE, seed=5)
+        design_annealed(*quantizers, PAIR, CHANNELS, restarts=RESTARTS, seed=5)
         assert len(started) == 2
         assert multiprocessing.active_children() == []
         assert child_pids(os.getpid()) - before == set()
 
     def test_failed_worker_raises_and_leaves_no_child(self, quantizers, monkeypatch):
-        def crash(ctx, schedule, rng):
+        def crash(ctx, rng):
             raise ValueError("restart failed")
 
         monkeypatch.setattr(codec, "_anneal_once", crash)
         before = child_pids(os.getpid())
         with pytest.raises(RuntimeError, match="annealing worker exited"):
-            design_annealed(*quantizers, PAIR, CHANNELS, schedule=SCHEDULE, seed=5)
+            design_annealed(*quantizers, PAIR, CHANNELS, restarts=RESTARTS, seed=5)
         assert multiprocessing.active_children() == []
         assert child_pids(os.getpid()) - before == set()
 
@@ -218,3 +217,9 @@ class TestProcessHygiene:
             except ProcessLookupError:
                 pass
             proc.wait(timeout=30)
+
+
+def test_negative_seed_raises_before_any_worker_starts(quantizers, started):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        design_annealed(*quantizers, PAIR, CHANNELS, restarts=RESTARTS, seed=-1)
+    assert started == []

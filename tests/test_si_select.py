@@ -62,15 +62,15 @@ def select_one_trial(bundle, rho, q, method):
 class TestMinDistance:
     def test_two_sources(self):
         a = select_min_distance([[0.0, 0.0], [1.0, 0.0]])
-        assert list(a.map) == [1, 0]
+        assert list(a) == [1, 0]
 
     def test_collinear(self):
         a = select_min_distance([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-        assert list(a.map) == [1, 0, 1]
+        assert list(a) == [1, 0, 1]
 
     def test_tie_breaks_low(self):
         a = select_min_distance([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        assert a.map[0] == 1  # candidates 1 and 2 equidistant
+        assert a[0] == 1  # candidates 1 and 2 equidistant
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(0)
@@ -79,7 +79,7 @@ class TestMinDistance:
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = pos @ rot.T + np.array([3.0, -1.0])
         assert np.array_equal(
-            select_min_distance(pos).map, select_min_distance(moved).map
+            select_min_distance(pos), select_min_distance(moved)
         )
 
     def test_needs_two_sources(self):

@@ -1,12 +1,10 @@
 import tracemalloc
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
 from mdquant import (
-    AnnealingSchedule,
     DescriptionChannel,
     JointGaussianPair,
     design_annealed,
@@ -55,7 +53,7 @@ def designed_bundle(source):
         si,
         JointGaussianPair(1, 1, 0.8),
         bsc_channels(0.01, 0.05),
-        schedule=AnnealingSchedule(restarts=2),
+        restarts=2,
         seed=11,
     )
 
@@ -101,7 +99,7 @@ class TestScenario:
 
 class TestExperimentResult:
     def test_db_consistency(self):
-        r = ExperimentResult("x", 0.05, 100, 0.001, d_central=0.01)
+        r = ExperimentResult(0.05, 100, 0.001, d_central=0.01)
         assert abs(r.d_av_db - 10 * np.log10(0.05)) < 1e-12
         assert abs(r.d_central_db - 10 * np.log10(0.01)) < 1e-12
 
@@ -214,9 +212,9 @@ class TestAsymExperiment:
                 rho_real=0.8,
                 trials=20_000,
                 seed=13,
-                eval_channels=awgn,
-            )
-        )
+            ),
+            [awgn],
+        )[0]
         assert 0 < res.d_av < 1.0
 
     def test_rejects_mixed_channel_kinds(self, designed_bundle):
@@ -267,7 +265,7 @@ class TestSharedDraws:
         rows = run_asym_experiment(cfg, sets)
         assert len(rows) == 3
         for chs, row in zip(sets, rows):
-            single = run_asym_experiment(replace(cfg, eval_channels=chs))
+            single = run_asym_experiment(cfg, [chs])[0]
             assert summary(row) == summary(single)
         assert rows[0].d_av > rows[2].d_av
 
@@ -291,14 +289,14 @@ class TestSharedDraws:
         awgn = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
         cfg = AsymConfig(
             bundle=designed_bundle, rho_real=0.8, trials=trials, seed=17,
-            use_si=use_si, eval_channels=awgn,
+            use_si=use_si,
         )
         x, z, tuple_ids, si_levels = asym_sources(cfg)
         level = designed_bundle.rho_level(0.8) if use_si else None
         [(err, _, _)] = _run_asym_awgn(cfg, [awgn], x, z, level)
         expect = asym_awgn_errors(designed_bundle, awgn, x, tuple_ids, si_levels, level, 17)
         assert np.array_equal(err, expect)
-        res = run_asym_experiment(cfg)
+        res = run_asym_experiment(cfg, [awgn])[0]
         assert res.d_av == float(expect.mean())
         assert res.stderr == float(expect.std(ddof=1) / np.sqrt(trials))
 
@@ -333,8 +331,8 @@ class TestAsymMemory:
 
         def run(trials):
             run_asym_experiment(AsymConfig(
-                bundle=k16_bundle, rho_real=0.8, trials=trials, seed=1, eval_channels=awgn,
-            ))
+                bundle=k16_bundle, rho_real=0.8, trials=trials, seed=1,
+            ), [awgn])
 
         assert self.growth_per_trial(run) <= 24
 
@@ -384,7 +382,7 @@ class TestSymExperiment:
                     level_matrix[u, t] = quantize_rho(
                         min(scen.pairwise_rho[u, t], 1 - 1e-12), tiny_bundle.ladder
                     )
-        si_map = select_min_distance(scen.positions).map
+        si_map = select_min_distance(scen.positions)
         cache = CrossTableCache(tiny_bundle)
         pids = pattern_ids(rec)
         smap = np.broadcast_to(si_map, (trials, n_nodes))
