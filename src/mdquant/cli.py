@@ -1,7 +1,8 @@
 """Command-line driver: codec design, bound evaluation, experiments, reports.
 
-Exit codes: 0 success, 2 invalid input or a report whose verdict is FAIL,
-3 incompatible codec file version.
+Exit codes: 0 success, 2 invalid input, a run too large for memory (one
+``error:`` line) or a report whose verdict is FAIL, 3 incompatible codec
+file version.
 Every stochastic command requires --seed and is byte-reproducible at a fixed
 seed (wall-clock timing goes to stderr, never into result files).
 """
@@ -447,6 +448,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a --trials too large for one draw
+        print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return 2
 
 

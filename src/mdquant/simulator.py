@@ -2,35 +2,45 @@
 
 The asymmetric experiment transmits one source with external side
 information; the symmetric experiment jointly decodes every node of a
-sensor-field scenario.  Both decoders live here and work on all trials at
-once: the asymmetric MMSE decoder is a lookup table per (correlation level,
-channel set) for BSC channels (:class:`_AsymLookup`) and a per-trial
-posterior for AWGN (:func:`_run_asym_awgn`); the joint decoder runs its
-estimated-SI or soft-SI sweeps in :meth:`_SymDecoder.decode`.  With discrete
-channels every decoder input is finite, so reconstructions reduce to table
-lookups built once per configuration.  Results carry the Monte-Carlo
-standard error of every estimate.  The per-symbol decoders that these are
-tested against live in the test suite's oracles.
+sensor-field scenario.  Both decoders live here and work on a block of
+trials at once: the asymmetric MMSE decoder is a lookup table per
+(correlation level, channel set) for BSC channels (:class:`_AsymLookup`) and
+a per-trial posterior for AWGN (:func:`_run_asym_awgn`); the joint decoder
+runs its estimated-SI or soft-SI sweeps in :meth:`_SymDecoder.decode`.
+With discrete channels every decoder input is finite, so reconstructions
+reduce to table lookups built once per configuration.  Results carry the
+Monte-Carlo standard error of every estimate.  The per-symbol decoders that
+these are tested against live in the test suite's oracles.
 
 The asymmetric experiment takes a list of channel sets (a BSC sweep) and
 does the shared work once: one draw of the source and its SI, one pass of
-quantizer cells, tuple ids and SI levels, one set of conditional entropy
-rates, and one set of flip and loss uniforms (or AWGN noise) per
-description, to which every set applies its own rates.  It decodes in blocks
-of ``DECODE_BLOCK`` trials drawn in turn from the same generators, so the
-results equal one-call draws bit for bit and only the per-trial error arrays
-grow with the trial count.
+quantizer cells, tuple ids and SI levels, and one set of flip and loss
+uniforms (or AWGN noise) per description, to which every set applies its own
+rates.  It decodes in blocks of ``DECODE_BLOCK`` trials drawn in turn from
+the same generators, so the results equal one-call draws bit for bit and
+only the per-trial error arrays grow with the trial count.
 
-In the symmetric experiment the SI selection scores every distinct pair
-correlation of the field in one batch (one moment quadrature, one table per
-criterion), and each source picks its SI source per trial with a single
-gather.  The selection is fixed for the run, so the decoder groups each
-node's trials by the ladder level of their SI source once and every sweep
-reuses the groups.
+The symmetric experiment draws the node sources whole, in one product, and
+then runs every per-trial step on one block of trials at a time: quantizer
+cells, transmission, loss patterns, SI maps, trial groups, the joint decode
+and the squared errors.  A block holds ``SYM_BLOCK // (nodes * L)`` trials
+(at least one), so the decoder's posterior buffers stay bounded and only the
+sources and the per-trial errors grow with the trial count.  Each node's
+channel generators are created once per run and continue from block to
+block.  The SI selection scores every distinct pair correlation of the field
+in one batch (one moment quadrature, one table per criterion), once per run;
+each block picks every source's SI source per trial with a single gather,
+and the decoder groups each node's trials by the ladder level of their SI
+source once per block, for every sweep to reuse.  The sweeps of a block stop
+on that block's own change (see :meth:`_SymDecoder.decode`), so a run that
+converges before ``max_iters`` may depend on the block size; with ``tol``
+0, or where no block converges early, the results equal a one-block run bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -122,7 +132,6 @@ class ExperimentResult:
     stderr: float
     d_side: tuple | None = None
     d_central: float | None = None
-    rates: tuple | None = None
     wall_time: float = 0.0
     extra: dict = field(default_factory=dict)
 
@@ -195,15 +204,16 @@ def _bsc_words(indices, channels, draws):
     return words, received
 
 
-def _transmit_bsc(tuple_ids, channels, space, rng_tags, seed):
+def _transmit_bsc(tuple_ids, channels, space, streams):
     """Vectorized transmission: returns per-description words and loss flags.
 
-    ``rng_tags`` is a tuple prefix so different sources derive disjoint
-    streams.  Received words are sampled for every description; the loss
-    flags say which ones the decoder may look at.
+    ``streams`` are the source's (flips, losses) generators of each
+    description (:func:`_channel_streams`), so different sources draw
+    disjoint streams, and successive calls continue them.  Received words
+    are sampled for every description; the loss flags say which ones the
+    decoder may look at.
     """
     n = tuple_ids.shape[0]
-    streams = _channel_streams(len(channels), rng_tags, seed)
     draws = [
         (flip_rng.random((n, ch.bits)), loss_rng.random(n))
         for ch, (flip_rng, loss_rng) in zip(channels, streams)
@@ -290,7 +300,6 @@ def run_asym_experiment(
     _check_channel_sets(bundle, sets)
     rho_dec = cfg.rho_real if cfg.rho_dec is None else cfg.rho_dec
     level = bundle.rho_level(rho_dec) if cfg.use_si else None
-    rates = conditional_entropy_rates(bundle, JointGaussianPair(1.0, 1.0, rho_dec))
 
     # x and z come whole from one stream; everything after is per block.
     rng_src = derive_rng(cfg.seed, 1)
@@ -310,7 +319,6 @@ def run_asym_experiment(
             stderr=float(err.std(ddof=1) / np.sqrt(n)),
             d_side=d_side,
             d_central=d_central,
-            rates=rates,
             wall_time=wall_time,
             extra=dict(extra),
         )
@@ -505,13 +513,17 @@ def _selection_score_tables(bundle, rho_keys, method):
     return np.concatenate(parts)
 
 
-def _select_maps(cfg: SymConfig, pids) -> np.ndarray:
-    """(trials, N) chosen SI source per trial under the configured criterion."""
-    n_nodes = cfg.scenario.n_nodes
-    trials = pids.shape[0]
+def _selection_scores(cfg: SymConfig) -> np.ndarray | None:
+    """score[u, t, p_u, p_t] of SI source t for node u under loss patterns p_u, p_t.
+
+    The scores depend only on the codec and the field's correlations, so a
+    run computes them once.  A node's own entries hold the worst score, so
+    it never picks itself.  None for ``distance`` selection, which ignores
+    the loss patterns.
+    """
     if cfg.si_method == "distance":
-        fixed = select_min_distance(cfg.scenario.positions)
-        return np.broadcast_to(fixed, (trials, n_nodes))
+        return None
+    n_nodes = cfg.scenario.n_nodes
     rho = cfg.scenario.pairwise_rho
     keys = {
         (u, t): round(float(rho[u, t]), 12)
@@ -522,22 +534,44 @@ def _select_maps(cfg: SymConfig, pids) -> np.ndarray:
     ridx = np.zeros((n_nodes, n_nodes), dtype=int)
     for (u, t), key in keys.items():
         ridx[u, t] = position[key]
-    tables = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)
+    scores = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)[ridx]
+    nodes = np.arange(n_nodes)
+    scores[nodes, nodes] = -np.inf if cfg.si_method == "mutual_info" else np.inf
+    return scores
+
+
+def _select_maps(cfg: SymConfig, pids, scores) -> np.ndarray:
+    """(trials, N) chosen SI source per trial; ``scores`` from :func:`_selection_scores`."""
+    n_nodes = cfg.scenario.n_nodes
+    if scores is None:
+        fixed = select_min_distance(cfg.scenario.positions)
+        return np.broadcast_to(fixed, (pids.shape[0], n_nodes))
     pick_best = np.argmax if cfg.si_method == "mutual_info" else np.argmin
-    worst = -np.inf if cfg.si_method == "mutual_info" else np.inf
-    smap = np.empty((trials, n_nodes), dtype=int)
+    candidates = np.arange(n_nodes)
+    smap = np.empty(pids.shape, dtype=int)
     for u in range(n_nodes):
-        scores = tables[ridx[u], pids[:, u, None], pids]  # (trials, candidates)
-        scores[:, u] = worst
-        smap[:, u] = pick_best(scores, axis=1)
+        # (trials, candidates) gather of u's scores under each trial's patterns.
+        smap[:, u] = pick_best(scores[u, candidates, pids[:, u, None], pids], axis=1)
     return smap
+
+
+def _row_product(a, b):
+    """``a @ b`` for a 2-D ``b``, each row rounded as in a product of many rows.
+
+    numpy hands a single row to gemv, whose sums round differently from
+    gemm's, so a lone row is multiplied as a pair with a copy of itself.
+    """
+    if a.shape[0] == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    return a @ b
 
 
 def _trial_groups(level_u, s_map_u) -> list:
     """One node's trials grouped by the ladder level of their SI source.
 
     Each group is (level, trial indices, SI source per trial).  The selection
-    is fixed for a whole run, so every decoder sweep reuses the groups.
+    is fixed for a block, so every decoder sweep of the block reuses the
+    groups.
     """
     groups = []
     for level in np.unique(level_u):
@@ -547,11 +581,13 @@ def _trial_groups(level_u, s_map_u) -> list:
 
 
 class _SymDecoder:
-    """The joint decoder: synchronous estimated-SI or soft-SI sweeps over all trials.
+    """The joint decoder: synchronous estimated-SI or soft-SI sweeps over a block of trials.
 
     Iteration 1 decodes every node without SI; each later sweep reads the
-    state the previous one left.  :meth:`decode` runs the sweeps, and the
-    other methods are its steps for one node across all trials.
+    state the previous one left.  :meth:`decode` runs the sweeps of one
+    block, and the other methods are its steps for one node across the
+    block's trials.  One decoder serves every block of a run, so its lookups
+    and mixing matrices are built once.
     """
 
     def __init__(self, cfg: SymConfig, cache):
@@ -593,10 +629,12 @@ class _SymDecoder:
         """lik: (trials, L) -> (posteriors, estimates)."""
         post = lik * self.nosi_prior[None, :]
         post /= post.sum(axis=1, keepdims=True)
-        return post, post @ self.nosi_codebook
+        # einsum sums each row the same way whatever the row count; BLAS
+        # gemv rounds a block's last rows (and a lone row) differently.
+        return post, np.einsum("tl,l->t", post, self.nosi_codebook)
 
     def estimated_step(self, est_prev, groups_u, rows_u):
-        """One estimated-SI update of a single source across all trials."""
+        """One estimated-SI update of a single source across the block's trials."""
         out = np.empty(est_prev.shape[1])
         thresholds = self.bundle.si_quantizer.thresholds
         for level, idx, nbr in groups_u:
@@ -613,7 +651,7 @@ class _SymDecoder:
         L = self.space.size
         out = np.empty((posts_prev.shape[1], 2 * L if final else L))
         for level, idx, nbr in groups_u:
-            out[idx] = posts_prev[nbr, idx] @ self.mix(level, final)
+            out[idx] = _row_product(posts_prev[nbr, idx], self.mix(level, final))
         return out
 
     def decode(self, words, pids, groups):
@@ -621,10 +659,14 @@ class _SymDecoder:
 
         ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
         pattern ids and ``groups[u]`` node u's trial groups
-        (:func:`_trial_groups`).  The sweeps stop after ``max_iters``
-        iterations, or once the largest change falls below ``tol``: of the
-        estimates (estimated-SI), or of the posteriors (soft-SI, which
-        reconstructs once, after its last sweep).
+        (:func:`_trial_groups`), all of one block of trials.  The sweeps stop
+        after ``max_iters`` iterations, or once the largest change over the
+        block's trials falls below ``tol``: of the estimates (estimated-SI),
+        or of the posteriors (soft-SI, which reconstructs once, after its
+        last sweep).  Each block of a run stops on its own change, so where
+        one block converges before another the result can differ from a
+        one-block run; with ``tol`` 0 every block runs ``max_iters``
+        iterations and the results do not depend on the block size.
         """
         cfg = self.cfg
         trials, n_nodes = pids.shape
@@ -672,8 +714,46 @@ class _SymDecoder:
         return xhat
 
 
+# Posterior entries per buffer of one symmetric decode block: a block holds
+# max(1, SYM_BLOCK // (nodes * L)) trials.  Read at call time.
+SYM_BLOCK = 1 << 20
+
+
+def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.ndarray:
+    """Per-trial squared error, averaged over nodes, of one block of sources.
+
+    ``xb`` is the block's (trials, nodes) source draws and ``streams[u]``
+    node u's channel generators, which continue from the previous block.
+    Every per-trial array of the block dies on return.
+    """
+    cfg, bundle = dec.cfg, dec.bundle
+    n_nodes = xb.shape[1]
+    cells = np.searchsorted(bundle.quantizer.thresholds, xb.ravel(), side="left")
+    tuple_ids = bundle.ia.hard_map()[cells.reshape(xb.shape)]
+    words = np.empty((xb.shape[0], n_nodes, len(dec.channels)), dtype=int)
+    received = np.empty(words.shape, dtype=bool)
+    for u in range(n_nodes):
+        words[:, u], received[:, u] = _transmit_bsc(
+            tuple_ids[:, u], dec.channels, dec.space, streams[u]
+        )
+    pids = pattern_ids(received)  # (trials, nodes)
+    s_map = _select_maps(cfg, pids, scores)
+    groups = [
+        _trial_groups(level_matrix[u, s_map[:, u]], s_map[:, u]) for u in range(n_nodes)
+    ]
+    xhat = dec.decode(words, pids, groups)
+    # Summed node by node, as numpy sums the rows of a many-trial block; a
+    # one-trial block would otherwise take numpy's pairwise sum.
+    return functools.reduce(np.add, (xb.T - xhat) ** 2) / n_nodes
+
+
 def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
-    """Monte-Carlo joint decoding of a scenario; averages distortion over nodes."""
+    """Monte-Carlo joint decoding of a scenario; averages distortion over nodes.
+
+    The sources are drawn whole; everything after runs block by block (see
+    the module docstring), and the per-trial errors are kept whole so their
+    mean and standard error are the one-block values.
+    """
     start = time.perf_counter()
     scenario, bundle = cfg.scenario, cfg.bundle
     n_nodes = scenario.n_nodes
@@ -684,29 +764,17 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
                 level_matrix[u, t] = quantize_rho(scenario.pairwise_rho[u, t], bundle.ladder)
 
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
-    cells = np.searchsorted(
-        bundle.quantizer.thresholds, x.ravel(), side="left"
-    ).reshape(x.shape)
-    tuple_ids = bundle.ia.hard_map()[cells]
-
-    space = tuple_space(bundle.channels)
-    words = np.empty((cfg.trials, n_nodes, len(bundle.channels)), dtype=int)
-    received = np.empty((cfg.trials, n_nodes, len(bundle.channels)), dtype=bool)
-    for u in range(n_nodes):
-        words[:, u], received[:, u] = _transmit_bsc(
-            tuple_ids[:, u], bundle.channels, space, (4, u), cfg.seed
-        )
-    pids = pattern_ids(received)  # (trials, nodes)
-
-    s_map = _select_maps(cfg, pids)
+    n_desc = len(bundle.channels)
+    streams = [_channel_streams(n_desc, (4, u), cfg.seed) for u in range(n_nodes)]
+    scores = _selection_scores(cfg)
     dec = _SymDecoder(cfg, CrossTableCache(bundle))
-    groups = [
-        _trial_groups(level_matrix[u, s_map[:, u]], s_map[:, u]) for u in range(n_nodes)
-    ]
-    xhat = dec.decode(words, pids, groups)
+    per_trial = np.empty(cfg.trials)
+    block = max(1, SYM_BLOCK // (n_nodes * dec.space.size))
+    for lo in range(0, cfg.trials, block):
+        per_trial[lo:lo + block] = _block_errors(
+            dec, x[lo:lo + block], streams, scores, level_matrix
+        )
 
-    sq = (x.T - xhat) ** 2  # (n_nodes, trials)
-    per_trial = sq.mean(axis=0)
     return ExperimentResult(
         d_av=float(per_trial.mean()),
         trials=cfg.trials,

@@ -26,6 +26,7 @@ from mdquant.codec import DesignContext
 from mdquant.simulator import (
     AsymConfig,
     SymConfig,
+    conditional_entropy_rates,
     generate_scenario,
     run_asym_experiment,
     run_sym_experiment,
@@ -220,11 +221,12 @@ def test_criterion_5_extended_full_scale():
         AsymConfig(bundle=bundle, rho_real=0.8, trials=400_000, seed=3)
     )
     elapsed = time.perf_counter() - start
+    rates = conditional_entropy_rates(bundle, JointGaussianPair(1, 1, 0.8))
     report(
         5, "extended: full-scale design reaches published operating point",
         res.d_av_db <= -20.619 + 1.0,
         f"simulated {res.d_av_db:.3f} dB vs reference -20.619 dB, "
-        f"rates {tuple(round(r, 2) for r in res.rates)}, {elapsed:.0f}s",
+        f"rates {tuple(round(r, 2) for r in rates)}, {elapsed:.0f}s",
     )
 
 

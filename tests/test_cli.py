@@ -569,6 +569,39 @@ def test_zero_restarts_exit_2_with_one_line(capsys):
     assert capsys.readouterr().err == "error: restarts must be positive\n"
 
 
+class TestOutOfMemory:
+    """A draw too large for memory exits 2 with one line; nothing is allocated here."""
+
+    def test_scenario(self, codec_file, tmp_path, monkeypatch, capsys):
+        def no_memory(scenario, trials, seed):
+            raise MemoryError(f"Unable to allocate {trials * scenario.n_nodes * 8} bytes")
+
+        monkeypatch.setattr("mdquant.simulator.sample_correlated_sources", no_memory)
+        out = tmp_path / "scen.csv"
+        capsys.readouterr()
+        rc = run_cli("scenario", "--nodes", "3", "--codec", codec_file,
+                     "--trials", "100000000000", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory (Unable to allocate 2400000000000 bytes)\n"
+        )
+        assert not out.exists()
+
+    def test_evaluate(self, codec_file, tmp_path, monkeypatch, capsys):
+        class NoMemory:
+            def standard_normal(self, size):
+                raise MemoryError
+
+        monkeypatch.setattr("mdquant.simulator.derive_rng", lambda *tags: NoMemory())
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.5",
+                     "--trials", "100000000000", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: out of memory (allocation failed)\n"
+        assert not out.exists()
+
+
 class TestSaveScenarioPath:
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_unwritable_path_exits_2_before_design(self, tmp_path, monkeypatch, capsys, where):

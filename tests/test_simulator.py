@@ -16,6 +16,8 @@ from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
 from mdquant.decode_sym import CrossTableCache
 from mdquant.si_select import select_min_distance
 from mdquant.simulator import (
+    SI_METHODS,
+    SYM_MODES,
     AsymConfig,
     ExperimentResult,
     SymConfig,
@@ -26,9 +28,11 @@ from mdquant.simulator import (
     sample_correlated_sources,
     _AsymLookup,
     _SymDecoder,
+    _channel_streams,
     _run_asym_awgn,
     _select_maps,
     _selection_score_tables,
+    _selection_scores,
     _transmit_bsc,
     _trial_groups,
 )
@@ -373,7 +377,7 @@ class TestSymExperiment:
         rec = np.empty((trials, n_nodes, 2), dtype=bool)
         for u in range(n_nodes):
             words[:, u], rec[:, u] = _transmit_bsc(
-                tids[:, u], tiny_bundle.channels, space, (4, u), 21
+                tids[:, u], tiny_bundle.channels, space, _channel_streams(2, (4, u), 21)
             )
         level_matrix = np.zeros((n_nodes, n_nodes), dtype=int)
         for u in range(n_nodes):
@@ -493,6 +497,86 @@ class TestSeededField:
         cfg = SymConfig(scenario=scen, bundle=tiny_bundle, si_method=method, trials=2_000)
         rng = np.random.default_rng(4)
         pids = rng.integers(0, 4, size=(2_000, 6))
-        got = _select_maps(cfg, pids)
+        got = _select_maps(cfg, pids, _selection_scores(cfg))
         assert np.array_equal(got, loop_select(cfg, pids))
         assert not np.any(got == np.arange(6))
+
+
+def sym_run(cfg, monkeypatch):
+    """(result, (nodes, trials) estimates, per-trial errors) of one ``run_sym_experiment``."""
+    xhats, errs = [], []
+    decode, block_errors = _SymDecoder.decode, simulator._block_errors
+
+    def recorded_decode(self, words, pids, groups):
+        xhats.append(decode(self, words, pids, groups))
+        return xhats[-1]
+
+    def recorded_errors(*args):
+        errs.append(block_errors(*args))
+        return errs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(_SymDecoder, "decode", recorded_decode)
+        m.setattr(simulator, "_block_errors", recorded_errors)
+        res = run_sym_experiment(cfg)
+    return res, np.concatenate(xhats, axis=1), np.concatenate(errs)
+
+
+class TestSymBlocks:
+    """Blocked joint decoding equals a one-block run bit for bit at ``tol`` 0."""
+
+    TRIALS = 150
+
+    @pytest.mark.parametrize("max_iters", [1, 4])
+    @pytest.mark.parametrize("mode", SYM_MODES)
+    @pytest.mark.parametrize("method", SI_METHODS)
+    def test_blocked_equals_one_block(self, tiny_bundle, monkeypatch, mode, method, max_iters):
+        scen = generate_scenario(6, tiny_bundle.channels, seed=3)
+        cfg = SymConfig(
+            scenario=scen, bundle=tiny_bundle, mode=mode, si_method=method,
+            trials=self.TRIALS, seed=5, max_iters=max_iters, tol=0.0,
+        )
+        per_trial = 6 * tuple_space(tiny_bundle.channels).size  # posterior entries
+        monkeypatch.setattr(simulator, "SYM_BLOCK", self.TRIALS * per_trial)
+        whole, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
+        assert whole_err.shape == (self.TRIALS,)
+        for trials_per_block in (1, 7, 64):
+            monkeypatch.setattr(simulator, "SYM_BLOCK", trials_per_block * per_trial)
+            res, xhat, err = sym_run(cfg, monkeypatch)
+            assert np.array_equal(xhat, whole_xhat), trials_per_block
+            assert np.array_equal(err, whole_err), trials_per_block
+            assert (res.d_av, res.stderr) == (whole.d_av, whole.stderr)
+
+    def test_one_trial_blocks_of_a_wider_field(self, tiny_bundle, monkeypatch):
+        # SYM_BLOCK 1 rounds up to one trial per block.  Nine nodes: numpy
+        # sums eight or more contiguous values pairwise, and the node errors
+        # of a one-trial block are contiguous.
+        scen = generate_scenario(9, tiny_bundle.channels, seed=3)
+        cfg = SymConfig(scenario=scen, bundle=tiny_bundle, trials=40, seed=5, tol=0.0)
+        _, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
+        monkeypatch.setattr(simulator, "SYM_BLOCK", 1)
+        _, xhat, err = sym_run(cfg, monkeypatch)
+        assert np.array_equal(xhat, whole_xhat)
+        assert np.array_equal(err, whole_err)
+
+
+class TestSymMemory:
+    """The traced peak grows by at most 4 float64 per trial and node from T to 2T trials."""
+
+    NODES, TRIALS = 40, 2_000
+
+    @pytest.mark.parametrize("mode, method", [("soft", "min_distortion"), ("estimated", "distance")])
+    def test_growth_per_trial_and_node(self, k16_bundle, mode, method):
+        scen = generate_scenario(self.NODES, k16_bundle.channels, seed=1)
+        # Both sizes span more than one block, so the block buffers are full in each.
+        block = simulator.SYM_BLOCK // (self.NODES * tuple_space(k16_bundle.channels).size)
+        assert self.TRIALS > block
+
+        def run(trials):
+            run_sym_experiment(SymConfig(
+                scenario=scen, bundle=k16_bundle, mode=mode, si_method=method,
+                trials=trials, seed=1,
+            ))
+
+        small, large = (traced_peak(lambda: run(n)) for n in (self.TRIALS, 2 * self.TRIALS))
+        assert (large - small) / (self.TRIALS * self.NODES * 8) <= 4
