@@ -19,7 +19,7 @@ from .codec import (
     harden,
     ia_entropy,
 )
-from .decode_sym import CrossSourceTables, CrossTableCache, build_cross_tables
+from .decode_sym import CrossSourceTables, build_cross_tables
 from .gaussian import CorrelationLadder, GaussianSource, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
 from .quantizer import ScalarQuantizer, cell_of, lloyd_design

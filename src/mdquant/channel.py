@@ -5,7 +5,9 @@ either drops the packet entirely (probability ``loss_prob``) or delivers a
 noisy version of the index: bit flips for a binary symmetric channel, or
 BPSK-per-bit plus Gaussian noise for an AWGN channel.  Lost descriptions
 contribute the constant likelihood 1/N so that decoder formulas stay uniform
-across loss patterns.
+across loss patterns.  The likelihood table of a loss pattern is a plain
+(tuples x received words) array; the decoders and the design read every
+pattern's table from one side-by-side stack.
 """
 
 from __future__ import annotations
@@ -159,26 +161,14 @@ def pattern_ids(received: np.ndarray) -> np.ndarray:
     return received.astype(int) @ weights
 
 
-@dataclass(frozen=True)
-class PatternLikelihoods:
-    """Analytic likelihood tables for one loss pattern over BSC channels.
+def pattern_table(channels, Q, space: TupleSpace | None = None) -> np.ndarray:
+    """Analytic likelihood table of one loss pattern Q (BSC channels only).
 
-    ``table`` has shape (L, n_j): P(all received J | I, Q) for every index
-    tuple and every combined received word.  Lost descriptions are summed out
-    (their constant likelihood factors to 1) so the columns enumerate only the
-    received descriptions' joint alphabet, row-major.
+    Shape (L, n_j): P(all received J | I, Q) for every index tuple and every
+    combined received word.  Lost descriptions are summed out (their constant
+    likelihood factors to 1) so the columns enumerate only the received
+    descriptions' joint alphabet, row-major.
     """
-
-    pattern: np.ndarray
-    table: np.ndarray
-
-    @property
-    def n_j(self) -> int:
-        return int(self.table.shape[1])
-
-
-def pattern_table(channels, Q, space: TupleSpace | None = None) -> PatternLikelihoods:
-    """Analytic likelihood table for one loss pattern (BSC channels only)."""
     for ch in channels:
         if ch.kind != "bsc":
             raise ValueError("analytic likelihood tables require discrete channels")
@@ -192,14 +182,7 @@ def pattern_table(channels, Q, space: TupleSpace | None = None) -> PatternLikeli
         lik_m = ch.bsc_likelihood_matrix()[space.component(m), :]  # (L, 2^b)
         table = table[:, :, None] * lik_m[:, None, :]
         table = table.reshape(space.size, -1)
-    return PatternLikelihoods(Q, table)
-
-
-def pattern_likelihood_tables(channels, space: TupleSpace | None = None) -> list:
-    """One :class:`PatternLikelihoods` per loss pattern (BSC channels only)."""
-    if space is None:
-        space = tuple_space(channels)
-    return [pattern_table(channels, Q, space) for Q in loss_patterns(len(channels))]
+    return table
 
 
 def stacked_pattern_table(channels, space: TupleSpace | None = None):
@@ -209,6 +192,8 @@ def stacked_pattern_table(channels, space: TupleSpace | None = None):
     pattern p (in ``loss_patterns`` order) owns columns
     ``offsets[p]:offsets[p + 1]``.
     """
-    tables = pattern_likelihood_tables(channels, space)
-    offsets = np.cumsum([0] + [pt.n_j for pt in tables])
-    return np.hstack([pt.table for pt in tables]), offsets
+    if space is None:
+        space = tuple_space(channels)
+    tables = [pattern_table(channels, Q, space) for Q in loss_patterns(len(channels))]
+    offsets = np.cumsum([0] + [t.shape[1] for t in tables])
+    return np.hstack(tables), offsets

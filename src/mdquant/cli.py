@@ -34,6 +34,16 @@ from .simulator import (
     to_db,
 )
 
+# Largest quantizer or SI quantizer size the commands accept: four times the
+# paper's largest quantizer (K = 256).  The tables of a much larger size are
+# allocated and filled until memory runs out, so no MemoryError would report it.
+MAX_QUANTIZER_LEVELS = 1024
+
+
+def _check_levels(flag: str, n: int) -> None:
+    if n > MAX_QUANTIZER_LEVELS:
+        raise ValueError(f"{flag} {n} exceeds the largest quantizer size {MAX_QUANTIZER_LEVELS}")
+
 
 def _parse_desc(text: str) -> list[int]:
     try:
@@ -118,7 +128,13 @@ def _emit(lines, output):
 
 
 def cmd_bound(args) -> int:
-    points = []
+    if args.sweep is not None:
+        point_flags = [
+            f"--{name}" for name in ("rho", "r1", "r2", "mu1", "mu2")
+            if getattr(args, name) is not None
+        ]
+        if point_flags:
+            raise ValueError(f"--sweep cannot be combined with {', '.join(point_flags)}")
     if args.sweep == "loss":
         points = [(0.8, r["r1"], r["r2"], r["mu"], r["mu"]) for r in refs.BOUND_VS_LOSS]
     elif args.sweep == "correlation":
@@ -158,11 +174,12 @@ def cmd_evaluate(args) -> int:
     # y = rho x + sqrt(1 - rho^2) z needs |rho_real| < 1 whatever rho_dec is.
     if not -1.0 < args.rho_real < 1.0:
         raise ValueError("--rho-real must be finite and lie in (-1, 1)")
+    sizes = _parse_nsi_sweep(args.nsi_sweep) if args.nsi_sweep else None
     bundle = load_codec(args.codec)
     if args.nsi_sweep and (args.bsc_sweep or args.awgn is not None):
         raise ValueError("--nsi-sweep cannot be combined with channel sweeps")
     if args.nsi_sweep:
-        return _evaluate_nsi_sweep(args, bundle)
+        return _evaluate_nsi_sweep(args, bundle, sizes)
     if args.bsc_sweep and args.awgn is not None:
         raise ValueError("--awgn cannot be combined with --bsc-sweep")
     # Every row decodes the same draws: one simulator call for the whole sweep.
@@ -211,11 +228,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _evaluate_nsi_sweep(args, bundle) -> int:
-    """Average distortion versus SI quantizer size (tables rebuilt per size)."""
-    sizes = [int(v) for v in args.nsi_sweep.split(",") if v]
+def _parse_nsi_sweep(text: str) -> list[int]:
+    sizes = [int(v) for v in text.split(",") if v]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("bad SI quantizer size list")
+    for n in sizes:
+        _check_levels("--nsi-sweep size", n)
+    return sizes
+
+
+def _evaluate_nsi_sweep(args, bundle, sizes) -> int:
+    """Average distortion versus SI quantizer size (tables rebuilt per size)."""
     lines = ["p,d_side_db,d_central_db,d_av_db,stderr"]
     for n in sizes:
         rebuilt = bundle.with_si_quantizer(lloyd_design(GaussianSource(), n))
@@ -439,6 +462,8 @@ def main(argv=None) -> int:
         # random streams are derived, which may be inside forked workers.
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be non-negative")
+        for name in ("K", "nsi"):  # quantizer sizes, checked before anything is allocated
+            _check_levels(f"--{name}", getattr(args, name, 1))
         for output in (args.output, getattr(args, "save_scenario", None)):
             if output:
                 _check_output_path(output)

@@ -48,7 +48,6 @@ from .channel import (
 from .gaussian import (
     CorrelationLadder,
     JointGaussianPair,
-    gauss_interval_moments,
     gauss_interval_moments_batch,
     quantize_rho,
 )
@@ -125,10 +124,6 @@ class IndexAssignment:
     def n_cells(self) -> int:
         return int(self.table.shape[0])
 
-    @property
-    def n_tuples(self) -> int:
-        return int(self.table.shape[1])
-
     def hard_map(self) -> np.ndarray:
         """Cell -> tuple id map (argmax per row)."""
         return np.argmax(self.table, axis=1)
@@ -196,15 +191,15 @@ def _si_panels(q_si: ScalarQuantizer, sd_y: float):
 
 def si_moment_matrices(
     quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer | None,
+    si_quantizer: ScalarQuantizer,
     pair: JointGaussianPair,
 ):
     """S0, S1, S2 moment matrices of shape (K, N_si): a batch of one correlation.
 
     The y-integral uses panelled Gauss-Legendre per SI cell; the inner
     x-moments over quantizer cells are exact Gaussian interval moments of the
-    conditional law X | Y=y.  With ``si_quantizer`` None (or a single level)
-    one unconditional column is returned.
+    conditional law X | Y=y.  A one-level SI quantizer (no side information)
+    gives one unconditional column.
     """
     s0, s1, s2 = si_moment_stack(quantizer, si_quantizer, [pair.rho], pair.sd_x, pair.sd_y)
     return s0[0], s1[0], s2[0]
@@ -212,7 +207,7 @@ def si_moment_matrices(
 
 def si_moment_stack(
     quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer | None,
+    si_quantizer: ScalarQuantizer,
     rhos,
     sd_x: float = 1.0,
     sd_y: float = 1.0,
@@ -228,13 +223,13 @@ def si_moment_stack(
     edges = quantizer.edges()
     K = quantizer.size
     rhos = np.clip(np.asarray(rhos, dtype=float).reshape(-1), -RHO_CAP, RHO_CAP)
-    n_levels = 1 if si_quantizer is None else si_quantizer.size
+    n_levels = si_quantizer.size
     out = np.zeros((3, rhos.size, K, n_levels))
     coupled = np.flatnonzero(rhos != 0.0) if n_levels > 1 else np.array([], dtype=int)
     marginal = np.setdiff1d(np.arange(rhos.size), coupled)
     if marginal.size:
-        w = si_quantizer.cell_probs[None, :] if n_levels > 1 else 1.0
-        for i, m in enumerate(gauss_interval_moments(edges, 0.0, sd_x)):
+        w = si_quantizer.cell_probs[None, :]
+        for i, m in enumerate(gauss_interval_moments_batch(edges, 0.0, sd_x)):
             out[i, marginal] = m[:, None] * w
     if not coupled.size:
         return out[0], out[1], out[2]
@@ -317,33 +312,21 @@ class DecoderTables:
         if abs(self.prior_nosi.sum() - 1.0) > 1e-9:
             raise ValueError("no-SI prior must be normalized")
 
-    @property
-    def n_rho(self) -> int:
-        return int(self.prior.shape[0])
-
-    @property
-    def n_si(self) -> int:
-        return int(self.prior.shape[1])
-
-    @property
-    def n_tuples(self) -> int:
-        return int(self.prior.shape[2])
-
 
 def _nosi_tables(quantizer, table, sd_x):
-    p, m1, _ = gauss_interval_moments(quantizer.edges(), 0.0, sd_x)
+    p, m1, _ = gauss_interval_moments_batch(quantizer.edges(), 0.0, sd_x)
     prior = table.T @ p
     first = table.T @ m1
     return np.where(prior > PROB_FLOOR, prior, 0.0), masked_ratio(first, prior, PROB_FLOOR)
 
 
 def _tables_for_pair(quantizer, si_quantizer, table, pair):
-    n_si = 1 if si_quantizer is None else si_quantizer.size
     if pair.rho == 0.0:
         # Independent SI: every level must reproduce the no-SI tables
         # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
         prior, codebook = _nosi_tables(quantizer, table, pair.sd_x)
-        return np.tile(prior, (n_si, 1)), np.tile(codebook, (n_si, 1))
+        reps = (si_quantizer.size, 1)
+        return np.tile(prior, reps), np.tile(codebook, reps)
     s0, s1, _ = si_moment_matrices(quantizer, si_quantizer, pair)
     joint = table.T @ s0  # (L, S): P(I, SI level)
     first = table.T @ s1
@@ -355,7 +338,7 @@ def _tables_for_pair(quantizer, si_quantizer, table, pair):
 
 def build_decoder_tables(
     quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer | None,
+    si_quantizer: ScalarQuantizer,
     ia: IndexAssignment,
     pairs,
 ) -> DecoderTables:
@@ -365,13 +348,10 @@ def build_decoder_tables(
         prior, codebook = _tables_for_pair(quantizer, si_quantizer, ia.table, pair)
         priors.append(prior)
         codebooks.append(codebook)
-    si_probs = (
-        np.array([1.0]) if si_quantizer is None else si_quantizer.cell_probs.copy()
-    )
     prior_nosi, codebook_nosi = _nosi_tables(quantizer, ia.table, pairs[0].sd_x)
     return DecoderTables(
         rho_values=np.array([pr.rho for pr in pairs]),
-        si_probs=np.asarray(si_probs),
+        si_probs=si_quantizer.cell_probs.copy(),
         prior=np.stack(priors),
         codebook=np.stack(codebooks),
         prior_nosi=prior_nosi,
@@ -395,8 +375,8 @@ class DistortionBreakdown:
     def d_av(self) -> float:
         return self.d_se + self.d_ch
 
-    def d_av_db(self, reference_var: float = 1.0) -> float:
-        return 10.0 * np.log10(self.d_av / reference_var)
+    def d_av_db(self) -> float:
+        return 10.0 * np.log10(self.d_av)
 
 
 class DecoderState(NamedTuple):
@@ -480,7 +460,7 @@ class DesignContext:
 
 def evaluate_distortion(
     quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer | None,
+    si_quantizer: ScalarQuantizer,
     ia: IndexAssignment,
     pair: JointGaussianPair,
     channels,
@@ -500,7 +480,7 @@ class CodecBundle:
     """A designed codec: quantizers, hard assignment, channels, stored tables."""
 
     quantizer: ScalarQuantizer
-    si_quantizer: ScalarQuantizer | None
+    si_quantizer: ScalarQuantizer
     ia: IndexAssignment
     channels: tuple
     design_rho: float
@@ -517,7 +497,7 @@ class CodecBundle:
         """The assignment and the stored tables must fit the quantizers, channels and ladder."""
         K = self.quantizer.size
         L = int(np.prod([ch.index_count for ch in self.channels]))
-        S = 1 if self.si_quantizer is None else self.si_quantizer.size
+        S = self.si_quantizer.size
         n_rho = self.ladder.count
         t = self.tables
         if self.ia.table.shape != (K, L):
@@ -743,7 +723,7 @@ def _run_restarts(ctx: DesignContext, restarts: int, seed: int, workers: int):
 
 def design_annealed(
     quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer | None,
+    si_quantizer: ScalarQuantizer,
     pair: JointGaussianPair,
     channels,
     restarts: int = 3,

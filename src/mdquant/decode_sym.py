@@ -6,9 +6,10 @@ two sources' quantizer cells and index tuples at their correlation.  They
 are read off the same moment matrices S0/S1 as the stored decoder tables
 (:func:`mdquant.codec.si_moment_matrices`, with the neighbor's quantizer in
 the role of the SI quantizer).  :func:`cross_table_stack` builds them for
-many correlations from one batched quadrature, which is how the SI selection
-gets the tables of every pair of a field; :class:`CrossTableCache` serves
-the soft-SI decoder (``simulator._SymDecoder``) one table per ladder level.
+many correlations from one batched quadrature.  That is how the SI
+selection gets the tables of every pair of a field, and how the soft-SI
+decoder (``simulator._SymDecoder``) gets one table per ladder level, all
+built when the decoder is created.
 """
 
 from __future__ import annotations
@@ -103,22 +104,3 @@ def cross_table_stack(bundle_u: CodecBundle, bundle_s: CodecBundle, rhos) -> Cro
     rhos = np.asarray(rhos, dtype=float)
     s0, s1, _ = si_moment_stack(bundle_u.quantizer, bundle_s.quantizer, rhos)
     return _cross_tables(bundle_u, bundle_s, s0, s1, rhos)
-
-
-class CrossTableCache:
-    """Lazy cache of cross tables for one shared codec, one per ladder level.
-
-    The ladder value is rounded to 12 decimals before the tables are built.
-    """
-
-    def __init__(self, bundle: CodecBundle):
-        self.bundle = bundle
-        self._by_level: dict[int, CrossSourceTables] = {}
-
-    def get(self, level: int) -> CrossSourceTables:
-        if level not in self._by_level:
-            rho = round(float(self.bundle.ladder.levels[level]), 12)
-            self._by_level[level] = build_cross_tables(
-                self.bundle, self.bundle, JointGaussianPair(1.0, 1.0, rho)
-            )
-        return self._by_level[level]

@@ -2,8 +2,8 @@
 
 Everything downstream (quantizers, decoder tables, distortion integrals)
 conditions on a jointly Gaussian (source, side information) pair, so the
-closed-form interval-moment helpers here are the numerical foundation of the
-whole package.
+closed-form interval-moment formula here (one function, for one mean or a
+batch of them) is the numerical foundation of the whole package.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ class GaussianSource:
     def pdf(self, x):
         return _phi((np.asarray(x, dtype=float) - self.mean) / self.std) / self.std
 
-    def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
-
     def ppf(self, q):
         return self.mean + self.std * ndtri(np.asarray(q, dtype=float))
 
@@ -74,46 +71,19 @@ class JointGaussianPair:
     def sd_y(self) -> float:
         return float(np.sqrt(self.var_y))
 
-    def x_marginal(self) -> GaussianSource:
-        return GaussianSource(0.0, self.var_x)
 
-    def x_given_y(self, y: float) -> GaussianSource:
-        mean = self.rho * (self.sd_x / self.sd_y) * y
-        var = self.var_x * (1.0 - self.rho ** 2)
-        if var <= 0:  # |rho| == 1 degenerates; keep a tiny floor
-            var = 1e-300
-        return GaussianSource(float(mean), var)
-
-
-def gauss_interval_moments(edges, mean: float = 0.0, sd: float = 1.0):
+def gauss_interval_moments_batch(edges, means, sd):
     """Zeroth/first/second moments of N(mean, sd^2) over consecutive intervals.
 
     ``edges`` has length K+1 (may include +-inf) and partitions the line into
-    K cells.  Returns (p, m1, m2), each length K, where
-    p[k] = P(cell k), m1[k] = E[X 1{cell k}], m2[k] = E[X^2 1{cell k}].
-    Closed form via the standard normal cdf/pdf, exact to machine precision.
-    """
-    edges = np.asarray(edges, dtype=float)
-    z = (edges - mean) / sd
-    cdf = ndtr(z)
-    pdf = _phi(z)
-    zpdf = np.where(np.isfinite(z), z, 0.0) * pdf  # pdf is exactly 0 at +-inf
-    dp = np.diff(cdf)
-    dpdf = np.diff(pdf)
-    dzpdf = np.diff(zpdf)
-    m1 = mean * dp - sd * dpdf
-    m2 = (mean ** 2 + sd ** 2) * dp - sd * (2.0 * mean * dpdf + sd * dzpdf)
-    return dp, m1, m2
-
-
-def gauss_interval_moments_batch(edges, means, sd):
-    """Vectorized ``gauss_interval_moments`` for many conditional means.
-
-    ``sd`` is one standard deviation, or an array that broadcasts against
-    ``means``; returns arrays of shape ``means.shape + (K,)``.  Every entry
-    equals the scalar call with its own mean and sd bit for bit: the variance
-    is taken as a float64 scalar power (libm ``pow``), which can differ in
-    the last bit from an array square.
+    K cells.  Returns (p, m1, m2), each of shape ``means.shape + (K,)``, where
+    p[k] = P(cell k), m1[k] = E[X 1{cell k}], m2[k] = E[X^2 1{cell k}]; a
+    scalar mean gives one row of length K.  ``sd`` is one standard deviation,
+    or an array that broadcasts against ``means``.  Closed form via the
+    standard normal cdf/pdf, exact to machine precision.  Every entry is the
+    same whatever else is in the batch: the variance is taken as a float64
+    scalar power (libm ``pow``), which can differ in the last bit from an
+    array square.
     """
     edges = np.asarray(edges, dtype=float)
     means = np.asarray(means, dtype=float)[..., None]

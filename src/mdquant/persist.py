@@ -24,9 +24,7 @@ class CodecFormatError(Exception):
     """Raised when a codec file's format version is incompatible."""
 
 
-def _quantizer_dict(q: ScalarQuantizer | None):
-    if q is None:
-        return None
+def _quantizer_dict(q: ScalarQuantizer):
     return {
         "codewords": q.codewords.tolist(),
         "thresholds": q.thresholds.tolist(),
@@ -34,9 +32,7 @@ def _quantizer_dict(q: ScalarQuantizer | None):
     }
 
 
-def _quantizer_from(d) -> ScalarQuantizer | None:
-    if d is None:
-        return None
+def _quantizer_from(d) -> ScalarQuantizer:
     return ScalarQuantizer(
         np.array(d["codewords"]), np.array(d["thresholds"]), np.array(d["cell_probs"])
     )

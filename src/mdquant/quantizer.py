@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianSource, gauss_interval_moments
+from .gaussian import GaussianSource, gauss_interval_moments_batch
 
 LLOYD_MAX_ITERATIONS = 500
 LLOYD_REL_TOL = 1e-9
@@ -62,7 +62,7 @@ def cell_of(q: ScalarQuantizer, x: float) -> int:
 
 def quantizer_mse(q: ScalarQuantizer, source: GaussianSource) -> float:
     """Exact mean squared quantization error of q against the source density."""
-    p, m1, m2 = gauss_interval_moments(q.edges(), source.mean, source.std)
+    p, m1, m2 = gauss_interval_moments_batch(q.edges(), source.mean, source.std)
     return float(np.sum(m2 - 2.0 * q.codewords * m1 + q.codewords ** 2 * p))
 
 
@@ -85,7 +85,7 @@ def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
     for _ in range(LLOYD_MAX_ITERATIONS):
         thresholds = 0.5 * (codewords[:-1] + codewords[1:])
         edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
-        p, m1, _ = gauss_interval_moments(edges, source.mean, source.std)
+        p, m1, _ = gauss_interval_moments_batch(edges, source.mean, source.std)
         # Empty cells cannot occur for a Gaussian with distinct codewords,
         # but guard the division anyway.
         codewords = np.where(p > 0, m1 / np.maximum(p, 1e-300), codewords)

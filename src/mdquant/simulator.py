@@ -54,7 +54,7 @@ from .channel import (
     tuple_space,
 )
 from .codec import CodecBundle, masked_ratio, pattern_lookups, si_moment_matrices
-from .decode_sym import CrossTableCache, cross_table_stack
+from .decode_sym import cross_table_stack
 from .gaussian import JointGaussianPair, quantize_rho
 from .si_select import score_tables, select_min_distance
 from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindings)
@@ -142,10 +142,6 @@ class ExperimentResult:
     @property
     def d_central_db(self) -> float | None:
         return None if self.d_central is None else to_db(self.d_central)
-
-    @property
-    def d_side_db(self) -> tuple | None:
-        return None if self.d_side is None else tuple(to_db(v) for v in self.d_side)
 
 
 def conditional_entropy_rates(bundle: CodecBundle, pair: JointGaussianPair) -> tuple:
@@ -586,36 +582,35 @@ class _SymDecoder:
     Iteration 1 decodes every node without SI; each later sweep reads the
     state the previous one left.  :meth:`decode` runs the sweeps of one
     block, and the other methods are its steps for one node across the
-    block's trials.  One decoder serves every block of a run, so its lookups
-    and mixing matrices are built once.
+    block's trials.  One decoder serves every block of a run.  It builds the
+    tables its mode reads, for every ladder level, when it is created:
+    estimated-SI reads the asymmetric lookup of each level, and soft-SI the
+    mixing matrices of one cross-table stack at the ladder's correlations.
     """
 
-    def __init__(self, cfg: SymConfig, cache):
+    def __init__(self, cfg: SymConfig):
         self.cfg = cfg
-        self.bundle = cfg.bundle
-        self.channels = tuple(cfg.bundle.channels)
+        self.bundle = bundle = cfg.bundle
+        self.channels = tuple(bundle.channels)
         self.space = tuple_space(self.channels)
-        self.cache = cache
         stacked, self.offsets = stacked_pattern_table(self.channels, self.space)
         self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
-        t = self.bundle.tables
-        self.nosi_prior = t.prior_nosi
-        self.nosi_codebook = t.codebook_nosi
-        self.lookups = {}
-        self.mixes = {}
-
-    def lookup(self, level):
-        if level not in self.lookups:
-            self.lookups[level] = _AsymLookup(self.bundle, self.channels, level)
-        return self.lookups[level]
-
-    def mix(self, level, final):
-        """Neighbor tuple posterior -> own prior, or [prior | first moment] when ``final``."""
-        if (level, final) not in self.mixes:
-            cross = self.cache.get(level)
-            mat = np.vstack([cross.mix_prob, cross.mix_first]) if final else cross.mix_prob
-            self.mixes[level, final] = mat.T
-        return self.mixes[level, final]
+        self.nosi_prior = bundle.tables.prior_nosi
+        self.nosi_codebook = bundle.tables.codebook_nosi
+        levels = bundle.ladder.levels
+        if cfg.mode == "estimated":
+            # lookups[level][row, SI level]: the asymmetric decoder's reconstructions.
+            self.lookups = [
+                _AsymLookup(bundle, self.channels, level).table for level in range(levels.size)
+            ]
+        else:
+            cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
+            # Per level, neighbor tuple posterior -> own prior (L, L), and ->
+            # [prior | first moment] (L, 2L) for the final reconstruction.
+            self.prior_mix = cross.mix_prob.transpose(0, 2, 1)
+            self.final_mix = np.concatenate(
+                [cross.mix_prob, cross.mix_first], axis=1
+            ).transpose(0, 2, 1)
 
     def word_rows(self, words_u, pids_u):
         """Row of each trial's received word in the stacked pattern table."""
@@ -639,7 +634,7 @@ class _SymDecoder:
         thresholds = self.bundle.si_quantizer.thresholds
         for level, idx, nbr in groups_u:
             y_levels = np.searchsorted(thresholds, est_prev[nbr, idx], side="left")
-            out[idx] = self.lookup(level).table[rows_u[idx], y_levels]
+            out[idx] = self.lookups[level][rows_u[idx], y_levels]
         return out
 
     def soft_prior(self, posts_prev, groups_u, final=False):
@@ -648,10 +643,10 @@ class _SymDecoder:
         With ``final`` the rows are [prior | first moment], (trials, 2L), from
         one product per group.
         """
-        L = self.space.size
-        out = np.empty((posts_prev.shape[1], 2 * L if final else L))
+        mixes = self.final_mix if final else self.prior_mix
+        out = np.empty((posts_prev.shape[1], mixes.shape[2]))
         for level, idx, nbr in groups_u:
-            out[idx] = _row_product(posts_prev[nbr, idx], self.mix(level, final))
+            out[idx] = _row_product(posts_prev[nbr, idx], mixes[level])
         return out
 
     def decode(self, words, pids, groups):
@@ -767,7 +762,7 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     n_desc = len(bundle.channels)
     streams = [_channel_streams(n_desc, (4, u), cfg.seed) for u in range(n_nodes)]
     scores = _selection_scores(cfg)
-    dec = _SymDecoder(cfg, CrossTableCache(bundle))
+    dec = _SymDecoder(cfg)
     per_trial = np.empty(cfg.trials)
     block = max(1, SYM_BLOCK // (n_nodes * dec.space.size))
     for lo in range(0, cfg.trials, block):

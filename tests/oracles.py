@@ -1,6 +1,7 @@
 """Reference implementations that only the tests use.
 
-Grids and grid densities, SI-conditional cell probabilities, per-description
+Grids and grid densities (the marginal and conditional laws of a source
+given its SI included), SI-conditional cell probabilities, per-description
 likelihoods and per-symbol transmission, the per-symbol decoders (asymmetric
 MMSE, estimated-SI and soft-SI joint, partial-SI), the single-pass
 distortion, the per-loss-pattern design quantities, the SI selection scores
@@ -27,7 +28,6 @@ from mdquant.channel import (
     hamming_table,
     loss_pattern_prob,
     loss_patterns,
-    pattern_likelihood_tables,
     pattern_table,
     tuple_space,
 )
@@ -39,8 +39,8 @@ from mdquant.codec import (
     _anneal_once,
     masked_ratio,
 )
-from mdquant.decode_sym import CrossSourceTables, CrossTableCache
-from mdquant.gaussian import JointGaussianPair, gauss_interval_moments, gauss_interval_moments_batch
+from mdquant.decode_sym import CrossSourceTables, build_cross_tables
+from mdquant.gaussian import GaussianSource, JointGaussianPair, gauss_interval_moments_batch
 from mdquant.quantizer import ScalarQuantizer, cell_of
 from mdquant.simulator import _AsymLookup
 
@@ -108,13 +108,27 @@ def integrate(grid: SampleGrid, values) -> float:
     return float(np.dot(grid.weights, values))
 
 
+def x_marginal(pair: JointGaussianPair) -> GaussianSource:
+    """Marginal law of X."""
+    return GaussianSource(0.0, pair.var_x)
+
+
+def x_given_y(pair: JointGaussianPair, y: float) -> GaussianSource:
+    """Law of X given Y=y: mean rho*y*sd_x/sd_y, variance var_x*(1-rho^2)."""
+    mean = pair.rho * (pair.sd_x / pair.sd_y) * y
+    var = pair.var_x * (1.0 - pair.rho ** 2)
+    if var <= 0:  # |rho| == 1 degenerates; keep a tiny floor
+        var = 1e-300
+    return GaussianSource(float(mean), var)
+
+
 def conditional_density(pair: JointGaussianPair, y: float, grid: SampleGrid) -> np.ndarray:
     """Density of X given Y=y evaluated at the grid points."""
     if not np.isfinite(y):
         raise ValueError("invalid SI value")
     if pair.rho == 0.0:
-        return pair.x_marginal().pdf(grid.points)
-    return pair.x_given_y(float(y)).pdf(grid.points)
+        return x_marginal(pair).pdf(grid.points)
+    return x_given_y(pair, float(y)).pdf(grid.points)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +144,8 @@ def cell_probs_given_si(
         raise ValueError("invalid SI value")
     if pair.rho == 0.0:
         return q.cell_probs.copy()
-    cond = pair.x_given_y(y)
-    p, _, _ = gauss_interval_moments(q.edges(), cond.mean, cond.std)
+    cond = x_given_y(pair, y)
+    p, _, _ = gauss_interval_moments_batch(q.edges(), cond.mean, cond.std)
     return p
 
 
@@ -164,7 +178,7 @@ def si_conditional_density(
     p_cell = float(q_si.cell_probs[si_level])
     if p_cell < 1e-300:
         raise ValueError("degenerate SI cell")
-    fx = pair.x_marginal().pdf(grid.points)
+    fx = x_marginal(pair).pdf(grid.points)
     if pair.rho == 0.0 or q_si.size == 1:
         return fx
     mass = si_cell_mass_given_x(q_si, pair, grid.points)[:, si_level]
@@ -425,15 +439,28 @@ def estimated_si_iterate(
     )
 
 
-def _soft_iterate(state: SymmetricState, bundle, level_matrix, cache) -> SymmetricState:
+def _soft_iterate(state: SymmetricState, bundle, level_matrix, cross_tables) -> SymmetricState:
     new_posts = []
     for u in range(len(state.outcomes)):
         s = int(state.si_map[u])
-        cross = cache.get(int(level_matrix[u, s]))
+        cross = cross_tables[int(level_matrix[u, s])]
         new_posts.append(
             soft_si_posterior(state.outcomes[u], state.posteriors[s], cross, bundle.channels)
         )
     return replace(state, posteriors=tuple(new_posts), iteration=state.iteration + 1)
+
+
+def ladder_cross_tables(bundle: CodecBundle, levels) -> dict:
+    """``build_cross_tables`` of the codec with itself, one per ladder level.
+
+    Each level's correlation is rounded to 12 decimals, as the joint decoder
+    rounds it.
+    """
+    tables = {}
+    for level in levels:
+        rho = round(float(bundle.ladder.levels[level]), 12)
+        tables[int(level)] = build_cross_tables(bundle, bundle, JointGaussianPair(1.0, 1.0, rho))
+    return tables
 
 
 def run_decoder(
@@ -444,13 +471,15 @@ def run_decoder(
     mode: str = "soft",
     max_iters: int = 10,
     tol: float = 1e-6,
-    cross_cache: CrossTableCache | None = None,
+    cross_tables: dict | None = None,
 ) -> tuple[np.ndarray, int]:
     """Iterate the joint decoder and return final estimates per source.
 
     ``mode`` is "estimated" or "soft".  Convergence is judged on the maximum
     change of the estimates (estimated-SI) or of the posteriors (soft-SI,
-    whose reconstructions are only computed after the final sweep).
+    whose reconstructions are only computed after the final sweep).  The
+    soft-SI decoder reads ``cross_tables[level]``; without them it builds
+    :func:`ladder_cross_tables` for the levels of ``level_matrix``.
     """
     if mode not in ("estimated", "soft"):
         raise ValueError("mode must be 'estimated' or 'soft'")
@@ -469,10 +498,11 @@ def run_decoder(
                 break
         return state.estimates, state.iteration
 
-    cache = cross_cache or CrossTableCache(bundle)
+    if cross_tables is None:
+        cross_tables = ladder_cross_tables(bundle, np.unique(level_matrix))
     neighbor_src = state
     for _ in range(max_iters - 1):
-        nxt = _soft_iterate(state, bundle, level_matrix, cache)
+        nxt = _soft_iterate(state, bundle, level_matrix, cross_tables)
         delta = max(
             float(np.max(np.abs(a.probs - b.probs)))
             for a, b in zip(nxt.posteriors, state.posteriors)
@@ -487,7 +517,7 @@ def run_decoder(
     ests = np.empty(len(outcomes))
     for u in range(len(outcomes)):
         s = int(state.si_map[u])
-        cross = cache.get(int(level_matrix[u, s]))
+        cross = cross_tables[int(level_matrix[u, s])]
         ests[u] = soft_si_reconstruct(state.posteriors[u], neighbor_src.posteriors[s], cross)
     return ests, state.iteration
 
@@ -602,7 +632,7 @@ def serial_restarts(ctx: DesignContext, restarts: int, seed: int):
 
 def da_weights(
     quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer | None,
+    si_quantizer: ScalarQuantizer,
     ia: IndexAssignment,
     pair: JointGaussianPair,
     channels,
@@ -614,10 +644,7 @@ def da_weights(
 
 def per_pattern_lookups(pattern_tables, joint, first) -> list:
     """Posterior-mean lookup per loss pattern, ``xhat[p][j, y]``, one product each."""
-    return [
-        masked_ratio(pt.table.T @ first, pt.table.T @ joint, PROB_FLOOR)
-        for pt in pattern_tables
-    ]
+    return [masked_ratio(t.T @ first, t.T @ joint, PROB_FLOOR) for t in pattern_tables]
 
 
 def per_pattern_design(ctx: DesignContext, table: np.ndarray):
@@ -628,7 +655,8 @@ def per_pattern_design(ctx: DesignContext, table: np.ndarray):
     channel distortion and the annealing weights accumulate pattern by
     pattern.
     """
-    pattern_tables = pattern_likelihood_tables(ctx.channels, ctx.space)
+    patterns = loss_patterns(len(ctx.channels))
+    pattern_tables = [pattern_table(ctx.channels, q, ctx.space) for q in patterns]
     joint = table.T @ ctx.s0
     first = table.T @ ctx.s1
     second = table.T @ ctx.s2
@@ -638,14 +666,14 @@ def per_pattern_design(ctx: DesignContext, table: np.ndarray):
     d_ch = 0.0
     a1 = np.zeros((ctx.space.size, ctx.quantizer.size))
     a0 = np.zeros_like(a1)
-    for pt, xhat in zip(pattern_tables, xhats):
-        pq = loss_pattern_prob(pt.pattern, ctx.channels)
-        e2 = pt.table.T @ masked_ratio(first**2, joint, PROB_FLOOR)
-        num = pt.table.T @ first
-        den = pt.table.T @ joint
+    for q, pt, xhat in zip(patterns, pattern_tables, xhats):
+        pq = loss_pattern_prob(q, ctx.channels)
+        e2 = pt.T @ masked_ratio(first**2, joint, PROB_FLOOR)
+        num = pt.T @ first
+        den = pt.T @ joint
         d_ch += pq * float(np.sum(e2 - 2.0 * num * xhat + den * xhat**2))
-        a1 += pq * (pt.table @ (xhat @ ctx.s1.T))
-        a0 += pq * (pt.table @ ((xhat**2) @ ctx.s0.T))
+        a1 += pq * (pt @ (xhat @ ctx.s1.T))
+        a0 += pq * (pt @ ((xhat**2) @ ctx.s0.T))
     weights = (ctx.s2.sum(axis=1)[None, :] - 2.0 * a1 + a0).T
     return d_se, max(d_ch, 0.0), weights, xhats
 
@@ -663,8 +691,8 @@ def _entropy_of_positive(p) -> float:
 
 def per_pair_mi(bundle_u, bundle_t, cross, q_u, q_t) -> float:
     """Mutual information (bits) of the received words for one pair of loss patterns."""
-    t_u = pattern_table(bundle_u.channels, q_u).table
-    t_t = pattern_table(bundle_t.channels, q_t).table
+    t_u = pattern_table(bundle_u.channels, q_u)
+    t_t = pattern_table(bundle_t.channels, q_t)
     g_u = bundle_u.ia.table @ t_u  # P(J_u | own cell)
     g_t = bundle_t.ia.table @ t_t
     p_cells_t = bundle_t.quantizer.cell_probs
@@ -678,8 +706,8 @@ def per_pair_mi(bundle_u, bundle_t, cross, q_u, q_t) -> float:
 
 def per_pair_partial_si_distortion(bundle, cross, q_u, q_t, var_x: float = 1.0) -> float:
     """E[(X - Xhat)^2] of the partial-SI decoder for one pair of loss patterns."""
-    t_u = pattern_table(bundle.channels, q_u).table  # (L, nJu)
-    t_t = pattern_table(bundle.channels, q_t).table
+    t_u = pattern_table(bundle.channels, q_u)  # (L, nJu)
+    t_t = pattern_table(bundle.channels, q_t)
     a = bundle.ia.table
     p_cells = bundle.quantizer.cell_probs
     g_u, g_t = a @ t_u, a @ t_t

@@ -6,7 +6,7 @@ from mdquant.channel import (
     NOISE_PSD_MIN,
     loss_pattern_prob,
     loss_patterns,
-    pattern_likelihood_tables,
+    pattern_table,
     tuple_space,
 )
 
@@ -161,8 +161,8 @@ class TestPatternTables:
             DescriptionChannel.bsc(0.1, 0.05, 4),
             DescriptionChannel.bsc(0.25, 0.3, 8),
         )
-        for pt in pattern_likelihood_tables(channels):
-            assert np.allclose(pt.table.sum(axis=1), 1.0, atol=1e-12)
+        for q in loss_patterns(len(channels)):
+            assert np.allclose(pattern_table(channels, q).sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_scalar_likelihood(self):
         channels = (
@@ -170,13 +170,12 @@ class TestPatternTables:
             DescriptionChannel.bsc(0.2, 0.3, 2),
         )
         space = tuple_space(channels)
-        tables = pattern_likelihood_tables(channels, space)
         q = (True, True)
-        pt = tables[3]
+        pt = pattern_table(channels, q, space)
         for tid in range(space.size):
             for j1 in range(2):
                 for j2 in range(2):
                     expect = joint_likelihood(
                         (j1, j2), tuple(space.tuples[tid]), q, channels
                     )
-                    assert abs(pt.table[tid, 2 * j1 + j2] - expect) < 1e-15
+                    assert abs(pt[tid, 2 * j1 + j2] - expect) < 1e-15

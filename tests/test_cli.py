@@ -13,7 +13,7 @@ import pytest
 
 from mdquant import GaussianSource, lloyd_design
 from mdquant import reference_values as refs
-from mdquant.cli import main
+from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, main
 from mdquant.persist import load_codec, save_codec
 from mdquant.simulator import run_sym_experiment
 
@@ -127,6 +127,22 @@ class TestBound:
 
     def test_missing_args_exit_2(self):
         assert run_cli("bound", "--rho", "0.8") == 2
+
+    @pytest.mark.parametrize("point", [
+        ["--rho", "0.3"], ["--r1", "2"], ["--r2", "2"], ["--mu1", "0.1"], ["--mu2", "0.1"],
+    ], ids=lambda p: p[0])
+    def test_sweep_with_a_point_argument_exits_2(self, tmp_path, capsys, point):
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert run_cli("bound", "--sweep", "loss", *point, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: --sweep cannot be combined with {point[0]}\n"
+        assert not out.exists()
+
+    def test_sweep_names_every_point_argument(self, capsys):
+        capsys.readouterr()
+        argv = ["--rho", "0.3", "--mu1", "0.1"]
+        assert run_cli("bound", "--sweep", "correlation", *argv) == 2
+        assert capsys.readouterr().err == "error: --sweep cannot be combined with --rho, --mu1\n"
 
     def test_unit_correlation_exits_2(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"
@@ -600,6 +616,35 @@ class TestOutOfMemory:
         assert rc == 2
         assert capsys.readouterr().err == "error: out of memory (allocation failed)\n"
         assert not out.exists()
+
+
+class TestQuantizerSizeCap:
+    """A quantizer size above the cap exits 2 with one line; nothing is allocated here."""
+
+    @pytest.mark.parametrize("argv, flag, size", [
+        (["design", "--K", "100000000", "--desc", "4,4", "--rho-enc", "0.5"], "--K", 100000000),
+        (["design", "--K", "16", "--desc", "4,4", "--rho-enc", "0.5", "--nsi", "1025"],
+         "--nsi", 1025),
+        (["scenario", "--nodes", "3", "--K", "1025", "--trials", "100"], "--K", 1025),
+        (["scenario", "--nodes", "3", "--codec", "codec.json", "--nsi", "100000000",
+          "--trials", "100"], "--nsi", 100000000),
+        (["evaluate", "--codec", "codec.json", "--rho-real", "0.5",
+          "--nsi-sweep", "2,100000000", "--trials", "100"], "--nsi-sweep size", 100000000),
+    ], ids=["design K", "design nsi", "scenario K", "scenario nsi", "evaluate nsi-sweep"])
+    def test_rejected_before_any_work(self, monkeypatch, capsys, argv, flag, size):
+        for name in ("design_annealed", "load_codec", "lloyd_design", "generate_scenario",
+                     "run_asym_experiment", "run_sym_experiment"):
+            monkeypatch.setattr(f"mdquant.cli.{name}", must_not_run)
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "1") == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} {size} exceeds the largest quantizer size {MAX_QUANTIZER_LEVELS}\n"
+        )
+
+    def test_cap_allows_the_sizes_in_use(self):
+        # The paper's largest quantizer is K = 256; the cap is four times that.
+        assert MAX_QUANTIZER_LEVELS == 1024
+        _check_levels("--K", MAX_QUANTIZER_LEVELS)
 
 
 class TestSaveScenarioPath:

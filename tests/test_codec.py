@@ -21,7 +21,7 @@ from mdquant import (
 from mdquant.channel import tuple_space
 from mdquant import codec
 from mdquant.codec import DesignContext, si_moment_matrices, si_moment_stack
-from mdquant.gaussian import gauss_interval_moments
+from mdquant.gaussian import gauss_interval_moments_batch
 from mdquant.quantizer import quantizer_mse
 
 from conftest import simpson_nodes, std_normal_pdf
@@ -107,14 +107,8 @@ class TestSiMomentMatricesMarginalBranch:
     """SI that carries no information about X: exact marginal interval moments."""
 
     def marginal(self, q):
-        p, m1, m2 = gauss_interval_moments(q.edges(), 0.0, 1.0)
+        p, m1, m2 = gauss_interval_moments_batch(q.edges(), 0.0, 1.0)
         return p[:, None], m1[:, None], m2[:, None]
-
-    def test_no_si_quantizer(self, q4):
-        got = si_moment_matrices(q4, None, JointGaussianPair(1, 1, 0.8))
-        for g, e in zip(got, self.marginal(q4)):
-            assert g.shape == (4, 1)
-            assert np.array_equal(g, e)
 
     def test_one_level_si_quantizer(self, source, q4):
         si = lloyd_design(source, 1)
@@ -137,7 +131,7 @@ class TestSiMomentStack:
     @settings(max_examples=40, deadline=None)
     @given(
         K=st.sampled_from([2, 4, 16]),
-        nsi=st.sampled_from([None, 1, 4, 16, 64]),
+        nsi=st.sampled_from([1, 4, 16, 64]),
         rhos=st.lists(st.floats(0.0, 0.999), max_size=5),
         chunk=st.sampled_from([None, 300, 5_000]),
     )
@@ -145,7 +139,7 @@ class TestSiMomentStack:
         # A small chunk budget splits one correlation's nodes (300) or groups
         # a few correlations per chunk (5,000); neither may change a bit.
         rhos = [0.0, 0.99, *rhos, 0.0]
-        q, si = _lloyd(K), None if nsi is None else _lloyd(nsi)
+        q, si = _lloyd(K), _lloyd(nsi)
         expect = [si_moment_matrices(q, si, JointGaussianPair(1, 1, r)) for r in rhos]
         default = codec.MOMENT_CHUNK
         codec.MOMENT_CHUNK = chunk or default
@@ -154,7 +148,7 @@ class TestSiMomentStack:
         finally:
             codec.MOMENT_CHUNK = default
         for m in range(3):
-            assert got[m].shape == (len(rhos), K, 1 if nsi is None else nsi)
+            assert got[m].shape == (len(rhos), K, nsi)
             for r in range(len(rhos)):
                 assert got[m][r].tobytes() == expect[r][m].tobytes(), (m, rhos[r])
 
@@ -171,7 +165,7 @@ class TestSiMomentStack:
 class TestDecoderTables:
     def test_bijective_no_si(self, source, q4):
         ia = IndexAssignment(np.eye(4), hard=True)
-        tables = build_decoder_tables(q4, None, ia, [JointGaussianPair(1, 1, 0.0)])
+        tables = build_decoder_tables(q4, _lloyd(1), ia, [JointGaussianPair(1, 1, 0.0)])
         assert np.allclose(tables.prior[0, 0], q4.cell_probs, atol=1e-12)
         assert np.allclose(tables.codebook[0, 0], q4.codewords, atol=1e-9)
 
@@ -207,14 +201,14 @@ class TestEvaluateDistortion:
     def test_noiseless_bijective_equals_lloyd(self, source, q2):
         ia = IndexAssignment(np.eye(2), hard=True)
         ch = (DescriptionChannel.bsc(0.0, 0.0, 2),)
-        d = evaluate_distortion(q2, None, ia, JointGaussianPair(1, 1, 0.0), ch)
+        d = evaluate_distortion(q2, _lloyd(1), ia, JointGaussianPair(1, 1, 0.0), ch)
         assert abs(d.d_av - quantizer_mse(q2, source)) < 1e-6
         assert d.d_ch == 0.0
 
     def test_all_loss_returns_variance(self, q2):
         ia = IndexAssignment(np.eye(2), hard=True)
         ch = (DescriptionChannel.bsc(0.0, 1.0, 2),)
-        d = evaluate_distortion(q2, None, ia, JointGaussianPair(1, 1, 0.0), ch)
+        d = evaluate_distortion(q2, _lloyd(1), ia, JointGaussianPair(1, 1, 0.0), ch)
         assert abs(d.d_av - 1.0) < 1e-6
 
     def test_all_loss_one_tuple_has_no_channel_distortion(self, source, q4):
@@ -233,7 +227,7 @@ class TestEvaluateDistortion:
         ia = IndexAssignment(np.eye(2), hard=True)
         ch = (DescriptionChannel.awgn(0.5, 0.0, 2),)
         with pytest.raises(ValueError, match="discrete channel"):
-            evaluate_distortion(q2, None, ia, JointGaussianPair(1, 1, 0.0), ch)
+            evaluate_distortion(q2, _lloyd(1), ia, JointGaussianPair(1, 1, 0.0), ch)
 
     def test_decomposition_matches_single_pass(self, source, q4):
         si = lloyd_design(source, 16)
@@ -344,11 +338,9 @@ def design_cases(draw):
         DescriptionChannel.bsc(draw(_with_ends(0.0, 0.5)), draw(_with_ends(0.0, 1.0)), n)
         for n in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
     )
-    nsi = draw(st.sampled_from([None, 2, 5, 8]))
+    nsi = draw(st.sampled_from([1, 2, 5, 8]))
     rho = draw(st.floats(0.0, 0.95))
-    ctx = DesignContext(
-        _lloyd(K), None if nsi is None else _lloyd(nsi), JointGaussianPair(1, 1, rho), channels
-    )
+    ctx = DesignContext(_lloyd(K), _lloyd(nsi), JointGaussianPair(1, 1, rho), channels)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return ctx, rng.dirichlet(np.ones(ctx.space.size), size=K)
 
@@ -396,7 +388,7 @@ class TestDesignAnnealed:
     def test_tiny_reaches_exhaustive_optimum(self, source, q2):
         ch = (DescriptionChannel.bsc(0.0, 0.0, 2),)
         pair = JointGaussianPair(1, 1, 0.0)
-        ctx = DesignContext(q2, None, pair, ch)
+        ctx = DesignContext(q2, _lloyd(1), pair, ch)
         best = min(
             ctx.distortion(np.array(t, dtype=float)).d_av
             for t in (
@@ -407,7 +399,7 @@ class TestDesignAnnealed:
             )
         )
         bundle = design_annealed(
-            q2, None, pair, ch, restarts=1, seed=1
+            q2, _lloyd(1), pair, ch, restarts=1, seed=1
         )
         assert abs(bundle.metadata["d_av"] - best) < 1e-6
         assert abs(best - quantizer_mse(q2, source)) < 1e-9

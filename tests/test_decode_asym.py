@@ -21,7 +21,7 @@ def oracle_prior_and_centroids(bundle, rho, level):
     si = bundle.si_quantizer
     pair = JointGaussianPair(1, 1, rho)
     edges = np.clip(q.edges(), -9, 9)
-    L = bundle.ia.n_tuples
+    L = bundle.ia.table.shape[1]
     num = np.zeros(L)
     den = np.zeros(L)
     for cell in range(q.size):
@@ -173,16 +173,16 @@ class TestOptimality:
         t = tiny_bundle.tables
         prior = t.prior[4][si_levels]  # (n, L)
         codebook = t.codebook[4][si_levels]
-        from mdquant.channel import pattern_likelihood_tables
+        from mdquant.channel import pattern_table
 
-        pt = pattern_likelihood_tables(tiny_bundle.channels)[3]
+        pt = pattern_table(tiny_bundle.channels, (True, True))
         words = np.empty((n, 2), dtype=int)
         for m, ch in enumerate(tiny_bundle.channels):
             idx = space.component(m)[tids]
             flips = rng.random((n, 1)) < ch.bit_error_rate
             words[:, m] = idx ^ flips[:, 0]
         keys = words[:, 0] * 2 + words[:, 1]
-        lik = pt.table[:, keys].T
+        lik = pt[:, keys].T
         post = lik * prior
         post /= post.sum(axis=1, keepdims=True)
         xhat = np.sum(post * codebook, axis=1)

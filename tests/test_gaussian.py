@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mdquant import CorrelationLadder, JointGaussianPair, quantize_rho
-from mdquant.gaussian import gauss_interval_moments
+from mdquant.gaussian import gauss_interval_moments_batch
 
 from conftest import simpson_nodes, std_normal_pdf
-from oracles import SampleGrid, conditional_density, default_grid, integrate
+from oracles import SampleGrid, conditional_density, default_grid, integrate, x_marginal
 
 
 class TestConditionalDensity:
@@ -20,7 +20,7 @@ class TestConditionalDensity:
     def test_rho_zero_is_marginal_bit_identical(self):
         grid = default_grid()
         pair = JointGaussianPair(1, 1, 0.0)
-        marginal = pair.x_marginal().pdf(grid.points)
+        marginal = x_marginal(pair).pdf(grid.points)
         for y in (-3.0, 0.0, 3.0, 17.5):
             assert np.array_equal(conditional_density(pair, y, grid), marginal)
 
@@ -114,7 +114,7 @@ class TestIntervalMoments:
     def test_against_simpson(self):
         edges = np.array([-np.inf, -1.3, -0.2, 0.9, np.inf])
         mean, sd = 0.4, 1.3
-        p, m1, m2 = gauss_interval_moments(edges, mean, sd)
+        p, m1, m2 = gauss_interval_moments_batch(edges, mean, sd)
         fin = np.clip(edges, -12 * sd + mean, 12 * sd + mean)
         for k in range(4):
             x, w = simpson_nodes(fin[k], fin[k + 1], 4001)
@@ -123,8 +123,20 @@ class TestIntervalMoments:
             assert abs(np.dot(w, x * pdf) - m1[k]) < 1e-10
             assert abs(np.dot(w, x**2 * pdf) - m2[k]) < 1e-9
 
+    def test_batch_entries_equal_one_mean_calls(self):
+        # Each row of a batch is what a call with that one mean and sd gives.
+        edges = np.array([-np.inf, -1.3, -0.2, 0.9, np.inf])
+        means = np.linspace(-2.0, 2.0, 7)
+        sds = np.linspace(0.3, 1.5, 7)
+        batch = gauss_interval_moments_batch(edges, means, sds)
+        for i, (mean, sd) in enumerate(zip(means, sds)):
+            one = gauss_interval_moments_batch(edges, float(mean), float(sd))
+            for b, o in zip(batch, one):
+                assert o.shape == (4,)
+                assert b[i].tobytes() == o.tobytes()
+
     def test_totals(self):
-        p, m1, m2 = gauss_interval_moments(np.array([-np.inf, 0.0, np.inf]), 0.0, 1.0)
+        p, m1, m2 = gauss_interval_moments_batch(np.array([-np.inf, 0.0, np.inf]), 0.0, 1.0)
         assert abs(p.sum() - 1.0) < 1e-15
         assert abs(m1.sum()) < 1e-15
         assert abs(m2.sum() - 1.0) < 1e-15

@@ -29,9 +29,9 @@ class TestLloydDesign:
 
     def test_fixed_point_centroids(self, source):
         q = lloyd_design(source, 64)
-        from mdquant.gaussian import gauss_interval_moments
+        from mdquant.gaussian import gauss_interval_moments_batch
 
-        p, m1, _ = gauss_interval_moments(q.edges(), 0.0, 1.0)
+        p, m1, _ = gauss_interval_moments_batch(q.edges(), 0.0, 1.0)
         assert np.max(np.abs(q.codewords - m1 / p)) < 1e-6
 
 

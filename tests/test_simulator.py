@@ -13,7 +13,6 @@ from mdquant import (
 )
 from mdquant import simulator
 from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
-from mdquant.decode_sym import CrossTableCache
 from mdquant.si_select import select_min_distance
 from mdquant.simulator import (
     SI_METHODS,
@@ -38,7 +37,7 @@ from mdquant.simulator import (
 )
 
 from conftest import make_bundle
-from oracles import ChannelOutcome, asym_awgn_errors, decode, run_decoder
+from oracles import ChannelOutcome, asym_awgn_errors, decode, ladder_cross_tables, run_decoder
 
 
 def bsc_channels(p, mu, n=2):
@@ -143,7 +142,7 @@ class TestAsymLookup:
         worst = 0.0
         for level in levels:
             lookup = _AsymLookup(tiny_bundle, channels, level)
-            si_levels = [None] if level is None else range(tiny_bundle.tables.n_si)
+            si_levels = [None] if level is None else range(tiny_bundle.tables.si_probs.size)
             for p, q in enumerate(loss_patterns(len(channels))):
                 alphabets = [
                     range(ch.received_alphabet) if got else [None]
@@ -362,6 +361,45 @@ class TestSymConfig:
             SymConfig(scenario=scen, bundle=tiny_bundle, si_method="max_mi")
 
 
+class TestSymDecoderTables:
+    """The joint decoder builds every ladder level's tables when it is created.
+
+    Each equals a build of that level on its own, byte for byte.
+    """
+
+    def decoder(self, bundle, mode):
+        scen = generate_scenario(3, bundle.channels, seed=0)
+        return _SymDecoder(SymConfig(scenario=scen, bundle=bundle, mode=mode))
+
+    @pytest.mark.parametrize("name", ["tiny_bundle", "designed_bundle"])
+    def test_soft_mixes_equal_per_level_cross_tables(self, request, name):
+        bundle = request.getfixturevalue(name)
+        dec = self.decoder(bundle, "soft")
+        assert not hasattr(dec, "lookups")
+        assert dec.prior_mix.shape[0] == dec.final_mix.shape[0] == bundle.ladder.count
+        for level, cross in ladder_cross_tables(bundle, range(bundle.ladder.count)).items():
+            expect_prior = cross.mix_prob.T
+            expect_final = np.vstack([cross.mix_prob, cross.mix_first]).T
+            for got, expect in ((dec.prior_mix[level], expect_prior),
+                                (dec.final_mix[level], expect_final)):
+                assert got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes(), level
+                # The same memory order as the per-level matrix, so every
+                # product with it rounds the same way.
+                assert got.flags.f_contiguous and expect.flags.f_contiguous
+
+    @pytest.mark.parametrize("name", ["tiny_bundle", "designed_bundle"])
+    def test_estimated_lookups_equal_per_level_lookups(self, request, name):
+        bundle = request.getfixturevalue(name)
+        dec = self.decoder(bundle, "estimated")
+        assert not hasattr(dec, "prior_mix")
+        assert len(dec.lookups) == bundle.ladder.count
+        for level, table in enumerate(dec.lookups):
+            expect = _AsymLookup(bundle, bundle.channels, level).table
+            assert table.shape == expect.shape
+            assert table.tobytes() == expect.tobytes(), level
+
+
 class TestSymExperiment:
     def test_vectorized_equals_per_symbol(self, tiny_bundle):
         # Drive the per-symbol oracle with the same transmissions the
@@ -387,7 +425,7 @@ class TestSymExperiment:
                         min(scen.pairwise_rho[u, t], 1 - 1e-12), tiny_bundle.ladder
                     )
         si_map = select_min_distance(scen.positions)
-        cache = CrossTableCache(tiny_bundle)
+        cross_tables = ladder_cross_tables(tiny_bundle, range(tiny_bundle.ladder.count))
         pids = pattern_ids(rec)
         smap = np.broadcast_to(si_map, (trials, n_nodes))
         groups = [
@@ -408,7 +446,7 @@ class TestSymExperiment:
             per_symbol = np.array([
                 run_decoder(
                     ocs, tiny_bundle, si_map, level_matrix, mode=mode,
-                    max_iters=max_iters, tol=0.0, cross_cache=cache,
+                    max_iters=max_iters, tol=0.0, cross_tables=cross_tables,
                 )[0]
                 for ocs in outcomes
             ])
@@ -416,7 +454,7 @@ class TestSymExperiment:
                 scenario=scen, bundle=tiny_bundle, mode=mode, si_method="distance",
                 trials=trials, seed=21, max_iters=max_iters, tol=0.0,
             )
-            vec = _SymDecoder(cfg, cache).decode(words, pids, groups)
+            vec = _SymDecoder(cfg).decode(words, pids, groups)
             assert np.max(np.abs(vec.T - per_symbol)) < 1e-12, (mode, max_iters)
 
     def test_uncorrelated_pair_equals_independent_asym(self, source, q4):
