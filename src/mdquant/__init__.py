@@ -22,7 +22,7 @@ from .codec import (
 from .decode_sym import CrossSourceTables, build_cross_tables
 from .gaussian import CorrelationLadder, GaussianSource, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
-from .quantizer import ScalarQuantizer, cell_of, lloyd_design
+from .quantizer import ScalarQuantizer, lloyd_design
 from .rd_bound import BoundQuery, BoundResult, beta, central_bound, min_avg_distortion
 from .si_select import pairwise_mi, select_min_distance
 from .simulator import (

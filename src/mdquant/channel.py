@@ -13,7 +13,7 @@ pattern's table from one side-by-side stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -127,18 +127,24 @@ def loss_pattern_prob(Q, channels) -> float:
 
 @dataclass(frozen=True)
 class TupleSpace:
-    """Row-major enumeration of description index tuples I = (I_1, ..., I_M)."""
+    """Row-major enumeration of description index tuples I = (I_1, ..., I_M).
+
+    ``size`` and ``tuples`` are computed once per space.  ``tuples`` is
+    read-only, because ``component`` hands out views of it.
+    """
 
     counts: tuple
 
-    @property
+    @cached_property
     def size(self) -> int:
         return int(np.prod(self.counts))
 
-    @property
+    @cached_property
     def tuples(self) -> np.ndarray:
         """(L, M) array listing every tuple in row-major order."""
-        return np.array(list(product(*[range(n) for n in self.counts])), dtype=int)
+        tuples = np.array(list(product(*[range(n) for n in self.counts])), dtype=int)
+        tuples.setflags(write=False)
+        return tuples
 
     def component(self, m: int) -> np.ndarray:
         """Description-m index of every tuple, shape (L,)."""

@@ -10,6 +10,7 @@ seed (wall-clock timing goes to stderr, never into result files).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,8 @@ def _parse_desc(text: str) -> list[int]:
         raise ValueError(f"bad description list {text!r}") from exc
     if not counts or any(c < 2 for c in counts):
         raise ValueError("each description needs at least two indices")
+    # Bounds every count too: each is at least 2.
+    _check_levels("--desc index tuple count", math.prod(counts))
     return counts
 
 
@@ -127,6 +130,31 @@ def _emit(lines, output):
         sys.stdout.write(text)
 
 
+# Published bound sweeps: the ``bound --sweep`` name and its ``report`` heading.
+BOUND_SWEEPS = {"loss": "bound vs loss rate", "correlation": "bound vs correlation"}
+
+
+def _published_points(sweep: str) -> list:
+    """(label, query, published bound dB) of every point of a published sweep.
+
+    The loss sweep is at rho 0.8, the correlation sweep at mu 0.05.  The rows
+    are read from ``reference_values`` at call time.
+    """
+    if sweep == "loss":
+        return [
+            (f"mu={r['mu']:<6}",
+             BoundQuery(r1=r["r1"], r2=r["r2"], rho=0.8, mu1=r["mu"], mu2=r["mu"]),
+             r["bound_db"])
+            for r in refs.BOUND_VS_LOSS
+        ]
+    return [
+        (f"rho={r['rho']:<5}",
+         BoundQuery(r1=r["r1"], r2=r["r2"], rho=r["rho"], mu1=0.05, mu2=0.05),
+         r["bound_db"])
+        for r in refs.BOUND_VS_CORRELATION
+    ]
+
+
 def cmd_bound(args) -> int:
     if args.sweep is not None:
         point_flags = [
@@ -135,37 +163,34 @@ def cmd_bound(args) -> int:
         ]
         if point_flags:
             raise ValueError(f"--sweep cannot be combined with {', '.join(point_flags)}")
-    if args.sweep == "loss":
-        points = [(0.8, r["r1"], r["r2"], r["mu"], r["mu"]) for r in refs.BOUND_VS_LOSS]
-    elif args.sweep == "correlation":
-        points = [
-            (r["rho"], r["r1"], r["r2"], 0.05, 0.05) for r in refs.BOUND_VS_CORRELATION
-        ]
+        queries = [query for _, query, _ in _published_points(args.sweep)]
     else:
         if args.rho is None or args.r1 is None or args.r2 is None or args.mu1 is None:
             raise ValueError("need --rho, --r1, --r2, --mu1 (or a --sweep)")
         mu2 = args.mu1 if args.mu2 is None else args.mu2
-        points = [(args.rho, args.r1, args.r2, args.mu1, mu2)]
-    # Built before any row, so an invalid query exits 2 instead of being
-    # reported as an infeasible row.
-    queries = [
-        BoundQuery(r1=r1, r2=r2, rho=rho, mu1=mu1, mu2=mu2)
-        for rho, r1, r2, mu1, mu2 in points
-    ]
+        # Built before any row, so an invalid query exits 2 instead of being
+        # reported as an infeasible row.
+        queries = [BoundQuery(r1=args.r1, r2=args.r2, rho=args.rho, mu1=args.mu1, mu2=mu2)]
     lines = ["rho,r1,r2,mu1,mu2,d_min_db,d1_opt,d2_opt"]
     for q in queries:
         point = f"{q.rho!r},{q.r1!r},{q.r2!r},{q.mu1!r},{q.mu2!r}"
         try:
-            res = min_avg_distortion(
-                q,
-                literal_weighting=args.literal_weighting,
-                natural_delta=args.natural_delta,
-            )
+            res = min_avg_distortion(q)
             lines.append(f"{point},{res.d_min_db:.6f},{res.d1!r},{res.d2!r}")
         except ValueError:
             lines.append(f"{point},infeasible,,")
     _emit(lines, args.output)
     return 0
+
+
+EVALUATE_HEADER = "p,d_side_db,d_central_db,d_av_db,stderr"
+
+
+def _evaluate_row(label, res) -> str:
+    """One ``evaluate`` row; the side and central cells are empty where undefined."""
+    side = "" if res.d_side is None else f"{to_db(float(np.mean(res.d_side))):.6f}"
+    central = "" if res.d_central is None else f"{res.d_central_db:.6f}"
+    return f"{label!r},{side},{central},{res.d_av_db:.6f},{res.stderr!r}"
 
 
 def cmd_evaluate(args) -> int:
@@ -216,13 +241,9 @@ def cmd_evaluate(args) -> int:
         ),
         channel_sets,
     )
-    lines = ["p,d_side_db,d_central_db,d_av_db,stderr"]
+    lines = [EVALUATE_HEADER]
     for p_label, res in zip(labels, results):
-        side = "" if res.d_side is None else f"{to_db(float(np.mean(res.d_side))):.6f}"
-        central = "" if res.d_central is None else f"{res.d_central_db:.6f}"
-        lines.append(
-            f"{p_label!r},{side},{central},{res.d_av_db:.6f},{res.stderr!r}"
-        )
+        lines.append(_evaluate_row(p_label, res))
         print(f"config p={p_label!r}: wall_time={res.wall_time:.2f}s", file=sys.stderr)
     _emit(lines, args.output)
     return 0
@@ -239,7 +260,7 @@ def _parse_nsi_sweep(text: str) -> list[int]:
 
 def _evaluate_nsi_sweep(args, bundle, sizes) -> int:
     """Average distortion versus SI quantizer size (tables rebuilt per size)."""
-    lines = ["p,d_side_db,d_central_db,d_av_db,stderr"]
+    lines = [EVALUATE_HEADER]
     for n in sizes:
         rebuilt = bundle.with_si_quantizer(lloyd_design(GaussianSource(), n))
         res = run_asym_experiment(
@@ -252,9 +273,7 @@ def _evaluate_nsi_sweep(args, bundle, sizes) -> int:
                 seed=args.seed,
             )
         )
-        side = "" if res.d_side is None else f"{to_db(float(np.mean(res.d_side))):.6f}"
-        central = "" if res.d_central is None else f"{res.d_central_db:.6f}"
-        lines.append(f"{n},{side},{central},{res.d_av_db:.6f},{res.stderr!r}")
+        lines.append(_evaluate_row(n, res))
         print(f"config nsi={n}: wall_time={res.wall_time:.2f}s", file=sys.stderr)
     _emit(lines, args.output)
     return 0
@@ -348,30 +367,17 @@ def cmd_report(args) -> int:
     lines = ["reference comparison report", "=" * 60]
     tol = refs.BOUND_TOLERANCE_DB
     all_pass = True
-    lines.append(f"[bound vs loss rate] tolerance +-{tol} dB")
-    for row in refs.BOUND_VS_LOSS:
-        res = min_avg_distortion(
-            BoundQuery(r1=row["r1"], r2=row["r2"], rho=0.8, mu1=row["mu"], mu2=row["mu"])
-        )
-        err = res.d_min_db - row["bound_db"]
-        ok = abs(err) <= tol
-        all_pass &= ok
-        lines.append(
-            f"  mu={row['mu']:<6} ref={row['bound_db']:>9.3f} got={res.d_min_db:>9.3f} "
-            f"err={err:+.4f} {'PASS' if ok else 'FAIL'}"
-        )
-    lines.append(f"[bound vs correlation] tolerance +-{tol} dB")
-    for row in refs.BOUND_VS_CORRELATION:
-        res = min_avg_distortion(
-            BoundQuery(r1=row["r1"], r2=row["r2"], rho=row["rho"], mu1=0.05, mu2=0.05)
-        )
-        err = res.d_min_db - row["bound_db"]
-        ok = abs(err) <= tol
-        all_pass &= ok
-        lines.append(
-            f"  rho={row['rho']:<5} ref={row['bound_db']:>9.3f} got={res.d_min_db:>9.3f} "
-            f"err={err:+.4f} {'PASS' if ok else 'FAIL'}"
-        )
+    for sweep, heading in BOUND_SWEEPS.items():
+        lines.append(f"[{heading}] tolerance +-{tol} dB")
+        for label, query, ref_db in _published_points(sweep):
+            got = min_avg_distortion(query).d_min_db
+            err = got - ref_db
+            ok = abs(err) <= tol
+            all_pass &= ok
+            lines.append(
+                f"  {label} ref={ref_db:>9.3f} got={got:>9.3f} "
+                f"err={err:+.4f} {'PASS' if ok else 'FAIL'}"
+            )
     lines.append("overall: " + ("PASS" if all_pass else "FAIL"))
     _emit(lines, args.output)
     if not all_pass:
@@ -405,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=float, default=None)
     p.add_argument("--mu1", type=float, default=None)
     p.add_argument("--mu2", type=float, default=None)
-    p.add_argument("--sweep", choices=["loss", "correlation"], default=None)
-    p.add_argument("--literal-weighting", action="store_true")
-    p.add_argument("--natural-delta", action="store_true")
+    p.add_argument("--sweep", choices=list(BOUND_SWEEPS), default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bound)
 

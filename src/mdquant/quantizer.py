@@ -52,12 +52,9 @@ class ScalarQuantizer:
         """Cell boundaries including the infinite outer edges (length K+1)."""
         return np.concatenate(([-np.inf], self.thresholds, [np.inf]))
 
-
-def cell_of(q: ScalarQuantizer, x: float) -> int:
-    """Cell index containing x; threshold points assign to the lower cell."""
-    if not np.isfinite(x):
-        raise ValueError("input value must be finite")
-    return int(np.searchsorted(q.thresholds, x, side="left"))
+    def cells(self, x):
+        """Cell index of each value of x (any shape); a threshold value goes to the lower cell."""
+        return np.searchsorted(self.thresholds, x, side="left")
 
 
 def quantizer_mse(q: ScalarQuantizer, source: GaussianSource) -> float:

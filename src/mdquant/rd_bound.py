@@ -4,9 +4,17 @@ The achievable-region corner for the central distortion, combined with the
 packet-loss weighting of the four reception events, gives the minimum average
 distortion attainable at a rate pair.  The loss average weights the two side
 distortions by the probability that only the *other* description survives,
-which is the reading consistent with the published operating points; the
-printed-as-is weighting and a natural-base variant of the excess-rate term
-are kept behind flags for comparison.
+and the excess-rate term is base 2 (rates in bits).  This is the one reading
+that reproduces the published bound columns.  Two other readings were tried
+and rejected; at the published point (R1, R2) = (2.321, 2.319), rho = 0.8,
+mu = 0.05, whose bound is -22.608 dB, each misses by more than the 0.05 dB
+tolerance:
+
+- weighting the side distortions as printed, mu1 * d1 + mu2 * d2, gives
+  -22.510 dB;
+- a natural-base excess-rate term, exp(-2 (R1 + R2)), gives -22.774 dB.
+
+``tests/oracles.py`` keeps both as test oracles.
 """
 
 from __future__ import annotations
@@ -22,15 +30,13 @@ GRID_N = 200
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """Rate pair, correlation, variances, and per-description loss rates."""
+    """Rate pair, correlation and per-description loss rates (unit variances)."""
 
     r1: float
     r2: float
     rho: float
     mu1: float
     mu2: float
-    var_x: float = 1.0
-    var_y: float = 1.0
 
     def __post_init__(self):
         if not (0 <= self.r1 < np.inf and 0 <= self.r2 < np.inf):
@@ -39,14 +45,11 @@ class BoundQuery:
             raise ValueError("loss probabilities must lie in [0, 1]")
         if not abs(self.rho) < 1:
             raise ValueError("correlation must lie in (-1, 1)")
-        if self.var_x <= 0 or self.var_y <= 0:
-            raise ValueError("invalid source parameters")
 
 
 def beta(query: BoundQuery) -> float:
     """Conditional variance of the source given the side information."""
-    cov = query.rho * np.sqrt(query.var_x * query.var_y)
-    return float((query.var_x * query.var_y - cov**2) / query.var_y)
+    return float(1.0 - query.rho**2)
 
 
 def side_bounds(query: BoundQuery) -> tuple[float, float]:
@@ -55,47 +58,42 @@ def side_bounds(query: BoundQuery) -> tuple[float, float]:
     return b * 2.0 ** (-2.0 * query.r1), b * 2.0 ** (-2.0 * query.r2)
 
 
-def central_bound(
-    query: BoundQuery,
-    d1: float,
-    d2: float,
-    natural_delta: bool = False,
-) -> float:
+def _central(b, rsum, d1, d2):
+    """Central distortion of the region's corner at side distortions (d1, d2).
+
+    Takes scalars or arrays and returns (d12, inside).  ``pi`` and ``delta``
+    are clamped at 0 first: at the D == beta grid edge they can come out as
+    -1e-17 in float.  ``inside`` is False where (d1, d2) lies outside the
+    achievable region by more than that rounding; d12 means nothing there.
+    """
+    excess = 2.0 ** (-2.0 * rsum)
+    pi = (1.0 - d1 / b) * (1.0 - d2 / b)
+    delta = d1 * d2 / b**2 - excess
+    denom = 1.0 - (np.sqrt(np.maximum(pi, 0.0)) - np.sqrt(np.maximum(delta, 0.0))) ** 2
+    inside = (pi >= 0) & (delta >= -1e-12) & (denom > 0)
+    with np.errstate(divide="ignore"):
+        return b * excess / denom, inside
+
+
+def central_bound(query: BoundQuery, d1: float, d2: float) -> float:
     """Smallest central distortion compatible with side distortions (d1, d2).
 
-    Raises if (d1, d2) lies outside the achievable region.  With
-    ``natural_delta`` the excess-rate term uses natural-base exponentials, as
-    one printed form of the region suggests; the default is base 2 throughout
-    (rates in bits), validated against the published operating points.
+    Raises if (d1, d2) lies outside the achievable region.
     """
-    b = beta(query)
     d1_min, d2_min = side_bounds(query)
     if d1 < d1_min - 1e-15 or d2 < d2_min - 1e-15:
         raise ValueError("outside achievable region")
-    rsum = query.r1 + query.r2
-    pi = (1.0 - d1 / b) * (1.0 - d2 / b)
-    excess = np.exp(-2.0 * rsum) if natural_delta else 2.0 ** (-2.0 * rsum)
-    delta = d1 * d2 / b**2 - excess
-    if delta < -1e-12:
+    d12, inside = _central(beta(query), query.r1 + query.r2, d1, d2)
+    if not inside:
         raise ValueError("outside achievable region")
-    delta = max(delta, 0.0)
-    if pi < 0:
-        raise ValueError("outside achievable region")
-    denom = 1.0 - (np.sqrt(pi) - np.sqrt(delta)) ** 2
-    if denom <= 0:
-        raise ValueError("outside achievable region")
-    return float(b * 2.0 ** (-2.0 * rsum) / denom)
+    return float(d12)
 
 
-def _loss_average(query, d1, d2, d12, literal_weighting: bool) -> float:
-    b = beta(query)
+def _loss_average(query, d1, d2, d12):
     mu1, mu2 = query.mu1, query.mu2
-    if literal_weighting:
-        side = mu1 * d1 + mu2 * d2
-    else:
-        # Description m lost => reconstruction from the other one alone.
-        side = mu1 * (1.0 - mu2) * d2 + mu2 * (1.0 - mu1) * d1
-    return mu1 * mu2 * b + side + (1.0 - mu1) * (1.0 - mu2) * d12
+    # Description m lost => reconstruction from the other one alone.
+    side = mu1 * (1.0 - mu2) * d2 + mu2 * (1.0 - mu1) * d1
+    return mu1 * mu2 * beta(query) + side + (1.0 - mu1) * (1.0 - mu2) * d12
 
 
 @dataclass(frozen=True)
@@ -112,11 +110,7 @@ class BoundResult:
         return float(10.0 * np.log10(self.d_min))
 
 
-def min_avg_distortion(
-    query: BoundQuery,
-    literal_weighting: bool = False,
-    natural_delta: bool = False,
-) -> BoundResult:
+def min_avg_distortion(query: BoundQuery) -> BoundResult:
     """Minimize the loss-averaged distortion over feasible side distortions.
 
     Deterministic log-spaced grid search over [side bound, beta] per axis
@@ -129,19 +123,13 @@ def min_avg_distortion(
         raise ValueError("infeasible query: side bound exceeds the SI floor")
 
     def objective(d1: float, d2: float) -> float:
-        d12 = central_bound(query, d1, d2, natural_delta)
-        return _loss_average(query, d1, d2, d12, literal_weighting)
+        return _loss_average(query, d1, d2, central_bound(query, d1, d2))
 
     d1_axis = np.exp(np.linspace(np.log(d1_min), np.log(b), GRID_N))
     d2_axis = np.exp(np.linspace(np.log(d2_min), np.log(b), GRID_N))
     dd1, dd2 = np.meshgrid(d1_axis, d2_axis, indexing="ij")
-    rsum = query.r1 + query.r2
-    # Clamp: the D == beta grid edge can give -1e-17 in float.
-    pi = np.maximum((1.0 - dd1 / b) * (1.0 - dd2 / b), 0.0)
-    excess = np.exp(-2.0 * rsum) if natural_delta else 2.0 ** (-2.0 * rsum)
-    delta = np.maximum(dd1 * dd2 / b**2 - excess, 0.0)
-    d12 = b * 2.0 ** (-2.0 * rsum) / (1.0 - (np.sqrt(pi) - np.sqrt(delta)) ** 2)
-    obj = _loss_average(query, dd1, dd2, d12, literal_weighting)
+    d12, _ = _central(b, query.r1 + query.r2, dd1, dd2)
+    obj = _loss_average(query, dd1, dd2, d12)
     i, j = np.unravel_index(np.argmin(obj), obj.shape)
     best = (float(d1_axis[i]), float(d2_axis[j]), float(obj[i, j]))
 
@@ -176,5 +164,5 @@ def min_avg_distortion(
         if fv < val_best:
             d2_best, val_best = v, fv
 
-    d12_best = central_bound(query, d1_best, d2_best, natural_delta)
+    d12_best = central_bound(query, d1_best, d2_best)
     return BoundResult(val_best, d1_best, d2_best, d12_best)

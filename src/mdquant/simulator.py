@@ -352,10 +352,10 @@ def _source_blocks(cfg: AsymConfig, x, z):
     for lo in range(0, x.size, DECODE_BLOCK):
         blk = slice(lo, min(lo + DECODE_BLOCK, x.size))
         xb = x[blk]
-        tuple_ids = hard[np.searchsorted(bundle.quantizer.thresholds, xb, side="left")]
+        tuple_ids = hard[bundle.quantizer.cells(xb)]
         if cfg.use_si:
             y = rho * xb + scale * z[blk]
-            si_levels = np.searchsorted(bundle.si_quantizer.thresholds, y, side="left")
+            si_levels = bundle.si_quantizer.cells(y)
         else:
             si_levels = np.zeros(xb.size, dtype=int)
         yield blk, xb, tuple_ids, si_levels
@@ -631,9 +631,9 @@ class _SymDecoder:
     def estimated_step(self, est_prev, groups_u, rows_u):
         """One estimated-SI update of a single source across the block's trials."""
         out = np.empty(est_prev.shape[1])
-        thresholds = self.bundle.si_quantizer.thresholds
+        si_quantizer = self.bundle.si_quantizer
         for level, idx, nbr in groups_u:
-            y_levels = np.searchsorted(thresholds, est_prev[nbr, idx], side="left")
+            y_levels = si_quantizer.cells(est_prev[nbr, idx])
             out[idx] = self.lookups[level][rows_u[idx], y_levels]
         return out
 
@@ -723,8 +723,7 @@ def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.nda
     """
     cfg, bundle = dec.cfg, dec.bundle
     n_nodes = xb.shape[1]
-    cells = np.searchsorted(bundle.quantizer.thresholds, xb.ravel(), side="left")
-    tuple_ids = bundle.ia.hard_map()[cells.reshape(xb.shape)]
+    tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(xb)]
     words = np.empty((xb.shape[0], n_nodes, len(dec.channels)), dtype=int)
     received = np.empty(words.shape, dtype=bool)
     for u in range(n_nodes):

@@ -6,7 +6,8 @@ likelihoods and per-symbol transmission, the per-symbol decoders (asymmetric
 MMSE, estimated-SI and soft-SI joint, partial-SI), the single-pass
 distortion, the per-loss-pattern design quantities, the SI selection scores
 of one pair of loss patterns, the whole-array AWGN decode of the asymmetric
-experiment, the serial annealing restarts and the brute-force MMSE audit.
+experiment, the serial annealing restarts, the brute-force MMSE audit and
+the two rejected readings of the rate-distortion bound.
 They compute symbol by symbol, or from first principles, what the package
 computes from moment matrices and lookup tables over all trials at once, so
 the tests can check one against the other.
@@ -41,7 +42,8 @@ from mdquant.codec import (
 )
 from mdquant.decode_sym import CrossSourceTables, build_cross_tables
 from mdquant.gaussian import GaussianSource, JointGaussianPair, gauss_interval_moments_batch
-from mdquant.quantizer import ScalarQuantizer, cell_of
+from mdquant.quantizer import ScalarQuantizer
+from mdquant.rd_bound import BoundQuery, beta, side_bounds
 from mdquant.simulator import _AsymLookup
 
 from conftest import simpson_nodes
@@ -429,7 +431,7 @@ def estimated_si_iterate(
     for u in range(n):
         s = int(state.si_map[u])
         level = int(level_matrix[u, s])
-        y_level = cell_of(bundle.si_quantizer, float(state.estimates[s]))
+        y_level = int(bundle.si_quantizer.cells(state.estimates[s]))
         post = posterior(state.outcomes[u], y_level, level, bundle)
         new_posts.append(post)
         new_est[u] = float(np.dot(post.probs, bundle.tables.codebook[level, y_level]))
@@ -781,3 +783,38 @@ def mse_optimality_check(
                 got = lookup.xhat[p][word, level]
                 worst = max(worst, abs(got - exact))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Rejected readings of the rate-distortion bound
+# ---------------------------------------------------------------------------
+
+
+def alternate_bound_db(
+    query: BoundQuery, literal_weighting: bool = False, natural_delta: bool = False,
+    n: int = 600,
+) -> float:
+    """Minimum loss-averaged distortion (dB) of the bound under another reading.
+
+    ``literal_weighting`` weights the side distortions as printed,
+    mu1 * d1 + mu2 * d2, instead of by the probability that only the other
+    description survives; ``natural_delta`` takes the excess-rate term as
+    exp(-2 (R1 + R2)) instead of 2^(-2 (R1 + R2)).  With neither it is the
+    package's reading.  The minimum is taken over an n x n log-spaced grid of
+    side distortions on [side bound, beta], with no refinement.
+    """
+    b = beta(query)
+    d1_min, d2_min = side_bounds(query)
+    d1, d2 = np.meshgrid(np.geomspace(d1_min, b, n), np.geomspace(d2_min, b, n), indexing="ij")
+    rsum = query.r1 + query.r2
+    excess = np.exp(-2.0 * rsum) if natural_delta else 2.0 ** (-2.0 * rsum)
+    pi = np.maximum((1.0 - d1 / b) * (1.0 - d2 / b), 0.0)
+    delta = np.maximum(d1 * d2 / b**2 - excess, 0.0)
+    d12 = b * 2.0 ** (-2.0 * rsum) / (1.0 - (np.sqrt(pi) - np.sqrt(delta)) ** 2)
+    mu1, mu2 = query.mu1, query.mu2
+    if literal_weighting:
+        side = mu1 * d1 + mu2 * d2
+    else:
+        side = mu1 * (1.0 - mu2) * d2 + mu2 * (1.0 - mu1) * d1
+    avg = mu1 * mu2 * b + side + (1.0 - mu1) * (1.0 - mu2) * d12
+    return float(10.0 * np.log10(avg.min()))

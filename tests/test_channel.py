@@ -179,3 +179,17 @@ class TestPatternTables:
                         (j1, j2), tuple(space.tuples[tid]), q, channels
                     )
                     assert abs(pt[tid, 2 * j1 + j2] - expect) < 1e-15
+
+
+class TestTupleSpace:
+    def test_computed_once(self):
+        space = tuple_space(bsc_pair(n=4))
+        assert space.tuples is space.tuples
+        assert np.shares_memory(space.component(0), space.tuples)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_component_is_read_only(self, m):
+        space = tuple_space(bsc_pair(n=4))
+        with pytest.raises(ValueError, match="read-only"):
+            space.component(m)[0] = 3
+        assert space.tuples[0].tolist() == [0, 0]

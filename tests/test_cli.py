@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdquant import GaussianSource, lloyd_design
+from mdquant import BoundQuery, GaussianSource, lloyd_design
 from mdquant import reference_values as refs
-from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, main
+from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, _parse_desc, main
 from mdquant.persist import load_codec, save_codec
 from mdquant.simulator import run_sym_experiment
 
@@ -125,6 +125,14 @@ class TestBound:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 8  # header + 7 rows
 
+    @pytest.mark.parametrize("flag", ["--literal-weighting", "--natural-delta"])
+    def test_removed_reading_flags_exit_2(self, capsys, flag):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bound", "--sweep", "loss", flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_missing_args_exit_2(self):
         assert run_cli("bound", "--rho", "0.8") == 2
 
@@ -163,6 +171,28 @@ class TestBound:
         err = capsys.readouterr().err
         assert err == "error: rates must be nonnegative and finite\n"
         assert not out.exists()
+
+
+class TestPublishedPoints:
+    """``bound --sweep`` and ``report`` build their rows from one table."""
+
+    def test_sweep_and_report_read_one_table(self, monkeypatch, tmp_path):
+        point = ("mu=x", BoundQuery(r1=2.321, r2=2.319, rho=0.8, mu1=0.05, mu2=0.05), -22.608)
+        monkeypatch.setattr("mdquant.cli._published_points", lambda sweep: [point])
+        sweep, report = tmp_path / "sweep.csv", tmp_path / "report.txt"
+        assert run_cli("bound", "--sweep", "correlation", "-o", sweep) == 0
+        assert sweep.read_text().splitlines()[1].startswith("0.8,2.321,2.319,0.05,0.05,-22.60")
+        assert run_cli("report", "-o", report) == 0
+        assert report.read_text().count("\n  mu=x ref=  -22.608 got=  -22.609 ") == 2
+
+    def test_report_label_widths(self, tmp_path):
+        out = tmp_path / "report.txt"
+        assert run_cli("report", "-o", out) == 0
+        lines = out.read_text().splitlines()
+        assert lines[3].startswith("  mu=0.3    ref=  -13.758 ")
+        assert lines[9].startswith("  mu=0.005  ref=  -29.676 ")
+        assert lines[11].startswith("  rho=0.0   ref=  -20.509 ")
+        assert lines[17].startswith("  rho=0.95  ref=  -27.689 ")
 
 
 class TestEvaluate:
@@ -630,7 +660,14 @@ class TestQuantizerSizeCap:
           "--trials", "100"], "--nsi", 100000000),
         (["evaluate", "--codec", "codec.json", "--rho-real", "0.5",
           "--nsi-sweep", "2,100000000", "--trials", "100"], "--nsi-sweep size", 100000000),
-    ], ids=["design K", "design nsi", "scenario K", "scenario nsi", "evaluate nsi-sweep"])
+        (["design", "--K", "16", "--desc", "4,100000000", "--rho-enc", "0.5"],
+         "--desc index tuple count", 400000000),
+        (["design", "--K", "16", "--desc", "1025", "--rho-enc", "0.5"],
+         "--desc index tuple count", 1025),
+        (["scenario", "--nodes", "3", "--desc", ",".join(["2"] * 11), "--trials", "100"],
+         "--desc index tuple count", 2048),
+    ], ids=["design K", "design nsi", "scenario K", "scenario nsi", "evaluate nsi-sweep",
+            "design desc", "design one desc", "scenario desc"])
     def test_rejected_before_any_work(self, monkeypatch, capsys, argv, flag, size):
         for name in ("design_annealed", "load_codec", "lloyd_design", "generate_scenario",
                      "run_asym_experiment", "run_sym_experiment"):
@@ -645,6 +682,11 @@ class TestQuantizerSizeCap:
         # The paper's largest quantizer is K = 256; the cap is four times that.
         assert MAX_QUANTIZER_LEVELS == 1024
         _check_levels("--K", MAX_QUANTIZER_LEVELS)
+
+    def test_desc_cap_allows_tuple_counts_up_to_the_cap(self):
+        assert _parse_desc("8,8") == [8, 8]
+        assert _parse_desc("32,32") == [32, 32]
+        assert _parse_desc(",".join(["2"] * 10)) == [2] * 10
 
 
 class TestSaveScenarioPath:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from mdquant import JointGaussianPair, cell_of, lloyd_design
+from mdquant import JointGaussianPair, lloyd_design
 from mdquant.quantizer import quantizer_mse
 
 from conftest import simpson_nodes, std_normal_pdf
@@ -37,16 +37,18 @@ class TestLloydDesign:
 
 class TestCellOf:
     def test_negative_goes_low(self, q2):
-        assert cell_of(q2, -1.0) == 0
+        assert q2.cells(-1.0) == 0
 
     def test_boundary_goes_low(self, q2):
-        assert cell_of(q2, float(q2.thresholds[0])) == 0
+        assert q2.cells(q2.thresholds[0]) == 0
+        assert np.array_equal(q2.cells(q2.thresholds), np.arange(q2.thresholds.size))
 
     def test_scan_oracle(self, q4):
         rng = np.random.default_rng(5)
-        for x in rng.uniform(-4, 4, 200):
-            scan = sum(1 for t in q4.thresholds if x > t)
-            assert cell_of(q4, float(x)) == scan
+        xs = np.concatenate((rng.uniform(-4, 4, 200), q4.thresholds))
+        scan = [sum(1 for t in q4.thresholds if x > t) for x in xs]
+        assert np.array_equal(q4.cells(xs), scan)
+        assert np.array_equal(q4.cells(xs[:200].reshape(20, 10)), np.reshape(scan[:200], (20, 10)))
 
 
 class TestCellProbsGivenSi:

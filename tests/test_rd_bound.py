@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdquant import BoundQuery, beta, central_bound, min_avg_distortion
+from mdquant.rd_bound import GRID_N, _central, side_bounds
+
+from oracles import alternate_bound_db
 
 
 def q(r1, r2, rho, mu1, mu2=None):
@@ -47,6 +52,10 @@ class TestCentralBound:
         query = q(2.0, 2.0, 0.8, 0.05)
         with pytest.raises(ValueError):
             central_bound(query, 1e-6, 0.2)
+        # Far above beta the corner's denominator is exactly 0 (pi = 4, delta = 9).
+        query = q(30.0, 30.0, 0.8, 0.05)
+        with pytest.raises(ValueError, match="outside achievable region"):
+            central_bound(query, 3 * beta(query), 3 * beta(query))
 
 
 REFERENCE_LOSS_SWEEP = [
@@ -100,25 +109,29 @@ class TestMinAvgDistortion:
     def test_refinement_never_worse_than_grid(self):
         query = q(2.321, 2.319, 0.8, 0.05)
         refined = min_avg_distortion(query).d_min
-        from mdquant.rd_bound import _loss_average, side_bounds
+        from mdquant.rd_bound import _loss_average
 
         b = beta(query)
         d1_min, d2_min = side_bounds(query)
         d1 = np.exp(np.linspace(np.log(d1_min), np.log(b), 200))
         d2 = np.exp(np.linspace(np.log(d2_min), np.log(b), 200))
         grid_best = min(
-            _loss_average(query, a, c, central_bound(query, a, c), False)
+            _loss_average(query, a, c, central_bound(query, a, c))
             for a in d1[::9]
             for c in d2[::9]
         )
         assert refined <= grid_best + 1e-15
 
     def test_alternate_variants_miss_reference(self):
-        # The printed-as-is weighting and the natural-base excess term are
-        # kept selectable but do not reproduce the reference column.
+        # The printed-as-is weighting and the natural-base excess term (test
+        # oracles) do not reproduce the reference column; the oracle's grid
+        # minimum under the package's own reading does.
         query = q(2.321, 2.319, 0.8, 0.05)
-        assert abs(min_avg_distortion(query, literal_weighting=True).d_min_db + 22.608) > 0.05
-        assert abs(min_avg_distortion(query, natural_delta=True).d_min_db + 22.608) > 0.05
+        assert abs(alternate_bound_db(query) - min_avg_distortion(query).d_min_db) < 1e-3
+        literal = alternate_bound_db(query, literal_weighting=True)
+        natural = alternate_bound_db(query, natural_delta=True)
+        assert abs(literal - (-22.510)) < 1e-3 and abs(literal + 22.608) > 0.05
+        assert abs(natural - (-22.774)) < 1e-3 and abs(natural + 22.608) > 0.05
 
     def test_argmin_feasible(self):
         query = q(2.3, 2.4, 0.6, 0.1, 0.2)
@@ -126,3 +139,29 @@ class TestMinAvgDistortion:
         b = beta(query)
         assert 0 < res.d1 <= b and 0 < res.d2 <= b
         assert res.d12 <= min(res.d1, res.d2) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r1=st.floats(0.0, 4.0),
+    r2=st.floats(0.0, 4.0),
+    rho=st.floats(-0.99, 0.99),
+    mu=st.floats(0.0, 1.0),
+    cells=st.lists(st.tuples(st.integers(0, GRID_N - 1), st.integers(0, GRID_N - 1)),
+                   min_size=1, max_size=20),
+)
+def test_grid_path_equals_central_bound(r1, r2, rho, mu, cells):
+    """The array path of the one central-bound formula equals the scalar one bit for bit."""
+    query = q(r1, r2, rho, mu)
+    b = beta(query)
+    d1_min, d2_min = side_bounds(query)
+    d1_axis = np.exp(np.linspace(np.log(d1_min), np.log(b), GRID_N))
+    d2_axis = np.exp(np.linspace(np.log(d2_min), np.log(b), GRID_N))
+    dd1, dd2 = np.meshgrid(d1_axis, d2_axis, indexing="ij")
+    d12, inside = _central(b, r1 + r2, dd1, dd2)
+    for i, j in [*cells, (GRID_N - 1, GRID_N - 1), (0, GRID_N - 1)]:
+        if inside[i, j]:
+            assert central_bound(query, d1_axis[i], d2_axis[j]) == d12[i, j]
+        else:
+            with pytest.raises(ValueError, match="outside achievable region"):
+                central_bound(query, d1_axis[i], d2_axis[j])
