@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,33 +59,23 @@ def _parse_desc(text: str) -> list[int]:
     return counts
 
 
-def _build_channels(args, n_desc: int | None = None):
-    counts = _parse_desc(args.desc)
-    if n_desc is not None and len(counts) != n_desc:
-        raise ValueError("description count mismatch")
-    channels = []
-    for n in counts:
-        if getattr(args, "awgn", None) is not None:
-            channels.append(DescriptionChannel.awgn(args.awgn, args.loss, n))
-        else:
-            channels.append(DescriptionChannel.bsc(args.bsc, args.loss, n))
-    return tuple(channels)
+def _build_channels(args):
+    return tuple(DescriptionChannel.bsc(args.bsc, args.loss, n) for n in _parse_desc(args.desc))
 
 
-def _design_bundle(args):
+def _design_bundle(args, rho_enc: float):
+    """Design a codec at ``rho_enc`` from the arguments ``design`` and ``scenario`` share."""
     if args.K < 1:
         raise ValueError("quantizer size must be positive")
     if args.nsi < 1:
         raise ValueError("SI quantizer size must be positive")
-    if not 0.0 <= args.rho_enc < 1.0:
+    if not 0.0 <= rho_enc < 1.0:
         raise ValueError("design correlation must lie in [0, 1)")
     channels = _build_channels(args)
-    if any(ch.kind != "bsc" for ch in channels):
-        raise ValueError("design requires BSC channels (analytic distortion)")
     source = GaussianSource(0.0, 1.0)
     quantizer = lloyd_design(source, args.K)
     si_quantizer = lloyd_design(source, args.nsi)
-    pair = JointGaussianPair(1.0, 1.0, args.rho_enc)
+    pair = JointGaussianPair(1.0, 1.0, rho_enc)
     return design_annealed(
         quantizer, si_quantizer, pair, channels, restarts=args.restarts, seed=args.seed
     )
@@ -105,7 +96,7 @@ def _check_trials(trials: int) -> None:
 
 
 def cmd_design(args) -> int:
-    bundle = _design_bundle(args)
+    bundle = _design_bundle(args, args.rho_enc)
     if args.output:
         save_codec(bundle, args.output)
     d = DistortionBreakdown(bundle.metadata["d_se"], bundle.metadata["d_ch"])
@@ -168,17 +159,15 @@ def cmd_bound(args) -> int:
         if args.rho is None or args.r1 is None or args.r2 is None or args.mu1 is None:
             raise ValueError("need --rho, --r1, --r2, --mu1 (or a --sweep)")
         mu2 = args.mu1 if args.mu2 is None else args.mu2
-        # Built before any row, so an invalid query exits 2 instead of being
-        # reported as an infeasible row.
+        # Every query BoundQuery accepts has a finite bound; the rest exit 2.
         queries = [BoundQuery(r1=args.r1, r2=args.r2, rho=args.rho, mu1=args.mu1, mu2=mu2)]
     lines = ["rho,r1,r2,mu1,mu2,d_min_db,d1_opt,d2_opt"]
     for q in queries:
-        point = f"{q.rho!r},{q.r1!r},{q.r2!r},{q.mu1!r},{q.mu2!r}"
-        try:
-            res = min_avg_distortion(q)
-            lines.append(f"{point},{res.d_min_db:.6f},{res.d1!r},{res.d2!r}")
-        except ValueError:
-            lines.append(f"{point},infeasible,,")
+        res = min_avg_distortion(q)
+        lines.append(
+            f"{q.rho!r},{q.r1!r},{q.r2!r},{q.mu1!r},{q.mu2!r},"
+            f"{res.d_min_db:.6f},{res.d1!r},{res.d2!r}"
+        )
     _emit(lines, args.output)
     return 0
 
@@ -203,48 +192,44 @@ def cmd_evaluate(args) -> int:
     bundle = load_codec(args.codec)
     if args.nsi_sweep and (args.bsc_sweep or args.awgn is not None):
         raise ValueError("--nsi-sweep cannot be combined with channel sweeps")
-    if args.nsi_sweep:
-        return _evaluate_nsi_sweep(args, bundle, sizes)
     if args.bsc_sweep and args.awgn is not None:
         raise ValueError("--awgn cannot be combined with --bsc-sweep")
-    # Every row decodes the same draws: one simulator call for the whole sweep.
-    if args.awgn is not None:
-        labels = [args.awgn]
-        channel_sets = [
-            tuple(
-                DescriptionChannel.awgn(args.awgn, ch.loss_prob, ch.index_count)
-                for ch in bundle.channels
-            )
-        ]
-    elif args.bsc_sweep:
-        labels = [float(v) for v in args.bsc_sweep.split(",")]
-        channel_sets = [
-            tuple(
-                DescriptionChannel.bsc(p, ch.loss_prob, ch.index_count)
-                for ch in bundle.channels
-            )
-            for p in labels
-        ]
-    else:
-        # A codec's own channels are labelled like the flag that would set them.
-        ch = bundle.channels[0]
-        labels = [ch.bit_error_rate if ch.kind == "bsc" else ch.noise_psd]
-        channel_sets = [bundle.channels]
-    results = run_asym_experiment(
-        AsymConfig(
-            bundle=bundle,
-            rho_real=args.rho_real,
-            rho_dec=args.rho_dec,
-            use_si=not args.no_si,
-            trials=args.trials,
-            seed=args.seed,
-        ),
-        channel_sets,
+    cfg = AsymConfig(
+        bundle=bundle,
+        rho_real=args.rho_real,
+        rho_dec=args.rho_dec,
+        use_si=not args.no_si,
+        trials=args.trials,
+        seed=args.seed,
     )
+    if sizes:
+        # Average distortion versus SI quantizer size: tables rebuilt per size.
+        name, labels = "nsi", sizes
+        results = (
+            run_asym_experiment(
+                replace(cfg, bundle=bundle.with_si_quantizer(lloyd_design(GaussianSource(), n)))
+            )
+            for n in sizes
+        )
+    else:
+        # Every row decodes the same draws: one simulator call for the whole sweep.
+        name, own = "p", bundle.channels
+        if args.awgn is not None:
+            labels, make = [args.awgn], DescriptionChannel.awgn
+        elif args.bsc_sweep:
+            labels, make = [float(v) for v in args.bsc_sweep.split(",")], DescriptionChannel.bsc
+        else:
+            # A codec's own channels are labelled like the flag that would set them.
+            labels = [own[0].bit_error_rate if own[0].kind == "bsc" else own[0].noise_psd]
+            make = None
+        channel_sets = [own] if make is None else [
+            tuple(make(v, ch.loss_prob, ch.index_count) for ch in own) for v in labels
+        ]
+        results = run_asym_experiment(cfg, channel_sets)
     lines = [EVALUATE_HEADER]
-    for p_label, res in zip(labels, results):
-        lines.append(_evaluate_row(p_label, res))
-        print(f"config p={p_label!r}: wall_time={res.wall_time:.2f}s", file=sys.stderr)
+    for label, res in zip(labels, results):
+        lines.append(_evaluate_row(label, res))
+        print(f"config {name}={label!r}: wall_time={res.wall_time:.2f}s", file=sys.stderr)
     _emit(lines, args.output)
     return 0
 
@@ -256,27 +241,6 @@ def _parse_nsi_sweep(text: str) -> list[int]:
     for n in sizes:
         _check_levels("--nsi-sweep size", n)
     return sizes
-
-
-def _evaluate_nsi_sweep(args, bundle, sizes) -> int:
-    """Average distortion versus SI quantizer size (tables rebuilt per size)."""
-    lines = [EVALUATE_HEADER]
-    for n in sizes:
-        rebuilt = bundle.with_si_quantizer(lloyd_design(GaussianSource(), n))
-        res = run_asym_experiment(
-            AsymConfig(
-                bundle=rebuilt,
-                rho_real=args.rho_real,
-                rho_dec=args.rho_dec,
-                use_si=not args.no_si,
-                trials=args.trials,
-                seed=args.seed,
-            )
-        )
-        lines.append(_evaluate_row(n, res))
-        print(f"config nsi={n}: wall_time={res.wall_time:.2f}s", file=sys.stderr)
-    _emit(lines, args.output)
-    return 0
 
 
 def _load_scenario_file(path, channels):
@@ -337,12 +301,7 @@ def cmd_scenario(args) -> int:
             ladder = CorrelationLadder()
             level = quantize_rho(min(float(np.median(nn_rho)), 0.6), ladder)
             rho_enc = float(ladder.levels[level])
-        design_args = argparse.Namespace(
-            K=args.K, nsi=args.nsi, rho_enc=rho_enc,
-            desc=args.desc, bsc=args.bsc, awgn=None, loss=args.loss,
-            seed=args.seed, restarts=args.restarts,
-        )
-        bundle = _design_bundle(design_args)
+        bundle = _design_bundle(args, rho_enc)
     res = run_sym_experiment(
         SymConfig(
             scenario=scenario,
@@ -396,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True, help="quantizer levels")
     p.add_argument("--desc", required=True, help="indices per description, e.g. 4,4")
     p.add_argument("--bsc", type=float, default=0.0, help="BSC bit error rate")
-    p.add_argument("--awgn", type=float, default=None, help="AWGN noise PSD (N0)")
     p.add_argument("--loss", type=float, default=0.05, help="packet loss probability")
     p.add_argument("--rho-enc", type=float, required=True, dest="rho_enc")
     p.add_argument("--nsi", type=int, default=128, help="SI quantizer levels")

@@ -313,44 +313,46 @@ class DecoderTables:
             raise ValueError("no-SI prior must be normalized")
 
 
-def _nosi_tables(quantizer, table, sd_x):
-    p, m1, _ = gauss_interval_moments_batch(quantizer.edges(), 0.0, sd_x)
+def _nosi_tables(quantizer, table):
+    p, m1, _ = gauss_interval_moments_batch(quantizer.edges(), 0.0, 1.0)
     prior = table.T @ p
     first = table.T @ m1
     return np.where(prior > PROB_FLOOR, prior, 0.0), masked_ratio(first, prior, PROB_FLOOR)
-
-
-def _tables_for_pair(quantizer, si_quantizer, table, pair):
-    if pair.rho == 0.0:
-        # Independent SI: every level must reproduce the no-SI tables
-        # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
-        prior, codebook = _nosi_tables(quantizer, table, pair.sd_x)
-        reps = (si_quantizer.size, 1)
-        return np.tile(prior, reps), np.tile(codebook, reps)
-    s0, s1, _ = si_moment_matrices(quantizer, si_quantizer, pair)
-    joint = table.T @ s0  # (L, S): P(I, SI level)
-    first = table.T @ s1
-    psi = joint.sum(axis=0)
-    zero = joint <= PROB_FLOOR
-    prior = np.where(zero, 0.0, joint / np.maximum(psi[None, :], 1e-300))
-    return prior.T, masked_ratio(first, joint, PROB_FLOOR).T  # (S, L) each
 
 
 def build_decoder_tables(
     quantizer: ScalarQuantizer,
     si_quantizer: ScalarQuantizer,
     ia: IndexAssignment,
-    pairs,
+    rhos,
 ) -> DecoderTables:
-    """Build stored decoder tables for a list of pairs, one per correlation level."""
+    """Stored decoder tables of a unit-variance source and SI, one per correlation in ``rhos``.
+
+    A tuple whose joint mass with an SI level is at most ``PROB_FLOOR`` gets
+    prior 0 and codebook 0 there.  The levels are built one at a time: one
+    moment quadrature per nonzero correlation keeps the peak memory that of a
+    single level.
+    """
+    rhos = np.array(rhos, dtype=float)
+    prior_nosi, codebook_nosi = _nosi_tables(quantizer, ia.table)
     priors, codebooks = [], []
-    for pair in pairs:
-        prior, codebook = _tables_for_pair(quantizer, si_quantizer, ia.table, pair)
-        priors.append(prior)
-        codebooks.append(codebook)
-    prior_nosi, codebook_nosi = _nosi_tables(quantizer, ia.table, pairs[0].sd_x)
+    for rho in rhos:
+        if rho == 0.0:
+            # Independent SI: every level must reproduce the no-SI tables
+            # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
+            reps = (si_quantizer.size, 1)
+            priors.append(np.tile(prior_nosi, reps))
+            codebooks.append(np.tile(codebook_nosi, reps))
+            continue
+        s0, s1, _ = si_moment_stack(quantizer, si_quantizer, [rho])
+        joint = ia.table.T @ s0[0]  # (L, S): P(I, SI level)
+        first = ia.table.T @ s1[0]
+        psi = joint.sum(axis=0)
+        prior = np.where(joint <= PROB_FLOOR, 0.0, joint / np.maximum(psi[None, :], 1e-300))
+        priors.append(prior.T)  # (S, L)
+        codebooks.append(masked_ratio(first, joint, PROB_FLOOR).T)
     return DecoderTables(
-        rho_values=np.array([pr.rho for pr in pairs]),
+        rho_values=rhos,
         si_probs=si_quantizer.cell_probs.copy(),
         prior=np.stack(priors),
         codebook=np.stack(codebooks),
@@ -525,8 +527,7 @@ class CodecBundle:
 
     def with_si_quantizer(self, si_quantizer) -> "CodecBundle":
         """Same codec with decoder tables rebuilt for another SI quantizer."""
-        pairs = [JointGaussianPair(1.0, 1.0, float(r)) for r in self.ladder.levels]
-        tables = build_decoder_tables(self.quantizer, si_quantizer, self.ia, pairs)
+        tables = build_decoder_tables(self.quantizer, si_quantizer, self.ia, self.ladder.levels)
         return CodecBundle(
             quantizer=self.quantizer,
             si_quantizer=si_quantizer,
@@ -742,6 +743,10 @@ def design_annealed(
         raise ValueError("restarts must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if pair.var_x != 1.0 or pair.var_y != 1.0:
+        # The stored tables, the joint decoder's cross tables and the
+        # simulator all assume a unit-variance source and SI.
+        raise ValueError("design requires a unit-variance source and side information")
     ladder = CorrelationLadder()
     ctx = DesignContext(quantizer, si_quantizer, pair, channels)
 
@@ -761,10 +766,7 @@ def design_annealed(
     hard_ia, hard_d, info, best_restart = best
 
     breakdown = ctx.distortion(hard_ia.table)
-    pairs = [
-        JointGaussianPair(pair.var_x, pair.var_y, float(r)) for r in ladder.levels
-    ]
-    tables = build_decoder_tables(quantizer, si_quantizer, hard_ia, pairs)
+    tables = build_decoder_tables(quantizer, si_quantizer, hard_ia, ladder.levels)
     metadata = {
         "format_version": 1,
         "seed": int(seed),

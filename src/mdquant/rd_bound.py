@@ -26,6 +26,10 @@ import numpy as np
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # Points per axis of the grid search in ``min_avg_distortion``.
 GRID_N = 200
+# Largest total rate R1 + R2 in bits.  Up to it the excess-rate term
+# 2^(-2 (R1 + R2)) is a normal double and beta times it, the smallest central
+# distortion, a positive one for every |rho| < 1.
+MAX_RATE_SUM_BITS = 500.0
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,8 @@ class BoundQuery:
     def __post_init__(self):
         if not (0 <= self.r1 < np.inf and 0 <= self.r2 < np.inf):
             raise ValueError("rates must be nonnegative and finite")
+        if self.r1 + self.r2 > MAX_RATE_SUM_BITS:
+            raise ValueError(f"rates R1 + R2 must not exceed {MAX_RATE_SUM_BITS:g} bits")
         if not (0 <= self.mu1 <= 1 and 0 <= self.mu2 <= 1):
             raise ValueError("loss probabilities must lie in [0, 1]")
         if not abs(self.rho) < 1:
@@ -61,18 +67,35 @@ def side_bounds(query: BoundQuery) -> tuple[float, float]:
 def _central(b, rsum, d1, d2):
     """Central distortion of the region's corner at side distortions (d1, d2).
 
-    Takes scalars or arrays and returns (d12, inside).  ``pi`` and ``delta``
-    are clamped at 0 first: at the D == beta grid edge they can come out as
-    -1e-17 in float.  ``inside`` is False where (d1, d2) lies outside the
+    Takes scalars or arrays and returns (d12, inside).  With u = d1 / b,
+    v = d2 / b, pi = (1 - u)(1 - v) and delta = u v - 2^(-2 rsum), the corner
+    is b 2^(-2 rsum) / (1 - (sqrt(pi) - sqrt(delta))^2).  The denominator is
+    taken as (1 - sqrt(pi) + sqrt(delta)) (1 + sqrt(pi) - sqrt(delta)), with
+    1 - pi and 1 - delta as sums of nonnegative terms, so it cannot cancel to
+    0 as delta -> 0 or 1.  ``delta`` is clamped at 0: at the side bound it can
+    round to -1e-17.  ``inside`` is False where (d1, d2) lies outside the
     achievable region by more than that rounding; d12 means nothing there.
     """
     excess = 2.0 ** (-2.0 * rsum)
-    pi = (1.0 - d1 / b) * (1.0 - d2 / b)
-    delta = d1 * d2 / b**2 - excess
-    denom = 1.0 - (np.sqrt(np.maximum(pi, 0.0)) - np.sqrt(np.maximum(delta, 0.0))) ** 2
-    inside = (pi >= 0) & (delta >= -1e-12) & (denom > 0)
+    u, v = d1 / b, d2 / b
+    p1, p2 = (b - d1) / b, (b - d2) / b
+    pi = p1 * p2
+    delta = u * v - excess
+    a = np.sqrt(np.maximum(pi, 0.0))
+    c = np.sqrt(np.maximum(delta, 0.0))
+    one_minus_pi = u + v * p1
+    one_minus_delta = p1 + u * p2 + excess
+    denom = (one_minus_pi / (1.0 + a) + c) * (a + one_minus_delta / (1.0 + c))
+    inside = (p1 >= 0) & (p2 >= 0) & (delta >= -1e-12) & (denom > 0)
     with np.errstate(divide="ignore"):
         return b * excess / denom, inside
+
+
+def _axis(lo: float, hi: float) -> np.ndarray:
+    """``GRID_N`` log-spaced points from ``lo`` to ``hi``, both ends exact."""
+    axis = np.clip(np.exp(np.linspace(np.log(lo), np.log(hi), GRID_N)), lo, hi)
+    axis[0], axis[-1] = lo, hi
+    return axis
 
 
 def central_bound(query: BoundQuery, d1: float, d2: float) -> float:
@@ -119,14 +142,11 @@ def min_avg_distortion(query: BoundQuery) -> BoundResult:
     """
     b = beta(query)
     d1_min, d2_min = side_bounds(query)
-    if d1_min > b or d2_min > b:
-        raise ValueError("infeasible query: side bound exceeds the SI floor")
 
     def objective(d1: float, d2: float) -> float:
         return _loss_average(query, d1, d2, central_bound(query, d1, d2))
 
-    d1_axis = np.exp(np.linspace(np.log(d1_min), np.log(b), GRID_N))
-    d2_axis = np.exp(np.linspace(np.log(d2_min), np.log(b), GRID_N))
+    d1_axis, d2_axis = _axis(d1_min, b), _axis(d2_min, b)
     dd1, dd2 = np.meshgrid(d1_axis, d2_axis, indexing="ij")
     d12, _ = _central(b, query.r1 + query.r2, dd1, dd2)
     obj = _loss_average(query, dd1, dd2, d12)

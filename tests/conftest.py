@@ -9,7 +9,6 @@ from mdquant import (
     DescriptionChannel,
     GaussianSource,
     IndexAssignment,
-    JointGaussianPair,
     build_decoder_tables,
     lloyd_design,
 )
@@ -34,8 +33,7 @@ def make_bundle(quantizer, si_quantizer, ia_table, channels, design_rho=0.8):
     """Assemble a bundle with full-ladder tables from explicit pieces."""
     ladder = CorrelationLadder()
     ia = IndexAssignment(np.asarray(ia_table, dtype=float), hard=True)
-    pairs = [JointGaussianPair(1.0, 1.0, float(r)) for r in ladder.levels]
-    tables = build_decoder_tables(quantizer, si_quantizer, ia, pairs)
+    tables = build_decoder_tables(quantizer, si_quantizer, ia, ladder.levels)
     return CodecBundle(
         quantizer=quantizer,
         si_quantizer=si_quantizer,

@@ -7,7 +7,8 @@ MMSE, estimated-SI and soft-SI joint, partial-SI), the single-pass
 distortion, the per-loss-pattern design quantities, the SI selection scores
 of one pair of loss patterns, the whole-array AWGN decode of the asymmetric
 experiment, the serial annealing restarts, the brute-force MMSE audit and
-the two rejected readings of the rate-distortion bound.
+the two rejected readings of the rate-distortion bound, and the decoder
+tables built pair by pair.
 They compute symbol by symbol, or from first principles, what the package
 computes from moment matrices and lookup tables over all trials at once, so
 the tests can check one against the other.
@@ -39,6 +40,7 @@ from mdquant.codec import (
     IndexAssignment,
     _anneal_once,
     masked_ratio,
+    si_moment_matrices,
 )
 from mdquant.decode_sym import CrossSourceTables, build_cross_tables
 from mdquant.gaussian import GaussianSource, JointGaussianPair, gauss_interval_moments_batch
@@ -603,6 +605,52 @@ def asym_awgn_errors(bundle: CodecBundle, channels, x, tuple_ids, si_levels, lev
     post = np.exp(lp)
     post /= post.sum(axis=1, keepdims=True)
     return (x - np.sum(post * codebook, axis=1)) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Decoder tables
+# ---------------------------------------------------------------------------
+
+
+def pair_nosi_tables(quantizer: ScalarQuantizer, table: np.ndarray, sd_x: float = 1.0):
+    """No-SI prior P(I) and codebook E[X | I] of a source with std ``sd_x``."""
+    p, m1, _ = gauss_interval_moments_batch(quantizer.edges(), 0.0, sd_x)
+    prior = table.T @ p
+    first = table.T @ m1
+    return np.where(prior > PROB_FLOOR, prior, 0.0), masked_ratio(first, prior, PROB_FLOOR)
+
+
+def pair_tables(quantizer, si_quantizer, table: np.ndarray, pair: JointGaussianPair):
+    """(S, L) prior P(I | y) and codebook E[X | I, y] of one source/SI pair.
+
+    At rho = 0 every SI level repeats the no-SI tables.  Elsewhere the tables
+    come from the pair's own moment matrices.
+    """
+    if pair.rho == 0.0:
+        prior, codebook = pair_nosi_tables(quantizer, table, pair.sd_x)
+        reps = (si_quantizer.size, 1)
+        return np.tile(prior, reps), np.tile(codebook, reps)
+    s0, s1, _ = si_moment_matrices(quantizer, si_quantizer, pair)
+    joint = table.T @ s0
+    first = table.T @ s1
+    psi = joint.sum(axis=0)
+    zero = joint <= PROB_FLOOR
+    prior = np.where(zero, 0.0, joint / np.maximum(psi[None, :], 1e-300))
+    return prior.T, masked_ratio(first, joint, PROB_FLOOR).T
+
+
+def pairwise_decoder_tables(quantizer, si_quantizer, ia: IndexAssignment, pairs) -> dict:
+    """Every stored table of ``build_decoder_tables``, built pair by pair."""
+    tables = [pair_tables(quantizer, si_quantizer, ia.table, pair) for pair in pairs]
+    prior_nosi, codebook_nosi = pair_nosi_tables(quantizer, ia.table, pairs[0].sd_x)
+    return {
+        "rho_values": np.array([pair.rho for pair in pairs]),
+        "si_probs": si_quantizer.cell_probs,
+        "prior": np.stack([t[0] for t in tables]),
+        "codebook": np.stack([t[1] for t in tables]),
+        "prior_nosi": prior_nosi,
+        "codebook_nosi": codebook_nosi,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,15 @@ class TestDesign:
                      "--seed", "1", "-o", tmp_path / "x.json")
         assert rc == 2
 
-    def test_awgn_design_rejected(self, tmp_path):
-        rc = run_cli("design", "--K", "4", "--desc", "2,2", "--awgn", "0.5",
-                     "--rho-enc", "0.5", "--seed", "1", "-o", tmp_path / "x.json")
-        assert rc == 2
+    def test_awgn_design_rejected(self, tmp_path, capsys):
+        # Design needs BSC channels, so ``design`` has no --awgn flag.
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("design", "--K", "4", "--desc", "2,2", "--awgn", "0.5",
+                    "--rho-enc", "0.5", "--seed", "1", "-o", tmp_path / "x.json")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --awgn 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_all_lost_prints_clean_zeros(self, capsys):
         rc = run_cli("design", "--K", "4", "--desc", "2,2", "--loss", "1",
@@ -151,6 +156,25 @@ class TestBound:
         argv = ["--rho", "0.3", "--mu1", "0.1"]
         assert run_cli("bound", "--sweep", "correlation", *argv) == 2
         assert capsys.readouterr().err == "error: --sweep cannot be combined with --rho, --mu1\n"
+
+    @pytest.mark.parametrize("point", [
+        ("0.5", "28", "28", "0.1"), ("0.5", "14", "14", "1"), ("0.99999999", "1", "0", "0"),
+    ])
+    def test_every_accepted_point_prints_a_number(self, tmp_path, point):
+        rho, r1, r2, mu1 = point
+        out = tmp_path / "bound.csv"
+        assert run_cli("bound", "--rho", rho, "--r1", r1, "--r2", r2, "--mu1", mu1, "-o", out) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert all(math.isfinite(float(v)) for v in row[5:])
+
+    def test_rate_sum_above_the_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bound.csv"
+        capsys.readouterr()
+        rc = run_cli("bound", "--rho", "0.5", "--r1", "600", "--r2", "600", "--mu1", "0.1",
+                     "-o", out)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: rates R1 + R2 must not exceed 500 bits\n"
+        assert not out.exists()
 
     def test_unit_correlation_exits_2(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"
@@ -450,6 +474,28 @@ class TestScenario:
         assert run_cli(*args, "-o", a) == 0
         assert run_cli(*args, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("rho_enc", [None, "0.6"])
+    def test_designs_the_codec_design_writes(self, tmp_path, monkeypatch, rho_enc):
+        # Without --codec, scenario designs its shared codec from its own
+        # design arguments, exactly as ``design`` would from the same ones.
+        shared = {}
+
+        def keep_bundle(cfg):
+            shared["bundle"] = cfg.bundle
+            return run_sym_experiment(cfg)
+
+        monkeypatch.setattr("mdquant.cli.run_sym_experiment", keep_bundle)
+        design_args = ["--K", "8", "--desc", "2,2", "--bsc", "0.01", "--loss", "0.1",
+                       "--nsi", "8", "--restarts", "2", "--seed", "4"]
+        rho_args = [] if rho_enc is None else ["--rho-enc", rho_enc]
+        assert run_cli("scenario", "--nodes", "4", *design_args, *rho_args,
+                       "--trials", "100", "-o", tmp_path / "scen.csv") == 0
+        save_codec(shared["bundle"], tmp_path / "scenario.json")
+        rho = rho_enc or repr(shared["bundle"].design_rho)
+        assert run_cli("design", *design_args, "--rho-enc", rho,
+                       "-o", tmp_path / "design.json") == 0
+        assert (tmp_path / "scenario.json").read_bytes() == (tmp_path / "design.json").read_bytes()
 
     def test_one_trial_exits_2(self, codec_file, tmp_path, capsys):
         out = tmp_path / "scen.csv"

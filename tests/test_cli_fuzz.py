@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdquant.cli import main
+from mdquant.rd_bound import MAX_RATE_SUM_BITS
 from mdquant.simulator import SI_METHODS, SYM_MODES
 
 SPECIAL = [math.nan, math.inf, -math.inf, -1.0, -1e-9, 0.0, 0.5, 1.0, 1.5]
@@ -148,7 +149,13 @@ def test_scenario_file(tiny_codec, field, workdir, trials, seed, mode):
 
 
 @FUZZ
-@given(rho=RHO, r1=numbers(0.0, 4.0), r2=numbers(0.0, 4.0), mu1=PROB, mu2=st.none() | PROB)
+@given(
+    rho=RHO,
+    r1=numbers(0.0, MAX_RATE_SUM_BITS),
+    r2=numbers(0.0, MAX_RATE_SUM_BITS),
+    mu1=PROB,
+    mu2=st.none() | PROB,
+)
 def test_bound(workdir, rho, r1, r2, mu1, mu2):
     argv = ["bound", flag("rho", rho), flag("r1", r1), flag("r2", r2), flag("mu1", mu1)]
     if mu2 is not None:

@@ -27,6 +27,7 @@ from mdquant.quantizer import quantizer_mse
 from conftest import simpson_nodes, std_normal_pdf
 from oracles import (
     da_weights,
+    pairwise_decoder_tables,
     distortion_direct,
     flatten_tuples,
     per_pattern_design,
@@ -162,18 +163,28 @@ class TestSiMomentStack:
             assert g.tobytes() == c.tobytes()
 
 
+def _assert_tables_equal(tables, expect):
+    for name, ref in expect.items():
+        got = getattr(tables, name)
+        assert got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+def _unit_pairs(rhos):
+    return [JointGaussianPair(1, 1, float(r)) for r in rhos]
+
+
 class TestDecoderTables:
     def test_bijective_no_si(self, source, q4):
         ia = IndexAssignment(np.eye(4), hard=True)
-        tables = build_decoder_tables(q4, _lloyd(1), ia, [JointGaussianPair(1, 1, 0.0)])
+        tables = build_decoder_tables(q4, _lloyd(1), ia, [0.0])
         assert np.allclose(tables.prior[0, 0], q4.cell_probs, atol=1e-12)
         assert np.allclose(tables.codebook[0, 0], q4.codewords, atol=1e-9)
 
     def test_priors_normalized(self, source, q4):
         si = lloyd_design(source, 16)
         ia = IndexAssignment(np.eye(4), hard=True)
-        pairs = [JointGaussianPair(1, 1, r) for r in (0.0, 0.5, 0.9)]
-        tables = build_decoder_tables(q4, si, ia, pairs)
+        tables = build_decoder_tables(q4, si, ia, [0.0, 0.5, 0.9])
         assert np.max(np.abs(tables.prior.sum(axis=2) - 1.0)) < 1e-9
 
     def test_binned_codebook_two_term_oracle(self, source, q4):
@@ -184,7 +195,7 @@ class TestDecoderTables:
         table = np.zeros((4, 4))
         table[0, 0] = table[3, 0] = table[1, 1] = table[2, 2] = 1.0
         ia = IndexAssignment(table, hard=True)
-        tables = build_decoder_tables(q4, si, ia, [pair])
+        tables = build_decoder_tables(q4, si, ia, [pair.rho])
         edges = np.clip(q4.edges(), -9, 9)
         for level in (1, 4, 6):
             num = den = 0.0
@@ -195,6 +206,91 @@ class TestDecoderTables:
                 num += np.dot(mass, x)
             expect = num / den
             assert abs(tables.codebook[0, level, 0] - expect) < 1e-8
+
+
+class TestDecoderTablesAgainstPairOracle:
+    """The correlation-level build equals the pair-by-pair recipe bit for bit."""
+
+    def test_tiny_codec(self, tiny_bundle):
+        b = tiny_bundle
+        expect = pairwise_decoder_tables(
+            b.quantizer, b.si_quantizer, b.ia, _unit_pairs(b.ladder.levels)
+        )
+        _assert_tables_equal(b.tables, expect)
+
+    def test_designed_codec(self, source):
+        q, si = lloyd_design(source, 16), lloyd_design(source, 32)
+        ch = (DescriptionChannel.bsc(0.01, 0.05, 4),) * 2
+        bundle = design_annealed(q, si, JointGaussianPair(1, 1, 0.7), ch, restarts=1, seed=3)
+        expect = pairwise_decoder_tables(q, si, bundle.ia, _unit_pairs(bundle.ladder.levels))
+        _assert_tables_equal(bundle.tables, expect)
+
+    @pytest.mark.parametrize("nsi", [1, 8])
+    def test_rho_zero_and_one_level_si(self, tiny_bundle, nsi):
+        b = tiny_bundle
+        rhos = [0.0, 0.45, 0.0, 0.9]
+        tables = build_decoder_tables(b.quantizer, _lloyd(nsi), b.ia, rhos)
+        expect = pairwise_decoder_tables(b.quantizer, _lloyd(nsi), b.ia, _unit_pairs(rhos))
+        _assert_tables_equal(tables, expect)
+        # Independent SI repeats the no-SI tables on every SI level.
+        for name in ("prior", "codebook"):
+            nosi = getattr(tables, f"{name}_nosi")
+            assert getattr(tables, name)[0].tobytes() == np.tile(nosi, (nsi, 1)).tobytes()
+
+    def test_with_si_quantizer_matches_the_oracle(self, tiny_bundle):
+        si = _lloyd(4)
+        rebuilt = tiny_bundle.with_si_quantizer(si)
+        expect = pairwise_decoder_tables(
+            tiny_bundle.quantizer, si, tiny_bundle.ia, _unit_pairs(tiny_bundle.ladder.levels)
+        )
+        _assert_tables_equal(rebuilt.tables, expect)
+
+
+def _assert_floor_clean(tables, quantizer, si_quantizer, ia):
+    """Finite, normalized tables; prior and codebook 0 wherever the joint mass is floored."""
+    for name in ("prior", "codebook", "prior_nosi", "codebook_nosi"):
+        assert np.all(np.isfinite(getattr(tables, name))), name
+    assert np.all(np.abs(tables.prior.sum(axis=2) - 1.0) <= 1e-9)
+    assert abs(tables.prior_nosi.sum() - 1.0) <= 1e-9
+    for r, rho in enumerate(tables.rho_values):
+        if rho == 0.0:
+            continue
+        s0, _, _ = si_moment_stack(quantizer, si_quantizer, [rho])
+        floored = (ia.table.T @ s0[0]).T <= codec.PROB_FLOOR  # (S, L)
+        assert np.all(tables.prior[r][floored] == 0.0)
+        assert np.all(tables.codebook[r][floored] == 0.0)
+
+
+class TestDecoderTableFloors:
+    """Numerical floors of the table build, at their edges."""
+
+    def test_capped_unit_correlation(self, source):
+        # At rho = RHO_CAP the conditional law is nearly a point mass: most
+        # (SI level, tuple) joints fall to the floor.
+        q, si = lloyd_design(source, 16), lloyd_design(source, 64)
+        ia = IndexAssignment(np.eye(16), hard=True)
+        tables = build_decoder_tables(q, si, ia, [codec.RHO_CAP, -codec.RHO_CAP, 1.0])
+        _assert_floor_clean(tables, q, si, ia)
+        assert tables.prior[0].tobytes() == tables.prior[2].tobytes()
+        assert np.any(tables.prior[0] == 0.0)
+
+    def test_unused_tuple_gets_prior_and_codebook_zero(self, q4):
+        table = np.zeros((4, 6))
+        table[[0, 1, 2, 3], [0, 2, 2, 5]] = 1.0  # tuples 1, 3 and 4 are never sent
+        ia = IndexAssignment(table, hard=True)
+        tables = build_decoder_tables(q4, _lloyd(8), ia, [0.0, 0.6, 0.99])
+        _assert_floor_clean(tables, q4, _lloyd(8), ia)
+        for name in ("prior", "codebook"):
+            assert np.all(getattr(tables, name)[..., [1, 3, 4]] == 0.0)
+            assert np.all(getattr(tables, f"{name}_nosi")[[1, 3, 4]] == 0.0)
+
+    @pytest.mark.parametrize("ber,loss", [(0.01, 0.0), (0.01, 1.0), (0.5, 0.05)],
+                             ids=["loss0", "loss1", "ber-half"])
+    def test_designed_at_channel_edges(self, source, ber, loss):
+        q, si = lloyd_design(source, 8), lloyd_design(source, 16)
+        ch = (DescriptionChannel.bsc(ber, loss, 2),) * 2
+        bundle = design_annealed(q, si, JointGaussianPair(1, 1, 0.8), ch, restarts=1, seed=2)
+        _assert_floor_clean(bundle.tables, q, si, bundle.ia)
 
 
 class TestEvaluateDistortion:
@@ -424,6 +520,12 @@ class TestDesignAnnealed:
             q6, si, pair, ch, restarts=1, seed=0
         )
         assert bundle.metadata["d_av"] <= 1.05 * best
+
+    @pytest.mark.parametrize("var_x,var_y", [(2.0, 1.0), (1.0, 0.5)])
+    def test_non_unit_variances_rejected(self, source, q4, var_x, var_y):
+        ch = (DescriptionChannel.bsc(0.01, 0.05, 2),) * 2
+        with pytest.raises(ValueError, match="unit-variance"):
+            design_annealed(q4, _lloyd(4), JointGaussianPair(var_x, var_y, 0.5), ch, restarts=1)
 
     def test_metadata_and_reproducibility(self, source, q4):
         si = lloyd_design(source, 8)

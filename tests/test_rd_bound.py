@@ -1,10 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdquant import BoundQuery, beta, central_bound, min_avg_distortion
-from mdquant.rd_bound import GRID_N, _central, side_bounds
+from mdquant.rd_bound import GRID_N, MAX_RATE_SUM_BITS, _axis, _central, side_bounds
 
 from oracles import alternate_bound_db
 
@@ -113,8 +116,7 @@ class TestMinAvgDistortion:
 
         b = beta(query)
         d1_min, d2_min = side_bounds(query)
-        d1 = np.exp(np.linspace(np.log(d1_min), np.log(b), 200))
-        d2 = np.exp(np.linspace(np.log(d2_min), np.log(b), 200))
+        d1, d2 = _axis(d1_min, b), _axis(d2_min, b)
         grid_best = min(
             _loss_average(query, a, c, central_bound(query, a, c))
             for a in d1[::9]
@@ -155,8 +157,7 @@ def test_grid_path_equals_central_bound(r1, r2, rho, mu, cells):
     query = q(r1, r2, rho, mu)
     b = beta(query)
     d1_min, d2_min = side_bounds(query)
-    d1_axis = np.exp(np.linspace(np.log(d1_min), np.log(b), GRID_N))
-    d2_axis = np.exp(np.linspace(np.log(d2_min), np.log(b), GRID_N))
+    d1_axis, d2_axis = _axis(d1_min, b), _axis(d2_min, b)
     dd1, dd2 = np.meshgrid(d1_axis, d2_axis, indexing="ij")
     d12, inside = _central(b, r1 + r2, dd1, dd2)
     for i, j in [*cells, (GRID_N - 1, GRID_N - 1), (0, GRID_N - 1)]:
@@ -165,3 +166,62 @@ def test_grid_path_equals_central_bound(r1, r2, rho, mu, cells):
         else:
             with pytest.raises(ValueError, match="outside achievable region"):
                 central_bound(query, d1_axis[i], d2_axis[j])
+
+
+# Correlations at and next to +-1, where beta = 1 - rho^2 is a few ulps.
+EDGE_RHOS = [0.0, 0.5, 0.99999999, 1 - 2.0**-53, -(1 - 2.0**-53), -0.99999999]
+EDGE_MUS = [0.0, 1.0]
+
+
+def _finite_bound(query):
+    """``min_avg_distortion`` with every RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = min_avg_distortion(query)
+    for value in (res.d_min, res.d1, res.d2, res.d12, res.d_min_db):
+        assert math.isfinite(value), res
+    b = beta(query)
+    d1_min, d2_min = side_bounds(query)
+    assert d1_min <= res.d1 <= b and d2_min <= res.d2 <= b, res
+    # The corner (beta, beta) is on the grid and has d12 = beta.
+    assert 0.0 < res.d_min <= b * (1.0 + 1e-12), res
+    return res
+
+
+@pytest.mark.parametrize("r1,r2,rho,mu", [
+    (28.0, 28.0, 0.5, 0.1),  # delta -> 0: the denominator cancelled to 0
+    (14.0, 14.0, 0.5, 1.0),  # delta -> 1 at the corner (beta, beta)
+    (1.0, 0.0, 0.99999999, 0.0),  # a grid end of exp(log(beta)) above beta
+    (MAX_RATE_SUM_BITS / 2, MAX_RATE_SUM_BITS / 2, 0.5, 0.1),
+])
+def test_queries_once_read_as_infeasible_have_a_bound(r1, r2, rho, mu):
+    _finite_bound(q(r1, r2, rho, mu))
+
+
+def test_known_corner_value():
+    # R2 = 0 pins d2 = beta; with no loss the bound is the corner at
+    # d1 = beta / 4, where d12 = beta 2^(-2) exactly.
+    res = _finite_bound(q(1.0, 0.0, 0.99999999, 0.0))
+    assert res.d_min == pytest.approx(beta(q(1.0, 0.0, 0.99999999, 0.0)) / 4, rel=1e-12)
+
+
+def test_rate_sum_above_the_cap_rejected():
+    with pytest.raises(ValueError, match="R1 \\+ R2 must not exceed 500 bits"):
+        q(MAX_RATE_SUM_BITS, 1e-9, 0.5, 0.1)
+    q(MAX_RATE_SUM_BITS, 0.0, 0.5, 0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    total=st.one_of(st.sampled_from([0.0, MAX_RATE_SUM_BITS]), st.floats(0.0, MAX_RATE_SUM_BITS)),
+    share=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    rho=st.one_of(st.sampled_from(EDGE_RHOS),
+                  st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    mu1=st.one_of(st.sampled_from(EDGE_MUS), st.floats(0.0, 1.0)),
+    mu2=st.one_of(st.sampled_from(EDGE_MUS), st.floats(0.0, 1.0)),
+)
+def test_every_accepted_query_has_a_finite_bound(total, share, rho, mu1, mu2):
+    r1 = total * share
+    r2 = total - r1
+    assume(r1 + r2 <= MAX_RATE_SUM_BITS)
+    _finite_bound(q(r1, r2, rho, mu1, mu2))
