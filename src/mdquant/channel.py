@@ -167,7 +167,7 @@ def pattern_ids(received: np.ndarray) -> np.ndarray:
     return received.astype(int) @ weights
 
 
-def pattern_table(channels, Q, space: TupleSpace | None = None) -> np.ndarray:
+def pattern_table(channels, Q) -> np.ndarray:
     """Analytic likelihood table of one loss pattern Q (BSC channels only).
 
     Shape (L, n_j): P(all received J | I, Q) for every index tuple and every
@@ -178,8 +178,7 @@ def pattern_table(channels, Q, space: TupleSpace | None = None) -> np.ndarray:
     for ch in channels:
         if ch.kind != "bsc":
             raise ValueError("analytic likelihood tables require discrete channels")
-    if space is None:
-        space = tuple_space(channels)
+    space = tuple_space(channels)
     Q = np.asarray(Q, dtype=bool)
     table = np.ones((space.size, 1))
     for m, ch in enumerate(channels):
@@ -191,15 +190,13 @@ def pattern_table(channels, Q, space: TupleSpace | None = None) -> np.ndarray:
     return table
 
 
-def stacked_pattern_table(channels, space: TupleSpace | None = None):
+def stacked_pattern_table(channels):
     """Every loss pattern's likelihood table side by side, shape (L, sum n_j).
 
     Also returns the column offsets, one more than there are patterns:
     pattern p (in ``loss_patterns`` order) owns columns
     ``offsets[p]:offsets[p + 1]``.
     """
-    if space is None:
-        space = tuple_space(channels)
-    tables = [pattern_table(channels, Q, space) for Q in loss_patterns(len(channels))]
+    tables = [pattern_table(channels, Q) for Q in loss_patterns(len(channels))]
     offsets = np.cumsum([0] + [t.shape[1] for t in tables])
     return np.hstack(tables), offsets

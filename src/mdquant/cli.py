@@ -202,29 +202,31 @@ def cmd_evaluate(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
+    own = bundle.channels
+    if args.awgn is not None:
+        labels, make = [args.awgn], DescriptionChannel.awgn
+    elif args.bsc_sweep:
+        labels, make = [float(v) for v in args.bsc_sweep.split(",")], DescriptionChannel.bsc
+    else:
+        # A codec's own channels are labelled like the flag that would set them.
+        labels = [own[0].bit_error_rate if own[0].kind == "bsc" else own[0].noise_psd]
+        make = None
+    channel_sets = [own] if make is None else [
+        tuple(make(v, ch.loss_prob, ch.index_count) for ch in own) for v in labels
+    ]
     if sizes:
         # Average distortion versus SI quantizer size: tables rebuilt per size.
         name, labels = "nsi", sizes
         results = (
             run_asym_experiment(
-                replace(cfg, bundle=bundle.with_si_quantizer(lloyd_design(GaussianSource(), n)))
-            )
+                replace(cfg, bundle=bundle.with_si_quantizer(lloyd_design(GaussianSource(), n))),
+                channel_sets,
+            )[0]
             for n in sizes
         )
     else:
         # Every row decodes the same draws: one simulator call for the whole sweep.
-        name, own = "p", bundle.channels
-        if args.awgn is not None:
-            labels, make = [args.awgn], DescriptionChannel.awgn
-        elif args.bsc_sweep:
-            labels, make = [float(v) for v in args.bsc_sweep.split(",")], DescriptionChannel.bsc
-        else:
-            # A codec's own channels are labelled like the flag that would set them.
-            labels = [own[0].bit_error_rate if own[0].kind == "bsc" else own[0].noise_psd]
-            make = None
-        channel_sets = [own] if make is None else [
-            tuple(make(v, ch.loss_prob, ch.index_count) for ch in own) for v in labels
-        ]
+        name = "p"
         results = run_asym_experiment(cfg, channel_sets)
     lines = [EVALUATE_HEADER]
     for label, res in zip(labels, results):
@@ -260,7 +262,32 @@ def _load_scenario_file(path, channels):
     )
 
 
+# Defaults of the ``scenario`` flags that a codec file or a scenario file
+# replaces: the shared codec's design arguments and the random field's.
+SCENARIO_DESIGN_DEFAULTS = {
+    "K": 16, "desc": "4,4", "bsc": 0.005, "loss": 0.05, "nsi": 64, "rho_enc": None,
+    "restarts": 2,
+}
+SCENARIO_FIELD_DEFAULTS = {"nodes": None, "alpha": 2.0}
+
+
+def _apply_scenario_defaults(args) -> None:
+    """Reject flags that --codec or --scenario-file would ignore, then fill in the defaults."""
+    for source, given_with, defaults in (
+        ("--codec", args.codec, SCENARIO_DESIGN_DEFAULTS),
+        ("--scenario-file", args.scenario_file, SCENARIO_FIELD_DEFAULTS),
+    ):
+        flags = [name for name in defaults if getattr(args, name) is not None]
+        if given_with and flags:
+            names = ", ".join("--" + name.replace("_", "-") for name in flags)
+            raise ValueError(f"{source} cannot be combined with {names}")
+        for name in defaults:
+            if getattr(args, name) is None:
+                setattr(args, name, defaults[name])
+
+
 def cmd_scenario(args) -> int:
+    _apply_scenario_defaults(args)
     _check_trials(args.trials)
     if args.codec:
         bundle = load_codec(args.codec)
@@ -388,20 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_evaluate)
 
+    # The field and design flags default to None, so that a flag given with
+    # --scenario-file or --codec is seen; SCENARIO_*_DEFAULTS fill in the rest.
     p = sub.add_parser("scenario", help="symmetric experiment over a sensor field")
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=None, help="default 2.0")
     p.add_argument("--scenario-file", default=None, dest="scenario_file")
     p.add_argument("--save-scenario", default=None, dest="save_scenario")
     p.add_argument("--codec", default=None)
-    p.add_argument("--K", type=int, default=16)
-    p.add_argument("--desc", default="4,4")
-    p.add_argument("--bsc", type=float, default=0.005)
-    p.add_argument("--loss", type=float, default=0.05)
-    p.add_argument("--nsi", type=int, default=64)
+    p.add_argument("--K", type=int, default=None, help="default 16")
+    p.add_argument("--desc", default=None, help="default 4,4")
+    p.add_argument("--bsc", type=float, default=None, help="default 0.005")
+    p.add_argument("--loss", type=float, default=None, help="default 0.05")
+    p.add_argument("--nsi", type=int, default=None, help="default 64")
     p.add_argument("--rho-enc", type=float, default=None, dest="rho_enc",
                    help="override the shared codec's design correlation")
-    p.add_argument("--restarts", type=int, default=2)
+    p.add_argument("--restarts", type=int, default=None, help="default 2")
     p.add_argument("--mode", choices=SYM_MODES, default="soft")
     p.add_argument("--si-method", choices=SI_METHODS, default="min_distortion",
                    dest="si_method")
@@ -425,7 +454,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be non-negative")
         for name in ("K", "nsi"):  # quantizer sizes, checked before anything is allocated
-            _check_levels(f"--{name}", getattr(args, name, 1))
+            if getattr(args, name, None) is not None:
+                _check_levels(f"--{name}", getattr(args, name))
         for output in (args.output, getattr(args, "save_scenario", None)):
             if output:
                 _check_output_path(output)

@@ -12,7 +12,9 @@ All analytic machinery reduces to three moment matrices S0, S1, S2 of shape
     Sn[k, y] = integral over cell k of x^n * f(x) * P(SI level y | x) dx
 
 from which priors P(I | y), codebooks C(I | y), reconstruction lookups and
-the annealing weights are all small matrix contractions.
+the annealing weights are all small matrix contractions.  The source and its
+SI have unit variance: every stored table, cross table and simulator draw
+assumes it, and ``si_moment_matrices`` rejects any other pair.
 
 The likelihood tables of the 2^M loss patterns are stacked side by side into
 one (L x sum n_j) matrix, so every per-word quantity of every pattern (masses,
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -170,16 +172,16 @@ def gibbs_update(weights: np.ndarray, T: float, cell_probs) -> IndexAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _si_panels(q_si: ScalarQuantizer, sd_y: float):
-    """Gauss-Legendre nodes/weights per SI cell, tails clipped at TAIL_CLIP."""
-    edges = np.clip(q_si.edges(), -TAIL_CLIP * sd_y, TAIL_CLIP * sd_y)
+def _si_panels(q_si: ScalarQuantizer):
+    """Gauss-Legendre nodes/weights per cell of a unit-variance SI, tails clipped at TAIL_CLIP."""
+    edges = np.clip(q_si.edges(), -TAIL_CLIP, TAIL_CLIP)
     base_x, base_w = leggauss(N_GAUSS)
     nodes, weights, owner = [], [], []
     for lvl in range(q_si.size):
         a, b = edges[lvl], edges[lvl + 1]
         if b <= a:
             continue
-        n_panels = max(1, int(np.ceil((b - a) / (0.75 * sd_y))))
+        n_panels = max(1, int(np.ceil((b - a) / 0.75)))
         bounds = np.linspace(a, b, n_panels + 1)
         for pa, pb in zip(bounds[:-1], bounds[1:]):
             half = 0.5 * (pb - pa)
@@ -199,20 +201,18 @@ def si_moment_matrices(
     The y-integral uses panelled Gauss-Legendre per SI cell; the inner
     x-moments over quantizer cells are exact Gaussian interval moments of the
     conditional law X | Y=y.  A one-level SI quantizer (no side information)
-    gives one unconditional column.
+    gives one unconditional column.  Every table of the package is built for
+    a unit-variance source and SI, so a pair with other variances is
+    rejected here.
     """
-    s0, s1, s2 = si_moment_stack(quantizer, si_quantizer, [pair.rho], pair.sd_x, pair.sd_y)
+    if pair.var_x != 1.0 or pair.var_y != 1.0:
+        raise ValueError("moment matrices require a unit-variance source and side information")
+    s0, s1, s2 = si_moment_stack(quantizer, si_quantizer, [pair.rho])
     return s0[0], s1[0], s2[0]
 
 
-def si_moment_stack(
-    quantizer: ScalarQuantizer,
-    si_quantizer: ScalarQuantizer,
-    rhos,
-    sd_x: float = 1.0,
-    sd_y: float = 1.0,
-):
-    """S0, S1, S2 for many correlations at once, each of shape (R, K, N_si).
+def si_moment_stack(quantizer: ScalarQuantizer, si_quantizer: ScalarQuantizer, rhos):
+    """S0, S1, S2 of a unit-variance source and SI for many correlations, each (R, K, N_si).
 
     Entry r is the moment matrix at correlation ``rhos[r]`` and does not
     depend on the rest of the batch: independent SI (one level, or rho = 0)
@@ -229,16 +229,16 @@ def si_moment_stack(
     marginal = np.setdiff1d(np.arange(rhos.size), coupled)
     if marginal.size:
         w = si_quantizer.cell_probs[None, :]
-        for i, m in enumerate(gauss_interval_moments_batch(edges, 0.0, sd_x)):
+        for i, m in enumerate(gauss_interval_moments_batch(edges, 0.0, 1.0)):
             out[i, marginal] = m[:, None] * w
     if not coupled.size:
         return out[0], out[1], out[2]
 
-    nodes, wts, owner = _si_panels(si_quantizer, sd_y)
-    fy = np.exp(-0.5 * (nodes / sd_y) ** 2) / (sd_y * np.sqrt(2 * np.pi))
+    nodes, wts, owner = _si_panels(si_quantizer)
+    fy = np.exp(-0.5 * nodes ** 2) / np.sqrt(2 * np.pi)
     wts = (wts * fy)[:, None, None]
-    cond_sd = np.array([sd_x * np.sqrt(1.0 - r ** 2) for r in rhos[coupled]])
-    mean_slope = rhos[coupled] * (sd_x / sd_y)
+    cond_sd = np.array([np.sqrt(1.0 - r ** 2) for r in rhos[coupled]])
+    mean_slope = rhos[coupled]
 
     chunk = max(1, MOMENT_CHUNK // max(K, 1))
     node_step = min(nodes.size, chunk)
@@ -410,7 +410,7 @@ class DesignContext:
         self.space = tuple_space(channels)
         self.s0, self.s1, self.s2 = si_moment_matrices(quantizer, si_quantizer, pair)
         self.cell_probs = quantizer.cell_probs
-        self.stacked, self.offsets = stacked_pattern_table(channels, self.space)
+        self.stacked, self.offsets = stacked_pattern_table(channels)
         self.pattern_probs = np.array(
             [loss_pattern_prob(q, channels) for q in loss_patterns(len(channels))]
         )
@@ -496,7 +496,11 @@ class CodecBundle:
         self._check_shapes()
 
     def _check_shapes(self) -> None:
-        """The assignment and the stored tables must fit the quantizers, channels and ladder."""
+        """The assignment and the stored tables must fit the quantizers, channels and ladder.
+
+        The decoders pick a table by ladder level, so each table must be
+        built at its level's correlation.
+        """
         K = self.quantizer.size
         L = int(np.prod([ch.index_count for ch in self.channels]))
         S = self.si_quantizer.size
@@ -511,6 +515,13 @@ class CodecBundle:
             raise ValueError(
                 f"decoder tables hold {t.rho_values.size} correlation levels "
                 f"for a {n_rho}-level ladder"
+            )
+        off = np.flatnonzero(t.rho_values != self.ladder.levels)
+        if off.size:
+            i = int(off[0])
+            raise ValueError(
+                f"decoder table {i} is built at rho {float(t.rho_values[i])!r}, "
+                f"ladder level {i} is {float(self.ladder.levels[i])!r}"
             )
         for name in ("prior", "codebook"):
             shape = getattr(t, name).shape
@@ -528,16 +539,7 @@ class CodecBundle:
     def with_si_quantizer(self, si_quantizer) -> "CodecBundle":
         """Same codec with decoder tables rebuilt for another SI quantizer."""
         tables = build_decoder_tables(self.quantizer, si_quantizer, self.ia, self.ladder.levels)
-        return CodecBundle(
-            quantizer=self.quantizer,
-            si_quantizer=si_quantizer,
-            ia=self.ia,
-            channels=self.channels,
-            design_rho=self.design_rho,
-            ladder=self.ladder,
-            tables=tables,
-            metadata={**self.metadata, "si_quantizer_rebuilt": si_quantizer.size},
-        )
+        return replace(self, si_quantizer=si_quantizer, tables=tables)
 
 
 def _auto_t_init(weights, cell_probs) -> float:
@@ -743,10 +745,6 @@ def design_annealed(
         raise ValueError("restarts must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if pair.var_x != 1.0 or pair.var_y != 1.0:
-        # The stored tables, the joint decoder's cross tables and the
-        # simulator all assume a unit-variance source and SI.
-        raise ValueError("design requires a unit-variance source and side information")
     ladder = CorrelationLadder()
     ctx = DesignContext(quantizer, si_quantizer, pair, channels)
 

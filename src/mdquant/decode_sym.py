@@ -36,12 +36,10 @@ class CrossSourceTables:
     ``cell_given_idx`` so a neighbor tuple posterior maps straight to the own
     tuple prior and its first moment.
 
-    A stack for many correlations (:func:`cross_table_stack`) has an array
-    of correlations in ``rho`` and a leading correlation axis on every table
-    but ``cell_given_idx``.
+    A stack for many correlations (:func:`cross_table_stack`) has a leading
+    correlation axis on every table but ``cell_given_idx``.
     """
 
-    rho: float | np.ndarray
     cell_cross: np.ndarray
     cell_cross_m1: np.ndarray
     idx_given_cell: np.ndarray
@@ -51,7 +49,7 @@ class CrossSourceTables:
     mix_first: np.ndarray
 
 
-def _cross_tables(bundle_u, bundle_s, s0, s1, rho) -> CrossSourceTables:
+def _cross_tables(bundle_u, bundle_s, s0, s1) -> CrossSourceTables:
     """Cross tables from the moment matrices, one (K, K) pair or a stack of them."""
     qs = bundle_s.quantizer
     au, a_s = bundle_u.ia.table, bundle_s.ia.table
@@ -68,7 +66,6 @@ def _cross_tables(bundle_u, bundle_s, s0, s1, rho) -> CrossSourceTables:
     mix_prob = idx_given_cell @ cell_given_idx
     mix_first = raw_first @ cell_given_idx
     return CrossSourceTables(
-        rho=rho,
         cell_cross=cell_cross,
         cell_cross_m1=cell_cross_m1,
         idx_given_cell=idx_given_cell,
@@ -92,7 +89,7 @@ def build_cross_tables(
     quantizer, divided by the neighbor's cell probabilities.
     """
     s0, s1, _ = si_moment_matrices(bundle_u.quantizer, bundle_s.quantizer, pair_us)
-    return _cross_tables(bundle_u, bundle_s, s0, s1, float(pair_us.rho))
+    return _cross_tables(bundle_u, bundle_s, s0, s1)
 
 
 def cross_table_stack(bundle_u: CodecBundle, bundle_s: CodecBundle, rhos) -> CrossSourceTables:
@@ -101,6 +98,5 @@ def cross_table_stack(bundle_u: CodecBundle, bundle_s: CodecBundle, rhos) -> Cro
     Entry r of every table equals ``build_cross_tables`` at ``rhos[r]`` bit
     for bit (one moment quadrature, :func:`mdquant.codec.si_moment_stack`).
     """
-    rhos = np.asarray(rhos, dtype=float)
     s0, s1, _ = si_moment_stack(bundle_u.quantizer, bundle_s.quantizer, rhos)
-    return _cross_tables(bundle_u, bundle_s, s0, s1, rhos)
+    return _cross_tables(bundle_u, bundle_s, s0, s1)

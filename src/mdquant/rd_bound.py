@@ -72,9 +72,11 @@ def _central(b, rsum, d1, d2):
     is b 2^(-2 rsum) / (1 - (sqrt(pi) - sqrt(delta))^2).  The denominator is
     taken as (1 - sqrt(pi) + sqrt(delta)) (1 + sqrt(pi) - sqrt(delta)), with
     1 - pi and 1 - delta as sums of nonnegative terms, so it cannot cancel to
-    0 as delta -> 0 or 1.  ``delta`` is clamped at 0: at the side bound it can
-    round to -1e-17.  ``inside`` is False where (d1, d2) lies outside the
-    achievable region by more than that rounding; d12 means nothing there.
+    0 as delta -> 0 or 1.  ``delta`` is clamped at 0: at the side bounds it
+    can round a few ulps of 2^(-2 rsum) below 0.  ``inside`` is False where
+    (d1, d2) lies outside the achievable region by more than 1e-12 of
+    2^(-2 rsum), a tolerance relative to the scale of delta at every rate;
+    d12 means nothing there.
     """
     excess = 2.0 ** (-2.0 * rsum)
     u, v = d1 / b, d2 / b
@@ -86,7 +88,7 @@ def _central(b, rsum, d1, d2):
     one_minus_pi = u + v * p1
     one_minus_delta = p1 + u * p2 + excess
     denom = (one_minus_pi / (1.0 + a) + c) * (a + one_minus_delta / (1.0 + c))
-    inside = (p1 >= 0) & (p2 >= 0) & (delta >= -1e-12) & (denom > 0)
+    inside = (p1 >= 0) & (p2 >= 0) & (delta >= -1e-12 * excess) & (denom > 0)
     with np.errstate(divide="ignore"):
         return b * excess / denom, inside
 
@@ -101,10 +103,12 @@ def _axis(lo: float, hi: float) -> np.ndarray:
 def central_bound(query: BoundQuery, d1: float, d2: float) -> float:
     """Smallest central distortion compatible with side distortions (d1, d2).
 
-    Raises if (d1, d2) lies outside the achievable region.
+    Raises if (d1, d2) lies outside the achievable region: more than 1e-15
+    of a side bound below it (the bounds scale as 2^(-2R), so the tolerance
+    is relative), or outside the corner's region (see :func:`_central`).
     """
     d1_min, d2_min = side_bounds(query)
-    if d1 < d1_min - 1e-15 or d2 < d2_min - 1e-15:
+    if d1 < d1_min * (1.0 - 1e-15) or d2 < d2_min * (1.0 - 1e-15):
         raise ValueError("outside achievable region")
     d12, inside = _central(beta(query), query.r1 + query.r2, d1, d2)
     if not inside:

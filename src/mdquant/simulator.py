@@ -12,11 +12,11 @@ reduce to table lookups built once per configuration.  Results carry the
 Monte-Carlo standard error of every estimate.  The per-symbol decoders that
 these are tested against live in the test suite's oracles.
 
-The asymmetric experiment takes a list of channel sets (a BSC sweep) and
-does the shared work once: one draw of the source and its SI, one pass of
-quantizer cells, tuple ids and SI levels, and one set of flip and loss
-uniforms (or AWGN noise) per description, to which every set applies its own
-rates.  It decodes in blocks of ``DECODE_BLOCK`` trials drawn in turn from
+The asymmetric experiment takes a list of channel sets (the codec's own
+channels, or every row of a BSC sweep) and does the shared work once: one
+draw of the source and its SI, one pass of quantizer cells, tuple ids and SI
+levels, and one set of flip and loss uniforms (or AWGN noise) per
+description, to which every set applies its own rates.  It decodes in blocks of ``DECODE_BLOCK`` trials drawn in turn from
 the same generators, so the results equal one-call draws bit for bit and
 only the per-trial error arrays grow with the trial count.
 
@@ -33,16 +33,16 @@ each block picks every source's SI source per trial with a single gather,
 and the decoder groups each node's trials by the ladder level of their SI
 source once per block, for every sweep to reuse.  The sweeps of a block stop
 on that block's own change (see :meth:`_SymDecoder.decode`), so a run that
-converges before ``max_iters`` may depend on the block size; with ``tol``
-0, or where no block converges early, the results equal a one-block run bit
-for bit.
+converges before ``SYM_MAX_ITERS`` may depend on the block size; with
+``SYM_TOL`` 0, or where no block converges early, the results equal a
+one-block run bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,11 @@ def generate_scenario(
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Monte-Carlo (or analytic) distortion summary for one configuration."""
+    """Monte-Carlo (or analytic) distortion summary for one configuration.
+
+    ``psd_projected`` is True where a sensor field's correlation matrix was
+    projected onto the PSD cone before its sources were drawn.
+    """
 
     d_av: float
     trials: int
@@ -133,7 +137,7 @@ class ExperimentResult:
     d_side: tuple | None = None
     d_central: float | None = None
     wall_time: float = 0.0
-    extra: dict = field(default_factory=dict)
+    psd_projected: bool = False
 
     @property
     def d_av_db(self) -> float:
@@ -277,22 +281,19 @@ class AsymConfig:
     use_si: bool = True
 
 
-def run_asym_experiment(
-    cfg: AsymConfig, channel_sets=None
-) -> ExperimentResult | list[ExperimentResult]:
+def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]:
     """Monte-Carlo transmission of one source decoded with (optional) SI.
 
-    Without ``channel_sets`` this returns one result, for the codec's own
-    channels.  With a list of channel sets it returns one result per set,
-    each equal to a run with that set alone: the source, its quantizer cells
-    and SI levels, the rates and the channel randomness are drawn once, and
-    every set applies its own error and loss rates to the same draws.  Every
-    result's ``wall_time`` is that of the whole call up to the end of
-    decoding.
+    Returns one result per channel set (``[cfg.bundle.channels]`` for the
+    codec's own channels), each equal to a run with that set alone: the
+    source, its quantizer cells and SI levels, the rates and the channel
+    randomness are drawn once, and every set applies its own error and loss
+    rates to the same draws.  Every result's ``wall_time`` is that of the
+    whole call up to the end of decoding.
     """
     start = time.perf_counter()
     bundle = cfg.bundle
-    sets = [tuple(chs) for chs in ([bundle.channels] if channel_sets is None else channel_sets)]
+    sets = [tuple(chs) for chs in channel_sets]
     _check_channel_sets(bundle, sets)
     rho_dec = cfg.rho_real if cfg.rho_dec is None else cfg.rho_dec
     level = bundle.rho_level(rho_dec) if cfg.use_si else None
@@ -301,14 +302,12 @@ def run_asym_experiment(
     rng_src = derive_rng(cfg.seed, 1)
     x = rng_src.standard_normal(cfg.trials)
     z = rng_src.standard_normal(cfg.trials)
-    if sets[0][0].kind == "bsc":
-        decoded, extra = _run_asym_bsc(cfg, sets, x, z, level), {}
-    else:
-        decoded, extra = _run_asym_awgn(cfg, sets, x, z, level), {"channel": "awgn"}
+    run = _run_asym_bsc if sets[0][0].kind == "bsc" else _run_asym_awgn
+    decoded = run(cfg, sets, x, z, level)
 
     wall_time = time.perf_counter() - start
     n = cfg.trials
-    results = [
+    return [
         ExperimentResult(
             d_av=float(err.mean()),
             trials=n,
@@ -316,11 +315,9 @@ def run_asym_experiment(
             d_side=d_side,
             d_central=d_central,
             wall_time=wall_time,
-            extra=dict(extra),
         )
         for err, d_side, d_central in decoded
     ]
-    return results[0] if channel_sets is None else results
 
 
 def _check_channel_sets(bundle: CodecBundle, sets) -> None:
@@ -449,6 +446,11 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
 # Symmetric experiment
 # ---------------------------------------------------------------------------
 
+# Joint-decoder sweeps per block (the no-SI pass counts as the first), and the
+# largest change between sweeps at which a block stops early.  Read at call time.
+SYM_MAX_ITERS = 10
+SYM_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SymConfig:
@@ -464,8 +466,6 @@ class SymConfig:
     si_method: str = "min_distortion"
     trials: int = 20_000
     seed: int = 0
-    max_iters: int = 10
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in SYM_MODES:
@@ -593,7 +593,7 @@ class _SymDecoder:
         self.bundle = bundle = cfg.bundle
         self.channels = tuple(bundle.channels)
         self.space = tuple_space(self.channels)
-        stacked, self.offsets = stacked_pattern_table(self.channels, self.space)
+        stacked, self.offsets = stacked_pattern_table(self.channels)
         self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
         self.nosi_prior = bundle.tables.prior_nosi
         self.nosi_codebook = bundle.tables.codebook_nosi
@@ -655,29 +655,29 @@ class _SymDecoder:
         ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
         pattern ids and ``groups[u]`` node u's trial groups
         (:func:`_trial_groups`), all of one block of trials.  The sweeps stop
-        after ``max_iters`` iterations, or once the largest change over the
-        block's trials falls below ``tol``: of the estimates (estimated-SI),
-        or of the posteriors (soft-SI, which reconstructs once, after its
-        last sweep).  Each block of a run stops on its own change, so where
-        one block converges before another the result can differ from a
-        one-block run; with ``tol`` 0 every block runs ``max_iters``
-        iterations and the results do not depend on the block size.
+        after ``SYM_MAX_ITERS`` iterations, or once the largest change over
+        the block's trials falls below ``SYM_TOL``: of the estimates
+        (estimated-SI), or of the posteriors (soft-SI, which reconstructs
+        once, after its last sweep).  Each block of a run stops on its own
+        change, so where one block converges before another the result can
+        differ from a one-block run; with ``SYM_TOL`` 0 every block runs
+        ``SYM_MAX_ITERS`` iterations and the results do not depend on the
+        block size.  Both are read at call time.
         """
-        cfg = self.cfg
         trials, n_nodes = pids.shape
         ests = np.empty((n_nodes, trials))
-        if cfg.mode == "estimated":
+        if self.cfg.mode == "estimated":
             # Only the no-SI estimates carry over; no posterior is kept.
             for u in range(n_nodes):
                 _, ests[u] = self.no_si_pass(self.lik_rows(words[:, u], pids[:, u]))
             rows = [self.word_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
-            for _ in range(cfg.max_iters - 1):
+            for _ in range(SYM_MAX_ITERS - 1):
                 new_ests = np.empty_like(ests)
                 for u in range(n_nodes):
                     new_ests[u] = self.estimated_step(ests, groups[u], rows[u])
                 delta = float(np.max(np.abs(new_ests - ests)))
                 ests = new_ests
-                if delta < cfg.tol:
+                if delta < SYM_TOL:
                     break
             return ests
 
@@ -688,7 +688,7 @@ class _SymDecoder:
         # Three posterior buffers rotate: the sweep writes ``new`` from
         # ``posts``, and ``prev`` keeps the posteriors behind the final priors.
         prev, spare = posts, None
-        for _ in range(cfg.max_iters - 1):
+        for _ in range(SYM_MAX_ITERS - 1):
             new = np.empty_like(posts) if spare is None else spare
             delta = 0.0
             for u in range(n_nodes):
@@ -697,7 +697,7 @@ class _SymDecoder:
                 delta = max(delta, float(np.max(np.abs(p - posts[u]))))
             spare = None if prev is posts else prev
             prev, posts = posts, new
-            if delta < cfg.tol:
+            if delta < SYM_TOL:
                 break
         if prev is posts:
             return ests
@@ -774,10 +774,5 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
         trials=cfg.trials,
         stderr=float(per_trial.std(ddof=1) / np.sqrt(cfg.trials)),
         wall_time=time.perf_counter() - start,
-        extra={
-            "mode": cfg.mode,
-            "si_method": cfg.si_method,
-            "n_nodes": n_nodes,
-            "psd_projected": projected,
-        },
+        psd_projected=projected,
     )

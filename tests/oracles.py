@@ -706,7 +706,7 @@ def per_pattern_design(ctx: DesignContext, table: np.ndarray):
     pattern.
     """
     patterns = loss_patterns(len(ctx.channels))
-    pattern_tables = [pattern_table(ctx.channels, q, ctx.space) for q in patterns]
+    pattern_tables = [pattern_table(ctx.channels, q) for q in patterns]
     joint = table.T @ ctx.s0
     first = table.T @ ctx.s1
     second = table.T @ ctx.s2

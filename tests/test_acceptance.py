@@ -184,14 +184,15 @@ def test_criterion_5_encoder_gain_trend(desk_quantizers):
     for rho in (0.4, 0.6, 0.8, 0.9):
         aware = design_annealed(q, si, JointGaussianPair(1, 1, rho), ch, restarts=3, seed=101)
         d_sim = run_asym_experiment(
-            AsymConfig(bundle=aware, rho_real=rho, trials=trials, seed=3)
-        ).d_av
+            AsymConfig(bundle=aware, rho_real=rho, trials=trials, seed=3), [aware.channels]
+        )[0].d_av
         d_sim1 = run_asym_experiment(
-            AsymConfig(bundle=blind, rho_real=rho, trials=trials, seed=3)
-        ).d_av
+            AsymConfig(bundle=blind, rho_real=rho, trials=trials, seed=3), [blind.channels]
+        )[0].d_av
         d_sim2 = run_asym_experiment(
-            AsymConfig(bundle=blind, rho_real=rho, trials=trials, seed=3, use_si=False)
-        ).d_av
+            AsymConfig(bundle=blind, rho_real=rho, trials=trials, seed=3, use_si=False),
+            [blind.channels],
+        )[0].d_av
         gains_enc.append(to_db(d_sim1) - to_db(d_sim))
         gains_both.append(to_db(d_sim2) - to_db(d_sim))
     monotone = all(b > a for a, b in zip(gains_enc, gains_enc[1:]))
@@ -218,8 +219,8 @@ def test_criterion_5_extended_full_scale():
         restarts=2, seed=1,
     )
     res = run_asym_experiment(
-        AsymConfig(bundle=bundle, rho_real=0.8, trials=400_000, seed=3)
-    )
+        AsymConfig(bundle=bundle, rho_real=0.8, trials=400_000, seed=3), [bundle.channels]
+    )[0]
     elapsed = time.perf_counter() - start
     rates = conditional_entropy_rates(bundle, JointGaussianPair(1, 1, 0.8))
     report(
@@ -371,8 +372,9 @@ def test_criterion_10_mismatch_asymmetry(desk_quantizers):
         )
         res = run_asym_experiment(
             AsymConfig(bundle=bundle, rho_real=0.8, rho_dec=0.8,
-                       trials=300_000, seed=19)
-        )
+                       trials=300_000, seed=19),
+            [bundle.channels],
+        )[0]
         d[rho_enc] = res.d_av
         sig[rho_enc] = res.stderr
     pen_under = d[0.65] - d[0.8]

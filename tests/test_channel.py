@@ -171,7 +171,7 @@ class TestPatternTables:
         )
         space = tuple_space(channels)
         q = (True, True)
-        pt = pattern_table(channels, q, space)
+        pt = pattern_table(channels, q)
         for tid in range(space.size):
             for j1 in range(2):
                 for j2 in range(2):

@@ -369,6 +369,10 @@ def _short_codebook(data):
     data["tables"]["codebook"] = [rows[:-1] for rows in data["tables"]["codebook"]]
 
 
+def _shifted_rho_values(data):
+    data["tables"]["rho_values"][3] = 0.5
+
+
 class TestCodecConsistency:
     """A codec file whose parts do not fit together exits 2 with one line."""
 
@@ -379,7 +383,9 @@ class TestCodecConsistency:
         (_short_si_probs, "si_probs has 15 entries for 16 SI levels"),
         (_short_codebook_nosi, "codebook_nosi has 3 entries for 4 tuples"),
         (_short_codebook, "codebook table has shape"),
-    ], ids=["ladder", "si_quantizer", "index_count", "si_probs", "codebook_nosi", "codebook"])
+        (_shifted_rho_values, "decoder table 3 is built at rho 0.5, ladder level 3 is 0.6"),
+    ], ids=["ladder", "si_quantizer", "index_count", "si_probs", "codebook_nosi", "codebook",
+            "rho_values"])
     def test_inconsistent_codec_exits_2(self, codec_file, tmp_path, capsys, edit, message):
         data = json.loads(codec_file.read_text())
         edit(data)
@@ -572,7 +578,7 @@ class TestScenario:
         row = out.read_text().splitlines()[1].split(",")
         assert row[:3] == ["3", mode, method]
         assert math.isfinite(float(row[4])) and math.isfinite(float(row[5]))
-        assert results[0].extra["psd_projected"] is True
+        assert results[0].psd_projected is True
 
     def test_scenario_file_round_trip(self, codec_file, tmp_path):
         saved = tmp_path / "field.json"
@@ -747,6 +753,49 @@ class TestSaveScenarioPath:
         assert rc == 2
         assert_one_line_error(capsys)
         assert not out.exists()
+
+
+class TestScenarioFlags:
+    """Flags that a codec file or a scenario file replaces exit 2; the rest default."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--codec", "codec.json", "--K", "64", "--rho-enc", "0.3", "--nsi", "2",
+          "--nodes", "3"],
+         "--codec cannot be combined with --K, --nsi, --rho-enc"),
+        (["--codec", "codec.json", "--desc", "2,2", "--bsc", "0.01", "--loss", "0.1",
+          "--restarts", "1", "--nodes", "3"],
+         "--codec cannot be combined with --desc, --bsc, --loss, --restarts"),
+        (["--scenario-file", "field.json", "--nodes", "40", "--alpha", "9",
+          "--codec", "codec.json"],
+         "--scenario-file cannot be combined with --nodes, --alpha"),
+    ], ids=["codec and design flags", "codec and channel flags", "file and field flags"])
+    def test_ignored_flags_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                  flags, message):
+        for name in ("load_codec", "design_annealed", "generate_scenario",
+                     "_load_scenario_file", "run_sym_experiment"):
+            monkeypatch.setattr(f"mdquant.cli.{name}", must_not_run)
+        out = tmp_path / "scen.csv"
+        capsys.readouterr()
+        rc = run_cli("scenario", *flags, "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_defaults_fill_in_without_a_codec(self, monkeypatch):
+        # The README's defaults: a 16-level codec over two 4-index BSC
+        # descriptions (BER 0.005, loss 0.05), nsi 64, two restarts, alpha 2.
+        seen = {}
+
+        def keep_args(args, rho_enc):
+            seen.update(vars(args))
+            raise ValueError("stop here")
+
+        monkeypatch.setattr("mdquant.cli._design_bundle", keep_args)
+        assert run_cli("scenario", "--nodes", "3", "--trials", "100", "--seed", "1") == 2
+        assert {k: seen[k] for k in ("K", "desc", "bsc", "loss", "nsi", "restarts", "alpha")} == {
+            "K": 16, "desc": "4,4", "bsc": 0.005, "loss": 0.05, "nsi": 64, "restarts": 2,
+            "alpha": 2.0,
+        }
 
 
 @pytest.fixture(scope="module")

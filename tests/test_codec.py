@@ -162,6 +162,11 @@ class TestSiMomentStack:
             assert np.all(np.isfinite(g))
             assert g.tobytes() == c.tobytes()
 
+    @pytest.mark.parametrize("var_x,var_y", [(2.0, 1.0), (1.0, 0.5)])
+    def test_non_unit_variances_rejected(self, q4, var_x, var_y):
+        with pytest.raises(ValueError, match="unit-variance"):
+            si_moment_matrices(q4, _lloyd(4), JointGaussianPair(var_x, var_y, 0.5))
+
 
 def _assert_tables_equal(tables, expect):
     for name, ref in expect.items():
@@ -293,6 +298,80 @@ class TestDecoderTableFloors:
         _assert_floor_clean(bundle.tables, q, si, bundle.ia)
 
 
+# Correlations of the moment-quadrature edge tests: every nonzero ladder
+# level, then up to RHO_CAP.
+LADDER_RHOS = [0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99]
+NEAR_ONE_RHOS = [0.995, 0.999, codec.RHO_CAP]
+
+
+@lru_cache(maxsize=None)
+def _full_scale_s0(rho):
+    """S0 of the full-scale quantizers (K = 256, nsi = 128) at one correlation."""
+    return si_moment_stack(_lloyd(256), _lloyd(128), [rho])[0][0]
+
+
+class TestMomentQuadratureEdges:
+    """The moment quadrature at full scale, from rho 0 up to RHO_CAP."""
+
+    @pytest.mark.parametrize("rho", [0.0, *LADDER_RHOS, *NEAR_ONE_RHOS])
+    def test_tail_clip_keeps_si_cell_mass(self, rho):
+        # Each column of S0 sums the joint over the quantizer cells, which
+        # partition the line: P(SI level y).  The SI integral is clipped at
+        # TAIL_CLIP standard deviations, and the mass it drops stays below
+        # rounding at every correlation.
+        col_err = np.max(np.abs(_full_scale_s0(rho).sum(axis=0) - _lloyd(128).cell_probs))
+        assert col_err <= 7e-16
+
+    @pytest.mark.parametrize("rho", [
+        *LADDER_RHOS,
+        pytest.param(0.999, marks=pytest.mark.xfail(strict=True, reason="row error 6.9e-10")),
+        pytest.param(codec.RHO_CAP,
+                     marks=pytest.mark.xfail(strict=True, reason="row error 7.4e-4")),
+    ])
+    def test_row_sums_equal_cell_probabilities(self, rho):
+        # Each row of S0 sums over the SI levels: P(cell k).  Near rho = 1 the
+        # conditional law of X is narrower than the panels of the SI
+        # integral, and the quadrature loses accuracy: 7.1e-16 at 0.995,
+        # 3.7e-12 at 0.998, 2.1e-6 at 0.9999.
+        row_err = np.max(np.abs(_full_scale_s0(rho).sum(axis=1) - _lloyd(256).cell_probs))
+        assert row_err <= 7e-16
+
+
+def _binned(K, L):
+    """Hard assignment of cell k to tuple k mod L."""
+    return IndexAssignment(np.eye(L)[np.arange(K) % L], hard=True)
+
+
+class TestChannelEdges:
+    """The analytic distortion at the channel edges: a clean channel and BER 0.5."""
+
+    @pytest.mark.parametrize("K, nsi", [(8, 16), (16, 64)])
+    @pytest.mark.parametrize("rho", [0.0, 0.8, 0.99])
+    def test_clean_channel_has_no_channel_distortion(self, K, nsi, rho):
+        # At BER 0 and loss 0 the decoder reconstructs each tuple's own
+        # centroid, and the terms of d_ch cancel to a ~1e-17 residue that
+        # D_CH_FLOOR reads as 0.
+        ch = (DescriptionChannel.bsc(0.0, 0.0, 2),) * 2
+        d = evaluate_distortion(_lloyd(K), _lloyd(nsi), _binned(K, 4),
+                                JointGaussianPair(1, 1, rho), ch)
+        assert d.d_ch == 0.0
+        assert d.d_av == d.d_se
+
+    @pytest.mark.parametrize("K, L", [(8, 4), (16, 4), (16, 16)])
+    @pytest.mark.parametrize("rho", [0.0, 0.8, 0.99])
+    def test_ber_half_is_total_loss(self, K, L, rho):
+        # At BER 0.5 every received word is independent of the tuple sent,
+        # so the decoder has only the SI, as when every description is lost.
+        n = int(np.sqrt(L))
+        pair = JointGaussianPair(1, 1, rho)
+        si = _lloyd(64)
+        half = evaluate_distortion(_lloyd(K), si, _binned(K, L), pair,
+                                   (DescriptionChannel.bsc(0.5, 0.05, n),) * 2)
+        lost = evaluate_distortion(_lloyd(K), si, _binned(K, L), pair,
+                                   (DescriptionChannel.bsc(0.01, 1.0, n),) * 2)
+        assert abs(half.d_av - lost.d_av) <= 1e-15
+
+
 class TestEvaluateDistortion:
     def test_noiseless_bijective_equals_lloyd(self, source, q2):
         ia = IndexAssignment(np.eye(2), hard=True)
@@ -356,8 +435,8 @@ class TestEvaluateDistortion:
         pair = JointGaussianPair(1, 1, 0.8)
         analytic = evaluate_distortion(q, si, bundle.ia, pair, ch).d_av
         res = run_asym_experiment(
-            AsymConfig(bundle=bundle, rho_real=0.8, trials=200_000, seed=13)
-        )
+            AsymConfig(bundle=bundle, rho_real=0.8, trials=200_000, seed=13), [bundle.channels]
+        )[0]
         assert abs(res.d_av - analytic) < 3 * res.stderr
 
 

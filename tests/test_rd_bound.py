@@ -60,6 +60,25 @@ class TestCentralBound:
         with pytest.raises(ValueError, match="outside achievable region"):
             central_bound(query, 3 * beta(query), 3 * beta(query))
 
+    @pytest.mark.parametrize("rate", [2.0, 28.0, MAX_RATE_SUM_BITS / 2])
+    def test_region_edges_scale_with_the_side_bounds(self, rate):
+        # At R = 28 the side bounds are about 1e-17, below any absolute
+        # tolerance; a point below them is rejected at every rate.
+        query = q(rate, rate, 0.5, 0.1)
+        b = beta(query)
+        d_min, _ = side_bounds(query)
+        for d1 in (0.0, d_min * (1 - 1e-9)):
+            with pytest.raises(ValueError, match="outside achievable region"):
+                central_bound(query, d1, 0.5)
+            with pytest.raises(ValueError, match="outside achievable region"):
+                central_bound(query, 0.5, d1)
+        # The grid path: delta below 0 by a share of 2^(-2 (R1 + R2)).
+        assert not _central(b, 2 * rate, 0.0, 0.5)[1]
+        assert not _central(b, 2 * rate, d_min * (1 - 1e-9), d_min)[1]
+        assert _central(b, 2 * rate, d_min, d_min)[1]
+        assert math.isfinite(central_bound(query, d_min, d_min))
+        assert math.isfinite(central_bound(query, d_min, 0.5))
+
 
 REFERENCE_LOSS_SWEEP = [
     (0.3, 2.265, 2.269, -13.758),

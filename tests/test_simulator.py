@@ -162,46 +162,54 @@ class TestAsymLookup:
 class TestAsymExperiment:
     def test_matches_analytic(self, designed_bundle):
         res = run_asym_experiment(
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=200_000, seed=3)
-        )
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=200_000, seed=3),
+            [designed_bundle.channels],
+        )[0]
         analytic = designed_bundle.metadata["d_av"]
         assert abs(res.d_av - analytic) < 3 * res.stderr
 
     def test_stderr_scaling(self, designed_bundle):
         r1 = run_asym_experiment(
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=20_000, seed=5)
-        )
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=20_000, seed=5),
+            [designed_bundle.channels],
+        )[0]
         r2 = run_asym_experiment(
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=80_000, seed=5)
-        )
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=80_000, seed=5),
+            [designed_bundle.channels],
+        )[0]
         ratio = r2.stderr / r1.stderr
         assert 0.35 < ratio < 0.65  # ~1/2 for 4x trials
 
     def test_seed_reproducibility(self, designed_bundle):
         a = run_asym_experiment(
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=5_000, seed=9)
-        )
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=5_000, seed=9),
+            [designed_bundle.channels],
+        )[0]
         b = run_asym_experiment(
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=5_000, seed=9)
-        )
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=5_000, seed=9),
+            [designed_bundle.channels],
+        )[0]
         assert a.d_av == b.d_av
         assert a.d_side == b.d_side
 
     def test_side_and_central_ordering(self, designed_bundle):
         res = run_asym_experiment(
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100_000, seed=7)
-        )
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100_000, seed=7),
+            [designed_bundle.channels],
+        )[0]
         assert res.d_central < min(res.d_side)
 
     def test_no_si_variant_worse(self, designed_bundle):
         with_si = run_asym_experiment(
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100_000, seed=7)
-        )
+            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100_000, seed=7),
+            [designed_bundle.channels],
+        )[0]
         without = run_asym_experiment(
             AsymConfig(
                 bundle=designed_bundle, rho_real=0.8, trials=100_000, seed=7, use_si=False
-            )
-        )
+            ),
+            [designed_bundle.channels],
+        )[0]
         assert with_si.d_av < without.d_av
 
     def test_awgn_smoke(self, designed_bundle):
@@ -401,7 +409,7 @@ class TestSymDecoderTables:
 
 
 class TestSymExperiment:
-    def test_vectorized_equals_per_symbol(self, tiny_bundle):
+    def test_vectorized_equals_per_symbol(self, tiny_bundle, monkeypatch):
         # Drive the per-symbol oracle with the same transmissions the
         # vectorized decoder sees and compare exactly (fixed iterations).
         n_nodes, trials = 4, 25
@@ -452,8 +460,10 @@ class TestSymExperiment:
             ])
             cfg = SymConfig(
                 scenario=scen, bundle=tiny_bundle, mode=mode, si_method="distance",
-                trials=trials, seed=21, max_iters=max_iters, tol=0.0,
+                trials=trials, seed=21,
             )
+            monkeypatch.setattr(simulator, "SYM_MAX_ITERS", max_iters)
+            monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
             vec = _SymDecoder(cfg).decode(words, pids, groups)
             assert np.max(np.abs(vec.T - per_symbol)) < 1e-12, (mode, max_iters)
 
@@ -472,8 +482,9 @@ class TestSymExperiment:
         )
         asym = run_asym_experiment(
             AsymConfig(bundle=bundle, rho_real=0.0, use_si=False,
-                       trials=30_000, seed=4)
-        )
+                       trials=30_000, seed=4),
+            [bundle.channels],
+        )[0]
         assert abs(res.d_av - asym.d_av) < 3 * (res.stderr + asym.stderr)
 
     def test_reproducible(self, tiny_bundle):
@@ -572,8 +583,10 @@ class TestSymBlocks:
         scen = generate_scenario(6, tiny_bundle.channels, seed=3)
         cfg = SymConfig(
             scenario=scen, bundle=tiny_bundle, mode=mode, si_method=method,
-            trials=self.TRIALS, seed=5, max_iters=max_iters, tol=0.0,
+            trials=self.TRIALS, seed=5,
         )
+        monkeypatch.setattr(simulator, "SYM_MAX_ITERS", max_iters)
+        monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
         per_trial = 6 * tuple_space(tiny_bundle.channels).size  # posterior entries
         monkeypatch.setattr(simulator, "SYM_BLOCK", self.TRIALS * per_trial)
         whole, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
@@ -590,7 +603,8 @@ class TestSymBlocks:
         # sums eight or more contiguous values pairwise, and the node errors
         # of a one-trial block are contiguous.
         scen = generate_scenario(9, tiny_bundle.channels, seed=3)
-        cfg = SymConfig(scenario=scen, bundle=tiny_bundle, trials=40, seed=5, tol=0.0)
+        cfg = SymConfig(scenario=scen, bundle=tiny_bundle, trials=40, seed=5)
+        monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
         _, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
         monkeypatch.setattr(simulator, "SYM_BLOCK", 1)
         _, xhat, err = sym_run(cfg, monkeypatch)
