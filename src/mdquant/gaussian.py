@@ -127,13 +127,15 @@ class CorrelationLadder:
         return int(self.levels.size)
 
 
-def quantize_rho(rho: float, ladder: CorrelationLadder) -> int:
+def quantize_rho(rho, ladder: CorrelationLadder):
     """Index of the nearest ladder level; ties break toward the lower level.
 
-    Negative correlations are rejected: all supported operating points use
-    rho >= 0.
+    ``rho`` is a scalar (an int is returned) or an array (an int array of its
+    shape).  Negative correlations are rejected: all supported operating
+    points use rho >= 0.
     """
-    if not np.isfinite(rho) or rho < 0 or rho > 1:
+    r = np.asarray(rho, dtype=float)
+    if not np.all((r >= 0) & (r <= 1)):  # NaN fails both comparisons
         raise ValueError("correlation must lie in [0, 1]")
-    dist = np.abs(ladder.levels - rho)
-    return int(np.argmin(dist))
+    idx = np.argmin(np.abs(ladder.levels - r[..., None]), axis=-1)
+    return int(idx) if idx.ndim == 0 else idx

@@ -12,29 +12,37 @@ reduce to table lookups built once per configuration.  Results carry the
 Monte-Carlo standard error of every estimate.  The per-symbol decoders that
 these are tested against live in the test suite's oracles.
 
+Both experiments bound their per-block buffers by one budget,
+``BLOCK_ENTRIES`` float64 entries, which every chunked loop divides by its
+own entries per item (:func:`_blocks`): L index tuples per asymmetric trial,
+nodes x L per symmetric trial and K^2 per correlation the SI selection
+scores.  Both transmit over BSC channels through :func:`_transmit_bsc`, and
+both summarise their per-trial errors with :func:`_result`.
+
 The asymmetric experiment takes a list of channel sets (the codec's own
 channels, or every row of a BSC sweep) and does the shared work once: one
 draw of the source and its SI, one pass of quantizer cells, tuple ids and SI
 levels, and one set of flip and loss uniforms (or AWGN noise) per
-description, to which every set applies its own rates.  It decodes in blocks of ``DECODE_BLOCK`` trials drawn in turn from
-the same generators, so the results equal one-call draws bit for bit and
-only the per-trial error arrays grow with the trial count.
+description, to which every set applies its own rates.  It decodes in blocks
+of ``BLOCK_ENTRIES // L`` trials drawn in turn from the same generators, so
+the results equal one-call draws bit for bit and only the per-trial error
+arrays grow with the trial count.
 
 The symmetric experiment draws the node sources whole, in one product, and
 then runs every per-trial step on one block of trials at a time: quantizer
 cells, transmission, loss patterns, SI maps, trial groups, the joint decode
-and the squared errors.  A block holds ``SYM_BLOCK // (nodes * L)`` trials
-(at least one), so the decoder's posterior buffers stay bounded and only the
-sources and the per-trial errors grow with the trial count.  Each node's
-channel generators are created once per run and continue from block to
-block.  The SI selection scores every distinct pair correlation of the field
-in one batch (one moment quadrature, one table per criterion), once per run;
-each block picks every source's SI source per trial with a single gather,
-and the decoder groups each node's trials by the ladder level of their SI
-source once per block, for every sweep to reuse.  The sweeps of a block stop
-on that block's own change (see :meth:`_SymDecoder.decode`), so a run that
-converges before ``SYM_MAX_ITERS`` may depend on the block size; with
-``SYM_TOL`` 0, or where no block converges early, the results equal a
+and the squared errors.  A block holds ``BLOCK_ENTRIES // (nodes * L)``
+trials (at least one), so the decoder's posterior buffers stay bounded and
+only the sources and the per-trial errors grow with the trial count.  Each
+node's channel generators are created once per run and continue from block
+to block.  The SI selection scores every distinct pair correlation of the
+field once per run, from one moment quadrature per block of correlations;
+each block of trials picks every source's SI source per trial with a single
+gather, and the decoder groups each node's trials by the ladder level of
+their SI source once per block, for every sweep to reuse.  The sweeps of a
+block stop on that block's own change (see :meth:`_SymDecoder.decode`), so a
+run that converges before ``SYM_MAX_ITERS`` may depend on the block size;
+with ``SYM_TOL`` 0, or where no block converges early, the results equal a
 one-block run bit for bit.
 """
 
@@ -188,38 +196,45 @@ def _channel_streams(n_desc: int, rng_tags, seed):
     ]
 
 
-def _bsc_words(indices, channels, draws):
-    """(trials, M) received words and loss flags of the sent ``indices[m]``.
-
-    ``draws[m]`` holds description m's flip uniforms (trials, bits) and loss
-    uniforms (trials,): a bit flips below the channel's bit error rate, and
-    the description arrives at or above its loss probability.
-    """
-    shape = (indices[0].size, len(channels))
-    words = np.empty(shape, dtype=int)
-    received = np.empty(shape, dtype=bool)
-    for m, (ch, idx, (flip_u, loss_u)) in enumerate(zip(channels, indices, draws)):
-        words[:, m] = idx ^ ((flip_u < ch.bit_error_rate) @ _bit_weights(ch.bits))
-        received[:, m] = loss_u >= ch.loss_prob
-    return words, received
+# Float64 entries that one per-block buffer may hold; each chunked loop divides
+# it by its own entries per item (:func:`_blocks`).  Read at call time.
+BLOCK_ENTRIES = 1 << 20
 
 
-def _transmit_bsc(tuple_ids, channels, space, streams):
-    """Vectorized transmission: returns per-description words and loss flags.
+def _blocks(n: int, per_item: int):
+    """Consecutive slices of ``range(n)`` of max(1, BLOCK_ENTRIES // per_item) items."""
+    step = max(1, BLOCK_ENTRIES // per_item)
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
 
-    ``streams`` are the source's (flips, losses) generators of each
+
+def _transmit_bsc(tuple_ids, sets, space, streams) -> list:
+    """(trials, M) received words and loss flags of the sent tuples, per channel set.
+
+    The flip and loss uniforms are drawn once, at the first set's bit counts,
+    from ``streams``, the source's (flips, losses) generators of each
     description (:func:`_channel_streams`), so different sources draw
-    disjoint streams, and successive calls continue them.  Received words
-    are sampled for every description; the loss flags say which ones the
-    decoder may look at.
+    disjoint streams and successive calls continue them.  Every set applies
+    its own rates to the same draws: a bit flips below its channel's bit
+    error rate, and a description arrives at or above its loss probability.
+    Words are sampled for every description; the loss flags say which ones
+    the decoder may look at.
     """
     n = tuple_ids.shape[0]
     draws = [
         (flip_rng.random((n, ch.bits)), loss_rng.random(n))
-        for ch, (flip_rng, loss_rng) in zip(channels, streams)
+        for ch, (flip_rng, loss_rng) in zip(sets[0], streams)
     ]
-    indices = [space.component(m)[tuple_ids] for m in range(len(channels))]
-    return _bsc_words(indices, channels, draws)
+    indices = [space.component(m)[tuple_ids] for m in range(len(sets[0]))]
+    out = []
+    for chs in sets:
+        words = np.empty((n, len(chs)), dtype=int)
+        received = np.empty((n, len(chs)), dtype=bool)
+        for m, (ch, idx, (flip_u, loss_u)) in enumerate(zip(chs, indices, draws)):
+            words[:, m] = idx ^ ((flip_u < ch.bit_error_rate) @ _bit_weights(ch.bits))
+            received[:, m] = loss_u >= ch.loss_prob
+        out.append((words, received))
+    return out
 
 
 def _word_rows(words: np.ndarray, pids: np.ndarray, channels, offsets) -> np.ndarray:
@@ -264,11 +279,6 @@ class _AsymLookup:
 # Asymmetric experiment
 # ---------------------------------------------------------------------------
 
-# Trials per decode block of the asymmetric experiment.  Block draws continue
-# the same generators, so results do not depend on the block size.
-DECODE_BLOCK = 65_536
-
-
 @dataclass
 class AsymConfig:
     """One asymmetric Monte-Carlo configuration."""
@@ -306,18 +316,22 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
     decoded = run(cfg, sets, x, z, level)
 
     wall_time = time.perf_counter() - start
-    n = cfg.trials
     return [
-        ExperimentResult(
-            d_av=float(err.mean()),
-            trials=n,
-            stderr=float(err.std(ddof=1) / np.sqrt(n)),
-            d_side=d_side,
-            d_central=d_central,
-            wall_time=wall_time,
-        )
+        _result(err, wall_time, d_side=d_side, d_central=d_central)
         for err, d_side, d_central in decoded
     ]
+
+
+def _result(err, wall_time: float, **fields) -> ExperimentResult:
+    """Mean and Monte-Carlo standard error of the per-trial errors ``err``."""
+    n = err.size
+    return ExperimentResult(
+        d_av=float(err.mean()),
+        trials=n,
+        stderr=float(err.std(ddof=1) / np.sqrt(n)),
+        wall_time=wall_time,
+        **fields,
+    )
 
 
 def _check_channel_sets(bundle: CodecBundle, sets) -> None:
@@ -339,15 +353,16 @@ def _check_channel_sets(bundle: CodecBundle, sets) -> None:
 def _source_blocks(cfg: AsymConfig, x, z):
     """Per decode block: (slice, x, tuple ids, SI levels).
 
-    The SI y = rho x + sqrt(1 - rho^2) z is formed block by block, and
-    ``DECODE_BLOCK`` is read at call time.
+    A block holds one (trials, L) buffer's worth of trials (:func:`_blocks`).
+    Its draws continue the same generators, so results do not depend on the
+    block size.  The SI y = rho x + sqrt(1 - rho^2) z is formed block by
+    block.
     """
     bundle = cfg.bundle
     rho = cfg.rho_real
     scale = np.sqrt(max(1.0 - rho**2, 0.0))
     hard = bundle.ia.hard_map()
-    for lo in range(0, x.size, DECODE_BLOCK):
-        blk = slice(lo, min(lo + DECODE_BLOCK, x.size))
+    for blk in _blocks(x.size, tuple_space(bundle.channels).size):
         xb = x[blk]
         tuple_ids = hard[bundle.quantizer.cells(xb)]
         if cfg.use_si:
@@ -365,22 +380,17 @@ def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
     error array is kept whole so its mean is the one-call mean.
     """
     n = x.size
-    channels = sets[0]
-    space = tuple_space(channels)
-    comps = [space.component(m) for m in range(len(channels))]
-    streams = _channel_streams(len(channels), (2,), cfg.seed)
+    space = tuple_space(sets[0])
+    streams = _channel_streams(len(sets[0]), (2,), cfg.seed)
     lookups = [_AsymLookup(cfg.bundle, chs, level) for chs in sets]
-    forced_patterns = (2, 1, 3) if len(channels) == 2 else ()
+    forced_patterns = (2, 1, 3) if len(sets[0]) == 2 else ()
     errs = [np.empty(n) for _ in sets]
     forced = [[np.empty(n) for _ in forced_patterns] for _ in sets]
     for blk, xb, tuple_ids, si_levels in _source_blocks(cfg, x, z):
-        draws = [
-            (flip_rng.random((xb.size, ch.bits)), loss_rng.random(xb.size))
-            for ch, (flip_rng, loss_rng) in zip(channels, streams)
-        ]
-        indices = [comp[tuple_ids] for comp in comps]
-        for chs, lookup, err, forced_s in zip(sets, lookups, errs, forced):
-            words, received = _bsc_words(indices, chs, draws)
+        sent = _transmit_bsc(tuple_ids, sets, space, streams)
+        for chs, (words, received), lookup, err, forced_s in zip(
+            sets, sent, lookups, errs, forced
+        ):
             rows = _word_rows(words, pattern_ids(received), chs, lookup.offsets)
             err[blk] = (xb - lookup.table[rows, si_levels]) ** 2
             for p, out in zip(forced_patterns, forced_s):
@@ -488,23 +498,18 @@ def sample_correlated_sources(scenario: WsnScenario, trials: int, seed: int):
     return z @ factor.T, projected
 
 
-# Cross tables per selection chunk: correlations times K^2 cells.
-SELECT_CHUNK = 2_000_000
-
-
 def _selection_score_tables(bundle, rho_keys, method):
     """score[r, q_u, q_t] of the pattern-dependent criterion at correlation ``rho_keys[r]``.
 
     Scores are evaluated at the exact pair correlations; only the stored
     decoder tables live on the quantized grid.  The correlations are scored
-    in chunks of at most ``SELECT_CHUNK // K^2``, so the cross tables of a
-    full-scale codec stay bounded.
+    in blocks of K^2 cross-table entries each (:func:`_blocks`), so the
+    cross tables of a full-scale codec stay bounded.
     """
     K = bundle.quantizer.size
-    step = max(1, SELECT_CHUNK // (K * K))
     parts = []
-    for i in range(0, len(rho_keys), step):
-        cross = cross_table_stack(bundle, bundle, rho_keys[i:i + step])
+    for blk in _blocks(len(rho_keys), K * K):
+        cross = cross_table_stack(bundle, bundle, rho_keys[blk])
         parts.append(score_tables(bundle, bundle, cross, method))
     return np.concatenate(parts)
 
@@ -685,17 +690,17 @@ class _SymDecoder:
         posts = np.empty((n_nodes, trials, self.space.size))
         for u in range(n_nodes):
             posts[u], ests[u] = self.no_si_pass(lik[u])
-        # Three posterior buffers rotate: the sweep writes ``new`` from
-        # ``posts``, and ``prev`` keeps the posteriors behind the final priors.
-        prev, spare = posts, None
+        # Two posterior buffers alternate: the sweep writes ``new`` from
+        # ``posts`` into ``prev``'s buffer, which no sweep reads, and after
+        # the last sweep ``prev`` holds the posteriors behind the final priors.
+        prev = posts
         for _ in range(SYM_MAX_ITERS - 1):
-            new = np.empty_like(posts) if spare is None else spare
+            new = np.empty_like(posts) if prev is posts else prev
             delta = 0.0
             for u in range(n_nodes):
                 p = np.multiply(lik[u], self.soft_prior(posts, groups[u]), out=new[u])
                 p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
                 delta = max(delta, float(np.max(np.abs(p - posts[u]))))
-            spare = None if prev is posts else prev
             prev, posts = posts, new
             if delta < SYM_TOL:
                 break
@@ -707,11 +712,6 @@ class _SymDecoder:
             den_num = self.soft_prior(prev, groups[u], final=True)
             xhat[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
         return xhat
-
-
-# Posterior entries per buffer of one symmetric decode block: a block holds
-# max(1, SYM_BLOCK // (nodes * L)) trials.  Read at call time.
-SYM_BLOCK = 1 << 20
 
 
 def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.ndarray:
@@ -727,8 +727,8 @@ def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.nda
     words = np.empty((xb.shape[0], n_nodes, len(dec.channels)), dtype=int)
     received = np.empty(words.shape, dtype=bool)
     for u in range(n_nodes):
-        words[:, u], received[:, u] = _transmit_bsc(
-            tuple_ids[:, u], dec.channels, dec.space, streams[u]
+        [(words[:, u], received[:, u])] = _transmit_bsc(
+            tuple_ids[:, u], [dec.channels], dec.space, streams[u]
         )
     pids = pattern_ids(received)  # (trials, nodes)
     s_map = _select_maps(cfg, pids, scores)
@@ -751,11 +751,10 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     start = time.perf_counter()
     scenario, bundle = cfg.scenario, cfg.bundle
     n_nodes = scenario.n_nodes
+    # Ladder level of every pair correlation; a node is never its own SI source.
+    off = ~np.eye(n_nodes, dtype=bool)
     level_matrix = np.zeros((n_nodes, n_nodes), dtype=int)
-    for u in range(n_nodes):
-        for t in range(n_nodes):
-            if t != u:
-                level_matrix[u, t] = quantize_rho(scenario.pairwise_rho[u, t], bundle.ladder)
+    level_matrix[off] = quantize_rho(scenario.pairwise_rho[off], bundle.ladder)
 
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
     n_desc = len(bundle.channels)
@@ -763,16 +762,6 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     scores = _selection_scores(cfg)
     dec = _SymDecoder(cfg)
     per_trial = np.empty(cfg.trials)
-    block = max(1, SYM_BLOCK // (n_nodes * dec.space.size))
-    for lo in range(0, cfg.trials, block):
-        per_trial[lo:lo + block] = _block_errors(
-            dec, x[lo:lo + block], streams, scores, level_matrix
-        )
-
-    return ExperimentResult(
-        d_av=float(per_trial.mean()),
-        trials=cfg.trials,
-        stderr=float(per_trial.std(ddof=1) / np.sqrt(cfg.trials)),
-        wall_time=time.perf_counter() - start,
-        psd_projected=projected,
-    )
+    for blk in _blocks(cfg.trials, n_nodes * dec.space.size):
+        per_trial[blk] = _block_errors(dec, x[blk], streams, scores, level_matrix)
+    return _result(per_trial, time.perf_counter() - start, psd_projected=projected)

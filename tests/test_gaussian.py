@@ -105,9 +105,21 @@ class TestQuantizeRho:
         assert ladder.levels[idx] == 0.4
 
     def test_rejects_out_of_range(self):
-        for bad in (-0.1, 1.5, np.nan):
+        for bad in (-0.1, 1.5, np.nan, np.inf):
             with pytest.raises(ValueError):
                 quantize_rho(bad, CorrelationLadder())
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                quantize_rho(np.array([0.2, bad, 0.9]), CorrelationLadder())
+
+    def test_array_equals_scalar_calls(self):
+        # Every level, every midpoint (a tie) and points between them.
+        ladder = CorrelationLadder()
+        mids = (ladder.levels[1:] + ladder.levels[:-1]) / 2
+        rho = np.concatenate([ladder.levels, mids, np.linspace(0.0, 1.0, 101)]).reshape(2, -1)
+        got = quantize_rho(rho, ladder)
+        assert got.shape == rho.shape
+        assert got.tolist() == [[quantize_rho(float(v), ladder) for v in row] for row in rho]
+        assert isinstance(quantize_rho(0.5, ladder), int)
 
 
 class TestIntervalMoments:

@@ -246,6 +246,14 @@ class TestAsymExperiment:
 
 BLOCK = 64
 BLOCK_TRIALS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+# The default asymmetric block of a codec with L = 16 index tuples.
+DESK_BLOCK = simulator.BLOCK_ENTRIES // 16
+
+
+def set_asym_block(monkeypatch, bundle, trials):
+    """Make the asymmetric experiment decode ``bundle`` in blocks of ``trials`` trials."""
+    per_trial = tuple_space(bundle.channels).size
+    monkeypatch.setattr(simulator, "BLOCK_ENTRIES", trials * per_trial)
 
 
 def summary(res):
@@ -268,9 +276,9 @@ def asym_sources(cfg):
 
 
 class TestSharedDraws:
-    @pytest.mark.parametrize("block", [BLOCK, simulator.DECODE_BLOCK])
+    @pytest.mark.parametrize("block", [BLOCK, DESK_BLOCK])
     def test_sweep_rows_equal_single_runs(self, designed_bundle, monkeypatch, block):
-        monkeypatch.setattr(simulator, "DECODE_BLOCK", block)
+        set_asym_block(monkeypatch, designed_bundle, block)
         cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=5_000, seed=21)
         sets = [bsc_channels(p, 0.05) for p in (0.1, 0.01, 0.0)]
         rows = run_asym_experiment(cfg, sets)
@@ -288,15 +296,31 @@ class TestSharedDraws:
             for n in BLOCK_TRIALS
         ]
         whole = [run_asym_experiment(cfg, sets) for cfg in cfgs]
-        monkeypatch.setattr(simulator, "DECODE_BLOCK", BLOCK)
+        set_asym_block(monkeypatch, designed_bundle, BLOCK)
         for cfg, rows in zip(cfgs, whole):
             blocked = run_asym_experiment(cfg, sets)
             assert [summary(r) for r in blocked] == [summary(r) for r in rows]
 
+    def test_bsc_transmits_once_per_block(self, designed_bundle, monkeypatch):
+        # Every BSC set of a block goes through the one transmission helper,
+        # which draws the block's uniforms once for all of them.
+        calls = []
+        transmit = simulator._transmit_bsc
+
+        def counted(tuple_ids, sets, space, streams):
+            calls.append((tuple_ids.size, len(sets)))
+            return transmit(tuple_ids, sets, space, streams)
+
+        monkeypatch.setattr(simulator, "_transmit_bsc", counted)
+        set_asym_block(monkeypatch, designed_bundle, BLOCK)
+        cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=2 * BLOCK + 3, seed=19)
+        run_asym_experiment(cfg, [bsc_channels(p, 0.1) for p in (0.05, 0.01, 0.0)])
+        assert calls == [(BLOCK, 3), (BLOCK, 3), (3, 3)]
+
     @pytest.mark.parametrize("use_si", [True, False])
     @pytest.mark.parametrize("trials", BLOCK_TRIALS)
     def test_blocked_awgn_equals_whole_array(self, designed_bundle, monkeypatch, use_si, trials):
-        monkeypatch.setattr(simulator, "DECODE_BLOCK", BLOCK)
+        set_asym_block(monkeypatch, designed_bundle, BLOCK)
         awgn = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
         cfg = AsymConfig(
             bundle=designed_bundle, rho_real=0.8, trials=trials, seed=17,
@@ -422,8 +446,8 @@ class TestSymExperiment:
         words = np.empty((trials, n_nodes, 2), dtype=int)
         rec = np.empty((trials, n_nodes, 2), dtype=bool)
         for u in range(n_nodes):
-            words[:, u], rec[:, u] = _transmit_bsc(
-                tids[:, u], tiny_bundle.channels, space, _channel_streams(2, (4, u), 21)
+            [(words[:, u], rec[:, u])] = _transmit_bsc(
+                tids[:, u], [tiny_bundle.channels], space, _channel_streams(2, (4, u), 21)
             )
         level_matrix = np.zeros((n_nodes, n_nodes), dtype=int)
         for u in range(n_nodes):
@@ -486,6 +510,24 @@ class TestSymExperiment:
             [bundle.channels],
         )[0]
         assert abs(res.d_av - asym.d_av) < 3 * (res.stderr + asym.stderr)
+
+    def test_level_matrix_equals_pair_loop(self, tiny_bundle, monkeypatch):
+        scen = generate_scenario(6, tiny_bundle.channels, seed=3)
+        level_matrices = []
+        block_errors = simulator._block_errors
+
+        def recorded(dec, xb, streams, scores, level_matrix):
+            level_matrices.append(level_matrix)
+            return block_errors(dec, xb, streams, scores, level_matrix)
+
+        monkeypatch.setattr(simulator, "_block_errors", recorded)
+        run_sym_experiment(SymConfig(scenario=scen, bundle=tiny_bundle, trials=20, seed=5))
+        expect = np.zeros((6, 6), dtype=int)
+        for u in range(6):
+            for t in range(6):
+                if t != u:
+                    expect[u, t] = quantize_rho(scen.pairwise_rho[u, t], tiny_bundle.ladder)
+        assert np.array_equal(level_matrices[0], expect)
 
     def test_reproducible(self, tiny_bundle):
         scen = generate_scenario(5, tiny_bundle.channels, seed=2)
@@ -588,25 +630,25 @@ class TestSymBlocks:
         monkeypatch.setattr(simulator, "SYM_MAX_ITERS", max_iters)
         monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
         per_trial = 6 * tuple_space(tiny_bundle.channels).size  # posterior entries
-        monkeypatch.setattr(simulator, "SYM_BLOCK", self.TRIALS * per_trial)
+        monkeypatch.setattr(simulator, "BLOCK_ENTRIES", self.TRIALS * per_trial)
         whole, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
         assert whole_err.shape == (self.TRIALS,)
         for trials_per_block in (1, 7, 64):
-            monkeypatch.setattr(simulator, "SYM_BLOCK", trials_per_block * per_trial)
+            monkeypatch.setattr(simulator, "BLOCK_ENTRIES", trials_per_block * per_trial)
             res, xhat, err = sym_run(cfg, monkeypatch)
             assert np.array_equal(xhat, whole_xhat), trials_per_block
             assert np.array_equal(err, whole_err), trials_per_block
             assert (res.d_av, res.stderr) == (whole.d_av, whole.stderr)
 
     def test_one_trial_blocks_of_a_wider_field(self, tiny_bundle, monkeypatch):
-        # SYM_BLOCK 1 rounds up to one trial per block.  Nine nodes: numpy
+        # BLOCK_ENTRIES 1 rounds up to one trial per block.  Nine nodes: numpy
         # sums eight or more contiguous values pairwise, and the node errors
         # of a one-trial block are contiguous.
         scen = generate_scenario(9, tiny_bundle.channels, seed=3)
         cfg = SymConfig(scenario=scen, bundle=tiny_bundle, trials=40, seed=5)
         monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
         _, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
-        monkeypatch.setattr(simulator, "SYM_BLOCK", 1)
+        monkeypatch.setattr(simulator, "BLOCK_ENTRIES", 1)
         _, xhat, err = sym_run(cfg, monkeypatch)
         assert np.array_equal(xhat, whole_xhat)
         assert np.array_equal(err, whole_err)
@@ -621,7 +663,7 @@ class TestSymMemory:
     def test_growth_per_trial_and_node(self, k16_bundle, mode, method):
         scen = generate_scenario(self.NODES, k16_bundle.channels, seed=1)
         # Both sizes span more than one block, so the block buffers are full in each.
-        block = simulator.SYM_BLOCK // (self.NODES * tuple_space(k16_bundle.channels).size)
+        block = simulator.BLOCK_ENTRIES // (self.NODES * tuple_space(k16_bundle.channels).size)
         assert self.TRIALS > block
 
         def run(trials):
@@ -632,3 +674,26 @@ class TestSymMemory:
 
         small, large = (traced_peak(lambda: run(n)) for n in (self.TRIALS, 2 * self.TRIALS))
         assert (large - small) / (self.TRIALS * self.NODES * 8) <= 4
+
+    def test_soft_decode_holds_two_posterior_buffers(self, k16_bundle, monkeypatch):
+        # A soft block keeps its likelihood rows and two posterior buffers of
+        # nodes x block x L float64 each; per-node temporaries add a few 1/nodes.
+        scen = generate_scenario(self.NODES, k16_bundle.channels, seed=1)
+        L = tuple_space(k16_bundle.channels).size
+        block = simulator.BLOCK_ENTRIES // (self.NODES * L)
+        calls = []
+        decode = _SymDecoder.decode
+
+        def recorded(dec, *args):
+            calls.append((dec, args))
+            return decode(dec, *args)
+
+        monkeypatch.setattr(_SymDecoder, "decode", recorded)
+        monkeypatch.setattr(simulator, "SYM_TOL", 0.0)  # every sweep runs
+        run_sym_experiment(SymConfig(
+            scenario=scen, bundle=k16_bundle, mode="soft", si_method="distance",
+            trials=block, seed=1,
+        ))
+        [(dec, args)] = calls
+        buffers = traced_peak(lambda: decode(dec, *args)) / (self.NODES * block * L * 8)
+        assert buffers <= 3.5
