@@ -33,7 +33,6 @@ metadata ``schedule`` block.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -47,6 +46,7 @@ from .channel import (
     stacked_pattern_table,
     tuple_space,
 )
+from .forking import fork_map
 from .gaussian import (
     CorrelationLadder,
     JointGaussianPair,
@@ -617,113 +617,6 @@ def _anneal_once(ctx: DesignContext, rng):
     return hard_ia, float(hard_d), info
 
 
-def _blas_thread_setter():
-    """``set_num_threads`` of the OpenBLAS bundled with numpy, or None if not found."""
-    import ctypes
-    from pathlib import Path
-
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                    "openblas_set_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                return fn
-    return None
-
-
-def _restart_workers(restarts: int) -> int:
-    """Worker processes for ``restarts`` annealing restarts; 1 runs them in this process.
-
-    Workers are forked, because a spawned one re-imports numpy and starts a
-    resource tracker that outlives the design; OpenBLAS's own fork handler
-    stops its thread pool before the fork.  Each pins OpenBLAS to one
-    thread: forked workers that keep the parent's BLAS pool oversubscribe the
-    cores and run slower than the serial loop, so without a thread setter the
-    restarts stay serial.
-    """
-    import multiprocessing
-
-    if (
-        restarts < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon  # daemonic processes cannot fork workers
-        or _blas_thread_setter() is None
-    ):
-        return 1
-    return min(restarts, len(os.sched_getaffinity(0)))
-
-
-def _restart_worker(inherited, send, ctx, seed, restarts) -> None:
-    """Body of one forked worker: run ``restarts`` and send their results once.
-
-    ``inherited`` are the parent's read ends forked into this worker; closing
-    them lets a send to a parent that was killed fail instead of blocking.
-    """
-    for conn in inherited:
-        conn.close()
-    _blas_thread_setter()(1)
-    results = [_anneal_once(ctx, derive_rng(seed, r)) for r in restarts]
-    try:
-        send.send(results)
-    except BrokenPipeError:  # the parent is gone; nobody wants the results
-        pass
-
-
-def _run_restarts(ctx: DesignContext, restarts: int, seed: int, workers: int):
-    """``_anneal_once`` results of every restart, in restart order.
-
-    Worker ``w`` of ``workers`` runs restarts ``w, w + workers, ...`` and
-    exits; each restart draws from ``derive_rng(seed, restart)`` wherever it
-    runs, so the results do not depend on ``workers``.
-    """
-    if workers <= 1:
-        return [_anneal_once(ctx, derive_rng(seed, r)) for r in range(restarts)]
-    import multiprocessing
-
-    mp = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for w in range(workers):
-            recv, send = mp.Pipe(duplex=False)
-            conns.append(recv)
-            proc = mp.Process(
-                target=_restart_worker,
-                args=(tuple(conns), send, ctx, seed, range(w, restarts, workers)),
-                name=f"mdquant-anneal-{w}",
-            )
-            proc.start()
-            procs.append(proc)
-            send.close()
-        chunks = []
-        for recv, proc in zip(conns, procs):
-            try:
-                chunks.append(recv.recv())
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"annealing worker exited with code {proc.exitcode} before sending results"
-                ) from None
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc in procs:
-            proc.join()
-        for recv in conns:
-            recv.close()
-    results = [None] * restarts
-    for w, chunk in enumerate(chunks):
-        results[w::workers] = chunk
-    return results
-
-
 def design_annealed(
     quantizer: ScalarQuantizer,
     si_quantizer: ScalarQuantizer,
@@ -737,9 +630,11 @@ def design_annealed(
     Runs ``restarts`` independent seeded starts and keeps the best
     hardened table (the first of equals).  The restarts run in forked worker
     processes, one per usable CPU up to the restart count, each with one BLAS
-    thread; the result is the same as running them one after another.  The
-    returned bundle carries decoder tables for every level of the default
-    ``CorrelationLadder`` plus the no-SI variant.
+    thread (:func:`mdquant.forking.fork_map`); each restart draws from
+    ``derive_rng(seed, restart)`` wherever it runs, so the result is the same
+    as running them one after another.  The returned bundle carries decoder
+    tables for every level of the default ``CorrelationLadder`` plus the
+    no-SI variant.
     """
     if restarts < 1:
         raise ValueError("restarts must be positive")
@@ -749,7 +644,9 @@ def design_annealed(
     ctx = DesignContext(quantizer, si_quantizer, pair, channels)
 
     best = None
-    results = _run_restarts(ctx, restarts, seed, _restart_workers(restarts))
+    results = fork_map(
+        lambda restart: _anneal_once(ctx, derive_rng(seed, restart)), range(restarts), "annealing"
+    )
     for restart, (hard_ia, hard_d, info) in enumerate(results):
         if info["inner_cap_hits"]:
             log.warning(

@@ -1,0 +1,129 @@
+"""Independent work items in forked worker processes, one per usable CPU.
+
+:func:`fork_map` is the package's one way to run work in parallel: the
+annealing restarts of a design, and the trial blocks and selection-score
+correlations of a sensor field.  Workers are forked, because a spawned one
+re-imports numpy and starts a resource tracker that outlives the call, and
+a forked one inherits the function and its items without pickling them;
+only the results travel back.  OpenBLAS's own fork handler stops its thread
+pool before the fork, and each worker pins OpenBLAS to one thread: forked
+workers that keep the parent's BLAS pool oversubscribe the cores and run
+slower than the serial loop, so without a thread setter the items run in
+this process.  Results do not depend on the worker count as long as each
+item's result depends only on that item.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+
+
+def _blas_thread_setter():
+    """``set_num_threads`` of the OpenBLAS bundled with numpy, or None if not found."""
+    import ctypes
+    from pathlib import Path
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                return fn
+    return None
+
+
+def worker_count(items: int) -> int:
+    """Worker processes for ``items`` work items; 1 runs them in this process.
+
+    One per usable CPU, up to the item count.  The items stay in this
+    process when there is only one of them or one CPU, when the platform
+    cannot fork, when the caller is daemonic (it may not start processes of
+    its own) or when no BLAS thread setter is found.
+    """
+    import multiprocessing
+
+    if (
+        items < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or _blas_thread_setter() is None
+    ):
+        return 1
+    return min(items, len(os.sched_getaffinity(0)))
+
+
+def _worker(inherited, send, fn, items) -> None:
+    """Body of one forked worker: run ``fn`` on ``items`` and send the results once.
+
+    ``inherited`` are the parent's read ends forked into this worker; closing
+    them lets a send to a parent that was killed fail instead of blocking.
+    """
+    for conn in inherited:
+        conn.close()
+    _blas_thread_setter()(1)
+    results = [fn(item) for item in items]
+    try:
+        send.send(results)
+    except BrokenPipeError:  # the parent is gone; nobody wants the results
+        pass
+
+
+def fork_map(fn, items, name: str = "forked") -> list:
+    """``[fn(item) for item in items]``, computed by :func:`worker_count` forked workers.
+
+    Worker ``w`` of ``W`` runs items ``w, w + W, ...`` in order and sends
+    their results back once; the results come back in item order.  If a
+    worker dies before it sends, or anything else fails, every worker is
+    terminated and joined before the error propagates; a worker that died
+    raises ``RuntimeError`` naming ``name``.
+    """
+    items = list(items)
+    workers = worker_count(len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+
+    mp = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for w in range(workers):
+            recv, send = mp.Pipe(duplex=False)
+            conns.append(recv)
+            proc = mp.Process(
+                target=_worker,
+                args=(tuple(conns), send, fn, items[w::workers]),
+                name=f"mdquant-{name}-{w}",
+            )
+            proc.start()
+            procs.append(proc)
+            send.close()
+        chunks = []
+        for recv, proc in zip(conns, procs):
+            try:
+                chunks.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"{name} worker exited with code {proc.exitcode} before sending results"
+                ) from None
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for recv in conns:
+            recv.close()
+    results = [None] * len(items)
+    for w, chunk in enumerate(chunks):
+        results[w::workers] = chunk
+    return results

@@ -33,17 +33,24 @@ then runs every per-trial step on one block of trials at a time: quantizer
 cells, transmission, loss patterns, SI maps, trial groups, the joint decode
 and the squared errors.  A block holds ``BLOCK_ENTRIES // (nodes * L)``
 trials (at least one), so the decoder's posterior buffers stay bounded and
-only the sources and the per-trial errors grow with the trial count.  Each
-node's channel generators are created once per run and continue from block
-to block.  The SI selection scores every distinct pair correlation of the
-field once per run, from one moment quadrature per block of correlations;
-each block of trials picks every source's SI source per trial with a single
-gather, and the decoder groups each node's trials by the ladder level of
-their SI source once per block, for every sweep to reuse.  The sweeps of a
-block stop on that block's own change (see :meth:`_SymDecoder.decode`), so a
-run that converges before ``SYM_MAX_ITERS`` may depend on the block size;
-with ``SYM_TOL`` 0, or where no block converges early, the results equal a
+only the sources and the per-trial errors grow with the trial count.  The
+SI selection scores every distinct pair correlation of the field once per
+run, from one moment quadrature per block of correlations; each block of
+trials picks every source's SI source per trial with a single gather, and
+the decoder groups each node's trials by the ladder level of their SI source
+once per block, for every sweep to reuse.  The sweeps of a block stop on
+that block's own change (see :meth:`_SymDecoder.decode`), so a run that
+converges before ``SYM_MAX_ITERS`` may depend on the block size; with
+``SYM_TOL`` 0, or where no block converges early, the results equal a
 one-block run bit for bit.
+
+The blocks of a field, and its scored correlations, are independent work
+items: each block positions its nodes' channel generators at its first trial
+(:func:`_positioned_streams`), and each score depends only on its
+correlation.  Both run in forked workers, one per usable CPU with one BLAS
+thread each (:func:`mdquant.forking.fork_map`), after the sources, the
+decoder tables and the scores are made in this process; the results equal a
+serial run bit for bit, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from .channel import (
 )
 from .codec import CodecBundle, masked_ratio, pattern_lookups, si_moment_matrices
 from .decode_sym import cross_table_stack
+from . import forking
 from .gaussian import JointGaussianPair, quantize_rho
 from .si_select import score_tables, select_min_distance
 from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindings)
@@ -201,9 +209,13 @@ def _channel_streams(n_desc: int, rng_tags, seed):
 BLOCK_ENTRIES = 1 << 20
 
 
-def _blocks(n: int, per_item: int):
-    """Consecutive slices of ``range(n)`` of max(1, BLOCK_ENTRIES // per_item) items."""
-    step = max(1, BLOCK_ENTRIES // per_item)
+def _blocks(n: int, per_item: int, parts: int = 1):
+    """Consecutive slices of ``range(n)`` of max(1, BLOCK_ENTRIES // per_item) items.
+
+    With ``parts``, slices are also no longer than ceil(n / parts) items, so
+    there are at least ``parts`` of them where ``n`` allows.
+    """
+    step = max(1, min(BLOCK_ENTRIES // per_item, -(-n // parts)))
     for lo in range(0, n, step):
         yield slice(lo, min(lo + step, n))
 
@@ -503,15 +515,22 @@ def _selection_score_tables(bundle, rho_keys, method):
 
     Scores are evaluated at the exact pair correlations; only the stored
     decoder tables live on the quantized grid.  The correlations are scored
-    in blocks of K^2 cross-table entries each (:func:`_blocks`), so the
-    cross tables of a full-scale codec stay bounded.
+    in contiguous parts, at least one per worker
+    (:func:`mdquant.forking.fork_map`), each within one block of K^2
+    cross-table entries per correlation (:func:`_blocks`), so the cross
+    tables of a full-scale codec stay bounded.  Each score depends only on
+    its own correlation, so the parts concatenate to the one-batch scores
+    bit for bit.
     """
     K = bundle.quantizer.size
-    parts = []
-    for blk in _blocks(len(rho_keys), K * K):
+    n = len(rho_keys)
+
+    def part(blk):
         cross = cross_table_stack(bundle, bundle, rho_keys[blk])
-        parts.append(score_tables(bundle, bundle, cross, method))
-    return np.concatenate(parts)
+        return score_tables(bundle, bundle, cross, method)
+
+    blocks = _blocks(n, K * K, forking.worker_count(n))
+    return np.concatenate(forking.fork_map(part, blocks, "selection"))
 
 
 def _selection_scores(cfg: SymConfig) -> np.ndarray | None:
@@ -714,11 +733,26 @@ class _SymDecoder:
         return xhat
 
 
+def _positioned_streams(channels, rng_tags, seed, lo: int):
+    """:func:`_channel_streams` of one source, positioned at trial ``lo``.
+
+    :func:`_transmit_bsc` draws, per trial and description, ``bits`` flip
+    uniforms and one loss uniform, and PCG64 spends one 64-bit output on each
+    double; advancing the generators by those counts equals drawing the
+    trials before ``lo`` first.
+    """
+    streams = _channel_streams(len(channels), rng_tags, seed)
+    for ch, (flip_rng, loss_rng) in zip(channels, streams):
+        flip_rng.bit_generator.advance(lo * ch.bits)
+        loss_rng.bit_generator.advance(lo)
+    return streams
+
+
 def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.ndarray:
     """Per-trial squared error, averaged over nodes, of one block of sources.
 
     ``xb`` is the block's (trials, nodes) source draws and ``streams[u]``
-    node u's channel generators, which continue from the previous block.
+    node u's channel generators, positioned at the block's first trial.
     Every per-trial array of the block dies on return.
     """
     cfg, bundle = dec.cfg, dec.bundle
@@ -744,9 +778,10 @@ def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.nda
 def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     """Monte-Carlo joint decoding of a scenario; averages distortion over nodes.
 
-    The sources are drawn whole; everything after runs block by block (see
-    the module docstring), and the per-trial errors are kept whole so their
-    mean and standard error are the one-block values.
+    The sources, the selection scores and the decoder tables are made in
+    this process; the blocks of trials then run in forked workers (see the
+    module docstring), and the per-trial errors are kept whole so their mean
+    and standard error are the one-block values.
     """
     start = time.perf_counter()
     scenario, bundle = cfg.scenario, cfg.bundle
@@ -757,11 +792,16 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     level_matrix[off] = quantize_rho(scenario.pairwise_rho[off], bundle.ladder)
 
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
-    n_desc = len(bundle.channels)
-    streams = [_channel_streams(n_desc, (4, u), cfg.seed) for u in range(n_nodes)]
     scores = _selection_scores(cfg)
     dec = _SymDecoder(cfg)
-    per_trial = np.empty(cfg.trials)
-    for blk in _blocks(cfg.trials, n_nodes * dec.space.size):
-        per_trial[blk] = _block_errors(dec, x[blk], streams, scores, level_matrix)
+
+    def errors(blk):
+        streams = [
+            _positioned_streams(dec.channels, (4, u), cfg.seed, blk.start)
+            for u in range(n_nodes)
+        ]
+        return _block_errors(dec, x[blk], streams, scores, level_matrix)
+
+    blocks = _blocks(cfg.trials, n_nodes * dec.space.size)
+    per_trial = np.concatenate(forking.fork_map(errors, blocks, "field"))
     return _result(per_trial, time.perf_counter() - start, psd_projected=projected)

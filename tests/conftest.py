@@ -1,4 +1,8 @@
-"""Shared fixtures: small deterministic codecs reused across test modules."""
+"""Shared fixtures: small deterministic codecs, and the process probes of the forked-worker tests."""
+
+import glob
+from multiprocessing.process import BaseProcess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from mdquant import (
     GaussianSource,
     IndexAssignment,
     build_decoder_tables,
+    forking,
     lloyd_design,
 )
 
@@ -86,3 +91,64 @@ def simpson_nodes(lo, hi, n=1601):
 
 def std_normal_pdf(x):
     return np.exp(-0.5 * np.asarray(x) ** 2) / np.sqrt(2 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# Forked workers
+# ---------------------------------------------------------------------------
+
+needs_workers = pytest.mark.skipif(
+    forking.worker_count(2) < 2,
+    reason="work items run serially here: one CPU, no fork or no BLAS thread setter",
+)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every ``forking.fork_map`` item in this process, where spies and tracemalloc see it."""
+    monkeypatch.setattr(forking, "worker_count", lambda items: 1)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the processes started while the test runs."""
+    names = []
+    start = BaseProcess.start
+
+    def counting_start(self):
+        names.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    return names
+
+
+def child_pids(pid: int) -> set[int]:
+    """Pids whose parent is ``pid``, from ``/proc/<pid>/task/*/children`` or every ``stat``."""
+    lists = glob.glob(f"/proc/{pid}/task/*/children")
+    if lists:
+        children = set()
+        for path in lists:
+            try:
+                children.update(int(p) for p in Path(path).read_text().split())
+            except OSError:  # the thread exited while we looked, as BLAS threads do at a fork
+                continue
+        return children
+    children = set()
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            fields = Path(path).read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process exited while we looked
+            continue
+        if int(fields[1]) == pid:
+            children.add(int(path.split("/")[2]))
+    return children
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")

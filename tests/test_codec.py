@@ -337,6 +337,38 @@ class TestMomentQuadratureEdges:
         assert row_err <= 7e-16
 
 
+class TestCleanMoments:
+    """The 1e-14 moment clean-up (``codec._clean_moments``) at its edge."""
+
+    PEAK = 0.25
+
+    def test_entry_at_the_floor_is_dropped_and_one_above_kept(self):
+        floor = 1e-14 * self.PEAK
+        above = np.nextafter(floor, 1.0)
+        s0 = np.array([[self.PEAK, floor, above]])
+        c0, _, _ = codec._clean_moments(s0, np.ones_like(s0), np.ones_like(s0))
+        assert c0.tolist() == [[self.PEAK, 0.0, above]]
+
+    def test_moments_are_zeroed_together_and_s2_clipped(self):
+        s0 = np.array([[self.PEAK, 1e-16, 1e-3]])
+        s1 = np.array([[-0.5, 7e-17, -2e-3]])
+        s2 = np.array([[0.4, -3e-19, -1e-20]])
+        c0, c1, c2 = codec._clean_moments(s0, s1, s2)
+        assert c0.tolist() == [[self.PEAK, 0.0, 1e-3]]
+        assert c1.tolist() == [[-0.5, 0.0, -2e-3]]  # a kept first moment keeps its sign
+        assert c2.tolist() == [[0.4, 0.0, 0.0]]
+
+    def test_each_correlation_has_its_own_peak(self):
+        # 5e-24 lies below the floor of a unit peak and above that of a 1e-10 one.
+        s0 = np.array([[[1.0, 5e-24]], [[1e-10, 5e-24]]])
+        c0, c1, c2 = codec._clean_moments(s0, s0.copy(), s0.copy())
+        assert c0.tolist() == [[[1.0, 0.0]], [[1e-10, 5e-24]]]
+        for r in range(2):
+            one = codec._clean_moments(s0[r], s0[r], s0[r])
+            for stacked, single in zip((c0, c1, c2), one):
+                assert stacked[r].tobytes() == single.tobytes()
+
+
 def _binned(K, L):
     """Hard assignment of cell k to tuple k mod L."""
     return IndexAssignment(np.eye(L)[np.arange(K) % L], hard=True)

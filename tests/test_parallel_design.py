@@ -1,13 +1,11 @@
 """Annealing restarts in forked workers: the serial loop's codec, and no process left behind."""
 
-import glob
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
-from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +17,12 @@ from mdquant import (
     design_annealed,
     lloyd_design,
 )
-from mdquant import codec
+from mdquant import codec, forking
+from mdquant.channel import derive_rng
 from mdquant.codec import DesignContext
 from mdquant.persist import save_codec
 
+from conftest import child_pids, needs_workers, running
 from oracles import serial_restarts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -30,62 +30,21 @@ PAIR = JointGaussianPair(1.0, 1.0, 0.8)
 CHANNELS = (DescriptionChannel.bsc(0.0, 0.05, 4),) * 2
 RESTARTS = 3
 
-needs_workers = pytest.mark.skipif(
-    codec._restart_workers(2) < 2,
-    reason="restarts run serially here: one CPU, no fork or no BLAS thread setter",
-)
-
 
 @pytest.fixture(scope="module")
 def quantizers(source):
     return lloyd_design(source, 16), lloyd_design(source, 16)
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Names of the processes started while the test runs."""
-    names = []
-    start = BaseProcess.start
-
-    def counting_start(self):
-        names.append(self.name)
-        start(self)
-
-    monkeypatch.setattr(BaseProcess, "start", counting_start)
-    return names
-
-
-def child_pids(pid: int) -> set[int]:
-    """Pids whose parent is ``pid``, from ``/proc/<pid>/task/*/children`` or every ``stat``."""
-    lists = glob.glob(f"/proc/{pid}/task/*/children")
-    if lists:
-        return {int(p) for path in lists for p in Path(path).read_text().split()}
-    children = set()
-    for path in glob.glob("/proc/[0-9]*/stat"):
-        try:
-            fields = Path(path).read_text().rsplit(")", 1)[1].split()
-        except OSError:  # the process exited while we looked
-            continue
-        if int(fields[1]) == pid:
-            children.add(int(path.split("/")[2]))
-    return children
-
-
-def running(pid: int) -> bool:
-    """True while ``pid`` exists and has not exited (a zombie has)."""
-    try:
-        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
-    except (OSError, IndexError):
-        return False
-    return state not in ("Z", "X")
-
-
 class TestSameCodecAsSerial:
     @needs_workers
-    def test_each_restart_matches_the_serial_oracle(self, quantizers, started):
+    def test_each_restart_matches_the_serial_oracle(self, quantizers, monkeypatch, started):
         ctx = DesignContext(*quantizers, PAIR, CHANNELS)
         expected, _ = serial_restarts(ctx, RESTARTS, seed=2)
-        got = codec._run_restarts(ctx, RESTARTS, 2, workers=2)
+        monkeypatch.setattr(forking, "worker_count", lambda items: 2)
+        got = forking.fork_map(
+            lambda r: codec._anneal_once(ctx, derive_rng(2, r)), range(RESTARTS)
+        )
         assert len(started) == 2
         assert len(got) == len(expected)
         for (ia_e, d_e, info_e), (ia_g, d_g, info_g) in zip(expected, got):
@@ -107,7 +66,7 @@ class TestSameCodecAsSerial:
     ):
         saved = []
         for workers in (1, 2):
-            monkeypatch.setattr(codec, "_restart_workers", lambda restarts, w=workers: w)
+            monkeypatch.setattr(forking, "worker_count", lambda items, w=workers: w)
             bundle = design_annealed(*quantizers, PAIR, CHANNELS, restarts=RESTARTS, seed=4)
             path = tmp_path / f"codec{workers}.json"
             save_codec(bundle, path)
@@ -119,9 +78,9 @@ class TestSameCodecAsSerial:
     def test_design_stderr_keeps_the_serial_line_order(self, seed):
         script = (
             "import sys\n"
-            "import mdquant.codec\n"
+            "import mdquant.forking\n"
             "if sys.argv[1] == 'serial':\n"
-            "    mdquant.codec._restart_workers = lambda restarts: 1\n"
+            "    mdquant.forking.worker_count = lambda items: 1\n"
             "from mdquant.cli import main\n"
             "sys.exit(main(sys.argv[2:]))\n"
         )
@@ -161,11 +120,11 @@ class TestWorkerCount:
         elif case == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         elif case == "no setter":
-            monkeypatch.setattr(codec, "_blas_thread_setter", lambda: None)
+            monkeypatch.setattr(forking, "_blas_thread_setter", lambda: None)
         elif case == "daemonic caller":
             # A pool worker is daemonic and may not start processes of its own.
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert codec._restart_workers(restarts) == 1
+        assert forking.worker_count(restarts) == 1
 
 
 @needs_workers

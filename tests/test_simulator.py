@@ -11,7 +11,7 @@ from mdquant import (
     lloyd_design,
     quantize_rho,
 )
-from mdquant import simulator
+from mdquant import forking, simulator
 from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
 from mdquant.si_select import select_min_distance
 from mdquant.simulator import (
@@ -511,7 +511,7 @@ class TestSymExperiment:
         )[0]
         assert abs(res.d_av - asym.d_av) < 3 * (res.stderr + asym.stderr)
 
-    def test_level_matrix_equals_pair_loop(self, tiny_bundle, monkeypatch):
+    def test_level_matrix_equals_pair_loop(self, tiny_bundle, monkeypatch, one_worker):
         scen = generate_scenario(6, tiny_bundle.channels, seed=3)
         level_matrices = []
         block_errors = simulator._block_errors
@@ -594,7 +594,10 @@ class TestSeededField:
 
 
 def sym_run(cfg, monkeypatch):
-    """(result, (nodes, trials) estimates, per-trial errors) of one ``run_sym_experiment``."""
+    """(result, (nodes, trials) estimates, per-trial errors) of one ``run_sym_experiment``.
+
+    The blocks run in this process, where the spies can see them.
+    """
     xhats, errs = [], []
     decode, block_errors = _SymDecoder.decode, simulator._block_errors
 
@@ -607,6 +610,7 @@ def sym_run(cfg, monkeypatch):
         return errs[-1]
 
     with monkeypatch.context() as m:
+        m.setattr(forking, "worker_count", lambda items: 1)
         m.setattr(_SymDecoder, "decode", recorded_decode)
         m.setattr(simulator, "_block_errors", recorded_errors)
         res = run_sym_experiment(cfg)
@@ -654,8 +658,12 @@ class TestSymBlocks:
         assert np.array_equal(err, whole_err)
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestSymMemory:
-    """The traced peak grows by at most 4 float64 per trial and node from T to 2T trials."""
+    """The traced peak grows by at most 4 float64 per trial and node from T to 2T trials.
+
+    The blocks run in this process, where tracemalloc sees them.
+    """
 
     NODES, TRIALS = 40, 2_000
 
