@@ -47,12 +47,23 @@ def _check_levels(flag: str, n: int) -> None:
         raise ValueError(f"{flag} {n} exceeds the largest quantizer size {MAX_QUANTIZER_LEVELS}")
 
 
+def _parse_list(flag: str, text: str, kind) -> list:
+    """The entries of a comma list read by ``kind`` (int or float), skipping empty ones."""
+    values = []
+    for entry in filter(None, text.split(",")):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag} entry {entry!r} is not {what}") from None
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return values
+
+
 def _parse_desc(text: str) -> list[int]:
-    try:
-        counts = [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise ValueError(f"bad description list {text!r}") from exc
-    if not counts or any(c < 2 for c in counts):
+    counts = _parse_list("--desc", text, int)
+    if any(c < 2 for c in counts):
         raise ValueError("each description needs at least two indices")
     # Bounds every count too: each is at least 2.
     _check_levels("--desc index tuple count", math.prod(counts))
@@ -188,11 +199,12 @@ def cmd_evaluate(args) -> int:
     # y = rho x + sqrt(1 - rho^2) z needs |rho_real| < 1 whatever rho_dec is.
     if not -1.0 < args.rho_real < 1.0:
         raise ValueError("--rho-real must be finite and lie in (-1, 1)")
-    sizes = _parse_nsi_sweep(args.nsi_sweep) if args.nsi_sweep else None
+    sizes = None if args.nsi_sweep is None else _parse_nsi_sweep(args.nsi_sweep)
+    bers = None if args.bsc_sweep is None else _parse_list("--bsc-sweep", args.bsc_sweep, float)
     bundle = load_codec(args.codec)
-    if args.nsi_sweep and (args.bsc_sweep or args.awgn is not None):
+    if sizes and (bers or args.awgn is not None):
         raise ValueError("--nsi-sweep cannot be combined with channel sweeps")
-    if args.bsc_sweep and args.awgn is not None:
+    if bers and args.awgn is not None:
         raise ValueError("--awgn cannot be combined with --bsc-sweep")
     cfg = AsymConfig(
         bundle=bundle,
@@ -205,8 +217,8 @@ def cmd_evaluate(args) -> int:
     own = bundle.channels
     if args.awgn is not None:
         labels, make = [args.awgn], DescriptionChannel.awgn
-    elif args.bsc_sweep:
-        labels, make = [float(v) for v in args.bsc_sweep.split(",")], DescriptionChannel.bsc
+    elif bers:
+        labels, make = bers, DescriptionChannel.bsc
     else:
         # A codec's own channels are labelled like the flag that would set them.
         labels = [own[0].bit_error_rate if own[0].kind == "bsc" else own[0].noise_psd]
@@ -237,11 +249,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_nsi_sweep(text: str) -> list[int]:
-    sizes = [int(v) for v in text.split(",") if v]
-    if not sizes or any(n < 1 for n in sizes):
+    sizes = _parse_list("--nsi-sweep", text, int)
+    if any(n < 1 for n in sizes):
         raise ValueError("bad SI quantizer size list")
-    for n in sizes:
-        _check_levels("--nsi-sweep size", n)
+    _check_levels("--nsi-sweep size", max(sizes))
     return sizes
 
 

@@ -101,6 +101,27 @@ def pattern_lookups(stacked, joint, first):
     return den, num, masked_ratio(num, den, PROB_FLOOR)
 
 
+class _AsymLookup:
+    """Reconstruction lookup table for one (rho level, channel set).
+
+    ``table[offsets[p] + j, y]`` reconstructs from combined word j under loss
+    pattern p with SI level y, and ``xhat[p]`` is pattern p's block of it.
+    ``level`` None means no SI.
+    """
+
+    def __init__(self, bundle: CodecBundle, channels, level: int | None):
+        t = bundle.tables
+        if level is None:
+            joint = t.prior_nosi[:, None]
+            first = (t.prior_nosi * t.codebook_nosi)[:, None]
+        else:
+            joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
+            first = joint * t.codebook[level].T
+        stacked, self.offsets = stacked_pattern_table(channels)
+        _, _, self.table = pattern_lookups(stacked, joint, first)
+        self.xhat = np.split(self.table, self.offsets[1:-1])
+
+
 @dataclass(frozen=True)
 class IndexAssignment:
     """Row-stochastic K x L table P(index tuple | quantizer cell)."""

@@ -1,15 +1,18 @@
-"""Cross-source tables of the joint decoder.
+"""The joint decoder of a sensor field and its cross-source tables.
 
 When one source of a field serves as another's side information, the joint
-decoder couples the two through these tables: the joint statistics of the
+decoder couples the two through cross tables: the joint statistics of the
 two sources' quantizer cells and index tuples at their correlation.  They
 are read off the same moment matrices S0/S1 as the stored decoder tables
 (:func:`mdquant.codec.si_moment_matrices`, with the neighbor's quantizer in
 the role of the SI quantizer).  :func:`cross_table_stack` builds them for
 many correlations from one batched quadrature.  That is how the SI
 selection gets the tables of every pair of a field, and how the soft-SI
-decoder (``simulator._SymDecoder``) gets one table per ladder level, all
-built when the decoder is created.
+decoder gets one table per ladder level.
+
+:class:`_SymDecoder` is the joint decoder: estimated-SI or soft-SI sweeps
+over one block of a field's trials at a time.  The symmetric experiment
+(``mdquant.simulator``) samples, transmits and selects SI sources for it.
 """
 
 from __future__ import annotations
@@ -18,9 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecBundle, masked_ratio, si_moment_matrices, si_moment_stack
+from .channel import stacked_pattern_table, tuple_space, word_rows
+from .codec import CodecBundle, _AsymLookup, masked_ratio, si_moment_matrices, si_moment_stack
 from .gaussian import JointGaussianPair
 from .gaussian import gauss_interval_moments_batch  # noqa: F401  (perfbench/spans.py patches this binding)
+
+# Joint-decoder sweeps per block (the no-SI pass counts as the first), and the
+# largest change between sweeps at which a block stops early.  Read at call time.
+SYM_MAX_ITERS = 10
+SYM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,3 +109,166 @@ def cross_table_stack(bundle_u: CodecBundle, bundle_s: CodecBundle, rhos) -> Cro
     """
     s0, s1, _ = si_moment_stack(bundle_u.quantizer, bundle_s.quantizer, rhos)
     return _cross_tables(bundle_u, bundle_s, s0, s1)
+
+
+# ---------------------------------------------------------------------------
+# The joint decoder
+# ---------------------------------------------------------------------------
+
+
+def _row_product(a, b):
+    """``a @ b`` for a 2-D ``b``, each row rounded as in a product of many rows.
+
+    numpy hands a single row to gemv, whose sums round differently from
+    gemm's, so a lone row is multiplied as a pair with a copy of itself.
+    """
+    if a.shape[0] == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    return a @ b
+
+
+def _trial_groups(level_u, s_map_u) -> list:
+    """One node's trials grouped by the ladder level of their SI source.
+
+    Each group is (level, trial indices, SI source per trial).  The selection
+    is fixed for a block, so every decoder sweep of the block reuses the
+    groups.
+    """
+    groups = []
+    for level in np.unique(level_u):
+        idx = np.flatnonzero(level_u == level)
+        groups.append((int(level), idx, s_map_u[idx]))
+    return groups
+
+
+class _SymDecoder:
+    """The joint decoder: synchronous estimated-SI or soft-SI sweeps over a block of trials.
+
+    Iteration 1 decodes every node without SI; each later sweep reads the
+    state the previous one left.  :meth:`decode` runs the sweeps of one
+    block, and the other methods are its steps for one node across the
+    block's trials.  One decoder serves every block of a run.  ``cfg`` is the
+    run's ``simulator.SymConfig``, of which it reads the codec and the mode.
+    It builds the tables its mode reads, for every ladder level, when it is
+    created: estimated-SI reads the asymmetric lookup of each level, and
+    soft-SI the mixing matrices of one cross-table stack at the ladder's
+    correlations.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.bundle = bundle = cfg.bundle
+        self.channels = tuple(bundle.channels)
+        self.space = tuple_space(self.channels)
+        stacked, self.offsets = stacked_pattern_table(self.channels)
+        self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
+        levels = bundle.ladder.levels
+        if cfg.mode == "estimated":
+            # lookups[level][row, SI level]: the asymmetric decoder's reconstructions.
+            self.lookups = [
+                _AsymLookup(bundle, self.channels, level).table for level in range(levels.size)
+            ]
+        else:
+            cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
+            # Per level, neighbor tuple posterior -> own prior (L, L), and ->
+            # [prior | first moment] (L, 2L) for the final reconstruction.
+            self.prior_mix = cross.mix_prob.transpose(0, 2, 1)
+            self.final_mix = np.concatenate(
+                [cross.mix_prob, cross.mix_first], axis=1
+            ).transpose(0, 2, 1)
+
+    def lik_rows(self, rows_u):
+        """(trials, L) channel likelihood rows of one source's word rows."""
+        return self.word_lik[rows_u]
+
+    def no_si_pass(self, lik):
+        """lik: (trials, L) -> (posteriors, estimates)."""
+        t = self.bundle.tables
+        post = lik * t.prior_nosi[None, :]
+        post /= post.sum(axis=1, keepdims=True)
+        # einsum sums each row the same way whatever the row count; BLAS
+        # gemv rounds a block's last rows (and a lone row) differently.
+        return post, np.einsum("tl,l->t", post, t.codebook_nosi)
+
+    def estimated_step(self, est_prev, groups_u, rows_u):
+        """One estimated-SI update of a single source across the block's trials."""
+        out = np.empty(est_prev.shape[1])
+        si_quantizer = self.bundle.si_quantizer
+        for level, idx, nbr in groups_u:
+            y_levels = si_quantizer.cells(est_prev[nbr, idx])
+            out[idx] = self.lookups[level][rows_u[idx], y_levels]
+        return out
+
+    def soft_prior(self, posts_prev, groups_u, final=False):
+        """Neighbor posterior -> own prior per trial, (trials, L).
+
+        With ``final`` the rows are [prior | first moment], (trials, 2L), from
+        one product per group.
+        """
+        mixes = self.final_mix if final else self.prior_mix
+        out = np.empty((posts_prev.shape[1], mixes.shape[2]))
+        for level, idx, nbr in groups_u:
+            out[idx] = _row_product(posts_prev[nbr, idx], mixes[level])
+        return out
+
+    def decode(self, words, pids, groups):
+        """(nodes, trials) estimates from the received words of every node.
+
+        ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
+        pattern ids and ``groups[u]`` node u's trial groups
+        (:func:`_trial_groups`), all of one block of trials.  Each node's word
+        rows are found once.  The sweeps stop after ``SYM_MAX_ITERS``
+        iterations, or once the largest change over the block's trials falls
+        below ``SYM_TOL``: of the estimates (estimated-SI), or of the
+        posteriors (soft-SI, which reconstructs once, after its last sweep).
+        Each block of a run stops on its own change, so where one block
+        converges before another the result can differ from a one-block run;
+        with ``SYM_TOL`` 0 every block runs ``SYM_MAX_ITERS`` iterations and
+        the results do not depend on the block size.  Both are read at call
+        time.
+        """
+        trials, n_nodes = pids.shape
+        rows = [
+            word_rows(words[:, u], pids[:, u], self.channels, self.offsets) for u in range(n_nodes)
+        ]
+        ests = np.empty((n_nodes, trials))
+        if self.cfg.mode == "estimated":
+            # Only the no-SI estimates carry over; no posterior is kept.
+            for u in range(n_nodes):
+                _, ests[u] = self.no_si_pass(self.lik_rows(rows[u]))
+            for _ in range(SYM_MAX_ITERS - 1):
+                new_ests = np.empty_like(ests)
+                for u in range(n_nodes):
+                    new_ests[u] = self.estimated_step(ests, groups[u], rows[u])
+                delta = float(np.max(np.abs(new_ests - ests)))
+                ests = new_ests
+                if delta < SYM_TOL:
+                    break
+            return ests
+
+        lik = [self.lik_rows(rows_u) for rows_u in rows]
+        posts = np.empty((n_nodes, trials, self.space.size))
+        for u in range(n_nodes):
+            posts[u], ests[u] = self.no_si_pass(lik[u])
+        # Two posterior buffers alternate: the sweep writes ``new`` from
+        # ``posts`` into ``prev``'s buffer, which no sweep reads, and after
+        # the last sweep ``prev`` holds the posteriors behind the final priors.
+        prev = posts
+        for _ in range(SYM_MAX_ITERS - 1):
+            new = np.empty_like(posts) if prev is posts else prev
+            delta = 0.0
+            for u in range(n_nodes):
+                p = np.multiply(lik[u], self.soft_prior(posts, groups[u]), out=new[u])
+                p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+                delta = max(delta, float(np.max(np.abs(p - posts[u]))))
+            prev, posts = posts, new
+            if delta < SYM_TOL:
+                break
+        if prev is posts:
+            return ests
+        L = self.space.size
+        xhat = np.empty_like(ests)
+        for u in range(n_nodes):
+            den_num = self.soft_prior(prev, groups[u], final=True)
+            xhat[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
+        return xhat

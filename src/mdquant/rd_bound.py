@@ -59,9 +59,14 @@ def beta(query: BoundQuery) -> float:
 
 
 def side_bounds(query: BoundQuery) -> tuple[float, float]:
-    """Smallest achievable side distortions at the query's rates."""
-    b = beta(query)
-    return b * 2.0 ** (-2.0 * query.r1), b * 2.0 ** (-2.0 * query.r2)
+    """Smallest achievable side distortions at the query's rates.
+
+    A subnormal bound is rounded up to the next double: it keeps few digits,
+    and rounded down it would put the corner outside the achievable region.
+    """
+    b, tiny = beta(query), np.finfo(float).tiny
+    bounds = (b * 2.0 ** (-2.0 * query.r1), b * 2.0 ** (-2.0 * query.r2))
+    return tuple(float(np.nextafter(d, np.inf)) if d < tiny else d for d in bounds)
 
 
 def _central(b, rsum, d1, d2):

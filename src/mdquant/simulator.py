@@ -1,16 +1,15 @@
-"""Scenario generation, the package's decoders and Monte-Carlo experiments.
+"""Scenario generation and the package's Monte-Carlo experiments.
 
 The asymmetric experiment transmits one source with external side
 information; the symmetric experiment jointly decodes every node of a
-sensor-field scenario.  Both decoders live here and work on a block of
-trials at once: the asymmetric MMSE decoder is a lookup table per
-(correlation level, channel set) for BSC channels (:class:`_AsymLookup`) and
-a per-trial posterior for AWGN (:func:`_run_asym_awgn`); the joint decoder
-runs its estimated-SI or soft-SI sweeps in :meth:`_SymDecoder.decode`.
-With discrete channels every decoder input is finite, so reconstructions
-reduce to table lookups built once per configuration.  Results carry the
-Monte-Carlo standard error of every estimate.  The per-symbol decoders that
-these are tested against live in the test suite's oracles.
+sensor-field scenario.  This module samples, transmits, selects SI sources
+and averages the errors; the decoders work on a block of trials at once.
+The asymmetric MMSE decoder is a lookup table per (correlation level,
+channel set) for BSC channels (:class:`mdquant.codec._AsymLookup`) and a
+per-trial posterior for AWGN (:func:`_run_asym_awgn`); the joint decoder is
+:class:`mdquant.decode_sym._SymDecoder`.  Results carry the Monte-Carlo
+standard error of every estimate.  The per-symbol decoders that these are
+tested against live in the test suite's oracles.
 
 Both experiments bound their per-block buffers by one budget,
 ``BLOCK_ENTRIES`` float64 entries, which every chunked loop divides by its
@@ -38,15 +37,11 @@ SI selection scores every distinct pair correlation of the field once per
 run, from one moment quadrature per block of correlations; each block of
 trials picks every source's SI source per trial with a single gather, and
 the decoder groups each node's trials by the ladder level of their SI source
-once per block, for every sweep to reuse.  The sweeps of a block stop on
-that block's own change (see :meth:`_SymDecoder.decode`), so a run that
-converges before ``SYM_MAX_ITERS`` may depend on the block size; with
-``SYM_TOL`` 0, or where no block converges early, the results equal a
-one-block run bit for bit.
+once per block, for every sweep to reuse.
 
 The blocks of a field, and its scored correlations, are independent work
 items: each block positions its nodes' channel generators at its first trial
-(:func:`_positioned_streams`), and each score depends only on its
+(:func:`_channel_streams`), and each score depends only on its
 correlation.  Both run in forked workers, one per usable CPU with one BLAS
 thread each (:func:`mdquant.forking.fork_map`), after the sources, the
 decoder tables and the scores are made in this process; the results equal a
@@ -61,15 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    bpsk_symbols,
-    derive_rng,
-    pattern_ids,
-    stacked_pattern_table,
-    tuple_space,
-)
-from .codec import CodecBundle, masked_ratio, pattern_lookups, si_moment_matrices
-from .decode_sym import cross_table_stack
+from .channel import bpsk_symbols, derive_rng, pattern_ids, tuple_space, word_rows
+from .codec import CodecBundle, _AsymLookup, si_moment_matrices
+from .decode_sym import _SymDecoder, _trial_groups, cross_table_stack
 from . import forking
 from .gaussian import JointGaussianPair, quantize_rho
 from .si_select import score_tables, select_min_distance
@@ -193,15 +182,23 @@ def _bit_weights(bits: int) -> np.ndarray:
     return 1 << np.arange(bits - 1, -1, -1)
 
 
-def _channel_streams(n_desc: int, rng_tags, seed):
-    """(bit flips or noise, losses) generators of each description m.
+def _channel_streams(channels, rng_tags, seed, lo: int = 0):
+    """(flips or noise, losses) generators of each description m, positioned at trial ``lo``.
 
     They derive from ``(seed, *rng_tags, 2m)`` and ``(seed, *rng_tags, 2m + 1)``.
+    :func:`_transmit_bsc` draws, per trial and description, ``bits`` flip
+    uniforms and one loss uniform, and PCG64 spends one 64-bit output on each
+    double; advancing the generators by those counts equals drawing the
+    trials before ``lo`` first.
     """
-    return [
-        (derive_rng(seed, *rng_tags, 2 * m), derive_rng(seed, *rng_tags, 2 * m + 1))
-        for m in range(n_desc)
-    ]
+    streams = []
+    for m, ch in enumerate(channels):
+        flip_rng = derive_rng(seed, *rng_tags, 2 * m)
+        loss_rng = derive_rng(seed, *rng_tags, 2 * m + 1)
+        flip_rng.bit_generator.advance(lo * ch.bits)
+        loss_rng.bit_generator.advance(lo)
+        streams.append((flip_rng, loss_rng))
+    return streams
 
 
 # Float64 entries that one per-block buffer may hold; each chunked loop divides
@@ -247,44 +244,6 @@ def _transmit_bsc(tuple_ids, sets, space, streams) -> list:
             received[:, m] = loss_u >= ch.loss_prob
         out.append((words, received))
     return out
-
-
-def _word_rows(words: np.ndarray, pids: np.ndarray, channels, offsets) -> np.ndarray:
-    """Row of each trial's received word in a stacked pattern table.
-
-    Loss pattern p owns rows ``offsets[p]:offsets[p + 1]`` (see
-    ``channel.stacked_pattern_table``); within them the words of the pattern's
-    received descriptions combine row-major.
-    """
-    M = len(channels)
-    key = np.zeros(words.shape[0], dtype=int)
-    for m, ch in enumerate(channels):
-        got = (pids & (1 << (M - 1 - m))).astype(bool)
-        np.multiply(key, ch.received_alphabet, out=key, where=got)
-        np.add(key, words[:, m], out=key, where=got)
-    key += offsets[pids]
-    return key
-
-
-class _AsymLookup:
-    """Reconstruction lookup table for one (rho level, channel set).
-
-    ``table[offsets[p] + j, y]`` reconstructs from combined word j under loss
-    pattern p with SI level y, and ``xhat[p]`` is pattern p's block of it.
-    ``level`` None means no SI.
-    """
-
-    def __init__(self, bundle: CodecBundle, channels, level: int | None):
-        t = bundle.tables
-        if level is None:
-            joint = t.prior_nosi[:, None]
-            first = (t.prior_nosi * t.codebook_nosi)[:, None]
-        else:
-            joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
-            first = joint * t.codebook[level].T
-        stacked, self.offsets = stacked_pattern_table(channels)
-        _, _, self.table = pattern_lookups(stacked, joint, first)
-        self.xhat = np.split(self.table, self.offsets[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +352,7 @@ def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
     """
     n = x.size
     space = tuple_space(sets[0])
-    streams = _channel_streams(len(sets[0]), (2,), cfg.seed)
+    streams = _channel_streams(sets[0], (2,), cfg.seed)
     lookups = [_AsymLookup(cfg.bundle, chs, level) for chs in sets]
     forced_patterns = (2, 1, 3) if len(sets[0]) == 2 else ()
     errs = [np.empty(n) for _ in sets]
@@ -403,10 +362,10 @@ def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
         for chs, (words, received), lookup, err, forced_s in zip(
             sets, sent, lookups, errs, forced
         ):
-            rows = _word_rows(words, pattern_ids(received), chs, lookup.offsets)
+            rows = word_rows(words, pattern_ids(received), chs, lookup.offsets)
             err[blk] = (xb - lookup.table[rows, si_levels]) ** 2
             for p, out in zip(forced_patterns, forced_s):
-                rows = _word_rows(words, np.full(xb.size, p), chs, lookup.offsets)
+                rows = word_rows(words, np.full(xb.size, p), chs, lookup.offsets)
                 out[blk] = (xb - lookup.table[rows, si_levels]) ** 2
     decoded = []
     for err, forced_s in zip(errs, forced):
@@ -432,7 +391,7 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
     space = tuple_space(channels)
     comps = [space.component(m) for m in range(len(channels))]
     syms = [bpsk_symbols(ch.bits)[: ch.index_count] for ch in channels]
-    streams = _channel_streams(len(channels), (2,), cfg.seed)
+    streams = _channel_streams(channels, (2,), cfg.seed)
     if level is None:
         prior, codebook = t.prior_nosi[None, :], t.codebook_nosi[None, :]
     else:
@@ -467,12 +426,6 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
 # ---------------------------------------------------------------------------
 # Symmetric experiment
 # ---------------------------------------------------------------------------
-
-# Joint-decoder sweeps per block (the no-SI pass counts as the first), and the
-# largest change between sweeps at which a block stops early.  Read at call time.
-SYM_MAX_ITERS = 10
-SYM_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SymConfig:
@@ -533,30 +486,22 @@ def _selection_score_tables(bundle, rho_keys, method):
     return np.concatenate(forking.fork_map(part, blocks, "selection"))
 
 
-def _selection_scores(cfg: SymConfig) -> np.ndarray | None:
+def _selection_scores(cfg: SymConfig, off) -> np.ndarray | None:
     """score[u, t, p_u, p_t] of SI source t for node u under loss patterns p_u, p_t.
 
     The scores depend only on the codec and the field's correlations, so a
-    run computes them once.  A node's own entries hold the worst score, so
-    it never picks itself.  None for ``distance`` selection, which ignores
-    the loss patterns.
+    run computes them once, at each distinct off-diagonal correlation (``off``
+    masks the (nodes, nodes) pairs u != t).  A node's own entries hold the
+    worst score, so it never picks itself.  None for ``distance`` selection,
+    which ignores the loss patterns.
     """
     if cfg.si_method == "distance":
         return None
-    n_nodes = cfg.scenario.n_nodes
     rho = cfg.scenario.pairwise_rho
-    keys = {
-        (u, t): round(float(rho[u, t]), 12)
-        for u in range(n_nodes) for t in range(n_nodes) if t != u
-    }
-    rho_keys = sorted(set(keys.values()))
-    position = {key: i for i, key in enumerate(rho_keys)}
-    ridx = np.zeros((n_nodes, n_nodes), dtype=int)
-    for (u, t), key in keys.items():
-        ridx[u, t] = position[key]
+    ridx = np.zeros(rho.shape, dtype=int)
+    rho_keys, ridx[off] = np.unique([round(float(r), 12) for r in rho[off]], return_inverse=True)
     scores = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)[ridx]
-    nodes = np.arange(n_nodes)
-    scores[nodes, nodes] = -np.inf if cfg.si_method == "mutual_info" else np.inf
+    scores[~off] = -np.inf if cfg.si_method == "mutual_info" else np.inf
     return scores
 
 
@@ -573,179 +518,6 @@ def _select_maps(cfg: SymConfig, pids, scores) -> np.ndarray:
         # (trials, candidates) gather of u's scores under each trial's patterns.
         smap[:, u] = pick_best(scores[u, candidates, pids[:, u, None], pids], axis=1)
     return smap
-
-
-def _row_product(a, b):
-    """``a @ b`` for a 2-D ``b``, each row rounded as in a product of many rows.
-
-    numpy hands a single row to gemv, whose sums round differently from
-    gemm's, so a lone row is multiplied as a pair with a copy of itself.
-    """
-    if a.shape[0] == 1:
-        return (np.repeat(a, 2, axis=0) @ b)[:1]
-    return a @ b
-
-
-def _trial_groups(level_u, s_map_u) -> list:
-    """One node's trials grouped by the ladder level of their SI source.
-
-    Each group is (level, trial indices, SI source per trial).  The selection
-    is fixed for a block, so every decoder sweep of the block reuses the
-    groups.
-    """
-    groups = []
-    for level in np.unique(level_u):
-        idx = np.flatnonzero(level_u == level)
-        groups.append((int(level), idx, s_map_u[idx]))
-    return groups
-
-
-class _SymDecoder:
-    """The joint decoder: synchronous estimated-SI or soft-SI sweeps over a block of trials.
-
-    Iteration 1 decodes every node without SI; each later sweep reads the
-    state the previous one left.  :meth:`decode` runs the sweeps of one
-    block, and the other methods are its steps for one node across the
-    block's trials.  One decoder serves every block of a run.  It builds the
-    tables its mode reads, for every ladder level, when it is created:
-    estimated-SI reads the asymmetric lookup of each level, and soft-SI the
-    mixing matrices of one cross-table stack at the ladder's correlations.
-    """
-
-    def __init__(self, cfg: SymConfig):
-        self.cfg = cfg
-        self.bundle = bundle = cfg.bundle
-        self.channels = tuple(bundle.channels)
-        self.space = tuple_space(self.channels)
-        stacked, self.offsets = stacked_pattern_table(self.channels)
-        self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
-        self.nosi_prior = bundle.tables.prior_nosi
-        self.nosi_codebook = bundle.tables.codebook_nosi
-        levels = bundle.ladder.levels
-        if cfg.mode == "estimated":
-            # lookups[level][row, SI level]: the asymmetric decoder's reconstructions.
-            self.lookups = [
-                _AsymLookup(bundle, self.channels, level).table for level in range(levels.size)
-            ]
-        else:
-            cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
-            # Per level, neighbor tuple posterior -> own prior (L, L), and ->
-            # [prior | first moment] (L, 2L) for the final reconstruction.
-            self.prior_mix = cross.mix_prob.transpose(0, 2, 1)
-            self.final_mix = np.concatenate(
-                [cross.mix_prob, cross.mix_first], axis=1
-            ).transpose(0, 2, 1)
-
-    def word_rows(self, words_u, pids_u):
-        """Row of each trial's received word in the stacked pattern table."""
-        return _word_rows(words_u, pids_u, self.channels, self.offsets)
-
-    def lik_rows(self, words_u, pids_u):
-        """(trials, L) channel likelihood rows for one source."""
-        return self.word_lik[self.word_rows(words_u, pids_u)]
-
-    def no_si_pass(self, lik):
-        """lik: (trials, L) -> (posteriors, estimates)."""
-        post = lik * self.nosi_prior[None, :]
-        post /= post.sum(axis=1, keepdims=True)
-        # einsum sums each row the same way whatever the row count; BLAS
-        # gemv rounds a block's last rows (and a lone row) differently.
-        return post, np.einsum("tl,l->t", post, self.nosi_codebook)
-
-    def estimated_step(self, est_prev, groups_u, rows_u):
-        """One estimated-SI update of a single source across the block's trials."""
-        out = np.empty(est_prev.shape[1])
-        si_quantizer = self.bundle.si_quantizer
-        for level, idx, nbr in groups_u:
-            y_levels = si_quantizer.cells(est_prev[nbr, idx])
-            out[idx] = self.lookups[level][rows_u[idx], y_levels]
-        return out
-
-    def soft_prior(self, posts_prev, groups_u, final=False):
-        """Neighbor posterior -> own prior per trial, (trials, L).
-
-        With ``final`` the rows are [prior | first moment], (trials, 2L), from
-        one product per group.
-        """
-        mixes = self.final_mix if final else self.prior_mix
-        out = np.empty((posts_prev.shape[1], mixes.shape[2]))
-        for level, idx, nbr in groups_u:
-            out[idx] = _row_product(posts_prev[nbr, idx], mixes[level])
-        return out
-
-    def decode(self, words, pids, groups):
-        """(nodes, trials) estimates from the received words of every node.
-
-        ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
-        pattern ids and ``groups[u]`` node u's trial groups
-        (:func:`_trial_groups`), all of one block of trials.  The sweeps stop
-        after ``SYM_MAX_ITERS`` iterations, or once the largest change over
-        the block's trials falls below ``SYM_TOL``: of the estimates
-        (estimated-SI), or of the posteriors (soft-SI, which reconstructs
-        once, after its last sweep).  Each block of a run stops on its own
-        change, so where one block converges before another the result can
-        differ from a one-block run; with ``SYM_TOL`` 0 every block runs
-        ``SYM_MAX_ITERS`` iterations and the results do not depend on the
-        block size.  Both are read at call time.
-        """
-        trials, n_nodes = pids.shape
-        ests = np.empty((n_nodes, trials))
-        if self.cfg.mode == "estimated":
-            # Only the no-SI estimates carry over; no posterior is kept.
-            for u in range(n_nodes):
-                _, ests[u] = self.no_si_pass(self.lik_rows(words[:, u], pids[:, u]))
-            rows = [self.word_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
-            for _ in range(SYM_MAX_ITERS - 1):
-                new_ests = np.empty_like(ests)
-                for u in range(n_nodes):
-                    new_ests[u] = self.estimated_step(ests, groups[u], rows[u])
-                delta = float(np.max(np.abs(new_ests - ests)))
-                ests = new_ests
-                if delta < SYM_TOL:
-                    break
-            return ests
-
-        lik = [self.lik_rows(words[:, u], pids[:, u]) for u in range(n_nodes)]
-        posts = np.empty((n_nodes, trials, self.space.size))
-        for u in range(n_nodes):
-            posts[u], ests[u] = self.no_si_pass(lik[u])
-        # Two posterior buffers alternate: the sweep writes ``new`` from
-        # ``posts`` into ``prev``'s buffer, which no sweep reads, and after
-        # the last sweep ``prev`` holds the posteriors behind the final priors.
-        prev = posts
-        for _ in range(SYM_MAX_ITERS - 1):
-            new = np.empty_like(posts) if prev is posts else prev
-            delta = 0.0
-            for u in range(n_nodes):
-                p = np.multiply(lik[u], self.soft_prior(posts, groups[u]), out=new[u])
-                p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
-                delta = max(delta, float(np.max(np.abs(p - posts[u]))))
-            prev, posts = posts, new
-            if delta < SYM_TOL:
-                break
-        if prev is posts:
-            return ests
-        L = self.space.size
-        xhat = np.empty_like(ests)
-        for u in range(n_nodes):
-            den_num = self.soft_prior(prev, groups[u], final=True)
-            xhat[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
-        return xhat
-
-
-def _positioned_streams(channels, rng_tags, seed, lo: int):
-    """:func:`_channel_streams` of one source, positioned at trial ``lo``.
-
-    :func:`_transmit_bsc` draws, per trial and description, ``bits`` flip
-    uniforms and one loss uniform, and PCG64 spends one 64-bit output on each
-    double; advancing the generators by those counts equals drawing the
-    trials before ``lo`` first.
-    """
-    streams = _channel_streams(len(channels), rng_tags, seed)
-    for ch, (flip_rng, loss_rng) in zip(channels, streams):
-        flip_rng.bit_generator.advance(lo * ch.bits)
-        loss_rng.bit_generator.advance(lo)
-    return streams
 
 
 def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.ndarray:
@@ -792,12 +564,12 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     level_matrix[off] = quantize_rho(scenario.pairwise_rho[off], bundle.ladder)
 
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
-    scores = _selection_scores(cfg)
+    scores = _selection_scores(cfg, off)
     dec = _SymDecoder(cfg)
 
     def errors(blk):
         streams = [
-            _positioned_streams(dec.channels, (4, u), cfg.seed, blk.start)
+            _channel_streams(dec.channels, (4, u), cfg.seed, blk.start)
             for u in range(n_nodes)
         ]
         return _block_errors(dec, x[blk], streams, scores, level_matrix)

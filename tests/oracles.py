@@ -38,6 +38,7 @@ from mdquant.codec import (
     CodecBundle,
     DesignContext,
     IndexAssignment,
+    _AsymLookup,
     _anneal_once,
     masked_ratio,
     si_moment_matrices,
@@ -46,7 +47,6 @@ from mdquant.decode_sym import CrossSourceTables, build_cross_tables
 from mdquant.gaussian import GaussianSource, JointGaussianPair, gauss_interval_moments_batch
 from mdquant.quantizer import ScalarQuantizer
 from mdquant.rd_bound import BoundQuery, beta, side_bounds
-from mdquant.simulator import _AsymLookup
 
 from conftest import simpson_nodes
 
@@ -355,7 +355,7 @@ def reconstruct(post: Posterior, si_level, rho_level, bundle: CodecBundle) -> fl
 
 
 def decode(outcome, si_level, rho_level, bundle) -> float:
-    """Posterior + reconstruction in one call; the reference for ``simulator._AsymLookup``."""
+    """Posterior + reconstruction in one call; the reference for ``codec._AsymLookup``."""
     return reconstruct(posterior(outcome, si_level, rho_level, bundle), si_level, rho_level, bundle)
 
 
@@ -366,7 +366,7 @@ def decode(outcome, si_level, rho_level, bundle) -> float:
 # Iteration 1 of both variants decodes every source without side information;
 # coupling starts at iteration 2.  Sweeps are synchronous: every source reads
 # the neighbor state of the previous iteration.  The reference for
-# ``simulator._SymDecoder.decode``.
+# ``decode_sym._SymDecoder.decode``.
 
 
 def soft_si_posterior(
@@ -784,7 +784,7 @@ def mse_optimality_check(
 ) -> float:
     """Max |decoder - E[X | SI level, Q, J]| over every discrete decoder input.
 
-    The decoder is the package's lookup, ``simulator._AsymLookup``.  The
+    The decoder is the package's lookup, ``codec._AsymLookup``.  The
     conditional mean is computed from first principles: Simpson panels per
     quantizer cell, explicit SI-cell masses, and full enumeration of loss
     patterns and received words.  Intended for tiny (K <= 4, L <= 4) BSC

@@ -741,6 +741,46 @@ class TestQuantizerSizeCap:
         assert _parse_desc(",".join(["2"] * 10)) == [2] * 10
 
 
+class TestCommaLists:
+    """--desc, --nsi-sweep and --bsc-sweep skip empty entries; a bad entry or an
+    empty list exits 2 with one line naming the flag, before any work."""
+
+    def assert_rejected(self, capsys, flag, argv):
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+
+    def evaluate_rows(self, codec_file, tmp_path, flag, text):
+        out = tmp_path / "eval.csv"
+        assert run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", flag, text,
+                       "--trials", "200", "--seed", "1", "-o", out) == 0
+        return out.read_bytes()
+
+    def test_desc(self, monkeypatch, capsys):
+        assert _parse_desc("2,,2,") == [2, 2]
+        monkeypatch.setattr("mdquant.cli.design_annealed", must_not_run)
+        for text in ("2,x", "2,0.5", ",", ""):
+            self.assert_rejected(capsys, "--desc", ["design", "--K", "4", "--desc", text,
+                                                    "--rho-enc", "0.5"])
+
+    def test_nsi_sweep(self, codec_file, tmp_path, monkeypatch, capsys):
+        assert (self.evaluate_rows(codec_file, tmp_path, "--nsi-sweep", "4,,8")
+                == self.evaluate_rows(codec_file, tmp_path, "--nsi-sweep", "4,8"))
+        monkeypatch.setattr("mdquant.cli.load_codec", must_not_run)
+        for text in ("4,x", "4,2.5", ",", ""):
+            self.assert_rejected(capsys, "--nsi-sweep", ["evaluate", "--codec", codec_file,
+                                                         "--rho-real", "0.8", "--nsi-sweep", text])
+
+    def test_bsc_sweep(self, codec_file, tmp_path, monkeypatch, capsys):
+        assert (self.evaluate_rows(codec_file, tmp_path, "--bsc-sweep", "0.1,,0.01")
+                == self.evaluate_rows(codec_file, tmp_path, "--bsc-sweep", "0.1,0.01"))
+        monkeypatch.setattr("mdquant.cli.load_codec", must_not_run)
+        for text in ("0.1,x", ",", ""):
+            self.assert_rejected(capsys, "--bsc-sweep", ["evaluate", "--codec", codec_file,
+                                                         "--rho-real", "0.8", "--bsc-sweep", text])
+
+
 class TestSaveScenarioPath:
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_unwritable_path_exits_2_before_design(self, tmp_path, monkeypatch, capsys, where):

@@ -1,3 +1,8 @@
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from mdquant import DescriptionChannel, JointGaussianPair, build_cross_tables, lloyd_design
+from mdquant import codec, decode_sym, simulator
 from mdquant.channel import tuple_space
+from mdquant.simulator import SymConfig, generate_scenario, run_sym_experiment
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
 from oracles import (
@@ -288,3 +295,54 @@ class TestEstimatedSi:
         )
         expect = decode(ocs[1], y_level, 4, tiny_bundle)
         assert abs(nxt.estimates[1] - expect) < 1e-12
+
+
+class TestJointDecoderModule:
+    """The joint decoder is defined once, in ``decode_sym``, which needs no experiment code."""
+
+    @pytest.mark.usefixtures("one_worker")
+    @pytest.mark.parametrize("mode", ["estimated", "soft"])
+    def test_word_rows_once_per_node_and_block(self, tiny_bundle, monkeypatch, mode):
+        nodes, trials, block = 5, 60, 25
+        L = tuple_space(tiny_bundle.channels).size
+        monkeypatch.setattr(simulator, "BLOCK_ENTRIES", block * nodes * L)
+        monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)  # every sweep runs
+        calls = []
+        word_rows = decode_sym.word_rows
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return word_rows(*args)
+
+        monkeypatch.setattr(decode_sym, "word_rows", counted)
+        scen = generate_scenario(nodes, tiny_bundle.channels, seed=3)
+        run_sym_experiment(SymConfig(scenario=scen, bundle=tiny_bundle, mode=mode,
+                                     si_method="distance", trials=trials, seed=5))
+        assert calls == [25] * nodes + [25] * nodes + [10] * nodes
+
+    def test_each_name_defined_once(self):
+        assert simulator._SymDecoder.__module__ == "mdquant.decode_sym"
+        assert simulator._trial_groups is decode_sym._trial_groups
+        assert simulator._AsymLookup.__module__ == "mdquant.codec"
+        assert decode_sym._AsymLookup is codec._AsymLookup
+        assert simulator.word_rows.__module__ == "mdquant.channel"
+        for name in ("SYM_MAX_ITERS", "SYM_TOL", "_row_product"):
+            assert hasattr(decode_sym, name) and not hasattr(simulator, name), name
+
+    def test_import_loads_no_experiment_code(self):
+        # The package's __init__ imports every module, so the package is
+        # registered here without running it and decode_sym is loaded first.
+        code = (
+            "import sys, types\n"
+            "pkg = types.ModuleType('mdquant')\n"
+            "pkg.__path__ = [sys.argv[1]]\n"
+            "sys.modules['mdquant'] = pkg\n"
+            "import mdquant.decode_sym\n"
+            "print(sorted(m for m in sys.modules if m.startswith('mdquant.')))\n"
+        )
+        src = Path(decode_sym.__file__).parent
+        out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        loaded = ast.literal_eval(out)
+        assert "mdquant.decode_sym" in loaded
+        assert "mdquant.simulator" not in loaded and "mdquant.si_select" not in loaded

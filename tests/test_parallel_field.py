@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdquant import DescriptionChannel, forking, simulator
+from mdquant import DescriptionChannel, decode_sym, forking, simulator
 from mdquant.channel import tuple_space
 from mdquant.cli import main as cli_main
 from mdquant.simulator import (
@@ -22,7 +22,6 @@ from mdquant.simulator import (
     generate_scenario,
     run_sym_experiment,
     _channel_streams,
-    _positioned_streams,
     _selection_score_tables,
     _transmit_bsc,
 )
@@ -68,7 +67,7 @@ class TestSameResultsAsSerial:
         self, tiny_bundle, monkeypatch, started, mode, method, tol
     ):
         if tol != "default":
-            monkeypatch.setattr(simulator, "SYM_TOL", tol)
+            monkeypatch.setattr(decode_sym, "SYM_TOL", tol)
         small_blocks(monkeypatch, tiny_bundle)
         scen = generate_scenario(NODES, tiny_bundle.channels, seed=3)
         cfg = SymConfig(
@@ -93,17 +92,17 @@ class TestSameResultsAsSerial:
         cfg = SymConfig(scenario=scen, bundle=tiny_bundle, mode="estimated",
                         si_method="distance", trials=TRIALS, seed=5)
         steps = []
-        step = simulator._SymDecoder.estimated_step
+        step = decode_sym._SymDecoder.estimated_step
 
         def counted(self, *args):
             steps.append(1)
             return step(self, *args)
 
-        monkeypatch.setattr(simulator._SymDecoder, "estimated_step", counted)
+        monkeypatch.setattr(decode_sym._SymDecoder, "estimated_step", counted)
         field_run(cfg, monkeypatch, 1)
         # One step per node and sweep after the no-SI pass.
         blocks = -(-TRIALS // BLOCK)
-        assert len(steps) < blocks * NODES * (simulator.SYM_MAX_ITERS - 1)
+        assert len(steps) < blocks * NODES * (decode_sym.SYM_MAX_ITERS - 1)
 
 
 class TestPositionedStreams:
@@ -112,10 +111,10 @@ class TestPositionedStreams:
     def test_advance_equals_continuing_through_the_earlier_blocks(self):
         space = tuple_space(self.CHANNELS)
         ids = np.random.default_rng(0).integers(0, space.size, 100)
-        continued = _channel_streams(2, (4, 3), 7)
+        continued = _channel_streams(self.CHANNELS, (4, 3), 7)
         for blk in (slice(0, 30), slice(30, 31), slice(31, 57), slice(57, 100)):
             [(words, received)] = _transmit_bsc(ids[blk], [self.CHANNELS], space, continued)
-            positioned = _positioned_streams(self.CHANNELS, (4, 3), 7, blk.start)
+            positioned = _channel_streams(self.CHANNELS, (4, 3), 7, blk.start)
             [(got_words, got_received)] = _transmit_bsc(
                 ids[blk], [self.CHANNELS], space, positioned
             )
@@ -123,7 +122,7 @@ class TestPositionedStreams:
             assert np.array_equal(got_received, received), blk
         # Both generators of each description sit at the same place afterwards.
         for (flip, loss), (p_flip, p_loss) in zip(
-            continued, _positioned_streams(self.CHANNELS, (4, 3), 7, 100)
+            continued, _channel_streams(self.CHANNELS, (4, 3), 7, 100)
         ):
             assert flip.random() == p_flip.random()
             assert loss.random() == p_loss.random()

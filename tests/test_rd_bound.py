@@ -212,6 +212,7 @@ def _finite_bound(query):
     (14.0, 14.0, 0.5, 1.0),  # delta -> 1 at the corner (beta, beta)
     (1.0, 0.0, 0.99999999, 0.0),  # a grid end of exp(log(beta)) above beta
     (MAX_RATE_SUM_BITS / 2, MAX_RATE_SUM_BITS / 2, 0.5, 0.1),
+    (492.1875, 7.8125, 1 - 2.0**-53, 0.1),  # a subnormal side bound rounded down
 ])
 def test_queries_once_read_as_infeasible_have_a_bound(r1, r2, rho, mu):
     _finite_bound(q(r1, r2, rho, mu))

@@ -11,8 +11,10 @@ from mdquant import (
     lloyd_design,
     quantize_rho,
 )
-from mdquant import forking, simulator
+from mdquant import decode_sym, forking, simulator
 from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
+from mdquant.codec import _AsymLookup
+from mdquant.decode_sym import _SymDecoder, _trial_groups
 from mdquant.si_select import select_min_distance
 from mdquant.simulator import (
     SI_METHODS,
@@ -25,15 +27,12 @@ from mdquant.simulator import (
     run_asym_experiment,
     run_sym_experiment,
     sample_correlated_sources,
-    _AsymLookup,
-    _SymDecoder,
     _channel_streams,
     _run_asym_awgn,
     _select_maps,
     _selection_score_tables,
     _selection_scores,
     _transmit_bsc,
-    _trial_groups,
 )
 
 from conftest import make_bundle
@@ -446,8 +445,9 @@ class TestSymExperiment:
         words = np.empty((trials, n_nodes, 2), dtype=int)
         rec = np.empty((trials, n_nodes, 2), dtype=bool)
         for u in range(n_nodes):
+            streams = _channel_streams(tiny_bundle.channels, (4, u), 21)
             [(words[:, u], rec[:, u])] = _transmit_bsc(
-                tids[:, u], [tiny_bundle.channels], space, _channel_streams(2, (4, u), 21)
+                tids[:, u], [tiny_bundle.channels], space, streams
             )
         level_matrix = np.zeros((n_nodes, n_nodes), dtype=int)
         for u in range(n_nodes):
@@ -486,8 +486,8 @@ class TestSymExperiment:
                 scenario=scen, bundle=tiny_bundle, mode=mode, si_method="distance",
                 trials=trials, seed=21,
             )
-            monkeypatch.setattr(simulator, "SYM_MAX_ITERS", max_iters)
-            monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
+            monkeypatch.setattr(decode_sym, "SYM_MAX_ITERS", max_iters)
+            monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)
             vec = _SymDecoder(cfg).decode(words, pids, groups)
             assert np.max(np.abs(vec.T - per_symbol)) < 1e-12, (mode, max_iters)
 
@@ -588,7 +588,7 @@ class TestSeededField:
         cfg = SymConfig(scenario=scen, bundle=tiny_bundle, si_method=method, trials=2_000)
         rng = np.random.default_rng(4)
         pids = rng.integers(0, 4, size=(2_000, 6))
-        got = _select_maps(cfg, pids, _selection_scores(cfg))
+        got = _select_maps(cfg, pids, _selection_scores(cfg, ~np.eye(6, dtype=bool)))
         assert np.array_equal(got, loop_select(cfg, pids))
         assert not np.any(got == np.arange(6))
 
@@ -631,8 +631,8 @@ class TestSymBlocks:
             scenario=scen, bundle=tiny_bundle, mode=mode, si_method=method,
             trials=self.TRIALS, seed=5,
         )
-        monkeypatch.setattr(simulator, "SYM_MAX_ITERS", max_iters)
-        monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
+        monkeypatch.setattr(decode_sym, "SYM_MAX_ITERS", max_iters)
+        monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)
         per_trial = 6 * tuple_space(tiny_bundle.channels).size  # posterior entries
         monkeypatch.setattr(simulator, "BLOCK_ENTRIES", self.TRIALS * per_trial)
         whole, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
@@ -650,7 +650,7 @@ class TestSymBlocks:
         # of a one-trial block are contiguous.
         scen = generate_scenario(9, tiny_bundle.channels, seed=3)
         cfg = SymConfig(scenario=scen, bundle=tiny_bundle, trials=40, seed=5)
-        monkeypatch.setattr(simulator, "SYM_TOL", 0.0)
+        monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)
         _, whole_xhat, whole_err = sym_run(cfg, monkeypatch)
         monkeypatch.setattr(simulator, "BLOCK_ENTRIES", 1)
         _, xhat, err = sym_run(cfg, monkeypatch)
@@ -697,7 +697,7 @@ class TestSymMemory:
             return decode(dec, *args)
 
         monkeypatch.setattr(_SymDecoder, "decode", recorded)
-        monkeypatch.setattr(simulator, "SYM_TOL", 0.0)  # every sweep runs
+        monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)  # every sweep runs
         run_sym_experiment(SymConfig(
             scenario=scen, bundle=k16_bundle, mode="soft", si_method="distance",
             trials=block, seed=1,
