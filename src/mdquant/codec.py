@@ -105,8 +105,7 @@ class _AsymLookup:
     """Reconstruction lookup table for one (rho level, channel set).
 
     ``table[offsets[p] + j, y]`` reconstructs from combined word j under loss
-    pattern p with SI level y, and ``xhat[p]`` is pattern p's block of it.
-    ``level`` None means no SI.
+    pattern p with SI level y.  ``level`` None means no SI.
     """
 
     def __init__(self, bundle: CodecBundle, channels, level: int | None):
@@ -119,7 +118,6 @@ class _AsymLookup:
             first = joint * t.codebook[level].T
         stacked, self.offsets = stacked_pattern_table(channels)
         _, _, self.table = pattern_lookups(stacked, joint, first)
-        self.xhat = np.split(self.table, self.offsets[1:-1])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ selection gets the tables of every pair of a field, and how the soft-SI
 decoder gets one table per ladder level.
 
 :class:`_SymDecoder` is the joint decoder: estimated-SI or soft-SI sweeps
-over one block of a field's trials at a time.  The symmetric experiment
-(``mdquant.simulator``) samples, transmits and selects SI sources for it.
+over one block of a field's trials at a time.  It takes each trial's SI
+source for every node and decodes the node at the ladder level of that pair's
+correlation.  The symmetric experiment (``mdquant.simulator``) samples,
+transmits and selects the SI sources for it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .channel import stacked_pattern_table, tuple_space, word_rows
 from .codec import CodecBundle, _AsymLookup, masked_ratio, si_moment_matrices, si_moment_stack
-from .gaussian import JointGaussianPair
+from .gaussian import JointGaussianPair, quantize_rho
 from .gaussian import gauss_interval_moments_batch  # noqa: F401  (perfbench/spans.py patches this binding)
 
 # Joint-decoder sweeps per block (the no-SI pass counts as the first), and the
@@ -127,18 +129,9 @@ def _row_product(a, b):
     return a @ b
 
 
-def _trial_groups(level_u, s_map_u) -> list:
-    """One node's trials grouped by the ladder level of their SI source.
-
-    Each group is (level, trial indices, SI source per trial).  The selection
-    is fixed for a block, so every decoder sweep of the block reuses the
-    groups.
-    """
-    groups = []
-    for level in np.unique(level_u):
-        idx = np.flatnonzero(level_u == level)
-        groups.append((int(level), idx, s_map_u[idx]))
-    return groups
+def _trial_groups(level_u) -> list:
+    """One node's trials grouped by the ladder level of their SI source: (level, trial indices)."""
+    return [(int(level), np.flatnonzero(level_u == level)) for level in np.unique(level_u)]
 
 
 class _SymDecoder:
@@ -147,27 +140,32 @@ class _SymDecoder:
     Iteration 1 decodes every node without SI; each later sweep reads the
     state the previous one left.  :meth:`decode` runs the sweeps of one
     block, and the other methods are its steps for one node across the
-    block's trials.  One decoder serves every block of a run.  ``cfg`` is the
-    run's ``simulator.SymConfig``, of which it reads the codec and the mode.
-    It builds the tables its mode reads, for every ladder level, when it is
-    created: estimated-SI reads the asymmetric lookup of each level, and
-    soft-SI the mixing matrices of one cross-table stack at the ladder's
-    correlations.
+    block's trials.  One decoder serves every block of a field's run.
+    ``mode`` is "estimated" or "soft", and ``pairwise_rho`` the field's
+    (nodes, nodes) correlations, whose ladder levels ``level_matrix`` holds
+    (0 on the diagonal: a node is never its own SI source).  The decoder
+    builds the tables its mode reads, for every ladder level, when it is
+    created: estimated-SI reads the asymmetric lookups of all levels as one
+    (levels, rows, SI levels) array, and soft-SI the mixing matrices of one
+    cross-table stack at the ladder's correlations.
     """
 
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self.bundle = bundle = cfg.bundle
+    def __init__(self, bundle: CodecBundle, mode: str, pairwise_rho):
+        self.bundle = bundle
+        self.mode = mode
         self.channels = tuple(bundle.channels)
         self.space = tuple_space(self.channels)
         stacked, self.offsets = stacked_pattern_table(self.channels)
         self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
+        off = ~np.eye(pairwise_rho.shape[0], dtype=bool)
+        self.level_matrix = np.zeros(pairwise_rho.shape, dtype=int)
+        self.level_matrix[off] = quantize_rho(pairwise_rho[off], bundle.ladder)
         levels = bundle.ladder.levels
-        if cfg.mode == "estimated":
-            # lookups[level][row, SI level]: the asymmetric decoder's reconstructions.
-            self.lookups = [
-                _AsymLookup(bundle, self.channels, level).table for level in range(levels.size)
-            ]
+        if mode == "estimated":
+            # lookups[level, row, SI level]: the asymmetric decoder's reconstructions.
+            self.lookups = np.stack(
+                [_AsymLookup(bundle, self.channels, level).table for level in range(levels.size)]
+            )
         else:
             cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
             # Per level, neighbor tuple posterior -> own prior (L, L), and ->
@@ -190,56 +188,57 @@ class _SymDecoder:
         # gemv rounds a block's last rows (and a lone row) differently.
         return post, np.einsum("tl,l->t", post, t.codebook_nosi)
 
-    def estimated_step(self, est_prev, groups_u, rows_u):
-        """One estimated-SI update of a single source across the block's trials."""
-        out = np.empty(est_prev.shape[1])
-        si_quantizer = self.bundle.si_quantizer
-        for level, idx, nbr in groups_u:
-            y_levels = si_quantizer.cells(est_prev[nbr, idx])
-            out[idx] = self.lookups[level][rows_u[idx], y_levels]
-        return out
+    def estimated_step(self, est_prev, u, s_u, rows_u):
+        """One estimated-SI update of node u across the block's trials.
 
-    def soft_prior(self, posts_prev, groups_u, final=False):
-        """Neighbor posterior -> own prior per trial, (trials, L).
+        ``s_u`` holds u's SI source in each trial: the source's previous
+        estimate gives the SI level, and the pair's ladder level the lookup.
+        """
+        y_levels = self.bundle.si_quantizer.cells(est_prev[s_u, np.arange(s_u.size)])
+        return self.lookups[self.level_matrix[u, s_u], rows_u, y_levels]
 
-        With ``final`` the rows are [prior | first moment], (trials, 2L), from
-        one product per group.
+    def soft_prior(self, posts_prev, groups_u, s_u, final=False):
+        """SI source posterior -> own prior per trial, (trials, L).
+
+        ``groups_u`` are node u's trial groups (:func:`_trial_groups`) and
+        ``s_u`` its SI source in each trial.  With ``final`` the rows are
+        [prior | first moment], (trials, 2L), from one product per group.
         """
         mixes = self.final_mix if final else self.prior_mix
         out = np.empty((posts_prev.shape[1], mixes.shape[2]))
-        for level, idx, nbr in groups_u:
-            out[idx] = _row_product(posts_prev[nbr, idx], mixes[level])
+        for level, idx in groups_u:
+            out[idx] = _row_product(posts_prev[s_u[idx], idx], mixes[level])
         return out
 
-    def decode(self, words, pids, groups):
+    def decode(self, words, pids, s_map):
         """(nodes, trials) estimates from the received words of every node.
 
         ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
-        pattern ids and ``groups[u]`` node u's trial groups
-        (:func:`_trial_groups`), all of one block of trials.  Each node's word
-        rows are found once.  The sweeps stop after ``SYM_MAX_ITERS``
-        iterations, or once the largest change over the block's trials falls
-        below ``SYM_TOL``: of the estimates (estimated-SI), or of the
-        posteriors (soft-SI, which reconstructs once, after its last sweep).
-        Each block of a run stops on its own change, so where one block
-        converges before another the result can differ from a one-block run;
-        with ``SYM_TOL`` 0 every block runs ``SYM_MAX_ITERS`` iterations and
-        the results do not depend on the block size.  Both are read at call
-        time.
+        pattern ids and ``s_map`` the (trials, nodes) SI source of each node,
+        all of one block of trials.  Each node's word rows are found once,
+        and the soft-SI sweeps group each node's trials by ladder level once.
+        The sweeps stop after ``SYM_MAX_ITERS`` iterations, or once the
+        largest change over the block's trials falls below ``SYM_TOL``: of
+        the estimates (estimated-SI), or of the posteriors (soft-SI, which
+        reconstructs once, after its last sweep).  Each block of a run stops
+        on its own change, so where one block converges before another the
+        result can differ from a one-block run; with ``SYM_TOL`` 0 every
+        block runs ``SYM_MAX_ITERS`` iterations and the results do not depend
+        on the block size.  Both are read at call time.
         """
         trials, n_nodes = pids.shape
         rows = [
             word_rows(words[:, u], pids[:, u], self.channels, self.offsets) for u in range(n_nodes)
         ]
         ests = np.empty((n_nodes, trials))
-        if self.cfg.mode == "estimated":
+        if self.mode == "estimated":
             # Only the no-SI estimates carry over; no posterior is kept.
             for u in range(n_nodes):
                 _, ests[u] = self.no_si_pass(self.lik_rows(rows[u]))
             for _ in range(SYM_MAX_ITERS - 1):
                 new_ests = np.empty_like(ests)
                 for u in range(n_nodes):
-                    new_ests[u] = self.estimated_step(ests, groups[u], rows[u])
+                    new_ests[u] = self.estimated_step(ests, u, s_map[:, u], rows[u])
                 delta = float(np.max(np.abs(new_ests - ests)))
                 ests = new_ests
                 if delta < SYM_TOL:
@@ -250,6 +249,7 @@ class _SymDecoder:
         posts = np.empty((n_nodes, trials, self.space.size))
         for u in range(n_nodes):
             posts[u], ests[u] = self.no_si_pass(lik[u])
+        groups = [_trial_groups(self.level_matrix[u, s_map[:, u]]) for u in range(n_nodes)]
         # Two posterior buffers alternate: the sweep writes ``new`` from
         # ``posts`` into ``prev``'s buffer, which no sweep reads, and after
         # the last sweep ``prev`` holds the posteriors behind the final priors.
@@ -258,7 +258,7 @@ class _SymDecoder:
             new = np.empty_like(posts) if prev is posts else prev
             delta = 0.0
             for u in range(n_nodes):
-                p = np.multiply(lik[u], self.soft_prior(posts, groups[u]), out=new[u])
+                p = np.multiply(lik[u], self.soft_prior(posts, groups[u], s_map[:, u]), out=new[u])
                 p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
                 delta = max(delta, float(np.max(np.abs(p - posts[u]))))
             prev, posts = posts, new
@@ -269,6 +269,6 @@ class _SymDecoder:
         L = self.space.size
         xhat = np.empty_like(ests)
         for u in range(n_nodes):
-            den_num = self.soft_prior(prev, groups[u], final=True)
+            den_num = self.soft_prior(prev, groups[u], s_map[:, u], final=True)
             xhat[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
         return xhat

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import pattern_ids, stacked_pattern_table
-from .channel import pattern_table  # noqa: F401  (perfbench/spans.py patches this binding)
+from .channel import loss_patterns, pattern_ids, pattern_table
 from .codec import CodecBundle, masked_ratio
 from .decode_sym import CrossSourceTables
 
@@ -48,18 +47,9 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
 
 
 def _pattern_blocks(bundle: CodecBundle):
-    """Per loss pattern: likelihood table T_p (L, n_p) and G_p = A T_p = P(word | cell).
-
-    The blocks are contiguous copies: BLAS can round a product of a strided
-    view differently, and the scores must not depend on the layout.
-    """
-    stacked, offsets = stacked_pattern_table(bundle.channels)
-    cut = offsets[1:-1]
-
-    def blocks(m):
-        return [np.ascontiguousarray(b) for b in np.split(m, cut, axis=1)]
-
-    return blocks(stacked), blocks(bundle.ia.table @ stacked)
+    """Per loss pattern: likelihood table T_p (L, n_p) and G_p = A T_p = P(word | cell)."""
+    tables = [pattern_table(bundle.channels, Q) for Q in loss_patterns(len(bundle.channels))]
+    return tables, [bundle.ia.table @ t for t in tables]
 
 
 def score_tables(

@@ -29,15 +29,15 @@ arrays grow with the trial count.
 
 The symmetric experiment draws the node sources whole, in one product, and
 then runs every per-trial step on one block of trials at a time: quantizer
-cells, transmission, loss patterns, SI maps, trial groups, the joint decode
-and the squared errors.  A block holds ``BLOCK_ENTRIES // (nodes * L)``
-trials (at least one), so the decoder's posterior buffers stay bounded and
-only the sources and the per-trial errors grow with the trial count.  The
+cells, transmission, loss patterns, SI maps, the joint decode and the
+squared errors.  A block holds ``BLOCK_ENTRIES // (nodes * L)`` trials (at
+least one), so the decoder's posterior buffers stay bounded and only the
+sources and the per-trial errors grow with the trial count.  The
 SI selection scores every distinct pair correlation of the field once per
 run, from one moment quadrature per block of correlations; each block of
-trials picks every source's SI source per trial with a single gather, and
-the decoder groups each node's trials by the ladder level of their SI source
-once per block, for every sweep to reuse.
+trials picks every source's SI source per trial with a single gather and
+hands the picks to the joint decoder, which holds the ladder level of every
+pair.
 
 The blocks of a field, and its scored correlations, are independent work
 items: each block positions its nodes' channel generators at its first trial
@@ -58,9 +58,9 @@ import numpy as np
 
 from .channel import bpsk_symbols, derive_rng, pattern_ids, tuple_space, word_rows
 from .codec import CodecBundle, _AsymLookup, si_moment_matrices
-from .decode_sym import _SymDecoder, _trial_groups, cross_table_stack
+from .decode_sym import _SymDecoder, cross_table_stack
 from . import forking
-from .gaussian import JointGaussianPair, quantize_rho
+from .gaussian import JointGaussianPair
 from .si_select import score_tables, select_min_distance
 from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindings)
     expected_partial_si_distortion,
@@ -486,18 +486,18 @@ def _selection_score_tables(bundle, rho_keys, method):
     return np.concatenate(forking.fork_map(part, blocks, "selection"))
 
 
-def _selection_scores(cfg: SymConfig, off) -> np.ndarray | None:
+def _selection_scores(cfg: SymConfig) -> np.ndarray | None:
     """score[u, t, p_u, p_t] of SI source t for node u under loss patterns p_u, p_t.
 
     The scores depend only on the codec and the field's correlations, so a
-    run computes them once, at each distinct off-diagonal correlation (``off``
-    masks the (nodes, nodes) pairs u != t).  A node's own entries hold the
-    worst score, so it never picks itself.  None for ``distance`` selection,
-    which ignores the loss patterns.
+    run computes them once, at each distinct correlation of a pair u != t.
+    A node's own entries hold the worst score, so it never picks itself.
+    None for ``distance`` selection, which ignores the loss patterns.
     """
     if cfg.si_method == "distance":
         return None
     rho = cfg.scenario.pairwise_rho
+    off = ~np.eye(rho.shape[0], dtype=bool)
     ridx = np.zeros(rho.shape, dtype=int)
     rho_keys, ridx[off] = np.unique([round(float(r), 12) for r in rho[off]], return_inverse=True)
     scores = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)[ridx]
@@ -520,14 +520,14 @@ def _select_maps(cfg: SymConfig, pids, scores) -> np.ndarray:
     return smap
 
 
-def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.ndarray:
+def _block_errors(cfg: SymConfig, dec: _SymDecoder, xb, streams, scores) -> np.ndarray:
     """Per-trial squared error, averaged over nodes, of one block of sources.
 
     ``xb`` is the block's (trials, nodes) source draws and ``streams[u]``
     node u's channel generators, positioned at the block's first trial.
     Every per-trial array of the block dies on return.
     """
-    cfg, bundle = dec.cfg, dec.bundle
+    bundle = dec.bundle
     n_nodes = xb.shape[1]
     tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(xb)]
     words = np.empty((xb.shape[0], n_nodes, len(dec.channels)), dtype=int)
@@ -537,11 +537,7 @@ def _block_errors(dec: _SymDecoder, xb, streams, scores, level_matrix) -> np.nda
             tuple_ids[:, u], [dec.channels], dec.space, streams[u]
         )
     pids = pattern_ids(received)  # (trials, nodes)
-    s_map = _select_maps(cfg, pids, scores)
-    groups = [
-        _trial_groups(level_matrix[u, s_map[:, u]], s_map[:, u]) for u in range(n_nodes)
-    ]
-    xhat = dec.decode(words, pids, groups)
+    xhat = dec.decode(words, pids, _select_maps(cfg, pids, scores))
     # Summed node by node, as numpy sums the rows of a many-trial block; a
     # one-trial block would otherwise take numpy's pairwise sum.
     return functools.reduce(np.add, (xb.T - xhat) ** 2) / n_nodes
@@ -556,23 +552,18 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     and standard error are the one-block values.
     """
     start = time.perf_counter()
-    scenario, bundle = cfg.scenario, cfg.bundle
+    scenario = cfg.scenario
     n_nodes = scenario.n_nodes
-    # Ladder level of every pair correlation; a node is never its own SI source.
-    off = ~np.eye(n_nodes, dtype=bool)
-    level_matrix = np.zeros((n_nodes, n_nodes), dtype=int)
-    level_matrix[off] = quantize_rho(scenario.pairwise_rho[off], bundle.ladder)
-
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
-    scores = _selection_scores(cfg, off)
-    dec = _SymDecoder(cfg)
+    scores = _selection_scores(cfg)
+    dec = _SymDecoder(cfg.bundle, cfg.mode, scenario.pairwise_rho)
 
     def errors(blk):
         streams = [
             _channel_streams(dec.channels, (4, u), cfg.seed, blk.start)
             for u in range(n_nodes)
         ]
-        return _block_errors(dec, x[blk], streams, scores, level_matrix)
+        return _block_errors(cfg, dec, x[blk], streams, scores)
 
     blocks = _blocks(cfg.trials, n_nodes * dec.space.size)
     per_trial = np.concatenate(forking.fork_map(errors, blocks, "field"))

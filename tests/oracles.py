@@ -811,6 +811,7 @@ def mse_optimality_check(
 
     A = bundle.ia.table
     lookup = _AsymLookup(bundle, channels, rho_level)
+    blocks = np.split(lookup.table, lookup.offsets[1:-1])
     worst = 0.0
     for p, Q in enumerate(loss_patterns(len(channels))):
         j_alphabets = [
@@ -828,7 +829,7 @@ def mse_optimality_check(
                 if den <= 0:
                     continue
                 exact = float(np.dot(mass, x) / den)
-                got = lookup.xhat[p][word, level]
+                got = blocks[p][word, level]
                 worst = max(worst, abs(got - exact))
     return worst
 

@@ -307,22 +307,30 @@ class TestJointDecoderModule:
         L = tuple_space(tiny_bundle.channels).size
         monkeypatch.setattr(simulator, "BLOCK_ENTRIES", block * nodes * L)
         monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)  # every sweep runs
-        calls = []
-        word_rows = decode_sym.word_rows
+        calls, groups = [], []
+        word_rows, trial_groups = decode_sym.word_rows, decode_sym._trial_groups
 
         def counted(*args):
             calls.append(args[0].shape[0])
             return word_rows(*args)
 
+        def counted_groups(level_u):
+            groups.append(level_u.size)
+            return trial_groups(level_u)
+
         monkeypatch.setattr(decode_sym, "word_rows", counted)
+        monkeypatch.setattr(decode_sym, "_trial_groups", counted_groups)
         scen = generate_scenario(nodes, tiny_bundle.channels, seed=3)
         run_sym_experiment(SymConfig(scenario=scen, bundle=tiny_bundle, mode=mode,
                                      si_method="distance", trials=trials, seed=5))
         assert calls == [25] * nodes + [25] * nodes + [10] * nodes
+        # The soft-SI sweeps group each node's trials once per block, inside
+        # decode; estimated-SI gathers each trial's lookup row and needs no groups.
+        assert groups == (calls if mode == "soft" else [])
 
     def test_each_name_defined_once(self):
         assert simulator._SymDecoder.__module__ == "mdquant.decode_sym"
-        assert simulator._trial_groups is decode_sym._trial_groups
+        assert not hasattr(simulator, "_trial_groups")
         assert simulator._AsymLookup.__module__ == "mdquant.codec"
         assert decode_sym._AsymLookup is codec._AsymLookup
         assert simulator.word_rows.__module__ == "mdquant.channel"

@@ -48,7 +48,7 @@ def select_one_trial(bundle, rho, q, method):
     scenario = WsnScenario(np.zeros((n, 2)), 2.0, rho, bundle.channels, 0)
     cfg = SymConfig(scenario=scenario, bundle=bundle, si_method=method, trials=1)
     pids = pattern_ids(np.asarray(q, dtype=bool))[None, :]  # (1 trial, n nodes)
-    chosen = _select_maps(cfg, pids, _selection_scores(cfg, ~np.eye(n, dtype=bool)))[0]
+    chosen = _select_maps(cfg, pids, _selection_scores(cfg))[0]
     keys = sorted({round(float(rho[u, t]), 12) for u in range(n) for t in range(n) if t != u})
     tables = _selection_score_tables(bundle, keys, method)
     scores = np.full((n, n), np.nan)

@@ -14,7 +14,7 @@ from mdquant import (
 from mdquant import decode_sym, forking, simulator
 from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
 from mdquant.codec import _AsymLookup
-from mdquant.decode_sym import _SymDecoder, _trial_groups
+from mdquant.decode_sym import _SymDecoder
 from mdquant.si_select import select_min_distance
 from mdquant.simulator import (
     SI_METHODS,
@@ -141,6 +141,7 @@ class TestAsymLookup:
         worst = 0.0
         for level in levels:
             lookup = _AsymLookup(tiny_bundle, channels, level)
+            blocks = np.split(lookup.table, lookup.offsets[1:-1])
             si_levels = [None] if level is None else range(tiny_bundle.tables.si_probs.size)
             for p, q in enumerate(loss_patterns(len(channels))):
                 alphabets = [
@@ -150,7 +151,7 @@ class TestAsymLookup:
                 for key, words in enumerate(product(*alphabets)):
                     outcome = ChannelOutcome(tuple(words), q)
                     for y in si_levels:
-                        got = lookup.xhat[p][key, 0 if y is None else y]
+                        got = blocks[p][key, 0 if y is None else y]
                         expect = decode(outcome, y, level, tiny_bundle)
                         worst = max(worst, abs(got - expect))
                         cases += 1
@@ -400,7 +401,7 @@ class TestSymDecoderTables:
 
     def decoder(self, bundle, mode):
         scen = generate_scenario(3, bundle.channels, seed=0)
-        return _SymDecoder(SymConfig(scenario=scen, bundle=bundle, mode=mode))
+        return _SymDecoder(bundle, mode, scen.pairwise_rho)
 
     @pytest.mark.parametrize("name", ["tiny_bundle", "designed_bundle"])
     def test_soft_mixes_equal_per_level_cross_tables(self, request, name):
@@ -432,37 +433,38 @@ class TestSymDecoderTables:
 
 
 class TestSymExperiment:
-    def test_vectorized_equals_per_symbol(self, tiny_bundle, monkeypatch):
-        # Drive the per-symbol oracle with the same transmissions the
-        # vectorized decoder sees and compare exactly (fixed iterations).
-        n_nodes, trials = 4, 25
-        scen = generate_scenario(n_nodes, tiny_bundle.channels, seed=6)
-        x, _ = sample_correlated_sources(scen, trials, 21)
-        q = tiny_bundle.quantizer
+    N_NODES, TRIALS = 4, 25
+
+    def field_block(self, bundle):
+        """(scenario, words, loss flags, pattern ids) of one block of a 4-node field."""
+        scen = generate_scenario(self.N_NODES, bundle.channels, seed=6)
+        x, _ = sample_correlated_sources(scen, self.TRIALS, 21)
+        q = bundle.quantizer
         cells = np.searchsorted(q.thresholds, x.ravel(), side="left").reshape(x.shape)
-        tids = tiny_bundle.ia.hard_map()[cells]
-        space = tuple_space(tiny_bundle.channels)
-        words = np.empty((trials, n_nodes, 2), dtype=int)
-        rec = np.empty((trials, n_nodes, 2), dtype=bool)
-        for u in range(n_nodes):
-            streams = _channel_streams(tiny_bundle.channels, (4, u), 21)
+        tids = bundle.ia.hard_map()[cells]
+        space = tuple_space(bundle.channels)
+        words = np.empty((self.TRIALS, self.N_NODES, 2), dtype=int)
+        rec = np.empty((self.TRIALS, self.N_NODES, 2), dtype=bool)
+        for u in range(self.N_NODES):
+            streams = _channel_streams(bundle.channels, (4, u), 21)
             [(words[:, u], rec[:, u])] = _transmit_bsc(
-                tids[:, u], [tiny_bundle.channels], space, streams
+                tids[:, u], [bundle.channels], space, streams
             )
+        return scen, words, rec, pattern_ids(rec)
+
+    def assert_equals_per_symbol(self, bundle, monkeypatch, scen, words, rec, pids, s_map):
+        # Drive the per-symbol oracle, trial by trial with that trial's SI
+        # sources, with the same transmissions the vectorized decoder sees
+        # and compare exactly (fixed iterations).
+        n_nodes = self.N_NODES
         level_matrix = np.zeros((n_nodes, n_nodes), dtype=int)
         for u in range(n_nodes):
             for t in range(n_nodes):
                 if t != u:
                     level_matrix[u, t] = quantize_rho(
-                        min(scen.pairwise_rho[u, t], 1 - 1e-12), tiny_bundle.ladder
+                        min(scen.pairwise_rho[u, t], 1 - 1e-12), bundle.ladder
                     )
-        si_map = select_min_distance(scen.positions)
-        cross_tables = ladder_cross_tables(tiny_bundle, range(tiny_bundle.ladder.count))
-        pids = pattern_ids(rec)
-        smap = np.broadcast_to(si_map, (trials, n_nodes))
-        groups = [
-            _trial_groups(level_matrix[u, smap[:, u]], smap[:, u]) for u in range(n_nodes)
-        ]
+        cross_tables = ladder_cross_tables(bundle, range(bundle.ladder.count))
         outcomes = [
             [
                 ChannelOutcome(
@@ -471,25 +473,34 @@ class TestSymExperiment:
                 )
                 for u in range(n_nodes)
             ]
-            for tr in range(trials)
+            for tr in range(self.TRIALS)
         ]
 
         for mode, max_iters in product(("estimated", "soft"), (1, 4)):
             per_symbol = np.array([
                 run_decoder(
-                    ocs, tiny_bundle, si_map, level_matrix, mode=mode,
+                    ocs, bundle, s_map[tr], level_matrix, mode=mode,
                     max_iters=max_iters, tol=0.0, cross_tables=cross_tables,
                 )[0]
-                for ocs in outcomes
+                for tr, ocs in enumerate(outcomes)
             ])
-            cfg = SymConfig(
-                scenario=scen, bundle=tiny_bundle, mode=mode, si_method="distance",
-                trials=trials, seed=21,
-            )
             monkeypatch.setattr(decode_sym, "SYM_MAX_ITERS", max_iters)
             monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)
-            vec = _SymDecoder(cfg).decode(words, pids, groups)
+            vec = _SymDecoder(bundle, mode, scen.pairwise_rho).decode(words, pids, s_map)
             assert np.max(np.abs(vec.T - per_symbol)) < 1e-12, (mode, max_iters)
+
+    def test_vectorized_equals_per_symbol(self, tiny_bundle, monkeypatch):
+        scen, words, rec, pids = self.field_block(tiny_bundle)
+        s_map = np.broadcast_to(select_min_distance(scen.positions), pids.shape)
+        self.assert_equals_per_symbol(tiny_bundle, monkeypatch, scen, words, rec, pids, s_map)
+
+    def test_per_trial_picks_equal_per_symbol(self, tiny_bundle, monkeypatch):
+        # min_distortion picks each trial's SI sources from its loss patterns.
+        scen, words, rec, pids = self.field_block(tiny_bundle)
+        cfg = SymConfig(scenario=scen, bundle=tiny_bundle, si_method="min_distortion")
+        s_map = _select_maps(cfg, pids, _selection_scores(cfg))
+        assert all(len(set(s_map[:, u])) > 1 for u in range(self.N_NODES))
+        self.assert_equals_per_symbol(tiny_bundle, monkeypatch, scen, words, rec, pids, s_map)
 
     def test_uncorrelated_pair_equals_independent_asym(self, source, q4):
         # Two far-apart nodes (rho ~ 0): symmetric decode == no-SI decode.
@@ -511,23 +522,15 @@ class TestSymExperiment:
         )[0]
         assert abs(res.d_av - asym.d_av) < 3 * (res.stderr + asym.stderr)
 
-    def test_level_matrix_equals_pair_loop(self, tiny_bundle, monkeypatch, one_worker):
+    def test_level_matrix_equals_pair_loop(self, tiny_bundle):
         scen = generate_scenario(6, tiny_bundle.channels, seed=3)
-        level_matrices = []
-        block_errors = simulator._block_errors
-
-        def recorded(dec, xb, streams, scores, level_matrix):
-            level_matrices.append(level_matrix)
-            return block_errors(dec, xb, streams, scores, level_matrix)
-
-        monkeypatch.setattr(simulator, "_block_errors", recorded)
-        run_sym_experiment(SymConfig(scenario=scen, bundle=tiny_bundle, trials=20, seed=5))
+        dec = _SymDecoder(tiny_bundle, "soft", scen.pairwise_rho)
         expect = np.zeros((6, 6), dtype=int)
         for u in range(6):
             for t in range(6):
                 if t != u:
                     expect[u, t] = quantize_rho(scen.pairwise_rho[u, t], tiny_bundle.ladder)
-        assert np.array_equal(level_matrices[0], expect)
+        assert np.array_equal(dec.level_matrix, expect)
 
     def test_reproducible(self, tiny_bundle):
         scen = generate_scenario(5, tiny_bundle.channels, seed=2)
@@ -588,7 +591,7 @@ class TestSeededField:
         cfg = SymConfig(scenario=scen, bundle=tiny_bundle, si_method=method, trials=2_000)
         rng = np.random.default_rng(4)
         pids = rng.integers(0, 4, size=(2_000, 6))
-        got = _select_maps(cfg, pids, _selection_scores(cfg, ~np.eye(6, dtype=bool)))
+        got = _select_maps(cfg, pids, _selection_scores(cfg))
         assert np.array_equal(got, loop_select(cfg, pids))
         assert not np.any(got == np.arange(6))
 
@@ -601,8 +604,8 @@ def sym_run(cfg, monkeypatch):
     xhats, errs = [], []
     decode, block_errors = _SymDecoder.decode, simulator._block_errors
 
-    def recorded_decode(self, words, pids, groups):
-        xhats.append(decode(self, words, pids, groups))
+    def recorded_decode(self, words, pids, s_map):
+        xhats.append(decode(self, words, pids, s_map))
         return xhats[-1]
 
     def recorded_errors(*args):
