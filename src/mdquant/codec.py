@@ -62,6 +62,9 @@ TAIL_CLIP = 8.0  # SI integration range in std units; mass beyond is < 1e-15
 # cell/level joints otherwise amplify float underflow into huge codebook
 # values whose squares overflow.
 PROB_FLOOR = 1e-250
+# Softmax exponents are clamped here: exp(-700) ~ 9.9e-305 is still a normal
+# float64, far below PROB_FLOOR, and np.exp is slow where it returns subnormals.
+EXP_CLAMP = -700.0
 # Channel distortion below this share of E[x^2] is roundoff and reads as 0.
 D_CH_FLOOR = 1e-14
 # Moment quadrature chunk: (correlation, node) pairs times cells.  About 1 MB
@@ -173,13 +176,18 @@ def gibbs_update(weights: np.ndarray, T: float, cell_probs) -> IndexAssignment:
     per-row max subtraction so extreme exponents cannot overflow.  Entries
     below ``PROB_FLOOR`` are set to 0: they change no sum they enter, while
     their products with the moment matrices underflow to subnormal numbers,
-    which slow every later matrix product several-fold.
+    which slow every later matrix product several-fold.  Exponents are
+    clamped at ``EXP_CLAMP`` first, because ``np.exp`` is many times slower
+    where its result is subnormal; a clamped entry stays below 1e-304, is
+    absorbed into its row sum (which holds exp(0) = 1) and falls below
+    ``PROB_FLOOR``, so the rows are those of the unclamped exponents.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
     p = np.maximum(np.asarray(cell_probs, dtype=float), 1e-300)
     expo = -np.asarray(weights, dtype=float) / (T * p[:, None])
     expo -= expo.max(axis=1, keepdims=True)
+    np.maximum(expo, EXP_CLAMP, out=expo)
     rows = np.exp(expo)
     rows /= rows.sum(axis=1, keepdims=True)
     rows[rows < PROB_FLOOR] = 0.0
@@ -453,10 +461,10 @@ class DesignContext:
         if state is None:
             state = self.decoder_state(table)
         joint, first, second, den, num, xhat = state
-        pos = joint > PROB_FLOOR
+        ratio = masked_ratio(first**2, joint, PROB_FLOOR)
         e_x2 = second.sum()
-        d_se = float(e_x2 - np.sum(first[pos] ** 2 / joint[pos]))
-        e2 = self.stacked.T @ masked_ratio(first**2, joint, PROB_FLOOR)  # E[x^2] mass per word
+        d_se = float(e_x2 - np.sum(ratio[joint > PROB_FLOOR]))
+        e2 = self.stacked.T @ ratio  # E[x^2] mass per word
         terms = e2 - 2.0 * num * xhat + den * xhat**2
         # Summed pattern by pattern: one flat sum moves d_ch in the last bit.
         d_ch = 0.0

@@ -23,9 +23,9 @@ channels, or every row of a BSC sweep) and does the shared work once: one
 draw of the source and its SI, one pass of quantizer cells, tuple ids and SI
 levels, and one set of flip and loss uniforms (or AWGN noise) per
 description, to which every set applies its own rates.  It decodes in blocks
-of ``BLOCK_ENTRIES // L`` trials drawn in turn from the same generators, so
-the results equal one-call draws bit for bit and only the per-trial error
-arrays grow with the trial count.
+of ``BLOCK_ENTRIES // L`` trials that continue the same generators, so the
+results equal one-call draws bit for bit and only the source and the
+per-trial error arrays grow with the trial count.
 
 The symmetric experiment draws the node sources whole, in one product, and
 then runs every per-trial step on one block of trials at a time: quantizer
@@ -39,13 +39,19 @@ trials picks every source's SI source per trial with a single gather and
 hands the picks to the joint decoder, which holds the ladder level of every
 pair.
 
-The blocks of a field, and its scored correlations, are independent work
-items: each block positions its nodes' channel generators at its first trial
-(:func:`_channel_streams`), and each score depends only on its
-correlation.  Both run in forked workers, one per usable CPU with one BLAS
-thread each (:func:`mdquant.forking.fork_map`), after the sources, the
-decoder tables and the scores are made in this process; the results equal a
-serial run bit for bit, whatever the worker count.
+The blocks of both experiments, and a field's scored correlations, are
+independent work items, run in forked workers, one per usable CPU with one
+BLAS thread each (:func:`mdquant.forking.fork_map`), after the sources, the
+lookups or decoder tables and the scores are made in this process.  A block
+positions its own generators at its first trial: the flip and loss
+generators by a count of draws (:func:`_channel_streams`), and the AWGN
+noise generators, whose normal draws spend a varying number of outputs, from
+a state that this process records at every block boundary
+(:func:`_noise_checkpoints`).  Each score depends only on its correlation.
+The blocks write their per-trial errors into arrays in shared memory
+(:func:`mdquant.forking.shared_array`), and the means and standard errors
+are taken over those whole arrays, so the results equal a serial run bit
+for bit, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -321,43 +327,41 @@ def _check_channel_sets(bundle: CodecBundle, sets) -> None:
         raise ValueError("channel sets must be all BSC or all AWGN")
 
 
-def _source_blocks(cfg: AsymConfig, x, z):
-    """Per decode block: (slice, x, tuple ids, SI levels).
+def _source_block(cfg: AsymConfig, x, z, blk):
+    """(x, tuple ids, SI levels) of the trials in ``blk``.
 
-    A block holds one (trials, L) buffer's worth of trials (:func:`_blocks`).
-    Its draws continue the same generators, so results do not depend on the
-    block size.  The SI y = rho x + sqrt(1 - rho^2) z is formed block by
-    block.
+    The SI y = rho x + sqrt(1 - rho^2) z is formed block by block.
     """
     bundle = cfg.bundle
     rho = cfg.rho_real
-    scale = np.sqrt(max(1.0 - rho**2, 0.0))
-    hard = bundle.ia.hard_map()
-    for blk in _blocks(x.size, tuple_space(bundle.channels).size):
-        xb = x[blk]
-        tuple_ids = hard[bundle.quantizer.cells(xb)]
-        if cfg.use_si:
-            y = rho * xb + scale * z[blk]
-            si_levels = bundle.si_quantizer.cells(y)
-        else:
-            si_levels = np.zeros(xb.size, dtype=int)
-        yield blk, xb, tuple_ids, si_levels
+    xb = x[blk]
+    tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(xb)]
+    if cfg.use_si:
+        y = rho * xb + np.sqrt(max(1.0 - rho**2, 0.0)) * z[blk]
+        si_levels = bundle.si_quantizer.cells(y)
+    else:
+        si_levels = np.zeros(xb.size, dtype=int)
+    return xb, tuple_ids, si_levels
 
 
 def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
     """BSC path: one lookup per set; (squared errors, d_side, d_central) per set.
 
-    d_side and d_central force the loss patterns of two descriptions; every
-    error array is kept whole so its mean is the one-call mean.
+    d_side and d_central force the loss patterns of two descriptions.  Each
+    block positions the flip and loss generators at its first trial and
+    writes its errors into shared arrays, which are kept whole so every mean
+    is the one-call mean; the forced-pattern arrays die on return, averaged.
     """
     n = x.size
     space = tuple_space(sets[0])
-    streams = _channel_streams(sets[0], (2,), cfg.seed)
     lookups = [_AsymLookup(cfg.bundle, chs, level) for chs in sets]
     forced_patterns = (2, 1, 3) if len(sets[0]) == 2 else ()
-    errs = [np.empty(n) for _ in sets]
-    forced = [[np.empty(n) for _ in forced_patterns] for _ in sets]
-    for blk, xb, tuple_ids, si_levels in _source_blocks(cfg, x, z):
+    errs = forking.shared_array((len(sets), n))
+    forced = forking.shared_array((len(sets), len(forced_patterns), n))
+
+    def decode(blk):
+        xb, tuple_ids, si_levels = _source_block(cfg, x, z, blk)
+        streams = _channel_streams(sets[0], (2,), cfg.seed, blk.start)
         sent = _transmit_bsc(tuple_ids, sets, space, streams)
         for chs, (words, received), lookup, err, forced_s in zip(
             sets, sent, lookups, errs, forced
@@ -367,14 +371,32 @@ def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
             for p, out in zip(forced_patterns, forced_s):
                 rows = word_rows(words, np.full(xb.size, p), chs, lookup.offsets)
                 out[blk] = (xb - lookup.table[rows, si_levels]) ** 2
+
+    forking.fork_map(decode, _blocks(n, space.size), "asym")
     decoded = []
     for err, forced_s in zip(errs, forced):
-        if forced_s:
+        if forced_patterns:
             d10, d01, d11 = (float(np.mean(out)) for out in forced_s)
             decoded.append((err, (d10, d01), d11))
         else:
             decoded.append((err, None, None))
     return decoded
+
+
+def _noise_checkpoints(channels, seed, blocks) -> list:
+    """Per block, the state of each description's noise generator at its first trial.
+
+    A normal draw spends a varying number of generator outputs, so these
+    generators cannot be advanced by a count; one pass draws and discards
+    each block's noise in turn, holding one block's noise at a time.
+    """
+    rngs = [derive_rng(seed, 2, 2 * m) for m in range(len(channels))]
+    states = [[rng.bit_generator.state for rng in rngs]]
+    for blk in blocks[:-1]:
+        for ch, rng in zip(channels, rngs):
+            rng.standard_normal((blk.stop - blk.start, ch.bits))
+        states.append([rng.bit_generator.state for rng in rngs])
+    return states
 
 
 def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
@@ -384,6 +406,9 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
     once per (SI level, tuple) table and gathered per trial; the noise of
     each description is drawn once per block as N(0, 1) and scaled by each
     set's sqrt(N0 / 2), which equals drawing N(0, N0 / 2) from the stream.
+    Each block restores the noise generators from its checkpoint
+    (:func:`_noise_checkpoints`), advances the loss generators to its first
+    trial and writes its errors into shared arrays.
     """
     t = cfg.bundle.tables
     n = x.size
@@ -391,15 +416,22 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
     space = tuple_space(channels)
     comps = [space.component(m) for m in range(len(channels))]
     syms = [bpsk_symbols(ch.bits)[: ch.index_count] for ch in channels]
-    streams = _channel_streams(channels, (2,), cfg.seed)
     if level is None:
         prior, codebook = t.prior_nosi[None, :], t.codebook_nosi[None, :]
     else:
         prior, codebook = t.prior[level], t.codebook[level]
     with np.errstate(divide="ignore"):
         log_prior = np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
-    errs = [np.empty(n) for _ in sets]
-    for blk, xb, tuple_ids, si_levels in _source_blocks(cfg, x, z):
+    blocks = list(_blocks(n, space.size))
+    checkpoints = _noise_checkpoints(channels, cfg.seed, blocks)
+    errs = forking.shared_array((len(sets), n))
+
+    def decode(item):
+        blk, states = item
+        xb, tuple_ids, si_levels = _source_block(cfg, x, z, blk)
+        streams = _channel_streams(channels, (2,), cfg.seed, blk.start)
+        for (noise_rng, _), state in zip(streams, states):
+            noise_rng.bit_generator.state = state
         draws = [
             (noise_rng.standard_normal((xb.size, ch.bits)), loss_rng.random(xb.size))
             for ch, (noise_rng, loss_rng) in zip(channels, streams)
@@ -420,6 +452,8 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
             post /= post.sum(axis=1, keepdims=True)
             post *= codebook_b
             err[blk] = (xb - post.sum(axis=1)) ** 2
+
+    forking.fork_map(decode, zip(blocks, checkpoints), "asym")
     return [(err, None, None) for err in errs]
 
 
@@ -548,8 +582,8 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
 
     The sources, the selection scores and the decoder tables are made in
     this process; the blocks of trials then run in forked workers (see the
-    module docstring), and the per-trial errors are kept whole so their mean
-    and standard error are the one-block values.
+    module docstring) and write the per-trial errors into one shared array,
+    kept whole so its mean and standard error are the one-block values.
     """
     start = time.perf_counter()
     scenario = cfg.scenario
@@ -557,14 +591,14 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
     scores = _selection_scores(cfg)
     dec = _SymDecoder(cfg.bundle, cfg.mode, scenario.pairwise_rho)
+    per_trial = forking.shared_array(cfg.trials)
 
     def errors(blk):
         streams = [
             _channel_streams(dec.channels, (4, u), cfg.seed, blk.start)
             for u in range(n_nodes)
         ]
-        return _block_errors(cfg, dec, x[blk], streams, scores)
+        per_trial[blk] = _block_errors(cfg, dec, x[blk], streams, scores)
 
-    blocks = _blocks(cfg.trials, n_nodes * dec.space.size)
-    per_trial = np.concatenate(forking.fork_map(errors, blocks, "field"))
+    forking.fork_map(errors, _blocks(cfg.trials, n_nodes * dec.space.size), "field")
     return _result(per_trial, time.perf_counter() - start, psd_projected=projected)

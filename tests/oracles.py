@@ -4,7 +4,8 @@ Grids and grid densities (the marginal and conditional laws of a source
 given its SI included), SI-conditional cell probabilities, per-description
 likelihoods and per-symbol transmission, the per-symbol decoders (asymmetric
 MMSE, estimated-SI and soft-SI joint, partial-SI), the single-pass
-distortion, the per-loss-pattern design quantities, the SI selection scores
+distortion, the unclamped annealing softmax, the per-loss-pattern design
+quantities, the SI selection scores
 of one pair of loss patterns, the whole-array AWGN decode of the asymmetric
 experiment, the serial annealing restarts, the brute-force MMSE audit and
 the two rejected readings of the rate-distortion bound, and the decoder
@@ -663,6 +664,17 @@ def distortion_direct(ctx: DesignContext, table: np.ndarray, state=None) -> floa
     if state is None:
         state = ctx.decoder_state(table)
     return float(np.sum(table * ctx.weights(state)))
+
+
+def gibbs_update_unclamped(weights, T: float, cell_probs) -> np.ndarray:
+    """The rows of ``codec.gibbs_update`` with ``np.exp`` taken at every exponent, none clamped."""
+    p = np.maximum(np.asarray(cell_probs, dtype=float), 1e-300)
+    expo = -np.asarray(weights, dtype=float) / (T * p[:, None])
+    expo -= expo.max(axis=1, keepdims=True)
+    rows = np.exp(expo)
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[rows < PROB_FLOOR] = 0.0
+    return rows
 
 
 def serial_restarts(ctx: DesignContext, restarts: int, seed: int):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -697,6 +698,22 @@ class TestOutOfMemory:
                      "--trials", "100000000000", "--seed", "1", "-o", out)
         assert rc == 2
         assert capsys.readouterr().err == "error: out of memory (allocation failed)\n"
+        assert not out.exists()
+
+    def test_evaluate_shared_errors(self, codec_file, tmp_path, monkeypatch, capsys):
+        # The source fits; the per-trial error arrays in shared memory do not.
+        def no_memory(fileno, length):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr("mdquant.forking.mmap.mmap", no_memory)
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.5",
+                     "--trials", "1000", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory (Unable to allocate 8000 bytes of shared memory)\n"
+        )
         assert not out.exists()
 
 

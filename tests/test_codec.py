@@ -30,6 +30,7 @@ from oracles import (
     pairwise_decoder_tables,
     distortion_direct,
     flatten_tuples,
+    gibbs_update_unclamped,
     per_pattern_design,
     si_cell_mass_given_x,
 )
@@ -88,6 +89,29 @@ class TestGibbsUpdate:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             gibbs_update(self.weights, 0.0, self.probs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 40)),
+        log_t=st.floats(-8.0, 2.0),
+    )
+    def test_clamp_equals_unclamped_softmax(self, seed, shape, log_t):
+        # Weights spread over a few units at T down to 1e-8: most exponents
+        # fall far below -708, where np.exp returns subnormals or 0.
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 3.0, size=shape)
+        probs = rng.dirichlet(np.ones(shape[0]))
+        T = 10.0**log_t
+        got = gibbs_update(weights, T, probs).table
+        assert got.tobytes() == gibbs_update_unclamped(weights, T, probs).tobytes()
+
+    def test_clamp_reaches_subnormal_exponents(self):
+        # The case the clamp is for: a row with exponents between -745 and -708.
+        weights = np.array([[0.0, 710.0, 720.0, 740.0, 800.0]])
+        got = gibbs_update(weights, 1.0, [1.0]).table
+        assert np.array_equal(got, [[1.0, 0.0, 0.0, 0.0, 0.0]])
+        assert got.tobytes() == gibbs_update_unclamped(weights, 1.0, [1.0]).tobytes()
 
 
 class TestHarden:

@@ -1,0 +1,162 @@
+"""Asymmetric Monte-Carlo blocks in forked workers: the serial run's results, no process left behind, and freed memory reused."""
+
+import dataclasses
+import multiprocessing
+import os
+import resource
+
+import numpy as np
+import pytest
+
+from mdquant import DescriptionChannel, forking, simulator
+from mdquant.channel import derive_rng, tuple_space
+from mdquant.cli import main as cli_main
+from mdquant.persist import save_codec
+from mdquant.simulator import AsymConfig, run_asym_experiment, _noise_checkpoints
+
+from conftest import child_pids, needs_workers
+
+TRIALS, BLOCK = 120, 25  # five blocks, the last one short
+AWGN = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
+
+
+def bsc_sets(bundle):
+    return [
+        tuple(DescriptionChannel.bsc(p, 0.1, ch.index_count) for ch in bundle.channels)
+        for p in (0.1, 0.01, 0.0)
+    ]
+
+
+def small_blocks(monkeypatch, bundle):
+    monkeypatch.setattr(simulator, "BLOCK_ENTRIES", BLOCK * tuple_space(bundle.channels).size)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(forking, "worker_count", lambda items: min(items, workers))
+
+
+def asym_run(cfg, sets, monkeypatch, workers):
+    """(copies of the shared per-trial arrays, results without their wall time) of one run."""
+    made = []
+    shared_array = forking.shared_array
+
+    def recorded(shape):
+        made.append(shared_array(shape))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        force_workers(m, workers)
+        m.setattr(forking, "shared_array", recorded)  # called in this process
+        results = run_asym_experiment(cfg, sets)
+    return [a.copy() for a in made], [dataclasses.replace(r, wall_time=0.0) for r in results]
+
+
+class TestSameResultsAsSerial:
+    @pytest.mark.parametrize("channels", ["bsc_sweep", "awgn", "awgn_no_si"])
+    def test_any_worker_count_gives_the_serial_run(
+        self, tiny_bundle, monkeypatch, started, channels
+    ):
+        small_blocks(monkeypatch, tiny_bundle)
+        sets = bsc_sets(tiny_bundle) if channels == "bsc_sweep" else [AWGN]
+        cfg = AsymConfig(bundle=tiny_bundle, rho_real=0.8, trials=TRIALS, seed=5,
+                         use_si=channels != "awgn_no_si")
+        serial_errs, serial = asym_run(cfg, sets, monkeypatch, 1)
+        assert started == []
+        if channels == "bsc_sweep":
+            # Each set's errors under the drawn losses, and under the three forced patterns.
+            assert [a.shape for a in serial_errs] == [(3, TRIALS), (3, 3, TRIALS)]
+            assert all(r.d_side is not None and r.d_central is not None for r in serial)
+        else:
+            assert [a.shape for a in serial_errs] == [(1, TRIALS)]
+        assert all(np.all(a > 0) for a in serial_errs)  # every trial's error was written
+        for workers in (2, 3):
+            errs, results = asym_run(cfg, sets, monkeypatch, workers)
+            assert [a.tobytes() for a in errs] == [a.tobytes() for a in serial_errs], workers
+            assert results == serial, workers
+        assert len(started) == 2 + 3
+
+    def test_results_are_the_shared_arrays_summaries(self, tiny_bundle, monkeypatch):
+        small_blocks(monkeypatch, tiny_bundle)
+        cfg = AsymConfig(bundle=tiny_bundle, rho_real=0.8, trials=TRIALS, seed=5)
+        [errs, forced], results = asym_run(cfg, bsc_sets(tiny_bundle), monkeypatch, 2)
+        for err, (d10, d01, d11), res in zip(errs, forced, results):
+            assert (res.d_av, res.stderr) == (
+                float(err.mean()), float(err.std(ddof=1) / np.sqrt(TRIALS))
+            )
+            assert res.d_side == (float(d10.mean()), float(d01.mean()))
+            assert res.d_central == float(d11.mean())
+
+
+class TestNoiseCheckpoints:
+    def test_restored_stream_equals_the_continued_stream(self):
+        blocks = [slice(0, 30), slice(30, 31), slice(31, 57), slice(57, 100)]
+        channels = (DescriptionChannel.awgn(0.5, 0.1, 8), DescriptionChannel.awgn(0.5, 0.1, 4))
+        checkpoints = _noise_checkpoints(channels, 7, blocks)
+        assert len(checkpoints) == len(blocks)
+        continued = [derive_rng(7, 2, 2 * m) for m in range(len(channels))]
+        for blk, states in zip(blocks, checkpoints):
+            for ch, rng, state in zip(channels, continued, states):
+                restored = derive_rng(7, 2, 0)
+                restored.bit_generator.state = state
+                shape = (blk.stop - blk.start, ch.bits)
+                assert restored.standard_normal(shape).tobytes() == (
+                    rng.standard_normal(shape).tobytes()
+                ), blk
+
+
+@needs_workers
+class TestProcessHygiene:
+    @pytest.mark.parametrize("call", ["run_asym_experiment", "evaluate"])
+    def test_no_child_left_after_evaluate(
+        self, tiny_bundle, tmp_path, monkeypatch, started, call
+    ):
+        before = child_pids(os.getpid())
+        small_blocks(monkeypatch, tiny_bundle)
+        if call == "run_asym_experiment":
+            cfg = AsymConfig(bundle=tiny_bundle, rho_real=0.8, trials=TRIALS, seed=5)
+            run_asym_experiment(cfg, bsc_sets(tiny_bundle))
+            run_asym_experiment(cfg, [AWGN])
+        else:
+            codec_file, out = tmp_path / "codec.json", tmp_path / "eval.csv"
+            save_codec(tiny_bundle, codec_file)
+            assert cli_main(["evaluate", "--codec", str(codec_file), "--rho-real", "0.8",
+                             "--bsc-sweep", "0.1,0", "--trials", str(TRIALS), "--seed", "5",
+                             "-o", str(out)]) == 0
+            assert out.exists()
+        assert len(started) >= 2
+        assert multiprocessing.active_children() == []
+        assert child_pids(os.getpid()) - before == set()
+
+    @pytest.mark.parametrize("channels", ["bsc_sweep", "awgn"])
+    def test_failed_block_raises_and_leaves_no_child(self, tiny_bundle, monkeypatch, channels):
+        def crash(*args):
+            raise ValueError("block failed")
+
+        monkeypatch.setattr(simulator, "_source_block", crash)
+        small_blocks(monkeypatch, tiny_bundle)
+        sets = bsc_sets(tiny_bundle) if channels == "bsc_sweep" else [AWGN]
+        cfg = AsymConfig(bundle=tiny_bundle, rho_real=0.8, trials=TRIALS, seed=5)
+        before = child_pids(os.getpid())
+        with pytest.raises(RuntimeError, match="asym worker exited"):
+            run_asym_experiment(cfg, sets)
+        assert multiprocessing.active_children() == []
+        assert child_pids(os.getpid()) - before == set()
+
+
+@needs_workers
+class TestWorkerMemory:
+    def test_a_worker_reuses_the_memory_its_last_item_freed(self, monkeypatch):
+        # Each item touches and frees 32 MB, four 8 MB arrays like a block's
+        # temporaries; a worker that gave them back to the system would fault
+        # them in again for every item.
+        def item(_):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            arrays = [np.ones(1 << 20) for _ in range(4)]
+            del arrays
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        force_workers(monkeypatch, 2)
+        faults = forking.fork_map(item, range(6), "memory")
+        for worker in (faults[0::2], faults[1::2]):
+            first, *later = worker
+            assert max(later) * 4 < first, faults

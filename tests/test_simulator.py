@@ -301,9 +301,10 @@ class TestSharedDraws:
             blocked = run_asym_experiment(cfg, sets)
             assert [summary(r) for r in blocked] == [summary(r) for r in rows]
 
-    def test_bsc_transmits_once_per_block(self, designed_bundle, monkeypatch):
+    def test_bsc_transmits_once_per_block(self, designed_bundle, monkeypatch, one_worker):
         # Every BSC set of a block goes through the one transmission helper,
-        # which draws the block's uniforms once for all of them.
+        # which draws the block's uniforms once for all of them.  The blocks
+        # run in this process, where the spy sees them.
         calls = []
         transmit = simulator._transmit_bsc
 
@@ -346,6 +347,26 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def peak_with_shared_arrays(fn, monkeypatch) -> int:
+    """Traced peak of ``fn`` plus the bytes of the ``forking.shared_array`` arrays it makes.
+
+    The experiments write their per-trial errors into those arrays, which
+    live in ``mmap`` memory that tracemalloc does not see.
+    """
+    made = []
+    shared_array = forking.shared_array
+
+    def counted(shape):
+        made.append(shared_array(shape))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(forking, "shared_array", counted)
+        traced = traced_peak(fn)
+    assert made, "no per-trial output in shared memory"
+    return traced + sum(a.nbytes for a in made)
+
+
 @pytest.fixture(scope="module")
 def k16_bundle(source):
     """K=16 codec over two 4-index BSC descriptions, one cell per tuple."""
@@ -354,14 +375,21 @@ def k16_bundle(source):
     return make_bundle(q, si, np.eye(16), bsc_channels(0.005, 0.05, n=4))
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestAsymMemory:
-    """The traced peak grows by at most 24 float64 per trial from 200k to 400k trials."""
+    """The peak grows by at most 24 float64 per trial from 200k to 400k trials.
 
-    def growth_per_trial(self, run) -> float:
-        small, large = (traced_peak(lambda: run(n)) for n in (200_000, 400_000))
+    The blocks run in this process, where tracemalloc sees them, and the
+    peak counts the shared per-trial arrays (:func:`peak_with_shared_arrays`).
+    """
+
+    def growth_per_trial(self, run, monkeypatch) -> float:
+        small, large = (
+            peak_with_shared_arrays(lambda: run(n), monkeypatch) for n in (200_000, 400_000)
+        )
         return (large - small) / (200_000 * 8)
 
-    def test_awgn_row(self, k16_bundle):
+    def test_awgn_row(self, k16_bundle, monkeypatch):
         awgn = tuple(DescriptionChannel.awgn(0.5, 0.05, 4) for _ in range(2))
 
         def run(trials):
@@ -369,16 +397,16 @@ class TestAsymMemory:
                 bundle=k16_bundle, rho_real=0.8, trials=trials, seed=1,
             ), [awgn])
 
-        assert self.growth_per_trial(run) <= 24
+        assert self.growth_per_trial(run, monkeypatch) <= 24
 
-    def test_three_row_bsc_sweep(self, k16_bundle):
+    def test_three_row_bsc_sweep(self, k16_bundle, monkeypatch):
         sets = [bsc_channels(p, 0.05, n=4) for p in (0.01, 0.001, 0.0)]
 
         def run(trials):
             cfg = AsymConfig(bundle=k16_bundle, rho_real=0.8, trials=trials, seed=1)
             run_asym_experiment(cfg, sets)
 
-        assert self.growth_per_trial(run) <= 24
+        assert self.growth_per_trial(run, monkeypatch) <= 24
 
 
 class TestSymConfig:
@@ -663,15 +691,16 @@ class TestSymBlocks:
 
 @pytest.mark.usefixtures("one_worker")
 class TestSymMemory:
-    """The traced peak grows by at most 4 float64 per trial and node from T to 2T trials.
+    """The peak grows by at most 4 float64 per trial and node from T to 2T trials.
 
-    The blocks run in this process, where tracemalloc sees them.
+    The blocks run in this process, where tracemalloc sees them, and the
+    growth counts the shared per-trial errors (:func:`peak_with_shared_arrays`).
     """
 
     NODES, TRIALS = 40, 2_000
 
     @pytest.mark.parametrize("mode, method", [("soft", "min_distortion"), ("estimated", "distance")])
-    def test_growth_per_trial_and_node(self, k16_bundle, mode, method):
+    def test_growth_per_trial_and_node(self, k16_bundle, monkeypatch, mode, method):
         scen = generate_scenario(self.NODES, k16_bundle.channels, seed=1)
         # Both sizes span more than one block, so the block buffers are full in each.
         block = simulator.BLOCK_ENTRIES // (self.NODES * tuple_space(k16_bundle.channels).size)
@@ -683,7 +712,10 @@ class TestSymMemory:
                 trials=trials, seed=1,
             ))
 
-        small, large = (traced_peak(lambda: run(n)) for n in (self.TRIALS, 2 * self.TRIALS))
+        small, large = (
+            peak_with_shared_arrays(lambda: run(n), monkeypatch)
+            for n in (self.TRIALS, 2 * self.TRIALS)
+        )
         assert (large - small) / (self.TRIALS * self.NODES * 8) <= 4
 
     def test_soft_decode_holds_two_posterior_buffers(self, k16_bundle, monkeypatch):
