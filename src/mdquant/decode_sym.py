@@ -13,8 +13,12 @@ decoder gets one table per ladder level.
 :class:`_SymDecoder` is the joint decoder: estimated-SI or soft-SI sweeps
 over one block of a field's trials at a time.  It takes each trial's SI
 source for every node and decodes the node at the ladder level of that pair's
-correlation.  The symmetric experiment (``mdquant.simulator``) samples,
-transmits and selects the SI sources for it.
+correlation.  Every estimate of the estimated-SI sweeps is an entry of a
+table built once per decoder (the no-SI estimate of a word row, or an
+asymmetric lookup entry), and so is its SI level, so a sweep is a few integer
+gathers over all nodes and trials of the block at once.  The symmetric
+experiment (``mdquant.simulator``) samples, transmits and selects the SI
+sources for it.
 """
 
 from __future__ import annotations
@@ -139,14 +143,17 @@ class _SymDecoder:
 
     Iteration 1 decodes every node without SI; each later sweep reads the
     state the previous one left.  :meth:`decode` runs the sweeps of one
-    block, and the other methods are its steps for one node across the
-    block's trials.  One decoder serves every block of a field's run.
-    ``mode`` is "estimated" or "soft", and ``pairwise_rho`` the field's
-    (nodes, nodes) correlations, whose ladder levels ``level_matrix`` holds
-    (0 on the diagonal: a node is never its own SI source).  The decoder
-    builds the tables its mode reads, for every ladder level, when it is
-    created: estimated-SI reads the asymmetric lookups of all levels as one
-    (levels, rows, SI levels) array, and soft-SI the mixing matrices of one
+    block, and the other methods are its steps: an estimated-SI sweep of
+    the whole block, or a soft-SI prior of one node across the block's
+    trials.  One decoder serves every block of a field's run.  ``mode`` is
+    "estimated" or "soft", and ``pairwise_rho`` the field's (nodes, nodes)
+    correlations, whose ladder levels ``level_matrix`` holds (0 on the
+    diagonal: a node is never its own SI source).  The decoder builds the
+    tables its mode reads when it is created: the no-SI posterior and
+    estimate of every word row, which the first iteration gathers; for
+    estimated-SI the asymmetric lookups of all ladder levels as one
+    (levels, rows, SI levels) array, and the SI levels of every no-SI
+    estimate and lookup entry; for soft-SI the mixing matrices of one
     cross-table stack at the ladder's correlations.
     """
 
@@ -161,11 +168,16 @@ class _SymDecoder:
         self.level_matrix = np.zeros(pairwise_rho.shape, dtype=int)
         self.level_matrix[off] = quantize_rho(pairwise_rho[off], bundle.ladder)
         levels = bundle.ladder.levels
+        # Every word row's no-SI posterior and estimate; a block gathers its rows' entries.
+        self.nosi_post, self.nosi_est = self.no_si_pass(self.word_lik)
         if mode == "estimated":
             # lookups[level, row, SI level]: the asymmetric decoder's reconstructions.
             self.lookups = np.stack(
                 [_AsymLookup(bundle, self.channels, level).table for level in range(levels.size)]
             )
+            # Every estimate is a no-SI estimate or a lookup entry: their SI levels.
+            cells = bundle.si_quantizer.cells
+            self.nosi_si, self.lookup_si = cells(self.nosi_est), cells(self.lookups)
         else:
             cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
             # Per level, neighbor tuple posterior -> own prior (L, L), and ->
@@ -180,22 +192,24 @@ class _SymDecoder:
         return self.word_lik[rows_u]
 
     def no_si_pass(self, lik):
-        """lik: (trials, L) -> (posteriors, estimates)."""
+        """lik: (rows, L) -> (posteriors, estimates); a row of zero mass gives zeros."""
         t = self.bundle.tables
         post = lik * t.prior_nosi[None, :]
-        post /= post.sum(axis=1, keepdims=True)
+        post = masked_ratio(post, post.sum(axis=1, keepdims=True))
         # einsum sums each row the same way whatever the row count; BLAS
         # gemv rounds a block's last rows (and a lone row) differently.
         return post, np.einsum("tl,l->t", post, t.codebook_nosi)
 
-    def estimated_step(self, est_prev, u, s_u, rows_u):
-        """One estimated-SI update of node u across the block's trials.
+    def estimated_step(self, y, base, src):
+        """One estimated-SI sweep of every node across the block's trials.
 
-        ``s_u`` holds u's SI source in each trial: the source's previous
-        estimate gives the SI level, and the pair's ladder level the lookup.
+        ``y`` holds the SI level of each (node, trial)'s previous estimate;
+        ``src`` is where each (node, trial) finds its SI source's entry of
+        ``y``, and ``base`` its position in ``lookups`` at SI level 0.
+        Returns the new (estimates, SI levels).
         """
-        y_levels = self.bundle.si_quantizer.cells(est_prev[s_u, np.arange(s_u.size)])
-        return self.lookups[self.level_matrix[u, s_u], rows_u, y_levels]
+        at = base + y.ravel()[src]
+        return self.lookups.ravel()[at], self.lookup_si.ravel()[at]
 
     def soft_prior(self, posts_prev, groups_u, s_u, final=False):
         """SI source posterior -> own prior per trial, (trials, L).
@@ -215,30 +229,34 @@ class _SymDecoder:
 
         ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
         pattern ids and ``s_map`` the (trials, nodes) SI source of each node,
-        all of one block of trials.  Each node's word rows are found once,
-        and the soft-SI sweeps group each node's trials by ladder level once.
-        The sweeps stop after ``SYM_MAX_ITERS`` iterations, or once the
-        largest change over the block's trials falls below ``SYM_TOL``: of
-        the estimates (estimated-SI), or of the posteriors (soft-SI, which
-        reconstructs once, after its last sweep).  Each block of a run stops
-        on its own change, so where one block converges before another the
-        result can differ from a one-block run; with ``SYM_TOL`` 0 every
-        block runs ``SYM_MAX_ITERS`` iterations and the results do not depend
-        on the block size.  Both are read at call time.
+        all of one block of trials.  Each node's word rows are found once;
+        the estimated-SI sweeps then move flat positions into the decoder's
+        tables for all nodes at once, and the soft-SI sweeps group each
+        node's trials by ladder level once.  The sweeps stop after
+        ``SYM_MAX_ITERS`` iterations, or once the largest change over the
+        block's trials falls below ``SYM_TOL``: of the estimates
+        (estimated-SI), or of the posteriors (soft-SI, which reconstructs
+        once, after its last sweep).  Each block of a run stops on its own
+        change, so where one block converges before another the result can
+        differ from a one-block run; with ``SYM_TOL`` 0 every block runs
+        ``SYM_MAX_ITERS`` iterations and the results do not depend on the
+        block size.  Both are read at call time.
         """
         trials, n_nodes = pids.shape
-        rows = [
-            word_rows(words[:, u], pids[:, u], self.channels, self.offsets) for u in range(n_nodes)
-        ]
-        ests = np.empty((n_nodes, trials))
+        rows = np.stack(
+            [word_rows(words[:, u], pids[:, u], self.channels, self.offsets) for u in range(n_nodes)]
+        )
         if self.mode == "estimated":
-            # Only the no-SI estimates carry over; no posterior is kept.
-            for u in range(n_nodes):
-                _, ests[u] = self.no_si_pass(self.lik_rows(rows[u]))
+            # Flat positions of each (node, trial): its lookup row at SI level 0
+            # (at the ladder level of its SI pair), and its SI source's entry.
+            n_rows, n_si = self.lookups.shape[1:]
+            s_nodes = s_map.T
+            levels = np.take_along_axis(self.level_matrix, s_nodes, axis=1)
+            base = (levels * n_rows + rows) * n_si
+            src = s_nodes * trials + np.arange(trials)
+            ests, y = self.nosi_est[rows], self.nosi_si[rows]
             for _ in range(SYM_MAX_ITERS - 1):
-                new_ests = np.empty_like(ests)
-                for u in range(n_nodes):
-                    new_ests[u] = self.estimated_step(ests, u, s_map[:, u], rows[u])
+                new_ests, y = self.estimated_step(y, base, src)
                 delta = float(np.max(np.abs(new_ests - ests)))
                 ests = new_ests
                 if delta < SYM_TOL:
@@ -246,9 +264,7 @@ class _SymDecoder:
             return ests
 
         lik = [self.lik_rows(rows_u) for rows_u in rows]
-        posts = np.empty((n_nodes, trials, self.space.size))
-        for u in range(n_nodes):
-            posts[u], ests[u] = self.no_si_pass(lik[u])
+        posts, ests = self.nosi_post[rows], self.nosi_est[rows]
         groups = [_trial_groups(self.level_matrix[u, s_map[:, u]]) for u in range(n_nodes)]
         # Two posterior buffers alternate: the sweep writes ``new`` from
         # ``posts`` into ``prev``'s buffer, which no sweep reads, and after

@@ -3,13 +3,13 @@
 Grids and grid densities (the marginal and conditional laws of a source
 given its SI included), SI-conditional cell probabilities, per-description
 likelihoods and per-symbol transmission, the per-symbol decoders (asymmetric
-MMSE, estimated-SI and soft-SI joint, partial-SI), the single-pass
-distortion, the unclamped annealing softmax, the per-loss-pattern design
-quantities, the SI selection scores
-of one pair of loss patterns, the whole-array AWGN decode of the asymmetric
-experiment, the serial annealing restarts, the brute-force MMSE audit and
-the two rejected readings of the rate-distortion bound, and the decoder
-tables built pair by pair.
+MMSE, estimated-SI and soft-SI joint, partial-SI), the node-by-node
+estimated-SI sweeps of one block, the single-pass distortion, the unclamped
+annealing softmax, the per-loss-pattern design quantities, the SI selection
+scores of one pair of loss patterns, the whole-array AWGN decode of the
+asymmetric experiment, the serial annealing restarts, the brute-force MMSE
+audit and the two rejected readings of the rate-distortion bound, and the
+decoder tables built pair by pair.
 They compute symbol by symbol, or from first principles, what the package
 computes from moment matrices and lookup tables over all trials at once, so
 the tests can check one against the other.
@@ -33,6 +33,7 @@ from mdquant.channel import (
     loss_patterns,
     pattern_table,
     tuple_space,
+    word_rows,
 )
 from mdquant.codec import (
     PROB_FLOOR,
@@ -525,6 +526,38 @@ def run_decoder(
         cross = cross_tables[int(level_matrix[u, s])]
         ests[u] = soft_si_reconstruct(state.posteriors[u], neighbor_src.posteriors[s], cross)
     return ests, state.iteration
+
+
+def estimated_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarray:
+    """(nodes, trials) estimated-SI estimates of one block, node by node and sweep by sweep.
+
+    The reference for the whole-block gathers of ``decode_sym._SymDecoder``
+    (``dec``), with its ``decode`` arguments.  Each node's no-SI pass
+    normalises the likelihood rows of its trials; each later sweep quantizes
+    the previous estimate of every trial's SI source (``si_quantizer.cells``)
+    and reads the node's lookup at the pair's ladder level and that SI level.
+    The sweeps stop after ``max_iters`` iterations, or once the largest change
+    of the estimates falls below ``tol``.
+    """
+    t = dec.bundle.tables
+    trials, n_nodes = pids.shape
+    rows = [word_rows(words[:, u], pids[:, u], dec.channels, dec.offsets) for u in range(n_nodes)]
+    ests = np.empty((n_nodes, trials))
+    for u in range(n_nodes):
+        post = dec.word_lik[rows[u]] * t.prior_nosi[None, :]
+        post /= post.sum(axis=1, keepdims=True)
+        ests[u] = np.einsum("tl,l->t", post, t.codebook_nosi)
+    for _ in range(max_iters - 1):
+        new = np.empty_like(ests)
+        for u in range(n_nodes):
+            s_u = s_map[:, u]
+            y_levels = dec.bundle.si_quantizer.cells(ests[s_u, np.arange(trials)])
+            new[u] = dec.lookups[dec.level_matrix[u, s_u], rows[u], y_levels]
+        delta = float(np.max(np.abs(new - ests)))
+        ests = new
+        if delta < tol:
+            break
+    return ests
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 import ast
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from mdquant import DescriptionChannel, JointGaussianPair, build_cross_tables, lloyd_design
-from mdquant import codec, decode_sym, simulator
+from mdquant import codec, decode_sym, forking, simulator
 from mdquant.channel import tuple_space
-from mdquant.simulator import SymConfig, generate_scenario, run_sym_experiment
+from mdquant.decode_sym import _SymDecoder
+from mdquant.simulator import SI_METHODS, SYM_MODES, SymConfig, generate_scenario, run_sym_experiment
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
 from oracles import (
@@ -21,6 +23,7 @@ from oracles import (
     SymmetricState,
     decode,
     estimated_si_iterate,
+    estimated_sweeps,
     joint_likelihood,
     posterior,
     run_decoder,
@@ -295,6 +298,100 @@ class TestEstimatedSi:
         )
         expect = decode(ocs[1], y_level, 4, tiny_bundle)
         assert abs(nxt.estimates[1] - expect) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def ber0_bundle(source):
+    """The K=16 codec of ``k16_bundle`` over error-free BSCs: tuples 12-15 carry no cell.
+
+    A word row that only an unused tuple can send has zero mass.
+    """
+    table = np.zeros((16, 16))
+    table[np.arange(16), np.arange(16) % 12] = 1.0
+    channels = (DescriptionChannel.bsc(0.0, 0.05, 4), DescriptionChannel.bsc(0.0, 0.05, 4))
+    return make_bundle(lloyd_design(source, 16), lloyd_design(source, 64), table, channels)
+
+
+def decoded_blocks(cfg, block_trials):
+    """(decoder, decode arguments) of every block of one run, decoded in this process."""
+    calls = []
+    decode = _SymDecoder.decode
+
+    def recorded(dec, *args):
+        calls.append((dec, args))
+        return decode(dec, *args)
+
+    per_trial = cfg.scenario.n_nodes * tuple_space(cfg.bundle.channels).size
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(forking, "worker_count", lambda items: 1)
+        m.setattr(simulator, "BLOCK_ENTRIES", block_trials * per_trial)
+        m.setattr(_SymDecoder, "decode", recorded)
+        run_sym_experiment(cfg)
+    assert len(calls) == -(-cfg.trials // block_trials)
+    return calls
+
+
+class TestEstimatedGathers:
+    """The whole-block estimated-SI gathers equal the node-by-node sweeps bit for bit."""
+
+    def test_zero_mass_word_rows_build_without_warnings(self, ber0_bundle):
+        scen = generate_scenario(3, ber0_bundle.channels, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decs = [_SymDecoder(ber0_bundle, mode, scen.pairwise_rho) for mode in SYM_MODES]
+        mass = decs[0].word_lik @ ber0_bundle.tables.prior_nosi
+        assert np.any(mass == 0) and np.any(mass > 0)
+        for dec in decs:
+            assert np.all(dec.nosi_post[mass == 0] == 0) and np.all(dec.nosi_est[mass == 0] == 0)
+            assert np.allclose(dec.nosi_post[mass > 0].sum(axis=1), 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        codec_name=st.sampled_from(["tiny_bundle", "ber0_bundle"]),
+        nodes=st.integers(2, 6),
+        trials=st.integers(2, 40),  # a run of one trial has no standard error
+        block_trials=st.integers(1, 16),
+        method=st.sampled_from(SI_METHODS),
+        tol=st.sampled_from(["default", 0.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(codec_name="tiny_bundle", nodes=6, trials=40, block_trials=1,
+             method="min_distortion", tol=0.0, seed=3)
+    @example(codec_name="ber0_bundle", nodes=6, trials=40, block_trials=16,
+             method="min_distortion", tol="default", seed=3)
+    def test_decode_equals_node_by_node_sweeps(
+        self, tiny_bundle, ber0_bundle, codec_name, nodes, trials, block_trials, method, tol, seed
+    ):
+        bundle = tiny_bundle if codec_name == "tiny_bundle" else ber0_bundle
+        scen = generate_scenario(nodes, bundle.channels, seed=seed)
+        cfg = SymConfig(scenario=scen, bundle=bundle, mode="estimated", si_method=method,
+                        trials=trials, seed=seed)
+        tol = decode_sym.SYM_TOL if tol == "default" else tol
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(decode_sym, "SYM_TOL", tol)
+            for dec, args in decoded_blocks(cfg, block_trials):
+                got = dec.decode(*args)
+                expect = estimated_sweeps(dec, *args, decode_sym.SYM_MAX_ITERS, tol)
+                assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("codec_name, block_trials", [("tiny_bundle", 1), ("ber0_bundle", 16)])
+    def test_examples_reach_several_ladder_levels(self, request, codec_name, block_trials):
+        # The explicit examples above: min_distortion puts some nodes' SI
+        # sources at several ladder levels, and the sweeps move the estimates
+        # away from the no-SI pass.
+        bundle = request.getfixturevalue(codec_name)
+        scen = generate_scenario(6, bundle.channels, seed=3)
+        cfg = SymConfig(scenario=scen, bundle=bundle, mode="estimated",
+                        si_method="min_distortion", trials=40, seed=3)
+        blocks = decoded_blocks(cfg, block_trials)
+        s_map = np.concatenate([args[2] for _, args in blocks])
+        levels = np.take_along_axis(blocks[0][0].level_matrix, s_map.T, axis=1)
+        assert sum(np.unique(row).size > 1 for row in levels) >= 2
+        assert any(
+            not np.array_equal(estimated_sweeps(dec, *args, 1, 0.0),
+                               estimated_sweeps(dec, *args, decode_sym.SYM_MAX_ITERS, 0.0))
+            for dec, args in blocks
+        )
 
 
 class TestJointDecoderModule:

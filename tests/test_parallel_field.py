@@ -100,9 +100,9 @@ class TestSameResultsAsSerial:
 
         monkeypatch.setattr(decode_sym._SymDecoder, "estimated_step", counted)
         field_run(cfg, monkeypatch, 1)
-        # One step per node and sweep after the no-SI pass.
+        # One step per sweep of a whole block after the no-SI pass.
         blocks = -(-TRIALS // BLOCK)
-        assert len(steps) < blocks * NODES * (decode_sym.SYM_MAX_ITERS - 1)
+        assert len(steps) < blocks * (decode_sym.SYM_MAX_ITERS - 1)
 
 
 class TestPositionedStreams:

@@ -583,6 +583,16 @@ SEEDED_FIELD = {
 }
 
 
+# d_av and stderr of an estimated-SI 40-node field of the K=16 codec (scenario
+# seed 1, run seed 1, 4,000 trials in three blocks), recorded with the
+# node-by-node sweeps that the whole-block gathers replaced.
+SEEDED_FIELD_40 = {
+    "distance": (0.08464561969418873, 0.0024866813611298735),
+    "mutual_info": (0.05336217247664977, 0.0016018033812451435),
+    "min_distortion": (0.051265412132293874, 0.0015465412658882316),
+}
+
+
 def loop_select(cfg, pids):
     """Per-candidate selection loop: the reference for the one-gather ``_select_maps``."""
     n = cfg.scenario.n_nodes
@@ -612,6 +622,17 @@ class TestSeededField:
             trials=2_000, seed=5,
         ))
         assert (res.d_av, res.stderr) == SEEDED_FIELD[mode, method]
+
+    @pytest.mark.parametrize("method", sorted(SEEDED_FIELD_40))
+    def test_pinned_40_node_estimated_field(self, k16_bundle, method):
+        scen = generate_scenario(40, k16_bundle.channels, seed=1)
+        block = simulator.BLOCK_ENTRIES // (40 * tuple_space(k16_bundle.channels).size)
+        assert -(-4_000 // block) == 3
+        res = run_sym_experiment(SymConfig(
+            scenario=scen, bundle=k16_bundle, mode="estimated", si_method=method,
+            trials=4_000, seed=1,
+        ))
+        assert (res.d_av, res.stderr) == SEEDED_FIELD_40[method]
 
     @pytest.mark.parametrize("method", ["mutual_info", "min_distortion"])
     def test_select_maps_equal_candidate_loop(self, tiny_bundle, method):
