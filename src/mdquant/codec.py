@@ -119,8 +119,18 @@ class _AsymLookup:
         else:
             joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
             first = joint * t.codebook[level].T
-        stacked, self.offsets = stacked_pattern_table(channels)
-        _, _, self.table = pattern_lookups(stacked, joint, first)
+        self.stacked, self.offsets = stacked_pattern_table(channels)
+        _, _, self.table = pattern_lookups(self.stacked, joint, first)
+
+    def pattern_distortions(self, ia_table, s0, s1, s2) -> list[float]:
+        """Expected squared error of this fixed table under each loss pattern.
+
+        With moment matrices S0, S1, S2, D_p = sum S2 + sum over p's word rows and
+        SI levels of xhat^2 den - 2 xhat num (:func:`pattern_lookups`).
+        """
+        den, num, _ = pattern_lookups(self.stacked, ia_table.T @ s0, ia_table.T @ s1)
+        terms = np.sum(self.table * (self.table * den - 2.0 * num), axis=1)
+        return [float(s2.sum() + terms[a:b].sum()) for a, b in zip(self.offsets, self.offsets[1:])]
 
 
 @dataclass(frozen=True)

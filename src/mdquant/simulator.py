@@ -8,8 +8,8 @@ The asymmetric MMSE decoder is a lookup table per (correlation level,
 channel set) for BSC channels (:class:`mdquant.codec._AsymLookup`) and a
 per-trial posterior for AWGN (:func:`_run_asym_awgn`); the joint decoder is
 :class:`mdquant.decode_sym._SymDecoder`.  Results carry the Monte-Carlo
-standard error of every estimate.  The per-symbol decoders that these are
-tested against live in the test suite's oracles.
+standard error of d_av, and exact d_side and d_central.  The per-symbol
+decoders that these are tested against live in the test suite's oracles.
 
 Both experiments bound their per-block buffers by one budget,
 ``BLOCK_ENTRIES`` float64 entries, which every chunked loop divides by its
@@ -48,9 +48,9 @@ generators by a count of draws (:func:`_channel_streams`), and the AWGN
 noise generators, whose normal draws spend a varying number of outputs, from
 a state that this process records at every block boundary
 (:func:`_noise_checkpoints`).  Each score depends only on its correlation.
-The blocks write their per-trial errors into arrays in shared memory
-(:func:`mdquant.forking.shared_array`), and the means and standard errors
-are taken over those whole arrays, so the results equal a serial run bit
+The blocks write their per-trial errors into one array in shared memory
+per run (:func:`mdquant.forking.shared_array`), and the means and standard
+errors are taken over that whole array, so the results equal a serial run bit
 for bit, whatever the worker count.
 """
 
@@ -136,7 +136,7 @@ def generate_scenario(
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Monte-Carlo (or analytic) distortion summary for one configuration.
+    """Monte-Carlo distortion summary of one run; ``d_side`` and ``d_central`` are exact.
 
     ``psd_projected`` is True where a sensor field's correlation matrix was
     projected onto the PSD cone before its sources were drawn.
@@ -275,13 +275,17 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
     codec's own channels), each equal to a run with that set alone: the
     source, its quantizer cells and SI levels, the rates and the channel
     randomness are drawn once, and every set applies its own error and loss
-    rates to the same draws.  Every result's ``wall_time`` is that of the
-    whole call up to the end of decoding.
+    rates to the same draws.  Two-description BSC results carry the exact
+    d_side and d_central of their set's lookup at ``rho_real``.  Every
+    result's ``wall_time`` is that of the whole call up to the end of decoding.
     """
     start = time.perf_counter()
     bundle = cfg.bundle
     sets = [tuple(chs) for chs in channel_sets]
     _check_channel_sets(bundle, sets)
+    _check_trials(cfg.trials)
+    if not -1.0 < cfg.rho_real < 1.0:
+        raise ValueError(f"rho_real must lie in (-1, 1), got {cfg.rho_real!r}")
     rho_dec = cfg.rho_real if cfg.rho_dec is None else cfg.rho_dec
     level = bundle.rho_level(rho_dec) if cfg.use_si else None
 
@@ -289,14 +293,25 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
     rng_src = derive_rng(cfg.seed, 1)
     x = rng_src.standard_normal(cfg.trials)
     z = rng_src.standard_normal(cfg.trials)
-    run = _run_asym_bsc if sets[0][0].kind == "bsc" else _run_asym_awgn
-    decoded = run(cfg, sets, x, z, level)
+    exact = [{}] * len(sets)
+    if sets[0][0].kind == "awgn":
+        errs = _run_asym_awgn(cfg, sets, x, z, level)
+    else:
+        lookups = [_AsymLookup(bundle, chs, level) for chs in sets]
+        errs = _run_asym_bsc(cfg, sets, x, z, lookups)
+        if len(sets[0]) == 2:
+            pair = JointGaussianPair(1.0, 1.0, cfg.rho_real)
+            moments = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair)
+            exact = [{"d_side": (d10, d01), "d_central": d11} for _, d01, d10, d11 in (
+                lk.pattern_distortions(bundle.ia.table, *moments) for lk in lookups)]
 
     wall_time = time.perf_counter() - start
-    return [
-        _result(err, wall_time, d_side=d_side, d_central=d_central)
-        for err, d_side, d_central in decoded
-    ]
+    return [_result(err, wall_time, **fields) for err, fields in zip(errs, exact)]
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2 for a standard error, got {trials}")
 
 
 def _result(err, wall_time: float, **fields) -> ExperimentResult:
@@ -337,50 +352,33 @@ def _source_block(cfg: AsymConfig, x, z, blk):
     xb = x[blk]
     tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(xb)]
     if cfg.use_si:
-        y = rho * xb + np.sqrt(max(1.0 - rho**2, 0.0)) * z[blk]
+        y = rho * xb + np.sqrt(1.0 - rho**2) * z[blk]
         si_levels = bundle.si_quantizer.cells(y)
     else:
         si_levels = np.zeros(xb.size, dtype=int)
     return xb, tuple_ids, si_levels
 
 
-def _run_asym_bsc(cfg: AsymConfig, sets, x, z, level) -> list:
-    """BSC path: one lookup per set; (squared errors, d_side, d_central) per set.
+def _run_asym_bsc(cfg: AsymConfig, sets, x, z, lookups) -> np.ndarray:
+    """BSC path: the (sets, trials) squared errors, through one lookup per set.
 
-    d_side and d_central force the loss patterns of two descriptions.  Each
-    block positions the flip and loss generators at its first trial and
-    writes its errors into shared arrays, which are kept whole so every mean
-    is the one-call mean; the forced-pattern arrays die on return, averaged.
+    Each block positions the flip and loss generators at its first trial and
+    writes its errors into one shared array.
     """
     n = x.size
     space = tuple_space(sets[0])
-    lookups = [_AsymLookup(cfg.bundle, chs, level) for chs in sets]
-    forced_patterns = (2, 1, 3) if len(sets[0]) == 2 else ()
     errs = forking.shared_array((len(sets), n))
-    forced = forking.shared_array((len(sets), len(forced_patterns), n))
 
     def decode(blk):
         xb, tuple_ids, si_levels = _source_block(cfg, x, z, blk)
         streams = _channel_streams(sets[0], (2,), cfg.seed, blk.start)
         sent = _transmit_bsc(tuple_ids, sets, space, streams)
-        for chs, (words, received), lookup, err, forced_s in zip(
-            sets, sent, lookups, errs, forced
-        ):
+        for chs, (words, received), lookup, err in zip(sets, sent, lookups, errs):
             rows = word_rows(words, pattern_ids(received), chs, lookup.offsets)
             err[blk] = (xb - lookup.table[rows, si_levels]) ** 2
-            for p, out in zip(forced_patterns, forced_s):
-                rows = word_rows(words, np.full(xb.size, p), chs, lookup.offsets)
-                out[blk] = (xb - lookup.table[rows, si_levels]) ** 2
 
     forking.fork_map(decode, _blocks(n, space.size), "asym")
-    decoded = []
-    for err, forced_s in zip(errs, forced):
-        if forced_patterns:
-            d10, d01, d11 = (float(np.mean(out)) for out in forced_s)
-            decoded.append((err, (d10, d01), d11))
-        else:
-            decoded.append((err, None, None))
-    return decoded
+    return errs
 
 
 def _noise_checkpoints(channels, seed, blocks) -> list:
@@ -399,10 +397,10 @@ def _noise_checkpoints(channels, seed, blocks) -> list:
     return states
 
 
-def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
+def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> np.ndarray:
     """AWGN path: per-trial log-likelihoods instead of lookups.
 
-    Returns (squared errors, None, None) per set.  The log-prior is taken
+    Returns the (sets, trials) squared errors.  The log-prior is taken
     once per (SI level, tuple) table and gathered per trial; the noise of
     each description is drawn once per block as N(0, 1) and scaled by each
     set's sqrt(N0 / 2), which equals drawing N(0, N0 / 2) from the stream.
@@ -454,7 +452,7 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> list:
             err[blk] = (xb - post.sum(axis=1)) ** 2
 
     forking.fork_map(decode, zip(blocks, checkpoints), "asym")
-    return [(err, None, None) for err in errs]
+    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +584,7 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     kept whole so its mean and standard error are the one-block values.
     """
     start = time.perf_counter()
+    _check_trials(cfg.trials)
     scenario = cfg.scenario
     n_nodes = scenario.n_nodes
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)

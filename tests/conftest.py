@@ -77,6 +77,25 @@ def bijective_bundle(source, q4):
     return make_bundle(q4, si, np.eye(4), channels)
 
 
+# A desk codec (K=16, two 4-index descriptions, 64-level SI quantizer): the
+# codec of test_cli's pinned evaluate CSVs and of the exact side and central
+# distortion tests.
+DESK_DESIGN = [
+    "design", "--K", "16", "--desc", "4,4", "--bsc", "0.005", "--loss", "0.05",
+    "--rho-enc", "0.8", "--nsi", "64", "--restarts", "2", "--seed", "5",
+]
+
+
+@pytest.fixture(scope="session")
+def desk_codec(tmp_path_factory):
+    """Path of the desk codec file, designed once per session."""
+    from mdquant.cli import main
+
+    path = tmp_path_factory.mktemp("desk") / "desk.json"
+    assert main([*DESK_DESIGN, "-o", str(path)]) == 0
+    return path
+
+
 def simpson_nodes(lo, hi, n=1601):
     """Simpson nodes/weights on [lo, hi]; independent quadrature for oracles."""
     if n % 2 == 0:

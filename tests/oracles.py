@@ -7,9 +7,10 @@ MMSE, estimated-SI and soft-SI joint, partial-SI), the node-by-node
 estimated-SI sweeps of one block, the single-pass distortion, the unclamped
 annealing softmax, the per-loss-pattern design quantities, the SI selection
 scores of one pair of loss patterns, the whole-array AWGN decode of the
-asymmetric experiment, the serial annealing restarts, the brute-force MMSE
-audit and the two rejected readings of the rate-distortion bound, and the
-decoder tables built pair by pair.
+asymmetric experiment, its BSC decode under forced loss patterns, the
+serial annealing restarts, the brute-force MMSE audit and the two rejected
+readings of the rate-distortion bound, and the decoder tables built pair by
+pair.
 They compute symbol by symbol, or from first principles, what the package
 computes from moment matrices and lookup tables over all trials at once, so
 the tests can check one against the other.
@@ -639,6 +640,48 @@ def asym_awgn_errors(bundle: CodecBundle, channels, x, tuple_ids, si_levels, lev
     post = np.exp(lp)
     post /= post.sum(axis=1, keepdims=True)
     return (x - np.sum(post * codebook, axis=1)) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Forced-pattern asymmetric BSC decode
+# ---------------------------------------------------------------------------
+
+
+def forced_pattern_errors(cfg, channels, patterns) -> np.ndarray:
+    """(patterns, trials) squared errors of the BSC lookup decode under forced loss patterns.
+
+    Draws the source, its SI and the flips of description m whole, from the
+    streams ``run_asym_experiment`` uses (``(seed, 1)`` and
+    ``(seed, 2, 2m)``), and decodes every trial's received words as if loss
+    pattern ``patterns[i]`` (a position in ``loss_patterns``) had occurred.
+    The means estimate ``codec._AsymLookup.pattern_distortions``: this is
+    the Monte-Carlo reference for the exact d_side and d_central of the
+    asymmetric experiment, which decoded these arrays until it computed them
+    exactly.
+    """
+    bundle = cfg.bundle
+    n = cfg.trials
+    rng = derive_rng(cfg.seed, 1)
+    x = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(x)]
+    if cfg.use_si:
+        rho = cfg.rho_real
+        si_levels = bundle.si_quantizer.cells(rho * x + np.sqrt(1.0 - rho**2) * z)
+        level = bundle.rho_level(rho if cfg.rho_dec is None else cfg.rho_dec)
+    else:
+        si_levels, level = np.zeros(n, dtype=int), None
+    lookup = _AsymLookup(bundle, channels, level)
+    space = tuple_space(channels)
+    words = np.empty((n, len(channels)), dtype=int)
+    for m, ch in enumerate(channels):
+        flips = derive_rng(cfg.seed, 2, 2 * m).random((n, ch.bits)) < ch.bit_error_rate
+        words[:, m] = space.component(m)[tuple_ids] ^ (flips @ (1 << np.arange(ch.bits)[::-1]))
+    errs = np.empty((len(patterns), n))
+    for out, p in zip(errs, patterns):
+        rows = word_rows(words, np.full(n, p), channels, lookup.offsets)
+        out[:] = (x - lookup.table[rows, si_levels]) ** 2
+    return errs
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdquant import BoundQuery, GaussianSource, lloyd_design
+from mdquant import BoundQuery, DescriptionChannel, GaussianSource, lloyd_design
 from mdquant import reference_values as refs
 from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, _parse_desc, main
 from mdquant.persist import load_codec, save_codec
-from mdquant.simulator import run_sym_experiment
+from mdquant.simulator import AsymConfig, run_sym_experiment, to_db
+
+from oracles import forced_pattern_errors
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -401,33 +403,30 @@ class TestCodecConsistency:
         assert message in err
 
 
-# A desk codec (K=16, two 4-index descriptions, 64-level SI quantizer) and the
-# evaluate CSVs it gave at 20k trials before the asymmetric experiment shared
-# its draws across a sweep and decoded in trial blocks.
-DESK_DESIGN = [
-    "design", "--K", "16", "--desc", "4,4", "--bsc", "0.005", "--loss", "0.05",
-    "--rho-enc", "0.8", "--nsi", "64", "--restarts", "2", "--seed", "5",
-]
+# The evaluate CSVs of the desk codec (conftest.DESK_DESIGN) at 20k trials.
+# Their d_av_db and stderr cells are those it gave before the asymmetric
+# experiment shared its draws across a sweep and decoded in trial blocks;
+# the d_side_db and d_central_db cells of BSC rows are exact expectations.
 DESK_SHA256 = "534401edce9a45de80507b4c35eb7b30af92e56058534ec97bfbcd67d49ef923"
 DESK_EVAL = ["--trials", "20000", "--seed", "3"]
 PINNED_EVALUATE = {
     "bsc_sweep": (
         ["--rho-real", "0.8", "--bsc-sweep", "0.01,0.001,0"],
         "p,d_side_db,d_central_db,d_av_db,stderr\n"
-        "0.01,-7.956078,-15.445195,-13.773541,0.001730854368683245\n"
-        "0.001,-8.258151,-17.889509,-15.227500,0.0014918054082606015\n"
-        "0.0,-8.285052,-18.107435,-15.348989,0.0014930105003065851\n",
+        "0.01,-7.841584,-15.179547,-13.773541,0.001730854368683245\n"
+        "0.001,-8.140007,-17.437288,-15.227500,0.0014918054082606015\n"
+        "0.0,-8.177531,-17.804758,-15.348989,0.0014930105003065851\n",
     ),
     "bsc_sweep_no_si": (
         ["--rho-real", "0.8", "--bsc-sweep", "0.02,0", "--no-si"],
         "p,d_side_db,d_central_db,d_av_db,stderr\n"
-        "0.02,-1.785565,-3.149567,-3.021369,0.013044769445373635\n"
-        "0.0,-1.981844,-3.485068,-3.336211,0.013186773910341686\n",
+        "0.02,-1.584184,-2.878570,-3.021369,0.013044769445373635\n"
+        "0.0,-1.763966,-3.168987,-3.336211,0.013186773910341686\n",
     ),
     "codec_channels": (
         ["--rho-real", "0.7", "--rho-dec", "0.9"],
         "p,d_side_db,d_central_db,d_av_db,stderr\n"
-        "0.005,-5.545098,-11.448667,-10.250644,0.004968279660806158\n",
+        "0.005,-5.410074,-11.228063,-10.250644,0.004968279660806158\n",
     ),
     "awgn": (
         ["--rho-real", "0.8", "--awgn", "0.5"],
@@ -441,12 +440,20 @@ PINNED_EVALUATE = {
     ),
 }
 
-
-@pytest.fixture(scope="module")
-def desk_codec(tmp_path_factory):
-    path = tmp_path_factory.mktemp("desk") / "desk.json"
-    assert run_cli(*DESK_DESIGN, "-o", path) == 0
-    return path
+# The d_side_db and d_central_db cells that the forced-pattern Monte-Carlo
+# decode wrote into the pinned BSC rows before they became exact, with each
+# case's AsymConfig fields and bit error rates (None: the codec's own).
+FORCED_PATTERN_CELLS = {
+    "bsc_sweep": ({"rho_real": 0.8}, (0.01, 0.001, 0.0), [
+        ("-7.956078", "-15.445195"), ("-8.258151", "-17.889509"), ("-8.285052", "-18.107435"),
+    ]),
+    "bsc_sweep_no_si": ({"rho_real": 0.8, "use_si": False}, (0.02, 0.0), [
+        ("-1.785565", "-3.149567"), ("-1.981844", "-3.485068"),
+    ]),
+    "codec_channels": ({"rho_real": 0.7, "rho_dec": 0.9}, (None,), [
+        ("-5.545098", "-11.448667"),
+    ]),
+}
 
 
 class TestPinnedEvaluate:
@@ -460,6 +467,24 @@ class TestPinnedEvaluate:
         out = tmp_path / "eval.csv"
         assert run_cli("evaluate", "--codec", desk_codec, *args, *DESK_EVAL, "-o", out) == 0
         assert out.read_text() == expected
+
+    @pytest.mark.parametrize("case", sorted(FORCED_PATTERN_CELLS))
+    def test_exact_cells_lie_within_5_stderr_of_the_forced_pattern_cells(self, desk_codec, case):
+        fields, bers, old_cells = FORCED_PATTERN_CELLS[case]
+        bundle = load_codec(desk_codec)
+        cfg = AsymConfig(bundle=bundle, trials=20_000, seed=3, **fields)
+        rows = PINNED_EVALUATE[case][1].splitlines()[1:]
+        for ber, old, row in zip(bers, old_cells, rows, strict=True):
+            chs = bundle.channels if ber is None else tuple(
+                DescriptionChannel.bsc(ber, ch.loss_prob, ch.index_count) for ch in bundle.channels
+            )
+            d10, d01, d11 = forced_pattern_errors(cfg, chs, (2, 1, 3))
+            # The oracle is the removed decode: it gives the old cells.
+            side, central = float(np.mean((float(d10.mean()), float(d01.mean())))), d11.mean()
+            assert (f"{to_db(side):.6f}", f"{to_db(central):.6f}") == old
+            new = [10 ** (float(cell) / 10) for cell in row.split(",")[1:3]]
+            for errs, mean, exact in zip(((d10 + d01) / 2, d11), (side, central), new):
+                assert abs(mean - exact) < 5 * errs.std(ddof=1) / np.sqrt(errs.size), row
 
 
 class TestScenario:

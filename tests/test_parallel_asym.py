@@ -1,4 +1,4 @@
-"""Asymmetric Monte-Carlo blocks in forked workers: the serial run's results, no process left behind, and freed memory reused."""
+"""Asymmetric Monte-Carlo blocks in forked workers: the serial run's results, one shared array, no process left behind, and freed memory reused."""
 
 import dataclasses
 import multiprocessing
@@ -8,9 +8,10 @@ import resource
 import numpy as np
 import pytest
 
-from mdquant import DescriptionChannel, forking, simulator
+from mdquant import DescriptionChannel, JointGaussianPair, forking, simulator
 from mdquant.channel import derive_rng, tuple_space
 from mdquant.cli import main as cli_main
+from mdquant.codec import _AsymLookup, si_moment_matrices
 from mdquant.persist import save_codec
 from mdquant.simulator import AsymConfig, run_asym_experiment, _noise_checkpoints
 
@@ -62,12 +63,11 @@ class TestSameResultsAsSerial:
                          use_si=channels != "awgn_no_si")
         serial_errs, serial = asym_run(cfg, sets, monkeypatch, 1)
         assert started == []
-        if channels == "bsc_sweep":
-            # Each set's errors under the drawn losses, and under the three forced patterns.
-            assert [a.shape for a in serial_errs] == [(3, TRIALS), (3, 3, TRIALS)]
-            assert all(r.d_side is not None and r.d_central is not None for r in serial)
-        else:
-            assert [a.shape for a in serial_errs] == [(1, TRIALS)]
+        # One array: each set's errors under the drawn losses.
+        assert [a.shape for a in serial_errs] == [(len(sets), TRIALS)]
+        exact = channels == "bsc_sweep"
+        assert all((r.d_side is not None, r.d_central is not None) == (exact, exact)
+                   for r in serial)
         assert all(np.all(a > 0) for a in serial_errs)  # every trial's error was written
         for workers in (2, 3):
             errs, results = asym_run(cfg, sets, monkeypatch, workers)
@@ -78,13 +78,20 @@ class TestSameResultsAsSerial:
     def test_results_are_the_shared_arrays_summaries(self, tiny_bundle, monkeypatch):
         small_blocks(monkeypatch, tiny_bundle)
         cfg = AsymConfig(bundle=tiny_bundle, rho_real=0.8, trials=TRIALS, seed=5)
-        [errs, forced], results = asym_run(cfg, bsc_sets(tiny_bundle), monkeypatch, 2)
-        for err, (d10, d01, d11), res in zip(errs, forced, results):
+        sets = bsc_sets(tiny_bundle)
+        [errs], results = asym_run(cfg, sets, monkeypatch, 2)
+        moments = si_moment_matrices(
+            tiny_bundle.quantizer, tiny_bundle.si_quantizer, JointGaussianPair(1, 1, 0.8)
+        )
+        level = tiny_bundle.rho_level(0.8)
+        for chs, err, res in zip(sets, errs, results):
             assert (res.d_av, res.stderr) == (
                 float(err.mean()), float(err.std(ddof=1) / np.sqrt(TRIALS))
             )
-            assert res.d_side == (float(d10.mean()), float(d01.mean()))
-            assert res.d_central == float(d11.mean())
+            # The side and central values are exact, not read from the arrays.
+            lookup = _AsymLookup(tiny_bundle, chs, level)
+            _, d01, d10, d11 = lookup.pattern_distortions(tiny_bundle.ia.table, *moments)
+            assert (res.d_side, res.d_central) == ((d10, d01), d11)
 
 
 class TestNoiseCheckpoints:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import product
 
@@ -159,6 +160,12 @@ class TestAsymLookup:
         assert worst < 1e-12
 
 
+def awgn_channels(bundle):
+    return tuple(
+        DescriptionChannel.awgn(0.5, ch.loss_prob, ch.index_count) for ch in bundle.channels
+    )
+
+
 class TestAsymExperiment:
     def test_matches_analytic(self, designed_bundle):
         res = run_asym_experiment(
@@ -213,10 +220,7 @@ class TestAsymExperiment:
         assert with_si.d_av < without.d_av
 
     def test_awgn_smoke(self, designed_bundle):
-        awgn = tuple(
-            DescriptionChannel.awgn(0.5, ch.loss_prob, ch.index_count)
-            for ch in designed_bundle.channels
-        )
+        awgn = awgn_channels(designed_bundle)
         res = run_asym_experiment(
             AsymConfig(
                 bundle=designed_bundle,
@@ -238,6 +242,25 @@ class TestAsymExperiment:
         cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100, seed=1)
         with pytest.raises(ValueError, match="indices"):
             run_asym_experiment(cfg, [bsc_channels(0.01, 0.05, n=4)])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 1, "trials must be at least 2 for a standard error, got 1"),
+        ("trials", 0, "trials must be at least 2 for a standard error, got 0"),
+        ("rho_real", 1.0, r"rho_real must lie in \(-1, 1\), got 1.0"),
+        ("rho_real", -1.0, r"rho_real must lie in \(-1, 1\), got -1.0"),
+        ("rho_real", float("nan"), r"rho_real must lie in \(-1, 1\), got nan"),
+    ])
+    def test_rejects_bad_config_before_any_draw(
+        self, designed_bundle, monkeypatch, field, value, message
+    ):
+        def must_not_draw(*args):
+            raise AssertionError("a draw started before the configuration was checked")
+
+        monkeypatch.setattr(simulator, "derive_rng", must_not_draw)
+        cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=100, seed=1)
+        for sets in ([designed_bundle.channels], [awgn_channels(designed_bundle)]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run_asym_experiment(dataclasses.replace(cfg, **{field: value}), sets)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +352,7 @@ class TestSharedDraws:
         )
         x, z, tuple_ids, si_levels = asym_sources(cfg)
         level = designed_bundle.rho_level(0.8) if use_si else None
-        [(err, _, _)] = _run_asym_awgn(cfg, [awgn], x, z, level)
+        [err] = _run_asym_awgn(cfg, [awgn], x, z, level)
         expect = asym_awgn_errors(designed_bundle, awgn, x, tuple_ids, si_levels, level, 17)
         assert np.array_equal(err, expect)
         res = run_asym_experiment(cfg, [awgn])[0]
@@ -419,6 +442,23 @@ class TestSymConfig:
         scen = generate_scenario(3, tiny_bundle.channels, seed=0)
         with pytest.raises(ValueError, match="unknown SI selection method"):
             SymConfig(scenario=scen, bundle=tiny_bundle, si_method="max_mi")
+
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_run_rejects_fewer_than_two_trials_before_any_draw(
+        self, tiny_bundle, monkeypatch, trials
+    ):
+        # The config itself may hold one trial; only a run needs a standard error.
+        scen = generate_scenario(3, tiny_bundle.channels, seed=0)
+        cfg = SymConfig(scenario=scen, bundle=tiny_bundle, trials=trials)
+
+        def must_not_draw(*args):
+            raise AssertionError("a draw started before the configuration was checked")
+
+        monkeypatch.setattr(simulator, "sample_correlated_sources", must_not_draw)
+        with pytest.raises(
+            ValueError, match=f"^trials must be at least 2 for a standard error, got {trials}$"
+        ):
+            run_sym_experiment(cfg)
 
 
 class TestSymDecoderTables:
