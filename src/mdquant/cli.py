@@ -183,7 +183,8 @@ def cmd_bound(args) -> int:
     return 0
 
 
-EVALUATE_HEADER = "p,d_side_db,d_central_db,d_av_db,stderr"
+# After the first column: "p" (bit error rate or noise PSD), or "nsi" for an SI size sweep.
+EVALUATE_COLUMNS = "d_side_db,d_central_db,d_av_db,stderr"
 
 
 def _evaluate_row(label, res) -> str:
@@ -240,7 +241,7 @@ def cmd_evaluate(args) -> int:
         # Every row decodes the same draws: one simulator call for the whole sweep.
         name = "p"
         results = run_asym_experiment(cfg, channel_sets)
-    lines = [EVALUATE_HEADER]
+    lines = [f"{name},{EVALUATE_COLUMNS}"]
     for label, res in zip(labels, results):
         lines.append(_evaluate_row(label, res))
         print(f"config {name}={label!r}: wall_time={res.wall_time:.2f}s", file=sys.stderr)

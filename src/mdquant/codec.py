@@ -255,7 +255,9 @@ def si_moment_stack(quantizer: ScalarQuantizer, si_quantizer: ScalarQuantizer, r
     depend on the rest of the batch: independent SI (one level, or rho = 0)
     sees the marginal, weighted by P(level); otherwise each SI level adds up
     its quadrature nodes one at a time in node order, whatever the chunking.
-    Chunks hold at most ``MOMENT_CHUNK // K`` (correlation, node) pairs.
+    Chunks hold at most ``MOMENT_CHUNK // K`` (correlation, node) pairs.  The
+    panels list each level's nodes together, so a level's nodes in a chunk
+    are added to its running sum in one reduction (:func:`_sum_in_order`).
     """
     edges = quantizer.edges()
     K = quantizer.size
@@ -280,26 +282,36 @@ def si_moment_stack(quantizer: ScalarQuantizer, si_quantizer: ScalarQuantizer, r
     chunk = max(1, MOMENT_CHUNK // max(K, 1))
     node_step = min(nodes.size, chunk)
     rho_step = max(1, chunk // nodes.size)
-    # Per node chunk, the nodes taken together in step j: the j-th node of
-    # every SI level present, so each level gets its nodes in order.
+    # Per node chunk, the run of nodes of each SI level present: (level, start, stop).
     steps = []
     for start in range(0, nodes.size, node_step):
         own = owner[start:start + node_step]
-        rank = np.arange(own.size) - np.searchsorted(own, own)
-        picks = [np.flatnonzero(rank == j) for j in range(rank.max() + 1)]
-        steps.append((slice(start, start + own.size), [(at, own[at]) for at in picks]))
+        levels, firsts = np.unique(own, return_index=True)
+        runs = list(zip(levels, firsts, [*firsts[1:], own.size]))
+        steps.append((slice(start, start + own.size), runs))
     for r0 in range(0, coupled.size, rho_step):
         rs = slice(r0, r0 + rho_step)
         acc = np.zeros((3, n_levels, mean_slope[rs].size, K))  # (moment, level, rho, cell)
-        for sl, picks in steps:
+        for sl, runs in steps:
             cond_means = nodes[sl, None] * mean_slope[None, rs]
             moments = gauss_interval_moments_batch(edges, cond_means, cond_sd[rs])
             for a, m in zip(acc, moments):
                 vals = m * wts[sl]
-                for at, levels in picks:
-                    a[levels] += vals[at]
+                for level, lo, hi in runs:
+                    a[level] = _sum_in_order(np.concatenate((a[level][None], vals[lo:hi])))
         out[:, coupled[rs]] = _clean_moments(*acc.transpose(0, 2, 3, 1))
     return out[0], out[1], out[2]
+
+
+def _sum_in_order(stack):
+    """stack[0] + stack[1] + ... along the first axis, added left to right.
+
+    numpy reduces an outer axis one slice at a time, but sums a contiguous
+    axis pairwise: when each slice is a single entry it accumulates instead.
+    """
+    if stack[0].size == 1:
+        return np.add.accumulate(stack, axis=0)[-1]
+    return np.add.reduce(stack, axis=0)
 
 
 def _clean_moments(s0, s1, s2):

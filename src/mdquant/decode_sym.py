@@ -16,13 +16,18 @@ source for every node and decodes the node at the ladder level of that pair's
 correlation.  Every estimate of the estimated-SI sweeps is an entry of a
 table built once per decoder (the no-SI estimate of a word row, or an
 asymmetric lookup entry), and so is its SI level, so a sweep is a few integer
-gathers over all nodes and trials of the block at once.  The symmetric
-experiment (``mdquant.simulator``) samples, transmits and selects the SI
-sources for it.
+gathers over all nodes and trials of the block at once.  The soft-SI sweeps
+run over the codec's used index tuples, those some quantizer cell maps to:
+every other tuple has zero prior, posterior and mixing entries.  Their row
+sums add the used entries in numpy's order over all tuples
+(:func:`_pairwise_plan`), so the estimates equal sweeps over every tuple.
+The symmetric experiment (``mdquant.simulator``) samples, transmits and
+selects the SI sources for it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +138,53 @@ def _row_product(a, b):
     return a @ b
 
 
+def _pairwise_plan(width: int, cols):
+    """numpy's pairwise sum of a ``width``-entry row, over the entries ``cols`` only.
+
+    numpy adds up a row in eight interleaved partial sums, and splits a row
+    of more than 128 entries in two.  The plan is the tree of additions it
+    makes when every other entry is zero, over positions in ``cols``: an
+    int leaf or a (left, right) pair (None: no nonzero entry).  It is None
+    when ``cols`` holds every entry, where ``np.sum`` itself applies.
+    """
+    if len(cols) == width:
+        return None
+    at = {int(c): i for i, c in enumerate(cols)}
+
+    def add(a, b):  # adding a zero changes nothing
+        return b if a is None else a if b is None else (a, b)
+
+    def in_order(items, res=None):
+        return functools.reduce(add, items, res)
+
+    def pairwise(lo, n):
+        if n < 8:
+            return in_order(at.get(c) for c in range(lo, lo + n))
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return add(pairwise(lo, half), pairwise(lo + half, n - half))
+        stop = lo + n - n % 8
+        r = [in_order(at.get(c) for c in range(lo + j, stop, 8)) for j in range(8)]
+        res = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+        return in_order((at.get(c) for c in range(stop, lo + n)), res)
+
+    return pairwise(0, width)
+
+
+def _row_sums(rows, plan, out):
+    """Row sums of the (trials, U) ``rows`` into ``out``, rounded as :func:`_pairwise_plan` says."""
+    if plan is None:
+        return np.sum(rows, axis=1, out=out)
+
+    def run(node):
+        if node is None:
+            return 0.0
+        return rows[:, node] if isinstance(node, int) else run(node[0]) + run(node[1])
+
+    out[...] = run(plan)
+    return out
+
+
 def _trial_groups(level_u) -> list:
     """One node's trials grouped by the ladder level of their SI source: (level, trial indices)."""
     return [(int(level), np.flatnonzero(level_u == level)) for level in np.unique(level_u)]
@@ -153,8 +205,10 @@ class _SymDecoder:
     estimate of every word row, which the first iteration gathers; for
     estimated-SI the asymmetric lookups of all ladder levels as one
     (levels, rows, SI levels) array, and the SI levels of every no-SI
-    estimate and lookup entry; for soft-SI the mixing matrices of one
-    cross-table stack at the ladder's correlations.
+    estimate and lookup entry; for soft-SI the used tuples ``used`` (U of
+    the L), the likelihood and no-SI posterior columns of these tuples, their
+    mixing matrices from one cross-table stack at the ladder's correlations,
+    and the order of their row sums.
     """
 
     def __init__(self, bundle: CodecBundle, mode: str, pairwise_rho):
@@ -163,7 +217,7 @@ class _SymDecoder:
         self.channels = tuple(bundle.channels)
         self.space = tuple_space(self.channels)
         stacked, self.offsets = stacked_pattern_table(self.channels)
-        self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L)
+        self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L); (N, U) in soft mode
         off = ~np.eye(pairwise_rho.shape[0], dtype=bool)
         self.level_matrix = np.zeros(pairwise_rho.shape, dtype=int)
         self.level_matrix[off] = quantize_rho(pairwise_rho[off], bundle.ladder)
@@ -179,16 +233,28 @@ class _SymDecoder:
             cells = bundle.si_quantizer.cells
             self.nosi_si, self.lookup_si = cells(self.nosi_est), cells(self.lookups)
         else:
+            # The tuples some cell maps to.  Any other tuple has zero prior,
+            # posterior and mixing rows and columns, so the soft tables keep
+            # these columns only (U of them).
+            self.used = np.flatnonzero(bundle.ia.table.any(axis=0))
+            self.word_lik = self.word_lik[:, self.used]
+            self.nosi_post = self.nosi_post[:, self.used]
+            # Row sums over these columns round as numpy's over all L.
+            self.sum_plan = _pairwise_plan(self.space.size, self.used)
             cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
-            # Per level, neighbor tuple posterior -> own prior (L, L), and ->
-            # [prior | first moment] (L, 2L) for the final reconstruction.
-            self.prior_mix = cross.mix_prob.transpose(0, 2, 1)
-            self.final_mix = np.concatenate(
-                [cross.mix_prob, cross.mix_first], axis=1
-            ).transpose(0, 2, 1)
+            used = (slice(None), self.used[:, None], self.used)
+            mix_prob, mix_first = (
+                np.ascontiguousarray(m[used]) for m in (cross.mix_prob, cross.mix_first)
+            )
+            # Per level, neighbor tuple posterior -> own prior (U, U), and ->
+            # [prior | first moment] (U, 2U) for the final reconstruction.
+            # F-ordered, as the transposes of C-ordered stacks, so every
+            # product rounds as one with a per-level matrix does.
+            self.prior_mix = mix_prob.transpose(0, 2, 1)
+            self.final_mix = np.concatenate([mix_prob, mix_first], axis=1).transpose(0, 2, 1)
 
     def lik_rows(self, rows_u):
-        """(trials, L) channel likelihood rows of one source's word rows."""
+        """Channel likelihood rows of one source's word rows: (trials, U) in soft mode."""
         return self.word_lik[rows_u]
 
     def no_si_pass(self, lik):
@@ -211,17 +277,21 @@ class _SymDecoder:
         at = base + y.ravel()[src]
         return self.lookups.ravel()[at], self.lookup_si.ravel()[at]
 
-    def soft_prior(self, posts_prev, groups_u, s_u, final=False):
-        """SI source posterior -> own prior per trial, (trials, L).
+    def soft_prior(self, posts_prev, groups_u, s_u, final=False, out=None):
+        """SI source posterior -> own prior per trial, (trials, U).
 
         ``groups_u`` are node u's trial groups (:func:`_trial_groups`) and
         ``s_u`` its SI source in each trial.  With ``final`` the rows are
-        [prior | first moment], (trials, 2L), from one product per group.
+        [prior | first moment], (trials, 2U), from one product per group.
+        The rows go to ``out`` if given.
         """
         mixes = self.final_mix if final else self.prior_mix
-        out = np.empty((posts_prev.shape[1], mixes.shape[2]))
+        _, trials, U = posts_prev.shape
+        flat = posts_prev.reshape(-1, U)  # row s * trials + t: source s in trial t
+        if out is None:
+            out = np.empty((trials, mixes.shape[2]))
         for level, idx in groups_u:
-            out[idx] = _row_product(posts_prev[s_u[idx], idx], mixes[level])
+            out[idx] = _row_product(np.take(flat, s_u[idx] * trials + idx, axis=0), mixes[level])
         return out
 
     def decode(self, words, pids, s_map):
@@ -232,9 +302,10 @@ class _SymDecoder:
         all of one block of trials.  Each node's word rows are found once;
         the estimated-SI sweeps then move flat positions into the decoder's
         tables for all nodes at once, and the soft-SI sweeps group each
-        node's trials by ladder level once.  The sweeps stop after
-        ``SYM_MAX_ITERS`` iterations, or once the largest change over the
-        block's trials falls below ``SYM_TOL``: of the estimates
+        node's trials by ladder level once and hold (nodes, trials, U)
+        posteriors.  The sweeps stop after ``SYM_MAX_ITERS`` iterations, or
+        once the largest change over the block's trials falls below
+        ``SYM_TOL``: of the estimates
         (estimated-SI), or of the posteriors (soft-SI, which reconstructs
         once, after its last sweep).  Each block of a run stops on its own
         change, so where one block converges before another the result can
@@ -266,6 +337,7 @@ class _SymDecoder:
         lik = [self.lik_rows(rows_u) for rows_u in rows]
         posts, ests = self.nosi_post[rows], self.nosi_est[rows]
         groups = [_trial_groups(self.level_matrix[u, s_map[:, u]]) for u in range(n_nodes)]
+        rowsum, change = np.empty(trials), np.empty(posts.shape[1:])
         # Two posterior buffers alternate: the sweep writes ``new`` from
         # ``posts`` into ``prev``'s buffer, which no sweep reads, and after
         # the last sweep ``prev`` holds the posteriors behind the final priors.
@@ -274,17 +346,23 @@ class _SymDecoder:
             new = np.empty_like(posts) if prev is posts else prev
             delta = 0.0
             for u in range(n_nodes):
-                p = np.multiply(lik[u], self.soft_prior(posts, groups[u], s_map[:, u]), out=new[u])
-                p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
-                delta = max(delta, float(np.max(np.abs(p - posts[u]))))
+                p = self.soft_prior(posts, groups[u], s_map[:, u], out=new[u])
+                p *= lik[u]
+                _row_sums(p, self.sum_plan, rowsum)
+                np.maximum(rowsum, 1e-300, out=rowsum)
+                p /= rowsum[:, None]
+                np.abs(np.subtract(p, posts[u], out=change), out=change)
+                delta = max(delta, float(change.max()))
             prev, posts = posts, new
             if delta < SYM_TOL:
                 break
         if prev is posts:
             return ests
-        L = self.space.size
+        del lik, change  # the reconstruction reads neither
+        U = self.used.size
         xhat = np.empty_like(ests)
         for u in range(n_nodes):
             den_num = self.soft_prior(prev, groups[u], s_map[:, u], final=True)
-            xhat[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
+            terms = posts[u] * masked_ratio(den_num[:, U:], den_num[:, :U])
+            _row_sums(terms, self.sum_plan, xhat[u])
         return xhat

@@ -59,8 +59,12 @@ class ScalarQuantizer:
 
 def quantizer_mse(q: ScalarQuantizer, source: GaussianSource) -> float:
     """Exact mean squared quantization error of q against the source density."""
-    p, m1, m2 = gauss_interval_moments_batch(q.edges(), source.mean, source.std)
-    return float(np.sum(m2 - 2.0 * q.codewords * m1 + q.codewords ** 2 * p))
+    return _mse(q.codewords, *gauss_interval_moments_batch(q.edges(), source.mean, source.std))
+
+
+def _mse(codewords, p, m1, m2) -> float:
+    """Mean squared error of ``codewords`` from the source's cell moments."""
+    return float(np.sum(m2 - 2.0 * codewords * m1 + codewords ** 2 * p))
 
 
 def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
@@ -82,12 +86,12 @@ def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
     for _ in range(LLOYD_MAX_ITERATIONS):
         thresholds = 0.5 * (codewords[:-1] + codewords[1:])
         edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
-        p, m1, _ = gauss_interval_moments_batch(edges, source.mean, source.std)
+        p, m1, m2 = gauss_interval_moments_batch(edges, source.mean, source.std)
         # Empty cells cannot occur for a Gaussian with distinct codewords,
         # but guard the division anyway.
         codewords = np.where(p > 0, m1 / np.maximum(p, 1e-300), codewords)
         q = ScalarQuantizer(codewords, thresholds, p / p.sum())
-        mse = quantizer_mse(q, source)
+        mse = _mse(codewords, p, m1, m2)  # q.edges() are these edges
         if mse > prev_mse + 1e-15:
             raise RuntimeError("Lloyd iteration increased the MSE")
         if prev_mse - mse < LLOYD_REL_TOL * max(mse, 1e-300):

@@ -67,6 +67,7 @@ from .codec import CodecBundle, _AsymLookup, si_moment_matrices
 from .decode_sym import _SymDecoder, cross_table_stack
 from . import forking
 from .gaussian import JointGaussianPair
+from .quantizer import ScalarQuantizer
 from .si_select import score_tables, select_min_distance
 from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindings)
     expected_partial_si_distortion,
@@ -301,7 +302,9 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
         errs = _run_asym_bsc(cfg, sets, x, z, lookups)
         if len(sets[0]) == 2:
             pair = JointGaussianPair(1.0, 1.0, cfg.rho_real)
-            moments = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair)
+            # A no-SI lookup reads no SI level: the marginal moments, of one SI level, suffice.
+            si_q = bundle.si_quantizer if cfg.use_si else ScalarQuantizer([0.0], [], [1.0])
+            moments = si_moment_matrices(bundle.quantizer, si_q, pair)
             exact = [{"d_side": (d10, d01), "d_central": d11} for _, d01, d10, d11 in (
                 lk.pattern_distortions(bundle.ia.table, *moments) for lk in lookups)]
 

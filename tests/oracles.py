@@ -4,8 +4,9 @@ Grids and grid densities (the marginal and conditional laws of a source
 given its SI included), SI-conditional cell probabilities, per-description
 likelihoods and per-symbol transmission, the per-symbol decoders (asymmetric
 MMSE, estimated-SI and soft-SI joint, partial-SI), the node-by-node
-estimated-SI sweeps of one block, the single-pass distortion, the unclamped
-annealing softmax, the per-loss-pattern design quantities, the SI selection
+estimated-SI sweeps of one block and its full-width soft-SI sweeps, the
+moment matrices summed one quadrature node at a time, the single-pass
+distortion, the unclamped annealing softmax, the per-loss-pattern design quantities, the SI selection
 scores of one pair of loss patterns, the whole-array AWGN decode of the
 asymmetric experiment, its BSC decode under forced loss patterns, the
 serial annealing restarts, the brute-force MMSE audit and the two rejected
@@ -33,9 +34,11 @@ from mdquant.channel import (
     loss_pattern_prob,
     loss_patterns,
     pattern_table,
+    stacked_pattern_table,
     tuple_space,
     word_rows,
 )
+from mdquant import codec
 from mdquant.codec import (
     PROB_FLOOR,
     CodecBundle,
@@ -46,7 +49,13 @@ from mdquant.codec import (
     masked_ratio,
     si_moment_matrices,
 )
-from mdquant.decode_sym import CrossSourceTables, build_cross_tables
+from mdquant.decode_sym import (
+    CrossSourceTables,
+    _row_product,
+    _trial_groups,
+    build_cross_tables,
+    cross_table_stack,
+)
 from mdquant.gaussian import GaussianSource, JointGaussianPair, gauss_interval_moments_batch
 from mdquant.quantizer import ScalarQuantizer
 from mdquant.rd_bound import BoundQuery, beta, side_bounds
@@ -561,6 +570,63 @@ def estimated_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.
     return ests
 
 
+def soft_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarray:
+    """(nodes, trials) soft-SI estimates of one block, over every index tuple.
+
+    The reference for the used-tuple sweeps of ``decode_sym._SymDecoder``
+    (``dec``), with its ``decode`` arguments.  It builds its tables over all
+    L tuples: the channel likelihood and no-SI posterior of every word row,
+    and one cross-table stack at the ladder's correlations.  Each sweep maps
+    every trial's SI source posterior through the mixing matrix of the pair's
+    ladder level to the node's prior, one product per (node, level) group,
+    and normalises prior times likelihood.  The sweeps stop after
+    ``max_iters`` iterations, or once the largest change of the posteriors
+    falls below ``tol``; the estimate is then the posterior mean of the
+    first moments that the final priors' neighbor posteriors give.
+    """
+    bundle, t = dec.bundle, dec.bundle.tables
+    trials, n_nodes = pids.shape
+    L = tuple_space(dec.channels).size
+    stacked, _ = stacked_pattern_table(dec.channels)
+    word_lik = np.ascontiguousarray(stacked.T)
+    cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in bundle.ladder.levels])
+    prior_mix = cross.mix_prob.transpose(0, 2, 1)
+    final_mix = np.concatenate([cross.mix_prob, cross.mix_first], axis=1).transpose(0, 2, 1)
+    rows = [word_rows(words[:, u], pids[:, u], dec.channels, dec.offsets) for u in range(n_nodes)]
+    lik = [word_lik[rows_u] for rows_u in rows]
+    posts, ests = np.empty((n_nodes, trials, L)), np.empty((n_nodes, trials))
+    for u in range(n_nodes):
+        post = lik[u] * t.prior_nosi[None, :]
+        posts[u] = masked_ratio(post, post.sum(axis=1, keepdims=True))
+        ests[u] = np.einsum("tl,l->t", posts[u], t.codebook_nosi)
+    groups = [_trial_groups(dec.level_matrix[u, s_map[:, u]]) for u in range(n_nodes)]
+
+    def priors(posts_prev, u, mixes):
+        s_u = s_map[:, u]
+        out = np.empty((trials, mixes.shape[2]))
+        for level, idx in groups[u]:
+            out[idx] = _row_product(posts_prev[s_u[idx], idx], mixes[level])
+        return out
+
+    prev = posts
+    for _ in range(max_iters - 1):
+        new = np.empty_like(posts)
+        delta = 0.0
+        for u in range(n_nodes):
+            p = np.multiply(lik[u], priors(posts, u, prior_mix), out=new[u])
+            p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+            delta = max(delta, float(np.max(np.abs(p - posts[u]))))
+        prev, posts = posts, new
+        if delta < tol:
+            break
+    if prev is posts:
+        return ests
+    for u in range(n_nodes):
+        den_num = priors(prev, u, final_mix)
+        ests[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
+    return ests
+
+
 # ---------------------------------------------------------------------------
 # Per-symbol partial-SI decoder
 # ---------------------------------------------------------------------------
@@ -687,6 +753,56 @@ def forced_pattern_errors(cfg, channels, patterns) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Decoder tables
 # ---------------------------------------------------------------------------
+
+
+def ranked_moment_stack(quantizer: ScalarQuantizer, si_quantizer: ScalarQuantizer, rhos):
+    """``codec.si_moment_stack``, with every node added to its SI level on its own.
+
+    The reference for the per-level reductions of the package: per node
+    chunk, step j adds the j-th node of every SI level present to that
+    level's running sum, one fancy-indexed addition per step.
+    """
+    edges = quantizer.edges()
+    K = quantizer.size
+    rhos = np.clip(np.asarray(rhos, dtype=float).reshape(-1), -codec.RHO_CAP, codec.RHO_CAP)
+    n_levels = si_quantizer.size
+    out = np.zeros((3, rhos.size, K, n_levels))
+    coupled = np.flatnonzero(rhos != 0.0) if n_levels > 1 else np.array([], dtype=int)
+    marginal = np.setdiff1d(np.arange(rhos.size), coupled)
+    if marginal.size:
+        w = si_quantizer.cell_probs[None, :]
+        for i, m in enumerate(gauss_interval_moments_batch(edges, 0.0, 1.0)):
+            out[i, marginal] = m[:, None] * w
+    if not coupled.size:
+        return out[0], out[1], out[2]
+
+    nodes, wts, owner = codec._si_panels(si_quantizer)
+    fy = np.exp(-0.5 * nodes ** 2) / np.sqrt(2 * np.pi)
+    wts = (wts * fy)[:, None, None]
+    cond_sd = np.array([np.sqrt(1.0 - r ** 2) for r in rhos[coupled]])
+    mean_slope = rhos[coupled]
+
+    chunk = max(1, codec.MOMENT_CHUNK // max(K, 1))
+    node_step = min(nodes.size, chunk)
+    rho_step = max(1, chunk // nodes.size)
+    steps = []
+    for start in range(0, nodes.size, node_step):
+        own = owner[start:start + node_step]
+        rank = np.arange(own.size) - np.searchsorted(own, own)
+        picks = [np.flatnonzero(rank == j) for j in range(rank.max() + 1)]
+        steps.append((slice(start, start + own.size), [(at, own[at]) for at in picks]))
+    for r0 in range(0, coupled.size, rho_step):
+        rs = slice(r0, r0 + rho_step)
+        acc = np.zeros((3, n_levels, mean_slope[rs].size, K))  # (moment, level, rho, cell)
+        for sl, picks in steps:
+            cond_means = nodes[sl, None] * mean_slope[None, rs]
+            moments = gauss_interval_moments_batch(edges, cond_means, cond_sd[rs])
+            for a, m in zip(acc, moments):
+                vals = m * wts[sl]
+                for at, levels in picks:
+                    a[levels] += vals[at]
+        out[:, coupled[rs]] = codec._clean_moments(*acc.transpose(0, 2, 3, 1))
+    return out[0], out[1], out[2]
 
 
 def pair_nosi_tables(quantizer: ScalarQuantizer, table: np.ndarray, sd_x: float = 1.0):

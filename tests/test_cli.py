@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import json
@@ -300,7 +301,7 @@ class TestEvaluate:
                      "--seed", "3", "-o", out)
         assert rc == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "p,d_side_db,d_central_db,d_av_db,stderr"
+        assert lines[0] == "nsi,d_side_db,d_central_db,d_av_db,stderr"
         rows = [line.split(",") for line in lines[1:]]
         d = [float(r[3]) for r in rows]
         sig = [float(r[4]) for r in rows]
@@ -308,6 +309,22 @@ class TestEvaluate:
         for i in range(len(d) - 1):
             slack_db = 3 * (sig[i] + sig[i + 1]) / (10 ** (d[i] / 10) * np.log(10) / 10)
             assert d[i + 1] <= d[i] + slack_db
+
+    @pytest.mark.parametrize("args, first", [
+        (["--nsi-sweep", "4,16"], "nsi"),
+        (["--bsc-sweep", "0.01"], "p"),
+        (["--awgn", "0.5"], "p"),
+        ([], "p"),
+    ], ids=["nsi_sweep", "bsc_sweep", "awgn", "codec_channels"])
+    def test_header_names_the_first_column(self, codec_file, tmp_path, args, first):
+        # The first column is the SI quantizer size of an SI size sweep, and
+        # the bit error rate or noise PSD of every other row.
+        out = tmp_path / "eval.csv"
+        assert run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", *args,
+                       "--trials", "100", "--seed", "1", "-o", out) == 0
+        with out.open(newline="") as f:
+            header = next(csv.reader(f))
+        assert header == [first, "d_side_db", "d_central_db", "d_av_db", "stderr"]
 
     def test_nsi_sweep_conflicts(self, codec_file):
         rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8",

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdquant import (
@@ -32,6 +32,7 @@ from oracles import (
     flatten_tuples,
     gibbs_update_unclamped,
     per_pattern_design,
+    ranked_moment_stack,
     si_cell_mass_given_x,
 )
 
@@ -176,6 +177,27 @@ class TestSiMomentStack:
             assert got[m].shape == (len(rhos), K, nsi)
             for r in range(len(rhos)):
                 assert got[m][r].tobytes() == expect[r][m].tobytes(), (m, rhos[r])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.sampled_from([1, 2, 3, 16]),
+        nsi=st.sampled_from([2, 3, 8, 64]),
+        rhos=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=4),
+        chunk=st.sampled_from([None, 16, 40, 300, 5_000]),
+    )
+    @example(K=1, nsi=8, rhos=[0.5], chunk=None)  # one cell, one correlation: single-entry slices
+    @example(K=1, nsi=8, rhos=[0.5, 0.7], chunk=40)  # chunks of 40 nodes split levels
+    @example(K=16, nsi=3, rhos=[0.9, -0.4], chunk=300)  # 18-node chunks, one correlation each
+    def test_equals_rank_by_rank_oracle(self, K, nsi, rhos, chunk):
+        # Each level's nodes in a chunk are one reduction; it must add them
+        # in the order of one addition per node, from the level's running sum.
+        q, si = _lloyd(K), _lloyd(nsi)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(codec, "MOMENT_CHUNK", chunk or codec.MOMENT_CHUNK)
+            got = si_moment_stack(q, si, rhos)
+            expect = ranked_moment_stack(q, si, rhos)
+        for g, e in zip(got, expect):
+            assert g.tobytes() == e.tobytes()
 
     def test_unit_correlation_is_capped(self, source, q4):
         # At |rho| = 1 the conditional sd is 0; the cap keeps every moment finite.

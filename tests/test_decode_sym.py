@@ -28,6 +28,7 @@ from oracles import (
     posterior,
     run_decoder,
     soft_si_posterior,
+    soft_sweeps,
     soft_si_reconstruct,
 )
 
@@ -392,6 +393,75 @@ class TestEstimatedGathers:
                                estimated_sweeps(dec, *args, decode_sym.SYM_MAX_ITERS, 0.0))
             for dec, args in blocks
         )
+
+
+@pytest.fixture(scope="module")
+def every_tuple_bundle(source, q4):
+    """The quantizers and channels of ``tiny_bundle``, with a tuple of its own for every cell."""
+    channels = (DescriptionChannel.bsc(0.1, 0.1, 2), DescriptionChannel.bsc(0.1, 0.1, 2))
+    return make_bundle(q4, lloyd_design(source, 8), np.eye(4), channels)
+
+
+class TestSoftSweeps:
+    """The used-tuple soft-SI sweeps against the full-width sweeps of the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        codec_name=st.sampled_from(["tiny_bundle", "ber0_bundle", "k16_bundle", "every_tuple_bundle"]),
+        nodes=st.integers(2, 6),
+        trials=st.integers(2, 40),  # a run of one trial has no standard error
+        block_trials=st.integers(1, 16),
+        method=st.sampled_from(SI_METHODS),
+        tol=st.sampled_from(["default", 0.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(codec_name="k16_bundle", nodes=6, trials=40, block_trials=16,
+             method="min_distortion", tol=0.0, seed=3)
+    @example(codec_name="every_tuple_bundle", nodes=6, trials=40, block_trials=1,
+             method="min_distortion", tol=0.0, seed=3)
+    def test_decode_equals_full_width_sweeps(
+        self, tiny_bundle, ber0_bundle, k16_bundle, every_tuple_bundle,
+        codec_name, nodes, trials, block_trials, method, tol, seed,
+    ):
+        bundle = {"tiny_bundle": tiny_bundle, "ber0_bundle": ber0_bundle,
+                  "k16_bundle": k16_bundle, "every_tuple_bundle": every_tuple_bundle}[codec_name]
+        scen = generate_scenario(nodes, bundle.channels, seed=seed)
+        cfg = SymConfig(scenario=scen, bundle=bundle, mode="soft", si_method=method,
+                        trials=trials, seed=seed)
+        tol = decode_sym.SYM_TOL if tol == "default" else tol
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(decode_sym, "SYM_TOL", tol)
+            for dec, args in decoded_blocks(cfg, block_trials):
+                got = dec.decode(*args)
+                expect = soft_sweeps(dec, *args, decode_sym.SYM_MAX_ITERS, tol)
+                if dec.used.size == dec.space.size:
+                    assert np.array_equal(got, expect)
+                else:
+                    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-15)
+
+    def test_codecs_leave_tuples_unused(self, tiny_bundle, ber0_bundle, k16_bundle,
+                                        every_tuple_bundle):
+        scen = generate_scenario(3, tiny_bundle.channels, seed=0)
+        used = [_SymDecoder(b, "soft", scen.pairwise_rho).used.size
+                for b in (tiny_bundle, ber0_bundle, k16_bundle, every_tuple_bundle)]
+        assert used == [3, 12, 12, 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 300), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @example(width=16, share=0.6, seed=0)
+    @example(width=200, share=0.5, seed=1)
+    def test_row_sums_round_as_the_full_row(self, width, share, seed):
+        # The used columns' sums equal numpy's over the whole row with zeros
+        # elsewhere, bit for bit: eight-lane rows, rows split in two, and
+        # rows shorter than eight.
+        rng = np.random.default_rng(seed)
+        cols = np.sort(rng.choice(width, size=max(1, round(share * width)), replace=False))
+        full = np.zeros((20, width))
+        full[:, cols] = rng.random((20, cols.size)) * 10.0 ** rng.uniform(-6, 6, (20, cols.size))
+        plan = decode_sym._pairwise_plan(width, cols)
+        assert (plan is None) == (cols.size == width)
+        got = decode_sym._row_sums(np.ascontiguousarray(full[:, cols]), plan, np.empty(20))
+        assert got.tobytes() == full.sum(axis=1).tobytes()
 
 
 class TestJointDecoderModule:

@@ -477,9 +477,13 @@ class TestSymDecoderTables:
         dec = self.decoder(bundle, "soft")
         assert not hasattr(dec, "lookups")
         assert dec.prior_mix.shape[0] == dec.final_mix.shape[0] == bundle.ladder.count
+        # The soft tables keep the tuples that some cell maps to.
+        used = np.flatnonzero(bundle.ia.table.sum(axis=0) > 0)
+        assert np.array_equal(dec.used, used)
         for level, cross in ladder_cross_tables(bundle, range(bundle.ladder.count)).items():
-            expect_prior = cross.mix_prob.T
-            expect_final = np.vstack([cross.mix_prob, cross.mix_first]).T
+            mix_prob, mix_first = (m[np.ix_(used, used)] for m in (cross.mix_prob, cross.mix_first))
+            expect_prior = mix_prob.T
+            expect_final = np.vstack([mix_prob, mix_first]).T
             for got, expect in ((dec.prior_mix[level], expect_prior),
                                 (dec.final_mix[level], expect_final)):
                 assert got.shape == expect.shape
@@ -633,6 +637,16 @@ SEEDED_FIELD_40 = {
 }
 
 
+# The same field decoded with soft SI (d_av, stderr), recorded with the
+# full-width soft sweeps that the used-tuple sweeps replaced.  This codec maps
+# a cell to every tuple, so the used-tuple sweeps round the same way.
+SEEDED_SOFT_FIELD_40 = {
+    "distance": (0.035250989608591084, 0.00111096190394215),
+    "mutual_info": (0.03360024568851782, 0.0010231537408623944),
+    "min_distortion": (0.03130853241953199, 0.0009295606110908455),
+}
+
+
 def loop_select(cfg, pids):
     """Per-candidate selection loop: the reference for the one-gather ``_select_maps``."""
     n = cfg.scenario.n_nodes
@@ -663,16 +677,24 @@ class TestSeededField:
         ))
         assert (res.d_av, res.stderr) == SEEDED_FIELD[mode, method]
 
-    @pytest.mark.parametrize("method", sorted(SEEDED_FIELD_40))
-    def test_pinned_40_node_estimated_field(self, k16_bundle, method):
-        scen = generate_scenario(40, k16_bundle.channels, seed=1)
-        block = simulator.BLOCK_ENTRIES // (40 * tuple_space(k16_bundle.channels).size)
+    @staticmethod
+    def field_40(bundle, mode, method):
+        """(d_av, stderr) of a 40-node field of 4,000 trials in three blocks."""
+        scen = generate_scenario(40, bundle.channels, seed=1)
+        block = simulator.BLOCK_ENTRIES // (40 * tuple_space(bundle.channels).size)
         assert -(-4_000 // block) == 3
         res = run_sym_experiment(SymConfig(
-            scenario=scen, bundle=k16_bundle, mode="estimated", si_method=method,
-            trials=4_000, seed=1,
+            scenario=scen, bundle=bundle, mode=mode, si_method=method, trials=4_000, seed=1,
         ))
-        assert (res.d_av, res.stderr) == SEEDED_FIELD_40[method]
+        return res.d_av, res.stderr
+
+    @pytest.mark.parametrize("method", sorted(SEEDED_FIELD_40))
+    def test_pinned_40_node_estimated_field(self, k16_bundle, method):
+        assert self.field_40(k16_bundle, "estimated", method) == SEEDED_FIELD_40[method]
+
+    @pytest.mark.parametrize("method", sorted(SEEDED_SOFT_FIELD_40))
+    def test_pinned_40_node_soft_field(self, k16_bundle, method):
+        assert self.field_40(k16_bundle, "soft", method) == SEEDED_SOFT_FIELD_40[method]
 
     @pytest.mark.parametrize("method", ["mutual_info", "min_distortion"])
     def test_select_maps_equal_candidate_loop(self, tiny_bundle, method):
