@@ -202,11 +202,14 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--rho-real must be finite and lie in (-1, 1)")
     sizes = None if args.nsi_sweep is None else _parse_nsi_sweep(args.nsi_sweep)
     bers = None if args.bsc_sweep is None else _parse_list("--bsc-sweep", args.bsc_sweep, float)
-    bundle = load_codec(args.codec)
     if sizes and (bers or args.awgn is not None):
         raise ValueError("--nsi-sweep cannot be combined with channel sweeps")
     if bers and args.awgn is not None:
         raise ValueError("--awgn cannot be combined with --bsc-sweep")
+    # Without SI, every SI quantizer size and decoder correlation gives the same rows.
+    if args.no_si and (sizes or args.rho_dec is not None):
+        raise ValueError("--no-si cannot be combined with --nsi-sweep or --rho-dec")
+    bundle = load_codec(args.codec)
     cfg = AsymConfig(
         bundle=bundle,
         rho_real=args.rho_real,

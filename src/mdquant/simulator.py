@@ -21,11 +21,13 @@ both summarise their per-trial errors with :func:`_result`.
 The asymmetric experiment takes a list of channel sets (the codec's own
 channels, or every row of a BSC sweep) and does the shared work once: one
 draw of the source and its SI, one pass of quantizer cells, tuple ids and SI
-levels, and one set of flip and loss uniforms (or AWGN noise) per
-description, to which every set applies its own rates.  It decodes in blocks
-of ``BLOCK_ENTRIES // L`` trials that continue the same generators, so the
-results equal one-call draws bit for bit and only the source and the
-per-trial error arrays grow with the trial count.
+levels, and one set of bit and loss uniforms per description, to which
+every set applies its own rates: a BSC flips the bits whose uniforms fall
+below its bit error rate, and an AWGN channel inverts them into its N(0, 1)
+noise (:func:`_awgn_noise`).  It decodes in blocks of ``BLOCK_ENTRIES // L``
+trials that continue the same generators, in one block loop for both channel
+kinds (:func:`_run_asym`), so the results equal one-call draws bit for bit
+and only the source and the per-trial error arrays grow with the trial count.
 
 The symmetric experiment draws the node sources whole, in one product, and
 then runs every per-trial step on one block of trials at a time: quantizer
@@ -43,11 +45,9 @@ The blocks of both experiments, and a field's scored correlations, are
 independent work items, run in forked workers, one per usable CPU with one
 BLAS thread each (:func:`mdquant.forking.fork_map`), after the sources, the
 lookups or decoder tables and the scores are made in this process.  A block
-positions its own generators at its first trial: the flip and loss
-generators by a count of draws (:func:`_channel_streams`), and the AWGN
-noise generators, whose normal draws spend a varying number of outputs, from
-a state that this process records at every block boundary
-(:func:`_noise_checkpoints`).  Each score depends only on its correlation.
+positions its own generators at its first trial by a count of draws
+(:func:`_channel_streams`): every draw, the AWGN noise included, is one
+uniform.  Each score depends only on its correlation.
 The blocks write their per-trial errors into one array in shared memory
 per run (:func:`mdquant.forking.shared_array`), and the means and standard
 errors are taken over that whole array, so the results equal a serial run bit
@@ -61,6 +61,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .channel import bpsk_symbols, derive_rng, pattern_ids, tuple_space, word_rows
 from .codec import CodecBundle, _AsymLookup, si_moment_matrices
@@ -190,22 +191,41 @@ def _bit_weights(bits: int) -> np.ndarray:
 
 
 def _channel_streams(channels, rng_tags, seed, lo: int = 0):
-    """(flips or noise, losses) generators of each description m, positioned at trial ``lo``.
+    """(bit, loss) generators of each description m, positioned at trial ``lo``.
 
     They derive from ``(seed, *rng_tags, 2m)`` and ``(seed, *rng_tags, 2m + 1)``.
-    :func:`_transmit_bsc` draws, per trial and description, ``bits`` flip
+    :func:`_channel_uniforms` draws, per trial and description, ``bits`` bit
     uniforms and one loss uniform, and PCG64 spends one 64-bit output on each
     double; advancing the generators by those counts equals drawing the
     trials before ``lo`` first.
     """
     streams = []
     for m, ch in enumerate(channels):
-        flip_rng = derive_rng(seed, *rng_tags, 2 * m)
+        bit_rng = derive_rng(seed, *rng_tags, 2 * m)
         loss_rng = derive_rng(seed, *rng_tags, 2 * m + 1)
-        flip_rng.bit_generator.advance(lo * ch.bits)
+        bit_rng.bit_generator.advance(lo * ch.bits)
         loss_rng.bit_generator.advance(lo)
-        streams.append((flip_rng, loss_rng))
+        streams.append((bit_rng, loss_rng))
     return streams
+
+
+def _channel_uniforms(channels, streams, n: int) -> list:
+    """(n, bits) bit and (n,) loss uniforms of each description, from its ``streams``."""
+    return [
+        (bit_rng.random((n, ch.bits)), loss_rng.random(n))
+        for ch, (bit_rng, loss_rng) in zip(channels, streams)
+    ]
+
+
+# Smallest nonzero draw of ``Generator.random`` (which returns k * 2^-53); a
+# uniform of 0 is raised to it before inversion, so the AWGN noise is finite
+# and symmetric: ndtri(2^-53) = -ndtri(1 - 2^-53) = -8.2095..., its two ends.
+NOISE_UNIFORM_FLOOR = 2.0**-53
+
+
+def _awgn_noise(bit_u) -> np.ndarray:
+    """N(0, 1) noise by inversion of the bit uniforms ``bit_u``, which it overwrites."""
+    return ndtri(np.maximum(bit_u, NOISE_UNIFORM_FLOOR, out=bit_u), out=bit_u)
 
 
 # Float64 entries that one per-block buffer may hold; each chunked loop divides
@@ -227,27 +247,24 @@ def _blocks(n: int, per_item: int, parts: int = 1):
 def _transmit_bsc(tuple_ids, sets, space, streams) -> list:
     """(trials, M) received words and loss flags of the sent tuples, per channel set.
 
-    The flip and loss uniforms are drawn once, at the first set's bit counts,
-    from ``streams``, the source's (flips, losses) generators of each
-    description (:func:`_channel_streams`), so different sources draw
-    disjoint streams and successive calls continue them.  Every set applies
-    its own rates to the same draws: a bit flips below its channel's bit
-    error rate, and a description arrives at or above its loss probability.
-    Words are sampled for every description; the loss flags say which ones
-    the decoder may look at.
+    The bit and loss uniforms are drawn once, at the first set's bit counts,
+    from ``streams``, the source's generators of each description
+    (:func:`_channel_uniforms`), so different sources draw disjoint streams
+    and successive calls continue them.  Every set applies its own rates to
+    the same draws: a bit flips below its channel's bit error rate, and a
+    description arrives at or above its loss probability.  Words are
+    sampled for every description; the loss flags say which ones the decoder
+    may look at.
     """
     n = tuple_ids.shape[0]
-    draws = [
-        (flip_rng.random((n, ch.bits)), loss_rng.random(n))
-        for ch, (flip_rng, loss_rng) in zip(sets[0], streams)
-    ]
+    draws = _channel_uniforms(sets[0], streams, n)
     indices = [space.component(m)[tuple_ids] for m in range(len(sets[0]))]
     out = []
     for chs in sets:
         words = np.empty((n, len(chs)), dtype=int)
         received = np.empty((n, len(chs)), dtype=bool)
-        for m, (ch, idx, (flip_u, loss_u)) in enumerate(zip(chs, indices, draws)):
-            words[:, m] = idx ^ ((flip_u < ch.bit_error_rate) @ _bit_weights(ch.bits))
+        for m, (ch, idx, (bit_u, loss_u)) in enumerate(zip(chs, indices, draws)):
+            words[:, m] = idx ^ ((bit_u < ch.bit_error_rate) @ _bit_weights(ch.bits))
             received[:, m] = loss_u >= ch.loss_prob
         out.append((words, received))
     return out
@@ -346,10 +363,7 @@ def _check_channel_sets(bundle: CodecBundle, sets) -> None:
 
 
 def _source_block(cfg: AsymConfig, x, z, blk):
-    """(x, tuple ids, SI levels) of the trials in ``blk``.
-
-    The SI y = rho x + sqrt(1 - rho^2) z is formed block by block.
-    """
+    """(x, tuple ids, SI levels) of the trials in ``blk``; SI y = rho x + sqrt(1 - rho^2) z."""
     bundle = cfg.bundle
     rho = cfg.rho_real
     xb = x[blk]
@@ -362,42 +376,37 @@ def _source_block(cfg: AsymConfig, x, z, blk):
     return xb, tuple_ids, si_levels
 
 
-def _run_asym_bsc(cfg: AsymConfig, sets, x, z, lookups) -> np.ndarray:
-    """BSC path: the (sets, trials) squared errors, through one lookup per set.
+def _run_asym(cfg: AsymConfig, sets, x, z, estimates) -> np.ndarray:
+    """The (sets, trials) squared errors, written block by block into one shared array.
 
-    Each block positions the flip and loss generators at its first trial and
-    writes its errors into one shared array.
+    ``estimates(tuple_ids, si_levels, streams)`` yields each set's estimates
+    of a block's trials from its channel generators, positioned at the
+    block's first trial (:func:`_channel_streams`).
     """
     n = x.size
-    space = tuple_space(sets[0])
     errs = forking.shared_array((len(sets), n))
 
     def decode(blk):
         xb, tuple_ids, si_levels = _source_block(cfg, x, z, blk)
         streams = _channel_streams(sets[0], (2,), cfg.seed, blk.start)
-        sent = _transmit_bsc(tuple_ids, sets, space, streams)
-        for chs, (words, received), lookup, err in zip(sets, sent, lookups, errs):
-            rows = word_rows(words, pattern_ids(received), chs, lookup.offsets)
-            err[blk] = (xb - lookup.table[rows, si_levels]) ** 2
+        for err, xhat in zip(errs, estimates(tuple_ids, si_levels, streams)):
+            err[blk] = (xb - xhat) ** 2
 
-    forking.fork_map(decode, _blocks(n, space.size), "asym")
+    forking.fork_map(decode, _blocks(n, tuple_space(sets[0]).size), "asym")
     return errs
 
 
-def _noise_checkpoints(channels, seed, blocks) -> list:
-    """Per block, the state of each description's noise generator at its first trial.
+def _run_asym_bsc(cfg: AsymConfig, sets, x, z, lookups) -> np.ndarray:
+    """BSC path: the (sets, trials) squared errors, through one lookup per set."""
+    space = tuple_space(sets[0])
 
-    A normal draw spends a varying number of generator outputs, so these
-    generators cannot be advanced by a count; one pass draws and discards
-    each block's noise in turn, holding one block's noise at a time.
-    """
-    rngs = [derive_rng(seed, 2, 2 * m) for m in range(len(channels))]
-    states = [[rng.bit_generator.state for rng in rngs]]
-    for blk in blocks[:-1]:
-        for ch, rng in zip(channels, rngs):
-            rng.standard_normal((blk.stop - blk.start, ch.bits))
-        states.append([rng.bit_generator.state for rng in rngs])
-    return states
+    def estimates(tuple_ids, si_levels, streams):
+        sent = _transmit_bsc(tuple_ids, sets, space, streams)
+        for chs, (words, received), lookup in zip(sets, sent, lookups):
+            rows = word_rows(words, pattern_ids(received), chs, lookup.offsets)
+            yield lookup.table[rows, si_levels]
+
+    return _run_asym(cfg, sets, x, z, estimates)
 
 
 def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> np.ndarray:
@@ -405,14 +414,10 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> np.ndarray:
 
     Returns the (sets, trials) squared errors.  The log-prior is taken
     once per (SI level, tuple) table and gathered per trial; the noise of
-    each description is drawn once per block as N(0, 1) and scaled by each
-    set's sqrt(N0 / 2), which equals drawing N(0, N0 / 2) from the stream.
-    Each block restores the noise generators from its checkpoint
-    (:func:`_noise_checkpoints`), advances the loss generators to its first
-    trial and writes its errors into shared arrays.
+    each description is N(0, 1), inverted from its bit uniforms
+    (:func:`_awgn_noise`), and scaled by each set's sqrt(N0 / 2).
     """
     t = cfg.bundle.tables
-    n = x.size
     channels = sets[0]
     space = tuple_space(channels)
     comps = [space.component(m) for m in range(len(channels))]
@@ -423,24 +428,16 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> np.ndarray:
         prior, codebook = t.prior[level], t.codebook[level]
     with np.errstate(divide="ignore"):
         log_prior = np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
-    blocks = list(_blocks(n, space.size))
-    checkpoints = _noise_checkpoints(channels, cfg.seed, blocks)
-    errs = forking.shared_array((len(sets), n))
 
-    def decode(item):
-        blk, states = item
-        xb, tuple_ids, si_levels = _source_block(cfg, x, z, blk)
-        streams = _channel_streams(channels, (2,), cfg.seed, blk.start)
-        for (noise_rng, _), state in zip(streams, states):
-            noise_rng.bit_generator.state = state
+    def estimates(tuple_ids, si_levels, streams):
         draws = [
-            (noise_rng.standard_normal((xb.size, ch.bits)), loss_rng.random(xb.size))
-            for ch, (noise_rng, loss_rng) in zip(channels, streams)
+            (_awgn_noise(bit_u), loss_u)
+            for bit_u, loss_u in _channel_uniforms(channels, streams, tuple_ids.size)
         ]
         log_prior_b = np.take(log_prior, si_levels, axis=0)
         codebook_b = np.take(codebook, si_levels, axis=0)
-        for chs, err in zip(sets, errs):
-            post = np.zeros((xb.size, space.size))
+        for chs in sets:
+            post = np.zeros((tuple_ids.size, space.size))
             for ch, comp, sym, (noise, loss_u) in zip(chs, comps, syms, draws):
                 out = sym[comp[tuple_ids]] + np.sqrt(ch.noise_psd / 2.0) * noise
                 # Up to per-trial constants: log lik = 2 <out, s_i> / N0.
@@ -452,10 +449,9 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> np.ndarray:
             np.exp(post, out=post)
             post /= post.sum(axis=1, keepdims=True)
             post *= codebook_b
-            err[blk] = (xb - post.sum(axis=1)) ** 2
+            yield post.sum(axis=1)
 
-    forking.fork_map(decode, zip(blocks, checkpoints), "asym")
-    return errs
+    return _run_asym(cfg, sets, x, z, estimates)
 
 
 # ---------------------------------------------------------------------------

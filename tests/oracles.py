@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from scipy.special import ndtri
 
 from mdquant.channel import (
     DescriptionChannel,
@@ -674,9 +675,11 @@ def partial_si_reconstruct(
 def asym_awgn_errors(bundle: CodecBundle, channels, x, tuple_ids, si_levels, level, seed):
     """Squared errors of the AWGN decode over all trials at once.
 
-    Draws the loss flags and N(0, N0 / 2) noise of description m in one call
-    each from the ``(seed, 2, 2m + 1)`` and ``(seed, 2, 2m)`` streams, and
-    keeps every (trials, tuples) array whole; the reference for the blocked
+    Draws the loss flags and the bit uniforms of description m in one call
+    each from the ``(seed, 2, 2m + 1)`` and ``(seed, 2, 2m)`` streams, takes
+    the N(0, N0 / 2) noise as sqrt(N0 / 2) ndtri(u) of each uniform u, raised
+    to at least 2^-53 (the smallest nonzero draw), and keeps every
+    (trials, tuples) array whole; the reference for the blocked
     ``simulator._run_asym_awgn``.
     """
     t = bundle.tables
@@ -696,7 +699,8 @@ def asym_awgn_errors(bundle: CodecBundle, channels, x, tuple_ids, si_levels, lev
         received = loss_rng.random(n) >= ch.loss_prob
         sym = bpsk_symbols(ch.bits)[: ch.index_count]
         sent = sym[idx]
-        out = sent + noise_rng.normal(0.0, np.sqrt(ch.noise_psd / 2.0), sent.shape)
+        noise = ndtri(np.maximum(noise_rng.random(sent.shape), 2.0**-53))
+        out = sent + np.sqrt(ch.noise_psd / 2.0) * noise
         ll = 2.0 * (out @ sym.T) / ch.noise_psd
         ll[~received] = 0.0
         loglik += ll[:, space.component(m)]

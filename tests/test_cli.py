@@ -332,6 +332,25 @@ class TestEvaluate:
                      "--trials", "100", "--seed", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [["--nsi-sweep", "16,64"], ["--rho-dec", "0.2"]],
+                             ids=["nsi_sweep", "rho_dec"])
+    def test_no_si_with_an_si_flag_exits_2_before_the_codec_loads(
+        self, codec_file, tmp_path, monkeypatch, capsys, flags
+    ):
+        # Without SI, the flag could only write identical rows or be dropped.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the codec loaded before the flags were checked")
+
+        monkeypatch.setattr("mdquant.cli.load_codec", must_not_run)
+        monkeypatch.setattr("mdquant.cli.run_asym_experiment", must_not_run)
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", *flags, "--no-si",
+                     "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_awgn_with_bsc_sweep_exits_2_before_any_draw(
         self, codec_file, tmp_path, monkeypatch, capsys
     ):
@@ -448,12 +467,12 @@ PINNED_EVALUATE = {
     "awgn": (
         ["--rho-real", "0.8", "--awgn", "0.5"],
         "p,d_side_db,d_central_db,d_av_db,stderr\n"
-        "0.5,,,-13.497449,0.0018287171372466347\n",
+        "0.5,,,-13.627668,0.001690330939581159\n",
     ),
     "awgn_no_si": (
         ["--rho-real", "0.8", "--awgn", "0.5", "--no-si"],
         "p,d_side_db,d_central_db,d_av_db,stderr\n"
-        "0.5,,,-3.168263,0.013012795566102357\n",
+        "0.5,,,-3.127953,0.013119926019259166\n",
     ),
 }
 
@@ -470,6 +489,13 @@ FORCED_PATTERN_CELLS = {
     "codec_channels": ({"rho_real": 0.7, "rho_dec": 0.9}, (None,), [
         ("-5.545098", "-11.448667"),
     ]),
+}
+
+# The d_av_db and stderr cells of the pinned AWGN rows when their noise came
+# from ``Generator.standard_normal``, before it was inverted from uniforms.
+NORMAL_DRAW_AWGN_CELLS = {
+    "awgn": ("-13.497449", "0.0018287171372466347"),
+    "awgn_no_si": ("-3.168263", "0.013012795566102357"),
 }
 
 
@@ -502,6 +528,14 @@ class TestPinnedEvaluate:
             new = [10 ** (float(cell) / 10) for cell in row.split(",")[1:3]]
             for errs, mean, exact in zip(((d10 + d01) / 2, d11), (side, central), new):
                 assert abs(mean - exact) < 5 * errs.std(ddof=1) / np.sqrt(errs.size), row
+
+    @pytest.mark.parametrize("case", sorted(NORMAL_DRAW_AWGN_CELLS))
+    def test_awgn_cells_lie_within_5_stderr_of_the_normal_draw_cells(self, case):
+        old_db, old_stderr = map(float, NORMAL_DRAW_AWGN_CELLS[case])
+        [row] = PINNED_EVALUATE[case][1].splitlines()[1:]
+        new_db, new_stderr = map(float, row.split(",")[3:])
+        combined = np.hypot(old_stderr, new_stderr)
+        assert abs(10 ** (old_db / 10) - 10 ** (new_db / 10)) < 5 * combined
 
 
 class TestScenario:

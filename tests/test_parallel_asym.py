@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from mdquant import DescriptionChannel, JointGaussianPair, forking, simulator
-from mdquant.channel import derive_rng, tuple_space
+from mdquant.channel import tuple_space
 from mdquant.cli import main as cli_main
 from mdquant.codec import _AsymLookup, si_moment_matrices
 from mdquant.persist import save_codec
-from mdquant.simulator import AsymConfig, run_asym_experiment, _noise_checkpoints
+from mdquant.simulator import AsymConfig, run_asym_experiment
 
 from conftest import child_pids, needs_workers
 
@@ -92,23 +92,6 @@ class TestSameResultsAsSerial:
             lookup = _AsymLookup(tiny_bundle, chs, level)
             _, d01, d10, d11 = lookup.pattern_distortions(tiny_bundle.ia.table, *moments)
             assert (res.d_side, res.d_central) == ((d10, d01), d11)
-
-
-class TestNoiseCheckpoints:
-    def test_restored_stream_equals_the_continued_stream(self):
-        blocks = [slice(0, 30), slice(30, 31), slice(31, 57), slice(57, 100)]
-        channels = (DescriptionChannel.awgn(0.5, 0.1, 8), DescriptionChannel.awgn(0.5, 0.1, 4))
-        checkpoints = _noise_checkpoints(channels, 7, blocks)
-        assert len(checkpoints) == len(blocks)
-        continued = [derive_rng(7, 2, 2 * m) for m in range(len(channels))]
-        for blk, states in zip(blocks, checkpoints):
-            for ch, rng, state in zip(channels, continued, states):
-                restored = derive_rng(7, 2, 0)
-                restored.bit_generator.state = state
-                shape = (blk.stop - blk.start, ch.bits)
-                assert restored.standard_normal(shape).tobytes() == (
-                    rng.standard_normal(shape).tobytes()
-                ), blk
 
 
 @needs_workers

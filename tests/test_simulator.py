@@ -28,6 +28,7 @@ from mdquant.simulator import (
     run_asym_experiment,
     run_sym_experiment,
     sample_correlated_sources,
+    _awgn_noise,
     _channel_streams,
     _run_asym_awgn,
     _select_maps,
@@ -358,6 +359,38 @@ class TestSharedDraws:
         res = run_asym_experiment(cfg, [awgn])[0]
         assert res.d_av == float(expect.mean())
         assert res.stderr == float(expect.std(ddof=1) / np.sqrt(trials))
+
+
+# Bit uniforms at the ends of ``Generator.random``'s range: 0, the smallest
+# nonzero draw 2^-53 and the largest draw 1 - 2^-53.
+EDGE_UNIFORMS = (0.0, 2.0**-53, 1.0 - 2.0**-53)
+
+
+class TestAwgnNoiseFloor:
+    def test_edge_uniforms_give_finite_symmetric_noise(self):
+        assert simulator.NOISE_UNIFORM_FLOOR == EDGE_UNIFORMS[1]
+        with np.errstate(all="raise"):
+            zero, smallest, largest = _awgn_noise(np.array(EDGE_UNIFORMS))
+        assert np.all(np.isfinite((zero, smallest, largest)))
+        assert zero == smallest == -largest
+        assert round(largest, 4) == 8.2095
+
+    def test_edge_uniforms_decode_to_finite_errors(self, designed_bundle, monkeypatch, one_worker):
+        # Every bit uniform of the run is set to one of the three edges.
+        uniforms = simulator._channel_uniforms
+
+        def edges(channels, streams, n):
+            draws = uniforms(channels, streams, n)
+            for bit_u, _ in draws:
+                bit_u.flat[:] = np.resize(EDGE_UNIFORMS, bit_u.size)
+            return draws
+
+        monkeypatch.setattr(simulator, "_channel_uniforms", edges)
+        awgn = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
+        cfg = AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=300, seed=3)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            [res] = run_asym_experiment(cfg, [awgn])
+        assert np.isfinite(res.d_av) and np.isfinite(res.stderr)
 
 
 def traced_peak(fn) -> int:
