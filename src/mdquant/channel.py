@@ -203,17 +203,19 @@ def stacked_pattern_table(channels):
 
 
 def word_rows(words: np.ndarray, pids: np.ndarray, channels, offsets) -> np.ndarray:
-    """Row of each trial's received word in the transpose of a stacked pattern table.
+    """Row of each received word in the transpose of a stacked pattern table.
 
+    ``words`` holds the M description words along its last axis, and
+    ``pids`` the loss pattern ids in the shape of the rows returned.
     Loss pattern p owns rows ``offsets[p]:offsets[p + 1]``, its columns in
     :func:`stacked_pattern_table`; within them the words of the pattern's
     received descriptions combine row-major.
     """
     M = len(channels)
-    key = np.zeros(words.shape[0], dtype=int)
+    key = np.zeros(pids.shape, dtype=int)
     for m, ch in enumerate(channels):
         got = (pids & (1 << (M - 1 - m))).astype(bool)
         np.multiply(key, ch.received_alphabet, out=key, where=got)
-        np.add(key, words[:, m], out=key, where=got)
+        np.add(key, words[..., m], out=key, where=got)
     key += offsets[pids]
     return key

@@ -10,6 +10,7 @@ seed (wall-clock timing goes to stderr, never into result files).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import replace
@@ -196,8 +197,7 @@ def _evaluate_row(label, res) -> str:
 
 def cmd_evaluate(args) -> int:
     _check_trials(args.trials)
-    # The decoder's correlation is checked where it is quantized; the SI draw
-    # y = rho x + sqrt(1 - rho^2) z needs |rho_real| < 1 whatever rho_dec is.
+    # The SI draw y = rho x + sqrt(1 - rho^2) z needs |rho_real| < 1 whatever rho_dec is.
     if not -1.0 < args.rho_real < 1.0:
         raise ValueError("--rho-real must be finite and lie in (-1, 1)")
     sizes = None if args.nsi_sweep is None else _parse_nsi_sweep(args.nsi_sweep)
@@ -209,6 +209,11 @@ def cmd_evaluate(args) -> int:
     # Without SI, every SI quantizer size and decoder correlation gives the same rows.
     if args.no_si and (sizes or args.rho_dec is not None):
         raise ValueError("--no-si cannot be combined with --nsi-sweep or --rho-dec")
+    # The decoder reads its tables at --rho-dec, or at --rho-real without it.
+    rho_dec = args.rho_real if args.rho_dec is None else args.rho_dec
+    if not (args.no_si or 0.0 <= rho_dec <= 1.0):  # NaN fails both comparisons
+        flag = "--rho-real" if args.rho_dec is None else "--rho-dec"
+        raise ValueError(f"{flag} must lie in [0, 1] for the decoder's side information")
     bundle = load_codec(args.codec)
     cfg = AsymConfig(
         bundle=bundle,
@@ -261,20 +266,26 @@ def _parse_nsi_sweep(text: str) -> list[int]:
 
 
 def _load_scenario_file(path, channels):
-    import json
-
+    """The field of a scenario file, whose entries must have their JSON types: none is coerced."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        positions = np.array(data["positions"], dtype=float)
-        alpha = float(data.get("alpha", 2.0))
-        seed = int(data.get("seed", 0))
+        positions, alpha, seed = data["positions"], data.get("alpha", 2.0), data.get("seed", 0)
     except Exception as exc:
         raise ValueError(f"unreadable scenario file: {exc}") from exc
-    if positions.ndim != 2 or positions.shape[0] < 2:
-        raise ValueError("scenario file needs at least two node positions")
-    return generate_scenario(
-        positions.shape[0], channels, alpha=alpha, seed=seed, positions=positions
-    )
+    # type() and not isinstance(): a JSON true is a bool, which Python counts as an int.
+    if type(positions) is not list or len(positions) < 2 or any(
+        type(p) is not list or len(p) != 2 or {type(v) for v in p} - {int, float} for p in positions
+    ):
+        raise ValueError("scenario file positions must be at least two [x, y] pairs of numbers")
+    if type(alpha) not in (int, float):
+        raise ValueError(f"scenario file alpha must be a number, got {alpha!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"scenario file seed must be a non-negative integer, got {seed!r}")
+    try:  # a JSON integer beyond the float range overflows
+        positions, alpha = np.array(positions, dtype=float), float(alpha)
+    except OverflowError as exc:
+        raise ValueError("scenario file numbers must be finite") from exc
+    return generate_scenario(len(positions), channels, alpha=alpha, seed=seed, positions=positions)
 
 
 # Defaults of the ``scenario`` flags that a codec file or a scenario file
@@ -317,18 +328,9 @@ def cmd_scenario(args) -> int:
             raise ValueError("need --nodes >= 2 or a scenario file")
         scenario = generate_scenario(args.nodes, channels, alpha=args.alpha, seed=args.seed)
     if args.save_scenario:
-        import json
-
-        Path(args.save_scenario).write_text(
-            json.dumps(
-                {
-                    "positions": scenario.positions.tolist(),
-                    "alpha": scenario.alpha,
-                    "seed": scenario.seed,
-                }
-            ),
-            encoding="utf-8",
-        )
+        field = {"positions": scenario.positions.tolist(), "alpha": scenario.alpha,
+                 "seed": scenario.seed}
+        Path(args.save_scenario).write_text(json.dumps(field), encoding="utf-8")
     if bundle is None:
         # Shared codec designed at the median nearest-neighbor correlation,
         # capped: encoders designed for very strong SI bin so aggressively

@@ -299,13 +299,13 @@ class _SymDecoder:
 
         ``words`` is (trials, nodes, M), ``pids`` the (trials, nodes) loss
         pattern ids and ``s_map`` the (trials, nodes) SI source of each node,
-        all of one block of trials.  Each node's word rows are found once;
-        the estimated-SI sweeps then move flat positions into the decoder's
-        tables for all nodes at once, and the soft-SI sweeps group each
-        node's trials by ladder level once and hold (nodes, trials, U)
-        posteriors.  The sweeps stop after ``SYM_MAX_ITERS`` iterations, or
-        once the largest change over the block's trials falls below
-        ``SYM_TOL``: of the estimates
+        all of one block of trials.  The word rows of every node and trial
+        are found in one call; the estimated-SI sweeps then move flat
+        positions into the decoder's tables for all nodes at once, and the
+        soft-SI sweeps group each node's trials by ladder level once and hold
+        (nodes, trials, U) posteriors.  The sweeps stop after
+        ``SYM_MAX_ITERS`` iterations, or once the largest change over the
+        block's trials falls below ``SYM_TOL``: of the estimates
         (estimated-SI), or of the posteriors (soft-SI, which reconstructs
         once, after its last sweep).  Each block of a run stops on its own
         change, so where one block converges before another the result can
@@ -314,9 +314,7 @@ class _SymDecoder:
         block size.  Both are read at call time.
         """
         trials, n_nodes = pids.shape
-        rows = np.stack(
-            [word_rows(words[:, u], pids[:, u], self.channels, self.offsets) for u in range(n_nodes)]
-        )
+        rows = word_rows(words, pids, self.channels, self.offsets).T
         if self.mode == "estimated":
             # Flat positions of each (node, trial): its lookup row at SI level 0
             # (at the ladder level of its SI pair), and its SI source's entry.

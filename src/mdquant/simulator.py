@@ -32,9 +32,12 @@ and only the source and the per-trial error arrays grow with the trial count.
 The symmetric experiment draws the node sources whole, in one product, and
 then runs every per-trial step on one block of trials at a time: quantizer
 cells, transmission, loss patterns, SI maps, the joint decode and the
-squared errors.  A block holds ``BLOCK_ENTRIES // (nodes * L)`` trials (at
-least one), so the decoder's posterior buffers stay bounded and only the
-sources and the per-trial errors grow with the trial count.  The
+squared errors.  Its channel uses come from one set of generators per
+description, one use per (trial, node) in row-major order, so a block
+transmits all its nodes in one call.  A block holds
+``BLOCK_ENTRIES // (nodes * L)`` trials (at least one), so the decoder's
+posterior buffers stay bounded and only the sources and the per-trial
+errors grow with the trial count.  The
 SI selection scores every distinct pair correlation of the field once per
 run, from one moment quadrature per block of correlations; each block of
 trials picks every source's SI source per trial with a single gather and
@@ -45,8 +48,8 @@ The blocks of both experiments, and a field's scored correlations, are
 independent work items, run in forked workers, one per usable CPU with one
 BLAS thread each (:func:`mdquant.forking.fork_map`), after the sources, the
 lookups or decoder tables and the scores are made in this process.  A block
-positions its own generators at its first trial by a count of draws
-(:func:`_channel_streams`): every draw, the AWGN noise included, is one
+positions its experiment's generators at its first channel use by a count of
+draws (:func:`_channel_streams`): every draw, the AWGN noise included, is one
 uniform.  Each score depends only on its correlation.
 The blocks write their per-trial errors into one array in shared memory
 per run (:func:`mdquant.forking.shared_array`), and the means and standard
@@ -190,19 +193,19 @@ def _bit_weights(bits: int) -> np.ndarray:
     return 1 << np.arange(bits - 1, -1, -1)
 
 
-def _channel_streams(channels, rng_tags, seed, lo: int = 0):
-    """(bit, loss) generators of each description m, positioned at trial ``lo``.
+def _channel_streams(channels, tag: int, seed, lo: int = 0):
+    """(bit, loss) generators of each description m, positioned at channel use ``lo``.
 
-    They derive from ``(seed, *rng_tags, 2m)`` and ``(seed, *rng_tags, 2m + 1)``.
-    :func:`_channel_uniforms` draws, per trial and description, ``bits`` bit
-    uniforms and one loss uniform, and PCG64 spends one 64-bit output on each
-    double; advancing the generators by those counts equals drawing the
-    trials before ``lo`` first.
+    They derive from ``(seed, tag, 2m)`` and ``(seed, tag, 2m + 1)``.
+    :func:`_channel_uniforms` draws, per channel use and description, ``bits``
+    bit uniforms and one loss uniform, and PCG64 spends one 64-bit output on
+    each double; advancing the generators by those counts equals drawing the
+    channel uses before ``lo`` first.
     """
     streams = []
     for m, ch in enumerate(channels):
-        bit_rng = derive_rng(seed, *rng_tags, 2 * m)
-        loss_rng = derive_rng(seed, *rng_tags, 2 * m + 1)
+        bit_rng = derive_rng(seed, tag, 2 * m)
+        loss_rng = derive_rng(seed, tag, 2 * m + 1)
         bit_rng.bit_generator.advance(lo * ch.bits)
         loss_rng.bit_generator.advance(lo)
         streams.append((bit_rng, loss_rng))
@@ -245,13 +248,13 @@ def _blocks(n: int, per_item: int, parts: int = 1):
 
 
 def _transmit_bsc(tuple_ids, sets, space, streams) -> list:
-    """(trials, M) received words and loss flags of the sent tuples, per channel set.
+    """(uses, M) received words and loss flags of the sent tuples, per channel set.
 
     The bit and loss uniforms are drawn once, at the first set's bit counts,
-    from ``streams``, the source's generators of each description
-    (:func:`_channel_uniforms`), so different sources draw disjoint streams
-    and successive calls continue them.  Every set applies its own rates to
-    the same draws: a bit flips below its channel's bit error rate, and a
+    from ``streams``, the generators of each description
+    (:func:`_channel_uniforms`), one channel use after another, so
+    successive calls continue them.  Every set applies its own rates to the
+    same draws: a bit flips below its channel's bit error rate, and a
     description arrives at or above its loss probability.  Words are
     sampled for every description; the loss flags say which ones the decoder
     may look at.
@@ -388,7 +391,7 @@ def _run_asym(cfg: AsymConfig, sets, x, z, estimates) -> np.ndarray:
 
     def decode(blk):
         xb, tuple_ids, si_levels = _source_block(cfg, x, z, blk)
-        streams = _channel_streams(sets[0], (2,), cfg.seed, blk.start)
+        streams = _channel_streams(sets[0], 2, cfg.seed, blk.start)
         for err, xhat in zip(errs, estimates(tuple_ids, si_levels, streams)):
             err[blk] = (xb - xhat) ** 2
 
@@ -554,20 +557,17 @@ def _select_maps(cfg: SymConfig, pids, scores) -> np.ndarray:
 def _block_errors(cfg: SymConfig, dec: _SymDecoder, xb, streams, scores) -> np.ndarray:
     """Per-trial squared error, averaged over nodes, of one block of sources.
 
-    ``xb`` is the block's (trials, nodes) source draws and ``streams[u]``
-    node u's channel generators, positioned at the block's first trial.
+    ``xb`` is the block's (trials, nodes) source draws and ``streams`` the
+    field's channel generators, positioned at the block's first channel use:
+    the field transmits its (trial, node) tuples in row-major order.
     Every per-trial array of the block dies on return.
     """
     bundle = dec.bundle
     n_nodes = xb.shape[1]
     tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(xb)]
-    words = np.empty((xb.shape[0], n_nodes, len(dec.channels)), dtype=int)
-    received = np.empty(words.shape, dtype=bool)
-    for u in range(n_nodes):
-        [(words[:, u], received[:, u])] = _transmit_bsc(
-            tuple_ids[:, u], [dec.channels], dec.space, streams[u]
-        )
-    pids = pattern_ids(received)  # (trials, nodes)
+    [(words, received)] = _transmit_bsc(tuple_ids.ravel(), [dec.channels], dec.space, streams)
+    words = words.reshape(*xb.shape, -1)
+    pids = pattern_ids(received).reshape(xb.shape)
     xhat = dec.decode(words, pids, _select_maps(cfg, pids, scores))
     # Summed node by node, as numpy sums the rows of a many-trial block; a
     # one-trial block would otherwise take numpy's pairwise sum.
@@ -592,10 +592,7 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     per_trial = forking.shared_array(cfg.trials)
 
     def errors(blk):
-        streams = [
-            _channel_streams(dec.channels, (4, u), cfg.seed, blk.start)
-            for u in range(n_nodes)
-        ]
+        streams = _channel_streams(dec.channels, 4, cfg.seed, blk.start * n_nodes)
         per_trial[blk] = _block_errors(cfg, dec, x[blk], streams, scores)
 
     forking.fork_map(errors, _blocks(cfg.trials, n_nodes * dec.space.size), "field")

@@ -283,6 +283,35 @@ class TestEvaluate:
         assert rc == 0
         assert "nan" not in out.read_text()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--rho-dec=-0.3"], "--rho-dec"),
+        (["--rho-dec", "nan"], "--rho-dec"),
+        (["--rho-real=-0.5"], "--rho-real"),
+        (["--rho-real=-0.5", "--nsi-sweep", "16,64"], "--rho-real"),
+    ], ids=["negative_rho_dec", "nan_rho_dec", "negative_rho_real", "negative_rho_real_nsi"])
+    def test_bad_decoder_correlation_exits_2_before_the_codec_loads(
+        self, codec_file, tmp_path, monkeypatch, capsys, flags, named
+    ):
+        # The decoder reads its tables at --rho-dec, or at --rho-real without it.
+        monkeypatch.setattr("mdquant.cli.load_codec", must_not_run)
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "0.8", *flags,
+                     "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must lie in [0, 1]"), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_negative_real_correlation_without_si_runs(self, codec_file, tmp_path):
+        # Without SI the decoder reads no correlation.
+        out = tmp_path / "eval.csv"
+        rc = run_cli("evaluate", "--codec", codec_file, "--rho-real", "-0.5", "--no-si",
+                     "--trials", "100", "--seed", "1", "-o", out)
+        assert rc == 0
+        assert "nan" not in out.read_text()
+
     def test_codec_without_tables_exits_2(self, codec_file, tmp_path, capsys):
         data = json.loads(codec_file.read_text())
         del data["tables"]
@@ -613,6 +642,34 @@ class TestScenario:
                      "--trials", "100", "--seed", "1")
         assert rc == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, message", [
+        ({"positions": [[], [], []]}, "positions must be at least two [x, y] pairs of numbers"),
+        ({"positions": [[0.0, 0.0], [0.5]]}, "positions must be at least two [x, y] pairs"),
+        ({"positions": [[0.0, 0.0], ["0.5", 0.5]]}, "positions must be at least two [x, y] pairs"),
+        ({"positions": [[0.0, 0.0], [0.5, 0.5]], "alpha": True}, "alpha must be a number"),
+        ({"positions": [[0.0, 0.0], [0.5, 0.5]], "alpha": "2"}, "alpha must be a number"),
+        ({"positions": [[0.0, 0.0], [0.5, 0.5]], "alpha": 10**400}, "numbers must be finite"),
+        ({"positions": [[0.0, 0.0], [0.5, 0.5]], "seed": 1.7}, "seed must be a non-negative integer"),
+        ({"positions": [[0.0, 0.0], [0.5, 0.5]], "seed": -3}, "seed must be a non-negative integer"),
+        ({"positions": [[0.0, 0.0], [0.5, 0.5]], "seed": True}, "seed must be a non-negative integer"),
+    ], ids=["no_coordinates", "one_coordinate", "string_coordinate", "bool_alpha",
+            "string_alpha", "overflowing_alpha", "fractional_seed", "negative_seed", "bool_seed"])
+    def test_scenario_file_coerced_field_exits_2(
+        self, codec_file, tmp_path, capsys, field, message
+    ):
+        # A field of the wrong type is rejected, never read as something else.
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field))
+        out, saved = tmp_path / "scen.csv", tmp_path / "saved.json"
+        capsys.readouterr()
+        rc = run_cli("scenario", "--scenario-file", path, "--codec", codec_file,
+                     "--trials", "100", "--seed", "1", "--save-scenario", saved, "-o", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file ") and message in err, err
+        assert err.count("\n") == 1, err
+        assert not out.exists() and not saved.exists()
 
     def test_scenario_file_nan_position_exits_2(self, codec_file, tmp_path, capsys):
         bad = tmp_path / "field.json"

@@ -469,7 +469,7 @@ class TestJointDecoderModule:
 
     @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("mode", ["estimated", "soft"])
-    def test_word_rows_once_per_node_and_block(self, tiny_bundle, monkeypatch, mode):
+    def test_word_rows_once_per_block(self, tiny_bundle, monkeypatch, mode):
         nodes, trials, block = 5, 60, 25
         L = tuple_space(tiny_bundle.channels).size
         monkeypatch.setattr(simulator, "BLOCK_ENTRIES", block * nodes * L)
@@ -477,9 +477,9 @@ class TestJointDecoderModule:
         calls, groups = [], []
         word_rows, trial_groups = decode_sym.word_rows, decode_sym._trial_groups
 
-        def counted(*args):
-            calls.append(args[0].shape[0])
-            return word_rows(*args)
+        def counted(words, pids, *args):
+            calls.append(pids.size)  # one row per (trial, node)
+            return word_rows(words, pids, *args)
 
         def counted_groups(level_u):
             groups.append(level_u.size)
@@ -490,10 +490,12 @@ class TestJointDecoderModule:
         scen = generate_scenario(nodes, tiny_bundle.channels, seed=3)
         run_sym_experiment(SymConfig(scenario=scen, bundle=tiny_bundle, mode=mode,
                                      si_method="distance", trials=trials, seed=5))
-        assert calls == [25] * nodes + [25] * nodes + [10] * nodes
+        # One call finds the rows of every node and trial of a block.
+        assert calls == [25 * nodes, 25 * nodes, 10 * nodes]
         # The soft-SI sweeps group each node's trials once per block, inside
         # decode; estimated-SI gathers each trial's lookup row and needs no groups.
-        assert groups == (calls if mode == "soft" else [])
+        per_node = [25] * nodes + [25] * nodes + [10] * nodes
+        assert groups == (per_node if mode == "soft" else [])
 
     def test_each_name_defined_once(self):
         assert simulator._SymDecoder.__module__ == "mdquant.decode_sym"

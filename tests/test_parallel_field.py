@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mdquant import DescriptionChannel, decode_sym, forking, simulator
-from mdquant.channel import tuple_space
+from mdquant.channel import pattern_ids, tuple_space
 from mdquant.cli import main as cli_main
 from mdquant.simulator import (
     SI_METHODS,
@@ -21,6 +21,7 @@ from mdquant.simulator import (
     SymConfig,
     generate_scenario,
     run_sym_experiment,
+    sample_correlated_sources,
     _channel_streams,
     _selection_score_tables,
     _transmit_bsc,
@@ -109,23 +110,62 @@ class TestPositionedStreams:
     CHANNELS = (DescriptionChannel.bsc(0.5, 0.5, 8), DescriptionChannel.bsc(0.5, 0.5, 4))
 
     def test_advance_equals_continuing_through_the_earlier_blocks(self):
-        space = tuple_space(self.CHANNELS)
-        ids = np.random.default_rng(0).integers(0, space.size, 100)
-        continued = _channel_streams(self.CHANNELS, (4, 3), 7)
-        for blk in (slice(0, 30), slice(30, 31), slice(31, 57), slice(57, 100)):
-            [(words, received)] = _transmit_bsc(ids[blk], [self.CHANNELS], space, continued)
-            positioned = _channel_streams(self.CHANNELS, (4, 3), 7, blk.start)
+        # A field's channel uses run over (trial, node) in row-major order, so
+        # a block of trials starts at use ``blk.start * nodes``.
+        nodes, space = 4, tuple_space(self.CHANNELS)
+        ids = np.random.default_rng(0).integers(0, space.size, (25, nodes))
+        continued = _channel_streams(self.CHANNELS, 4, 7)
+        for blk in (slice(0, 7), slice(7, 8), slice(8, 14), slice(14, 25)):
+            [(words, received)] = _transmit_bsc(
+                ids[blk].ravel(), [self.CHANNELS], space, continued
+            )
+            positioned = _channel_streams(self.CHANNELS, 4, 7, blk.start * nodes)
             [(got_words, got_received)] = _transmit_bsc(
-                ids[blk], [self.CHANNELS], space, positioned
+                ids[blk].ravel(), [self.CHANNELS], space, positioned
             )
             assert np.array_equal(got_words, words), blk
             assert np.array_equal(got_received, received), blk
         # Both generators of each description sit at the same place afterwards.
         for (flip, loss), (p_flip, p_loss) in zip(
-            continued, _channel_streams(self.CHANNELS, (4, 3), 7, 100)
+            continued, _channel_streams(self.CHANNELS, 4, 7, 25 * nodes)
         ):
             assert flip.random() == p_flip.random()
             assert loss.random() == p_loss.random()
+
+    @pytest.mark.usefixtures("one_worker")
+    @pytest.mark.parametrize("block, trials", [(1, 4), (BLOCK, TRIALS)])
+    def test_field_blocks_equal_one_whole_run_transmission(
+        self, tiny_bundle, monkeypatch, block, trials
+    ):
+        # The words and loss patterns each block hands the decoder are those
+        # of one transmission of the whole run's (trial, node) tuples.
+        channels, space = tiny_bundle.channels, tuple_space(tiny_bundle.channels)
+        monkeypatch.setattr(simulator, "BLOCK_ENTRIES", block * NODES * space.size)
+        seen = []
+        decode = decode_sym._SymDecoder.decode
+
+        def spied(dec, words, pids, s_map):
+            seen.append((words.copy(), pids.copy()))
+            return decode(dec, words, pids, s_map)
+
+        monkeypatch.setattr(decode_sym._SymDecoder, "decode", spied)
+        scen = generate_scenario(NODES, channels, seed=3)
+        run_sym_experiment(SymConfig(scenario=scen, bundle=tiny_bundle, mode="estimated",
+                                     si_method="distance", trials=trials, seed=5))
+        sizes = [words.shape[0] for words, _ in seen]
+        assert sizes == [block] * (trials // block) + [trials % block] * (trials % block > 0)
+
+        x, _ = sample_correlated_sources(scen, trials, 5)
+        ids = tiny_bundle.ia.hard_map()[tiny_bundle.quantizer.cells(x)].ravel()
+        [(words, received)] = _transmit_bsc(
+            ids, [channels], space, _channel_streams(channels, 4, 5)
+        )
+        got_words = np.concatenate([w for w, _ in seen])
+        assert got_words.shape == (trials, NODES, len(channels))
+        assert np.array_equal(got_words.reshape(words.shape), words)
+        # Pattern ids are one-to-one with the loss flags of a channel use.
+        got_pids = np.concatenate([p for _, p in seen])
+        assert np.array_equal(got_pids.ravel(), pattern_ids(received))
 
 
 class TestSplitScoreTables:

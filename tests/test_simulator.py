@@ -548,14 +548,10 @@ class TestSymExperiment:
         cells = np.searchsorted(q.thresholds, x.ravel(), side="left").reshape(x.shape)
         tids = bundle.ia.hard_map()[cells]
         space = tuple_space(bundle.channels)
-        words = np.empty((self.TRIALS, self.N_NODES, 2), dtype=int)
-        rec = np.empty((self.TRIALS, self.N_NODES, 2), dtype=bool)
-        for u in range(self.N_NODES):
-            streams = _channel_streams(bundle.channels, (4, u), 21)
-            [(words[:, u], rec[:, u])] = _transmit_bsc(
-                tids[:, u], [bundle.channels], space, streams
-            )
-        return scen, words, rec, pattern_ids(rec)
+        streams = _channel_streams(bundle.channels, 4, 21)
+        [(words, rec)] = _transmit_bsc(tids.ravel(), [bundle.channels], space, streams)
+        shape = (self.TRIALS, self.N_NODES, 2)
+        return scen, words.reshape(shape), rec.reshape(shape), pattern_ids(rec).reshape(shape[:2])
 
     def assert_equals_per_symbol(self, bundle, monkeypatch, scen, words, rec, pids, s_map):
         # Drive the per-symbol oracle, trial by trial with that trial's SI
@@ -647,36 +643,60 @@ class TestSymExperiment:
 
 
 # d_av and stderr of a 6-node field of the tiny codec (scenario seed 3, run
-# seed 5, 2,000 trials), recorded with the per-pair selection scores and the
-# per-sweep soft-SI setup that the batched selector and the grouped sweeps
-# replaced; both must reproduce them exactly.
+# seed 5, 2,000 trials), whose channel uses come from one stream family per
+# description, one use per (trial, node) in row-major order.
 SEEDED_FIELD = {
-    ("estimated", "distance"): (0.868534202865587, 0.02983325939890639),
-    ("estimated", "mutual_info"): (0.8551796725843713, 0.02981584856743268),
-    ("estimated", "min_distortion"): (0.8436554189822582, 0.03019219197097455),
-    ("soft", "distance"): (0.8400495701481807, 0.02761519379935091),
-    ("soft", "mutual_info"): (0.8350710598479509, 0.02765044238645017),
-    ("soft", "min_distortion"): (0.8282684012706386, 0.02773828065625892),
+    ("estimated", "distance"): (0.8511603923934367, 0.028550337971825674),
+    ("estimated", "mutual_info"): (0.8410944369720567, 0.029081197236066808),
+    ("estimated", "min_distortion"): (0.8398338274232214, 0.03005300133051278),
+    ("soft", "distance"): (0.8276879287801143, 0.027310055272173357),
+    ("soft", "mutual_info"): (0.8215513033008642, 0.02721808721540672),
+    ("soft", "min_distortion"): (0.8248808828058175, 0.027698624505822285),
 }
 
 
 # d_av and stderr of an estimated-SI 40-node field of the K=16 codec (scenario
-# seed 1, run seed 1, 4,000 trials in three blocks), recorded with the
-# node-by-node sweeps that the whole-block gathers replaced.
+# seed 1, run seed 1, 4,000 trials in three blocks).  The node-by-node
+# sweeps of ``oracles.estimated_sweeps`` give the same values.
 SEEDED_FIELD_40 = {
-    "distance": (0.08464561969418873, 0.0024866813611298735),
-    "mutual_info": (0.05336217247664977, 0.0016018033812451435),
-    "min_distortion": (0.051265412132293874, 0.0015465412658882316),
+    "distance": (0.08232678454377432, 0.0024916462983350625),
+    "mutual_info": (0.051479499499511465, 0.0016408130261016105),
+    "min_distortion": (0.04922485485886594, 0.0015411636208334247),
 }
 
 
-# The same field decoded with soft SI (d_av, stderr), recorded with the
-# full-width soft sweeps that the used-tuple sweeps replaced.  This codec maps
-# a cell to every tuple, so the used-tuple sweeps round the same way.
+# The same field decoded with soft SI (d_av, stderr).  The full-width soft
+# sweeps of ``oracles.soft_sweeps`` give the same values: this codec maps a
+# cell to every tuple, so the used-tuple sweeps round the same way.
 SEEDED_SOFT_FIELD_40 = {
-    "distance": (0.035250989608591084, 0.00111096190394215),
-    "mutual_info": (0.03360024568851782, 0.0010231537408623944),
-    "min_distortion": (0.03130853241953199, 0.0009295606110908455),
+    "distance": (0.03634890744430845, 0.0012166786818466442),
+    "mutual_info": (0.03412357458983658, 0.001117121033791606),
+    "min_distortion": (0.0320741921647715, 0.0010299100967941489),
+}
+
+
+# The same three tables as drawn from one channel stream family per node,
+# (seed, 4, node, 2m) and (seed, 4, node, 2m + 1), before every node's
+# channel uses came from one family per description.
+PER_NODE_STREAM_FIELDS = {
+    "SEEDED_FIELD": {
+        ("estimated", "distance"): (0.868534202865587, 0.02983325939890639),
+        ("estimated", "mutual_info"): (0.8551796725843713, 0.02981584856743268),
+        ("estimated", "min_distortion"): (0.8436554189822582, 0.03019219197097455),
+        ("soft", "distance"): (0.8400495701481807, 0.02761519379935091),
+        ("soft", "mutual_info"): (0.8350710598479509, 0.02765044238645017),
+        ("soft", "min_distortion"): (0.8282684012706386, 0.02773828065625892),
+    },
+    "SEEDED_FIELD_40": {
+        "distance": (0.08464561969418873, 0.0024866813611298735),
+        "mutual_info": (0.05336217247664977, 0.0016018033812451435),
+        "min_distortion": (0.051265412132293874, 0.0015465412658882316),
+    },
+    "SEEDED_SOFT_FIELD_40": {
+        "distance": (0.035250989608591084, 0.00111096190394215),
+        "mutual_info": (0.03360024568851782, 0.0010231537408623944),
+        "min_distortion": (0.03130853241953199, 0.0009295606110908455),
+    },
 }
 
 
@@ -728,6 +748,18 @@ class TestSeededField:
     @pytest.mark.parametrize("method", sorted(SEEDED_SOFT_FIELD_40))
     def test_pinned_40_node_soft_field(self, k16_bundle, method):
         assert self.field_40(k16_bundle, "soft", method) == SEEDED_SOFT_FIELD_40[method]
+
+    @pytest.mark.parametrize("table", sorted(PER_NODE_STREAM_FIELDS))
+    def test_pins_lie_within_5_stderr_of_the_per_node_stream_pins(self, table):
+        # New channel draws of the same fields: the same distortions up to
+        # Monte-Carlo noise.
+        new = {"SEEDED_FIELD": SEEDED_FIELD, "SEEDED_FIELD_40": SEEDED_FIELD_40,
+               "SEEDED_SOFT_FIELD_40": SEEDED_SOFT_FIELD_40}[table]
+        old = PER_NODE_STREAM_FIELDS[table]
+        assert sorted(old) == sorted(new)
+        for key, (old_d, old_stderr) in old.items():
+            new_d, new_stderr = new[key]
+            assert abs(old_d - new_d) < 5 * np.hypot(old_stderr, new_stderr), key
 
     @pytest.mark.parametrize("method", ["mutual_info", "min_distortion"])
     def test_select_maps_equal_candidate_loop(self, tiny_bundle, method):
