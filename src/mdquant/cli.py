@@ -30,6 +30,7 @@ from .simulator import (
     SYM_MODES,
     AsymConfig,
     SymConfig,
+    check_field,
     conditional_entropy_rates,
     generate_scenario,
     run_asym_experiment,
@@ -265,8 +266,8 @@ def _parse_nsi_sweep(text: str) -> list[int]:
     return sizes
 
 
-def _load_scenario_file(path, channels):
-    """The field of a scenario file, whose entries must have their JSON types: none is coerced."""
+def _load_scenario_file(path):
+    """Checked (positions, alpha, seed) of a scenario file; entries must have their JSON types."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         positions, alpha, seed = data["positions"], data.get("alpha", 2.0), data.get("seed", 0)
@@ -285,7 +286,8 @@ def _load_scenario_file(path, channels):
         positions, alpha = np.array(positions, dtype=float), float(alpha)
     except OverflowError as exc:
         raise ValueError("scenario file numbers must be finite") from exc
-    return generate_scenario(len(positions), channels, alpha=alpha, seed=seed, positions=positions)
+    check_field(positions, alpha)
+    return positions, alpha, seed
 
 
 # Defaults of the ``scenario`` flags that a codec file or a scenario file
@@ -315,18 +317,21 @@ def _apply_scenario_defaults(args) -> None:
 def cmd_scenario(args) -> int:
     _apply_scenario_defaults(args)
     _check_trials(args.trials)
+    # The scenario file is read and checked before the codec file is.
+    if args.scenario_file:
+        positions, alpha, seed = _load_scenario_file(args.scenario_file)
+        n_nodes = len(positions)
+    elif args.nodes is None or args.nodes < 2:
+        raise ValueError("need --nodes >= 2 or a scenario file")
+    else:
+        positions, alpha, seed, n_nodes = None, args.alpha, args.seed, args.nodes
     if args.codec:
         bundle = load_codec(args.codec)
         channels = bundle.channels
     else:
         bundle = None
         channels = _build_channels(args)
-    if args.scenario_file:
-        scenario = _load_scenario_file(args.scenario_file, channels)
-    else:
-        if args.nodes is None or args.nodes < 2:
-            raise ValueError("need --nodes >= 2 or a scenario file")
-        scenario = generate_scenario(args.nodes, channels, alpha=args.alpha, seed=args.seed)
+    scenario = generate_scenario(n_nodes, channels, alpha=alpha, seed=seed, positions=positions)
     if args.save_scenario:
         field = {"positions": scenario.positions.tolist(), "alpha": scenario.alpha,
                  "seed": scenario.seed}

@@ -11,9 +11,10 @@ pattern-dependent criteria come from :func:`score_tables`, which scores every
 pair of loss patterns at once, for one correlation or for a stack of them
 (the cross tables of :func:`mdquant.decode_sym.cross_table_stack`); the two
 pairwise functions are its batch of one.  The per-trial selection that reads
-the tables and picks each source's best candidate runs in
-:mod:`mdquant.simulator`.  All ties resolve to the lowest candidate index so
-selections are deterministic.
+the tables and picks each source's best candidate, among its
+``SI_CANDIDATES`` most correlated nodes, runs in :mod:`mdquant.simulator`.
+All ties resolve to the lowest candidate index so selections are
+deterministic.
 """
 
 from __future__ import annotations

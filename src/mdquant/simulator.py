@@ -38,9 +38,10 @@ transmits all its nodes in one call.  A block holds
 ``BLOCK_ENTRIES // (nodes * L)`` trials (at least one), so the decoder's
 posterior buffers stay bounded and only the sources and the per-trial
 errors grow with the trial count.  The
-SI selection scores every distinct pair correlation of the field once per
-run, from one moment quadrature per block of correlations; each block of
-trials picks every source's SI source per trial with a single gather and
+SI selection keeps each node's ``SI_CANDIDATES`` most correlated other
+nodes and scores the distinct correlations of those pairs once per run, from
+one moment quadrature per block of correlations; each block of trials picks
+every source's SI source per trial with one gather over its candidates and
 hands the picks to the joint decoder, which holds the ladder level of every
 pair.
 
@@ -113,6 +114,14 @@ class WsnScenario:
         return int(self.positions.shape[0])
 
 
+def check_field(positions, alpha: float) -> None:
+    """Reject an ``alpha`` that is not positive and finite, then non-finite positions."""
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("node positions must be finite")
+
+
 def generate_scenario(
     n_nodes: int,
     channel_template,
@@ -123,14 +132,11 @@ def generate_scenario(
     """Uniform random node placement; correlation decays as exp(-distance/alpha)."""
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if positions is None:
         rng = derive_rng(seed, 0)
         positions = rng.random((n_nodes, 2))
     positions = np.asarray(positions, dtype=float)
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("node positions must be finite")
+    check_field(positions, alpha)
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
     with np.errstate(over="ignore"):  # a tiny alpha takes dist / alpha to inf: rho is 0
@@ -520,41 +526,57 @@ def _selection_score_tables(bundle, rho_keys, method):
     return np.concatenate(forking.fork_map(part, blocks, "selection"))
 
 
-def _selection_scores(cfg: SymConfig) -> np.ndarray | None:
-    """score[u, t, p_u, p_t] of SI source t for node u under loss patterns p_u, p_t.
+# Each node scores only its SI_CANDIDATES most correlated SI sources.
+SI_CANDIDATES = 8
 
-    The scores depend only on the codec and the field's correlations, so a
-    run computes them once, at each distinct correlation of a pair u != t.
-    A node's own entries hold the worst score, so it never picks itself.
-    None for ``distance`` selection, which ignores the loss patterns.
+
+def _selection_scores(cfg: SymConfig):
+    """(candidates, scores) of the pattern-dependent SI selection; None for ``distance``.
+
+    ``candidates[u]`` are node u's k = min(``SI_CANDIDATES``, N - 1) most
+    correlated other nodes by the exact ``pairwise_rho``, ties to the lower
+    index, in ascending node order.  ``scores[u, j, p_u, p_t]`` scores
+    candidate ``candidates[u, j]`` for node u under loss patterns p_u, p_t.
+    The scores depend only on the codec and the pair correlations, so a run
+    computes them once, at each distinct correlation of the N x k pairs:
+    O(N k) scores.  ``distance`` selection ignores the loss patterns and has
+    no scores.
     """
     if cfg.si_method == "distance":
         return None
-    rho = cfg.scenario.pairwise_rho
-    off = ~np.eye(rho.shape[0], dtype=bool)
-    ridx = np.zeros(rho.shape, dtype=int)
-    rho_keys, ridx[off] = np.unique([round(float(r), 12) for r in rho[off]], return_inverse=True)
-    scores = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)[ridx]
-    scores[~off] = -np.inf if cfg.si_method == "mutual_info" else np.inf
-    return scores
+    rho = cfg.scenario.pairwise_rho.copy()
+    np.fill_diagonal(rho, -np.inf)
+    k = min(SI_CANDIDATES, rho.shape[0] - 1)
+    # A stable sort of -rho ranks equal correlations by node index.
+    candidates = np.sort(np.argsort(-rho, axis=1, kind="stable")[:, :k], axis=1)
+    pair_rho = np.take_along_axis(rho, candidates, axis=1)
+    rho_keys, ridx = np.unique([round(float(r), 12) for r in pair_rho.flat], return_inverse=True)
+    scores = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)
+    return candidates, scores[ridx.reshape(candidates.shape)]
 
 
-def _select_maps(cfg: SymConfig, pids, scores) -> np.ndarray:
-    """(trials, N) chosen SI source per trial; ``scores`` from :func:`_selection_scores`."""
+def _select_maps(cfg: SymConfig, pids, selection) -> np.ndarray:
+    """(trials, N) chosen SI source per trial; ``selection`` from :func:`_selection_scores`.
+
+    Each node gathers its k candidates' scores under each trial's patterns,
+    O(k x trials) per node, and picks the best, ties to the lower node index.
+    """
     n_nodes = cfg.scenario.n_nodes
-    if scores is None:
+    if selection is None:
         fixed = select_min_distance(cfg.scenario.positions)
         return np.broadcast_to(fixed, (pids.shape[0], n_nodes))
+    candidates, scores = selection
     pick_best = np.argmax if cfg.si_method == "mutual_info" else np.argmin
-    candidates = np.arange(n_nodes)
+    slots = np.arange(candidates.shape[1])
     smap = np.empty(pids.shape, dtype=int)
     for u in range(n_nodes):
-        # (trials, candidates) gather of u's scores under each trial's patterns.
-        smap[:, u] = pick_best(scores[u, candidates, pids[:, u, None], pids], axis=1)
+        # (trials, k) gather of u's scores under each trial's patterns.
+        best = pick_best(scores[u, slots, pids[:, u, None], pids[:, candidates[u]]], axis=1)
+        smap[:, u] = candidates[u, best]
     return smap
 
 
-def _block_errors(cfg: SymConfig, dec: _SymDecoder, xb, streams, scores) -> np.ndarray:
+def _block_errors(cfg: SymConfig, dec: _SymDecoder, xb, streams, selection) -> np.ndarray:
     """Per-trial squared error, averaged over nodes, of one block of sources.
 
     ``xb`` is the block's (trials, nodes) source draws and ``streams`` the
@@ -568,7 +590,7 @@ def _block_errors(cfg: SymConfig, dec: _SymDecoder, xb, streams, scores) -> np.n
     [(words, received)] = _transmit_bsc(tuple_ids.ravel(), [dec.channels], dec.space, streams)
     words = words.reshape(*xb.shape, -1)
     pids = pattern_ids(received).reshape(xb.shape)
-    xhat = dec.decode(words, pids, _select_maps(cfg, pids, scores))
+    xhat = dec.decode(words, pids, _select_maps(cfg, pids, selection))
     # Summed node by node, as numpy sums the rows of a many-trial block; a
     # one-trial block would otherwise take numpy's pairwise sum.
     return functools.reduce(np.add, (xb.T - xhat) ** 2) / n_nodes
@@ -587,13 +609,13 @@ def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     scenario = cfg.scenario
     n_nodes = scenario.n_nodes
     x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
-    scores = _selection_scores(cfg)
+    selection = _selection_scores(cfg)
     dec = _SymDecoder(cfg.bundle, cfg.mode, scenario.pairwise_rho)
     per_trial = forking.shared_array(cfg.trials)
 
     def errors(blk):
         streams = _channel_streams(dec.channels, 4, cfg.seed, blk.start * n_nodes)
-        per_trial[blk] = _block_errors(cfg, dec, x[blk], streams, scores)
+        per_trial[blk] = _block_errors(cfg, dec, x[blk], streams, selection)
 
     forking.fork_map(errors, _blocks(cfg.trials, n_nodes * dec.space.size), "field")
     return _result(per_trial, time.perf_counter() - start, psd_projected=projected)

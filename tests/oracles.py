@@ -7,7 +7,8 @@ MMSE, estimated-SI and soft-SI joint, partial-SI), the node-by-node
 estimated-SI sweeps of one block and its full-width soft-SI sweeps, the
 moment matrices summed one quadrature node at a time, the single-pass
 distortion, the unclamped annealing softmax, the per-loss-pattern design quantities, the SI selection
-scores of one pair of loss patterns, the whole-array AWGN decode of the
+scores of one pair of loss patterns and the per-trial selection over every
+candidate, the whole-array AWGN decode of the
 asymmetric experiment, its BSC decode under forced loss patterns, the
 serial annealing restarts, the brute-force MMSE audit and the two rejected
 readings of the rate-distortion bound, and the decoder tables built pair by
@@ -60,6 +61,7 @@ from mdquant.decode_sym import (
 from mdquant.gaussian import GaussianSource, JointGaussianPair, gauss_interval_moments_batch
 from mdquant.quantizer import ScalarQuantizer
 from mdquant.rd_bound import BoundQuery, beta, side_bounds
+from mdquant.simulator import _selection_score_tables
 
 from conftest import simpson_nodes
 
@@ -977,6 +979,30 @@ def per_pair_partial_si_distortion(bundle, cross, q_u, q_t, var_x: float = 1.0) 
     xhat = masked_ratio(num, den)
     d = var_x - 2.0 * np.sum(njj * xhat) + np.sum(pjj * xhat**2)
     return max(float(d), 0.0)
+
+
+def loop_select(cfg, pids):
+    """(trials, N) SI picks of a per-candidate loop over all N - 1 other nodes.
+
+    The reference for ``simulator._select_maps``, which scores only each
+    node's ``SI_CANDIDATES`` most correlated candidates.
+    """
+    n = cfg.scenario.n_nodes
+    rho = cfg.scenario.pairwise_rho
+    keys = sorted({round(float(rho[u, t]), 12) for u in range(n) for t in range(n) if t != u})
+    tables = _selection_score_tables(cfg.bundle, keys, cfg.si_method)
+    mi = cfg.si_method == "mutual_info"
+    smap = np.empty(pids.shape, dtype=int)
+    for u in range(n):
+        scores = np.empty(pids.shape)
+        for t in range(n):
+            if t == u:
+                scores[:, t] = -np.inf if mi else np.inf
+                continue
+            tab = tables[keys.index(round(float(rho[u, t]), 12))]
+            scores[:, t] = tab[pids[:, u], pids[:, t]]
+        smap[:, u] = (np.argmax if mi else np.argmin)(scores, axis=1)
+    return smap
 
 
 # ---------------------------------------------------------------------------

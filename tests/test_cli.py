@@ -681,6 +681,25 @@ class TestScenario:
         err = capsys.readouterr().err
         assert err == "error: node positions must be finite\n"
 
+    @pytest.mark.parametrize("field, message", [
+        ('{"positions": [[0.0, 0.0], [0.5]]}', "error: scenario file positions must be"),
+        ('{"positions": [[0.0, 0.0], [0.5, 0.5]], "alpha": 0.0}',
+         "error: alpha must be positive and finite"),
+        ('{"positions": [[0.0, 0.0], [NaN, 0.5]]}', "error: node positions must be finite"),
+    ], ids=["bad_positions", "zero_alpha", "nan_position"])
+    def test_bad_scenario_file_is_reported_before_the_codec_file(
+        self, tmp_path, monkeypatch, capsys, field, message
+    ):
+        monkeypatch.setattr("mdquant.cli.load_codec", must_not_run)
+        bad = tmp_path / "field.json"
+        bad.write_text(field)
+        capsys.readouterr()
+        rc = run_cli("scenario", "--scenario-file", bad, "--codec", tmp_path / "missing.json",
+                     "--trials", "100", "--seed", "1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+
     def test_empty_scenario_file_exits_2(self, codec_file, tmp_path):
         bad = tmp_path / "empty.json"
         bad.write_text("")

@@ -19,7 +19,6 @@ from mdquant.simulator import (
     SymConfig,
     WsnScenario,
     _select_maps,
-    _selection_score_tables,
     _selection_scores,
 )
 
@@ -41,22 +40,20 @@ def select_one_trial(bundle, rho, q, method):
     """Per-trial selection of one trial: (chosen SI source per node, scores).
 
     ``scores[u, t]`` is the score table entry the selector read for
-    candidate t of source u; the diagonal is left at NaN.
+    candidate t of source u; the diagonal, and any node that is not one of
+    u's candidates, is left at NaN.
     """
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[0]
     scenario = WsnScenario(np.zeros((n, 2)), 2.0, rho, bundle.channels, 0)
     cfg = SymConfig(scenario=scenario, bundle=bundle, si_method=method, trials=1)
     pids = pattern_ids(np.asarray(q, dtype=bool))[None, :]  # (1 trial, n nodes)
-    chosen = _select_maps(cfg, pids, _selection_scores(cfg))[0]
-    keys = sorted({round(float(rho[u, t]), 12) for u in range(n) for t in range(n) if t != u})
-    tables = _selection_score_tables(bundle, keys, method)
+    candidates, tables = _selection_scores(cfg)
+    chosen = _select_maps(cfg, pids, (candidates, tables))[0]
     scores = np.full((n, n), np.nan)
     for u in range(n):
-        for t in range(n):
-            if t != u:
-                r = keys.index(round(float(rho[u, t]), 12))
-                scores[u, t] = tables[r, pids[0, u], pids[0, t]]
+        for j, t in enumerate(candidates[u]):
+            scores[u, t] = tables[u, j, pids[0, u], pids[0, t]]
     return chosen, scores
 
 

@@ -23,6 +23,7 @@ from mdquant.simulator import (
     AsymConfig,
     ExperimentResult,
     SymConfig,
+    WsnScenario,
     conditional_entropy_rates,
     generate_scenario,
     run_asym_experiment,
@@ -32,13 +33,19 @@ from mdquant.simulator import (
     _channel_streams,
     _run_asym_awgn,
     _select_maps,
-    _selection_score_tables,
     _selection_scores,
     _transmit_bsc,
 )
 
 from conftest import make_bundle
-from oracles import ChannelOutcome, asym_awgn_errors, decode, ladder_cross_tables, run_decoder
+from oracles import (
+    ChannelOutcome,
+    asym_awgn_errors,
+    decode,
+    ladder_cross_tables,
+    loop_select,
+    run_decoder,
+)
 
 
 def bsc_channels(p, mu, n=2):
@@ -660,7 +667,7 @@ SEEDED_FIELD = {
 # sweeps of ``oracles.estimated_sweeps`` give the same values.
 SEEDED_FIELD_40 = {
     "distance": (0.08232678454377432, 0.0024916462983350625),
-    "mutual_info": (0.051479499499511465, 0.0016408130261016105),
+    "mutual_info": (0.05141713351214763, 0.0016427265787380507),
     "min_distortion": (0.04922485485886594, 0.0015411636208334247),
 }
 
@@ -670,7 +677,7 @@ SEEDED_FIELD_40 = {
 # cell to every tuple, so the used-tuple sweeps round the same way.
 SEEDED_SOFT_FIELD_40 = {
     "distance": (0.03634890744430845, 0.0012166786818466442),
-    "mutual_info": (0.03412357458983658, 0.001117121033791606),
+    "mutual_info": (0.03406564140716763, 0.0011190349915305693),
     "min_distortion": (0.0320741921647715, 0.0010299100967941489),
 }
 
@@ -700,24 +707,14 @@ PER_NODE_STREAM_FIELDS = {
 }
 
 
-def loop_select(cfg, pids):
-    """Per-candidate selection loop: the reference for the one-gather ``_select_maps``."""
-    n = cfg.scenario.n_nodes
-    rho = cfg.scenario.pairwise_rho
-    keys = sorted({round(float(rho[u, t]), 12) for u in range(n) for t in range(n) if t != u})
-    tables = _selection_score_tables(cfg.bundle, keys, cfg.si_method)
-    mi = cfg.si_method == "mutual_info"
-    smap = np.empty(pids.shape, dtype=int)
-    for u in range(n):
-        scores = np.empty(pids.shape)
-        for t in range(n):
-            if t == u:
-                scores[:, t] = -np.inf if mi else np.inf
-                continue
-            tab = tables[keys.index(round(float(rho[u, t]), 12))]
-            scores[:, t] = tab[pids[:, u], pids[:, t]]
-        smap[:, u] = (np.argmax if mi else np.argmin)(scores, axis=1)
-    return smap
+# The two ``mutual_info`` pins above as selected over every other node, before
+# each node scored only its ``SI_CANDIDATES`` most correlated candidates.  A
+# node that has lost every description scores rounding residues of ~1e-14
+# for every candidate, and ``argmax`` breaks those ties among fewer nodes.
+ALL_PAIRS_MI_FIELDS = {
+    "SEEDED_FIELD_40": {"mutual_info": (0.051479499499511465, 0.0016408130261016105)},
+    "SEEDED_SOFT_FIELD_40": {"mutual_info": (0.03412357458983658, 0.001117121033791606)},
+}
 
 
 class TestSeededField:
@@ -749,27 +746,99 @@ class TestSeededField:
     def test_pinned_40_node_soft_field(self, k16_bundle, method):
         assert self.field_40(k16_bundle, "soft", method) == SEEDED_SOFT_FIELD_40[method]
 
+    @staticmethod
+    def assert_within_5_stderr(old, table):
+        new = {"SEEDED_FIELD": SEEDED_FIELD, "SEEDED_FIELD_40": SEEDED_FIELD_40,
+               "SEEDED_SOFT_FIELD_40": SEEDED_SOFT_FIELD_40}[table]
+        for key, (old_d, old_stderr) in old.items():
+            new_d, new_stderr = new[key]
+            assert abs(old_d - new_d) < 5 * np.hypot(old_stderr, new_stderr), key
+        return new
+
     @pytest.mark.parametrize("table", sorted(PER_NODE_STREAM_FIELDS))
     def test_pins_lie_within_5_stderr_of_the_per_node_stream_pins(self, table):
         # New channel draws of the same fields: the same distortions up to
         # Monte-Carlo noise.
-        new = {"SEEDED_FIELD": SEEDED_FIELD, "SEEDED_FIELD_40": SEEDED_FIELD_40,
-               "SEEDED_SOFT_FIELD_40": SEEDED_SOFT_FIELD_40}[table]
         old = PER_NODE_STREAM_FIELDS[table]
-        assert sorted(old) == sorted(new)
-        for key, (old_d, old_stderr) in old.items():
-            new_d, new_stderr = new[key]
-            assert abs(old_d - new_d) < 5 * np.hypot(old_stderr, new_stderr), key
+        assert sorted(old) == sorted(self.assert_within_5_stderr(old, table))
+
+    @pytest.mark.parametrize("table", sorted(ALL_PAIRS_MI_FIELDS))
+    def test_mutual_info_pins_lie_within_5_stderr_of_the_all_pairs_pins(self, table):
+        # The same draws, with other picks among tied candidates.
+        self.assert_within_5_stderr(ALL_PAIRS_MI_FIELDS[table], table)
+
+
+class TestSiCandidates:
+    """Each node scores only its ``SI_CANDIDATES`` most correlated other nodes."""
+
+    @staticmethod
+    def ranked(rho, k):
+        """Each node's k most correlated other nodes, ties to the lower index, in node order."""
+        n = rho.shape[0]
+        return np.array([
+            sorted(sorted((t for t in range(n) if t != u), key=lambda t: (-rho[u, t], t))[:k])
+            for u in range(n)
+        ])
 
     @pytest.mark.parametrize("method", ["mutual_info", "min_distortion"])
-    def test_select_maps_equal_candidate_loop(self, tiny_bundle, method):
-        scen = generate_scenario(6, tiny_bundle.channels, seed=3)
+    @pytest.mark.parametrize("n_nodes", [2, 3, 6, 9])
+    def test_small_fields_score_every_pair(self, tiny_bundle, n_nodes, method):
+        # k = min(SI_CANDIDATES, N - 1) = N - 1: the all-pairs selection.
+        scen = generate_scenario(n_nodes, tiny_bundle.channels, seed=n_nodes)
         cfg = SymConfig(scenario=scen, bundle=tiny_bundle, si_method=method, trials=2_000)
-        rng = np.random.default_rng(4)
-        pids = rng.integers(0, 4, size=(2_000, 6))
-        got = _select_maps(cfg, pids, _selection_scores(cfg))
+        candidates, scores = _selection_scores(cfg)
+        assert candidates.shape == (n_nodes, n_nodes - 1)
+        assert scores.shape == (n_nodes, n_nodes - 1, 4, 4)
+        assert np.array_equal(candidates, self.ranked(scen.pairwise_rho, n_nodes - 1))
+        pids = np.random.default_rng(n_nodes).integers(0, 4, size=(2_000, n_nodes))
+        got = _select_maps(cfg, pids, (candidates, scores))
         assert np.array_equal(got, loop_select(cfg, pids))
-        assert not np.any(got == np.arange(6))
+        assert not np.any(got == np.arange(n_nodes))
+
+    def test_ties_at_the_kth_place_go_to_the_lower_index(self, tiny_bundle):
+        # Node 0 is most correlated with nodes 7-11; the last 3 of its 8
+        # places go to nodes 1-3 of the six tied at 0.5.
+        n = 12
+        rho = np.full((n, n), 0.5)
+        rho[0, 7:] = rho[7:, 0] = 0.9
+        np.fill_diagonal(rho, 1.0)
+        scen = WsnScenario(np.zeros((n, 2)), 2.0, rho, tiny_bundle.channels, 0)
+        cfg = SymConfig(scenario=scen, bundle=tiny_bundle, si_method="min_distortion")
+        candidates, scores = _selection_scores(cfg)
+        assert simulator.SI_CANDIDATES == 8
+        assert candidates.shape == (n, 8) and scores.shape == (n, 8, 4, 4)
+        assert list(candidates[0]) == [1, 2, 3, 7, 8, 9, 10, 11]
+        assert list(candidates[1]) == [0, 2, 3, 4, 5, 6, 7, 8]
+        assert np.array_equal(candidates, self.ranked(rho, 8))
+        assert not np.any(candidates == np.arange(n)[:, None])
+
+    @pytest.fixture(scope="class")
+    def field_40(self, k16_bundle):
+        return generate_scenario(40, k16_bundle.channels, seed=1)
+
+    @pytest.mark.parametrize("method", ["mutual_info", "min_distortion"])
+    def test_picks_among_candidates_equal_all_pairs_picks(self, k16_bundle, field_40, method):
+        # Uniform pattern ids lose both descriptions of a quarter of the
+        # nodes, so some all-pairs picks lie past the 8th candidate.
+        cfg = SymConfig(scenario=field_40, bundle=k16_bundle, si_method=method)
+        candidates, scores = _selection_scores(cfg)
+        assert not np.any(candidates == np.arange(40)[:, None])
+        pids = np.random.default_rng(7).integers(0, 4, size=(2_000, 40))
+        got = _select_maps(cfg, pids, (candidates, scores))
+        want = loop_select(cfg, pids)
+        among = np.any(want[:, :, None] == candidates[None], axis=2)
+        assert np.any(~among)
+        assert np.array_equal(got[among], want[among])
+
+    def test_min_distortion_picks_equal_all_pairs_picks(self, k16_bundle, field_40):
+        # Under the codec's own loss probability (0.05 per description)
+        # every all-pairs min_distortion pick is among the 8 candidates.
+        cfg = SymConfig(scenario=field_40, bundle=k16_bundle, si_method="min_distortion")
+        loss = k16_bundle.channels[0].loss_prob
+        received = np.random.default_rng(7).random((2_000, 40, 2)) >= loss
+        pids = pattern_ids(received)
+        assert np.array_equal(_select_maps(cfg, pids, _selection_scores(cfg)),
+                              loop_select(cfg, pids))
 
 
 def sym_run(cfg, monkeypatch):
