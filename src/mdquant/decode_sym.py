@@ -19,15 +19,15 @@ asymmetric lookup entry), and so is its SI level, so a sweep is a few integer
 gathers over all nodes and trials of the block at once.  The soft-SI sweeps
 run over the codec's used index tuples, those some quantizer cell maps to:
 every other tuple has zero prior, posterior and mixing entries.  Their row
-sums add the used entries in numpy's order over all tuples
-(:func:`_pairwise_plan`), so the estimates equal sweeps over every tuple.
+sums are numpy's over the used tuples, so the estimates equal sweeps over
+every tuple to rounding.  A row's sum reads that row alone, so it depends on
+neither the block's trial count nor the worker count.
 The symmetric experiment (``mdquant.simulator``) samples, transmits and
 selects the SI sources for it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,53 +138,6 @@ def _row_product(a, b):
     return a @ b
 
 
-def _pairwise_plan(width: int, cols):
-    """numpy's pairwise sum of a ``width``-entry row, over the entries ``cols`` only.
-
-    numpy adds up a row in eight interleaved partial sums, and splits a row
-    of more than 128 entries in two.  The plan is the tree of additions it
-    makes when every other entry is zero, over positions in ``cols``: an
-    int leaf or a (left, right) pair (None: no nonzero entry).  It is None
-    when ``cols`` holds every entry, where ``np.sum`` itself applies.
-    """
-    if len(cols) == width:
-        return None
-    at = {int(c): i for i, c in enumerate(cols)}
-
-    def add(a, b):  # adding a zero changes nothing
-        return b if a is None else a if b is None else (a, b)
-
-    def in_order(items, res=None):
-        return functools.reduce(add, items, res)
-
-    def pairwise(lo, n):
-        if n < 8:
-            return in_order(at.get(c) for c in range(lo, lo + n))
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return add(pairwise(lo, half), pairwise(lo + half, n - half))
-        stop = lo + n - n % 8
-        r = [in_order(at.get(c) for c in range(lo + j, stop, 8)) for j in range(8)]
-        res = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
-        return in_order((at.get(c) for c in range(stop, lo + n)), res)
-
-    return pairwise(0, width)
-
-
-def _row_sums(rows, plan, out):
-    """Row sums of the (trials, U) ``rows`` into ``out``, rounded as :func:`_pairwise_plan` says."""
-    if plan is None:
-        return np.sum(rows, axis=1, out=out)
-
-    def run(node):
-        if node is None:
-            return 0.0
-        return rows[:, node] if isinstance(node, int) else run(node[0]) + run(node[1])
-
-    out[...] = run(plan)
-    return out
-
-
 def _trial_groups(level_u) -> list:
     """One node's trials grouped by the ladder level of their SI source: (level, trial indices)."""
     return [(int(level), np.flatnonzero(level_u == level)) for level in np.unique(level_u)]
@@ -206,9 +159,9 @@ class _SymDecoder:
     estimated-SI the asymmetric lookups of all ladder levels as one
     (levels, rows, SI levels) array, and the SI levels of every no-SI
     estimate and lookup entry; for soft-SI the used tuples ``used`` (U of
-    the L), the likelihood and no-SI posterior columns of these tuples, their
-    mixing matrices from one cross-table stack at the ladder's correlations,
-    and the order of their row sums.
+    the L), the likelihood and no-SI posterior columns of these tuples, and
+    their mixing matrices from one cross-table stack at the ladder's
+    correlations.
     """
 
     def __init__(self, bundle: CodecBundle, mode: str, pairwise_rho):
@@ -239,8 +192,6 @@ class _SymDecoder:
             self.used = np.flatnonzero(bundle.ia.table.any(axis=0))
             self.word_lik = self.word_lik[:, self.used]
             self.nosi_post = self.nosi_post[:, self.used]
-            # Row sums over these columns round as numpy's over all L.
-            self.sum_plan = _pairwise_plan(self.space.size, self.used)
             cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
             used = (slice(None), self.used[:, None], self.used)
             mix_prob, mix_first = (
@@ -346,7 +297,7 @@ class _SymDecoder:
             for u in range(n_nodes):
                 p = self.soft_prior(posts, groups[u], s_map[:, u], out=new[u])
                 p *= lik[u]
-                _row_sums(p, self.sum_plan, rowsum)
+                np.sum(p, axis=1, out=rowsum)
                 np.maximum(rowsum, 1e-300, out=rowsum)
                 p /= rowsum[:, None]
                 np.abs(np.subtract(p, posts[u], out=change), out=change)
@@ -362,5 +313,5 @@ class _SymDecoder:
         for u in range(n_nodes):
             den_num = self.soft_prior(prev, groups[u], s_map[:, u], final=True)
             terms = posts[u] * masked_ratio(den_num[:, U:], den_num[:, :U])
-            _row_sums(terms, self.sum_plan, xhat[u])
+            np.sum(terms, axis=1, out=xhat[u])
         return xhat

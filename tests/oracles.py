@@ -582,7 +582,10 @@ def soft_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarr
     and one cross-table stack at the ladder's correlations.  Each sweep maps
     every trial's SI source posterior through the mixing matrix of the pair's
     ladder level to the node's prior, one product per (node, level) group,
-    and normalises prior times likelihood.  The sweeps stop after
+    and normalises prior times likelihood.  Its two row sums, the
+    normaliser and the final posterior mean, run over the decoder's used
+    tuples ``dec.used`` as the decoder's do; every other entry is zero, so
+    only their rounding depends on it.  The sweeps stop after
     ``max_iters`` iterations, or once the largest change of the posteriors
     falls below ``tol``; the estimate is then the posterior mean of the
     first moments that the final priors' neighbor posteriors give.
@@ -617,7 +620,7 @@ def soft_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarr
         delta = 0.0
         for u in range(n_nodes):
             p = np.multiply(lik[u], priors(posts, u, prior_mix), out=new[u])
-            p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+            p /= np.maximum(p[:, dec.used].sum(axis=1, keepdims=True), 1e-300)
             delta = max(delta, float(np.max(np.abs(p - posts[u]))))
         prev, posts = posts, new
         if delta < tol:
@@ -626,7 +629,8 @@ def soft_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarr
         return ests
     for u in range(n_nodes):
         den_num = priors(prev, u, final_mix)
-        ests[u] = np.sum(posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L]), axis=1)
+        terms = posts[u] * masked_ratio(den_num[:, L:], den_num[:, :L])
+        ests[u] = terms[:, dec.used].sum(axis=1)
     return ests
 
 

@@ -437,6 +437,10 @@ class TestSoftSweeps:
                 if dec.used.size == dec.space.size:
                     assert np.array_equal(got, expect)
                 else:
+                    # The oracle's products run over all L tuples and the
+                    # decoder's over the U used ones, and they round
+                    # differently: exact equality fails at k16_bundle, 6
+                    # nodes, 40 trials, blocks of 16.
                     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-15)
 
     def test_codecs_leave_tuples_unused(self, tiny_bundle, ber0_bundle, k16_bundle,
@@ -446,22 +450,52 @@ class TestSoftSweeps:
                 for b in (tiny_bundle, ber0_bundle, k16_bundle, every_tuple_bundle)]
         assert used == [3, 12, 12, 4]
 
-    @settings(max_examples=60, deadline=None)
-    @given(width=st.integers(1, 300), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
-    @example(width=16, share=0.6, seed=0)
-    @example(width=200, share=0.5, seed=1)
-    def test_row_sums_round_as_the_full_row(self, width, share, seed):
-        # The used columns' sums equal numpy's over the whole row with zeros
-        # elsewhere, bit for bit: eight-lane rows, rows split in two, and
-        # rows shorter than eight.
-        rng = np.random.default_rng(seed)
-        cols = np.sort(rng.choice(width, size=max(1, round(share * width)), replace=False))
-        full = np.zeros((20, width))
-        full[:, cols] = rng.random((20, cols.size)) * 10.0 ** rng.uniform(-6, 6, (20, cols.size))
-        plan = decode_sym._pairwise_plan(width, cols)
-        assert (plan is None) == (cols.size == width)
-        got = decode_sym._row_sums(np.ascontiguousarray(full[:, cols]), plan, np.empty(20))
-        assert got.tobytes() == full.sum(axis=1).tobytes()
+    @pytest.mark.parametrize("method", SI_METHODS)
+    def test_soft_blocks_and_workers_equal_one_block(self, k16_bundle, monkeypatch, method):
+        # k16_bundle uses 12 of its 16 tuples, so each row sum runs numpy's
+        # eight-lane pairwise sum over the used columns (tiny_bundle's three
+        # add in sequence).  A row's sum reads that row alone: neither the
+        # block's trial count nor the worker count changes a bit.
+        nodes, trials = 6, 150
+        scen = generate_scenario(nodes, k16_bundle.channels, seed=3)
+        cfg = SymConfig(scenario=scen, bundle=k16_bundle, mode="soft", si_method=method,
+                        trials=trials, seed=5)
+        per_trial = nodes * tuple_space(k16_bundle.channels).size
+        monkeypatch.setattr(decode_sym, "SYM_TOL", 0.0)
+        decode, result = _SymDecoder.decode, simulator._result
+
+        def run(trials_per_block, workers):
+            """(estimates, or None from forked workers; per-trial errors; d_av and stderr)."""
+            xhats, errs = [], []
+
+            def recorded_decode(dec, *args):
+                xhats.append(decode(dec, *args))
+                return xhats[-1]
+
+            def recorded_result(err, *args, **kwargs):
+                errs.append(err)
+                return result(err, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(simulator, "BLOCK_ENTRIES", trials_per_block * per_trial)
+                m.setattr(forking, "worker_count", lambda items: min(items, workers))
+                m.setattr(_SymDecoder, "decode", recorded_decode)
+                m.setattr(simulator, "_result", recorded_result)
+                res = run_sym_experiment(cfg)
+            [err] = errs
+            xhat = np.concatenate(xhats, axis=1) if workers == 1 else None
+            return xhat, err, (res.d_av, res.stderr)
+
+        whole_xhat, whole_err, whole_res = run(trials, 1)
+        assert whole_xhat.shape == (nodes, trials) and whole_err.shape == (trials,)
+        for trials_per_block in (1, 7, 64):
+            xhat, err, res = run(trials_per_block, 1)
+            assert xhat.tobytes() == whole_xhat.tobytes(), trials_per_block
+            assert err.tobytes() == whole_err.tobytes(), trials_per_block
+            assert res == whole_res, trials_per_block
+        _, err, res = run(trials, 2)
+        assert err.tobytes() == whole_err.tobytes()
+        assert res == whole_res
 
 
 class TestJointDecoderModule:
