@@ -216,11 +216,13 @@ def cmd_evaluate(args) -> int:
         flag = "--rho-real" if args.rho_dec is None else "--rho-dec"
         raise ValueError(f"{flag} must lie in [0, 1] for the decoder's side information")
     bundle = load_codec(args.codec)
+    if args.no_si:
+        # One SI level carries no SI; its rho = 0 tables are the no-SI ones bit for bit.
+        bundle, rho_dec = bundle.with_si_quantizer(lloyd_design(GaussianSource(), 1)), 0.0
     cfg = AsymConfig(
         bundle=bundle,
         rho_real=args.rho_real,
-        rho_dec=args.rho_dec,
-        use_si=not args.no_si,
+        rho_dec=rho_dec,
         trials=args.trials,
         seed=args.seed,
     )
@@ -367,6 +369,8 @@ def cmd_scenario(args) -> int:
         f"{res.d_av_db:.6f},{res.stderr!r}",
     ]
     print(f"wall_time={res.wall_time:.2f}s", file=sys.stderr)
+    if res.psd_projected:
+        print("warning=correlation matrix projected onto the PSD cone", file=sys.stderr)
     _emit(lines, args.output)
     return 0
 

@@ -108,17 +108,14 @@ class _AsymLookup:
     """Reconstruction lookup table for one (rho level, channel set).
 
     ``table[offsets[p] + j, y]`` reconstructs from combined word j under loss
-    pattern p with SI level y.  ``level`` None means no SI.
+    pattern p with SI level y.  A codec with a one-level SI quantizer, read
+    at its rho = 0 level, decodes without SI.
     """
 
-    def __init__(self, bundle: CodecBundle, channels, level: int | None):
+    def __init__(self, bundle: CodecBundle, channels, level: int):
         t = bundle.tables
-        if level is None:
-            joint = t.prior_nosi[:, None]
-            first = (t.prior_nosi * t.codebook_nosi)[:, None]
-        else:
-            joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
-            first = joint * t.codebook[level].T
+        joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
+        first = joint * t.codebook[level].T
         self.stacked, self.offsets = stacked_pattern_table(channels)
         _, _, self.table = pattern_lookups(self.stacked, joint, first)
 
@@ -342,9 +339,9 @@ class DecoderTables:
     """Stored priors P(I | SI level) and codebooks C(I | SI level).
 
     Arrays are indexed (correlation level, SI level, tuple).  ``prior_nosi``
-    and ``codebook_nosi`` are the no-side-information fallbacks used when the
-    decoder has no SI (first iteration of the joint decoder, or an SI-blind
-    system).  Tuples with zero prior keep codebook value 0.
+    and ``codebook_nosi`` are the no-side-information tables: the joint
+    decoder's first iteration reads them, and every rho = 0 level repeats them
+    at each SI level.  Tuples with zero prior keep codebook value 0.
     """
 
     rho_values: np.ndarray
@@ -363,6 +360,9 @@ class DecoderTables:
 
 
 def _nosi_tables(quantizer, table):
+    # Designed tables are Fortran-ordered, loaded ones C-ordered, and the products
+    # below round differently for the two: one order rebuilds a loaded codec's tables.
+    table = np.asfortranarray(table)
     p, m1, _ = gauss_interval_moments_batch(quantizer.edges(), 0.0, 1.0)
     prior = table.T @ p
     first = table.T @ m1

@@ -72,7 +72,6 @@ from .codec import CodecBundle, _AsymLookup, si_moment_matrices
 from .decode_sym import _SymDecoder, cross_table_stack
 from . import forking
 from .gaussian import JointGaussianPair
-from .quantizer import ScalarQuantizer
 from .si_select import score_tables, select_min_distance
 from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindings)
     expected_partial_si_distortion,
@@ -285,18 +284,20 @@ def _transmit_bsc(tuple_ids, sets, space, streams) -> list:
 
 @dataclass
 class AsymConfig:
-    """One asymmetric Monte-Carlo configuration."""
+    """One asymmetric Monte-Carlo configuration, decoded at ``rho_dec`` (None: ``rho_real``).
+
+    A one-level SI quantizer read at ``rho_dec`` 0 decodes without SI (``evaluate --no-si``).
+    """
 
     bundle: CodecBundle
     rho_real: float
     trials: int = 100_000
     seed: int = 0
     rho_dec: float | None = None
-    use_si: bool = True
 
 
 def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]:
-    """Monte-Carlo transmission of one source decoded with (optional) SI.
+    """Monte-Carlo transmission of one source decoded with its SI.
 
     Returns one result per channel set (``[cfg.bundle.channels]`` for the
     codec's own channels), each equal to a run with that set alone: the
@@ -314,7 +315,7 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
     if not -1.0 < cfg.rho_real < 1.0:
         raise ValueError(f"rho_real must lie in (-1, 1), got {cfg.rho_real!r}")
     rho_dec = cfg.rho_real if cfg.rho_dec is None else cfg.rho_dec
-    level = bundle.rho_level(rho_dec) if cfg.use_si else None
+    level = bundle.rho_level(rho_dec)
 
     # x and z come whole from one stream; everything after is per block.
     rng_src = derive_rng(cfg.seed, 1)
@@ -328,9 +329,7 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
         errs = _run_asym_bsc(cfg, sets, x, z, lookups)
         if len(sets[0]) == 2:
             pair = JointGaussianPair(1.0, 1.0, cfg.rho_real)
-            # A no-SI lookup reads no SI level: the marginal moments, of one SI level, suffice.
-            si_q = bundle.si_quantizer if cfg.use_si else ScalarQuantizer([0.0], [], [1.0])
-            moments = si_moment_matrices(bundle.quantizer, si_q, pair)
+            moments = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair)
             exact = [{"d_side": (d10, d01), "d_central": d11} for _, d01, d10, d11 in (
                 lk.pattern_distortions(bundle.ia.table, *moments) for lk in lookups)]
 
@@ -377,11 +376,7 @@ def _source_block(cfg: AsymConfig, x, z, blk):
     rho = cfg.rho_real
     xb = x[blk]
     tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(xb)]
-    if cfg.use_si:
-        y = rho * xb + np.sqrt(1.0 - rho**2) * z[blk]
-        si_levels = bundle.si_quantizer.cells(y)
-    else:
-        si_levels = np.zeros(xb.size, dtype=int)
+    si_levels = bundle.si_quantizer.cells(rho * xb + np.sqrt(1.0 - rho**2) * z[blk])
     return xb, tuple_ids, si_levels
 
 
@@ -431,10 +426,7 @@ def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> np.ndarray:
     space = tuple_space(channels)
     comps = [space.component(m) for m in range(len(channels))]
     syms = [bpsk_symbols(ch.bits)[: ch.index_count] for ch in channels]
-    if level is None:
-        prior, codebook = t.prior_nosi[None, :], t.codebook_nosi[None, :]
-    else:
-        prior, codebook = t.prior[level], t.codebook[level]
+    prior, codebook = t.prior[level], t.codebook[level]
     with np.errstate(divide="ignore"):
         log_prior = np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
 

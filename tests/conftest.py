@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mdquant import (
+    AsymConfig,
     CodecBundle,
     CorrelationLadder,
     DescriptionChannel,
@@ -49,6 +50,18 @@ def make_bundle(quantizer, si_quantizer, ia_table, channels, design_rho=0.8):
         tables=tables,
         metadata={},
     )
+
+
+def one_level_si(bundle):
+    """``bundle`` with a one-level SI quantizer: its rho = 0 tables are the no-SI tables."""
+    return bundle.with_si_quantizer(lloyd_design(GaussianSource(), 1))
+
+
+def asym_config(bundle, *, no_si=False, **fields):
+    """An AsymConfig of ``bundle``; ``no_si`` decodes without SI, as ``evaluate --no-si`` does."""
+    if no_si:
+        bundle, fields = one_level_si(bundle), {**fields, "rho_dec": 0.0}
+    return AsymConfig(bundle=bundle, **fields)
 
 
 @pytest.fixture(scope="session")

@@ -691,12 +691,8 @@ def asym_awgn_errors(bundle: CodecBundle, channels, x, tuple_ids, si_levels, lev
     t = bundle.tables
     space = tuple_space(channels)
     n = x.size
-    if level is None:
-        prior = np.broadcast_to(t.prior_nosi, (n, t.prior_nosi.size))
-        codebook = np.broadcast_to(t.codebook_nosi, prior.shape)
-    else:
-        prior = t.prior[level][si_levels]  # (n, L)
-        codebook = t.codebook[level][si_levels]
+    prior = t.prior[level][si_levels]  # (n, L)
+    codebook = t.codebook[level][si_levels]
     loglik = np.zeros((n, space.size))
     for m, ch in enumerate(channels):
         idx = space.component(m)[tuple_ids]
@@ -741,12 +737,9 @@ def forced_pattern_errors(cfg, channels, patterns) -> np.ndarray:
     x = rng.standard_normal(n)
     z = rng.standard_normal(n)
     tuple_ids = bundle.ia.hard_map()[bundle.quantizer.cells(x)]
-    if cfg.use_si:
-        rho = cfg.rho_real
-        si_levels = bundle.si_quantizer.cells(rho * x + np.sqrt(1.0 - rho**2) * z)
-        level = bundle.rho_level(rho if cfg.rho_dec is None else cfg.rho_dec)
-    else:
-        si_levels, level = np.zeros(n, dtype=int), None
+    rho = cfg.rho_real
+    si_levels = bundle.si_quantizer.cells(rho * x + np.sqrt(1.0 - rho**2) * z)
+    level = bundle.rho_level(rho if cfg.rho_dec is None else cfg.rho_dec)
     lookup = _AsymLookup(bundle, channels, level)
     space = tuple_space(channels)
     words = np.empty((n, len(channels)), dtype=int)

@@ -33,7 +33,7 @@ from mdquant.simulator import (
     to_db,
 )
 
-from conftest import make_bundle
+from conftest import asym_config, make_bundle
 from oracles import ChannelOutcome, decode, mse_optimality_check, run_decoder
 
 SOURCE = GaussianSource(0.0, 1.0)
@@ -190,7 +190,7 @@ def test_criterion_5_encoder_gain_trend(desk_quantizers):
             AsymConfig(bundle=blind, rho_real=rho, trials=trials, seed=3), [blind.channels]
         )[0].d_av
         d_sim2 = run_asym_experiment(
-            AsymConfig(bundle=blind, rho_real=rho, trials=trials, seed=3, use_si=False),
+            asym_config(blind, no_si=True, rho_real=rho, trials=trials, seed=3),
             [blind.channels],
         )[0].d_av
         gains_enc.append(to_db(d_sim1) - to_db(d_sim))

@@ -8,6 +8,8 @@ its d_se; elsewhere the forced-pattern Monte-Carlo decode of the oracles
 agrees with it within its standard error.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mdquant.codec import _AsymLookup, evaluate_distortion, si_moment_matrices
 from mdquant.persist import load_codec
 from mdquant.simulator import AsymConfig, run_asym_experiment
 
+from conftest import asym_config, one_level_si
 from oracles import forced_pattern_errors
 
 # Positions in loss_patterns of description 1 alone, description 2 alone and
@@ -66,7 +69,7 @@ class TestDesignPoint:
 
     def test_no_si_table_applies_at_every_si_level(self, desk):
         # Over the SI levels or over the marginal, the no-SI lookup's distortions agree.
-        lookup = _AsymLookup(desk, desk.channels, None)
+        lookup = _AsymLookup(one_level_si(desk), desk.channels, 0)
         one_level = lloyd_design(GaussianSource(), 1)
         pair = JointGaussianPair(1, 1, 0.8)
         per_level = lookup.pattern_distortions(
@@ -78,12 +81,12 @@ class TestDesignPoint:
         np.testing.assert_allclose(per_level, marginal, rtol=1e-12)
 
 
-# Each case: AsymConfig fields, bit error rates (None: the codec's own
+# Each case: ``asym_config`` fields, bit error rates (None: the codec's own
 # channels), SI quantizer size (None: the codec's own) and oracle seed.  The
 # seeds were fixed before the first run.
 STATISTICAL_CASES = {
     "bsc_sweep": ({"rho_real": 0.8}, (0.01, 0.001, 0.0), None, 41),
-    "no_si": ({"rho_real": 0.8, "use_si": False}, (0.02, 0.0), None, 42),
+    "no_si": ({"rho_real": 0.8, "no_si": True}, (0.02, 0.0), None, 42),
     "rho_dec": ({"rho_real": 0.7, "rho_dec": 0.9}, (None,), None, 43),
     "nsi_16": ({"rho_real": 0.8}, (None,), 16, 44),
 }
@@ -97,9 +100,9 @@ class TestAgainstForcedPatternDecode:
             lloyd_design(GaussianSource(), nsi)
         )
         sets = [bundle.channels if ber is None else bsc_set(bundle, ber) for ber in bers]
-        cfg = AsymConfig(bundle=bundle, trials=2, seed=seed, **fields)
+        cfg = asym_config(bundle, trials=2, seed=seed, **fields)
         results = run_asym_experiment(cfg, sets)
-        oracle_cfg = AsymConfig(bundle=bundle, trials=ORACLE_TRIALS, seed=seed, **fields)
+        oracle_cfg = dataclasses.replace(cfg, trials=ORACLE_TRIALS)
         for chs, res in zip(sets, results, strict=True):
             errs = forced_pattern_errors(oracle_cfg, chs, FORCED)
             means = errs.mean(axis=1)

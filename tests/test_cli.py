@@ -17,8 +17,9 @@ from mdquant import BoundQuery, DescriptionChannel, GaussianSource, lloyd_design
 from mdquant import reference_values as refs
 from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, _parse_desc, main
 from mdquant.persist import load_codec, save_codec
-from mdquant.simulator import AsymConfig, run_sym_experiment, to_db
+from mdquant.simulator import run_sym_experiment, to_db
 
+from conftest import asym_config
 from oracles import forced_pattern_errors
 
 
@@ -507,12 +508,12 @@ PINNED_EVALUATE = {
 
 # The d_side_db and d_central_db cells that the forced-pattern Monte-Carlo
 # decode wrote into the pinned BSC rows before they became exact, with each
-# case's AsymConfig fields and bit error rates (None: the codec's own).
+# case's ``asym_config`` fields and bit error rates (None: the codec's own).
 FORCED_PATTERN_CELLS = {
     "bsc_sweep": ({"rho_real": 0.8}, (0.01, 0.001, 0.0), [
         ("-7.956078", "-15.445195"), ("-8.258151", "-17.889509"), ("-8.285052", "-18.107435"),
     ]),
-    "bsc_sweep_no_si": ({"rho_real": 0.8, "use_si": False}, (0.02, 0.0), [
+    "bsc_sweep_no_si": ({"rho_real": 0.8, "no_si": True}, (0.02, 0.0), [
         ("-1.785565", "-3.149567"), ("-1.981844", "-3.485068"),
     ]),
     "codec_channels": ({"rho_real": 0.7, "rho_dec": 0.9}, (None,), [
@@ -540,11 +541,22 @@ class TestPinnedEvaluate:
         assert run_cli("evaluate", "--codec", desk_codec, *args, *DESK_EVAL, "-o", out) == 0
         assert out.read_text() == expected
 
+    @pytest.mark.parametrize("rho_real", ["0.8", "-0.5"])
+    def test_no_si_row_is_the_one_level_si_row_at_rho_0(self, desk_codec, tmp_path, rho_real):
+        # --no-si decodes through a one-level SI quantizer read at rho 0.
+        rows = []
+        for flags in (["--no-si"], ["--nsi-sweep", "1", "--rho-dec", "0"]):
+            out = tmp_path / "eval.csv"
+            assert run_cli("evaluate", "--codec", desk_codec, "--rho-real", rho_real, *flags,
+                           *DESK_EVAL, "-o", out) == 0
+            rows.append([line.split(",", 1)[1] for line in out.read_text().splitlines()])
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("case", sorted(FORCED_PATTERN_CELLS))
     def test_exact_cells_lie_within_5_stderr_of_the_forced_pattern_cells(self, desk_codec, case):
         fields, bers, old_cells = FORCED_PATTERN_CELLS[case]
         bundle = load_codec(desk_codec)
-        cfg = AsymConfig(bundle=bundle, trials=20_000, seed=3, **fields)
+        cfg = asym_config(bundle, trials=20_000, seed=3, **fields)
         rows = PINNED_EVALUATE[case][1].splitlines()[1:]
         for ber, old, row in zip(bers, old_cells, rows, strict=True):
             chs = bundle.channels if ber is None else tuple(
@@ -732,6 +744,23 @@ class TestScenario:
         assert row[:3] == ["3", mode, method]
         assert math.isfinite(float(row[4])) and math.isfinite(float(row[5]))
         assert results[0].psd_projected is True
+
+    @pytest.mark.parametrize("field", ["coincident", "generated_40"])
+    def test_projected_field_warns_on_stderr(self, codec_file, tmp_path, capsys, field):
+        if field == "coincident":
+            path = tmp_path / "field.json"
+            path.write_text(json.dumps({"positions": [[0.1, 0.1], [0.1, 0.1], [0.5, 0.5]]}))
+            nodes = ["--scenario-file", path]
+        else:
+            nodes = ["--nodes", "40"]
+        capsys.readouterr()
+        rc = run_cli("scenario", *nodes, "--codec", codec_file, "--trials", "200",
+                     "--seed", "3", "-o", tmp_path / "scen.csv")
+        assert rc == 0
+        warned = "warning=correlation matrix projected onto the PSD cone" in (
+            capsys.readouterr().err.splitlines()
+        )
+        assert warned == (field == "coincident")
 
     def test_scenario_file_round_trip(self, codec_file, tmp_path):
         saved = tmp_path / "field.json"

@@ -22,9 +22,10 @@ from mdquant.channel import tuple_space
 from mdquant import codec
 from mdquant.codec import DesignContext, si_moment_matrices, si_moment_stack
 from mdquant.gaussian import gauss_interval_moments_batch
+from mdquant.persist import load_codec, save_codec
 from mdquant.quantizer import quantizer_mse
 
-from conftest import simpson_nodes, std_normal_pdf
+from conftest import make_bundle, simpson_nodes, std_normal_pdf
 from oracles import (
     da_weights,
     pairwise_decoder_tables,
@@ -257,6 +258,37 @@ class TestDecoderTables:
                 num += np.dot(mass, x)
             expect = num / den
             assert abs(tables.codebook[0, level, 0] - expect) < 1e-8
+
+
+def random_hard_table(rng, K, L):
+    """A K x L hard assignment table, each cell's tuple drawn uniformly."""
+    table = np.zeros((K, L))
+    table[np.arange(K), rng.integers(L, size=K)] = 1.0
+    return table
+
+
+class TestNoSiTablesMemoryOrder:
+    # A designed assignment table is Fortran-ordered and a loaded one
+    # C-ordered; the no-SI tables must not depend on which.
+    def test_c_and_fortran_tables_give_the_same_bits(self):
+        q = _lloyd(256)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            table = random_hard_table(rng, 256, 64)
+            c_order = codec._nosi_tables(q, np.ascontiguousarray(table))
+            f_order = codec._nosi_tables(q, np.asfortranarray(table))
+            for c, f in zip(c_order, f_order, strict=True):
+                assert c.tobytes() == f.tobytes()
+
+    def test_loaded_codec_rebuilds_its_stored_tables(self, tmp_path):
+        table = np.asfortranarray(random_hard_table(np.random.default_rng(0), 256, 64))
+        channels = (DescriptionChannel.bsc(0.01, 0.05, 8),) * 2
+        save_codec(make_bundle(_lloyd(256), _lloyd(8), table, channels), tmp_path / "codec.json")
+        loaded = load_codec(tmp_path / "codec.json")
+        assert loaded.ia.table.flags.c_contiguous
+        rebuilt = loaded.with_si_quantizer(loaded.si_quantizer).tables
+        for name in ("prior", "codebook", "si_probs", "prior_nosi", "codebook_nosi"):
+            assert getattr(rebuilt, name).tobytes() == getattr(loaded.tables, name).tobytes(), name
 
 
 class TestDecoderTablesAgainstPairOracle:

@@ -15,7 +15,7 @@ from mdquant.codec import _AsymLookup, si_moment_matrices
 from mdquant.persist import save_codec
 from mdquant.simulator import AsymConfig, run_asym_experiment
 
-from conftest import child_pids, needs_workers
+from conftest import asym_config, child_pids, needs_workers
 
 TRIALS, BLOCK = 120, 25  # five blocks, the last one short
 AWGN = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
@@ -59,8 +59,8 @@ class TestSameResultsAsSerial:
     ):
         small_blocks(monkeypatch, tiny_bundle)
         sets = bsc_sets(tiny_bundle) if channels == "bsc_sweep" else [AWGN]
-        cfg = AsymConfig(bundle=tiny_bundle, rho_real=0.8, trials=TRIALS, seed=5,
-                         use_si=channels != "awgn_no_si")
+        cfg = asym_config(tiny_bundle, no_si=channels == "awgn_no_si",
+                          rho_real=0.8, trials=TRIALS, seed=5)
         serial_errs, serial = asym_run(cfg, sets, monkeypatch, 1)
         assert started == []
         # One array: each set's errors under the drawn losses.

@@ -37,7 +37,7 @@ from mdquant.simulator import (
     _transmit_bsc,
 )
 
-from conftest import make_bundle
+from conftest import asym_config, make_bundle, one_level_si
 from oracles import (
     ChannelOutcome,
     asym_awgn_errors,
@@ -143,13 +143,17 @@ class TestConditionalEntropyRates:
 class TestAsymLookup:
     def test_equals_per_symbol_decode_exhaustively(self, tiny_bundle):
         # Every loss pattern, received word, SI level and rho level (None:
-        # no SI) of the tiny codec: the batched lookup is the MMSE decoder.
+        # no SI, the rho-0 lookup of the one-level-SI codec) of the tiny
+        # codec: the batched lookup is the MMSE decoder.
         channels = tiny_bundle.channels
         levels = [None] + list(range(tiny_bundle.ladder.count))
         cases = 0
         worst = 0.0
         for level in levels:
-            lookup = _AsymLookup(tiny_bundle, channels, level)
+            if level is None:
+                lookup = _AsymLookup(one_level_si(tiny_bundle), channels, 0)
+            else:
+                lookup = _AsymLookup(tiny_bundle, channels, level)
             blocks = np.split(lookup.table, lookup.offsets[1:-1])
             si_levels = [None] if level is None else range(tiny_bundle.tables.si_probs.size)
             for p, q in enumerate(loss_patterns(len(channels))):
@@ -220,9 +224,7 @@ class TestAsymExperiment:
             [designed_bundle.channels],
         )[0]
         without = run_asym_experiment(
-            AsymConfig(
-                bundle=designed_bundle, rho_real=0.8, trials=100_000, seed=7, use_si=False
-            ),
+            asym_config(designed_bundle, no_si=True, rho_real=0.8, trials=100_000, seed=7),
             [designed_bundle.channels],
         )[0]
         assert with_si.d_av < without.d_av
@@ -299,10 +301,7 @@ def asym_sources(cfg):
     z = rng.standard_normal(cfg.trials)
     y = cfg.rho_real * x + np.sqrt(max(1.0 - cfg.rho_real**2, 0.0)) * z
     tuple_ids = b.ia.hard_map()[np.searchsorted(b.quantizer.thresholds, x, side="left")]
-    if cfg.use_si:
-        si_levels = np.searchsorted(b.si_quantizer.thresholds, y, side="left")
-    else:
-        si_levels = np.zeros(cfg.trials, dtype=int)
+    si_levels = np.searchsorted(b.si_quantizer.thresholds, y, side="left")
     return x, z, tuple_ids, si_levels
 
 
@@ -323,7 +322,7 @@ class TestSharedDraws:
     def test_blocked_bsc_equals_one_block(self, designed_bundle, monkeypatch, use_si):
         sets = [bsc_channels(p, 0.1) for p in (0.05, 0.0)]
         cfgs = [
-            AsymConfig(bundle=designed_bundle, rho_real=0.8, trials=n, seed=19, use_si=use_si)
+            asym_config(designed_bundle, no_si=not use_si, rho_real=0.8, trials=n, seed=19)
             for n in BLOCK_TRIALS
         ]
         whole = [run_asym_experiment(cfg, sets) for cfg in cfgs]
@@ -354,14 +353,13 @@ class TestSharedDraws:
     def test_blocked_awgn_equals_whole_array(self, designed_bundle, monkeypatch, use_si, trials):
         set_asym_block(monkeypatch, designed_bundle, BLOCK)
         awgn = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
-        cfg = AsymConfig(
-            bundle=designed_bundle, rho_real=0.8, trials=trials, seed=17,
-            use_si=use_si,
+        cfg = asym_config(
+            designed_bundle, no_si=not use_si, rho_real=0.8, trials=trials, seed=17,
         )
         x, z, tuple_ids, si_levels = asym_sources(cfg)
-        level = designed_bundle.rho_level(0.8) if use_si else None
+        level = cfg.bundle.rho_level(0.8 if use_si else 0.0)
         [err] = _run_asym_awgn(cfg, [awgn], x, z, level)
-        expect = asym_awgn_errors(designed_bundle, awgn, x, tuple_ids, si_levels, level, 17)
+        expect = asym_awgn_errors(cfg.bundle, awgn, x, tuple_ids, si_levels, level, 17)
         assert np.array_equal(err, expect)
         res = run_asym_experiment(cfg, [awgn])[0]
         assert res.d_av == float(expect.mean())
@@ -624,8 +622,7 @@ class TestSymExperiment:
                       si_method="distance", trials=30_000, seed=3)
         )
         asym = run_asym_experiment(
-            AsymConfig(bundle=bundle, rho_real=0.0, use_si=False,
-                       trials=30_000, seed=4),
+            asym_config(bundle, no_si=True, rho_real=0.0, trials=30_000, seed=4),
             [bundle.channels],
         )[0]
         assert abs(res.d_av - asym.d_av) < 3 * (res.stderr + asym.stderr)
