@@ -89,17 +89,17 @@ def masked_ratio(num, den, floor: float = 0.0):
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def pattern_lookups(stacked, joint, first):
+def pattern_lookups(stacked, moments):
     """Posterior-mean lookup for every loss pattern and received word.
 
-    ``stacked`` is the (L, N) table of ``channel.stacked_pattern_table``; ``joint``
-    and ``first`` are (L, S) tuple/SI-level masses P(I, y) and first moments.
-    Returns the (N, S) received-word masses ``den``, first moments ``num`` and
-    reconstructions ``xhat = num / den`` (0 where the mass is below
-    ``PROB_FLOOR``).
+    ``stacked`` is the (L, N) table of ``channel.stacked_pattern_table``;
+    ``moments`` is the (L, 2S) block ``[joint | first]`` of tuple/SI-level
+    masses P(I, y) and first moments.  Returns the (N, S) received-word
+    masses ``den``, first moments ``num`` and reconstructions
+    ``xhat = num / den`` (0 where the mass is below ``PROB_FLOOR``).
     """
-    S = joint.shape[1]
-    den_num = stacked.T @ np.hstack([joint, first])
+    S = moments.shape[1] // 2
+    den_num = stacked.T @ moments
     den, num = den_num[:, :S], den_num[:, S:]
     return den, num, masked_ratio(num, den, PROB_FLOOR)
 
@@ -117,7 +117,7 @@ class _AsymLookup:
         joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
         first = joint * t.codebook[level].T
         self.stacked, self.offsets = stacked_pattern_table(channels)
-        _, _, self.table = pattern_lookups(self.stacked, joint, first)
+        _, _, self.table = pattern_lookups(self.stacked, np.hstack([joint, first]))
 
     def pattern_distortions(self, ia_table, s0, s1, s2) -> list[float]:
         """Expected squared error of this fixed table under each loss pattern.
@@ -125,7 +125,7 @@ class _AsymLookup:
         With moment matrices S0, S1, S2, D_p = sum S2 + sum over p's word rows and
         SI levels of xhat^2 den - 2 xhat num (:func:`pattern_lookups`).
         """
-        den, num, _ = pattern_lookups(self.stacked, ia_table.T @ s0, ia_table.T @ s1)
+        den, num, _ = pattern_lookups(self.stacked, np.hstack([ia_table.T @ s0, ia_table.T @ s1]))
         terms = np.sum(self.table * (self.table * den - 2.0 * num), axis=1)
         return [float(s2.sum() + terms[a:b].sum()) for a, b in zip(self.offsets, self.offsets[1:])]
 
@@ -191,14 +191,25 @@ def gibbs_update(weights: np.ndarray, T: float, cell_probs) -> IndexAssignment:
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
+    weights = np.asarray(weights, dtype=float)
     p = np.maximum(np.asarray(cell_probs, dtype=float), 1e-300)
-    expo = -np.asarray(weights, dtype=float) / (T * p[:, None])
-    expo -= expo.max(axis=1, keepdims=True)
-    np.maximum(expo, EXP_CLAMP, out=expo)
-    rows = np.exp(expo)
-    rows /= rows.sum(axis=1, keepdims=True)
-    rows[rows < PROB_FLOOR] = 0.0
-    return IndexAssignment(rows, hard=False)
+    return IndexAssignment(_gibbs_rows(weights, T, p, np.empty_like(weights)), hard=False)
+
+
+def _gibbs_rows(weights, T: float, p, out) -> np.ndarray:
+    """The rows of :func:`gibbs_update` for floored cell probabilities ``p``, written into ``out``.
+
+    ``out`` has the shape and memory order of ``weights``: the row sums add
+    in memory order, so another order would move their last bits.
+    """
+    # w / -(T p) rounds exactly as -w / (T p): IEEE rounding is sign-symmetric.
+    np.divide(weights, -T * p[:, None], out=out)
+    out -= out.max(axis=1, keepdims=True)
+    np.maximum(out, EXP_CLAMP, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    out[out < PROB_FLOOR] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,37 +385,50 @@ def build_decoder_tables(
     si_quantizer: ScalarQuantizer,
     ia: IndexAssignment,
     rhos,
+    moments=None,
 ) -> DecoderTables:
     """Stored decoder tables of a unit-variance source and SI, one per correlation in ``rhos``.
 
     A tuple whose joint mass with an SI level is at most ``PROB_FLOOR`` gets
-    prior 0 and codebook 0 there.  The levels are built one at a time: one
-    moment quadrature per nonzero correlation keeps the peak memory that of a
-    single level.
+    prior 0 and codebook 0 there.  ``moments`` maps correlations whose
+    (S0, S1) moment matrices the caller already holds to those matrices.
+    Every other nonzero correlation of a multi-level SI quantizer runs its
+    own moment quadrature, one :func:`mdquant.forking.fork_map` item each,
+    so a worker's peak memory is that of a single level; a one-level SI
+    quantizer's moments need no quadrature, and its levels are built here.
     """
     rhos = np.array(rhos, dtype=float)
+    moments = moments or {}
     prior_nosi, codebook_nosi = _nosi_tables(quantizer, ia.table)
-    priors, codebooks = [], []
-    for rho in rhos:
-        if rho == 0.0:
-            # Independent SI: every level must reproduce the no-SI tables
-            # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
-            reps = (si_quantizer.size, 1)
-            priors.append(np.tile(prior_nosi, reps))
-            codebooks.append(np.tile(codebook_nosi, reps))
-            continue
-        s0, s1, _ = si_moment_stack(quantizer, si_quantizer, [rho])
-        joint = ia.table.T @ s0[0]  # (L, S): P(I, SI level)
-        first = ia.table.T @ s1[0]
+
+    def level_tables(rho):
+        if rho in moments:
+            s0, s1 = moments[rho]
+        else:
+            s0, s1 = (m[0] for m in si_moment_stack(quantizer, si_quantizer, [rho])[:2])
+        joint = ia.table.T @ s0  # (L, S): P(I, SI level)
+        first = ia.table.T @ s1
         psi = joint.sum(axis=0)
         prior = np.where(joint <= PROB_FLOOR, 0.0, joint / np.maximum(psi[None, :], 1e-300))
-        priors.append(prior.T)  # (S, L)
-        codebooks.append(masked_ratio(first, joint, PROB_FLOOR).T)
+        return prior.T, masked_ratio(first, joint, PROB_FLOOR).T  # (S, L) each
+
+    quadratures = [
+        rho for rho in rhos if rho != 0.0 and rho not in moments and si_quantizer.size > 1
+    ]
+    built = dict(zip(quadratures, fork_map(level_tables, quadratures, "decoder tables")))
+    # Independent SI: every level must reproduce the no-SI tables
+    # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
+    reps = (si_quantizer.size, 1)
+    independent = (np.tile(prior_nosi, reps), np.tile(codebook_nosi, reps))
+    levels = [
+        independent if rho == 0.0 else built[rho] if rho in built else level_tables(rho)
+        for rho in rhos
+    ]
     return DecoderTables(
         rho_values=rhos,
         si_probs=si_quantizer.cell_probs.copy(),
-        prior=np.stack(priors),
-        codebook=np.stack(codebooks),
+        prior=np.stack([prior for prior, _ in levels]),
+        codebook=np.stack([codebook for _, codebook in levels]),
         prior_nosi=prior_nosi,
         codebook_nosi=codebook_nosi,
     )
@@ -435,7 +459,6 @@ class DecoderState(NamedTuple):
 
     joint: np.ndarray
     first: np.ndarray
-    second: np.ndarray
     den: np.ndarray
     num: np.ndarray
     xhat: np.ndarray
@@ -464,7 +487,8 @@ class DesignContext:
             [loss_pattern_prob(q, channels) for q in loss_patterns(len(channels))]
         )
         # Constant factors of the fused products.
-        self.s012 = np.hstack([self.s0, self.s1, self.s2])  # (K, 3S)
+        self.s01 = np.hstack([self.s0, self.s1])  # (K, 2S)
+        self.s012 = np.hstack([self.s01, self.s2])  # (K, 3S)
         col_probs = np.repeat(self.pattern_probs, np.diff(self.offsets))
         self.weighted_stacked = self.stacked * col_probs[None, :]  # (L, N)
         self.s01_t = np.vstack([self.s0.T, self.s1.T])  # (2S, K)
@@ -473,16 +497,23 @@ class DesignContext:
     def decoder_state(self, table: np.ndarray) -> DecoderState:
         """Joint tables and reconstruction lookups implied by an assignment."""
         S = self.s0.shape[1]
+        moments = table.T @ self.s01  # (L, 2S): P(I, y) and first moments
+        den, num, xhat = pattern_lookups(self.stacked, moments)
+        return DecoderState(moments[:, :S], moments[:, S:], den, num, xhat)
+
+    def distortion(self, table: np.ndarray) -> DistortionBreakdown:
+        """Matched-decoder average distortion split into encoder/channel parts.
+
+        One product with ``[S0 | S1 | S2]`` gives P(I, y) and both moments,
+        and E[x^2] is summed over its strided S2 block.  Its first 2S columns
+        equal :meth:`decoder_state`'s product only where BLAS rounds the two
+        alike, so this product is kept: every distortion a codec file
+        records keeps its last bits whatever the shapes.
+        """
+        S = self.s0.shape[1]
         moments = table.T @ self.s012  # (L, 3S): P(I, y), first and second moments
         joint, first, second = moments[:, :S], moments[:, S:2 * S], moments[:, 2 * S:]
-        den, num, xhat = pattern_lookups(self.stacked, joint, first)
-        return DecoderState(joint, first, second, den, num, xhat)
-
-    def distortion(self, table: np.ndarray, state=None) -> DistortionBreakdown:
-        """Matched-decoder average distortion split into encoder/channel parts."""
-        if state is None:
-            state = self.decoder_state(table)
-        joint, first, second, den, num, xhat = state
+        den, num, xhat = pattern_lookups(self.stacked, moments[:, :2 * S])
         ratio = masked_ratio(first**2, joint, PROB_FLOOR)
         e_x2 = second.sum()
         d_se = float(e_x2 - np.sum(ratio[joint > PROB_FLOOR]))
@@ -497,16 +528,29 @@ class DesignContext:
         # reconstruction is its one tuple's centroid leaves ~1e-17), not a loss.
         return DistortionBreakdown(d_se, d_ch if d_ch > D_CH_FLOOR * e_x2 else 0.0)
 
-    def weights(self, state: DecoderState) -> np.ndarray:
-        """Distortion derivative d D / d P(I | cell k), shape (K, L).
+    def weights(self, state: DecoderState, out=None, block=None) -> np.ndarray:
+        """Distortion derivative d D / d P(I | cell k), shape (K, L), Fortran-ordered.
 
         Uses the reconstruction lookups of ``state`` (i.e., the decoder built
         from the assignment of the previous step):
         ``W[k, I] = sum_y S2[k, y] + sum_(p, j) P(p) T[I, j] (xhat^2 S0 - 2 xhat S1)``.
+        The weights are written into ``out`` (K, L, Fortran-ordered) and the
+        (N, 2S) ``[xhat^2 | -2 xhat]`` block into ``block``, when given.
+        For the state of a table A, sum A * W is A's distortion.
         """
         xhat = state.xhat
-        per_tuple = self.weighted_stacked @ np.hstack([xhat**2, -2.0 * xhat])  # (L, 2S)
-        return self.s2_tot[:, None] + (per_tuple @ self.s01_t).T
+        S = xhat.shape[1]
+        if block is None:
+            block = np.empty((xhat.shape[0], 2 * S))
+        np.square(xhat, out=block[:, :S])
+        np.multiply(xhat, -2.0, out=block[:, S:])
+        if out is None:
+            out = np.empty((self.s0.shape[0], self.space.size), order="F")
+        per_tuple = self.weighted_stacked @ block  # (L, 2S)
+        out_t = out.T
+        np.matmul(per_tuple, self.s01_t, out=out_t)
+        out_t += self.s2_tot
+        return out
 
 
 def evaluate_distortion(
@@ -618,16 +662,25 @@ def _auto_t_init(weights, cell_probs) -> float:
 
 
 def _anneal_once(ctx: DesignContext, rng):
+    """One annealing run from a Dirichlet start: (hardened assignment, its d_av, info).
+
+    An inner step is a Gibbs table, its decoder and the weights of that
+    decoder, all written into buffers made once per run; the step's d_av is
+    sum table * weights (:meth:`DesignContext.weights`), so the loop never
+    calls ``distortion``.  The tables take the weights' Fortran order, in
+    which the Gibbs row sums and the decoder product have always rounded.
+    """
     L = ctx.space.size
     K = ctx.quantizer.size
-    ia = IndexAssignment(rng.dirichlet(np.ones(L), size=K))
-    state = ctx.decoder_state(ia.table)
-    weights = ctx.weights(state)
+    table = rng.dirichlet(np.ones(L), size=K)
+    block = np.empty((ctx.stacked.shape[1], 2 * ctx.s0.shape[1]))
+    weights = ctx.weights(ctx.decoder_state(table), block=block)
     t_init = _auto_t_init(weights, ctx.cell_probs)
     t_min = T_MIN_RATIO * t_init
 
+    table = np.empty_like(weights)
+    p = np.maximum(ctx.cell_probs, 1e-300)
     T = t_init
-    d_av = ctx.distortion(ia.table, state).d_av
     violations = 0
     cap_hits = 0
     prev_entropy = None
@@ -635,10 +688,10 @@ def _anneal_once(ctx: DesignContext, rng):
     while T > t_min:
         d_prev = np.inf
         for _ in range(INNER_CAP):
-            ia = gibbs_update(weights, T, ctx.cell_probs)
-            state = ctx.decoder_state(ia.table)
-            d_av = ctx.distortion(ia.table, state).d_av
-            weights = ctx.weights(state)
+            _gibbs_rows(weights, T, p, table)
+            ctx.weights(ctx.decoder_state(table), out=weights, block=block)
+            # The transposes are C-contiguous, so vdot reads them without a copy.
+            d_av = float(np.vdot(table.T, weights.T))
             if d_av > d_prev * (1.0 + 1e-12):
                 violations += 1
             if abs(d_prev - d_av) < INNER_TOL * max(d_av, 1e-300):
@@ -646,14 +699,14 @@ def _anneal_once(ctx: DesignContext, rng):
             d_prev = d_av
         else:
             cap_hits += 1
-        ent = ia_entropy(ia, ctx.cell_probs)
+        ent = ia_entropy(IndexAssignment(table), ctx.cell_probs)
         if prev_entropy is not None and ent > prev_entropy + 1e-9:
             entropy_increases += 1
         prev_entropy = ent
         T *= COOLING
 
-    soft_d = d_av
-    hard_ia = harden(ia)
+    soft_d = ctx.distortion(table).d_av
+    hard_ia = harden(IndexAssignment(table))
     hard_d = ctx.distortion(hard_ia.table).d_av
     info = {
         "t_init": float(t_init),
@@ -710,7 +763,10 @@ def design_annealed(
     hard_ia, hard_d, info, best_restart = best
 
     breakdown = ctx.distortion(hard_ia.table)
-    tables = build_decoder_tables(quantizer, si_quantizer, hard_ia, ladder.levels)
+    tables = build_decoder_tables(
+        quantizer, si_quantizer, hard_ia, ladder.levels,
+        moments={float(pair.rho): (ctx.s0, ctx.s1)},
+    )
     metadata = {
         "format_version": 1,
         "seed": int(seed),

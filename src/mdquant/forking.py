@@ -1,11 +1,12 @@
 """Independent work items in forked worker processes, one per usable CPU.
 
 :func:`fork_map` is the package's one way to run work in parallel: the
-annealing restarts of a design, the trial blocks and selection-score
-correlations of a sensor field, and the decode blocks of the asymmetric
-experiment.  Workers are forked, because a spawned one re-imports numpy and
-starts a resource tracker that outlives the call, and a forked one inherits
-the function and its items without pickling them; only the results travel
+annealing restarts of a design, the moment quadratures of its decoder
+tables' ladder levels, the trial blocks and selection-score correlations of
+a sensor field, and the decode blocks of the asymmetric experiment.
+Workers are forked, because a spawned one re-imports numpy and starts a
+resource tracker that outlives the call, and a forked one inherits the
+function and its items without pickling them; only the results travel
 back.  OpenBLAS's own fork handler stops its thread pool before the fork,
 and each worker pins OpenBLAS to one thread: forked workers that keep the
 parent's BLAS pool oversubscribe the cores and run slower than the serial

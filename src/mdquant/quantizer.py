@@ -72,7 +72,8 @@ def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
 
     Initialization is deterministic (codewords at uniform quantiles), the
     centroid/nearest-neighbor iteration runs to a fixed point, and the MSE is
-    checked to be non-increasing at every step.
+    checked to be non-increasing at every step.  The quantizer is built once,
+    from the last step's arrays.
     """
     if K < 1:
         raise ValueError("need at least one quantizer level")
@@ -90,11 +91,10 @@ def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
         # Empty cells cannot occur for a Gaussian with distinct codewords,
         # but guard the division anyway.
         codewords = np.where(p > 0, m1 / np.maximum(p, 1e-300), codewords)
-        q = ScalarQuantizer(codewords, thresholds, p / p.sum())
-        mse = _mse(codewords, p, m1, m2)  # q.edges() are these edges
+        mse = _mse(codewords, p, m1, m2)
         if mse > prev_mse + 1e-15:
             raise RuntimeError("Lloyd iteration increased the MSE")
         if prev_mse - mse < LLOYD_REL_TOL * max(mse, 1e-300):
-            return q
+            break
         prev_mse = mse
-    return q
+    return ScalarQuantizer(codewords, thresholds, p / p.sum())

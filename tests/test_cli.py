@@ -579,6 +579,44 @@ class TestPinnedEvaluate:
         assert abs(10 ** (old_db / 10) - 10 ** (new_db / 10)) < 5 * combined
 
 
+# SHA-256 of codec files as designed before the annealing loop read each
+# step's d_av from its weights: the full-scale codec, whose 1,800 inner steps
+# per restart take most of the INNER_TOL decisions at capped temperatures,
+# and the CI desk codecs over a noisy and an error-free BSC, at four seeds.
+FULL_DESIGN = [
+    "design", "--K", "256", "--desc", "8,8", "--bsc", "0", "--loss", "0.05",
+    "--rho-enc", "0.8", "--nsi", "128", "--restarts", "2", "--seed", "1",
+]
+FULL_SHA256 = "d6e1e7bffa00379fafe4ff2f34886d20c87784683732258fc448c4660aaa481e"
+CI_DESK_DESIGN = [
+    "design", "--K", "16", "--desc", "4,4", "--loss", "0.05", "--rho-enc", "0.4",
+    "--nsi", "64", "--restarts", "2",
+]
+CI_DESK_SHA256 = {
+    ("0.005", 1): "94930bed66a32432c76084230a95c1e7548472b9f6e87e1bd7a571d3f4410303",
+    ("0.005", 2): "8b72aae3520ba489dee36f46e28a3920b372e2c0bf354f2adba956f7a82fb73f",
+    ("0.005", 3): "eea0352aa3c798d4785f3c2edb26bff93c16300cb5a9080acc7fdcca54e94f35",
+    ("0.005", 4): "624e11bfc020842fe7267af4c072927f384c3550a2122faf463b6523539009f8",
+    ("0", 1): "04166a49d75d461e3151f88a29d6e401afe294700afac2366b20411f27c18f91",
+    ("0", 2): "31756f78a66de88d1b9abcaf860831f22c5beb83b9bb925d163bcc7a880ddeb9",
+    ("0", 3): "0def63241a76862d64ddf2e8ded8115d8c9e90456d8ee603e04c99dedcee74a3",
+    ("0", 4): "b0075857d0f8acc47d09268deb4d87e217b0846453b93342b2e434af60f21d2e",
+}
+
+
+class TestDesignedCodecPins:
+    def test_full_scale(self, tmp_path):
+        out = tmp_path / "full.json"
+        assert run_cli(*FULL_DESIGN, "-o", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_SHA256
+
+    @pytest.mark.parametrize("bsc,seed", sorted(CI_DESK_SHA256))
+    def test_ci_desk(self, tmp_path, bsc, seed):
+        out = tmp_path / "desk.json"
+        assert run_cli(*CI_DESK_DESIGN, "--bsc", bsc, "--seed", seed, "-o", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CI_DESK_SHA256[bsc, seed]
+
+
 class TestScenario:
     def test_end_to_end(self, codec_file, tmp_path):
         out = tmp_path / "scen.csv"

@@ -1,4 +1,4 @@
-"""Annealing restarts in forked workers: the serial loop's codec, and no process left behind."""
+"""Annealing restarts and ladder tables in forked workers: the serial loop's codec, and no process left behind."""
 
 import multiprocessing
 import os
@@ -29,6 +29,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR = JointGaussianPair(1.0, 1.0, 0.8)
 CHANNELS = (DescriptionChannel.bsc(0.0, 0.05, 4),) * 2
 RESTARTS = 3
+# The processes a design starts with two workers: its restarts, then the
+# moment quadratures of its decoder tables' ladder levels.
+DESIGN_WORKERS = [
+    "mdquant-annealing-0", "mdquant-annealing-1",
+    "mdquant-decoder tables-0", "mdquant-decoder tables-1",
+]
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +77,7 @@ class TestSameCodecAsSerial:
             path = tmp_path / f"codec{workers}.json"
             save_codec(bundle, path)
             saved.append(path.read_bytes())
-        assert len(started) == 2
+        assert started == DESIGN_WORKERS
         assert saved[0] == saved[1]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -108,7 +114,7 @@ class TestWorkerCount:
         q = lloyd_design(source, 4)
         design_annealed(q, q, PAIR, (DescriptionChannel.bsc(0.0, 0.05, 2),) * 2,
                         restarts=5, seed=1)
-        assert len(started) == 2
+        assert started == DESIGN_WORKERS
 
     @pytest.mark.parametrize(
         "case", ["one restart", "one cpu", "no fork", "no setter", "daemonic caller"]
@@ -132,7 +138,7 @@ class TestProcessHygiene:
     def test_no_child_left_after_design(self, quantizers, started):
         before = child_pids(os.getpid())
         design_annealed(*quantizers, PAIR, CHANNELS, restarts=RESTARTS, seed=5)
-        assert len(started) == 2
+        assert started == DESIGN_WORKERS
         assert multiprocessing.active_children() == []
         assert child_pids(os.getpid()) - before == set()
 
