@@ -21,7 +21,7 @@ import numpy as np
 from . import reference_values as refs
 from .channel import DescriptionChannel
 from .codec import DistortionBreakdown, design_annealed
-from .gaussian import CorrelationLadder, GaussianSource, JointGaussianPair, quantize_rho
+from .gaussian import CorrelationLadder, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
 from .quantizer import lloyd_design
 from .rd_bound import BoundQuery, min_avg_distortion
@@ -85,9 +85,8 @@ def _design_bundle(args, rho_enc: float):
     if not 0.0 <= rho_enc < 1.0:
         raise ValueError("design correlation must lie in [0, 1)")
     channels = _build_channels(args)
-    source = GaussianSource(0.0, 1.0)
-    quantizer = lloyd_design(source, args.K)
-    si_quantizer = lloyd_design(source, args.nsi)
+    quantizer = lloyd_design(args.K)
+    si_quantizer = lloyd_design(args.nsi)
     pair = JointGaussianPair(1.0, 1.0, rho_enc)
     return design_annealed(
         quantizer, si_quantizer, pair, channels, restarts=args.restarts, seed=args.seed
@@ -218,7 +217,7 @@ def cmd_evaluate(args) -> int:
     bundle = load_codec(args.codec)
     if args.no_si:
         # One SI level carries no SI; its rho = 0 tables are the no-SI ones bit for bit.
-        bundle, rho_dec = bundle.with_si_quantizer(lloyd_design(GaussianSource(), 1)), 0.0
+        bundle, rho_dec = bundle.with_si_quantizer(lloyd_design(1)), 0.0
     cfg = AsymConfig(
         bundle=bundle,
         rho_real=args.rho_real,
@@ -243,7 +242,7 @@ def cmd_evaluate(args) -> int:
         name, labels = "nsi", sizes
         results = (
             run_asym_experiment(
-                replace(cfg, bundle=bundle.with_si_quantizer(lloyd_design(GaussianSource(), n))),
+                replace(cfg, bundle=bundle.with_si_quantizer(lloyd_design(n))),
                 channel_sets,
             )[0]
             for n in sizes

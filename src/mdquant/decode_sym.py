@@ -1,10 +1,11 @@
 """The joint decoder of a sensor field and its cross-source tables.
 
-When one source of a field serves as another's side information, the joint
-decoder couples the two through cross tables: the joint statistics of the
-two sources' quantizer cells and index tuples at their correlation.  They
-are read off the same moment matrices S0/S1 as the stored decoder tables
-(:func:`mdquant.codec.si_moment_matrices`, with the neighbor's quantizer in
+Every sensor of a field runs the same codec.  When one source serves as
+another's side information, the joint decoder couples the two through cross
+tables: the joint statistics of the two sources' quantizer cells and index
+tuples at their correlation, under that one codec.  They are read off the
+same moment matrices S0/S1 as the stored decoder tables
+(:func:`mdquant.codec.si_moment_matrices`, with the codec's quantizer in
 the role of the SI quantizer).  :func:`cross_table_stack` builds them for
 many correlations from one batched quadrature.  That is how the SI
 selection gets the tables of every pair of a field, and how the soft-SI
@@ -45,7 +46,7 @@ SYM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CrossSourceTables:
-    """Dependency tables between a decoded source and its SI source.
+    """Dependency tables between a decoded source and its SI source, both of one codec.
 
     ``cell_cross[l, k]``      P(own cell l | neighbor cell k)
     ``cell_cross_m1[l, k]``   E[X 1{own cell l} | neighbor cell k]
@@ -69,18 +70,17 @@ class CrossSourceTables:
     mix_first: np.ndarray
 
 
-def _cross_tables(bundle_u, bundle_s, s0, s1) -> CrossSourceTables:
+def _cross_tables(bundle, s0, s1) -> CrossSourceTables:
     """Cross tables from the moment matrices, one (K, K) pair or a stack of them."""
-    qs = bundle_s.quantizer
-    au, a_s = bundle_u.ia.table, bundle_s.ia.table
-    ps = np.maximum(qs.cell_probs, 1e-300)
+    q, a = bundle.quantizer, bundle.ia.table
+    ps = np.maximum(q.cell_probs, 1e-300)
     cell_cross, cell_cross_m1 = s0 / ps, s1 / ps
 
-    idx_given_cell = au.T @ cell_cross  # (..., Lu, Ks)
-    raw_first = au.T @ cell_cross_m1
+    idx_given_cell = a.T @ cell_cross  # (..., L, K)
+    raw_first = a.T @ cell_cross_m1
     cent_given_cell = masked_ratio(raw_first, idx_given_cell)
 
-    mass = a_s * qs.cell_probs[:, None]  # (Ks, Ls)
+    mass = a * q.cell_probs[:, None]  # (K, L)
     cell_given_idx = masked_ratio(mass, mass.sum(axis=0)[None, :])
 
     mix_prob = idx_given_cell @ cell_given_idx
@@ -96,30 +96,27 @@ def _cross_tables(bundle_u, bundle_s, s0, s1) -> CrossSourceTables:
     )
 
 
-def build_cross_tables(
-    bundle_u: CodecBundle,
-    bundle_s: CodecBundle,
-    pair_us: JointGaussianPair,
-) -> CrossSourceTables:
-    """Cross-source tables for decoding ``bundle_u`` with ``bundle_s`` as SI.
+def build_cross_tables(bundle: CodecBundle, pair: JointGaussianPair) -> CrossSourceTables:
+    """Cross-source tables for decoding a source of ``bundle`` with another as SI.
 
-    ``pair_us`` holds the correlation between the two sources (own source on
-    the X axis, neighbor on the Y axis).  ``cell_cross`` and ``cell_cross_m1``
-    are the moment matrices S0/S1 with the neighbor's quantizer as SI
-    quantizer, divided by the neighbor's cell probabilities.
+    Both sources run the one codec ``bundle``.  ``pair`` holds the
+    correlation between them (own source on the X axis, neighbor on the Y
+    axis).  ``cell_cross`` and ``cell_cross_m1`` are the moment matrices
+    S0/S1 with the codec's quantizer as SI quantizer, divided by its cell
+    probabilities.
     """
-    s0, s1, _ = si_moment_matrices(bundle_u.quantizer, bundle_s.quantizer, pair_us)
-    return _cross_tables(bundle_u, bundle_s, s0, s1)
+    s0, s1, _ = si_moment_matrices(bundle.quantizer, bundle.quantizer, pair)
+    return _cross_tables(bundle, s0, s1)
 
 
-def cross_table_stack(bundle_u: CodecBundle, bundle_s: CodecBundle, rhos) -> CrossSourceTables:
-    """Cross tables of unit-variance sources at many correlations at once.
+def cross_table_stack(bundle: CodecBundle, rhos) -> CrossSourceTables:
+    """Cross tables of two sources running ``bundle`` at many correlations at once.
 
     Entry r of every table equals ``build_cross_tables`` at ``rhos[r]`` bit
     for bit (one moment quadrature, :func:`mdquant.codec.si_moment_stack`).
     """
-    s0, s1, _ = si_moment_stack(bundle_u.quantizer, bundle_s.quantizer, rhos)
-    return _cross_tables(bundle_u, bundle_s, s0, s1)
+    s0, s1, _ = si_moment_stack(bundle.quantizer, bundle.quantizer, rhos)
+    return _cross_tables(bundle, s0, s1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +189,7 @@ class _SymDecoder:
             self.used = np.flatnonzero(bundle.ia.table.any(axis=0))
             self.word_lik = self.word_lik[:, self.used]
             self.nosi_post = self.nosi_post[:, self.used]
-            cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in levels])
+            cross = cross_table_stack(bundle, [round(float(v), 12) for v in levels])
             used = (slice(None), self.used[:, None], self.used)
             mix_prob, mix_first = (
                 np.ascontiguousarray(m[used]) for m in (cross.mix_prob, cross.mix_first)

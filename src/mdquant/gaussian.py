@@ -1,9 +1,10 @@
-"""Gaussian source/side-information models and exact interval moments.
+"""The Gaussian source/side-information model and exact interval moments.
 
+The source is N(0, 1) throughout, and so is its side information.
 Everything downstream (quantizers, decoder tables, distortion integrals)
-conditions on a jointly Gaussian (source, side information) pair, so the
-closed-form interval-moment formula here (one function, for one mean or a
-batch of them) is the numerical foundation of the whole package.
+conditions on a unit-variance jointly Gaussian (source, side information)
+pair, so the closed-form interval-moment formula here (one function, for one
+mean or a batch of them) is the numerical foundation of the whole package.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -22,35 +23,13 @@ def _phi(z):
 
 
 @dataclass(frozen=True)
-class GaussianSource:
-    """Scalar Gaussian source N(mean, variance)."""
-
-    mean: float = 0.0
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.mean) or not np.isfinite(self.variance):
-            raise ValueError("source parameters must be finite")
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
-    def pdf(self, x):
-        return _phi((np.asarray(x, dtype=float) - self.mean) / self.std) / self.std
-
-    def ppf(self, q):
-        return self.mean + self.std * ndtri(np.asarray(q, dtype=float))
-
-
-@dataclass(frozen=True)
 class JointGaussianPair:
-    """Zero-mean jointly Gaussian (source X, side information Y) pair.
+    """Zero-mean, unit-variance jointly Gaussian (source X, side information Y) pair.
 
     The correlation coefficient fully determines the conditional laws:
-    X | Y=y is Gaussian with mean rho*y*sd_x/sd_y and variance var_x*(1-rho^2).
+    X | Y=y is Gaussian with mean rho*y and variance 1-rho^2.  The moment
+    matrices (:func:`mdquant.codec.si_moment_matrices`) reject variances
+    other than 1.
     """
 
     var_x: float = 1.0
@@ -62,14 +41,6 @@ class JointGaussianPair:
             raise ValueError("variances must be positive")
         if not np.isfinite(self.rho) or abs(self.rho) > 1:
             raise ValueError("correlation must lie in [-1, 1]")
-
-    @property
-    def sd_x(self) -> float:
-        return float(np.sqrt(self.var_x))
-
-    @property
-    def sd_y(self) -> float:
-        return float(np.sqrt(self.var_y))
 
 
 def gauss_interval_moments_batch(edges, means, sd):

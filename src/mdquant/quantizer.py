@@ -1,4 +1,4 @@
-"""Lloyd scalar quantizer design, cell lookup and quantizer MSE.
+"""Lloyd scalar quantizer design for the N(0, 1) source, and cell lookup.
 
 Cells are half-open intervals between consecutive thresholds; values sitting
 exactly on a threshold belong to the lower cell so that encoding is
@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .gaussian import GaussianSource, gauss_interval_moments_batch
+from .gaussian import gauss_interval_moments_batch
 
 LLOYD_MAX_ITERATIONS = 500
 LLOYD_REL_TOL = 1e-9
@@ -57,18 +58,8 @@ class ScalarQuantizer:
         return np.searchsorted(self.thresholds, x, side="left")
 
 
-def quantizer_mse(q: ScalarQuantizer, source: GaussianSource) -> float:
-    """Exact mean squared quantization error of q against the source density."""
-    return _mse(q.codewords, *gauss_interval_moments_batch(q.edges(), source.mean, source.std))
-
-
-def _mse(codewords, p, m1, m2) -> float:
-    """Mean squared error of ``codewords`` from the source's cell moments."""
-    return float(np.sum(m2 - 2.0 * codewords * m1 + codewords ** 2 * p))
-
-
-def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
-    """Design a K-level Lloyd quantizer for the Gaussian source.
+def lloyd_design(K: int) -> ScalarQuantizer:
+    """Design a K-level Lloyd quantizer for the N(0, 1) source.
 
     Initialization is deterministic (codewords at uniform quantiles), the
     centroid/nearest-neighbor iteration runs to a fixed point, and the MSE is
@@ -78,20 +69,18 @@ def lloyd_design(source: GaussianSource, K: int) -> ScalarQuantizer:
     if K < 1:
         raise ValueError("need at least one quantizer level")
     if K == 1:
-        return ScalarQuantizer(
-            np.array([source.mean]), np.array([]), np.array([1.0])
-        )
+        return ScalarQuantizer(np.array([0.0]), np.array([]), np.array([1.0]))
 
-    codewords = source.ppf((np.arange(K) + 0.5) / K)
+    codewords = ndtri((np.arange(K) + 0.5) / K)
     prev_mse = np.inf
     for _ in range(LLOYD_MAX_ITERATIONS):
         thresholds = 0.5 * (codewords[:-1] + codewords[1:])
         edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
-        p, m1, m2 = gauss_interval_moments_batch(edges, source.mean, source.std)
+        p, m1, m2 = gauss_interval_moments_batch(edges, 0.0, 1.0)
         # Empty cells cannot occur for a Gaussian with distinct codewords,
         # but guard the division anyway.
         codewords = np.where(p > 0, m1 / np.maximum(p, 1e-300), codewords)
-        mse = _mse(codewords, p, m1, m2)
+        mse = float(np.sum(m2 - 2.0 * codewords * m1 + codewords ** 2 * p))
         if mse > prev_mse + 1e-15:
             raise RuntimeError("Lloyd iteration increased the MSE")
         if prev_mse - mse < LLOYD_REL_TOL * max(mse, 1e-300):

@@ -9,10 +9,11 @@ of the partial-SI decoder, which reconstructs a source from its own received
 words and the candidate's (:func:`expected_partial_si_distortion`).  The two
 pattern-dependent criteria come from :func:`score_tables`, which scores every
 pair of loss patterns at once, for one correlation or for a stack of them
-(the cross tables of :func:`mdquant.decode_sym.cross_table_stack`); the two
-pairwise functions are its batch of one.  The per-trial selection that reads
-the tables and picks each source's best candidate, among its
-``SI_CANDIDATES`` most correlated nodes, runs in :mod:`mdquant.simulator`.
+(the cross tables of :func:`mdquant.decode_sym.cross_table_stack`), for two
+sources that run one codec; the two pairwise functions are its batch of
+one.  The per-trial selection that reads the tables and picks each source's
+best candidate, among its ``SI_CANDIDATES`` most correlated nodes, runs in
+:mod:`mdquant.simulator`.
 All ties resolve to the lowest candidate index so selections are
 deterministic.
 """
@@ -53,51 +54,46 @@ def _pattern_blocks(bundle: CodecBundle):
     return tables, [bundle.ia.table @ t for t in tables]
 
 
-def score_tables(
-    bundle_u: CodecBundle,
-    bundle_t: CodecBundle,
-    cross: CrossSourceTables,
-    method: str,
-) -> np.ndarray:
+def score_tables(bundle: CodecBundle, cross: CrossSourceTables, method: str) -> np.ndarray:
     """Selection score of SI source t for source u, for every pair of loss patterns.
 
-    ``cross`` holds the cross tables of one correlation, or of many with a
-    leading correlation axis (:func:`mdquant.decode_sym.cross_table_stack`);
-    the result has shape (..., P_u, P_t), patterns in ``loss_patterns``
-    order.  ``method`` "mutual_info" scores :func:`pairwise_mi`,
-    "min_distortion" :func:`expected_partial_si_distortion`.  Each pattern
-    pair is computed for all correlations at once, with the same matrix
-    products as for one pair, so a stack repeats the one-pair scores bit for
-    bit; that includes the ~1e-16 mutual-information residues that decide
-    among candidates when a source has lost every description.  The
-    cross tables are those of unit-variance sources, so E[X^2] is 1.
+    Both sources run the one codec ``bundle``.  ``cross`` holds the cross
+    tables of one correlation, or of many with a leading correlation axis
+    (:func:`mdquant.decode_sym.cross_table_stack`); the result has shape
+    (..., P_u, P_t), patterns in ``loss_patterns`` order.  ``method``
+    "mutual_info" scores :func:`pairwise_mi`, "min_distortion"
+    :func:`expected_partial_si_distortion`.  Each pattern pair is computed
+    for all correlations at once, with the same matrix products as for one
+    pair, so a stack repeats the one-pair scores bit for bit; that includes
+    the ~1e-16 mutual-information residues that decide among candidates when
+    a source has lost every description.  The cross tables are those of
+    unit-variance sources, so E[X^2] is 1.
     """
-    t_u, g_u = _pattern_blocks(bundle_u)
-    t_t, g_t = _pattern_blocks(bundle_t)
-    p_t = bundle_t.quantizer.cell_probs
-    cell_joint = cross.cell_cross * p_t[None, :]  # (..., Ku, Kt)
+    tables, blocks = _pattern_blocks(bundle)
+    p = bundle.quantizer.cell_probs
+    cell_joint = cross.cell_cross * p[None, :]  # (..., K, K)
     lead = cell_joint.shape[:-2]
-    out = np.empty(lead + (len(g_u), len(g_t)))
+    out = np.empty(lead + (len(blocks), len(blocks)))
     if method == "mutual_info":
-        h_t = [_entropy_bits(g.T @ p_t) for g in g_t]
-        marg_u = cell_joint.sum(axis=-1)[..., None]  # (..., Ku, 1)
-        for iu, gu in enumerate(g_u):
+        h_t = [_entropy_bits(g.T @ p) for g in blocks]
+        marg_u = cell_joint.sum(axis=-1)[..., None]  # (..., K, 1)
+        for iu, gu in enumerate(blocks):
             h_u = _entropy_bits((gu.T @ marg_u)[..., 0])
             xu = gu.T @ cell_joint
-            for it, gt in enumerate(g_t):
+            for it, gt in enumerate(blocks):
                 joint = xu @ gt
                 h_j = _entropy_bits(joint.reshape(lead + (-1,)))
                 out[..., iu, it] = np.maximum(h_u + h_t[it] - h_j, 0.0)
         return out
 
-    cell_joint_m1 = cross.cell_cross_m1 * p_t[None, :]
+    cell_joint_m1 = cross.cell_cross_m1 * p[None, :]
     first_cell = cross.idx_given_cell * cross.cent_given_cell
-    w_cells = [p_t[:, None] * g for g in g_t]  # unnormalized neighbor cell posteriors
-    prior_jt = [cross.idx_given_cell @ w for w in w_cells]  # (..., Lu, nJt)
+    w_cells = [p[:, None] * g for g in blocks]  # unnormalized neighbor cell posteriors
+    prior_jt = [cross.idx_given_cell @ w for w in w_cells]  # (..., L, nJt)
     first_jt = [first_cell @ w for w in w_cells]
-    for iu, (tu, gu) in enumerate(zip(t_u, g_u)):
+    for iu, (tu, gu) in enumerate(zip(tables, blocks)):
         xu, xu1 = gu.T @ cell_joint, gu.T @ cell_joint_m1
-        for it, gt in enumerate(g_t):
+        for it, gt in enumerate(blocks):
             pjj = xu @ gt  # (..., nJu, nJt)
             njj = xu1 @ gt
             xhat = masked_ratio(tu.T @ first_jt[it], tu.T @ prior_jt[it])
@@ -109,21 +105,16 @@ def score_tables(
     return out
 
 
-def pairwise_mi(
-    bundle_u: CodecBundle,
-    bundle_t: CodecBundle,
-    cross: CrossSourceTables,
-    q_u,
-    q_t,
-) -> float:
+def pairwise_mi(bundle: CodecBundle, cross: CrossSourceTables, q_u, q_t) -> float:
     """Mutual information (bits) between the two sources' received words.
 
-    Computed from the exact discrete joint of the received words given the
-    loss patterns: quantizer cell joint -> index tuples -> channel outputs.
-    Lost descriptions are excluded from the enumeration (their contribution
-    is an index-independent constant).
+    Both sources run the one codec ``bundle``.  Computed from the exact
+    discrete joint of the received words given the loss patterns: quantizer
+    cell joint -> index tuples -> channel outputs.  Lost descriptions are
+    excluded from the enumeration (their contribution is an
+    index-independent constant).
     """
-    tab = score_tables(bundle_u, bundle_t, cross, "mutual_info")
+    tab = score_tables(bundle, cross, "mutual_info")
     return float(tab[pattern_ids(np.asarray(q_u, bool)), pattern_ids(np.asarray(q_t, bool))])
 
 
@@ -137,5 +128,5 @@ def expected_partial_si_distortion(
 
     Exact enumeration over both sources' received words (BSC channels).
     """
-    tab = score_tables(bundle, bundle, cross, "min_distortion")
+    tab = score_tables(bundle, cross, "min_distortion")
     return float(tab[pattern_ids(np.asarray(q_u, bool)), pattern_ids(np.asarray(q_t, bool))])

@@ -511,8 +511,8 @@ def _selection_score_tables(bundle, rho_keys, method):
     n = len(rho_keys)
 
     def part(blk):
-        cross = cross_table_stack(bundle, bundle, rho_keys[blk])
-        return score_tables(bundle, bundle, cross, method)
+        cross = cross_table_stack(bundle, rho_keys[blk])
+        return score_tables(bundle, cross, method)
 
     blocks = _blocks(n, K * K, forking.worker_count(n))
     return np.concatenate(forking.fork_map(part, blocks, "selection"))

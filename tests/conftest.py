@@ -12,7 +12,6 @@ from mdquant import (
     CodecBundle,
     CorrelationLadder,
     DescriptionChannel,
-    GaussianSource,
     IndexAssignment,
     build_decoder_tables,
     forking,
@@ -21,18 +20,13 @@ from mdquant import (
 
 
 @pytest.fixture(scope="session")
-def source():
-    return GaussianSource(0.0, 1.0)
+def q2():
+    return lloyd_design(2)
 
 
 @pytest.fixture(scope="session")
-def q2(source):
-    return lloyd_design(source, 2)
-
-
-@pytest.fixture(scope="session")
-def q4(source):
-    return lloyd_design(source, 4)
+def q4():
+    return lloyd_design(4)
 
 
 def make_bundle(quantizer, si_quantizer, ia_table, channels, design_rho=0.8):
@@ -54,7 +48,7 @@ def make_bundle(quantizer, si_quantizer, ia_table, channels, design_rho=0.8):
 
 def one_level_si(bundle):
     """``bundle`` with a one-level SI quantizer: its rho = 0 tables are the no-SI tables."""
-    return bundle.with_si_quantizer(lloyd_design(GaussianSource(), 1))
+    return bundle.with_si_quantizer(lloyd_design(1))
 
 
 def asym_config(bundle, *, no_si=False, **fields):
@@ -65,9 +59,9 @@ def asym_config(bundle, *, no_si=False, **fields):
 
 
 @pytest.fixture(scope="session")
-def tiny_bundle(source, q4):
+def tiny_bundle(q4):
     """K=4, M=2, N_m=2 BSC bundle with one binned tuple (cells 0 and 3)."""
-    si = lloyd_design(source, 8)
+    si = lloyd_design(8)
     channels = (
         DescriptionChannel.bsc(0.1, 0.1, 2),
         DescriptionChannel.bsc(0.1, 0.1, 2),
@@ -80,9 +74,9 @@ def tiny_bundle(source, q4):
 
 
 @pytest.fixture(scope="session")
-def bijective_bundle(source, q4):
+def bijective_bundle(q4):
     """K=4, M=2, N_m=2 BSC bundle with a one-to-one cell/tuple map."""
-    si = lloyd_design(source, 8)
+    si = lloyd_design(8)
     channels = (
         DescriptionChannel.bsc(0.1, 0.1, 2),
         DescriptionChannel.bsc(0.1, 0.1, 2),

@@ -1,18 +1,18 @@
 """Reference implementations that only the tests use.
 
 Grids and grid densities (the marginal and conditional laws of a source
-given its SI included), SI-conditional cell probabilities, per-description
-likelihoods and per-symbol transmission, the per-symbol decoders (asymmetric
-MMSE, estimated-SI and soft-SI joint, partial-SI), the node-by-node
-estimated-SI sweeps of one block and its full-width soft-SI sweeps, the
-moment matrices summed one quadrature node at a time, the single-pass
-distortion, the unclamped annealing softmax, the per-loss-pattern design quantities, the SI selection
-scores of one pair of loss patterns and the per-trial selection over every
-candidate, the whole-array AWGN decode of the
-asymmetric experiment, its BSC decode under forced loss patterns, the
-serial annealing restarts, the brute-force MMSE audit and the two rejected
-readings of the rate-distortion bound, and the decoder tables built pair by
-pair.
+given its SI included), the exact quantizer MSE, SI-conditional cell
+probabilities, per-description likelihoods and per-symbol transmission, the
+per-symbol decoders (asymmetric MMSE, estimated-SI and soft-SI joint,
+partial-SI), the node-by-node estimated-SI sweeps of one block and its
+full-width soft-SI sweeps, the moment matrices summed one quadrature node at
+a time, the single-pass distortion, the unclamped annealing softmax, the
+per-loss-pattern design quantities, the SI selection scores of one pair of
+loss patterns and the per-trial selection over every candidate, the
+whole-array AWGN decode of the asymmetric experiment, its BSC decode under
+forced loss patterns, the serial annealing restarts, the brute-force MMSE
+audit and the two rejected readings of the rate-distortion bound, and the
+decoder tables built pair by pair.
 They compute symbol by symbol, or from first principles, what the package
 computes from moment matrices and lookup tables over all trials at once, so
 the tests can check one against the other.
@@ -58,7 +58,7 @@ from mdquant.decode_sym import (
     build_cross_tables,
     cross_table_stack,
 )
-from mdquant.gaussian import GaussianSource, JointGaussianPair, gauss_interval_moments_batch
+from mdquant.gaussian import JointGaussianPair, _phi, gauss_interval_moments_batch
 from mdquant.quantizer import ScalarQuantizer
 from mdquant.rd_bound import BoundQuery, beta, side_bounds
 from mdquant.simulator import _selection_score_tables
@@ -127,6 +127,21 @@ def integrate(grid: SampleGrid, values) -> float:
     return float(np.dot(grid.weights, values))
 
 
+@dataclass(frozen=True)
+class GaussianSource:
+    """Scalar Gaussian law N(mean, variance), for the grid densities."""
+
+    mean: float = 0.0
+    variance: float = 1.0
+
+    @property
+    def std(self) -> float:
+        return float(np.sqrt(self.variance))
+
+    def pdf(self, x):
+        return _phi((np.asarray(x, dtype=float) - self.mean) / self.std) / self.std
+
+
 def x_marginal(pair: JointGaussianPair) -> GaussianSource:
     """Marginal law of X."""
     return GaussianSource(0.0, pair.var_x)
@@ -134,7 +149,7 @@ def x_marginal(pair: JointGaussianPair) -> GaussianSource:
 
 def x_given_y(pair: JointGaussianPair, y: float) -> GaussianSource:
     """Law of X given Y=y: mean rho*y*sd_x/sd_y, variance var_x*(1-rho^2)."""
-    mean = pair.rho * (pair.sd_x / pair.sd_y) * y
+    mean = pair.rho * (np.sqrt(pair.var_x) / np.sqrt(pair.var_y)) * y
     var = pair.var_x * (1.0 - pair.rho ** 2)
     if var <= 0:  # |rho| == 1 degenerates; keep a tiny floor
         var = 1e-300
@@ -148,6 +163,12 @@ def conditional_density(pair: JointGaussianPair, y: float, grid: SampleGrid) -> 
     if pair.rho == 0.0:
         return x_marginal(pair).pdf(grid.points)
     return x_given_y(pair, float(y)).pdf(grid.points)
+
+
+def quantizer_mse(q: ScalarQuantizer) -> float:
+    """Exact mean squared quantization error of q against the N(0, 1) source."""
+    p, m1, m2 = gauss_interval_moments_batch(q.edges(), 0.0, 1.0)
+    return float(np.sum(m2 - 2.0 * q.codewords * m1 + q.codewords ** 2 * p))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +198,7 @@ def si_cell_mass_given_x(
     if pair.rho == 0.0:
         return np.broadcast_to(q_si.cell_probs, (x.size, q_si.size)).copy()
     sd = np.sqrt(pair.var_y * (1.0 - pair.rho ** 2))
-    means = pair.rho * (pair.sd_y / pair.sd_x) * x
+    means = pair.rho * (np.sqrt(pair.var_y) / np.sqrt(pair.var_x)) * x
     p, _, _ = gauss_interval_moments_batch(edges, means, max(sd, 1e-300))
     return p
 
@@ -478,7 +499,7 @@ def ladder_cross_tables(bundle: CodecBundle, levels) -> dict:
     tables = {}
     for level in levels:
         rho = round(float(bundle.ladder.levels[level]), 12)
-        tables[int(level)] = build_cross_tables(bundle, bundle, JointGaussianPair(1.0, 1.0, rho))
+        tables[int(level)] = build_cross_tables(bundle, JointGaussianPair(1.0, 1.0, rho))
     return tables
 
 
@@ -595,7 +616,7 @@ def soft_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarr
     L = tuple_space(dec.channels).size
     stacked, _ = stacked_pattern_table(dec.channels)
     word_lik = np.ascontiguousarray(stacked.T)
-    cross = cross_table_stack(bundle, bundle, [round(float(v), 12) for v in bundle.ladder.levels])
+    cross = cross_table_stack(bundle, [round(float(v), 12) for v in bundle.ladder.levels])
     prior_mix = cross.mix_prob.transpose(0, 2, 1)
     final_mix = np.concatenate([cross.mix_prob, cross.mix_first], axis=1).transpose(0, 2, 1)
     rows = [word_rows(words[:, u], pids[:, u], dec.channels, dec.offsets) for u in range(n_nodes)]
@@ -823,7 +844,7 @@ def pair_tables(quantizer, si_quantizer, table: np.ndarray, pair: JointGaussianP
     come from the pair's own moment matrices.
     """
     if pair.rho == 0.0:
-        prior, codebook = pair_nosi_tables(quantizer, table, pair.sd_x)
+        prior, codebook = pair_nosi_tables(quantizer, table, np.sqrt(pair.var_x))
         reps = (si_quantizer.size, 1)
         return np.tile(prior, reps), np.tile(codebook, reps)
     s0, s1, _ = si_moment_matrices(quantizer, si_quantizer, pair)
@@ -838,7 +859,7 @@ def pair_tables(quantizer, si_quantizer, table: np.ndarray, pair: JointGaussianP
 def pairwise_decoder_tables(quantizer, si_quantizer, ia: IndexAssignment, pairs) -> dict:
     """Every stored table of ``build_decoder_tables``, built pair by pair."""
     tables = [pair_tables(quantizer, si_quantizer, ia.table, pair) for pair in pairs]
-    prior_nosi, codebook_nosi = pair_nosi_tables(quantizer, ia.table, pairs[0].sd_x)
+    prior_nosi, codebook_nosi = pair_nosi_tables(quantizer, ia.table, np.sqrt(pairs[0].var_x))
     return {
         "rho_values": np.array([pair.rho for pair in pairs]),
         "si_probs": si_quantizer.cell_probs,

@@ -13,7 +13,6 @@ import pytest
 from mdquant import (
     BoundQuery,
     DescriptionChannel,
-    GaussianSource,
     JointGaussianPair,
     build_cross_tables,
     design_annealed,
@@ -36,8 +35,6 @@ from mdquant.simulator import (
 from conftest import asym_config, make_bundle
 from oracles import ChannelOutcome, decode, mse_optimality_check, run_decoder
 
-SOURCE = GaussianSource(0.0, 1.0)
-
 
 def report(num, name, ok, detail=""):
     line = f"ACCEPTANCE {num:>2}: {'PASS' if ok else 'FAIL'} - {name}"
@@ -53,7 +50,7 @@ def desk_channels(p, mu=0.05, n=4):
 
 @pytest.fixture(scope="module")
 def desk_quantizers():
-    return lloyd_design(SOURCE, 16), lloyd_design(SOURCE, 64)
+    return lloyd_design(16), lloyd_design(64)
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +101,8 @@ def test_criterion_1_rd_bound_reproduction():
 
 def test_criterion_2_mmse_decoder_oracle():
     start = time.perf_counter()
-    q4 = lloyd_design(SOURCE, 4)
-    si = lloyd_design(SOURCE, 8)
+    q4 = lloyd_design(4)
+    si = lloyd_design(8)
     ch = (DescriptionChannel.bsc(0.1, 0.1, 2), DescriptionChannel.bsc(0.1, 0.1, 2))
     table = np.zeros((4, 4))
     table[0, 0] = table[3, 0] = table[1, 1] = table[2, 2] = 1.0
@@ -121,8 +118,8 @@ def test_criterion_2_mmse_decoder_oracle():
 
 def test_criterion_3_annealing_near_exhaustive_optimum():
     start = time.perf_counter()
-    q6 = lloyd_design(SOURCE, 6)
-    si = lloyd_design(SOURCE, 32)
+    q6 = lloyd_design(6)
+    si = lloyd_design(32)
     pair = JointGaussianPair(1, 1, 0.8)
     ch = (DescriptionChannel.bsc(0.01, 0.05, 2), DescriptionChannel.bsc(0.01, 0.05, 2))
     ctx = DesignContext(q6, si, pair, ch)
@@ -211,8 +208,8 @@ def test_criterion_5_extended_full_scale():
     # per description, 128-level SI quantizer) approaches the published
     # operating point at rho=0.8, loss 0.05, noiseless channels.
     start = time.perf_counter()
-    q = lloyd_design(SOURCE, 256)
-    si = lloyd_design(SOURCE, 128)
+    q = lloyd_design(256)
+    si = lloyd_design(128)
     ch = (DescriptionChannel.bsc(0.0, 0.05, 8), DescriptionChannel.bsc(0.0, 0.05, 8))
     bundle = design_annealed(
         q, si, JointGaussianPair(1, 1, 0.8), ch,
@@ -262,12 +259,12 @@ def test_criterion_6_ber_sweep_monotone(desk_quantizers):
 
 
 def test_criterion_7_mutual_information_oracle():
-    q2 = lloyd_design(SOURCE, 2)
+    q2 = lloyd_design(2)
     ch = (DescriptionChannel.bsc(0.1, 0.2, 2),)
-    bundle = make_bundle(q2, lloyd_design(SOURCE, 4), np.eye(2), ch)
+    bundle = make_bundle(q2, lloyd_design(4), np.eye(2), ch)
     rho = 0.7
-    cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, rho))
-    got = pairwise_mi(bundle, bundle, cross, (True,), (True,))
+    cross = build_cross_tables(bundle, JointGaussianPair(1, 1, rho))
+    got = pairwise_mi(bundle, cross, (True,), (True,))
     p = 0.1
     cell_joint = cross.cell_cross * bundle.quantizer.cell_probs[None, :]
     pjj = np.zeros((2, 2))
@@ -282,9 +279,9 @@ def test_criterion_7_mutual_information_oracle():
                     )
     ent = lambda v: -sum(x * np.log2(x) for x in np.ravel(v) if x > 0)
     expect = ent(pjj.sum(axis=1)) + ent(pjj.sum(axis=0)) - ent(pjj)
-    cross0 = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, 0.0))
-    mi_zero = pairwise_mi(bundle, bundle, cross0, (True,), (True,))
-    mi_lost = pairwise_mi(bundle, bundle, cross, (True,), (False,))
+    cross0 = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.0))
+    mi_zero = pairwise_mi(bundle, cross0, (True,), (True,))
+    mi_lost = pairwise_mi(bundle, cross, (True,), (False,))
     ok = abs(got - expect) < 1e-12 and abs(mi_zero) < 1e-12 and abs(mi_lost) < 1e-12
     report(
         7, "pairwise MI matches enumeration; zero when uninformative",
@@ -402,8 +399,8 @@ def test_criterion_11_si_quantizer_sufficiency(desk_quantizers):
             restarts=2, seed=77,
         )
         pair = JointGaussianPair(1, 1, rho)
-        d64 = to_db(evaluate_distortion(q, lloyd_design(SOURCE, 64), bundle.ia, pair, ch).d_av)
-        d1024 = to_db(evaluate_distortion(q, lloyd_design(SOURCE, 1024), bundle.ia, pair, ch).d_av)
+        d64 = to_db(evaluate_distortion(q, lloyd_design(64), bundle.ia, pair, ch).d_av)
+        d1024 = to_db(evaluate_distortion(q, lloyd_design(1024), bundle.ia, pair, ch).d_av)
         gap = d64 - d1024
         ok &= gap <= 0.1
         details.append(f"rho={rho}: {gap:.4f} dB")

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mdquant import DescriptionChannel, GaussianSource, JointGaussianPair, lloyd_design
+from mdquant import DescriptionChannel, JointGaussianPair, lloyd_design
 from mdquant.channel import loss_pattern_prob, loss_patterns
 from mdquant.codec import _AsymLookup, evaluate_distortion, si_moment_matrices
 from mdquant.persist import load_codec
@@ -70,7 +70,7 @@ class TestDesignPoint:
     def test_no_si_table_applies_at_every_si_level(self, desk):
         # Over the SI levels or over the marginal, the no-SI lookup's distortions agree.
         lookup = _AsymLookup(one_level_si(desk), desk.channels, 0)
-        one_level = lloyd_design(GaussianSource(), 1)
+        one_level = lloyd_design(1)
         pair = JointGaussianPair(1, 1, 0.8)
         per_level = lookup.pattern_distortions(
             desk.ia.table, *si_moment_matrices(desk.quantizer, desk.si_quantizer, pair)
@@ -97,7 +97,7 @@ class TestAgainstForcedPatternDecode:
     def test_exact_values_within_5_stderr_of_the_oracle(self, desk, case):
         fields, bers, nsi, seed = STATISTICAL_CASES[case]
         bundle = desk if nsi is None else desk.with_si_quantizer(
-            lloyd_design(GaussianSource(), nsi)
+            lloyd_design(nsi)
         )
         sets = [bundle.channels if ber is None else bsc_set(bundle, ber) for ber in bers]
         cfg = asym_config(bundle, trials=2, seed=seed, **fields)

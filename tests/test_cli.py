@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdquant import BoundQuery, DescriptionChannel, GaussianSource, lloyd_design
+from mdquant import BoundQuery, DescriptionChannel, lloyd_design
 from mdquant import reference_values as refs
 from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, _parse_desc, main
 from mdquant.persist import load_codec, save_codec
@@ -414,7 +414,7 @@ def _drop_ladder_levels(data):
 
 
 def _coarser_si_quantizer(data):
-    q = lloyd_design(GaussianSource(), 4)
+    q = lloyd_design(4)
     data["si_quantizer"] = {
         "codewords": q.codewords.tolist(),
         "thresholds": q.thresholds.tolist(),

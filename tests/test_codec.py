@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mdquant import (
     DescriptionChannel,
-    GaussianSource,
     IndexAssignment,
     JointGaussianPair,
     build_decoder_tables,
@@ -23,7 +22,6 @@ from mdquant import codec
 from mdquant.codec import DesignContext, si_moment_matrices, si_moment_stack
 from mdquant.gaussian import gauss_interval_moments_batch
 from mdquant.persist import load_codec, save_codec
-from mdquant.quantizer import quantizer_mse
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
 from oracles import (
@@ -33,6 +31,7 @@ from oracles import (
     flatten_tuples,
     gibbs_update_unclamped,
     per_pattern_design,
+    quantizer_mse,
     ranked_moment_stack,
     si_cell_mass_given_x,
 )
@@ -137,15 +136,15 @@ class TestSiMomentMatricesMarginalBranch:
         p, m1, m2 = gauss_interval_moments_batch(q.edges(), 0.0, 1.0)
         return p[:, None], m1[:, None], m2[:, None]
 
-    def test_one_level_si_quantizer(self, source, q4):
-        si = lloyd_design(source, 1)
+    def test_one_level_si_quantizer(self, q4):
+        si = lloyd_design(1)
         got = si_moment_matrices(q4, si, JointGaussianPair(1, 1, 0.8))
         for g, e in zip(got, self.marginal(q4)):
             assert g.shape == (4, 1)
             assert np.array_equal(g, e)
 
-    def test_independent_si_weights_levels(self, source, q4):
-        si = lloyd_design(source, 8)
+    def test_independent_si_weights_levels(self, q4):
+        si = lloyd_design(8)
         got = si_moment_matrices(q4, si, JointGaussianPair(1, 1, 0.0))
         for g, e in zip(got, self.marginal(q4)):
             assert g.shape == (4, 8)
@@ -200,9 +199,9 @@ class TestSiMomentStack:
         for g, e in zip(got, expect):
             assert g.tobytes() == e.tobytes()
 
-    def test_unit_correlation_is_capped(self, source, q4):
+    def test_unit_correlation_is_capped(self, q4):
         # At |rho| = 1 the conditional sd is 0; the cap keeps every moment finite.
-        si = lloyd_design(source, 8)
+        si = lloyd_design(8)
         got = si_moment_stack(q4, si, [1.0, -1.0])
         capped = si_moment_stack(q4, si, [codec.RHO_CAP, -codec.RHO_CAP])
         for g, c in zip(got, capped):
@@ -227,22 +226,22 @@ def _unit_pairs(rhos):
 
 
 class TestDecoderTables:
-    def test_bijective_no_si(self, source, q4):
+    def test_bijective_no_si(self, q4):
         ia = IndexAssignment(np.eye(4), hard=True)
         tables = build_decoder_tables(q4, _lloyd(1), ia, [0.0])
         assert np.allclose(tables.prior[0, 0], q4.cell_probs, atol=1e-12)
         assert np.allclose(tables.codebook[0, 0], q4.codewords, atol=1e-9)
 
-    def test_priors_normalized(self, source, q4):
-        si = lloyd_design(source, 16)
+    def test_priors_normalized(self, q4):
+        si = lloyd_design(16)
         ia = IndexAssignment(np.eye(4), hard=True)
         tables = build_decoder_tables(q4, si, ia, [0.0, 0.5, 0.9])
         assert np.max(np.abs(tables.prior.sum(axis=2) - 1.0)) < 1e-9
 
-    def test_binned_codebook_two_term_oracle(self, source, q4):
+    def test_binned_codebook_two_term_oracle(self, q4):
         # Cells 0 and 3 share tuple 0: codebook must be their SI-conditional
         # probability-weighted centroid.  Oracle by Simpson quadrature.
-        si = lloyd_design(source, 8)
+        si = lloyd_design(8)
         pair = JointGaussianPair(1, 1, 0.8)
         table = np.zeros((4, 4))
         table[0, 0] = table[3, 0] = table[1, 1] = table[2, 2] = 1.0
@@ -301,8 +300,8 @@ class TestDecoderTablesAgainstPairOracle:
         )
         _assert_tables_equal(b.tables, expect)
 
-    def test_designed_codec(self, source):
-        q, si = lloyd_design(source, 16), lloyd_design(source, 32)
+    def test_designed_codec(self):
+        q, si = lloyd_design(16), lloyd_design(32)
         ch = (DescriptionChannel.bsc(0.01, 0.05, 4),) * 2
         bundle = design_annealed(q, si, JointGaussianPair(1, 1, 0.7), ch, restarts=1, seed=3)
         expect = pairwise_decoder_tables(q, si, bundle.ia, _unit_pairs(bundle.ladder.levels))
@@ -347,10 +346,10 @@ def _assert_floor_clean(tables, quantizer, si_quantizer, ia):
 class TestDecoderTableFloors:
     """Numerical floors of the table build, at their edges."""
 
-    def test_capped_unit_correlation(self, source):
+    def test_capped_unit_correlation(self):
         # At rho = RHO_CAP the conditional law is nearly a point mass: most
         # (SI level, tuple) joints fall to the floor.
-        q, si = lloyd_design(source, 16), lloyd_design(source, 64)
+        q, si = lloyd_design(16), lloyd_design(64)
         ia = IndexAssignment(np.eye(16), hard=True)
         tables = build_decoder_tables(q, si, ia, [codec.RHO_CAP, -codec.RHO_CAP, 1.0])
         _assert_floor_clean(tables, q, si, ia)
@@ -369,8 +368,8 @@ class TestDecoderTableFloors:
 
     @pytest.mark.parametrize("ber,loss", [(0.01, 0.0), (0.01, 1.0), (0.5, 0.05)],
                              ids=["loss0", "loss1", "ber-half"])
-    def test_designed_at_channel_edges(self, source, ber, loss):
-        q, si = lloyd_design(source, 8), lloyd_design(source, 16)
+    def test_designed_at_channel_edges(self, ber, loss):
+        q, si = lloyd_design(8), lloyd_design(16)
         ch = (DescriptionChannel.bsc(ber, loss, 2),) * 2
         bundle = design_annealed(q, si, JointGaussianPair(1, 1, 0.8), ch, restarts=1, seed=2)
         _assert_floor_clean(bundle.tables, q, si, bundle.ia)
@@ -483,11 +482,11 @@ class TestChannelEdges:
 
 
 class TestEvaluateDistortion:
-    def test_noiseless_bijective_equals_lloyd(self, source, q2):
+    def test_noiseless_bijective_equals_lloyd(self, q2):
         ia = IndexAssignment(np.eye(2), hard=True)
         ch = (DescriptionChannel.bsc(0.0, 0.0, 2),)
         d = evaluate_distortion(q2, _lloyd(1), ia, JointGaussianPair(1, 1, 0.0), ch)
-        assert abs(d.d_av - quantizer_mse(q2, source)) < 1e-6
+        assert abs(d.d_av - quantizer_mse(q2)) < 1e-6
         assert d.d_ch == 0.0
 
     def test_all_loss_returns_variance(self, q2):
@@ -496,13 +495,13 @@ class TestEvaluateDistortion:
         d = evaluate_distortion(q2, _lloyd(1), ia, JointGaussianPair(1, 1, 0.0), ch)
         assert abs(d.d_av - 1.0) < 1e-6
 
-    def test_all_loss_one_tuple_has_no_channel_distortion(self, source, q4):
+    def test_all_loss_one_tuple_has_no_channel_distortion(self, q4):
         # Every cell sends tuple 0 and every description is lost: the decoder
         # sees exactly what the encoder gives it, so d_ch is 0, not the ~1e-17
         # cancellation residue of its terms; a real loss stays far above
         # the D_CH_FLOOR share of E[x^2].
         ch = (DescriptionChannel.bsc(0.0, 1.0, 2), DescriptionChannel.bsc(0.0, 1.0, 2))
-        si, pair = lloyd_design(source, 4), JointGaussianPair(1, 1, 0.5)
+        si, pair = lloyd_design(4), JointGaussianPair(1, 1, 0.5)
         collapsed = IndexAssignment(np.eye(4)[[0, 0, 0, 0]], hard=True)
         assert evaluate_distortion(q4, si, collapsed, pair, ch).d_ch == 0.0
         spread = IndexAssignment(np.eye(4), hard=True)
@@ -514,8 +513,8 @@ class TestEvaluateDistortion:
         with pytest.raises(ValueError, match="discrete channel"):
             evaluate_distortion(q2, _lloyd(1), ia, JointGaussianPair(1, 1, 0.0), ch)
 
-    def test_decomposition_matches_single_pass(self, source, q4):
-        si = lloyd_design(source, 16)
+    def test_decomposition_matches_single_pass(self, q4):
+        si = lloyd_design(16)
         pair = JointGaussianPair(1, 1, 0.8)
         ch = (
             DescriptionChannel.bsc(0.01, 0.05, 2),
@@ -529,12 +528,12 @@ class TestEvaluateDistortion:
             direct = distortion_direct(ctx, table)
             assert abs(split.d_av - direct) < 1e-9
 
-    def test_matches_monte_carlo(self, source):
+    def test_matches_monte_carlo(self):
         from mdquant.simulator import AsymConfig, run_asym_experiment
         from conftest import make_bundle
 
-        q = lloyd_design(source, 4)
-        si = lloyd_design(source, 16)
+        q = lloyd_design(4)
+        si = lloyd_design(16)
         ch = (
             DescriptionChannel.bsc(0.01, 0.05, 2),
             DescriptionChannel.bsc(0.01, 0.05, 2),
@@ -551,8 +550,8 @@ class TestEvaluateDistortion:
 
 
 class TestDaWeights:
-    def make_ctx(self, source, q4, p=0.05, mu=0.1):
-        si = lloyd_design(source, 8)
+    def make_ctx(self, q4, p=0.05, mu=0.1):
+        si = lloyd_design(8)
         pair = JointGaussianPair(1, 1, 0.8)
         ch = (
             DescriptionChannel.bsc(p, mu, 2),
@@ -560,8 +559,8 @@ class TestDaWeights:
         )
         return DesignContext(q4, si, pair, ch)
 
-    def test_total_loss_makes_weights_index_free(self, source, q4):
-        si = lloyd_design(source, 8)
+    def test_total_loss_makes_weights_index_free(self, q4):
+        si = lloyd_design(8)
         pair = JointGaussianPair(1, 1, 0.8)
         ch = (
             DescriptionChannel.bsc(0.05, 1.0, 2),
@@ -572,8 +571,8 @@ class TestDaWeights:
         w = da_weights(q4, si, ia, pair, ch)
         assert np.max(np.abs(w - w[:, :1])) < 1e-12
 
-    def test_mirror_symmetry(self, source, q4):
-        ctx = self.make_ctx(source, q4)
+    def test_mirror_symmetry(self, q4):
+        ctx = self.make_ctx(q4)
         space = tuple_space(ctx.channels)
         # Mirror: cell k -> K-1-k, each description index complemented.
         mirror_tuple = flatten_tuples(
@@ -587,8 +586,8 @@ class TestDaWeights:
         w_mirror = w[::-1][:, mirror_tuple]
         assert np.max(np.abs(w - w_mirror)) < 1e-12
 
-    def test_finite_difference_oracle(self, source, q4):
-        ctx = self.make_ctx(source, q4)
+    def test_finite_difference_oracle(self, q4):
+        ctx = self.make_ctx(q4)
         rng = np.random.default_rng(4)
         a = rng.dirichlet(np.ones(4), size=4)
         w = ctx.weights(ctx.decoder_state(a))
@@ -607,7 +606,7 @@ class TestDaWeights:
 
 @lru_cache(maxsize=None)
 def _lloyd(levels):
-    return lloyd_design(GaussianSource(0.0, 1.0), levels)
+    return lloyd_design(levels)
 
 
 def _with_ends(lo, hi):
@@ -715,10 +714,10 @@ class TestDistortionFromWeights:
 
 
 class TestDeskDesignPin:
-    def test_sym_setup_hard_map(self, source):
+    def test_sym_setup_hard_map(self):
         # The acceptance suite's sym_setup codec (criteria 8 and 9); the map
         # was recorded from the per-pattern implementation of the step.
-        q, si = lloyd_design(source, 16), lloyd_design(source, 64)
+        q, si = lloyd_design(16), lloyd_design(64)
         ch = (DescriptionChannel.bsc(0.005, 0.05, 4),) * 2
         bundle = design_annealed(
             q, si, JointGaussianPair(1, 1, 0.4), ch,
@@ -730,7 +729,7 @@ class TestDeskDesignPin:
 
 
 class TestDesignAnnealed:
-    def test_tiny_reaches_exhaustive_optimum(self, source, q2):
+    def test_tiny_reaches_exhaustive_optimum(self, q2):
         ch = (DescriptionChannel.bsc(0.0, 0.0, 2),)
         pair = JointGaussianPair(1, 1, 0.0)
         ctx = DesignContext(q2, _lloyd(1), pair, ch)
@@ -747,13 +746,13 @@ class TestDesignAnnealed:
             q2, _lloyd(1), pair, ch, restarts=1, seed=1
         )
         assert abs(bundle.metadata["d_av"] - best) < 1e-6
-        assert abs(best - quantizer_mse(q2, source)) < 1e-9
+        assert abs(best - quantizer_mse(q2)) < 1e-9
 
-    def test_desk_scale_vs_exhaustive(self, source):
+    def test_desk_scale_vs_exhaustive(self):
         from itertools import product
 
-        q6 = lloyd_design(source, 6)
-        si = lloyd_design(source, 32)
+        q6 = lloyd_design(6)
+        si = lloyd_design(32)
         pair = JointGaussianPair(1, 1, 0.8)
         ch = (
             DescriptionChannel.bsc(0.01, 0.05, 2),
@@ -771,13 +770,13 @@ class TestDesignAnnealed:
         assert bundle.metadata["d_av"] <= 1.05 * best
 
     @pytest.mark.parametrize("var_x,var_y", [(2.0, 1.0), (1.0, 0.5)])
-    def test_non_unit_variances_rejected(self, source, q4, var_x, var_y):
+    def test_non_unit_variances_rejected(self, q4, var_x, var_y):
         ch = (DescriptionChannel.bsc(0.01, 0.05, 2),) * 2
         with pytest.raises(ValueError, match="unit-variance"):
             design_annealed(q4, _lloyd(4), JointGaussianPair(var_x, var_y, 0.5), ch, restarts=1)
 
-    def test_metadata_and_reproducibility(self, source, q4):
-        si = lloyd_design(source, 8)
+    def test_metadata_and_reproducibility(self, q4):
+        si = lloyd_design(8)
         pair = JointGaussianPair(1, 1, 0.6)
         ch = (
             DescriptionChannel.bsc(0.02, 0.1, 2),

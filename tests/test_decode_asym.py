@@ -35,12 +35,12 @@ def oracle_prior_and_centroids(bundle, rho, level):
 
 
 class TestPosterior:
-    def test_noiseless_indicator(self, source, q4):
+    def test_noiseless_indicator(self, q4):
         ch = (
             DescriptionChannel.bsc(0.0, 0.05, 2),
             DescriptionChannel.bsc(0.0, 0.05, 2),
         )
-        bundle = make_bundle(q4, lloyd_design(source, 8), np.eye(4), ch)
+        bundle = make_bundle(q4, lloyd_design(8), np.eye(4), ch)
         oc = ChannelOutcome((1, 0), np.array([True, True]))
         post = posterior(oc, 3, 4, bundle)
         expect = np.zeros(4)
@@ -98,21 +98,21 @@ class TestReconstruct:
         post = posterior(oc, None, None, tiny_bundle)
         assert abs(reconstruct(post, None, None, tiny_bundle)) < 1e-9
 
-    def test_noiseless_returns_codebook_entry(self, source, q4):
+    def test_noiseless_returns_codebook_entry(self, q4):
         ch = (
             DescriptionChannel.bsc(0.0, 0.05, 2),
             DescriptionChannel.bsc(0.0, 0.05, 2),
         )
-        bundle = make_bundle(q4, lloyd_design(source, 8), np.eye(4), ch)
+        bundle = make_bundle(q4, lloyd_design(8), np.eye(4), ch)
         oc = ChannelOutcome((1, 1), np.array([True, True]))
         post = posterior(oc, 2, 4, bundle)
         got = reconstruct(post, 2, 4, bundle)
         assert got == bundle.tables.codebook[4, 2, 3]
 
-    def test_lost_descriptions_track_si(self, source, q4):
+    def test_lost_descriptions_track_si(self, q4):
         # With everything lost and fine SI, the estimate is the SI-cell
         # conditional mean, close to rho * centroid.
-        si = lloyd_design(source, 128)
+        si = lloyd_design(128)
         ch = (
             DescriptionChannel.bsc(0.1, 0.1, 2),
             DescriptionChannel.bsc(0.1, 0.1, 2),

@@ -61,29 +61,25 @@ def oracle_cell_joint(q, rho, n=6001):
 
 class TestCrossTables:
     def test_independent_sources(self, tiny_bundle):
-        cross = build_cross_tables(
-            tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, 0.0)
-        )
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
         q = tiny_bundle.quantizer
         for k in range(q.size):
             assert np.allclose(cross.cell_cross[:, k], q.cell_probs, atol=1e-12)
 
-    def test_near_identity_at_high_rho(self, source):
-        q = lloyd_design(source, 8)
+    def test_near_identity_at_high_rho(self):
+        q = lloyd_design(8)
         bundle = make_bundle(
             q,
-            lloyd_design(source, 8),
+            lloyd_design(8),
             np.eye(8),
             (DescriptionChannel.bsc(0.01, 0.05, 8),),
         )
-        cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, 0.99))
+        cross = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.99))
         for k in range(1, 7):  # interior cells
             assert np.argmax(cross.cell_cross[:, k]) == k
 
     def test_stochasticity(self, tiny_bundle):
-        cross = build_cross_tables(
-            tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, 0.8)
-        )
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
         assert np.max(np.abs(cross.cell_cross.sum(axis=0) - 1.0)) < 1e-9
         used = cross.cell_given_idx.sum(axis=0) > 0
         assert np.allclose(cross.cell_given_idx.sum(axis=0)[used], 1.0, atol=1e-9)
@@ -91,14 +87,14 @@ class TestCrossTables:
 
     def test_against_simpson_oracle(self, tiny_bundle):
         rho = 0.8
-        cross = build_cross_tables(tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, rho))
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, rho))
         joint, _ = oracle_cell_joint(tiny_bundle.quantizer, rho)
         cond = joint / tiny_bundle.quantizer.cell_probs[None, :]
         assert np.max(np.abs(cross.cell_cross - cond)) < 1e-8
 
 
 @pytest.fixture(scope="module")
-def k16_bundle(source):
+def k16_bundle():
     """K=16 codec over two 4-index descriptions; cells k and k+12 share a tuple."""
     table = np.zeros((16, 16))
     table[np.arange(16), np.arange(16) % 12] = 1.0
@@ -106,7 +102,7 @@ def k16_bundle(source):
         DescriptionChannel.bsc(0.005, 0.05, 4),
         DescriptionChannel.bsc(0.005, 0.05, 4),
     )
-    return make_bundle(lloyd_design(source, 16), lloyd_design(source, 64), table, channels)
+    return make_bundle(lloyd_design(16), lloyd_design(64), table, channels)
 
 
 class TestCrossTableProperties:
@@ -114,23 +110,21 @@ class TestCrossTableProperties:
     @given(rho=st.floats(0.0, 0.99))
     def test_conditional_columns_and_symmetric_joint(self, tiny_bundle, k16_bundle, rho):
         for bundle in (tiny_bundle, k16_bundle):
-            cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, rho))
+            cross = build_cross_tables(bundle, JointGaussianPair(1, 1, rho))
             assert np.max(np.abs(cross.cell_cross.sum(axis=0) - 1.0)) < 1e-12
             joint = cross.cell_cross * bundle.quantizer.cell_probs[None, :]
             assert np.max(np.abs(joint - joint.T)) < 1e-14
 
     def test_independent_columns_equal_marginal(self, tiny_bundle, k16_bundle):
         for bundle in (tiny_bundle, k16_bundle):
-            cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, 0.0))
+            cross = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.0))
             marginal = bundle.quantizer.cell_probs[:, None]
             assert np.max(np.abs(cross.cell_cross - marginal)) < 1e-15
 
 
 class TestSoftSi:
     def test_independent_neighbor_reduces_to_no_si(self, tiny_bundle):
-        cross = build_cross_tables(
-            tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, 0.0)
-        )
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
         oc = ChannelOutcome((1, 0), np.array([True, True]))
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -144,9 +138,7 @@ class TestSoftSi:
             assert np.max(np.abs(got.probs - base.probs)) < 1e-9
 
     def test_indicator_neighbor_prior(self, tiny_bundle):
-        cross = build_cross_tables(
-            tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, 0.8)
-        )
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
         npost = np.zeros(4)
         npost[1] = 1.0
         expect = cross.idx_given_cell @ cross.cell_given_idx[:, 1]
@@ -159,7 +151,7 @@ class TestSoftSi:
         # cell_t -> I_t -> J_t, with the neighbor posterior taken from its
         # own channel (no SI).  Built from the Simpson cell joint.
         rho = 0.8
-        cross = build_cross_tables(tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, rho))
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, rho))
         joint_cells, _ = oracle_cell_joint(tiny_bundle.quantizer, rho)
         A = tiny_bundle.ia.table
         space = tuple_space(tiny_bundle.channels)
@@ -181,9 +173,7 @@ class TestSoftSi:
         assert np.max(np.abs(got.probs - expect)) < 1e-9
 
     def test_reconstruct_all_lost_independent(self, tiny_bundle):
-        cross = build_cross_tables(
-            tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, 0.0)
-        )
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
         oc = ChannelOutcome((None, None), np.array([False, False]))
         npost = posterior(oc, None, None, tiny_bundle)
         post = soft_si_posterior(oc, npost, cross, tiny_bundle.channels)
@@ -192,7 +182,7 @@ class TestSoftSi:
     def test_reconstruct_enumeration_oracle(self, tiny_bundle):
         # E[X_u | J_u, J_t] from the Simpson joint with first moments.
         rho = 0.8
-        cross = build_cross_tables(tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, rho))
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, rho))
         joint_cells, m1_cells = oracle_cell_joint(tiny_bundle.quantizer, rho)
         A = tiny_bundle.ia.table
         space = tuple_space(tiny_bundle.channels)
@@ -248,12 +238,12 @@ class TestEstimatedSi:
         )
         assert np.array_equal(one, many)
 
-    def test_noiseless_fixed_point(self, source, q4):
+    def test_noiseless_fixed_point(self, q4):
         ch = (
             DescriptionChannel.bsc(0.0, 0.0, 2),
             DescriptionChannel.bsc(0.0, 0.0, 2),
         )
-        bundle = make_bundle(q4, lloyd_design(source, 8), np.eye(4), ch)
+        bundle = make_bundle(q4, lloyd_design(8), np.eye(4), ch)
         ocs = [
             ChannelOutcome((1, 0), np.array([True, True])),
             ChannelOutcome((0, 0), np.array([True, True])),
@@ -302,7 +292,7 @@ class TestEstimatedSi:
 
 
 @pytest.fixture(scope="module")
-def ber0_bundle(source):
+def ber0_bundle():
     """The K=16 codec of ``k16_bundle`` over error-free BSCs: tuples 12-15 carry no cell.
 
     A word row that only an unused tuple can send has zero mass.
@@ -310,7 +300,7 @@ def ber0_bundle(source):
     table = np.zeros((16, 16))
     table[np.arange(16), np.arange(16) % 12] = 1.0
     channels = (DescriptionChannel.bsc(0.0, 0.05, 4), DescriptionChannel.bsc(0.0, 0.05, 4))
-    return make_bundle(lloyd_design(source, 16), lloyd_design(source, 64), table, channels)
+    return make_bundle(lloyd_design(16), lloyd_design(64), table, channels)
 
 
 def decoded_blocks(cfg, block_trials):
@@ -396,10 +386,10 @@ class TestEstimatedGathers:
 
 
 @pytest.fixture(scope="module")
-def every_tuple_bundle(source, q4):
+def every_tuple_bundle(q4):
     """The quantizers and channels of ``tiny_bundle``, with a tuple of its own for every cell."""
     channels = (DescriptionChannel.bsc(0.1, 0.1, 2), DescriptionChannel.bsc(0.1, 0.1, 2))
-    return make_bundle(q4, lloyd_design(source, 8), np.eye(4), channels)
+    return make_bundle(q4, lloyd_design(8), np.eye(4), channels)
 
 
 class TestSoftSweeps:

@@ -38,8 +38,8 @@ DESIGN_WORKERS = [
 
 
 @pytest.fixture(scope="module")
-def quantizers(source):
-    return lloyd_design(source, 16), lloyd_design(source, 16)
+def quantizers():
+    return lloyd_design(16), lloyd_design(16)
 
 
 class TestSameCodecAsSerial:
@@ -109,9 +109,9 @@ class TestSameCodecAsSerial:
 
 class TestWorkerCount:
     @needs_workers
-    def test_never_more_workers_than_cpus(self, source, monkeypatch, started):
+    def test_never_more_workers_than_cpus(self, monkeypatch, started):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        q = lloyd_design(source, 4)
+        q = lloyd_design(4)
         design_annealed(q, q, PAIR, (DescriptionChannel.bsc(0.0, 0.05, 2),) * 2,
                         restarts=5, seed=1)
         assert started == DESIGN_WORKERS

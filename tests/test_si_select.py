@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mdquant import (
     DescriptionChannel,
-    GaussianSource,
     JointGaussianPair,
     build_cross_tables,
     lloyd_design,
@@ -86,28 +85,28 @@ class TestMinDistance:
 
 
 @pytest.fixture(scope="module")
-def mi_bundle(source):
+def mi_bundle():
     # K=2, M=1, N=2: tiny instance with closed-form cell joint.
-    q = lloyd_design(source, 2)
+    q = lloyd_design(2)
     ch = (DescriptionChannel.bsc(0.1, 0.2, 2),)
-    return make_bundle(q, lloyd_design(source, 4), np.eye(2), ch)
+    return make_bundle(q, lloyd_design(4), np.eye(2), ch)
 
 
 class TestPairwiseMi:
     def test_zero_at_independence(self, mi_bundle):
-        cross = build_cross_tables(mi_bundle, mi_bundle, JointGaussianPair(1, 1, 0.0))
-        mi = pairwise_mi(mi_bundle, mi_bundle, cross, (True,), (True,))
+        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, 0.0))
+        mi = pairwise_mi(mi_bundle, cross, (True,), (True,))
         assert abs(mi) < 1e-12
 
     def test_zero_when_neighbor_lost(self, mi_bundle):
-        cross = build_cross_tables(mi_bundle, mi_bundle, JointGaussianPair(1, 1, 0.9))
-        mi = pairwise_mi(mi_bundle, mi_bundle, cross, (True,), (False,))
+        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, 0.9))
+        mi = pairwise_mi(mi_bundle, cross, (True,), (False,))
         assert abs(mi) < 1e-12
 
     def test_enumeration_oracle(self, mi_bundle):
         rho = 0.7
-        cross = build_cross_tables(mi_bundle, mi_bundle, JointGaussianPair(1, 1, rho))
-        got = pairwise_mi(mi_bundle, mi_bundle, cross, (True,), (True,))
+        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, rho))
+        got = pairwise_mi(mi_bundle, cross, (True,), (True,))
         # Explicit enumeration over (cell_u, cell_t, I_u, I_t, J_u, J_t) in
         # pure Python from the same cell joint.
         p = 0.1
@@ -129,16 +128,16 @@ class TestPairwiseMi:
     def test_cell_joint_matches_orthant_closed_form(self, mi_bundle):
         # P(X>0, Y>0) = 1/4 + asin(rho) / (2 pi) for standard bivariate normal.
         rho = 0.6
-        cross = build_cross_tables(mi_bundle, mi_bundle, JointGaussianPair(1, 1, rho))
+        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, rho))
         joint_pp = cross.cell_cross[1, 1] * mi_bundle.quantizer.cell_probs[1]
         expect = 0.25 + np.arcsin(rho) / (2 * np.pi)
         assert abs(joint_pp - expect) < 1e-10
 
     def test_nonnegative_and_symmetric(self, mi_bundle):
         for rho in (0.0, 0.3, 0.8):
-            cross = build_cross_tables(mi_bundle, mi_bundle, JointGaussianPair(1, 1, rho))
-            a = pairwise_mi(mi_bundle, mi_bundle, cross, (True,), (True,))
-            b = pairwise_mi(mi_bundle, mi_bundle, cross, (True,), (True,))
+            cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, rho))
+            a = pairwise_mi(mi_bundle, cross, (True,), (True,))
+            b = pairwise_mi(mi_bundle, cross, (True,), (True,))
             assert a >= 0
             assert abs(a - b) < 1e-15
 
@@ -165,14 +164,14 @@ class TestSelectMaxMi:
 
 class TestPartialSiReconstruct:
     def test_uninformative_equals_no_si(self, tiny_bundle):
-        cross = build_cross_tables(tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, 0.0))
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
         oc_u = ChannelOutcome((1, 0), np.array([True, True]))
         oc_t = ChannelOutcome((None, None), np.array([False, False]))
         got = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cross)
         assert abs(got - decode(oc_u, None, None, tiny_bundle)) < 1e-9
 
     def test_equals_soft_si_with_own_channel_posterior(self, tiny_bundle):
-        cross = build_cross_tables(tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, 0.8))
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
         oc_u = ChannelOutcome((1, 0), np.array([True, True]))
         oc_t = ChannelOutcome((0, None), np.array([True, False]))
         npost = posterior(oc_t, None, None, tiny_bundle)
@@ -181,13 +180,13 @@ class TestPartialSiReconstruct:
         got = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cross)
         assert abs(got - expect) < 1e-9
 
-    def test_noiseless_neighbor_indicator_equivalence(self, source, q4):
+    def test_noiseless_neighbor_indicator_equivalence(self, q4):
         ch = (
             DescriptionChannel.bsc(0.0, 0.05, 2),
             DescriptionChannel.bsc(0.0, 0.05, 2),
         )
-        bundle = make_bundle(q4, lloyd_design(source, 8), np.eye(4), ch)
-        cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, 0.8))
+        bundle = make_bundle(q4, lloyd_design(8), np.eye(4), ch)
+        cross = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.8))
         oc_u = ChannelOutcome((0, 1), np.array([True, True]))
         oc_t = ChannelOutcome((1, 1), np.array([True, True]))
         indicator = np.zeros(4)
@@ -215,7 +214,7 @@ class TestSelectMinDistortion:
     def test_expected_distortion_monte_carlo(self, tiny_bundle):
         # Analytic expectation vs simulation for one (Q_u, Q_t) pair.
         rho = 0.8
-        cross = build_cross_tables(tiny_bundle, tiny_bundle, JointGaussianPair(1, 1, rho))
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, rho))
         q_u, q_t = (True, True), (True, False)
         analytic = expected_partial_si_distortion(tiny_bundle, cross, q_u, q_t)
         rng = np.random.default_rng(17)
@@ -257,8 +256,7 @@ def selection_cases(draw):
     L = int(np.prod([ch.index_count for ch in channels]))
     table = np.zeros((K, L))
     table[np.arange(K), draw(st.lists(st.integers(0, L - 1), min_size=K, max_size=K))] = 1.0
-    source = GaussianSource()
-    bundle = make_bundle(lloyd_design(source, K), lloyd_design(source, 4), table, channels)
+    bundle = make_bundle(lloyd_design(K), lloyd_design(4), table, channels)
     rhos = [0.0, *draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4))]
     return bundle, rhos
 
@@ -271,12 +269,12 @@ class TestScoreTables:
     def test_matches_per_pair_oracle(self, case):
         bundle, rhos = case
         patterns = loss_patterns(len(bundle.channels))
-        stack = cross_table_stack(bundle, bundle, rhos)
-        mi = score_tables(bundle, bundle, stack, "mutual_info")
-        dist = score_tables(bundle, bundle, stack, "min_distortion")
+        stack = cross_table_stack(bundle, rhos)
+        mi = score_tables(bundle, stack, "mutual_info")
+        dist = score_tables(bundle, stack, "min_distortion")
         assert mi.shape == dist.shape == (len(rhos), len(patterns), len(patterns))
         for r, rho in enumerate(rhos):
-            cross = build_cross_tables(bundle, bundle, JointGaussianPair(1, 1, rho))
+            cross = build_cross_tables(bundle, JointGaussianPair(1, 1, rho))
             for iu, q_u in enumerate(patterns):
                 for it, q_t in enumerate(patterns):
                     expect_mi = per_pair_mi(bundle, bundle, cross, q_u, q_t)

@@ -56,9 +56,9 @@ def bsc_channels(p, mu, n=2):
 
 
 @pytest.fixture(scope="module")
-def designed_bundle(source):
-    q = lloyd_design(source, 8)
-    si = lloyd_design(source, 16)
+def designed_bundle():
+    q = lloyd_design(8)
+    si = lloyd_design(16)
     return design_annealed(
         q,
         si,
@@ -107,6 +107,21 @@ class TestScenario:
         assert np.max(np.abs(emp - s.pairwise_rho)) < 0.02
         assert not projected
 
+    @pytest.mark.parametrize("gap,projected", [(1.1e-9, False), (0.9e-9, True)])
+    def test_psd_eigen_floor_edge(self, gap, projected):
+        # A two-node field with rho = 1 - gap has smallest eigenvalue gap, just
+        # above or just below simulator.PSD_EIGEN_FLOOR (1e-9).
+        rho = 1.0 - gap
+        s = WsnScenario(
+            np.array([[0.0, 0.0], [1.0, 0.0]]), 2.0, np.array([[1.0, rho], [rho, 1.0]]),
+            bsc_channels(0.0, 0.05), 0,
+        )
+        low = np.linalg.eigvalsh(s.pairwise_rho).min()
+        assert abs(low - gap) < 1e-14
+        assert bool(low < simulator.PSD_EIGEN_FLOOR) is projected
+        _, got = sample_correlated_sources(s, 10, 0)
+        assert got is projected
+
 
 class TestExperimentResult:
     def test_db_consistency(self):
@@ -127,10 +142,10 @@ class TestConditionalEntropyRates:
             expect = -sum(v * np.log2(v) for v in marg if v > 0)
             assert abs(rate - expect) < 1e-9
 
-    def test_single_tuple_zero_bits(self, source, q2):
+    def test_single_tuple_zero_bits(self, q2):
         table = np.zeros((2, 4))
         table[:, 1] = 1.0
-        bundle = make_bundle(q2, lloyd_design(source, 8), table, bsc_channels(0.0, 0.05))
+        bundle = make_bundle(q2, lloyd_design(8), table, bsc_channels(0.0, 0.05))
         rates = conditional_entropy_rates(bundle, JointGaussianPair(1, 1, 0.8))
         assert max(rates) < 1e-12
 
@@ -429,10 +444,10 @@ def peak_with_shared_arrays(fn, monkeypatch) -> int:
 
 
 @pytest.fixture(scope="module")
-def k16_bundle(source):
+def k16_bundle():
     """K=16 codec over two 4-index BSC descriptions, one cell per tuple."""
-    q = lloyd_design(source, 16)
-    si = lloyd_design(source, 64)
+    q = lloyd_design(16)
+    si = lloyd_design(64)
     return make_bundle(q, si, np.eye(16), bsc_channels(0.005, 0.05, n=4))
 
 
@@ -608,9 +623,9 @@ class TestSymExperiment:
         assert all(len(set(s_map[:, u])) > 1 for u in range(self.N_NODES))
         self.assert_equals_per_symbol(tiny_bundle, monkeypatch, scen, words, rec, pids, s_map)
 
-    def test_uncorrelated_pair_equals_independent_asym(self, source, q4):
+    def test_uncorrelated_pair_equals_independent_asym(self, q4):
         # Two far-apart nodes (rho ~ 0): symmetric decode == no-SI decode.
-        si = lloyd_design(source, 8)
+        si = lloyd_design(8)
         ch = bsc_channels(0.01, 0.05)
         bundle = make_bundle(q4, si, np.eye(4), ch)
         pos = np.array([[0.0, 0.0], [1e9, 0.0]])
