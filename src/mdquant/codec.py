@@ -93,15 +93,28 @@ def pattern_lookups(stacked, moments):
     """Posterior-mean lookup for every loss pattern and received word.
 
     ``stacked`` is the (L, N) table of ``channel.stacked_pattern_table``;
-    ``moments`` is the (L, 2S) block ``[joint | first]`` of tuple/SI-level
-    masses P(I, y) and first moments.  Returns the (N, S) received-word
-    masses ``den``, first moments ``num`` and reconstructions
-    ``xhat = num / den`` (0 where the mass is below ``PROB_FLOOR``).
+    ``moments`` is the (..., L, 2S) block ``[joint | first]`` of tuple/SI-level
+    masses P(I, y) and first moments, with any leading axes.  Returns the
+    (..., N, S) received-word masses ``den``, first moments ``num`` and
+    reconstructions ``xhat = num / den`` (0 where the mass is below
+    ``PROB_FLOOR``).  Each leading entry is the 2-D lookup of its block bit
+    for bit.
     """
-    S = moments.shape[1] // 2
+    S = moments.shape[-1] // 2
     den_num = stacked.T @ moments
-    den, num = den_num[:, :S], den_num[:, S:]
+    den, num = den_num[..., :S], den_num[..., S:]
     return den, num, masked_ratio(num, den, PROB_FLOOR)
+
+
+def pattern_sums(terms, offsets) -> np.ndarray:
+    """(..., P) sums of the (..., N, S) per-word ``terms`` of each loss pattern.
+
+    Each row (received word) is summed first, then the rows
+    ``offsets[p]:offsets[p + 1]`` of pattern p, so a stack sums as each of
+    its entries alone.
+    """
+    rows = terms.sum(axis=-1)
+    return np.stack([rows[..., a:b].sum(axis=-1) for a, b in zip(offsets, offsets[1:])], axis=-1)
 
 
 class _AsymLookup:
@@ -123,11 +136,12 @@ class _AsymLookup:
         """Expected squared error of this fixed table under each loss pattern.
 
         With moment matrices S0, S1, S2, D_p = sum S2 + sum over p's word rows and
-        SI levels of xhat^2 den - 2 xhat num (:func:`pattern_lookups`).
+        SI levels of xhat^2 den - 2 xhat num (:func:`pattern_lookups`,
+        :func:`pattern_sums`).
         """
         den, num, _ = pattern_lookups(self.stacked, np.hstack([ia_table.T @ s0, ia_table.T @ s1]))
-        terms = np.sum(self.table * (self.table * den - 2.0 * num), axis=1)
-        return [float(s2.sum() + terms[a:b].sum()) for a, b in zip(self.offsets, self.offsets[1:])]
+        sums = pattern_sums(self.table * (self.table * den - 2.0 * num), self.offsets)
+        return [float(s2.sum() + d) for d in sums]
 
 
 @dataclass(frozen=True)

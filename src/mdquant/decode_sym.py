@@ -51,7 +51,6 @@ class CrossSourceTables:
     ``cell_cross[l, k]``      P(own cell l | neighbor cell k)
     ``cell_cross_m1[l, k]``   E[X 1{own cell l} | neighbor cell k]
     ``idx_given_cell[I, k]``  P(own tuple I | neighbor cell k)
-    ``cent_given_cell[I, k]`` E[X | own tuple I, neighbor cell k]
     ``cell_given_idx[k, I]``  P(neighbor cell k | neighbor tuple I)
     ``mix_prob`` / ``mix_first`` contract the neighbor-cell axis against
     ``cell_given_idx`` so a neighbor tuple posterior maps straight to the own
@@ -64,7 +63,6 @@ class CrossSourceTables:
     cell_cross: np.ndarray
     cell_cross_m1: np.ndarray
     idx_given_cell: np.ndarray
-    cent_given_cell: np.ndarray
     cell_given_idx: np.ndarray
     mix_prob: np.ndarray
     mix_first: np.ndarray
@@ -78,7 +76,6 @@ def _cross_tables(bundle, s0, s1) -> CrossSourceTables:
 
     idx_given_cell = a.T @ cell_cross  # (..., L, K)
     raw_first = a.T @ cell_cross_m1
-    cent_given_cell = masked_ratio(raw_first, idx_given_cell)
 
     mass = a * q.cell_probs[:, None]  # (K, L)
     cell_given_idx = masked_ratio(mass, mass.sum(axis=0)[None, :])
@@ -89,7 +86,6 @@ def _cross_tables(bundle, s0, s1) -> CrossSourceTables:
         cell_cross=cell_cross,
         cell_cross_m1=cell_cross_m1,
         idx_given_cell=idx_given_cell,
-        cent_given_cell=cent_given_cell,
         cell_given_idx=cell_given_idx,
         mix_prob=mix_prob,
         mix_first=mix_first,

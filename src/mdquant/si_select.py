@@ -14,16 +14,19 @@ sources that run one codec; the two pairwise functions are its batch of
 one.  The per-trial selection that reads the tables and picks each source's
 best candidate, among its ``SI_CANDIDATES`` most correlated nodes, runs in
 :mod:`mdquant.simulator`.
-All ties resolve to the lowest candidate index so selections are
-deterministic.
+Scores equal in floating point resolve to the lowest candidate index, so
+selections are deterministic.  Scores equal only in exact arithmetic do not:
+where a source or its candidate has received nothing, every candidate's
+mutual information is 0, and rounding residues of ~1e-16 decide the pick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import loss_patterns, pattern_ids, pattern_table
-from .codec import CodecBundle, masked_ratio
+from .channel import pattern_ids, stacked_pattern_table
+from .channel import pattern_table  # noqa: F401  (perfbench/spans.py patches this binding)
+from .codec import CodecBundle, pattern_lookups, pattern_sums
 from .decode_sym import CrossSourceTables
 
 
@@ -42,18 +45,6 @@ def select_min_distance(positions) -> np.ndarray:
     return np.argmin(dist, axis=1)
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits along the last axis (0 log 0 = 0)."""
-    pos = p > 0
-    return -np.sum(np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0), axis=-1)
-
-
-def _pattern_blocks(bundle: CodecBundle):
-    """Per loss pattern: likelihood table T_p (L, n_p) and G_p = A T_p = P(word | cell)."""
-    tables = [pattern_table(bundle.channels, Q) for Q in loss_patterns(len(bundle.channels))]
-    return tables, [bundle.ia.table @ t for t in tables]
-
-
 def score_tables(bundle: CodecBundle, cross: CrossSourceTables, method: str) -> np.ndarray:
     """Selection score of SI source t for source u, for every pair of loss patterns.
 
@@ -62,46 +53,36 @@ def score_tables(bundle: CodecBundle, cross: CrossSourceTables, method: str) -> 
     (:func:`mdquant.decode_sym.cross_table_stack`); the result has shape
     (..., P_u, P_t), patterns in ``loss_patterns`` order.  ``method``
     "mutual_info" scores :func:`pairwise_mi`, "min_distortion"
-    :func:`expected_partial_si_distortion`.  Each pattern pair is computed
-    for all correlations at once, with the same matrix products as for one
-    pair, so a stack repeats the one-pair scores bit for bit; that includes
-    the ~1e-16 mutual-information residues that decide among candidates when
-    a source has lost every description.  The cross tables are those of
-    unit-variance sources, so E[X^2] is 1.
+    :func:`expected_partial_si_distortion`; any other raises ``ValueError``.
+    Per neighbor pattern p_t, with G_t = A T_t, one
+    :func:`mdquant.codec.pattern_lookups` of [A^T S0 G_t | A^T S1 G_t] gives
+    each own word's joint mass ``den`` = P(J_u, J_t), first moment ``num``
+    and partial-SI reconstruction ``xhat``.  The distortion is 1 + the sum
+    of xhat^2 den - 2 xhat num (unit-variance sources: E[X^2] = 1), the
+    mutual information H(J_u) + H(J_t) - H(J_u, J_t), with H(J_u) read where
+    the neighbor received nothing and H(J_t) where the own source did.  Both
+    sum through :func:`mdquant.codec.pattern_sums`, so a stack repeats the
+    one-correlation scores bit for bit, ~1e-16 residues included.
     """
-    tables, blocks = _pattern_blocks(bundle)
-    p = bundle.quantizer.cell_probs
-    cell_joint = cross.cell_cross * p[None, :]  # (..., K, K)
-    lead = cell_joint.shape[:-2]
-    out = np.empty(lead + (len(blocks), len(blocks)))
-    if method == "mutual_info":
-        h_t = [_entropy_bits(g.T @ p) for g in blocks]
-        marg_u = cell_joint.sum(axis=-1)[..., None]  # (..., K, 1)
-        for iu, gu in enumerate(blocks):
-            h_u = _entropy_bits((gu.T @ marg_u)[..., 0])
-            xu = gu.T @ cell_joint
-            for it, gt in enumerate(blocks):
-                joint = xu @ gt
-                h_j = _entropy_bits(joint.reshape(lead + (-1,)))
-                out[..., iu, it] = np.maximum(h_u + h_t[it] - h_j, 0.0)
-        return out
-
-    cell_joint_m1 = cross.cell_cross_m1 * p[None, :]
-    first_cell = cross.idx_given_cell * cross.cent_given_cell
-    w_cells = [p[:, None] * g for g in blocks]  # unnormalized neighbor cell posteriors
-    prior_jt = [cross.idx_given_cell @ w for w in w_cells]  # (..., L, nJt)
-    first_jt = [first_cell @ w for w in w_cells]
-    for iu, (tu, gu) in enumerate(zip(tables, blocks)):
-        xu, xu1 = gu.T @ cell_joint, gu.T @ cell_joint_m1
-        for it, gt in enumerate(blocks):
-            pjj = xu @ gt  # (..., nJu, nJt)
-            njj = xu1 @ gt
-            xhat = masked_ratio(tu.T @ first_jt[it], tu.T @ prior_jt[it])
-            d = (
-                1.0 - 2.0 * np.sum(njj * xhat, axis=(-2, -1))
-                + np.sum(pjj * xhat**2, axis=(-2, -1))
-            )
-            out[..., iu, it] = np.maximum(d, 0.0)
+    if method not in ("mutual_info", "min_distortion"):
+        raise ValueError(f"no score table for SI selection method {method!r}")
+    stacked, offsets = stacked_pattern_table(bundle.channels)
+    a, p = bundle.ia.table, bundle.quantizer.cell_probs
+    ats0 = a.T @ (cross.cell_cross * p[None, :])  # (..., L, K): A^T S0
+    ats1 = a.T @ (cross.cell_cross_m1 * p[None, :])
+    out = np.empty(ats0.shape[:-2] + (offsets.size - 1,) * 2)
+    for it, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        g = a @ stacked[:, lo:hi]  # (K, n_t): P(J_t | neighbor cell)
+        den, num, xhat = pattern_lookups(stacked, np.concatenate([ats0 @ g, ats1 @ g], axis=-1))
+        if method == "min_distortion":
+            d = 1.0 + pattern_sums(xhat * (xhat * den - 2.0 * num), offsets)
+        else:
+            logs = np.log2(np.where(den > 0, den, 1.0))  # 0 log 0 = 0
+            h_j = -pattern_sums(den * logs, offsets)  # H(J_u, J_t) per own pattern
+            if it == 0:
+                h_u = h_j  # the neighbor received nothing: H(J_u)
+            d = h_u + h_j[..., :1] - h_j
+        out[..., it] = np.maximum(d, 0.0)
     return out
 
 

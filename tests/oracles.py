@@ -670,6 +670,11 @@ def _neighbor_cell_posterior(outcome_t: ChannelOutcome, bundle_t: CodecBundle) -
     return w / total
 
 
+def cent_given_cell(bundle: CodecBundle, cross: CrossSourceTables) -> np.ndarray:
+    """(L, K) centroids E[X | own tuple I, neighbor cell k] of the cross tables ``cross``."""
+    return masked_ratio(bundle.ia.table.T @ cross.cell_cross_m1, cross.idx_given_cell)
+
+
 def partial_si_reconstruct(
     outcome_u: ChannelOutcome,
     outcome_t: ChannelOutcome,
@@ -684,7 +689,7 @@ def partial_si_reconstruct(
     """
     w = _neighbor_cell_posterior(outcome_t, bundle_t)
     prior = cross.idx_given_cell @ w
-    first = (cross.idx_given_cell * cross.cent_given_cell) @ w
+    first = (cross.idx_given_cell * cent_given_cell(bundle_u, cross)) @ w
     lik = np.exp(tuple_log_likelihood(outcome_u, bundle_u.channels))
     post = lik * prior
     total = post.sum()
@@ -993,7 +998,7 @@ def per_pair_partial_si_distortion(bundle, cross, q_u, q_t, var_x: float = 1.0) 
     njj = g_u.T @ (cross.cell_cross_m1 * p_cells[None, :]) @ g_t  # E[X 1{J_u, J_t}]
     w_cells = p_cells[:, None] * g_t  # unnormalized neighbor cell posterior
     den = t_u.T @ (cross.idx_given_cell @ w_cells)
-    num = t_u.T @ ((cross.idx_given_cell * cross.cent_given_cell) @ w_cells)
+    num = t_u.T @ ((cross.idx_given_cell * cent_given_cell(bundle, cross)) @ w_cells)
     xhat = masked_ratio(num, den)
     d = var_x - 2.0 * np.sum(njj * xhat) + np.sum(pjj * xhat**2)
     return max(float(d), 0.0)

@@ -17,7 +17,7 @@ from mdquant import (
     ia_entropy,
     lloyd_design,
 )
-from mdquant.channel import tuple_space
+from mdquant.channel import stacked_pattern_table, tuple_space
 from mdquant import codec
 from mdquant.codec import DesignContext, si_moment_matrices, si_moment_stack
 from mdquant.gaussian import gauss_interval_moments_batch
@@ -547,6 +547,51 @@ class TestEvaluateDistortion:
             AsymConfig(bundle=bundle, rho_real=0.8, trials=200_000, seed=13), [bundle.channels]
         )[0]
         assert abs(res.d_av - analytic) < 3 * res.stderr
+
+
+@st.composite
+def lookup_stacks(draw):
+    """A stacked pattern table of 1-3 BSC descriptions and an (R, L, 2S) moment stack.
+
+    Some tuples carry no mass, so some word rows take the masked path.
+    """
+    channels = tuple(
+        DescriptionChannel.bsc(draw(st.sampled_from([0.0, 0.01, 0.2])), 0.0, n)
+        for n in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    )
+    stacked, offsets = stacked_pattern_table(channels)
+    R, S = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 16, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moments = rng.random((R, stacked.shape[0], 2 * S))
+    moments[:, rng.random(stacked.shape[0]) < 0.3] = 0.0
+    return stacked, offsets, moments
+
+
+class TestPatternLookups:
+    """The per-word lookup and its per-pattern sums take leading axes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lookup_stacks())
+    def test_stack_equals_each_two_dimensional_call(self, case):
+        stacked, offsets, moments = case
+        stack = codec.pattern_lookups(stacked, moments)
+        for r in range(moments.shape[0]):
+            for got, want in zip(stack, codec.pattern_lookups(stacked, moments[r])):
+                assert np.array_equal(got[r], want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lookup_stacks())
+    def test_pattern_sums_add_rows_then_each_patterns_rows(self, case):
+        stacked, offsets, moments = case
+        den, num, xhat = codec.pattern_lookups(stacked, moments)
+        terms = xhat * (xhat * den - 2.0 * num)
+        sums = codec.pattern_sums(terms, offsets)
+        assert sums.shape == (moments.shape[0], offsets.size - 1)
+        for r in range(moments.shape[0]):
+            rows = np.sum(terms[r], axis=1)
+            expect = [rows[a:b].sum() for a, b in zip(offsets, offsets[1:])]
+            assert np.array_equal(sums[r], expect)
+            assert np.array_equal(codec.pattern_sums(terms[r], offsets), expect)
 
 
 class TestDaWeights:

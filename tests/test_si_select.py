@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdquant import (
@@ -247,18 +247,23 @@ class TestSelectMinDistortion:
 
 @st.composite
 def selection_cases(draw):
-    """A hard-assignment codec over 1-2 BSC descriptions and a few correlations."""
+    """(K, channels, cell -> tuple map, correlations) of a hard codec over 1-3 BSC descriptions."""
     K = draw(st.sampled_from([2, 4, 8]))
     channels = tuple(
         DescriptionChannel.bsc(draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 1.0)), n)
-        for n in draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+        for n in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
     )
     L = int(np.prod([ch.index_count for ch in channels]))
-    table = np.zeros((K, L))
-    table[np.arange(K), draw(st.lists(st.integers(0, L - 1), min_size=K, max_size=K))] = 1.0
-    bundle = make_bundle(lloyd_design(K), lloyd_design(4), table, channels)
+    tuples = draw(st.lists(st.integers(0, L - 1), min_size=K, max_size=K))
     rhos = [0.0, *draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4))]
-    return bundle, rhos
+    return K, channels, tuples, rhos
+
+
+# Three descriptions, 8 x 8 pattern pairs; cells 0 and 7 share a tuple, so tuple 7 is unused.
+THREE_DESCRIPTIONS = [
+    (8, (DescriptionChannel.bsc(bsc, loss, 2),) * 3, [0, 1, 2, 3, 4, 5, 6, 0], [0.0, 0.4, 0.9])
+    for bsc, loss in [(0.0, 0.0), (0.05, 0.1), (0.2, 0.5)]
+]
 
 
 class TestScoreTables:
@@ -266,8 +271,14 @@ class TestScoreTables:
 
     @settings(max_examples=30, deadline=None)
     @given(case=selection_cases())
+    @example(case=THREE_DESCRIPTIONS[0])
+    @example(case=THREE_DESCRIPTIONS[1])
+    @example(case=THREE_DESCRIPTIONS[2])
     def test_matches_per_pair_oracle(self, case):
-        bundle, rhos = case
+        K, channels, tuples, rhos = case
+        table = np.zeros((K, int(np.prod([ch.index_count for ch in channels]))))
+        table[np.arange(K), tuples] = 1.0
+        bundle = make_bundle(lloyd_design(K), lloyd_design(4), table, channels)
         patterns = loss_patterns(len(bundle.channels))
         stack = cross_table_stack(bundle, rhos)
         mi = score_tables(bundle, stack, "mutual_info")
@@ -281,3 +292,10 @@ class TestScoreTables:
                     expect_d = per_pair_partial_si_distortion(bundle, cross, q_u, q_t)
                     assert abs(mi[r, iu, it] - expect_mi) <= 1e-13
                     assert abs(dist[r, iu, it] - expect_d) <= 1e-13
+
+    @pytest.mark.parametrize("method", ["distance", "max_mi", "", "MUTUAL_INFO"])
+    def test_other_methods_rejected(self, tiny_bundle, method):
+        # Only the two pattern-dependent criteria have score tables.
+        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
+        with pytest.raises(ValueError, match="no score table"):
+            score_tables(tiny_bundle, cross, method)
