@@ -14,10 +14,10 @@ sources that run one codec; the two pairwise functions are its batch of
 one.  The per-trial selection that reads the tables and picks each source's
 best candidate, among its ``SI_CANDIDATES`` most correlated nodes, runs in
 :mod:`mdquant.simulator`.
-Scores equal in floating point resolve to the lowest candidate index, so
-selections are deterministic.  Scores equal only in exact arithmetic do not:
-where a source or its candidate has received nothing, every candidate's
-mutual information is 0, and rounding residues of ~1e-16 decide the pick.
+Where a source or its candidate has received nothing, the mutual
+information is exactly 0.0.  Equal scores go to the more correlated
+candidate, equal correlations to the lower node index, so an all-zero tie
+picks the most correlated candidate.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ def score_tables(bundle: CodecBundle, cross: CrossSourceTables, method: str) -> 
     and partial-SI reconstruction ``xhat``.  The distortion is 1 + the sum
     of xhat^2 den - 2 xhat num (unit-variance sources: E[X^2] = 1), the
     mutual information H(J_u) + H(J_t) - H(J_u, J_t), with H(J_u) read where
-    the neighbor received nothing and H(J_t) where the own source did.  Both
-    sum through :func:`mdquant.codec.pattern_sums`, so a stack repeats the
-    one-correlation scores bit for bit, ~1e-16 residues included.
+    the neighbor received nothing and H(J_t) where the own source did, and
+    exactly 0 where either received nothing.  Both sum through
+    :func:`mdquant.codec.pattern_sums`, so a stack repeats the
+    one-correlation scores bit for bit.
     """
     if method not in ("mutual_info", "min_distortion"):
         raise ValueError(f"no score table for SI selection method {method!r}")
@@ -83,6 +84,8 @@ def score_tables(bundle: CodecBundle, cross: CrossSourceTables, method: str) -> 
                 h_u = h_j  # the neighbor received nothing: H(J_u)
             d = h_u + h_j[..., :1] - h_j
         out[..., it] = np.maximum(d, 0.0)
+    if method == "mutual_info":
+        out[..., 0, :] = out[..., :, 0] = 0.0  # either source received nothing
     return out
 
 

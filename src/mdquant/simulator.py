@@ -526,8 +526,8 @@ def _selection_scores(cfg: SymConfig):
     """(candidates, scores) of the pattern-dependent SI selection; None for ``distance``.
 
     ``candidates[u]`` are node u's k = min(``SI_CANDIDATES``, N - 1) most
-    correlated other nodes by the exact ``pairwise_rho``, ties to the lower
-    index, in ascending node order.  ``scores[u, j, p_u, p_t]`` scores
+    correlated other nodes by the exact ``pairwise_rho``, in order of falling
+    correlation, ties to the lower index.  ``scores[u, j, p_u, p_t]`` scores
     candidate ``candidates[u, j]`` for node u under loss patterns p_u, p_t.
     The scores depend only on the codec and the pair correlations, so a run
     computes them once, at each distinct correlation of the N x k pairs:
@@ -540,7 +540,7 @@ def _selection_scores(cfg: SymConfig):
     np.fill_diagonal(rho, -np.inf)
     k = min(SI_CANDIDATES, rho.shape[0] - 1)
     # A stable sort of -rho ranks equal correlations by node index.
-    candidates = np.sort(np.argsort(-rho, axis=1, kind="stable")[:, :k], axis=1)
+    candidates = np.argsort(-rho, axis=1, kind="stable")[:, :k]
     pair_rho = np.take_along_axis(rho, candidates, axis=1)
     rho_keys, ridx = np.unique([round(float(r), 12) for r in pair_rho.flat], return_inverse=True)
     scores = _selection_score_tables(cfg.bundle, rho_keys, cfg.si_method)
@@ -551,7 +551,8 @@ def _select_maps(cfg: SymConfig, pids, selection) -> np.ndarray:
     """(trials, N) chosen SI source per trial; ``selection`` from :func:`_selection_scores`.
 
     Each node gathers its k candidates' scores under each trial's patterns,
-    O(k x trials) per node, and picks the best, ties to the lower node index.
+    O(k x trials) per node, and picks the best, ties to the more correlated
+    candidate (the first in ``candidates[u]``).
     """
     n_nodes = cfg.scenario.n_nodes
     if selection is None:

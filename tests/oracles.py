@@ -1008,7 +1008,8 @@ def loop_select(cfg, pids):
     """(trials, N) SI picks of a per-candidate loop over all N - 1 other nodes.
 
     The reference for ``simulator._select_maps``, which scores only each
-    node's ``SI_CANDIDATES`` most correlated candidates.
+    node's ``SI_CANDIDATES`` most correlated candidates.  Equal scores go to
+    the more correlated candidate, equal correlations to the lower index.
     """
     n = cfg.scenario.n_nodes
     rho = cfg.scenario.pairwise_rho
@@ -1017,14 +1018,12 @@ def loop_select(cfg, pids):
     mi = cfg.si_method == "mutual_info"
     smap = np.empty(pids.shape, dtype=int)
     for u in range(n):
-        scores = np.empty(pids.shape)
-        for t in range(n):
-            if t == u:
-                scores[:, t] = -np.inf if mi else np.inf
-                continue
+        order = sorted((t for t in range(n) if t != u), key=lambda t: (-rho[u, t], t))
+        scores = np.empty((pids.shape[0], n - 1))
+        for j, t in enumerate(order):
             tab = tables[keys.index(round(float(rho[u, t]), 12))]
-            scores[:, t] = tab[pids[:, u], pids[:, t]]
-        smap[:, u] = (np.argmax if mi else np.argmin)(scores, axis=1)
+            scores[:, j] = tab[pids[:, u], pids[:, t]]
+        smap[:, u] = np.array(order)[(np.argmax if mi else np.argmin)(scores, axis=1)]
     return smap
 
 

@@ -161,6 +161,18 @@ class TestSelectMaxMi:
         chosen, _ = select_one_trial(tiny_bundle, rho, q, "mutual_info")
         assert chosen[0] == 1
 
+    @pytest.mark.parametrize("q", [
+        [[False, False], [True, True], [True, False]],  # node 0 received nothing
+        [[True, True], [False, False], [False, False]],  # both candidates received nothing
+    ])
+    def test_zero_tie_goes_to_the_more_correlated_candidate(self, tiny_bundle, q):
+        # Every score of node 0 is exactly 0; node 2, the higher index, is
+        # the more correlated candidate.
+        rho = np.array([[1.0, 0.3, 0.9], [0.3, 1.0, 0.5], [0.9, 0.5, 1.0]])
+        chosen, scores = select_one_trial(tiny_bundle, rho, q, "mutual_info")
+        assert scores[0, 1] == scores[0, 2] == 0.0
+        assert chosen[0] == 2
+
 
 class TestPartialSiReconstruct:
     def test_uninformative_equals_no_si(self, tiny_bundle):
@@ -259,6 +271,14 @@ def selection_cases(draw):
     return K, channels, tuples, rhos
 
 
+def case_bundle(case):
+    """(bundle, correlations) of a ``selection_cases`` case."""
+    K, channels, tuples, rhos = case
+    table = np.zeros((K, int(np.prod([ch.index_count for ch in channels]))))
+    table[np.arange(K), tuples] = 1.0
+    return make_bundle(lloyd_design(K), lloyd_design(4), table, channels), rhos
+
+
 # Three descriptions, 8 x 8 pattern pairs; cells 0 and 7 share a tuple, so tuple 7 is unused.
 THREE_DESCRIPTIONS = [
     (8, (DescriptionChannel.bsc(bsc, loss, 2),) * 3, [0, 1, 2, 3, 4, 5, 6, 0], [0.0, 0.4, 0.9])
@@ -275,10 +295,7 @@ class TestScoreTables:
     @example(case=THREE_DESCRIPTIONS[1])
     @example(case=THREE_DESCRIPTIONS[2])
     def test_matches_per_pair_oracle(self, case):
-        K, channels, tuples, rhos = case
-        table = np.zeros((K, int(np.prod([ch.index_count for ch in channels]))))
-        table[np.arange(K), tuples] = 1.0
-        bundle = make_bundle(lloyd_design(K), lloyd_design(4), table, channels)
+        bundle, rhos = case_bundle(case)
         patterns = loss_patterns(len(bundle.channels))
         stack = cross_table_stack(bundle, rhos)
         mi = score_tables(bundle, stack, "mutual_info")
@@ -292,6 +309,13 @@ class TestScoreTables:
                     expect_d = per_pair_partial_si_distortion(bundle, cross, q_u, q_t)
                     assert abs(mi[r, iu, it] - expect_mi) <= 1e-13
                     assert abs(dist[r, iu, it] - expect_d) <= 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=selection_cases())
+    def test_mi_is_exactly_zero_where_a_source_received_nothing(self, case):
+        bundle, rhos = case_bundle(case)
+        mi = score_tables(bundle, cross_table_stack(bundle, rhos), "mutual_info")
+        assert np.all(mi[:, 0, :] == 0.0) and np.all(mi[:, :, 0] == 0.0)
 
     @pytest.mark.parametrize("method", ["distance", "max_mi", "", "MUTUAL_INFO"])
     def test_other_methods_rejected(self, tiny_bundle, method):
