@@ -1,15 +1,17 @@
 """The joint decoder of a sensor field and its cross-source tables.
 
 Every sensor of a field runs the same codec.  When one source serves as
-another's side information, the joint decoder couples the two through cross
-tables: the joint statistics of the two sources' quantizer cells and index
-tuples at their correlation, under that one codec.  They are read off the
-same moment matrices S0/S1 as the stored decoder tables
+another's side information, the soft-SI decoder couples the two through
+cross tables: the mixing matrices that map the neighbor's index tuple
+posterior to the own tuple prior and its first moment, at the pair's
+correlation, under that one codec.  They are read off the same moment
+matrices S0/S1 as the stored decoder tables
 (:func:`mdquant.codec.si_moment_matrices`, with the codec's quantizer in
 the role of the SI quantizer).  :func:`cross_table_stack` builds them for
-many correlations from one batched quadrature.  That is how the SI
-selection gets the tables of every pair of a field, and how the soft-SI
-decoder gets one table per ladder level.
+many correlations from one batched quadrature, which is how the soft-SI
+decoder gets one table per ladder level.  The SI selection reads the moment
+matrices themselves (:func:`mdquant.si_select.score_tables`), not these
+tables.
 
 :class:`_SymDecoder` is the joint decoder: estimated-SI or soft-SI sweeps
 over one block of a field's trials at a time.  It takes each trial's SI
@@ -46,49 +48,33 @@ SYM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CrossSourceTables:
-    """Dependency tables between a decoded source and its SI source, both of one codec.
+    """The soft-SI decoder's mixing matrices between a source and its SI source, both of one codec.
 
-    ``cell_cross[l, k]``      P(own cell l | neighbor cell k)
-    ``cell_cross_m1[l, k]``   E[X 1{own cell l} | neighbor cell k]
-    ``idx_given_cell[I, k]``  P(own tuple I | neighbor cell k)
-    ``cell_given_idx[k, I]``  P(neighbor cell k | neighbor tuple I)
-    ``mix_prob`` / ``mix_first`` contract the neighbor-cell axis against
-    ``cell_given_idx`` so a neighbor tuple posterior maps straight to the own
-    tuple prior and its first moment.
+    ``mix_prob[I, J]``   P(own tuple I | neighbor tuple J)
+    ``mix_first[I, J]``  E[X 1{own tuple I} | neighbor tuple J]
 
-    A stack for many correlations (:func:`cross_table_stack`) has a leading
-    correlation axis on every table but ``cell_given_idx``.
+    so a neighbor tuple posterior maps straight to the own tuple prior and
+    its first moment.  A stack for many correlations
+    (:func:`cross_table_stack`) has a leading correlation axis.
     """
 
-    cell_cross: np.ndarray
-    cell_cross_m1: np.ndarray
-    idx_given_cell: np.ndarray
-    cell_given_idx: np.ndarray
     mix_prob: np.ndarray
     mix_first: np.ndarray
 
 
 def _cross_tables(bundle, s0, s1) -> CrossSourceTables:
-    """Cross tables from the moment matrices, one (K, K) pair or a stack of them."""
+    """Mixing matrices from the moment matrices, one (K, K) pair or a stack of them.
+
+    The neighbor-cell axis of A^T S0 / p and A^T S1 / p (own tuple given
+    neighbor cell) is contracted against P(neighbor cell | neighbor tuple).
+    """
     q, a = bundle.quantizer, bundle.ia.table
     ps = np.maximum(q.cell_probs, 1e-300)
-    cell_cross, cell_cross_m1 = s0 / ps, s1 / ps
-
-    idx_given_cell = a.T @ cell_cross  # (..., L, K)
-    raw_first = a.T @ cell_cross_m1
-
     mass = a * q.cell_probs[:, None]  # (K, L)
-    cell_given_idx = masked_ratio(mass, mass.sum(axis=0)[None, :])
-
-    mix_prob = idx_given_cell @ cell_given_idx
-    mix_first = raw_first @ cell_given_idx
+    neighbor_cell = masked_ratio(mass, mass.sum(axis=0)[None, :])  # P(cell k | tuple J)
     return CrossSourceTables(
-        cell_cross=cell_cross,
-        cell_cross_m1=cell_cross_m1,
-        idx_given_cell=idx_given_cell,
-        cell_given_idx=cell_given_idx,
-        mix_prob=mix_prob,
-        mix_first=mix_first,
+        mix_prob=(a.T @ (s0 / ps)) @ neighbor_cell,
+        mix_first=(a.T @ (s1 / ps)) @ neighbor_cell,
     )
 
 
@@ -97,9 +83,8 @@ def build_cross_tables(bundle: CodecBundle, pair: JointGaussianPair) -> CrossSou
 
     Both sources run the one codec ``bundle``.  ``pair`` holds the
     correlation between them (own source on the X axis, neighbor on the Y
-    axis).  ``cell_cross`` and ``cell_cross_m1`` are the moment matrices
-    S0/S1 with the codec's quantizer as SI quantizer, divided by its cell
-    probabilities.
+    axis); the tables come from the moment matrices S0/S1 with the codec's
+    quantizer as SI quantizer.
     """
     s0, s1, _ = si_moment_matrices(bundle.quantizer, bundle.quantizer, pair)
     return _cross_tables(bundle, s0, s1)

@@ -9,7 +9,7 @@ of the partial-SI decoder, which reconstructs a source from its own received
 words and the candidate's (:func:`expected_partial_si_distortion`).  The two
 pattern-dependent criteria come from :func:`score_tables`, which scores every
 pair of loss patterns at once, for one correlation or for a stack of them
-(the cross tables of :func:`mdquant.decode_sym.cross_table_stack`), for two
+(the moment matrices of :func:`mdquant.codec.si_moment_stack`), for two
 sources that run one codec; the two pairwise functions are its batch of
 one.  The per-trial selection that reads the tables and picks each source's
 best candidate, among its ``SI_CANDIDATES`` most correlated nodes, runs in
@@ -26,8 +26,8 @@ import numpy as np
 
 from .channel import pattern_ids, stacked_pattern_table
 from .channel import pattern_table  # noqa: F401  (perfbench/spans.py patches this binding)
-from .codec import CodecBundle, pattern_lookups, pattern_sums
-from .decode_sym import CrossSourceTables
+from .codec import CodecBundle, pattern_lookups, pattern_sums, si_moment_matrices
+from .gaussian import JointGaussianPair
 
 
 def select_min_distance(positions) -> np.ndarray:
@@ -45,39 +45,40 @@ def select_min_distance(positions) -> np.ndarray:
     return np.argmin(dist, axis=1)
 
 
-def score_tables(bundle: CodecBundle, cross: CrossSourceTables, method: str) -> np.ndarray:
+def score_tables(bundle: CodecBundle, s0, s1, method: str) -> np.ndarray:
     """Selection score of SI source t for source u, for every pair of loss patterns.
 
-    Both sources run the one codec ``bundle``.  ``cross`` holds the cross
-    tables of one correlation, or of many with a leading correlation axis
-    (:func:`mdquant.decode_sym.cross_table_stack`); the result has shape
+    Both sources run the one codec ``bundle``.  ``s0``/``s1`` are their
+    (K, K) moment matrices S0/S1, the codec's quantizer in the role of the SI
+    quantizer, or a stack with leading axes
+    (:func:`mdquant.codec.si_moment_stack`); the result has shape
     (..., P_u, P_t), patterns in ``loss_patterns`` order.  ``method``
     "mutual_info" scores :func:`pairwise_mi`, "min_distortion"
     :func:`expected_partial_si_distortion`; any other raises ``ValueError``.
-    Per neighbor pattern p_t, with G_t = A T_t, one
-    :func:`mdquant.codec.pattern_lookups` of [A^T S0 G_t | A^T S1 G_t] gives
-    each own word's joint mass ``den`` = P(J_u, J_t), first moment ``num``
-    and partial-SI reconstruction ``xhat``.  The distortion is 1 + the sum
-    of xhat^2 den - 2 xhat num (unit-variance sources: E[X^2] = 1), the
-    mutual information H(J_u) + H(J_t) - H(J_u, J_t), with H(J_u) read where
-    the neighbor received nothing and H(J_t) where the own source did, and
-    exactly 0 where either received nothing.  Both sum through
-    :func:`mdquant.codec.pattern_sums`, so a stack repeats the
-    one-correlation scores bit for bit.
+    Per neighbor pattern p_t, with G_t = A T_t, the own words' joint masses
+    are ``den`` = P(J_u, J_t) = T^T A^T S0 G_t.  The mutual information reads
+    them alone: H(J_u) + H(J_t) - H(J_u, J_t), H(J_u) read where the neighbor
+    received nothing and H(J_t) where the own source did, and exactly 0
+    where either received nothing.  The distortion is 1 + the sum of
+    xhat^2 den - 2 xhat num (E[X^2] = 1), from one
+    :func:`mdquant.codec.pattern_lookups` of [A^T S0 G_t | A^T S1 G_t].
+    Both sum through :func:`mdquant.codec.pattern_sums`, so a stack repeats
+    the one-correlation scores bit for bit.
     """
     if method not in ("mutual_info", "min_distortion"):
         raise ValueError(f"no score table for SI selection method {method!r}")
     stacked, offsets = stacked_pattern_table(bundle.channels)
-    a, p = bundle.ia.table, bundle.quantizer.cell_probs
-    ats0 = a.T @ (cross.cell_cross * p[None, :])  # (..., L, K): A^T S0
-    ats1 = a.T @ (cross.cell_cross_m1 * p[None, :])
+    a = bundle.ia.table
+    ats0 = a.T @ s0  # (..., L, K)
+    ats1 = a.T @ s1 if method == "min_distortion" else None
     out = np.empty(ats0.shape[:-2] + (offsets.size - 1,) * 2)
     for it, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         g = a @ stacked[:, lo:hi]  # (K, n_t): P(J_t | neighbor cell)
-        den, num, xhat = pattern_lookups(stacked, np.concatenate([ats0 @ g, ats1 @ g], axis=-1))
         if method == "min_distortion":
+            den, num, xhat = pattern_lookups(stacked, np.concatenate([ats0 @ g, ats1 @ g], axis=-1))
             d = 1.0 + pattern_sums(xhat * (xhat * den - 2.0 * num), offsets)
         else:
+            den = stacked.T @ (ats0 @ g)
             logs = np.log2(np.where(den > 0, den, 1.0))  # 0 log 0 = 0
             h_j = -pattern_sums(den * logs, offsets)  # H(J_u, J_t) per own pattern
             if it == 0:
@@ -89,28 +90,30 @@ def score_tables(bundle: CodecBundle, cross: CrossSourceTables, method: str) -> 
     return out
 
 
-def pairwise_mi(bundle: CodecBundle, cross: CrossSourceTables, q_u, q_t) -> float:
+def _pair_score(bundle, pair, q_u, q_t, method) -> float:
+    """One entry of :func:`score_tables` at the correlation of ``pair``."""
+    s0, s1, _ = si_moment_matrices(bundle.quantizer, bundle.quantizer, pair)
+    tab = score_tables(bundle, s0, s1, method)
+    return float(tab[pattern_ids(np.asarray(q_u, bool)), pattern_ids(np.asarray(q_t, bool))])
+
+
+def pairwise_mi(bundle: CodecBundle, pair: JointGaussianPair, q_u, q_t) -> float:
     """Mutual information (bits) between the two sources' received words.
 
-    Both sources run the one codec ``bundle``.  Computed from the exact
-    discrete joint of the received words given the loss patterns: quantizer
-    cell joint -> index tuples -> channel outputs.  Lost descriptions are
-    excluded from the enumeration (their contribution is an
-    index-independent constant).
+    Both sources run the one codec ``bundle``, at the correlation of
+    ``pair``.  Computed from the exact discrete joint of the received words
+    given the loss patterns: quantizer cell joint -> index tuples -> channel
+    outputs.  Lost descriptions are excluded from the enumeration (their
+    contribution is an index-independent constant).
     """
-    tab = score_tables(bundle, cross, "mutual_info")
-    return float(tab[pattern_ids(np.asarray(q_u, bool)), pattern_ids(np.asarray(q_t, bool))])
+    return _pair_score(bundle, pair, q_u, q_t, "mutual_info")
 
 
-def expected_partial_si_distortion(
-    bundle: CodecBundle,
-    cross: CrossSourceTables,
-    q_u,
-    q_t,
-) -> float:
+def expected_partial_si_distortion(bundle: CodecBundle, pair: JointGaussianPair, q_u, q_t) -> float:
     """E[(X - Xhat)^2] of the partial-SI decoder given both loss patterns.
 
-    Exact enumeration over both sources' received words (BSC channels).
+    Both sources run the one codec ``bundle``, at the correlation of
+    ``pair``.  Exact enumeration over both sources' received words (BSC
+    channels).
     """
-    tab = score_tables(bundle, cross, "min_distortion")
-    return float(tab[pattern_ids(np.asarray(q_u, bool)), pattern_ids(np.asarray(q_t, bool))])
+    return _pair_score(bundle, pair, q_u, q_t, "min_distortion")

@@ -68,8 +68,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .channel import bpsk_symbols, derive_rng, pattern_ids, tuple_space, word_rows
-from .codec import CodecBundle, _AsymLookup, si_moment_matrices
-from .decode_sym import _SymDecoder, cross_table_stack
+from .codec import CodecBundle, _AsymLookup, si_moment_matrices, si_moment_stack
+from .decode_sym import _SymDecoder
 from . import forking
 from .gaussian import JointGaussianPair
 from .si_select import score_tables, select_min_distance
@@ -502,19 +502,19 @@ def _selection_score_tables(bundle, rho_keys, method):
     decoder tables live on the quantized grid.  The correlations are scored
     in contiguous parts, at least one per worker
     (:func:`mdquant.forking.fork_map`), each within one block of K^2
-    cross-table entries per correlation (:func:`_blocks`), so the cross
-    tables of a full-scale codec stay bounded.  Each score depends only on
+    moment-matrix entries per correlation (:func:`_blocks`), so the moment
+    stacks of a full-scale codec stay bounded.  Each score depends only on
     its own correlation, so the parts concatenate to the one-batch scores
     bit for bit.
     """
-    K = bundle.quantizer.size
+    q = bundle.quantizer
     n = len(rho_keys)
 
     def part(blk):
-        cross = cross_table_stack(bundle, rho_keys[blk])
-        return score_tables(bundle, cross, method)
+        s0, s1, _ = si_moment_stack(q, q, rho_keys[blk])
+        return score_tables(bundle, s0, s1, method)
 
-    blocks = _blocks(n, K * K, forking.worker_count(n))
+    blocks = _blocks(n, q.size ** 2, forking.worker_count(n))
     return np.concatenate(forking.fork_map(part, blocks, "selection"))
 
 

@@ -7,9 +7,10 @@ per-symbol decoders (asymmetric MMSE, estimated-SI and soft-SI joint,
 partial-SI), the node-by-node estimated-SI sweeps of one block and its
 full-width soft-SI sweeps, the moment matrices summed one quadrature node at
 a time, the single-pass distortion, the unclamped annealing softmax, the
-per-loss-pattern design quantities, the SI selection scores of one pair of
-loss patterns and the per-trial selection over every candidate, the
-whole-array AWGN decode of the asymmetric experiment, its BSC decode under
+per-loss-pattern design quantities, the cell-level cross tables, the SI
+selection scores of one pair of loss patterns and the per-trial selection
+over every candidate, the whole-array AWGN decode of the asymmetric
+experiment, its BSC decode under
 forced loss patterns, the serial annealing restarts, the brute-force MMSE
 audit and the two rejected readings of the rate-distortion bound, and the
 decoder tables built pair by pair.
@@ -660,6 +661,41 @@ def soft_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CellCrossTables:
+    """Cell-level statistics of a source and its SI source, both of one codec.
+
+    ``cell_cross[l, k]``      P(own cell l | neighbor cell k)
+    ``cell_cross_m1[l, k]``   E[X 1{own cell l} | neighbor cell k]
+    ``idx_given_cell[I, k]``  P(own tuple I | neighbor cell k)
+    ``cell_given_idx[k, I]``  P(neighbor cell k | neighbor tuple I)
+    """
+
+    cell_cross: np.ndarray
+    cell_cross_m1: np.ndarray
+    idx_given_cell: np.ndarray
+    cell_given_idx: np.ndarray
+
+
+def cell_cross_tables(bundle: CodecBundle, pair: JointGaussianPair) -> CellCrossTables:
+    """The cell-level tables of two sources running ``bundle`` at ``pair``'s correlation.
+
+    S0/S1 of ``codec.si_moment_matrices`` with the codec's quantizer as SI
+    quantizer, divided by its cell probabilities, as the soft-SI mixing
+    matrices of ``decode_sym.build_cross_tables`` divide them.
+    """
+    q, a = bundle.quantizer, bundle.ia.table
+    s0, s1, _ = si_moment_matrices(q, q, pair)
+    ps = np.maximum(q.cell_probs, 1e-300)
+    mass = a * q.cell_probs[:, None]
+    return CellCrossTables(
+        cell_cross=s0 / ps,
+        cell_cross_m1=s1 / ps,
+        idx_given_cell=a.T @ (s0 / ps),
+        cell_given_idx=masked_ratio(mass, mass.sum(axis=0)[None, :]),
+    )
+
+
 def _neighbor_cell_posterior(outcome_t: ChannelOutcome, bundle_t: CodecBundle) -> np.ndarray:
     """P(neighbor cell | its received words): prior cell mass times channel evidence."""
     lik = np.exp(tuple_log_likelihood(outcome_t, bundle_t.channels))
@@ -670,9 +706,9 @@ def _neighbor_cell_posterior(outcome_t: ChannelOutcome, bundle_t: CodecBundle) -
     return w / total
 
 
-def cent_given_cell(bundle: CodecBundle, cross: CrossSourceTables) -> np.ndarray:
-    """(L, K) centroids E[X | own tuple I, neighbor cell k] of the cross tables ``cross``."""
-    return masked_ratio(bundle.ia.table.T @ cross.cell_cross_m1, cross.idx_given_cell)
+def cent_given_cell(bundle: CodecBundle, cells: CellCrossTables) -> np.ndarray:
+    """(L, K) centroids E[X | own tuple I, neighbor cell k] of the cell tables ``cells``."""
+    return masked_ratio(bundle.ia.table.T @ cells.cell_cross_m1, cells.idx_given_cell)
 
 
 def partial_si_reconstruct(
@@ -680,7 +716,7 @@ def partial_si_reconstruct(
     outcome_t: ChannelOutcome,
     bundle_u: CodecBundle,
     bundle_t: CodecBundle,
-    cross: CrossSourceTables,
+    cells: CellCrossTables,
 ) -> float:
     """MMSE estimate of source u using the neighbor's raw received words as SI.
 
@@ -688,8 +724,8 @@ def partial_si_reconstruct(
     for the "min_distortion" selection.
     """
     w = _neighbor_cell_posterior(outcome_t, bundle_t)
-    prior = cross.idx_given_cell @ w
-    first = (cross.idx_given_cell * cent_given_cell(bundle_u, cross)) @ w
+    prior = cells.idx_given_cell @ w
+    first = (cells.idx_given_cell * cent_given_cell(bundle_u, cells)) @ w
     lik = np.exp(tuple_log_likelihood(outcome_u, bundle_u.channels))
     post = lik * prior
     total = post.sum()
@@ -972,14 +1008,17 @@ def _entropy_of_positive(p) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def per_pair_mi(bundle_u, bundle_t, cross, q_u, q_t) -> float:
-    """Mutual information (bits) of the received words for one pair of loss patterns."""
+def per_pair_mi(bundle_u, bundle_t, cells, q_u, q_t) -> float:
+    """Mutual information (bits) of the received words for one pair of loss patterns.
+
+    ``cells`` are the :func:`cell_cross_tables` of the pair.
+    """
     t_u = pattern_table(bundle_u.channels, q_u)
     t_t = pattern_table(bundle_t.channels, q_t)
     g_u = bundle_u.ia.table @ t_u  # P(J_u | own cell)
     g_t = bundle_t.ia.table @ t_t
     p_cells_t = bundle_t.quantizer.cell_probs
-    cell_joint = cross.cell_cross * p_cells_t[None, :]
+    cell_joint = cells.cell_cross * p_cells_t[None, :]
     pj_u = g_u.T @ cell_joint.sum(axis=1)
     pj_t = g_t.T @ p_cells_t
     joint = g_u.T @ cell_joint @ g_t
@@ -987,18 +1026,21 @@ def per_pair_mi(bundle_u, bundle_t, cross, q_u, q_t) -> float:
     return max(mi, 0.0)
 
 
-def per_pair_partial_si_distortion(bundle, cross, q_u, q_t, var_x: float = 1.0) -> float:
-    """E[(X - Xhat)^2] of the partial-SI decoder for one pair of loss patterns."""
+def per_pair_partial_si_distortion(bundle, cells, q_u, q_t, var_x: float = 1.0) -> float:
+    """E[(X - Xhat)^2] of the partial-SI decoder for one pair of loss patterns.
+
+    ``cells`` are the :func:`cell_cross_tables` of the pair.
+    """
     t_u = pattern_table(bundle.channels, q_u)  # (L, nJu)
     t_t = pattern_table(bundle.channels, q_t)
     a = bundle.ia.table
     p_cells = bundle.quantizer.cell_probs
     g_u, g_t = a @ t_u, a @ t_t
-    pjj = g_u.T @ (cross.cell_cross * p_cells[None, :]) @ g_t  # P(J_u, J_t)
-    njj = g_u.T @ (cross.cell_cross_m1 * p_cells[None, :]) @ g_t  # E[X 1{J_u, J_t}]
+    pjj = g_u.T @ (cells.cell_cross * p_cells[None, :]) @ g_t  # P(J_u, J_t)
+    njj = g_u.T @ (cells.cell_cross_m1 * p_cells[None, :]) @ g_t  # E[X 1{J_u, J_t}]
     w_cells = p_cells[:, None] * g_t  # unnormalized neighbor cell posterior
-    den = t_u.T @ (cross.idx_given_cell @ w_cells)
-    num = t_u.T @ ((cross.idx_given_cell * cent_given_cell(bundle, cross)) @ w_cells)
+    den = t_u.T @ (cells.idx_given_cell @ w_cells)
+    num = t_u.T @ ((cells.idx_given_cell * cent_given_cell(bundle, cells)) @ w_cells)
     xhat = masked_ratio(num, den)
     d = var_x - 2.0 * np.sum(njj * xhat) + np.sum(pjj * xhat**2)
     return max(float(d), 0.0)

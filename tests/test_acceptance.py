@@ -14,7 +14,6 @@ from mdquant import (
     BoundQuery,
     DescriptionChannel,
     JointGaussianPair,
-    build_cross_tables,
     design_annealed,
     evaluate_distortion,
     lloyd_design,
@@ -33,7 +32,7 @@ from mdquant.simulator import (
 )
 
 from conftest import asym_config, make_bundle
-from oracles import ChannelOutcome, decode, mse_optimality_check, run_decoder
+from oracles import ChannelOutcome, cell_cross_tables, decode, mse_optimality_check, run_decoder
 
 
 def report(num, name, ok, detail=""):
@@ -262,11 +261,10 @@ def test_criterion_7_mutual_information_oracle():
     q2 = lloyd_design(2)
     ch = (DescriptionChannel.bsc(0.1, 0.2, 2),)
     bundle = make_bundle(q2, lloyd_design(4), np.eye(2), ch)
-    rho = 0.7
-    cross = build_cross_tables(bundle, JointGaussianPair(1, 1, rho))
-    got = pairwise_mi(bundle, cross, (True,), (True,))
+    pair = JointGaussianPair(1, 1, 0.7)
+    got = pairwise_mi(bundle, pair, (True,), (True,))
     p = 0.1
-    cell_joint = cross.cell_cross * bundle.quantizer.cell_probs[None, :]
+    cell_joint = cell_cross_tables(bundle, pair).cell_cross * bundle.quantizer.cell_probs[None, :]
     pjj = np.zeros((2, 2))
     for l in range(2):
         for k in range(2):
@@ -279,9 +277,8 @@ def test_criterion_7_mutual_information_oracle():
                     )
     ent = lambda v: -sum(x * np.log2(x) for x in np.ravel(v) if x > 0)
     expect = ent(pjj.sum(axis=1)) + ent(pjj.sum(axis=0)) - ent(pjj)
-    cross0 = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.0))
-    mi_zero = pairwise_mi(bundle, cross0, (True,), (True,))
-    mi_lost = pairwise_mi(bundle, cross, (True,), (False,))
+    mi_zero = pairwise_mi(bundle, JointGaussianPair(1, 1, 0.0), (True,), (True,))
+    mi_lost = pairwise_mi(bundle, pair, (True,), (False,))
     ok = abs(got - expect) < 1e-12 and abs(mi_zero) < 1e-12 and abs(mi_lost) < 1e-12
     report(
         7, "pairwise MI matches enumeration; zero when uninformative",

@@ -21,6 +21,7 @@ from oracles import (
     ChannelOutcome,
     Posterior,
     SymmetricState,
+    cell_cross_tables,
     decode,
     estimated_si_iterate,
     estimated_sweeps,
@@ -61,10 +62,10 @@ def oracle_cell_joint(q, rho, n=6001):
 
 class TestCrossTables:
     def test_independent_sources(self, tiny_bundle):
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
+        cells = cell_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
         q = tiny_bundle.quantizer
         for k in range(q.size):
-            assert np.allclose(cross.cell_cross[:, k], q.cell_probs, atol=1e-12)
+            assert np.allclose(cells.cell_cross[:, k], q.cell_probs, atol=1e-12)
 
     def test_near_identity_at_high_rho(self):
         q = lloyd_design(8)
@@ -74,23 +75,23 @@ class TestCrossTables:
             np.eye(8),
             (DescriptionChannel.bsc(0.01, 0.05, 8),),
         )
-        cross = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.99))
+        cells = cell_cross_tables(bundle, JointGaussianPair(1, 1, 0.99))
         for k in range(1, 7):  # interior cells
-            assert np.argmax(cross.cell_cross[:, k]) == k
+            assert np.argmax(cells.cell_cross[:, k]) == k
 
     def test_stochasticity(self, tiny_bundle):
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
-        assert np.max(np.abs(cross.cell_cross.sum(axis=0) - 1.0)) < 1e-9
-        used = cross.cell_given_idx.sum(axis=0) > 0
-        assert np.allclose(cross.cell_given_idx.sum(axis=0)[used], 1.0, atol=1e-9)
-        assert np.max(np.abs(cross.idx_given_cell.sum(axis=0) - 1.0)) < 1e-9
+        cells = cell_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
+        assert np.max(np.abs(cells.cell_cross.sum(axis=0) - 1.0)) < 1e-9
+        used = cells.cell_given_idx.sum(axis=0) > 0
+        assert np.allclose(cells.cell_given_idx.sum(axis=0)[used], 1.0, atol=1e-9)
+        assert np.max(np.abs(cells.idx_given_cell.sum(axis=0) - 1.0)) < 1e-9
 
     def test_against_simpson_oracle(self, tiny_bundle):
         rho = 0.8
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, rho))
+        cells = cell_cross_tables(tiny_bundle, JointGaussianPair(1, 1, rho))
         joint, _ = oracle_cell_joint(tiny_bundle.quantizer, rho)
         cond = joint / tiny_bundle.quantizer.cell_probs[None, :]
-        assert np.max(np.abs(cross.cell_cross - cond)) < 1e-8
+        assert np.max(np.abs(cells.cell_cross - cond)) < 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -110,16 +111,16 @@ class TestCrossTableProperties:
     @given(rho=st.floats(0.0, 0.99))
     def test_conditional_columns_and_symmetric_joint(self, tiny_bundle, k16_bundle, rho):
         for bundle in (tiny_bundle, k16_bundle):
-            cross = build_cross_tables(bundle, JointGaussianPair(1, 1, rho))
-            assert np.max(np.abs(cross.cell_cross.sum(axis=0) - 1.0)) < 1e-12
-            joint = cross.cell_cross * bundle.quantizer.cell_probs[None, :]
+            cells = cell_cross_tables(bundle, JointGaussianPair(1, 1, rho))
+            assert np.max(np.abs(cells.cell_cross.sum(axis=0) - 1.0)) < 1e-12
+            joint = cells.cell_cross * bundle.quantizer.cell_probs[None, :]
             assert np.max(np.abs(joint - joint.T)) < 1e-14
 
     def test_independent_columns_equal_marginal(self, tiny_bundle, k16_bundle):
         for bundle in (tiny_bundle, k16_bundle):
-            cross = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.0))
+            cells = cell_cross_tables(bundle, JointGaussianPair(1, 1, 0.0))
             marginal = bundle.quantizer.cell_probs[:, None]
-            assert np.max(np.abs(cross.cell_cross - marginal)) < 1e-15
+            assert np.max(np.abs(cells.cell_cross - marginal)) < 1e-15
 
 
 class TestSoftSi:
@@ -138,10 +139,11 @@ class TestSoftSi:
             assert np.max(np.abs(got.probs - base.probs)) < 1e-9
 
     def test_indicator_neighbor_prior(self, tiny_bundle):
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
+        pair = JointGaussianPair(1, 1, 0.8)
+        cross, cells = build_cross_tables(tiny_bundle, pair), cell_cross_tables(tiny_bundle, pair)
         npost = np.zeros(4)
         npost[1] = 1.0
-        expect = cross.idx_given_cell @ cross.cell_given_idx[:, 1]
+        expect = cells.idx_given_cell @ cells.cell_given_idx[:, 1]
         oc = ChannelOutcome((None, None), np.array([False, False]))
         got = soft_si_posterior(oc, Posterior(npost), cross, tiny_bundle.channels)
         assert np.max(np.abs(got.probs - expect / expect.sum())) < 1e-12

@@ -12,7 +12,7 @@ from mdquant import (
     select_min_distance,
 )
 from mdquant.channel import loss_patterns, pattern_ids, tuple_space
-from mdquant.decode_sym import cross_table_stack
+from mdquant.codec import si_moment_matrices, si_moment_stack
 from mdquant.si_select import expected_partial_si_distortion, score_tables
 from mdquant.simulator import (
     SymConfig,
@@ -25,6 +25,7 @@ from conftest import make_bundle
 from oracles import (
     ChannelOutcome,
     Posterior,
+    cell_cross_tables,
     decode,
     partial_si_reconstruct,
     per_pair_mi,
@@ -94,23 +95,21 @@ def mi_bundle():
 
 class TestPairwiseMi:
     def test_zero_at_independence(self, mi_bundle):
-        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, 0.0))
-        mi = pairwise_mi(mi_bundle, cross, (True,), (True,))
+        mi = pairwise_mi(mi_bundle, JointGaussianPair(1, 1, 0.0), (True,), (True,))
         assert abs(mi) < 1e-12
 
     def test_zero_when_neighbor_lost(self, mi_bundle):
-        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, 0.9))
-        mi = pairwise_mi(mi_bundle, cross, (True,), (False,))
+        mi = pairwise_mi(mi_bundle, JointGaussianPair(1, 1, 0.9), (True,), (False,))
         assert abs(mi) < 1e-12
 
     def test_enumeration_oracle(self, mi_bundle):
-        rho = 0.7
-        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, rho))
-        got = pairwise_mi(mi_bundle, cross, (True,), (True,))
+        pair = JointGaussianPair(1, 1, 0.7)
+        got = pairwise_mi(mi_bundle, pair, (True,), (True,))
         # Explicit enumeration over (cell_u, cell_t, I_u, I_t, J_u, J_t) in
         # pure Python from the same cell joint.
         p = 0.1
-        cell_joint = cross.cell_cross * mi_bundle.quantizer.cell_probs[None, :]
+        cells = cell_cross_tables(mi_bundle, pair)
+        cell_joint = cells.cell_cross * mi_bundle.quantizer.cell_probs[None, :]
         pjj = np.zeros((2, 2))
         for l in range(2):
             for k in range(2):
@@ -128,16 +127,16 @@ class TestPairwiseMi:
     def test_cell_joint_matches_orthant_closed_form(self, mi_bundle):
         # P(X>0, Y>0) = 1/4 + asin(rho) / (2 pi) for standard bivariate normal.
         rho = 0.6
-        cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, rho))
-        joint_pp = cross.cell_cross[1, 1] * mi_bundle.quantizer.cell_probs[1]
+        cells = cell_cross_tables(mi_bundle, JointGaussianPair(1, 1, rho))
+        joint_pp = cells.cell_cross[1, 1] * mi_bundle.quantizer.cell_probs[1]
         expect = 0.25 + np.arcsin(rho) / (2 * np.pi)
         assert abs(joint_pp - expect) < 1e-10
 
     def test_nonnegative_and_symmetric(self, mi_bundle):
         for rho in (0.0, 0.3, 0.8):
-            cross = build_cross_tables(mi_bundle, JointGaussianPair(1, 1, rho))
-            a = pairwise_mi(mi_bundle, cross, (True,), (True,))
-            b = pairwise_mi(mi_bundle, cross, (True,), (True,))
+            pair = JointGaussianPair(1, 1, rho)
+            a = pairwise_mi(mi_bundle, pair, (True,), (True,))
+            b = pairwise_mi(mi_bundle, pair, (True,), (True,))
             assert a >= 0
             assert abs(a - b) < 1e-15
 
@@ -176,20 +175,22 @@ class TestSelectMaxMi:
 
 class TestPartialSiReconstruct:
     def test_uninformative_equals_no_si(self, tiny_bundle):
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
+        cells = cell_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.0))
         oc_u = ChannelOutcome((1, 0), np.array([True, True]))
         oc_t = ChannelOutcome((None, None), np.array([False, False]))
-        got = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cross)
+        got = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cells)
         assert abs(got - decode(oc_u, None, None, tiny_bundle)) < 1e-9
 
     def test_equals_soft_si_with_own_channel_posterior(self, tiny_bundle):
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
+        pair = JointGaussianPair(1, 1, 0.8)
+        cross = build_cross_tables(tiny_bundle, pair)
         oc_u = ChannelOutcome((1, 0), np.array([True, True]))
         oc_t = ChannelOutcome((0, None), np.array([True, False]))
         npost = posterior(oc_t, None, None, tiny_bundle)
         sp = soft_si_posterior(oc_u, npost, cross, tiny_bundle.channels)
         expect = soft_si_reconstruct(sp, npost, cross)
-        got = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cross)
+        cells = cell_cross_tables(tiny_bundle, pair)
+        got = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cells)
         assert abs(got - expect) < 1e-9
 
     def test_noiseless_neighbor_indicator_equivalence(self, q4):
@@ -198,14 +199,15 @@ class TestPartialSiReconstruct:
             DescriptionChannel.bsc(0.0, 0.05, 2),
         )
         bundle = make_bundle(q4, lloyd_design(8), np.eye(4), ch)
-        cross = build_cross_tables(bundle, JointGaussianPair(1, 1, 0.8))
+        pair = JointGaussianPair(1, 1, 0.8)
+        cross = build_cross_tables(bundle, pair)
         oc_u = ChannelOutcome((0, 1), np.array([True, True]))
         oc_t = ChannelOutcome((1, 1), np.array([True, True]))
         indicator = np.zeros(4)
         indicator[3] = 1.0  # tuple (1,1)
         sp = soft_si_posterior(oc_u, Posterior(indicator), cross, ch)
         expect = soft_si_reconstruct(sp, Posterior(indicator), cross)
-        got = partial_si_reconstruct(oc_u, oc_t, bundle, bundle, cross)
+        got = partial_si_reconstruct(oc_u, oc_t, bundle, bundle, cell_cross_tables(bundle, pair))
         assert abs(got - expect) < 1e-9
 
 
@@ -226,9 +228,10 @@ class TestSelectMinDistortion:
     def test_expected_distortion_monte_carlo(self, tiny_bundle):
         # Analytic expectation vs simulation for one (Q_u, Q_t) pair.
         rho = 0.8
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, rho))
+        pair = JointGaussianPair(1, 1, rho)
+        cells = cell_cross_tables(tiny_bundle, pair)
         q_u, q_t = (True, True), (True, False)
-        analytic = expected_partial_si_distortion(tiny_bundle, cross, q_u, q_t)
+        analytic = expected_partial_si_distortion(tiny_bundle, pair, q_u, q_t)
         rng = np.random.default_rng(17)
         n = 60_000
         xu = rng.standard_normal(n)
@@ -251,7 +254,7 @@ class TestSelectMinDistortion:
                 words.append(w)
             oc_u = ChannelOutcome(tuple(words[0]), np.array(q_u))
             oc_t = ChannelOutcome(tuple(words[1]), np.array(q_t))
-            xhat = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cross)
+            xhat = partial_si_reconstruct(oc_u, oc_t, tiny_bundle, tiny_bundle, cells)
             se[i] = (xu[i] - xhat) ** 2
         stderr = se.std(ddof=1) / np.sqrt(n)
         assert abs(se.mean() - analytic) < 3 * stderr
@@ -297,16 +300,16 @@ class TestScoreTables:
     def test_matches_per_pair_oracle(self, case):
         bundle, rhos = case_bundle(case)
         patterns = loss_patterns(len(bundle.channels))
-        stack = cross_table_stack(bundle, rhos)
-        mi = score_tables(bundle, stack, "mutual_info")
-        dist = score_tables(bundle, stack, "min_distortion")
+        s0, s1, _ = si_moment_stack(bundle.quantizer, bundle.quantizer, rhos)
+        mi = score_tables(bundle, s0, s1, "mutual_info")
+        dist = score_tables(bundle, s0, s1, "min_distortion")
         assert mi.shape == dist.shape == (len(rhos), len(patterns), len(patterns))
         for r, rho in enumerate(rhos):
-            cross = build_cross_tables(bundle, JointGaussianPair(1, 1, rho))
+            cells = cell_cross_tables(bundle, JointGaussianPair(1, 1, rho))
             for iu, q_u in enumerate(patterns):
                 for it, q_t in enumerate(patterns):
-                    expect_mi = per_pair_mi(bundle, bundle, cross, q_u, q_t)
-                    expect_d = per_pair_partial_si_distortion(bundle, cross, q_u, q_t)
+                    expect_mi = per_pair_mi(bundle, bundle, cells, q_u, q_t)
+                    expect_d = per_pair_partial_si_distortion(bundle, cells, q_u, q_t)
                     assert abs(mi[r, iu, it] - expect_mi) <= 1e-13
                     assert abs(dist[r, iu, it] - expect_d) <= 1e-13
 
@@ -314,12 +317,14 @@ class TestScoreTables:
     @given(case=selection_cases())
     def test_mi_is_exactly_zero_where_a_source_received_nothing(self, case):
         bundle, rhos = case_bundle(case)
-        mi = score_tables(bundle, cross_table_stack(bundle, rhos), "mutual_info")
+        s0, s1, _ = si_moment_stack(bundle.quantizer, bundle.quantizer, rhos)
+        mi = score_tables(bundle, s0, s1, "mutual_info")
         assert np.all(mi[:, 0, :] == 0.0) and np.all(mi[:, :, 0] == 0.0)
 
     @pytest.mark.parametrize("method", ["distance", "max_mi", "", "MUTUAL_INFO"])
     def test_other_methods_rejected(self, tiny_bundle, method):
         # Only the two pattern-dependent criteria have score tables.
-        cross = build_cross_tables(tiny_bundle, JointGaussianPair(1, 1, 0.8))
+        q = tiny_bundle.quantizer
+        s0, s1, _ = si_moment_matrices(q, q, JointGaussianPair(1, 1, 0.8))
         with pytest.raises(ValueError, match="no score table"):
-            score_tables(tiny_bundle, cross, method)
+            score_tables(tiny_bundle, s0, s1, method)
