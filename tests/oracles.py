@@ -10,10 +10,9 @@ a time, the single-pass distortion, the unclamped annealing softmax, the
 per-loss-pattern design quantities, the cell-level cross tables, the SI
 selection scores of one pair of loss patterns and the per-trial selection
 over every candidate, the whole-array AWGN decode of the asymmetric
-experiment, its BSC decode under
-forced loss patterns, the serial annealing restarts, the brute-force MMSE
-audit and the two rejected readings of the rate-distortion bound, and the
-decoder tables built pair by pair.
+experiment, its BSC decode under forced loss patterns, the serial annealing
+restarts, the brute-force MMSE audit and the two rejected readings of the
+rate-distortion bound, and the decoder tables built pair by pair.
 They compute symbol by symbol, or from first principles, what the package
 computes from moment matrices and lookup tables over all trials at once, so
 the tests can check one against the other.

@@ -274,14 +274,6 @@ def selection_cases(draw):
     return K, channels, tuples, rhos
 
 
-def case_bundle(case):
-    """(bundle, correlations) of a ``selection_cases`` case."""
-    K, channels, tuples, rhos = case
-    table = np.zeros((K, int(np.prod([ch.index_count for ch in channels]))))
-    table[np.arange(K), tuples] = 1.0
-    return make_bundle(lloyd_design(K), lloyd_design(4), table, channels), rhos
-
-
 # Three descriptions, 8 x 8 pattern pairs; cells 0 and 7 share a tuple, so tuple 7 is unused.
 THREE_DESCRIPTIONS = [
     (8, (DescriptionChannel.bsc(bsc, loss, 2),) * 3, [0, 1, 2, 3, 4, 5, 6, 0], [0.0, 0.4, 0.9])
@@ -298,12 +290,17 @@ class TestScoreTables:
     @example(case=THREE_DESCRIPTIONS[1])
     @example(case=THREE_DESCRIPTIONS[2])
     def test_matches_per_pair_oracle(self, case):
-        bundle, rhos = case_bundle(case)
+        K, channels, tuples, rhos = case
+        table = np.zeros((K, int(np.prod([ch.index_count for ch in channels]))))
+        table[np.arange(K), tuples] = 1.0
+        bundle = make_bundle(lloyd_design(K), lloyd_design(4), table, channels)
         patterns = loss_patterns(len(bundle.channels))
         s0, s1, _ = si_moment_stack(bundle.quantizer, bundle.quantizer, rhos)
         mi = score_tables(bundle, s0, s1, "mutual_info")
         dist = score_tables(bundle, s0, s1, "min_distortion")
         assert mi.shape == dist.shape == (len(rhos), len(patterns), len(patterns))
+        # Where either source received nothing the information is exactly 0.
+        assert np.all(mi[:, 0, :] == 0.0) and np.all(mi[:, :, 0] == 0.0)
         for r, rho in enumerate(rhos):
             cells = cell_cross_tables(bundle, JointGaussianPair(1, 1, rho))
             for iu, q_u in enumerate(patterns):
@@ -312,14 +309,6 @@ class TestScoreTables:
                     expect_d = per_pair_partial_si_distortion(bundle, cells, q_u, q_t)
                     assert abs(mi[r, iu, it] - expect_mi) <= 1e-13
                     assert abs(dist[r, iu, it] - expect_d) <= 1e-13
-
-    @settings(max_examples=30, deadline=None)
-    @given(case=selection_cases())
-    def test_mi_is_exactly_zero_where_a_source_received_nothing(self, case):
-        bundle, rhos = case_bundle(case)
-        s0, s1, _ = si_moment_stack(bundle.quantizer, bundle.quantizer, rhos)
-        mi = score_tables(bundle, s0, s1, "mutual_info")
-        assert np.all(mi[:, 0, :] == 0.0) and np.all(mi[:, :, 0] == 0.0)
 
     @pytest.mark.parametrize("method", ["distance", "max_mi", "", "MUTUAL_INFO"])
     def test_other_methods_rejected(self, tiny_bundle, method):
