@@ -81,6 +81,13 @@ T_MIN_RATIO = 1e-6
 INNER_TOL = 1e-5
 INNER_CAP = 50
 ENTROPY_TARGET = 0.95
+# Restarts whose hardened d_av lie within this share of the lowest tie, and
+# the first of them is kept.  Equal-distortion relabelings of one table (an
+# XOR or bit swap of a description's index, a swap of the descriptions) come
+# out of the distortion sums up to 4.4e-15 apart, and at desk scale distinct
+# tables lie 7.6e-3 or more apart; 1e-12 is the share within which the
+# annealing loop's d_av is held equal to ``DesignContext.distortion``'s.
+RESTART_TIE_RTOL = 1e-12
 
 
 def masked_ratio(num, den, floor: float = 0.0):
@@ -743,8 +750,11 @@ def design_annealed(
 ) -> CodecBundle:
     """Design a codec by deterministic annealing and package it with tables.
 
-    Runs ``restarts`` independent seeded starts and keeps the best
-    hardened table (the first of equals).  The restarts run in forked worker
+    Runs ``restarts`` independent seeded starts and keeps the first
+    hardened table whose d_av lies within ``RESTART_TIE_RTOL`` of the lowest:
+    restarts that reach relabelings of one table differ only in rounding, and
+    a strict ``<`` would let the last bit, which moves with the BLAS build,
+    pick the codec.  The restarts run in forked worker
     processes, one per usable CPU up to the restart count, each with one BLAS
     thread (:func:`mdquant.forking.fork_map`); each restart draws from
     ``derive_rng(seed, restart)`` wherever it runs, so the result is the same
@@ -759,11 +769,10 @@ def design_annealed(
     ladder = CorrelationLadder()
     ctx = DesignContext(quantizer, si_quantizer, pair, channels)
 
-    best = None
     results = fork_map(
         lambda restart: _anneal_once(ctx, derive_rng(seed, restart)), range(restarts), "annealing"
     )
-    for restart, (hard_ia, hard_d, info) in enumerate(results):
+    for _, _, info in results:
         if info["inner_cap_hits"]:
             log.warning(
                 "annealing inner loop hit the iteration cap %d time(s)", info["inner_cap_hits"]
@@ -772,9 +781,10 @@ def design_annealed(
             log.info(
                 "annealing saw %d non-monotone inner step(s)", info["monotonicity_violations"]
             )
-        if best is None or hard_d < best[1]:
-            best = (hard_ia, hard_d, info, restart)
-    hard_ia, hard_d, info, best_restart = best
+    hard_ds = [hard_d for _, hard_d, _ in results]
+    tie = min(hard_ds) * (1.0 + RESTART_TIE_RTOL)
+    best_restart = next(r for r, hard_d in enumerate(hard_ds) if hard_d <= tie)
+    hard_ia, _, info = results[best_restart]
 
     breakdown = ctx.distortion(hard_ia.table)
     tables = build_decoder_tables(

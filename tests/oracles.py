@@ -938,14 +938,14 @@ def serial_restarts(ctx: DesignContext, restarts: int, seed: int):
 
     Returns ``(results, best)``: the ``(hard_ia, hard_d, info)`` of each
     restart in order, and ``(hard_ia, hard_d, info, restart)`` of the first
-    restart with the strictly lowest hardened distortion.
+    restart whose hardened distortion lies within ``codec.RESTART_TIE_RTOL``
+    (relative) of the lowest.
     """
     results = [_anneal_once(ctx, derive_rng(seed, r)) for r in range(restarts)]
-    best = None
+    lowest = min(hard_d for _, hard_d, _ in results)
     for restart, (hard_ia, hard_d, info) in enumerate(results):
-        if best is None or hard_d < best[1]:
-            best = (hard_ia, hard_d, info, restart)
-    return results, best
+        if hard_d - lowest <= codec.RESTART_TIE_RTOL * lowest:
+            return results, (hard_ia, hard_d, info, restart)
 
 
 def da_weights(

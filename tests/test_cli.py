@@ -19,7 +19,7 @@ from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, _parse_desc, main
 from mdquant.persist import load_codec, save_codec
 from mdquant.simulator import run_sym_experiment, to_db
 
-from conftest import asym_config
+from conftest import DESK_DESIGN, asym_config
 from oracles import forced_pattern_errors
 
 
@@ -583,6 +583,12 @@ class TestPinnedEvaluate:
 # step's d_av from its weights: the full-scale codec, whose 1,800 inner steps
 # per restart take most of the INNER_TOL decisions at capped temperatures,
 # and the CI desk codecs over a noisy and an error-free BSC, at four seeds.
+# Restart 1 of the CI desk designs at (0.005, 2) and (0, 1) reaches a
+# relabeling of restart 0's table with a d_av lower only in the last bits;
+# since tied restarts keep the first (codec.RESTART_TIE_RTOL) they keep
+# restart 0's table, and their pins moved from
+# 8b72aae3520ba489dee36f46e28a3920b372e2c0bf354f2adba956f7a82fb73f and
+# 04166a49d75d461e3151f88a29d6e401afe294700afac2366b20411f27c18f91.
 FULL_DESIGN = [
     "design", "--K", "256", "--desc", "8,8", "--bsc", "0", "--loss", "0.05",
     "--rho-enc", "0.8", "--nsi", "128", "--restarts", "2", "--seed", "1",
@@ -594,27 +600,85 @@ CI_DESK_DESIGN = [
 ]
 CI_DESK_SHA256 = {
     ("0.005", 1): "94930bed66a32432c76084230a95c1e7548472b9f6e87e1bd7a571d3f4410303",
-    ("0.005", 2): "8b72aae3520ba489dee36f46e28a3920b372e2c0bf354f2adba956f7a82fb73f",
+    ("0.005", 2): "86e3bf194f047a5c78e34fa310c54550b42a97512bf66754e47d5f4c540ef3ec",
     ("0.005", 3): "eea0352aa3c798d4785f3c2edb26bff93c16300cb5a9080acc7fdcca54e94f35",
     ("0.005", 4): "624e11bfc020842fe7267af4c072927f384c3550a2122faf463b6523539009f8",
-    ("0", 1): "04166a49d75d461e3151f88a29d6e401afe294700afac2366b20411f27c18f91",
+    ("0", 1): "56169a6dea5f78ca5adbc98159a36ea65618edc7cbd2b144c7a1b5cd2ff0dfdc",
     ("0", 2): "31756f78a66de88d1b9abcaf860831f22c5beb83b9bb925d163bcc7a880ddeb9",
     ("0", 3): "0def63241a76862d64ddf2e8ded8115d8c9e90456d8ee603e04c99dedcee74a3",
     ("0", 4): "b0075857d0f8acc47d09268deb4d87e217b0846453b93342b2e434af60f21d2e",
 }
+# What the whole-file pins guard, recorded with the tie rule in place: the
+# SHA-256 of each pinned codec file without its metadata block (the tables),
+# and its metadata d_se, d_ch and d_av.  A change of how the distortions are
+# summed may move their last bits, and with them the whole-file pins, but
+# must keep every table byte for byte and each distortion within 1e-12.
+PINNED_DESIGNS = {
+    "full": FULL_DESIGN,
+    **{f"ci-desk-{bsc}-{seed}": [*CI_DESK_DESIGN, "--bsc", bsc, "--seed", str(seed)]
+       for bsc, seed in CI_DESK_SHA256},
+    "desk": DESK_DESIGN,
+}
+PINNED_TABLES = {
+    "full": ("cc4684f23265992e487360389f08a990d74f1e65eb446633407c59f0811cde22",
+             0.0032818461968300294, 0.005582679130872208, 0.008864525327702238),
+    "ci-desk-0.005-1": ("d7ebb86f34b7e6eab011b74a677523568082295af4a236e2affdc03475eb3d95",
+                        0.04156504276965767, 0.025217116318804668, 0.06678215908846233),
+    "ci-desk-0.005-2": ("e0cc87f8f992eddef173bf19230b351569f137165bd74c2fa2d654861fad8a87",
+                        0.03497343566572808, 0.029122884806620602, 0.06409632047234869),
+    "ci-desk-0.005-3": ("11c718981f029051dfc0f0e887ad1a8cf7a624d4c9c550f55231180169ed4edb",
+                        0.04156504276965767, 0.025217116318804682, 0.06678215908846236),
+    "ci-desk-0.005-4": ("d0efc4116e49fc5d81ad2ade86abff97e05e952104982556ebf210e672375d0b",
+                        0.03497343566572808, 0.02912288480662062, 0.0640963204723487),
+    "ci-desk-0-1": ("c45421efa59526146df0db37cccda9fc98eb899a4db6a98ea2c78d364acaf762",
+                    0.0349734356657283, 0.0155422193710116, 0.0505156550367399),
+    "ci-desk-0-2": ("74fdfd73afde06966516b72c48b9b03626db90270bdba9c546295df3ae2f24c7",
+                    0.03497343566572808, 0.0155422193710116, 0.05051565503673968),
+    "ci-desk-0-3": ("2b9bec3fbfefb20c3ad8e3168f4f92f71d43226c59e05a615441cbff41c59616",
+                    0.03497343566572808, 0.015542219371011598, 0.05051565503673968),
+    "ci-desk-0-4": ("ba53d5575b314a9022f10548ee0703940fbfffb0f83f5d282d24d791e1820c80",
+                    0.03497343566572808, 0.0155422193710116, 0.05051565503673968),
+    "desk": ("22a172b9da1a1f5f4fa9fa5be134be4282b3ef9e7b11c24553b117e80d901917",
+             0.01657769834909739, 0.02066647144656385, 0.03724416979566124),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_codec(tmp_path_factory):
+    """Bytes of the codec file of a ``PINNED_DESIGNS`` entry, designed once per module."""
+    made = {}
+
+    def design(name):
+        if name not in made:
+            out = tmp_path_factory.mktemp("pinned") / f"{name}.json"
+            assert run_cli(*PINNED_DESIGNS[name], "-o", out) == 0
+            made[name] = out.read_bytes()
+        return made[name]
+
+    return design
 
 
 class TestDesignedCodecPins:
-    def test_full_scale(self, tmp_path):
-        out = tmp_path / "full.json"
-        assert run_cli(*FULL_DESIGN, "-o", out) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_SHA256
+    def test_full_scale(self, pinned_codec):
+        assert hashlib.sha256(pinned_codec("full")).hexdigest() == FULL_SHA256
 
     @pytest.mark.parametrize("bsc,seed", sorted(CI_DESK_SHA256))
-    def test_ci_desk(self, tmp_path, bsc, seed):
-        out = tmp_path / "desk.json"
-        assert run_cli(*CI_DESK_DESIGN, "--bsc", bsc, "--seed", seed, "-o", out) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == CI_DESK_SHA256[bsc, seed]
+    def test_ci_desk(self, pinned_codec, bsc, seed):
+        data = pinned_codec(f"ci-desk-{bsc}-{seed}")
+        assert hashlib.sha256(data).hexdigest() == CI_DESK_SHA256[bsc, seed]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_tables_and_distortions_kept(self, pinned_codec, name):
+        codec = json.loads(pinned_codec(name))
+        meta = codec.pop("metadata")
+        sha, *distortions = PINNED_TABLES[name]
+        assert hashlib.sha256(json.dumps(codec).encode()).hexdigest() == sha
+        for key, recorded in zip(("d_se", "d_ch", "d_av"), distortions):
+            assert abs(meta[key] - recorded) <= 1e-12 * recorded, key
+
+    def test_tied_restarts_keep_the_first(self, pinned_codec):
+        # Restart 1 reaches a relabeling of restart 0's table, 2.2e-16 lower.
+        assert json.loads(pinned_codec("ci-desk-0.005-2"))["metadata"]["best_restart"] == 0
 
 
 class TestScenario:
