@@ -12,9 +12,11 @@ All analytic machinery reduces to three moment matrices S0, S1, S2 of shape
     Sn[k, y] = integral over cell k of x^n * f(x) * P(SI level y | x) dx
 
 from which priors P(I | y), codebooks C(I | y), reconstruction lookups and
-the annealing weights are all small matrix contractions.  The source and its
-SI have unit variance: every stored table, cross table and simulator draw
-assumes it, and ``si_moment_matrices`` rejects any other pair.
+the annealing weights are all small matrix contractions.  S2 enters only
+through its sums: every exact squared error is E[x^2] = sum S2 plus the
+:func:`pattern_errors` of S0/S1 word masses.  The source and its SI have
+unit variance: every stored table, cross table and simulator draw assumes
+it, and ``si_moment_matrices`` rejects any other pair.
 
 The likelihood tables of the 2^M loss patterns are stacked side by side into
 one (L x sum n_j) matrix, so every per-word quantity of every pattern (masses,
@@ -65,7 +67,8 @@ PROB_FLOOR = 1e-250
 # Softmax exponents are clamped here: exp(-700) ~ 9.9e-305 is still a normal
 # float64, far below PROB_FLOOR, and np.exp is slow where it returns subnormals.
 EXP_CLAMP = -700.0
-# Channel distortion below this share of E[x^2] is roundoff and reads as 0.
+# Channel distortion below this share of E[x^2] is cancellation residue and
+# reads as 0: a word decoded to its one tuple's centroid leaves ~1e-17.
 D_CH_FLOOR = 1e-14
 # Moment quadrature chunk: (correlation, node) pairs times cells.  About 1 MB
 # per temporary; larger chunks fall out of cache and run slower.
@@ -82,11 +85,9 @@ INNER_TOL = 1e-5
 INNER_CAP = 50
 ENTROPY_TARGET = 0.95
 # Restarts whose hardened d_av lie within this share of the lowest tie, and
-# the first of them is kept.  Equal-distortion relabelings of one table (an
-# XOR or bit swap of a description's index, a swap of the descriptions) come
-# out of the distortion sums up to 4.4e-15 apart, and at desk scale distinct
-# tables lie 7.6e-3 or more apart; 1e-12 is the share within which the
-# annealing loop's d_av is held equal to ``DesignContext.distortion``'s.
+# the first is kept: relabelings of one table differ by rounding (4.4e-15 seen),
+# distinct desk-scale tables by 7.6e-3 or more, and the tests hold the loop's
+# d_av equal to ``DesignContext.distortion``'s within this share.
 RESTART_TIE_RTOL = 1e-12
 
 
@@ -124,6 +125,14 @@ def pattern_sums(terms, offsets) -> np.ndarray:
     return np.stack([rows[..., a:b].sum(axis=-1) for a, b in zip(offsets, offsets[1:])], axis=-1)
 
 
+def pattern_errors(den, num, xhat, offsets) -> np.ndarray:
+    """(..., P) sums of xhat^2 den - 2 xhat num over each pattern's words (:func:`pattern_sums`).
+
+    Plus E[x^2], this is each loss pattern's exact squared error.
+    """
+    return pattern_sums(xhat * (xhat * den - 2.0 * num), offsets)
+
+
 class _AsymLookup:
     """Reconstruction lookup table for one (rho level, channel set).
 
@@ -142,13 +151,11 @@ class _AsymLookup:
     def pattern_distortions(self, ia_table, s0, s1, s2) -> list[float]:
         """Expected squared error of this fixed table under each loss pattern.
 
-        With moment matrices S0, S1, S2, D_p = sum S2 + sum over p's word rows and
-        SI levels of xhat^2 den - 2 xhat num (:func:`pattern_lookups`,
-        :func:`pattern_sums`).
+        With moment matrices S0, S1, S2, D_p = sum S2 + :func:`pattern_errors`
+        of this lookup, over the word masses of :func:`pattern_lookups`.
         """
         den, num, _ = pattern_lookups(self.stacked, np.hstack([ia_table.T @ s0, ia_table.T @ s1]))
-        sums = pattern_sums(self.table * (self.table * den - 2.0 * num), self.offsets)
-        return [float(s2.sum() + d) for d in sums]
+        return [float(s2.sum() + d) for d in pattern_errors(den, num, self.table, self.offsets)]
 
 
 @dataclass(frozen=True)
@@ -507,9 +514,9 @@ class DesignContext:
         self.pattern_probs = np.array(
             [loss_pattern_prob(q, channels) for q in loss_patterns(len(channels))]
         )
+        self.e_x2 = float(self.s2.sum())
         # Constant factors of the fused products.
         self.s01 = np.hstack([self.s0, self.s1])  # (K, 2S)
-        self.s012 = np.hstack([self.s01, self.s2])  # (K, 3S)
         col_probs = np.repeat(self.pattern_probs, np.diff(self.offsets))
         self.weighted_stacked = self.stacked * col_probs[None, :]  # (L, N)
         self.s01_t = np.vstack([self.s0.T, self.s1.T])  # (2S, K)
@@ -525,29 +532,14 @@ class DesignContext:
     def distortion(self, table: np.ndarray) -> DistortionBreakdown:
         """Matched-decoder average distortion split into encoder/channel parts.
 
-        One product with ``[S0 | S1 | S2]`` gives P(I, y) and both moments,
-        and E[x^2] is summed over its strided S2 block.  Its first 2S columns
-        equal :meth:`decoder_state`'s product only where BLAS rounds the two
-        alike, so this product is kept: every distortion a codec file
-        records keeps its last bits whatever the shapes.
+        From :meth:`decoder_state`: d_se = E[x^2] - sum first^2 / joint, d_av =
+        E[x^2] + sum_p P(p) :func:`pattern_errors`, and d_ch = d_av - d_se.
         """
-        S = self.s0.shape[1]
-        moments = table.T @ self.s012  # (L, 3S): P(I, y), first and second moments
-        joint, first, second = moments[:, :S], moments[:, S:2 * S], moments[:, 2 * S:]
-        den, num, xhat = pattern_lookups(self.stacked, moments[:, :2 * S])
-        ratio = masked_ratio(first**2, joint, PROB_FLOOR)
-        e_x2 = second.sum()
-        d_se = float(e_x2 - np.sum(ratio[joint > PROB_FLOOR]))
-        e2 = self.stacked.T @ ratio  # E[x^2] mass per word
-        terms = e2 - 2.0 * num * xhat + den * xhat**2
-        # Summed pattern by pattern: one flat sum moves d_ch in the last bit.
-        d_ch = 0.0
-        for pq, a, b in zip(self.pattern_probs, self.offsets[:-1], self.offsets[1:]):
-            d_ch += pq * float(np.sum(terms[a:b]))
-        # Each term is a difference of E[x^2]-sized masses, so d_ch below
-        # D_CH_FLOOR of E[x^2] is cancellation residue (a word whose
-        # reconstruction is its one tuple's centroid leaves ~1e-17), not a loss.
-        return DistortionBreakdown(d_se, d_ch if d_ch > D_CH_FLOOR * e_x2 else 0.0)
+        state = self.decoder_state(table)
+        d_se = self.e_x2 - float(masked_ratio(state.first**2, state.joint, PROB_FLOOR).sum())
+        errors = pattern_errors(state.den, state.num, state.xhat, self.offsets)
+        d_ch = self.e_x2 + float(self.pattern_probs @ errors) - d_se  # d_av - d_se
+        return DistortionBreakdown(d_se, d_ch if d_ch > D_CH_FLOOR * self.e_x2 else 0.0)
 
     def weights(self, state: DecoderState, out=None, block=None) -> np.ndarray:
         """Distortion derivative d D / d P(I | cell k), shape (K, L), Fortran-ordered.
@@ -683,7 +675,7 @@ def _auto_t_init(weights, cell_probs) -> float:
 
 
 def _anneal_once(ctx: DesignContext, rng):
-    """One annealing run from a Dirichlet start: (hardened assignment, its d_av, info).
+    """One annealing run from a Dirichlet start: (hardened assignment, its distortions, info).
 
     An inner step is a Gibbs table, its decoder and the weights of that
     decoder, all written into buffers made once per run; the step's d_av is
@@ -728,16 +720,16 @@ def _anneal_once(ctx: DesignContext, rng):
 
     soft_d = ctx.distortion(table).d_av
     hard_ia = harden(IndexAssignment(table))
-    hard_d = ctx.distortion(hard_ia.table).d_av
+    hard = ctx.distortion(hard_ia.table)
     info = {
         "t_init": float(t_init),
         "soft_d_av": float(soft_d),
-        "hardening_gap": float(hard_d - soft_d),
+        "hardening_gap": float(hard.d_av - soft_d),
         "monotonicity_violations": int(violations),
         "inner_cap_hits": int(cap_hits),
         "entropy_increases": int(entropy_increases),
     }
-    return hard_ia, float(hard_d), info
+    return hard_ia, hard, info
 
 
 def design_annealed(
@@ -750,11 +742,10 @@ def design_annealed(
 ) -> CodecBundle:
     """Design a codec by deterministic annealing and package it with tables.
 
-    Runs ``restarts`` independent seeded starts and keeps the first
-    hardened table whose d_av lies within ``RESTART_TIE_RTOL`` of the lowest:
-    restarts that reach relabelings of one table differ only in rounding, and
-    a strict ``<`` would let the last bit, which moves with the BLAS build,
-    pick the codec.  The restarts run in forked worker
+    Runs ``restarts`` independent seeded starts and keeps the first hardened
+    table within ``RESTART_TIE_RTOL`` of the lowest d_av: relabelings of one
+    table differ only by rounding, which a strict ``<`` would let pick the
+    codec.  The restarts run in forked worker
     processes, one per usable CPU up to the restart count, each with one BLAS
     thread (:func:`mdquant.forking.fork_map`); each restart draws from
     ``derive_rng(seed, restart)`` wherever it runs, so the result is the same
@@ -781,12 +772,10 @@ def design_annealed(
             log.info(
                 "annealing saw %d non-monotone inner step(s)", info["monotonicity_violations"]
             )
-    hard_ds = [hard_d for _, hard_d, _ in results]
-    tie = min(hard_ds) * (1.0 + RESTART_TIE_RTOL)
-    best_restart = next(r for r, hard_d in enumerate(hard_ds) if hard_d <= tie)
-    hard_ia, _, info = results[best_restart]
+    tie = min(hard.d_av for _, hard, _ in results) * (1.0 + RESTART_TIE_RTOL)
+    best_restart = next(r for r, (_, hard, _) in enumerate(results) if hard.d_av <= tie)
+    hard_ia, breakdown, info = results[best_restart]
 
-    breakdown = ctx.distortion(hard_ia.table)
     tables = build_decoder_tables(
         quantizer, si_quantizer, hard_ia, ladder.levels,
         moments={float(pair.rho): (ctx.s0, ctx.s1)},

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import pattern_ids, stacked_pattern_table
 from .channel import pattern_table  # noqa: F401  (perfbench/spans.py patches this binding)
-from .codec import CodecBundle, pattern_lookups, pattern_sums, si_moment_matrices
+from .codec import CodecBundle, pattern_errors, pattern_lookups, pattern_sums, si_moment_matrices
 from .gaussian import JointGaussianPair
 
 
@@ -59,8 +59,8 @@ def score_tables(bundle: CodecBundle, s0, s1, method: str) -> np.ndarray:
     are ``den`` = P(J_u, J_t) = T^T A^T S0 G_t.  The mutual information reads
     them alone: H(J_u) + H(J_t) - H(J_u, J_t), H(J_u) read where the neighbor
     received nothing and H(J_t) where the own source did, and exactly 0
-    where either received nothing.  The distortion is 1 + the sum of
-    xhat^2 den - 2 xhat num (E[X^2] = 1), from one
+    where either received nothing.  The distortion is 1 (E[X^2]) +
+    :func:`mdquant.codec.pattern_errors` of one
     :func:`mdquant.codec.pattern_lookups` of [A^T S0 G_t | A^T S1 G_t].
     Both sum through :func:`mdquant.codec.pattern_sums`, so a stack repeats
     the one-correlation scores bit for bit.
@@ -76,7 +76,7 @@ def score_tables(bundle: CodecBundle, s0, s1, method: str) -> np.ndarray:
         g = a @ stacked[:, lo:hi]  # (K, n_t): P(J_t | neighbor cell)
         if method == "min_distortion":
             den, num, xhat = pattern_lookups(stacked, np.concatenate([ats0 @ g, ats1 @ g], axis=-1))
-            d = 1.0 + pattern_sums(xhat * (xhat * den - 2.0 * num), offsets)
+            d = 1.0 + pattern_errors(den, num, xhat, offsets)
         else:
             den = stacked.T @ (ats0 @ g)
             logs = np.log2(np.where(den > 0, den, 1.0))  # 0 log 0 = 0

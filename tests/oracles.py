@@ -936,16 +936,16 @@ def gibbs_update_unclamped(weights, T: float, cell_probs) -> np.ndarray:
 def serial_restarts(ctx: DesignContext, restarts: int, seed: int):
     """Every restart of ``design_annealed`` in this process, and the best of them.
 
-    Returns ``(results, best)``: the ``(hard_ia, hard_d, info)`` of each
-    restart in order, and ``(hard_ia, hard_d, info, restart)`` of the first
-    restart whose hardened distortion lies within ``codec.RESTART_TIE_RTOL``
-    (relative) of the lowest.
+    Returns ``(results, best)``: the ``(hard_ia, hard, info)`` of each
+    restart in order, ``hard`` the hardened table's ``DistortionBreakdown``,
+    and ``(hard_ia, hard, info, restart)`` of the first restart whose hardened
+    d_av lies within ``codec.RESTART_TIE_RTOL`` (relative) of the lowest.
     """
     results = [_anneal_once(ctx, derive_rng(seed, r)) for r in range(restarts)]
-    lowest = min(hard_d for _, hard_d, _ in results)
-    for restart, (hard_ia, hard_d, info) in enumerate(results):
-        if hard_d - lowest <= codec.RESTART_TIE_RTOL * lowest:
-            return results, (hard_ia, hard_d, info, restart)
+    lowest = min(hard.d_av for _, hard, _ in results)
+    for restart, (hard_ia, hard, info) in enumerate(results):
+        if hard.d_av - lowest <= codec.RESTART_TIE_RTOL * lowest:
+            return results, (hard_ia, hard, info, restart)
 
 
 def da_weights(

@@ -473,7 +473,7 @@ class TestCodecConsistency:
 # Their d_av_db and stderr cells are those it gave before the asymmetric
 # experiment shared its draws across a sweep and decoded in trial blocks;
 # the d_side_db and d_central_db cells of BSC rows are exact expectations.
-DESK_SHA256 = "534401edce9a45de80507b4c35eb7b30af92e56058534ec97bfbcd67d49ef923"
+DESK_SHA256 = "d2000f5f2d680da8fa8f3f064d0577a926fb6aa6d4c7664282c6ec592fba8d39"
 DESK_EVAL = ["--trials", "20000", "--seed", "3"]
 PINNED_EVALUATE = {
     "bsc_sweep": (
@@ -579,34 +579,33 @@ class TestPinnedEvaluate:
         assert abs(10 ** (old_db / 10) - 10 ** (new_db / 10)) < 5 * combined
 
 
-# SHA-256 of codec files as designed before the annealing loop read each
-# step's d_av from its weights: the full-scale codec, whose 1,800 inner steps
-# per restart take most of the INNER_TOL decisions at capped temperatures,
-# and the CI desk codecs over a noisy and an error-free BSC, at four seeds.
+# SHA-256 of codec files: the full-scale codec, whose 1,800 inner steps per
+# restart take most of the INNER_TOL decisions at capped temperatures, and
+# the CI desk codecs over a noisy and an error-free BSC, at four seeds.
 # Restart 1 of the CI desk designs at (0.005, 2) and (0, 1) reaches a
 # relabeling of restart 0's table with a d_av lower only in the last bits;
 # since tied restarts keep the first (codec.RESTART_TIE_RTOL) they keep
-# restart 0's table, and their pins moved from
-# 8b72aae3520ba489dee36f46e28a3920b372e2c0bf354f2adba956f7a82fb73f and
-# 04166a49d75d461e3151f88a29d6e401afe294700afac2366b20411f27c18f91.
+# restart 0's table.  Every pin here and DESK_SHA256 moved again when
+# DesignContext.distortion took its sums from codec.pattern_errors, with
+# the tables and distortions of PINNED_TABLES kept.
 FULL_DESIGN = [
     "design", "--K", "256", "--desc", "8,8", "--bsc", "0", "--loss", "0.05",
     "--rho-enc", "0.8", "--nsi", "128", "--restarts", "2", "--seed", "1",
 ]
-FULL_SHA256 = "d6e1e7bffa00379fafe4ff2f34886d20c87784683732258fc448c4660aaa481e"
+FULL_SHA256 = "c3e74c2e4c5ff458554c2f6a49678d8e23f1767fb77b424e63fec69badbe2c44"
 CI_DESK_DESIGN = [
     "design", "--K", "16", "--desc", "4,4", "--loss", "0.05", "--rho-enc", "0.4",
     "--nsi", "64", "--restarts", "2",
 ]
 CI_DESK_SHA256 = {
-    ("0.005", 1): "94930bed66a32432c76084230a95c1e7548472b9f6e87e1bd7a571d3f4410303",
-    ("0.005", 2): "86e3bf194f047a5c78e34fa310c54550b42a97512bf66754e47d5f4c540ef3ec",
-    ("0.005", 3): "eea0352aa3c798d4785f3c2edb26bff93c16300cb5a9080acc7fdcca54e94f35",
-    ("0.005", 4): "624e11bfc020842fe7267af4c072927f384c3550a2122faf463b6523539009f8",
-    ("0", 1): "56169a6dea5f78ca5adbc98159a36ea65618edc7cbd2b144c7a1b5cd2ff0dfdc",
-    ("0", 2): "31756f78a66de88d1b9abcaf860831f22c5beb83b9bb925d163bcc7a880ddeb9",
-    ("0", 3): "0def63241a76862d64ddf2e8ded8115d8c9e90456d8ee603e04c99dedcee74a3",
-    ("0", 4): "b0075857d0f8acc47d09268deb4d87e217b0846453b93342b2e434af60f21d2e",
+    ("0.005", 1): "6a15a6e19c306d9cb28b7cd6cb29af0449a3bbacddaecdefb5c0e2a28631613f",
+    ("0.005", 2): "08470379f8b16ac27ee12557c6d367cb74c0d1fff225409cccd1515b91aa4b84",
+    ("0.005", 3): "6463b59a22c86fa9f9044a503e1a011eb21c914e3cdd19d8d946e65eb2004458",
+    ("0.005", 4): "78c9894f5be457b3c35f84faae5cb4e802b008f2a02d85e372461305f779cee8",
+    ("0", 1): "515c6278c9a6462d5368cc899e19c27e66fb9925c7bb2b01cac9e9f691da03dd",
+    ("0", 2): "6d9395c7449b4152c78ce746fabc473aa2255b99646f50bd8594cd43820e5f6e",
+    ("0", 3): "05a0914f567eaaa3f475c02a55656a32d17dd85624d8c406ddc45afa9933019e",
+    ("0", 4): "3114f86d09468f7d8f9f1540d3964dcf0c1c0c58c4c382c5fdb2dc9245016270",
 }
 # What the whole-file pins guard, recorded with the tie rule in place: the
 # SHA-256 of each pinned codec file without its metadata block (the tables),

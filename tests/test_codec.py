@@ -737,25 +737,22 @@ class TestDistortionFromWeights:
         got = np.vdot(table, ctx.weights(ctx.decoder_state(table)))
         assert abs(got - d_av) <= 1e-12 * d_av
 
-    @pytest.mark.parametrize("K,desc,nsi", [(256, (8, 8), 128), (16, (4, 4), 64)])
-    def test_loop_product_is_distortions_first_columns(self, K, desc, nsi):
-        # The loop's (K x 2S) product with [S0 | S1] and distortion's
-        # (K x 3S) one with [S0 | S1 | S2] round alike at the pinned design
-        # shapes, for the Fortran-ordered Gibbs tables of the loop and the
-        # C-ordered Dirichlet start; that is why the designed codec files
-        # (test_cli.TestDesignedCodecPins) match the ones designed while the
-        # loop still used the (K x 3S) product.  OpenBLAS rounds the two
-        # alike for S a multiple of 4, not for every S (at S = 5 it does not).
-        ctx = _desk_context(K, desc, 0.0, 0.05, nsi, 0.8)
-        rng = np.random.default_rng(1)
-        start = rng.dirichlet(np.ones(ctx.space.size), size=K)
-        gibbs = gibbs_update(ctx.weights(ctx.decoder_state(start)), 1e-3, ctx.cell_probs).table
-        assert gibbs.flags.f_contiguous and start.flags.c_contiguous
-        for table in (start, gibbs):
-            state = ctx.decoder_state(table)
-            fused = table.T @ ctx.s012
-            assert state.joint.tobytes() == fused[:, :nsi].tobytes()
-            assert state.first.tobytes() == fused[:, nsi:2 * nsi].tobytes()
+
+class TestDistortionSplit:
+    """d_av = d_se + d_ch, with d_se the distortion over error-free, lossless channels."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=desk_tables())
+    def test_parts_are_nonnegative_and_d_se_is_the_error_free_d_av(self, case):
+        ctx, table = case
+        d = ctx.distortion(table)
+        assert d.d_se >= 0.0 and d.d_ch >= 0.0
+        counts = tuple(ch.index_count for ch in ctx.channels)
+        error_free = _desk_context(
+            ctx.quantizer.size, counts, 0.0, 0.0, ctx.si_quantizer.size, ctx.pair.rho
+        )
+        d_av = error_free.distortion(table).d_av
+        assert abs(d_av - d.d_se) <= 1e-12 * d.d_se
 
 
 class TestDeskDesignPin:
