@@ -585,9 +585,7 @@ class TestPinnedEvaluate:
 # Restart 1 of the CI desk designs at (0.005, 2) and (0, 1) reaches a
 # relabeling of restart 0's table with a d_av lower only in the last bits;
 # since tied restarts keep the first (codec.RESTART_TIE_RTOL) they keep
-# restart 0's table.  Every pin here and DESK_SHA256 moved again when
-# DesignContext.distortion took its sums from codec.pattern_errors, with
-# the tables and distortions of PINNED_TABLES kept.
+# restart 0's table.
 FULL_DESIGN = [
     "design", "--K", "256", "--desc", "8,8", "--bsc", "0", "--loss", "0.05",
     "--rho-enc", "0.8", "--nsi", "128", "--restarts", "2", "--seed", "1",
