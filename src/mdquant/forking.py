@@ -18,6 +18,13 @@ on that item.
 Per-trial outputs do not travel back through the pipes: the caller makes
 their arrays before the fork with :func:`shared_array`, in anonymous shared
 memory that every worker inherits, and each item writes its own slice.
+
+The package loads ``scipy.special`` (about 0.2 s) only in the functions that
+call it, so importing mdquant, loading a codec, ``bound`` and ``report``
+never do.  Work items that take Gaussian moments or draw AWGN noise call
+it, so :func:`fork_map` imports it in this process before it forks: the
+workers inherit the module, and a command imports it once, not once per
+worker.
 """
 
 from __future__ import annotations
@@ -132,13 +139,17 @@ def fork_map(fn, items, name: str = "forked") -> list:
     their results back once; the results come back in item order.  If a
     worker dies before it sends, or anything else fails, every worker is
     terminated and joined before the error propagates; a worker that died
-    raises ``RuntimeError`` naming ``name``.
+    raises ``RuntimeError`` naming ``name``.  Before it forks it imports
+    ``scipy.special``, which the package's work items load on first use, so
+    the workers inherit it instead of each importing it again.
     """
     items = list(items)
     workers = worker_count(len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     import multiprocessing
+
+    import scipy.special  # noqa: F401  (once here, so that no worker imports it)
 
     mp = multiprocessing.get_context("fork")
     procs, conns = [], []

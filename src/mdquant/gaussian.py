@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -56,6 +55,8 @@ def gauss_interval_moments_batch(edges, means, sd):
     scalar power (libm ``pow``), which can differ in the last bit from an
     array square.
     """
+    from scipy.special import ndtr
+
     edges = np.asarray(edges, dtype=float)
     means = np.asarray(means, dtype=float)[..., None]
     sd = np.asarray(sd, dtype=float)

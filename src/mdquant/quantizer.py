@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .gaussian import gauss_interval_moments_batch
 
@@ -66,6 +65,8 @@ def lloyd_design(K: int) -> ScalarQuantizer:
     checked to be non-increasing at every step.  The quantizer is built once,
     from the last step's arrays.
     """
+    from scipy.special import ndtri
+
     if K < 1:
         raise ValueError("need at least one quantizer level")
     if K == 1:

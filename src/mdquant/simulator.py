@@ -65,7 +65,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channel import bpsk_symbols, derive_rng, pattern_ids, tuple_space, word_rows
 from .codec import CodecBundle, _AsymLookup, si_moment_matrices, si_moment_stack
@@ -233,6 +232,8 @@ NOISE_UNIFORM_FLOOR = 2.0**-53
 
 def _awgn_noise(bit_u) -> np.ndarray:
     """N(0, 1) noise by inversion of the bit uniforms ``bit_u``, which it overwrites."""
+    from scipy.special import ndtri
+
     return ndtri(np.maximum(bit_u, NOISE_UNIFORM_FLOOR, out=bit_u), out=bit_u)
 
 

@@ -1,10 +1,16 @@
-"""Every module-level import of the package is used where it is imported.
+"""Every module-level import of the package is used where it is imported,
+and none of them is scipy.
 
 A name imported at module level and never read is dead weight, or a stale
 binding of a deleted or moved API.  An import kept only for another reader
 (``perfbench/spans.py`` patches some module bindings by name) carries
 ``# noqa: F401`` and the reason.  ``__init__`` is exempt: its imports are the
 public API.
+
+scipy is imported only inside the functions that call it: ``scipy.special``
+takes longer to import than the rest of the package, and importing mdquant,
+loading a codec, ``bound`` and ``report`` need none of it
+(``tests/test_cold_start.py`` checks the commands themselves).
 """
 
 import ast
@@ -15,6 +21,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mdquant"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 NOQA = re.compile(r"#\s*noqa:\s*F401\s+\S")
 
 
@@ -39,6 +46,25 @@ def unused_imports(path: Path) -> list:
     return unused
 
 
+def eager_scipy_imports(path: Path) -> list:
+    """Lines of the scipy imports that run when the module is imported: those outside any function."""
+    found, todo = [], list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 def test_modules_are_found():
     assert {"cli.py", "codec.py", "simulator.py"} <= {p.name for p in MODULES}
 
@@ -60,3 +86,28 @@ def test_an_unused_import_is_caught(tmp_path):
     )
     # A bare noqa without a reason does not excuse the import.
     assert unused_imports(module) == [(2, "JointGaussianPair"), (4, "si_moment_stack")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_when_imported(path):
+    assert eager_scipy_imports(path) == [], f"{path.name} imports scipy at module level"
+
+
+def test_a_module_level_scipy_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\n"
+        "import scipy.special as sp\n"
+        "from scipy import stats\n"
+        "from .scipy_tools import helper\n"
+        "if np:\n"
+        "    from scipy.special import ndtr\n"
+        "class C:\n"
+        "    import scipy\n"
+        "def f():\n"
+        "    from scipy.special import ndtri\n"
+        "    return ndtri\n",
+        encoding="utf-8",
+    )
+    # The relative import is not scipy, and the function's import runs only when it is called.
+    assert eager_scipy_imports(module) == [2, 3, 6, 8]
