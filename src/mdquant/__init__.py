@@ -20,7 +20,7 @@ from .codec import (
     ia_entropy,
 )
 from .decode_sym import CrossSourceTables, build_cross_tables
-from .gaussian import CorrelationLadder, JointGaussianPair, quantize_rho
+from .gaussian import RHO_LADDER, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
 from .quantizer import ScalarQuantizer, lloyd_design
 from .rd_bound import BoundQuery, BoundResult, beta, central_bound, min_avg_distortion

@@ -21,9 +21,9 @@ import numpy as np
 from . import reference_values as refs
 from .channel import DescriptionChannel
 from .codec import DistortionBreakdown, design_annealed
-from .gaussian import CorrelationLadder, JointGaussianPair, quantize_rho
+from .gaussian import RHO_LADDER, JointGaussianPair, quantize_rho
 from .persist import CodecFormatError, load_codec, save_codec
-from .quantizer import lloyd_design
+from .quantizer import MAX_QUANTIZER_LEVELS, lloyd_design
 from .rd_bound import BoundQuery, min_avg_distortion
 from .simulator import (
     SI_METHODS,
@@ -37,12 +37,6 @@ from .simulator import (
     run_sym_experiment,
     to_db,
 )
-
-# Largest quantizer or SI quantizer size the commands accept: four times the
-# paper's largest quantizer (K = 256).  The tables of a much larger size are
-# allocated and filled until memory runs out, so no MemoryError would report it.
-MAX_QUANTIZER_LEVELS = 1024
-
 
 def _check_levels(flag: str, n: int) -> None:
     if n > MAX_QUANTIZER_LEVELS:
@@ -217,7 +211,7 @@ def cmd_evaluate(args) -> int:
     bundle = load_codec(args.codec)
     if args.no_si:
         # One SI level carries no SI; its rho = 0 tables are the no-SI ones bit for bit.
-        bundle, rho_dec = bundle.with_si_quantizer(lloyd_design(1)), 0.0
+        bundle, rho_dec = replace(bundle, si_quantizer=lloyd_design(1)), 0.0
     cfg = AsymConfig(
         bundle=bundle,
         rho_real=args.rho_real,
@@ -238,11 +232,11 @@ def cmd_evaluate(args) -> int:
         tuple(make(v, ch.loss_prob, ch.index_count) for ch in own) for v in labels
     ]
     if sizes:
-        # Average distortion versus SI quantizer size: tables rebuilt per size.
+        # Average distortion versus SI quantizer size: each run builds its own tables.
         name, labels = "nsi", sizes
         results = (
             run_asym_experiment(
-                replace(cfg, bundle=bundle.with_si_quantizer(lloyd_design(n))),
+                replace(cfg, bundle=replace(bundle, si_quantizer=lloyd_design(n))),
                 channel_sets,
             )[0]
             for n in sizes
@@ -348,9 +342,7 @@ def cmd_scenario(args) -> int:
             rho = scenario.pairwise_rho.copy()
             np.fill_diagonal(rho, -np.inf)
             nn_rho = rho.max(axis=1)
-            ladder = CorrelationLadder()
-            level = quantize_rho(min(float(np.median(nn_rho)), 0.6), ladder)
-            rho_enc = float(ladder.levels[level])
+            rho_enc = float(RHO_LADDER[quantize_rho(min(float(np.median(nn_rho)), 0.6))])
         bundle = _design_bundle(args, rho_enc)
     res = run_sym_experiment(
         SymConfig(

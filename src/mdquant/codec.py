@@ -15,7 +15,7 @@ from which priors P(I | y), codebooks C(I | y), reconstruction lookups and
 the annealing weights are all small matrix contractions.  S2 enters only
 through its sums: every exact squared error is E[x^2] = sum S2 plus the
 :func:`pattern_errors` of S0/S1 word masses.  The source and its SI have
-unit variance: every stored table, cross table and simulator draw assumes
+unit variance: every decoder table, cross table and simulator draw assumes
 it, and ``si_moment_matrices`` rejects any other pair.
 
 The likelihood tables of the 2^M loss patterns are stacked side by side into
@@ -35,7 +35,7 @@ metadata ``schedule`` block.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -49,12 +49,7 @@ from .channel import (
     tuple_space,
 )
 from .forking import fork_map
-from .gaussian import (
-    CorrelationLadder,
-    JointGaussianPair,
-    gauss_interval_moments_batch,
-    quantize_rho,
-)
+from .gaussian import JointGaussianPair, gauss_interval_moments_batch, quantize_rho
 from .quantizer import ScalarQuantizer
 
 log = logging.getLogger(__name__)
@@ -134,17 +129,17 @@ def pattern_errors(den, num, xhat, offsets) -> np.ndarray:
 
 
 class _AsymLookup:
-    """Reconstruction lookup table for one (rho level, channel set).
+    """Reconstruction lookup table for one (decoder table level, channel set).
 
     ``table[offsets[p] + j, y]`` reconstructs from combined word j under loss
-    pattern p with SI level y.  A codec with a one-level SI quantizer, read
-    at its rho = 0 level, decodes without SI.
+    pattern p with SI level y, from entry ``level`` of ``tables``, the
+    :func:`build_decoder_tables` of the codec ``bundle``.  A codec with a
+    one-level SI quantizer, read at rho = 0, decodes without SI.
     """
 
-    def __init__(self, bundle: CodecBundle, channels, level: int):
-        t = bundle.tables
-        joint = (t.prior[level] * t.si_probs[:, None]).T  # (L, S)
-        first = joint * t.codebook[level].T
+    def __init__(self, bundle: CodecBundle, tables: DecoderTables, channels, level: int = 0):
+        joint = (tables.prior[level] * bundle.si_quantizer.cell_probs[:, None]).T  # (L, S)
+        first = joint * tables.codebook[level].T
         self.stacked, self.offsets = stacked_pattern_table(channels)
         _, _, self.table = pattern_lookups(self.stacked, np.hstack([joint, first]))
 
@@ -375,7 +370,7 @@ def _clean_moments(s0, s1, s2):
 
 @dataclass(frozen=True)
 class DecoderTables:
-    """Stored priors P(I | SI level) and codebooks C(I | SI level).
+    """Priors P(I | SI level) and codebooks C(I | SI level) of a decoder.
 
     Arrays are indexed (correlation level, SI level, tuple).  ``prior_nosi``
     and ``codebook_nosi`` are the no-side-information tables: the joint
@@ -384,7 +379,6 @@ class DecoderTables:
     """
 
     rho_values: np.ndarray
-    si_probs: np.ndarray
     prior: np.ndarray
     codebook: np.ndarray
     prior_nosi: np.ndarray
@@ -399,8 +393,8 @@ class DecoderTables:
 
 
 def _nosi_tables(quantizer, table):
-    # Designed tables are Fortran-ordered, loaded ones C-ordered, and the products
-    # below round differently for the two: one order rebuilds a loaded codec's tables.
+    # Designed index tables are Fortran-ordered, loaded ones C-ordered, and the
+    # products below round differently for the two: one order gives both the same tables.
     table = np.asfortranarray(table)
     p, m1, _ = gauss_interval_moments_batch(quantizer.edges(), 0.0, 1.0)
     prior = table.T @ p
@@ -415,46 +409,39 @@ def build_decoder_tables(
     rhos,
     moments=None,
 ) -> DecoderTables:
-    """Stored decoder tables of a unit-variance source and SI, one per correlation in ``rhos``.
+    """Decoder tables of a unit-variance source and SI, one per correlation in ``rhos``.
 
     A tuple whose joint mass with an SI level is at most ``PROB_FLOOR`` gets
     prior 0 and codebook 0 there.  ``moments`` maps correlations whose
     (S0, S1) moment matrices the caller already holds to those matrices.
-    Every other nonzero correlation of a multi-level SI quantizer runs its
-    own moment quadrature, one :func:`mdquant.forking.fork_map` item each,
-    so a worker's peak memory is that of a single level; a one-level SI
-    quantizer's moments need no quadrature, and its levels are built here.
+    Every other nonzero correlation takes its moments from one batched
+    :func:`si_moment_stack` call in this process, whose entries do not
+    depend on the rest of the batch.
     """
     rhos = np.array(rhos, dtype=float)
-    moments = moments or {}
+    moments = dict(moments or {})
     prior_nosi, codebook_nosi = _nosi_tables(quantizer, ia.table)
+    missing = list(dict.fromkeys(rho for rho in rhos if rho != 0.0 and rho not in moments))
+    if missing:
+        s0, s1, _ = si_moment_stack(quantizer, si_quantizer, missing)
+        moments.update(zip(missing, zip(s0, s1)))
 
     def level_tables(rho):
-        if rho in moments:
-            s0, s1 = moments[rho]
-        else:
-            s0, s1 = (m[0] for m in si_moment_stack(quantizer, si_quantizer, [rho])[:2])
+        if rho == 0.0:
+            # Independent SI: every level must reproduce the no-SI tables
+            # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
+            reps = (si_quantizer.size, 1)
+            return np.tile(prior_nosi, reps), np.tile(codebook_nosi, reps)
+        s0, s1 = moments[rho]
         joint = ia.table.T @ s0  # (L, S): P(I, SI level)
         first = ia.table.T @ s1
         psi = joint.sum(axis=0)
         prior = np.where(joint <= PROB_FLOOR, 0.0, joint / np.maximum(psi[None, :], 1e-300))
         return prior.T, masked_ratio(first, joint, PROB_FLOOR).T  # (S, L) each
 
-    quadratures = [
-        rho for rho in rhos if rho != 0.0 and rho not in moments and si_quantizer.size > 1
-    ]
-    built = dict(zip(quadratures, fork_map(level_tables, quadratures, "decoder tables")))
-    # Independent SI: every level must reproduce the no-SI tables
-    # bit-exactly so that iterating on uncorrelated neighbors is a no-op.
-    reps = (si_quantizer.size, 1)
-    independent = (np.tile(prior_nosi, reps), np.tile(codebook_nosi, reps))
-    levels = [
-        independent if rho == 0.0 else built[rho] if rho in built else level_tables(rho)
-        for rho in rhos
-    ]
+    levels = [level_tables(rho) for rho in rhos]
     return DecoderTables(
         rho_values=rhos,
-        si_probs=si_quantizer.cell_probs.copy(),
         prior=np.stack([prior for prior, _ in levels]),
         codebook=np.stack([codebook for _, codebook in levels]),
         prior_nosi=prior_nosi,
@@ -585,67 +572,33 @@ def evaluate_distortion(
 
 @dataclass(frozen=True)
 class CodecBundle:
-    """A designed codec: quantizers, hard assignment, channels, stored tables."""
+    """A designed codec: quantizers, hard assignment, channels and design correlation.
+
+    It holds no decoder tables: each decoder builds the ones it reads
+    (:func:`build_decoder_tables`) when it is made.
+    """
 
     quantizer: ScalarQuantizer
     si_quantizer: ScalarQuantizer
     ia: IndexAssignment
     channels: tuple
     design_rho: float
-    ladder: CorrelationLadder
-    tables: DecoderTables
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.ia.hard:
             raise ValueError("bundle requires a hardened index assignment")
-        self._check_shapes()
-
-    def _check_shapes(self) -> None:
-        """The assignment and the stored tables must fit the quantizers, channels and ladder.
-
-        The decoders pick a table by ladder level, so each table must be
-        built at its level's correlation.
-        """
         K = self.quantizer.size
         L = int(np.prod([ch.index_count for ch in self.channels]))
-        S = self.si_quantizer.size
-        n_rho = self.ladder.count
-        t = self.tables
         if self.ia.table.shape != (K, L):
             raise ValueError(
                 f"index assignment is {self.ia.table.shape[0]} x {self.ia.table.shape[1]}, "
                 f"expected {K} cells x {L} index tuples"
             )
-        if t.rho_values.shape != (n_rho,):
-            raise ValueError(
-                f"decoder tables hold {t.rho_values.size} correlation levels "
-                f"for a {n_rho}-level ladder"
-            )
-        off = np.flatnonzero(t.rho_values != self.ladder.levels)
-        if off.size:
-            i = int(off[0])
-            raise ValueError(
-                f"decoder table {i} is built at rho {float(t.rho_values[i])!r}, "
-                f"ladder level {i} is {float(self.ladder.levels[i])!r}"
-            )
-        for name in ("prior", "codebook"):
-            shape = getattr(t, name).shape
-            if shape != (n_rho, S, L):
-                raise ValueError(f"{name} table has shape {shape}, expected {(n_rho, S, L)}")
-        if t.si_probs.shape != (S,):
-            raise ValueError(f"si_probs has {t.si_probs.size} entries for {S} SI levels")
-        for name in ("prior_nosi", "codebook_nosi"):
-            if getattr(t, name).shape != (L,):
-                raise ValueError(f"{name} has {getattr(t, name).size} entries for {L} tuples")
 
     def rho_level(self, rho: float) -> int:
-        return quantize_rho(rho, self.ladder)
-
-    def with_si_quantizer(self, si_quantizer) -> "CodecBundle":
-        """Same codec with decoder tables rebuilt for another SI quantizer."""
-        tables = build_decoder_tables(self.quantizer, si_quantizer, self.ia, self.ladder.levels)
-        return replace(self, si_quantizer=si_quantizer, tables=tables)
+        """The ``RHO_LADDER`` level at which a decoder reads its tables for ``rho``."""
+        return quantize_rho(rho)
 
 
 def _auto_t_init(weights, cell_probs) -> float:
@@ -740,7 +693,7 @@ def design_annealed(
     restarts: int = 3,
     seed: int = 0,
 ) -> CodecBundle:
-    """Design a codec by deterministic annealing and package it with tables.
+    """Design a codec by deterministic annealing.
 
     Runs ``restarts`` independent seeded starts and keeps the first hardened
     table within ``RESTART_TIE_RTOL`` of the lowest d_av: relabelings of one
@@ -749,15 +702,13 @@ def design_annealed(
     processes, one per usable CPU up to the restart count, each with one BLAS
     thread (:func:`mdquant.forking.fork_map`); each restart draws from
     ``derive_rng(seed, restart)`` wherever it runs, so the result is the same
-    as running them one after another.  The returned bundle carries decoder
-    tables for every level of the default ``CorrelationLadder`` plus the
-    no-SI variant.
+    as running them one after another.  The returned bundle holds the
+    design; the decoders build their tables from it.
     """
     if restarts < 1:
         raise ValueError("restarts must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    ladder = CorrelationLadder()
     ctx = DesignContext(quantizer, si_quantizer, pair, channels)
 
     results = fork_map(
@@ -776,10 +727,6 @@ def design_annealed(
     best_restart = next(r for r, (_, hard, _) in enumerate(results) if hard.d_av <= tie)
     hard_ia, breakdown, info = results[best_restart]
 
-    tables = build_decoder_tables(
-        quantizer, si_quantizer, hard_ia, ladder.levels,
-        moments={float(pair.rho): (ctx.s0, ctx.s1)},
-    )
     metadata = {
         "format_version": 1,
         "seed": int(seed),
@@ -809,7 +756,5 @@ def design_annealed(
         ia=hard_ia,
         channels=tuple(channels),
         design_rho=float(pair.rho),
-        ladder=ladder,
-        tables=tables,
         metadata=metadata,
     )

@@ -5,13 +5,13 @@ another's side information, the soft-SI decoder couples the two through
 cross tables: the mixing matrices that map the neighbor's index tuple
 posterior to the own tuple prior and its first moment, at the pair's
 correlation, under that one codec.  They are read off the same moment
-matrices S0/S1 as the stored decoder tables
+matrices S0/S1 as the decoder tables
 (:func:`mdquant.codec.si_moment_matrices`, with the codec's quantizer in
 the role of the SI quantizer).  :func:`cross_table_stack` builds them for
 many correlations from one batched quadrature, which is how the soft-SI
-decoder gets one table per ladder level.  The SI selection reads the moment
-matrices themselves (:func:`mdquant.si_select.score_tables`), not these
-tables.
+decoder gets one table per ladder level that its field's pairs reach.  The
+SI selection reads the moment matrices themselves
+(:func:`mdquant.si_select.score_tables`), not these tables.
 
 :class:`_SymDecoder` is the joint decoder: estimated-SI or soft-SI sweeps
 over one block of a field's trials at a time.  It takes each trial's SI
@@ -36,8 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import stacked_pattern_table, tuple_space, word_rows
-from .codec import CodecBundle, _AsymLookup, masked_ratio, si_moment_matrices, si_moment_stack
-from .gaussian import JointGaussianPair, quantize_rho
+from .codec import (
+    CodecBundle,
+    _AsymLookup,
+    _nosi_tables,
+    build_decoder_tables,
+    masked_ratio,
+    si_moment_matrices,
+    si_moment_stack,
+)
+from .gaussian import RHO_LADDER, JointGaussianPair, quantize_rho
 from .gaussian import gauss_interval_moments_batch  # noqa: F401  (perfbench/spans.py patches this binding)
 
 # Joint-decoder sweeps per block (the no-SI pass counts as the first), and the
@@ -117,7 +125,7 @@ def _row_product(a, b):
 
 
 def _trial_groups(level_u) -> list:
-    """One node's trials grouped by the ladder level of their SI source: (level, trial indices)."""
+    """One node's trials grouped by the table level of their SI pair: (level, trial indices)."""
     return [(int(level), np.flatnonzero(level_u == level)) for level in np.unique(level_u)]
 
 
@@ -130,16 +138,18 @@ class _SymDecoder:
     the whole block, or a soft-SI prior of one node across the block's
     trials.  One decoder serves every block of a field's run.  ``mode`` is
     "estimated" or "soft", and ``pairwise_rho`` the field's (nodes, nodes)
-    correlations, whose ladder levels ``level_matrix`` holds (0 on the
-    diagonal: a node is never its own SI source).  The decoder builds the
-    tables its mode reads when it is created: the no-SI posterior and
-    estimate of every word row, which the first iteration gathers; for
-    estimated-SI the asymmetric lookups of all ladder levels as one
-    (levels, rows, SI levels) array, and the SI levels of every no-SI
-    estimate and lookup entry; for soft-SI the used tuples ``used`` (U of
-    the L), the likelihood and no-SI posterior columns of these tuples, and
-    their mixing matrices from one cross-table stack at the ladder's
-    correlations.
+    correlations.  ``levels`` are the ladder levels (``RHO_LADDER``
+    positions) that the field's pairs reach, and ``level_matrix`` holds each
+    pair's position in ``levels`` (0 on the diagonal: a node is never its own
+    SI source).  The decoder builds the tables its mode reads when it is
+    created, at these levels only: the no-SI posterior and estimate of every
+    word row, which the first iteration gathers; for estimated-SI the
+    asymmetric lookups of the levels as one (levels, rows, SI levels) array,
+    from one :func:`mdquant.codec.build_decoder_tables` call, and the SI
+    levels of every no-SI estimate and lookup entry; for soft-SI the used
+    tuples ``used`` (U of the L), the likelihood and no-SI posterior columns
+    of these tuples, and their mixing matrices from one cross-table stack at
+    the levels' correlations.
     """
 
     def __init__(self, bundle: CodecBundle, mode: str, pairwise_rho):
@@ -150,15 +160,18 @@ class _SymDecoder:
         stacked, self.offsets = stacked_pattern_table(self.channels)
         self.word_lik = np.ascontiguousarray(stacked.T)  # (N, L); (N, U) in soft mode
         off = ~np.eye(pairwise_rho.shape[0], dtype=bool)
+        self.levels, positions = np.unique(quantize_rho(pairwise_rho[off]), return_inverse=True)
         self.level_matrix = np.zeros(pairwise_rho.shape, dtype=int)
-        self.level_matrix[off] = quantize_rho(pairwise_rho[off], bundle.ladder)
-        levels = bundle.ladder.levels
+        self.level_matrix[off] = positions
+        rhos = RHO_LADDER[self.levels]
         # Every word row's no-SI posterior and estimate; a block gathers its rows' entries.
+        self.prior_nosi, self.codebook_nosi = _nosi_tables(bundle.quantizer, bundle.ia.table)
         self.nosi_post, self.nosi_est = self.no_si_pass(self.word_lik)
         if mode == "estimated":
             # lookups[level, row, SI level]: the asymmetric decoder's reconstructions.
+            tables = build_decoder_tables(bundle.quantizer, bundle.si_quantizer, bundle.ia, rhos)
             self.lookups = np.stack(
-                [_AsymLookup(bundle, self.channels, level).table for level in range(levels.size)]
+                [_AsymLookup(bundle, tables, self.channels, i).table for i in range(rhos.size)]
             )
             # Every estimate is a no-SI estimate or a lookup entry: their SI levels.
             cells = bundle.si_quantizer.cells
@@ -170,7 +183,7 @@ class _SymDecoder:
             self.used = np.flatnonzero(bundle.ia.table.any(axis=0))
             self.word_lik = self.word_lik[:, self.used]
             self.nosi_post = self.nosi_post[:, self.used]
-            cross = cross_table_stack(bundle, [round(float(v), 12) for v in levels])
+            cross = cross_table_stack(bundle, [round(float(v), 12) for v in rhos])
             used = (slice(None), self.used[:, None], self.used)
             mix_prob, mix_first = (
                 np.ascontiguousarray(m[used]) for m in (cross.mix_prob, cross.mix_first)
@@ -188,12 +201,11 @@ class _SymDecoder:
 
     def no_si_pass(self, lik):
         """lik: (rows, L) -> (posteriors, estimates); a row of zero mass gives zeros."""
-        t = self.bundle.tables
-        post = lik * t.prior_nosi[None, :]
+        post = lik * self.prior_nosi[None, :]
         post = masked_ratio(post, post.sum(axis=1, keepdims=True))
         # einsum sums each row the same way whatever the row count; BLAS
         # gemv rounds a block's last rows (and a lone row) differently.
-        return post, np.einsum("tl,l->t", post, t.codebook_nosi)
+        return post, np.einsum("tl,l->t", post, self.codebook_nosi)
 
     def estimated_step(self, y, base, src):
         """One estimated-SI sweep of every node across the block's trials.
@@ -246,7 +258,7 @@ class _SymDecoder:
         rows = word_rows(words, pids, self.channels, self.offsets).T
         if self.mode == "estimated":
             # Flat positions of each (node, trial): its lookup row at SI level 0
-            # (at the ladder level of its SI pair), and its SI source's entry.
+            # (at the table level of its SI pair), and its SI source's entry.
             n_rows, n_si = self.lookups.shape[1:]
             s_nodes = s_map.T
             levels = np.take_along_axis(self.level_matrix, s_nodes, axis=1)

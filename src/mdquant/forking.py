@@ -1,9 +1,10 @@
 """Independent work items in forked worker processes, one per usable CPU.
 
 :func:`fork_map` is the package's one way to run work in parallel: the
-annealing restarts of a design, the moment quadratures of its decoder
-tables' ladder levels, the trial blocks and selection-score correlations of
-a sensor field, and the decode blocks of the asymmetric experiment.
+annealing restarts of a design, the trial blocks and selection-score
+correlations of a sensor field, and the decode blocks of the asymmetric
+experiment.  The decoder tables are built before the fork, in the calling
+process, and the workers inherit them.
 Workers are forked, because a spawned one re-imports numpy and starts a
 resource tracker that outlives the call, and a forked one inherits the
 function and its items without pickling them; only the results travel

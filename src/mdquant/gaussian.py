@@ -9,7 +9,7 @@ mean or a batch of them) is the numerical foundation of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,33 +74,13 @@ def gauss_interval_moments_batch(edges, means, sd):
     return dp, m1, m2
 
 
-def _default_levels() -> np.ndarray:
-    return np.array([0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99])
+# The correlation levels at which every decoder reads its tables: a pair's
+# correlation is rounded to the nearest (:func:`quantize_rho`).
+RHO_LADDER = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99])
 
 
-@dataclass(frozen=True)
-class CorrelationLadder:
-    """Quantized correlation levels shared by all stored decoder tables."""
-
-    levels: np.ndarray = field(default_factory=_default_levels)
-
-    def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        if lv.ndim != 1 or lv.size == 0:
-            raise ValueError("ladder needs at least one level")
-        if np.any(np.diff(lv) <= 0):
-            raise ValueError("ladder levels must be strictly increasing")
-        if lv[0] < 0 or lv[-1] >= 1:
-            raise ValueError("ladder levels must lie in [0, 1)")
-        object.__setattr__(self, "levels", lv)
-
-    @property
-    def count(self) -> int:
-        return int(self.levels.size)
-
-
-def quantize_rho(rho, ladder: CorrelationLadder):
-    """Index of the nearest ladder level; ties break toward the lower level.
+def quantize_rho(rho):
+    """Index of the nearest ``RHO_LADDER`` level; ties break toward the lower level.
 
     ``rho`` is a scalar (an int is returned) or an array (an int array of its
     shape).  Negative correlations are rejected: all supported operating
@@ -109,5 +89,5 @@ def quantize_rho(rho, ladder: CorrelationLadder):
     r = np.asarray(rho, dtype=float)
     if not np.all((r >= 0) & (r <= 1)):  # NaN fails both comparisons
         raise ValueError("correlation must lie in [0, 1]")
-    idx = np.argmin(np.abs(ladder.levels - r[..., None]), axis=-1)
+    idx = np.argmin(np.abs(RHO_LADDER - r[..., None]), axis=-1)
     return int(idx) if idx.ndim == 0 else idx

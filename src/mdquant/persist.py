@@ -1,5 +1,8 @@
 """Versioned JSON persistence for designed codecs.
 
+A codec file holds the design only: the quantizers, the index assignment,
+the channels, the design correlation and the design metadata.  The decoders
+build the tables they read from it (:func:`mdquant.codec.build_decoder_tables`).
 Floats are serialized with Python's shortest round-trip repr, so every matrix
 reloads bit-exactly.  Key order is fixed at construction, which makes a
 re-run with the same seed produce byte-identical files.
@@ -8,16 +11,16 @@ re-run with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .channel import DescriptionChannel
-from .codec import CodecBundle, DecoderTables, IndexAssignment
-from .gaussian import CorrelationLadder
-from .quantizer import ScalarQuantizer
+from .codec import CodecBundle, IndexAssignment
+from .quantizer import MAX_QUANTIZER_LEVELS, ScalarQuantizer
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CodecFormatError(Exception):
@@ -49,7 +52,6 @@ def _channel_dict(ch: DescriptionChannel):
 
 
 def bundle_to_dict(bundle: CodecBundle) -> dict:
-    t = bundle.tables
     return {
         "format_version": FORMAT_VERSION,
         "quantizer": _quantizer_dict(bundle.quantizer),
@@ -57,15 +59,6 @@ def bundle_to_dict(bundle: CodecBundle) -> dict:
         "ia": {"table": bundle.ia.table.tolist(), "hard": bundle.ia.hard},
         "channels": [_channel_dict(ch) for ch in bundle.channels],
         "design_rho": bundle.design_rho,
-        "ladder": bundle.ladder.levels.tolist(),
-        "tables": {
-            "rho_values": t.rho_values.tolist(),
-            "si_probs": t.si_probs.tolist(),
-            "prior": t.prior.tolist(),
-            "codebook": t.codebook.tolist(),
-            "prior_nosi": t.prior_nosi.tolist(),
-            "codebook_nosi": t.codebook_nosi.tolist(),
-        },
         "metadata": bundle.metadata,
     }
 
@@ -74,7 +67,8 @@ def bundle_from_dict(data: dict) -> CodecBundle:
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise CodecFormatError(
-            f"codec format version {version!r} is not supported (expected {FORMAT_VERSION})"
+            f"codec format version {version!r} is not supported (expected {FORMAT_VERSION}); "
+            "re-run design to write the codec in this version"
         )
     try:
         return _bundle_from_fields(data)
@@ -85,15 +79,8 @@ def bundle_from_dict(data: dict) -> CodecBundle:
 
 
 def _bundle_from_fields(data: dict) -> CodecBundle:
-    t = data["tables"]
-    tables = DecoderTables(
-        rho_values=np.array(t["rho_values"]),
-        si_probs=np.array(t["si_probs"]),
-        prior=np.array(t["prior"]),
-        codebook=np.array(t["codebook"]),
-        prior_nosi=np.array(t["prior_nosi"]),
-        codebook_nosi=np.array(t["codebook_nosi"]),
-    )
+    quantizer = _quantizer_from(data["quantizer"])
+    si_quantizer = _quantizer_from(data["si_quantizer"])
     channels = tuple(
         DescriptionChannel(
             kind=c["kind"],
@@ -104,14 +91,22 @@ def _bundle_from_fields(data: dict) -> CodecBundle:
         )
         for c in data["channels"]
     )
+    # The decoders build (levels, SI levels, tuples) tables of these sizes.
+    for name, size in (
+        ("quantizer size", quantizer.size),
+        ("SI quantizer size", si_quantizer.size),
+        ("index tuple count", math.prod(ch.index_count for ch in channels)),
+    ):
+        if size > MAX_QUANTIZER_LEVELS:
+            raise ValueError(
+                f"codec {name} {size} exceeds the largest quantizer size {MAX_QUANTIZER_LEVELS}"
+            )
     return CodecBundle(
-        quantizer=_quantizer_from(data["quantizer"]),
-        si_quantizer=_quantizer_from(data["si_quantizer"]),
+        quantizer=quantizer,
+        si_quantizer=si_quantizer,
         ia=IndexAssignment(np.array(data["ia"]["table"]), hard=data["ia"]["hard"]),
         channels=channels,
         design_rho=data["design_rho"],
-        ladder=CorrelationLadder(np.array(data["ladder"])),
-        tables=tables,
         metadata=data["metadata"],
     )
 

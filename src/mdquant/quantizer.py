@@ -18,6 +18,11 @@ from .gaussian import gauss_interval_moments_batch
 
 LLOYD_MAX_ITERATIONS = 500
 LLOYD_REL_TOL = 1e-9
+# Largest quantizer or SI quantizer size that the commands and codec files
+# accept: four times the paper's largest quantizer (K = 256).  The tables of a
+# much larger size are allocated and filled until memory runs out, so no
+# MemoryError would report it.
+MAX_QUANTIZER_LEVELS = 1024
 
 
 @dataclass(frozen=True)

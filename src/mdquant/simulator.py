@@ -67,10 +67,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import bpsk_symbols, derive_rng, pattern_ids, tuple_space, word_rows
-from .codec import CodecBundle, _AsymLookup, si_moment_matrices, si_moment_stack
+from .codec import (
+    CodecBundle,
+    _AsymLookup,
+    build_decoder_tables,
+    si_moment_matrices,
+    si_moment_stack,
+)
 from .decode_sym import _SymDecoder
 from . import forking
-from .gaussian import JointGaussianPair
+from .gaussian import RHO_LADDER, JointGaussianPair
 from .si_select import score_tables, select_min_distance
 from .si_select import (  # noqa: F401  (perfbench/spans.py patches these bindings)
     expected_partial_si_distortion,
@@ -305,8 +311,11 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
     source, its quantizer cells and SI levels, the rates and the channel
     randomness are drawn once, and every set applies its own error and loss
     rates to the same draws.  Two-description BSC results carry the exact
-    d_side and d_central of their set's lookup at ``rho_real``.  Every
-    result's ``wall_time`` is that of the whole call up to the end of decoding.
+    d_side and d_central of their set's lookup at ``rho_real``.  The decoder
+    tables are built at the ladder level of ``rho_dec`` only, from the moment
+    matrices of ``rho_real`` where the exact distortions take them at that
+    level's correlation.  Every result's ``wall_time`` is that of the whole
+    call up to the end of decoding.
     """
     start = time.perf_counter()
     bundle = cfg.bundle
@@ -316,7 +325,15 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
     if not -1.0 < cfg.rho_real < 1.0:
         raise ValueError(f"rho_real must lie in (-1, 1), got {cfg.rho_real!r}")
     rho_dec = cfg.rho_real if cfg.rho_dec is None else cfg.rho_dec
-    level = bundle.rho_level(rho_dec)
+    level_rho = float(RHO_LADDER[bundle.rho_level(rho_dec)])
+    moments = None  # S0, S1, S2 at rho_real, for the exact side and central distortions
+    if sets[0][0].kind == "bsc" and len(sets[0]) == 2:
+        pair = JointGaussianPair(1.0, 1.0, cfg.rho_real)
+        moments = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair)
+    held = {level_rho: moments[:2]} if moments and cfg.rho_real == level_rho else None
+    tables = build_decoder_tables(
+        bundle.quantizer, bundle.si_quantizer, bundle.ia, [level_rho], held
+    )
 
     # x and z come whole from one stream; everything after is per block.
     rng_src = derive_rng(cfg.seed, 1)
@@ -324,13 +341,11 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
     z = rng_src.standard_normal(cfg.trials)
     exact = [{}] * len(sets)
     if sets[0][0].kind == "awgn":
-        errs = _run_asym_awgn(cfg, sets, x, z, level)
+        errs = _run_asym_awgn(cfg, sets, x, z, tables)
     else:
-        lookups = [_AsymLookup(bundle, chs, level) for chs in sets]
+        lookups = [_AsymLookup(bundle, tables, chs) for chs in sets]
         errs = _run_asym_bsc(cfg, sets, x, z, lookups)
-        if len(sets[0]) == 2:
-            pair = JointGaussianPair(1.0, 1.0, cfg.rho_real)
-            moments = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair)
+        if moments:
             exact = [{"d_side": (d10, d01), "d_central": d11} for _, d01, d10, d11 in (
                 lk.pattern_distortions(bundle.ia.table, *moments) for lk in lookups)]
 
@@ -414,20 +429,20 @@ def _run_asym_bsc(cfg: AsymConfig, sets, x, z, lookups) -> np.ndarray:
     return _run_asym(cfg, sets, x, z, estimates)
 
 
-def _run_asym_awgn(cfg: AsymConfig, sets, x, z, level) -> np.ndarray:
+def _run_asym_awgn(cfg: AsymConfig, sets, x, z, tables) -> np.ndarray:
     """AWGN path: per-trial log-likelihoods instead of lookups.
 
     Returns the (sets, trials) squared errors.  The log-prior is taken
-    once per (SI level, tuple) table and gathered per trial; the noise of
-    each description is N(0, 1), inverted from its bit uniforms
-    (:func:`_awgn_noise`), and scaled by each set's sqrt(N0 / 2).
+    once per (SI level, tuple) table of the one level of ``tables`` and
+    gathered per trial; the noise of each description is N(0, 1), inverted
+    from its bit uniforms (:func:`_awgn_noise`), and scaled by each set's
+    sqrt(N0 / 2).
     """
-    t = cfg.bundle.tables
     channels = sets[0]
     space = tuple_space(channels)
     comps = [space.component(m) for m in range(len(channels))]
     syms = [bpsk_symbols(ch.bits)[: ch.index_count] for ch in channels]
-    prior, codebook = t.prior[level], t.codebook[level]
+    [prior], [codebook] = tables.prior, tables.codebook
     with np.errstate(divide="ignore"):
         log_prior = np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
 
@@ -499,8 +514,8 @@ def sample_correlated_sources(scenario: WsnScenario, trials: int, seed: int):
 def _selection_score_tables(bundle, rho_keys, method):
     """score[r, q_u, q_t] of the pattern-dependent criterion at correlation ``rho_keys[r]``.
 
-    Scores are evaluated at the exact pair correlations; only the stored
-    decoder tables live on the quantized grid.  The correlations are scored
+    Scores are evaluated at the exact pair correlations; only the decoder
+    tables live on the correlation ladder.  The correlations are scored
     in contiguous parts, at least one per worker
     (:func:`mdquant.forking.fork_map`), each within one block of K^2
     moment-matrix entries per correlation (:func:`_blocks`), so the moment

@@ -1,6 +1,7 @@
 """Shared fixtures: small deterministic codecs, and the process probes of the forked-worker tests."""
 
 import glob
+from dataclasses import replace
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 
@@ -10,10 +11,8 @@ import pytest
 from mdquant import (
     AsymConfig,
     CodecBundle,
-    CorrelationLadder,
     DescriptionChannel,
     IndexAssignment,
-    build_decoder_tables,
     forking,
     lloyd_design,
 )
@@ -30,25 +29,20 @@ def q4():
 
 
 def make_bundle(quantizer, si_quantizer, ia_table, channels, design_rho=0.8):
-    """Assemble a bundle with full-ladder tables from explicit pieces."""
-    ladder = CorrelationLadder()
-    ia = IndexAssignment(np.asarray(ia_table, dtype=float), hard=True)
-    tables = build_decoder_tables(quantizer, si_quantizer, ia, ladder.levels)
+    """Assemble a bundle from explicit pieces."""
     return CodecBundle(
         quantizer=quantizer,
         si_quantizer=si_quantizer,
-        ia=ia,
+        ia=IndexAssignment(np.asarray(ia_table, dtype=float), hard=True),
         channels=tuple(channels),
         design_rho=design_rho,
-        ladder=ladder,
-        tables=tables,
         metadata={},
     )
 
 
 def one_level_si(bundle):
     """``bundle`` with a one-level SI quantizer: its rho = 0 tables are the no-SI tables."""
-    return bundle.with_si_quantizer(lloyd_design(1))
+    return replace(bundle, si_quantizer=lloyd_design(1))
 
 
 def asym_config(bundle, *, no_si=False, **fields):

@@ -48,6 +48,7 @@ from mdquant.codec import (
     IndexAssignment,
     _AsymLookup,
     _anneal_once,
+    build_decoder_tables,
     masked_ratio,
     si_moment_matrices,
 )
@@ -58,7 +59,7 @@ from mdquant.decode_sym import (
     build_cross_tables,
     cross_table_stack,
 )
-from mdquant.gaussian import JointGaussianPair, _phi, gauss_interval_moments_batch
+from mdquant.gaussian import RHO_LADDER, JointGaussianPair, _phi, gauss_interval_moments_batch
 from mdquant.quantizer import ScalarQuantizer
 from mdquant.rd_bound import BoundQuery, beta, side_bounds
 from mdquant.simulator import _selection_score_tables
@@ -363,8 +364,25 @@ def tuple_log_likelihood(outcome: ChannelOutcome, channels) -> np.ndarray:
     return loglik
 
 
+_LADDER_TABLES: dict = {}
+
+
+def ladder_tables(bundle: CodecBundle):
+    """``build_decoder_tables`` of ``bundle`` at every ``RHO_LADDER`` level, built once per bundle.
+
+    Entry ``level`` is the table a decoder builds for that ladder level.
+    """
+    kept = _LADDER_TABLES.get(id(bundle))
+    if kept is None or kept[0] is not bundle:
+        tables = build_decoder_tables(
+            bundle.quantizer, bundle.si_quantizer, bundle.ia, RHO_LADDER
+        )
+        kept = _LADDER_TABLES[id(bundle)] = (bundle, tables)
+    return kept[1]
+
+
 def _prior_and_codebook(bundle: CodecBundle, si_level, rho_level):
-    t = bundle.tables
+    t = ladder_tables(bundle)
     if si_level is None or rho_level is None:
         return t.prior_nosi, t.codebook_nosi
     return t.prior[rho_level, si_level], t.codebook[rho_level, si_level]
@@ -453,7 +471,7 @@ class SymmetricState:
 
 def _no_si_pass(outcomes, bundle: CodecBundle, si_map) -> SymmetricState:
     posts = tuple(posterior(oc, None, None, bundle) for oc in outcomes)
-    ests = np.array([float(np.dot(p.probs, bundle.tables.codebook_nosi)) for p in posts])
+    ests = np.array([float(np.dot(p.probs, ladder_tables(bundle).codebook_nosi)) for p in posts])
     return SymmetricState(tuple(outcomes), ests, posts, si_map, 1)
 
 
@@ -472,7 +490,7 @@ def estimated_si_iterate(
         y_level = int(bundle.si_quantizer.cells(state.estimates[s]))
         post = posterior(state.outcomes[u], y_level, level, bundle)
         new_posts.append(post)
-        new_est[u] = float(np.dot(post.probs, bundle.tables.codebook[level, y_level]))
+        new_est[u] = float(np.dot(post.probs, ladder_tables(bundle).codebook[level, y_level]))
     return replace(
         state, estimates=new_est, posteriors=tuple(new_posts),
         iteration=state.iteration + 1,
@@ -498,7 +516,7 @@ def ladder_cross_tables(bundle: CodecBundle, levels) -> dict:
     """
     tables = {}
     for level in levels:
-        rho = round(float(bundle.ladder.levels[level]), 12)
+        rho = round(float(RHO_LADDER[level]), 12)
         tables[int(level)] = build_cross_tables(bundle, JointGaussianPair(1.0, 1.0, rho))
     return tables
 
@@ -569,18 +587,17 @@ def estimated_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.
     (``dec``), with its ``decode`` arguments.  Each node's no-SI pass
     normalises the likelihood rows of its trials; each later sweep quantizes
     the previous estimate of every trial's SI source (``si_quantizer.cells``)
-    and reads the node's lookup at the pair's ladder level and that SI level.
+    and reads the node's lookup at the pair's table level and that SI level.
     The sweeps stop after ``max_iters`` iterations, or once the largest change
     of the estimates falls below ``tol``.
     """
-    t = dec.bundle.tables
     trials, n_nodes = pids.shape
     rows = [word_rows(words[:, u], pids[:, u], dec.channels, dec.offsets) for u in range(n_nodes)]
     ests = np.empty((n_nodes, trials))
     for u in range(n_nodes):
-        post = dec.word_lik[rows[u]] * t.prior_nosi[None, :]
+        post = dec.word_lik[rows[u]] * dec.prior_nosi[None, :]
         post /= post.sum(axis=1, keepdims=True)
-        ests[u] = np.einsum("tl,l->t", post, t.codebook_nosi)
+        ests[u] = np.einsum("tl,l->t", post, dec.codebook_nosi)
     for _ in range(max_iters - 1):
         new = np.empty_like(ests)
         for u in range(n_nodes):
@@ -600,32 +617,31 @@ def soft_sweeps(dec, words, pids, s_map, max_iters: int, tol: float) -> np.ndarr
     The reference for the used-tuple sweeps of ``decode_sym._SymDecoder``
     (``dec``), with its ``decode`` arguments.  It builds its tables over all
     L tuples: the channel likelihood and no-SI posterior of every word row,
-    and one cross-table stack at the ladder's correlations.  Each sweep maps
-    every trial's SI source posterior through the mixing matrix of the pair's
-    ladder level to the node's prior, one product per (node, level) group,
-    and normalises prior times likelihood.  Its two row sums, the
-    normaliser and the final posterior mean, run over the decoder's used
+    and one cross-table stack at the correlations of the decoder's levels.
+    Each sweep maps every trial's SI source posterior through the mixing
+    matrix of the pair's level to the node's prior, one product per (node,
+    level) group, and normalises prior times likelihood.  Its two row sums,
+    the normaliser and the final posterior mean, run over the decoder's used
     tuples ``dec.used`` as the decoder's do; every other entry is zero, so
     only their rounding depends on it.  The sweeps stop after
     ``max_iters`` iterations, or once the largest change of the posteriors
     falls below ``tol``; the estimate is then the posterior mean of the
     first moments that the final priors' neighbor posteriors give.
     """
-    bundle, t = dec.bundle, dec.bundle.tables
     trials, n_nodes = pids.shape
     L = tuple_space(dec.channels).size
     stacked, _ = stacked_pattern_table(dec.channels)
     word_lik = np.ascontiguousarray(stacked.T)
-    cross = cross_table_stack(bundle, [round(float(v), 12) for v in bundle.ladder.levels])
+    cross = cross_table_stack(dec.bundle, [round(float(v), 12) for v in RHO_LADDER[dec.levels]])
     prior_mix = cross.mix_prob.transpose(0, 2, 1)
     final_mix = np.concatenate([cross.mix_prob, cross.mix_first], axis=1).transpose(0, 2, 1)
     rows = [word_rows(words[:, u], pids[:, u], dec.channels, dec.offsets) for u in range(n_nodes)]
     lik = [word_lik[rows_u] for rows_u in rows]
     posts, ests = np.empty((n_nodes, trials, L)), np.empty((n_nodes, trials))
     for u in range(n_nodes):
-        post = lik[u] * t.prior_nosi[None, :]
+        post = lik[u] * dec.prior_nosi[None, :]
         posts[u] = masked_ratio(post, post.sum(axis=1, keepdims=True))
-        ests[u] = np.einsum("tl,l->t", posts[u], t.codebook_nosi)
+        ests[u] = np.einsum("tl,l->t", posts[u], dec.codebook_nosi)
     groups = [_trial_groups(dec.level_matrix[u, s_map[:, u]]) for u in range(n_nodes)]
 
     def priors(posts_prev, u, mixes):
@@ -747,9 +763,9 @@ def asym_awgn_errors(bundle: CodecBundle, channels, x, tuple_ids, si_levels, lev
     the N(0, N0 / 2) noise as sqrt(N0 / 2) ndtri(u) of each uniform u, raised
     to at least 2^-53 (the smallest nonzero draw), and keeps every
     (trials, tuples) array whole; the reference for the blocked
-    ``simulator._run_asym_awgn``.
+    ``simulator._run_asym_awgn``.  ``level`` is a ``RHO_LADDER`` level.
     """
-    t = bundle.tables
+    t = ladder_tables(bundle)
     space = tuple_space(channels)
     n = x.size
     prior = t.prior[level][si_levels]  # (n, L)
@@ -801,7 +817,7 @@ def forced_pattern_errors(cfg, channels, patterns) -> np.ndarray:
     rho = cfg.rho_real
     si_levels = bundle.si_quantizer.cells(rho * x + np.sqrt(1.0 - rho**2) * z)
     level = bundle.rho_level(rho if cfg.rho_dec is None else cfg.rho_dec)
-    lookup = _AsymLookup(bundle, channels, level)
+    lookup = _AsymLookup(bundle, ladder_tables(bundle), channels, level)
     space = tuple_space(channels)
     words = np.empty((n, len(channels)), dtype=int)
     for m, ch in enumerate(channels):
@@ -897,12 +913,11 @@ def pair_tables(quantizer, si_quantizer, table: np.ndarray, pair: JointGaussianP
 
 
 def pairwise_decoder_tables(quantizer, si_quantizer, ia: IndexAssignment, pairs) -> dict:
-    """Every stored table of ``build_decoder_tables``, built pair by pair."""
+    """Every table of ``build_decoder_tables``, built pair by pair."""
     tables = [pair_tables(quantizer, si_quantizer, ia.table, pair) for pair in pairs]
     prior_nosi, codebook_nosi = pair_nosi_tables(quantizer, ia.table, np.sqrt(pairs[0].var_x))
     return {
         "rho_values": np.array([pair.rho for pair in pairs]),
-        "si_probs": si_quantizer.cell_probs,
         "prior": np.stack([t[0] for t in tables]),
         "codebook": np.stack([t[1] for t in tables]),
         "prior_nosi": prior_nosi,
@@ -1090,7 +1105,7 @@ def mse_optimality_check(
     q = bundle.quantizer
     q_si = bundle.si_quantizer
     channels = bundle.channels
-    pair = JointGaussianPair(1.0, 1.0, float(bundle.tables.rho_values[rho_level]))
+    pair = JointGaussianPair(1.0, 1.0, float(RHO_LADDER[rho_level]))
 
     edges = np.clip(q.edges(), -clip, clip)
     nodes, weights, owners = [], [], []
@@ -1107,7 +1122,7 @@ def mse_optimality_check(
     base = w * fx
 
     A = bundle.ia.table
-    lookup = _AsymLookup(bundle, channels, rho_level)
+    lookup = _AsymLookup(bundle, ladder_tables(bundle), channels, rho_level)
     blocks = np.split(lookup.table, lookup.offsets[1:-1])
     worst = 0.0
     for p, Q in enumerate(loss_patterns(len(channels))):

@@ -20,7 +20,7 @@ from mdquant.persist import load_codec
 from mdquant.simulator import AsymConfig, run_asym_experiment
 
 from conftest import asym_config, one_level_si
-from oracles import forced_pattern_errors
+from oracles import forced_pattern_errors, ladder_tables
 
 # Positions in loss_patterns of description 1 alone, description 2 alone and
 # both: the patterns of d_side and d_central.
@@ -43,7 +43,8 @@ def design_point_distortions(bundle, channels):
     """Every pattern's exact distortion of ``bundle``'s lookup at its design correlation."""
     pair = JointGaussianPair(1, 1, bundle.design_rho)
     moments = si_moment_matrices(bundle.quantizer, bundle.si_quantizer, pair)
-    lookup = _AsymLookup(bundle, channels, bundle.rho_level(bundle.design_rho))
+    level = bundle.rho_level(bundle.design_rho)
+    lookup = _AsymLookup(bundle, ladder_tables(bundle), channels, level)
     return lookup.pattern_distortions(bundle.ia.table, *moments)
 
 
@@ -69,7 +70,8 @@ class TestDesignPoint:
 
     def test_no_si_table_applies_at_every_si_level(self, desk):
         # Over the SI levels or over the marginal, the no-SI lookup's distortions agree.
-        lookup = _AsymLookup(one_level_si(desk), desk.channels, 0)
+        one_si = one_level_si(desk)
+        lookup = _AsymLookup(one_si, ladder_tables(one_si), desk.channels, 0)
         one_level = lloyd_design(1)
         pair = JointGaussianPair(1, 1, 0.8)
         per_level = lookup.pattern_distortions(
@@ -96,8 +98,8 @@ class TestAgainstForcedPatternDecode:
     @pytest.mark.parametrize("case", sorted(STATISTICAL_CASES))
     def test_exact_values_within_5_stderr_of_the_oracle(self, desk, case):
         fields, bers, nsi, seed = STATISTICAL_CASES[case]
-        bundle = desk if nsi is None else desk.with_si_quantizer(
-            lloyd_design(nsi)
+        bundle = desk if nsi is None else dataclasses.replace(
+            desk, si_quantizer=lloyd_design(nsi)
         )
         sets = [bundle.channels if ber is None else bsc_set(bundle, ber) for ber in bers]
         cfg = asym_config(bundle, trials=2, seed=seed, **fields)

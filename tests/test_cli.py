@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mdquant import BoundQuery, DescriptionChannel, lloyd_design
+from mdquant import codec
 from mdquant import reference_values as refs
 from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, _parse_desc, main
 from mdquant.persist import load_codec, save_codec
@@ -53,10 +54,13 @@ def codec_file(tmp_path_factory):
 
 
 class TestDesign:
-    def test_writes_file(self, codec_file):
-        assert codec_file.exists()
+    def test_writes_the_design_only(self, codec_file):
         data = json.loads(codec_file.read_text())
-        assert data["format_version"] == 1
+        assert data["format_version"] == 2
+        assert list(data) == [
+            "format_version", "quantizer", "si_quantizer", "ia", "channels", "design_rho",
+            "metadata",
+        ]
 
     def test_byte_identical_rerun(self, codec_file, tmp_path):
         other = tmp_path / "again.json"
@@ -102,8 +106,6 @@ class TestDesign:
         assert again.read_bytes() == codec_file.read_bytes()
         reloaded = load_codec(again)
         assert np.array_equal(reloaded.ia.table, bundle.ia.table)
-        assert np.array_equal(reloaded.tables.prior, bundle.tables.prior)
-        assert np.array_equal(reloaded.tables.codebook, bundle.tables.codebook)
         assert np.array_equal(
             reloaded.quantizer.codewords, bundle.quantizer.codewords
         )
@@ -116,6 +118,21 @@ class TestDesign:
         rc = run_cli("evaluate", "--codec", bad, "--rho-real", "0.8",
                      "--trials", "100", "--seed", "1")
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["evaluate", "scenario"])
+    def test_format_1_file_exits_3_with_one_line(self, codec_file, tmp_path, capsys, command):
+        # A format-1 file also held decoder tables; its design is read by no command.
+        data = json.loads(codec_file.read_text())
+        data["format_version"] = 1
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        capsys.readouterr()
+        argv = ["--rho-real", "0.8"] if command == "evaluate" else ["--nodes", "3"]
+        assert run_cli(command, "--codec", old, *argv, "--trials", "100", "--seed", "1") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "error: codec format version 1 is not supported (expected 2); re-run design"
+        ), err
 
 
 class TestBound:
@@ -313,16 +330,23 @@ class TestEvaluate:
         assert rc == 0
         assert "nan" not in out.read_text()
 
-    def test_codec_without_tables_exits_2(self, codec_file, tmp_path, capsys):
-        data = json.loads(codec_file.read_text())
-        del data["tables"]
-        bad = tmp_path / "no_tables.json"
-        bad.write_text(json.dumps(data))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--codec", bad, "--rho-real", "0.8",
-                     "--trials", "100", "--seed", "1")
-        assert rc == 2
-        assert_one_line_error(capsys)
+    @pytest.mark.parametrize("rho_real, quadratures", [
+        ("0.8", [[0.8]]),  # the exact distortions' moments serve the tables' level
+        ("0.85", [[0.85], [0.8]]),
+    ])
+    def test_moment_quadratures(self, codec_file, tmp_path, monkeypatch, rho_real, quadratures):
+        # The decoder tables are built at the one ladder level of --rho-real.
+        calls = []
+        stack = codec.si_moment_stack
+
+        def counted(quantizer, si_quantizer, rhos):
+            calls.append([float(r) for r in rhos])
+            return stack(quantizer, si_quantizer, rhos)
+
+        monkeypatch.setattr(codec, "si_moment_stack", counted)
+        assert run_cli("evaluate", "--codec", codec_file, "--rho-real", rho_real,
+                       "--trials", "100", "--seed", "1", "-o", tmp_path / "e.csv") == 0
+        assert calls == quadratures
 
     def test_nsi_sweep_monotone(self, codec_file, tmp_path):
         out = tmp_path / "nsi.csv"
@@ -409,13 +433,8 @@ class TestEvaluate:
             assert single.read_text().splitlines()[1:] == [rows[i]]
 
 
-def _drop_ladder_levels(data):
-    data["ladder"] = data["ladder"][:-3]
-
-
-def _coarser_si_quantizer(data):
-    q = lloyd_design(4)
-    data["si_quantizer"] = {
+def _quantizer_dict(q):
+    return {
         "codewords": q.codewords.tolist(),
         "thresholds": q.thresholds.tolist(),
         "cell_probs": q.cell_probs.tolist(),
@@ -426,35 +445,33 @@ def _three_index_channel(data):
     data["channels"][0]["index_count"] = 3
 
 
-def _short_si_probs(data):
-    data["tables"]["si_probs"] = data["tables"]["si_probs"][:-1]
+def _oversized_si_quantizer(data):
+    data["si_quantizer"] = _quantizer_dict(lloyd_design(MAX_QUANTIZER_LEVELS + 1))
 
 
-def _short_codebook_nosi(data):
-    data["tables"]["codebook_nosi"] = data["tables"]["codebook_nosi"][:-1]
+def _oversized_quantizer(data):
+    # Every cell maps to tuple 0, so the assignment fits the quantizer.
+    data["quantizer"] = _quantizer_dict(lloyd_design(MAX_QUANTIZER_LEVELS + 1))
+    data["ia"]["table"] = [[1.0, 0.0, 0.0, 0.0]] * (MAX_QUANTIZER_LEVELS + 1)
 
 
-def _short_codebook(data):
-    data["tables"]["codebook"] = [rows[:-1] for rows in data["tables"]["codebook"]]
-
-
-def _shifted_rho_values(data):
-    data["tables"]["rho_values"][3] = 0.5
+def _oversized_tuple_count(data):
+    data["channels"][0]["index_count"] = MAX_QUANTIZER_LEVELS
 
 
 class TestCodecConsistency:
-    """A codec file whose parts do not fit together exits 2 with one line."""
+    """A codec file whose parts do not fit together, or that would make its
+    decoders' tables larger than the largest quantizer size allows, exits 2
+    with one line."""
 
     @pytest.mark.parametrize("edit, message", [
-        (_drop_ladder_levels, "correlation levels for a"),
-        (_coarser_si_quantizer, "prior table has shape"),
         (_three_index_channel, "index assignment is 8 x 4, expected 8 cells x 6 index tuples"),
-        (_short_si_probs, "si_probs has 15 entries for 16 SI levels"),
-        (_short_codebook_nosi, "codebook_nosi has 3 entries for 4 tuples"),
-        (_short_codebook, "codebook table has shape"),
-        (_shifted_rho_values, "decoder table 3 is built at rho 0.5, ladder level 3 is 0.6"),
-    ], ids=["ladder", "si_quantizer", "index_count", "si_probs", "codebook_nosi", "codebook",
-            "rho_values"])
+        (_oversized_si_quantizer, "codec SI quantizer size 1025 exceeds the largest quantizer "
+                                  "size 1024"),
+        (_oversized_quantizer, "codec quantizer size 1025 exceeds the largest quantizer size 1024"),
+        (_oversized_tuple_count, "codec index tuple count 2048 exceeds the largest quantizer "
+                                 "size 1024"),
+    ], ids=["index_count", "si_quantizer_size", "quantizer_size", "tuple_count"])
     def test_inconsistent_codec_exits_2(self, codec_file, tmp_path, capsys, edit, message):
         data = json.loads(codec_file.read_text())
         edit(data)
@@ -473,7 +490,7 @@ class TestCodecConsistency:
 # Their d_av_db and stderr cells are those it gave before the asymmetric
 # experiment shared its draws across a sweep and decoded in trial blocks;
 # the d_side_db and d_central_db cells of BSC rows are exact expectations.
-DESK_SHA256 = "d2000f5f2d680da8fa8f3f064d0577a926fb6aa6d4c7664282c6ec592fba8d39"
+DESK_SHA256 = "ed238776e0246f1646d6115dc448d63b082a40a784f2275b214f926854eaa3d0"
 DESK_EVAL = ["--trials", "20000", "--seed", "3"]
 PINNED_EVALUATE = {
     "bsc_sweep": (
@@ -590,23 +607,23 @@ FULL_DESIGN = [
     "design", "--K", "256", "--desc", "8,8", "--bsc", "0", "--loss", "0.05",
     "--rho-enc", "0.8", "--nsi", "128", "--restarts", "2", "--seed", "1",
 ]
-FULL_SHA256 = "c3e74c2e4c5ff458554c2f6a49678d8e23f1767fb77b424e63fec69badbe2c44"
+FULL_SHA256 = "f829bc47c82794e55de507db9141727e7cbe437f5c108a69c5a441907af7f00a"
 CI_DESK_DESIGN = [
     "design", "--K", "16", "--desc", "4,4", "--loss", "0.05", "--rho-enc", "0.4",
     "--nsi", "64", "--restarts", "2",
 ]
 CI_DESK_SHA256 = {
-    ("0.005", 1): "6a15a6e19c306d9cb28b7cd6cb29af0449a3bbacddaecdefb5c0e2a28631613f",
-    ("0.005", 2): "08470379f8b16ac27ee12557c6d367cb74c0d1fff225409cccd1515b91aa4b84",
-    ("0.005", 3): "6463b59a22c86fa9f9044a503e1a011eb21c914e3cdd19d8d946e65eb2004458",
-    ("0.005", 4): "78c9894f5be457b3c35f84faae5cb4e802b008f2a02d85e372461305f779cee8",
-    ("0", 1): "515c6278c9a6462d5368cc899e19c27e66fb9925c7bb2b01cac9e9f691da03dd",
-    ("0", 2): "6d9395c7449b4152c78ce746fabc473aa2255b99646f50bd8594cd43820e5f6e",
-    ("0", 3): "05a0914f567eaaa3f475c02a55656a32d17dd85624d8c406ddc45afa9933019e",
-    ("0", 4): "3114f86d09468f7d8f9f1540d3964dcf0c1c0c58c4c382c5fdb2dc9245016270",
+    ("0.005", 1): "36b9626de6b37ea484003d26e326d1e2b8edfbdc57e5685dc7a536caa4623f03",
+    ("0.005", 2): "3899020868fed1ff7014d8df8bda21c42d7d53cd4ae6b2a6f252edbb760b52a9",
+    ("0.005", 3): "a8241e7be9a40098c1354c09e7571650b0c68e53c7b83987dda305a49fbde3b9",
+    ("0.005", 4): "e18a2968a1af41d66fdac989c5c874eccb439e1baaf6a4b12ab591ae5cd634af",
+    ("0", 1): "0b5fe69a5d80236749f4b93eb149d9c3884835382c3aebdd4cc9fa5c1be150c7",
+    ("0", 2): "8fdbc6fc98e851b560d38c8ad0e35ce413fc6555f6cdfae3570e122654c31bdc",
+    ("0", 3): "4ea83a9cdcafa3ccbbb7b70abaa9274ddb90b3fa60b4c241883e4db5238b10d0",
+    ("0", 4): "ed1c2154d2096d481afa6ddf2224e9564d83f00aa22565abc01a8f475ec80fb3",
 }
 # What the whole-file pins guard, recorded with the tie rule in place: the
-# SHA-256 of each pinned codec file without its metadata block (the tables),
+# SHA-256 of each pinned codec file without its metadata block (the design),
 # and its metadata d_se, d_ch and d_av.  A change of how the distortions are
 # summed may move their last bits, and with them the whole-file pins, but
 # must keep every table byte for byte and each distortion within 1e-12.
@@ -617,25 +634,25 @@ PINNED_DESIGNS = {
     "desk": DESK_DESIGN,
 }
 PINNED_TABLES = {
-    "full": ("cc4684f23265992e487360389f08a990d74f1e65eb446633407c59f0811cde22",
+    "full": ("dedd3b63f59e86677f4b1911bd44461f70d40302faa14000664b30d639dfedf5",
              0.0032818461968300294, 0.005582679130872208, 0.008864525327702238),
-    "ci-desk-0.005-1": ("d7ebb86f34b7e6eab011b74a677523568082295af4a236e2affdc03475eb3d95",
+    "ci-desk-0.005-1": ("d1aba212459cce79f8317eea5ba60b4a0958ee7570370ad6880d5f764ba3a898",
                         0.04156504276965767, 0.025217116318804668, 0.06678215908846233),
-    "ci-desk-0.005-2": ("e0cc87f8f992eddef173bf19230b351569f137165bd74c2fa2d654861fad8a87",
+    "ci-desk-0.005-2": ("90b37236d7c3054ea4b49e7e2cccb6ef95593995877997e77a60f0f47d1f20a0",
                         0.03497343566572808, 0.029122884806620602, 0.06409632047234869),
-    "ci-desk-0.005-3": ("11c718981f029051dfc0f0e887ad1a8cf7a624d4c9c550f55231180169ed4edb",
+    "ci-desk-0.005-3": ("4406dd0a3958ac3b48b127652aea0d1d1fbdaf14db57f2d581e7b5552e7c35d0",
                         0.04156504276965767, 0.025217116318804682, 0.06678215908846236),
-    "ci-desk-0.005-4": ("d0efc4116e49fc5d81ad2ade86abff97e05e952104982556ebf210e672375d0b",
+    "ci-desk-0.005-4": ("87e42dc371d48c9d481615bf0598c90c55d98df649742eeab917e1923ecd1024",
                         0.03497343566572808, 0.02912288480662062, 0.0640963204723487),
-    "ci-desk-0-1": ("c45421efa59526146df0db37cccda9fc98eb899a4db6a98ea2c78d364acaf762",
+    "ci-desk-0-1": ("e0ab3ba8600ca286d927151cbd73a74cb287d516f4750eea7ccad5daa5bc4573",
                     0.0349734356657283, 0.0155422193710116, 0.0505156550367399),
-    "ci-desk-0-2": ("74fdfd73afde06966516b72c48b9b03626db90270bdba9c546295df3ae2f24c7",
+    "ci-desk-0-2": ("e5df339b3993f62b09155d13c69e00a27f1bea59978d119d18356105285d3521",
                     0.03497343566572808, 0.0155422193710116, 0.05051565503673968),
-    "ci-desk-0-3": ("2b9bec3fbfefb20c3ad8e3168f4f92f71d43226c59e05a615441cbff41c59616",
+    "ci-desk-0-3": ("d0d1b9dec49e1bb1ad1237b6ce5b0a74ac9ed6fac927d0a53c76d7c05314406b",
                     0.03497343566572808, 0.015542219371011598, 0.05051565503673968),
-    "ci-desk-0-4": ("ba53d5575b314a9022f10548ee0703940fbfffb0f83f5d282d24d791e1820c80",
+    "ci-desk-0-4": ("4c4f12aaeeb1564b6a30bdca1b8b92ed2c0273d06c33f22866c1163b0eabe068",
                     0.03497343566572808, 0.0155422193710116, 0.05051565503673968),
-    "desk": ("22a172b9da1a1f5f4fa9fa5be134be4282b3ef9e7b11c24553b117e80d901917",
+    "desk": ("128178e8e042c37c5bb835f62eca8fffef7ca2696eac4d7d6b445d10157d76de",
              0.01657769834909739, 0.02066647144656385, 0.03724416979566124),
 }
 

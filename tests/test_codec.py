@@ -20,7 +20,7 @@ from mdquant import (
 from mdquant.channel import stacked_pattern_table, tuple_space
 from mdquant import codec
 from mdquant.codec import DesignContext, si_moment_matrices, si_moment_stack
-from mdquant.gaussian import gauss_interval_moments_batch
+from mdquant.gaussian import RHO_LADDER, gauss_interval_moments_batch
 from mdquant.persist import load_codec, save_codec
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
@@ -30,6 +30,7 @@ from oracles import (
     distortion_direct,
     flatten_tuples,
     gibbs_update_unclamped,
+    ladder_tables,
     per_pattern_design,
     quantizer_mse,
     ranked_moment_stack,
@@ -258,6 +259,18 @@ class TestDecoderTables:
             expect = num / den
             assert abs(tables.codebook[0, level, 0] - expect) < 1e-8
 
+    def test_one_moment_stack_in_this_process(self, q4, monkeypatch):
+        # Every correlation without held moments comes from one batched
+        # quadrature, run here: no fork_map.
+        calls = []
+        stack = codec.si_moment_stack
+        monkeypatch.setattr(codec, "si_moment_stack", lambda *a: calls.append(a[2]) or stack(*a))
+        monkeypatch.setattr(codec, "fork_map", None)
+        ia = IndexAssignment(np.eye(4), hard=True)
+        held = si_moment_stack(q4, _lloyd(8), [0.8])[:2]
+        build_decoder_tables(q4, _lloyd(8), ia, RHO_LADDER, {0.8: [m[0] for m in held]})
+        assert calls == [[0.2, 0.4, 0.6, 0.9, 0.95, 0.99]]
+
 
 def random_hard_table(rng, K, L):
     """A K x L hard assignment table, each cell's tuple drawn uniformly."""
@@ -279,15 +292,16 @@ class TestNoSiTablesMemoryOrder:
             for c, f in zip(c_order, f_order, strict=True):
                 assert c.tobytes() == f.tobytes()
 
-    def test_loaded_codec_rebuilds_its_stored_tables(self, tmp_path):
+    def test_loaded_codec_builds_the_designed_tables(self, tmp_path):
         table = np.asfortranarray(random_hard_table(np.random.default_rng(0), 256, 64))
         channels = (DescriptionChannel.bsc(0.01, 0.05, 8),) * 2
-        save_codec(make_bundle(_lloyd(256), _lloyd(8), table, channels), tmp_path / "codec.json")
+        designed = make_bundle(_lloyd(256), _lloyd(8), table, channels)
+        save_codec(designed, tmp_path / "codec.json")
         loaded = load_codec(tmp_path / "codec.json")
-        assert loaded.ia.table.flags.c_contiguous
-        rebuilt = loaded.with_si_quantizer(loaded.si_quantizer).tables
-        for name in ("prior", "codebook", "si_probs", "prior_nosi", "codebook_nosi"):
-            assert getattr(rebuilt, name).tobytes() == getattr(loaded.tables, name).tobytes(), name
+        assert designed.ia.table.flags.f_contiguous and loaded.ia.table.flags.c_contiguous
+        for name in ("prior", "codebook", "prior_nosi", "codebook_nosi"):
+            got, expect = (getattr(ladder_tables(b), name) for b in (loaded, designed))
+            assert got.tobytes() == expect.tobytes(), name
 
 
 class TestDecoderTablesAgainstPairOracle:
@@ -295,17 +309,15 @@ class TestDecoderTablesAgainstPairOracle:
 
     def test_tiny_codec(self, tiny_bundle):
         b = tiny_bundle
-        expect = pairwise_decoder_tables(
-            b.quantizer, b.si_quantizer, b.ia, _unit_pairs(b.ladder.levels)
-        )
-        _assert_tables_equal(b.tables, expect)
+        expect = pairwise_decoder_tables(b.quantizer, b.si_quantizer, b.ia, _unit_pairs(RHO_LADDER))
+        _assert_tables_equal(ladder_tables(b), expect)
 
     def test_designed_codec(self):
         q, si = lloyd_design(16), lloyd_design(32)
         ch = (DescriptionChannel.bsc(0.01, 0.05, 4),) * 2
         bundle = design_annealed(q, si, JointGaussianPair(1, 1, 0.7), ch, restarts=1, seed=3)
-        expect = pairwise_decoder_tables(q, si, bundle.ia, _unit_pairs(bundle.ladder.levels))
-        _assert_tables_equal(bundle.tables, expect)
+        expect = pairwise_decoder_tables(q, si, bundle.ia, _unit_pairs(RHO_LADDER))
+        _assert_tables_equal(ladder_tables(bundle), expect)
 
     @pytest.mark.parametrize("nsi", [1, 8])
     def test_rho_zero_and_one_level_si(self, tiny_bundle, nsi):
@@ -318,14 +330,6 @@ class TestDecoderTablesAgainstPairOracle:
         for name in ("prior", "codebook"):
             nosi = getattr(tables, f"{name}_nosi")
             assert getattr(tables, name)[0].tobytes() == np.tile(nosi, (nsi, 1)).tobytes()
-
-    def test_with_si_quantizer_matches_the_oracle(self, tiny_bundle):
-        si = _lloyd(4)
-        rebuilt = tiny_bundle.with_si_quantizer(si)
-        expect = pairwise_decoder_tables(
-            tiny_bundle.quantizer, si, tiny_bundle.ia, _unit_pairs(tiny_bundle.ladder.levels)
-        )
-        _assert_tables_equal(rebuilt.tables, expect)
 
 
 def _assert_floor_clean(tables, quantizer, si_quantizer, ia):
@@ -372,7 +376,7 @@ class TestDecoderTableFloors:
         q, si = lloyd_design(8), lloyd_design(16)
         ch = (DescriptionChannel.bsc(ber, loss, 2),) * 2
         bundle = design_annealed(q, si, JointGaussianPair(1, 1, 0.8), ch, restarts=1, seed=2)
-        _assert_floor_clean(bundle.tables, q, si, bundle.ia)
+        _assert_floor_clean(ladder_tables(bundle), q, si, bundle.ia)
 
 
 # Correlations of the moment-quadrature edge tests: every nonzero ladder

@@ -1,6 +1,6 @@
 import numpy as np
 
-from mdquant import DescriptionChannel, JointGaussianPair, lloyd_design
+from mdquant import RHO_LADDER, DescriptionChannel, JointGaussianPair, lloyd_design
 from mdquant.channel import loss_patterns, tuple_space
 
 from conftest import make_bundle, simpson_nodes, std_normal_pdf
@@ -8,6 +8,7 @@ from oracles import (
     ChannelOutcome,
     decode,
     joint_likelihood,
+    ladder_tables,
     mse_optimality_check,
     posterior,
     reconstruct,
@@ -50,14 +51,14 @@ class TestPosterior:
     def test_all_lost_returns_prior(self, tiny_bundle):
         oc = ChannelOutcome((None, None), np.array([False, False]))
         post = posterior(oc, 5, 4, tiny_bundle)
-        prior = tiny_bundle.tables.prior[4, 5]
+        prior = ladder_tables(tiny_bundle).prior[4, 5]
         assert np.max(np.abs(post.probs - prior / prior.sum())) < 1e-12
 
     def test_brute_force_bayes(self, tiny_bundle):
         # Full Bayes from first principles: independently computed prior
         # (Simpson quadrature) times explicitly enumerated channel likelihood.
         rho_level = 4  # ladder value 0.8
-        rho = float(tiny_bundle.ladder.levels[rho_level])
+        rho = float(RHO_LADDER[rho_level])
         space = tuple_space(tiny_bundle.channels)
         for si_level in (0, 3, 7):
             prior, _ = oracle_prior_and_centroids(tiny_bundle, rho, si_level)
@@ -107,7 +108,7 @@ class TestReconstruct:
         oc = ChannelOutcome((1, 1), np.array([True, True]))
         post = posterior(oc, 2, 4, bundle)
         got = reconstruct(post, 2, 4, bundle)
-        assert got == bundle.tables.codebook[4, 2, 3]
+        assert got == ladder_tables(bundle).codebook[4, 2, 3]
 
     def test_lost_descriptions_track_si(self, q4):
         # With everything lost and fine SI, the estimate is the SI-cell
@@ -169,8 +170,8 @@ class TestOptimality:
         si_levels = np.searchsorted(tiny_bundle.si_quantizer.thresholds, y)
         space = tuple_space(tiny_bundle.channels)
         # Decode with both descriptions received, noiseless-index shortcut:
-        # use the stored tables directly for speed.
-        t = tiny_bundle.tables
+        # use the ladder tables directly for speed.
+        t = ladder_tables(tiny_bundle)
         prior = t.prior[4][si_levels]  # (n, L)
         codebook = t.codebook[4][si_levels]
         from mdquant.channel import pattern_table

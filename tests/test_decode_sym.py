@@ -26,6 +26,7 @@ from oracles import (
     estimated_si_iterate,
     estimated_sweeps,
     joint_likelihood,
+    ladder_tables,
     posterior,
     run_decoder,
     soft_si_posterior,
@@ -278,7 +279,7 @@ class TestEstimatedSi:
         posts = tuple(posterior(oc, None, None, tiny_bundle) for oc in ocs)
         ests = np.array(
             [
-                float(np.dot(p.probs, tiny_bundle.tables.codebook_nosi))
+                float(np.dot(p.probs, ladder_tables(tiny_bundle).codebook_nosi))
                 for p in posts
             ]
         )
@@ -332,7 +333,7 @@ class TestEstimatedGathers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             decs = [_SymDecoder(ber0_bundle, mode, scen.pairwise_rho) for mode in SYM_MODES]
-        mass = decs[0].word_lik @ ber0_bundle.tables.prior_nosi
+        mass = decs[0].word_lik @ decs[0].prior_nosi
         assert np.any(mass == 0) and np.any(mass > 0)
         for dec in decs:
             assert np.all(dec.nosi_post[mass == 0] == 0) and np.all(dec.nosi_est[mass == 0] == 0)

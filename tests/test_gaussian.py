@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdquant import CorrelationLadder, JointGaussianPair, quantize_rho
+from mdquant import RHO_LADDER, JointGaussianPair, quantize_rho
 from mdquant.gaussian import gauss_interval_moments_batch
 
 from conftest import simpson_nodes, std_normal_pdf
@@ -93,33 +93,30 @@ class TestSampleGrid:
 
 class TestQuantizeRho:
     def test_exact_hit(self):
-        assert quantize_rho(0.0, CorrelationLadder()) == 0
+        assert quantize_rho(0.0) == 0
 
     def test_nearest(self):
-        ladder = CorrelationLadder()
-        assert ladder.levels[quantize_rho(0.79, ladder)] == 0.8
+        assert RHO_LADDER[quantize_rho(0.79)] == 0.8
 
     def test_tie_breaks_low(self):
-        ladder = CorrelationLadder()
-        idx = quantize_rho(0.5, ladder)  # equidistant between 0.4 and 0.6
-        assert ladder.levels[idx] == 0.4
+        idx = quantize_rho(0.5)  # equidistant between 0.4 and 0.6
+        assert RHO_LADDER[idx] == 0.4
 
     def test_rejects_out_of_range(self):
         for bad in (-0.1, 1.5, np.nan, np.inf):
             with pytest.raises(ValueError):
-                quantize_rho(bad, CorrelationLadder())
+                quantize_rho(bad)
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                quantize_rho(np.array([0.2, bad, 0.9]), CorrelationLadder())
+                quantize_rho(np.array([0.2, bad, 0.9]))
 
     def test_array_equals_scalar_calls(self):
         # Every level, every midpoint (a tie) and points between them.
-        ladder = CorrelationLadder()
-        mids = (ladder.levels[1:] + ladder.levels[:-1]) / 2
-        rho = np.concatenate([ladder.levels, mids, np.linspace(0.0, 1.0, 101)]).reshape(2, -1)
-        got = quantize_rho(rho, ladder)
+        mids = (RHO_LADDER[1:] + RHO_LADDER[:-1]) / 2
+        rho = np.concatenate([RHO_LADDER, mids, np.linspace(0.0, 1.0, 101)]).reshape(2, -1)
+        got = quantize_rho(rho)
         assert got.shape == rho.shape
-        assert got.tolist() == [[quantize_rho(float(v), ladder) for v in row] for row in rho]
-        assert isinstance(quantize_rho(0.5, ladder), int)
+        assert got.tolist() == [[quantize_rho(float(v)) for v in row] for row in rho]
+        assert isinstance(quantize_rho(0.5), int)
 
 
 class TestIntervalMoments:

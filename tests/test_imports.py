@@ -81,7 +81,7 @@ def test_an_unused_import_is_caught(tmp_path):
         "from .gaussian import JointGaussianPair, quantize_rho\n"
         "from .si_select import pairwise_mi  # noqa: F401  (patched by name elsewhere)\n"
         "from .codec import si_moment_stack  # noqa: F401\n"
-        "x = np.zeros(quantize_rho(0.5, None))\n",
+        "x = np.zeros(quantize_rho(0.5))\n",
         encoding="utf-8",
     )
     # A bare noqa without a reason does not excuse the import.

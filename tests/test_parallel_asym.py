@@ -16,6 +16,7 @@ from mdquant.persist import save_codec
 from mdquant.simulator import AsymConfig, run_asym_experiment
 
 from conftest import asym_config, child_pids, needs_workers
+from oracles import ladder_tables
 
 TRIALS, BLOCK = 120, 25  # five blocks, the last one short
 AWGN = tuple(DescriptionChannel.awgn(0.5, 0.1, 2) for _ in range(2))
@@ -89,7 +90,7 @@ class TestSameResultsAsSerial:
                 float(err.mean()), float(err.std(ddof=1) / np.sqrt(TRIALS))
             )
             # The side and central values are exact, not read from the arrays.
-            lookup = _AsymLookup(tiny_bundle, chs, level)
+            lookup = _AsymLookup(tiny_bundle, ladder_tables(tiny_bundle), chs, level)
             _, d01, d10, d11 = lookup.pattern_distortions(tiny_bundle.ia.table, *moments)
             assert (res.d_side, res.d_central) == ((d10, d01), d11)
 

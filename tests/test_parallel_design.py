@@ -1,4 +1,4 @@
-"""Annealing restarts and ladder tables in forked workers: the serial loop's codec, and no process left behind."""
+"""Annealing restarts in forked workers: the serial loop's codec, and no process left behind."""
 
 import multiprocessing
 import os
@@ -29,12 +29,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR = JointGaussianPair(1.0, 1.0, 0.8)
 CHANNELS = (DescriptionChannel.bsc(0.0, 0.05, 4),) * 2
 RESTARTS = 3
-# The processes a design starts with two workers: its restarts, then the
-# moment quadratures of its decoder tables' ladder levels.
-DESIGN_WORKERS = [
-    "mdquant-annealing-0", "mdquant-annealing-1",
-    "mdquant-decoder tables-0", "mdquant-decoder tables-1",
-]
+# The processes a design starts with two workers: its restarts.  It builds no
+# decoder tables.
+DESIGN_WORKERS = ["mdquant-annealing-0", "mdquant-annealing-1"]
 
 
 @pytest.fixture(scope="module")

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from mdquant import (
+    RHO_LADDER,
     DescriptionChannel,
     JointGaussianPair,
+    build_decoder_tables,
     design_annealed,
     lloyd_design,
     quantize_rho,
 )
-from mdquant import decode_sym, forking, simulator
+from mdquant import codec, decode_sym, forking, simulator
 from mdquant.channel import derive_rng, loss_patterns, pattern_ids, tuple_space
 from mdquant.codec import _AsymLookup
 from mdquant.decode_sym import _SymDecoder
@@ -43,6 +45,7 @@ from oracles import (
     asym_awgn_errors,
     decode,
     ladder_cross_tables,
+    ladder_tables,
     loop_select,
     run_decoder,
 )
@@ -161,16 +164,14 @@ class TestAsymLookup:
         # no SI, the rho-0 lookup of the one-level-SI codec) of the tiny
         # codec: the batched lookup is the MMSE decoder.
         channels = tiny_bundle.channels
-        levels = [None] + list(range(tiny_bundle.ladder.count))
+        levels = [None] + list(range(RHO_LADDER.size))
         cases = 0
         worst = 0.0
         for level in levels:
-            if level is None:
-                lookup = _AsymLookup(one_level_si(tiny_bundle), channels, 0)
-            else:
-                lookup = _AsymLookup(tiny_bundle, channels, level)
+            bundle = one_level_si(tiny_bundle) if level is None else tiny_bundle
+            lookup = _AsymLookup(bundle, ladder_tables(bundle), channels, level or 0)
             blocks = np.split(lookup.table, lookup.offsets[1:-1])
-            si_levels = [None] if level is None else range(tiny_bundle.tables.si_probs.size)
+            si_levels = [None] if level is None else range(tiny_bundle.si_quantizer.size)
             for p, q in enumerate(loss_patterns(len(channels))):
                 alphabets = [
                     range(ch.received_alphabet) if got else [None]
@@ -373,7 +374,9 @@ class TestSharedDraws:
         )
         x, z, tuple_ids, si_levels = asym_sources(cfg)
         level = cfg.bundle.rho_level(0.8 if use_si else 0.0)
-        [err] = _run_asym_awgn(cfg, [awgn], x, z, level)
+        b = cfg.bundle
+        tables = build_decoder_tables(b.quantizer, b.si_quantizer, b.ia, [RHO_LADDER[level]])
+        [err] = _run_asym_awgn(cfg, [awgn], x, z, tables)
         expect = asym_awgn_errors(cfg.bundle, awgn, x, tuple_ids, si_levels, level, 17)
         assert np.array_equal(err, expect)
         res = run_asym_experiment(cfg, [awgn])[0]
@@ -515,13 +518,13 @@ class TestSymConfig:
 
 
 class TestSymDecoderTables:
-    """The joint decoder builds every ladder level's tables when it is created.
+    """The joint decoder builds the tables of the ladder levels its field reaches when it is created.
 
     Each equals a build of that level on its own, byte for byte.
     """
 
-    def decoder(self, bundle, mode):
-        scen = generate_scenario(3, bundle.channels, seed=0)
+    def decoder(self, bundle, mode, nodes=3):
+        scen = generate_scenario(nodes, bundle.channels, seed=0)
         return _SymDecoder(bundle, mode, scen.pairwise_rho)
 
     @pytest.mark.parametrize("name", ["tiny_bundle", "designed_bundle"])
@@ -529,18 +532,18 @@ class TestSymDecoderTables:
         bundle = request.getfixturevalue(name)
         dec = self.decoder(bundle, "soft")
         assert not hasattr(dec, "lookups")
-        assert dec.prior_mix.shape[0] == dec.final_mix.shape[0] == bundle.ladder.count
+        assert dec.prior_mix.shape[0] == dec.final_mix.shape[0] == dec.levels.size
         # The soft tables keep the tuples that some cell maps to.
         used = np.flatnonzero(bundle.ia.table.sum(axis=0) > 0)
         assert np.array_equal(dec.used, used)
-        for level, cross in ladder_cross_tables(bundle, range(bundle.ladder.count)).items():
+        for i, cross in enumerate(ladder_cross_tables(bundle, dec.levels).values()):
             mix_prob, mix_first = (m[np.ix_(used, used)] for m in (cross.mix_prob, cross.mix_first))
             expect_prior = mix_prob.T
             expect_final = np.vstack([mix_prob, mix_first]).T
-            for got, expect in ((dec.prior_mix[level], expect_prior),
-                                (dec.final_mix[level], expect_final)):
+            for got, expect in ((dec.prior_mix[i], expect_prior),
+                                (dec.final_mix[i], expect_final)):
                 assert got.shape == expect.shape
-                assert got.tobytes() == expect.tobytes(), level
+                assert got.tobytes() == expect.tobytes(), dec.levels[i]
                 # The same memory order as the per-level matrix, so every
                 # product with it rounds the same way.
                 assert got.flags.f_contiguous and expect.flags.f_contiguous
@@ -550,11 +553,32 @@ class TestSymDecoderTables:
         bundle = request.getfixturevalue(name)
         dec = self.decoder(bundle, "estimated")
         assert not hasattr(dec, "prior_mix")
-        assert len(dec.lookups) == bundle.ladder.count
-        for level, table in enumerate(dec.lookups):
-            expect = _AsymLookup(bundle, bundle.channels, level).table
+        assert len(dec.lookups) == dec.levels.size
+        for level, table in zip(dec.levels, dec.lookups, strict=True):
+            expect = _AsymLookup(bundle, ladder_tables(bundle), bundle.channels, level).table
             assert table.shape == expect.shape
             assert table.tobytes() == expect.tobytes(), level
+
+    @pytest.mark.parametrize("mode", SYM_MODES)
+    def test_builds_only_the_levels_its_pairs_reach(self, designed_bundle, monkeypatch, mode):
+        # One moment quadrature, at the levels that some pair rounds to: the
+        # decoder tables need none at rho 0, the soft cross tables do.
+        calls = []
+        stack = codec.si_moment_stack
+
+        def counted(quantizer, si_quantizer, rhos):
+            calls.append([float(r) for r in rhos])
+            return stack(quantizer, si_quantizer, rhos)
+
+        for module in (codec, decode_sym):
+            monkeypatch.setattr(module, "si_moment_stack", counted)
+        scen = generate_scenario(5, designed_bundle.channels, seed=0)
+        dec = _SymDecoder(designed_bundle, mode, scen.pairwise_rho)
+        off = ~np.eye(5, dtype=bool)
+        assert dec.levels.tolist() == sorted(set(quantize_rho(scen.pairwise_rho[off]).tolist()))
+        assert 0 < dec.levels.size < RHO_LADDER.size
+        rhos = RHO_LADDER[dec.levels].tolist()
+        assert calls == [rhos if mode == "soft" else [r for r in rhos if r != 0.0]]
 
 
 class TestSymExperiment:
@@ -582,10 +606,8 @@ class TestSymExperiment:
         for u in range(n_nodes):
             for t in range(n_nodes):
                 if t != u:
-                    level_matrix[u, t] = quantize_rho(
-                        min(scen.pairwise_rho[u, t], 1 - 1e-12), bundle.ladder
-                    )
-        cross_tables = ladder_cross_tables(bundle, range(bundle.ladder.count))
+                    level_matrix[u, t] = quantize_rho(min(scen.pairwise_rho[u, t], 1 - 1e-12))
+        cross_tables = ladder_cross_tables(bundle, range(RHO_LADDER.size))
         outcomes = [
             [
                 ChannelOutcome(
@@ -643,14 +665,14 @@ class TestSymExperiment:
         assert abs(res.d_av - asym.d_av) < 3 * (res.stderr + asym.stderr)
 
     def test_level_matrix_equals_pair_loop(self, tiny_bundle):
+        # level_matrix holds each pair's position among the decoder's levels.
         scen = generate_scenario(6, tiny_bundle.channels, seed=3)
         dec = _SymDecoder(tiny_bundle, "soft", scen.pairwise_rho)
-        expect = np.zeros((6, 6), dtype=int)
         for u in range(6):
             for t in range(6):
-                if t != u:
-                    expect[u, t] = quantize_rho(scen.pairwise_rho[u, t], tiny_bundle.ladder)
-        assert np.array_equal(dec.level_matrix, expect)
+                got = dec.level_matrix[u, t]
+                expect = 0 if t == u else quantize_rho(scen.pairwise_rho[u, t])
+                assert (got if t == u else dec.levels[got]) == expect, (u, t)
 
     def test_reproducible(self, tiny_bundle):
         scen = generate_scenario(5, tiny_bundle.channels, seed=2)
