@@ -14,7 +14,9 @@ parent's BLAS pool oversubscribe the cores and run slower than the serial
 loop, so without a thread setter the items run in this process.  Each
 worker also keeps the heap memory it frees for its next item.  Results do
 not depend on the worker count as long as each item's result depends only
-on that item.
+on that item, and its products do not round differently on several BLAS
+threads than on one; an item that runs in this process takes such products
+inside :func:`one_blas_thread`.
 
 Per-trial outputs do not travel back through the pipes: the caller makes
 their arrays before the fork with :func:`shared_array`, in anonymous shared
@@ -30,15 +32,18 @@ worker.
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import functools
 import mmap
 import os
 
 import numpy as np
 
 
-def _blas_thread_setter():
-    """``set_num_threads`` of the OpenBLAS bundled with numpy, or None if not found."""
+@functools.cache
+def _openblas(name: str):
+    """OpenBLAS's ``name`` function (e.g. "get_num_threads") bundled with numpy, or None."""
     import ctypes
     from pathlib import Path
 
@@ -47,14 +52,48 @@ def _blas_thread_setter():
             handle = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                    "openblas_set_num_threads"):
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(handle, sym, None)
             if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
                 return fn
     return None
+
+
+def _blas_thread_setter():
+    """``set_num_threads`` of the OpenBLAS bundled with numpy, or None if not found."""
+    import ctypes
+
+    fn = _openblas("set_num_threads")
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+    return fn
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread, as a worker does, then restore the count.
+
+    OpenBLAS splits a large product over its threads, and the split can
+    change the last bit of a result: a (64, 100) @ (100, 100) product
+    differs between one thread and two.  A work item whose products must
+    round the same in this process as in a worker takes them inside this.
+    Without OpenBLAS's thread functions the body runs as it is.
+    """
+    import ctypes
+
+    setter, getter = _blas_thread_setter(), _openblas("get_num_threads")
+    if setter is None or getter is None:
+        yield
+        return
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    threads = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(threads)
 
 
 def _keep_freed_memory() -> None:

@@ -84,10 +84,17 @@ def quantize_rho(rho):
 
     ``rho`` is a scalar (an int is returned) or an array (an int array of its
     shape).  Negative correlations are rejected: all supported operating
-    points use rho >= 0.
+    points use rho >= 0.  The nearest level is kept as a running minimum
+    over the levels, replaced only by a strictly nearer one, so a field's
+    N(N - 1) pairs take a few arrays of their size, not (pairs, levels) ones.
     """
     r = np.asarray(rho, dtype=float)
     if not np.all((r >= 0) & (r <= 1)):  # NaN fails both comparisons
         raise ValueError("correlation must lie in [0, 1]")
-    idx = np.argmin(np.abs(RHO_LADDER - r[..., None]), axis=-1)
+    idx = np.zeros(r.shape, dtype=np.intp)
+    best = np.abs(r - RHO_LADDER[0])
+    for i, level in enumerate(RHO_LADDER[1:], 1):
+        dist = np.abs(r - level)
+        idx[dist < best] = i
+        best = np.minimum(best, dist)
     return int(idx) if idx.ndim == 0 else idx

@@ -29,15 +29,21 @@ trials that continue the same generators, in one block loop for both channel
 kinds (:func:`_run_asym`), so the results equal one-call draws bit for bit
 and only the source and the per-trial error arrays grow with the trial count.
 
-The symmetric experiment draws the node sources whole, in one product, and
-then runs every per-trial step on one block of trials at a time: quantizer
-cells, transmission, loss patterns, SI maps, the joint decode and the
-squared errors.  Its channel uses come from one set of generators per
-description, one use per (trial, node) in row-major order, so a block
-transmits all its nodes in one call.  A block holds
+The symmetric experiment runs every per-trial step on one block of trials
+at a time: the node sources, quantizer cells, transmission, loss patterns,
+SI maps, the joint decode and the squared errors.  The sources of all
+blocks are one stream of (trials, nodes) normals times the correlation
+factor (:func:`sample_correlated_sources`).
+This process walks the stream once, block by block, drawing and dropping
+each block's normals and keeping the stream's state at each block's start
+(:func:`_source_states`); each block then redraws its normals from its
+state and multiplies them by the factor, so every source equals the
+one-block draw's bit for bit.  Its channel uses come from one set of
+generators per description, one use per (trial, node) in row-major order,
+so a block transmits all its nodes in one call.  A block holds
 ``BLOCK_ENTRIES // (nodes * L)`` trials (at least one), so the decoder's
-posterior buffers stay bounded and only the sources and the per-trial
-errors grow with the trial count.  The
+posterior buffers stay bounded and only the per-trial errors and one
+stream state per block grow with the trial count.  The
 SI selection keeps each node's ``SI_CANDIDATES`` most correlated other
 nodes and scores the distinct correlations of those pairs once per run, from
 one moment quadrature per block of correlations; each block of trials picks
@@ -47,11 +53,12 @@ pair.
 
 The blocks of both experiments, and a field's scored correlations, are
 independent work items, run in forked workers, one per usable CPU with one
-BLAS thread each (:func:`mdquant.forking.fork_map`), after the sources, the
-lookups or decoder tables and the scores are made in this process.  A block
-positions its experiment's generators at its first channel use by a count of
-draws (:func:`_channel_streams`): every draw, the AWGN noise included, is one
-uniform.  Each score depends only on its correlation.
+BLAS thread each (:func:`mdquant.forking.fork_map`), after the sources or
+the field's stream states, the lookups or decoder tables and the scores are
+made in this process.  A block positions its experiment's channel generators
+at its first channel use by a count of draws (:func:`_channel_streams`):
+every channel draw, the AWGN noise included, is one uniform.  Each score
+depends only on its correlation.
 The blocks write their per-trial errors into one array in shared memory
 per run (:func:`mdquant.forking.shared_array`), and the means and standard
 errors are taken over that whole array, so the results equal a serial run bit
@@ -348,6 +355,7 @@ def run_asym_experiment(cfg: AsymConfig, channel_sets) -> list[ExperimentResult]
         if moments:
             exact = [{"d_side": (d10, d01), "d_central": d11} for _, d01, d10, d11 in (
                 lk.pattern_distortions(bundle.ia.table, *moments) for lk in lookups)]
+    del x, z  # freed before the summaries read the errors and make their temporaries
 
     wall_time = time.perf_counter() - start
     return [_result(err, wall_time, **fields) for err, fields in zip(errs, exact)]
@@ -499,16 +507,75 @@ class SymConfig:
             raise ValueError("the symmetric experiment requires a codec with BSC channels")
 
 
-def sample_correlated_sources(scenario: WsnScenario, trials: int, seed: int):
-    """Draw jointly Gaussian node symbols; PSD-projects the correlation matrix."""
-    rho = scenario.pairwise_rho
+# OpenBLAS rounds the rows of a product of few rows differently from those of a
+# larger one (a lone row at any node count, up to 37 rows at 32 nodes and 30 at
+# 40, measured on one thread), and at 250 to 700 nodes a row's rounding also
+# depends on its place in the product (the last 4 rows of 64).  So a field's
+# normals are multiplied by its correlation factor in chunks of one row count,
+# aligned to trial 0 and zero-padded, on one BLAS thread
+# (:func:`mdquant.forking.one_blas_thread`): every trial's sources are then the
+# same bits whichever block holds it.  64 is the smallest power of two above
+# the row counts that round differently at 2 to 200 nodes, where its chunks
+# round as the whole (trials, nodes) product does.
+SOURCE_ROWS = 64
+
+
+def _source_factor(rho):
+    """(factor, projected): F with F F^T the PSD projection of the correlation matrix ``rho``."""
     vals, vecs = np.linalg.eigh(rho)
     projected = bool(vals.min() < PSD_EIGEN_FLOOR)
     vals = np.maximum(vals, PSD_EIGEN_FLOOR)
-    factor = vecs * np.sqrt(vals)[None, :]
+    return vecs * np.sqrt(vals)[None, :], projected
+
+
+def _correlate(z, factor, first: int = 0) -> np.ndarray:
+    """``z @ factor.T`` for the normals ``z`` of trials ``first``, ``first + 1``, ...
+
+    Taken over chunks of ``SOURCE_ROWS`` trials aligned to trial 0, zero
+    where they reach past ``z``, on one BLAS thread.
+    """
+    n, nodes = z.shape
+    lead = first % SOURCE_ROWS
+    chunks = np.zeros((-(-(lead + n) // SOURCE_ROWS), SOURCE_ROWS, nodes))
+    chunks.reshape(-1, nodes)[lead:lead + n] = z
+    with forking.one_blas_thread():  # one product per chunk
+        return np.matmul(chunks, factor.T).reshape(-1, nodes)[lead:lead + n]
+
+
+def sample_correlated_sources(scenario: WsnScenario, trials: int, seed: int):
+    """Draw jointly Gaussian node symbols; PSD-projects the correlation matrix.
+
+    The one-block form of a field's draw: :func:`run_sym_experiment` draws
+    each block's rows of it from the same stream (:func:`_source_states`).
+    """
+    factor, projected = _source_factor(scenario.pairwise_rho)
+    z = derive_rng(seed, 3).standard_normal((trials, scenario.n_nodes))
+    return _correlate(z, factor), projected
+
+
+def _source_states(seed: int, blocks, n_nodes: int) -> list:
+    """The field's normal stream's bit-generator state at each block's first trial.
+
+    Walks the stream of :func:`sample_correlated_sources` one block at a
+    time, drawing and dropping each block's (trials, nodes) normals, so this
+    process holds one block of them at once.  The stream's normals take a
+    varying number of its outputs each, so a block cannot be reached by a
+    count, as the channel streams are.
+    """
     rng = derive_rng(seed, 3)
-    z = rng.standard_normal((trials, rho.shape[0]))
-    return z @ factor.T, projected
+    states = []
+    for blk in blocks:
+        states.append(rng.bit_generator.state)
+        rng.standard_normal((blk.stop - blk.start, n_nodes))
+    return states
+
+
+def _block_sources(seed: int, state, blk: slice, factor) -> np.ndarray:
+    """(trials, nodes) sources of ``blk``, from the stream's ``state`` at its first trial."""
+    rng = derive_rng(seed, 3)
+    rng.bit_generator.state = state
+    z = rng.standard_normal((blk.stop - blk.start, factor.shape[0]))
+    return _correlate(z, factor, blk.start)
 
 
 def _selection_score_tables(bundle, rho_keys, method):
@@ -608,23 +675,28 @@ def _block_errors(cfg: SymConfig, dec: _SymDecoder, xb, streams, selection) -> n
 def run_sym_experiment(cfg: SymConfig) -> ExperimentResult:
     """Monte-Carlo joint decoding of a scenario; averages distortion over nodes.
 
-    The sources, the selection scores and the decoder tables are made in
-    this process; the blocks of trials then run in forked workers (see the
-    module docstring) and write the per-trial errors into one shared array,
-    kept whole so its mean and standard error are the one-block values.
+    The shared per-trial errors, the correlation factor, the selection
+    scores, the decoder tables and the source stream's state at each block
+    are made in this process; the blocks of trials then run in forked
+    workers (see the module docstring), each drawing its own sources from its
+    state, and write the per-trial errors into the shared array, kept whole
+    so its mean and standard error are the one-block values.
     """
     start = time.perf_counter()
     _check_trials(cfg.trials)
+    per_trial = forking.shared_array(cfg.trials)
     scenario = cfg.scenario
     n_nodes = scenario.n_nodes
-    x, projected = sample_correlated_sources(scenario, cfg.trials, cfg.seed)
+    factor, projected = _source_factor(scenario.pairwise_rho)
     selection = _selection_scores(cfg)
     dec = _SymDecoder(cfg.bundle, cfg.mode, scenario.pairwise_rho)
-    per_trial = forking.shared_array(cfg.trials)
+    blocks = list(_blocks(cfg.trials, n_nodes * dec.space.size))
 
-    def errors(blk):
+    def errors(item):
+        blk, state = item
+        xb = _block_sources(cfg.seed, state, blk, factor)
         streams = _channel_streams(dec.channels, 4, cfg.seed, blk.start * n_nodes)
-        per_trial[blk] = _block_errors(cfg, dec, x[blk], streams, selection)
+        per_trial[blk] = _block_errors(cfg, dec, xb, streams, selection)
 
-    forking.fork_map(errors, _blocks(cfg.trials, n_nodes * dec.space.size), "field")
+    forking.fork_map(errors, zip(blocks, _source_states(cfg.seed, blocks, n_nodes)), "field")
     return _result(per_trial, time.perf_counter() - start, psd_projected=projected)

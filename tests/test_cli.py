@@ -4,17 +4,19 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from multiprocessing.process import BaseProcess
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mdquant import BoundQuery, DescriptionChannel, lloyd_design
-from mdquant import codec
+from mdquant import codec, simulator
 from mdquant import reference_values as refs
 from mdquant.cli import MAX_QUANTIZER_LEVELS, _check_levels, _parse_desc, main
 from mdquant.persist import load_codec, save_codec
@@ -969,17 +971,26 @@ class TestOutOfMemory:
     """A draw too large for memory exits 2 with one line; nothing is allocated here."""
 
     def test_scenario(self, codec_file, tmp_path, monkeypatch, capsys):
-        def no_memory(scenario, trials, seed):
-            raise MemoryError(f"Unable to allocate {trials * scenario.n_nodes * 8} bytes")
+        # The run maps its shared per-trial errors before it draws.  The
+        # mapping fails, or where memory is overcommitted it stays untouched
+        # and the source stream's first block draw fails instead.
+        class NoMemory:
+            bit_generator = SimpleNamespace(state=None)
 
-        monkeypatch.setattr("mdquant.simulator.sample_correlated_sources", no_memory)
+            def standard_normal(self, size):
+                raise MemoryError(f"Unable to allocate {math.prod(size) * 8} bytes")
+
+        derive_rng = simulator.derive_rng  # the node positions still come from it
+        monkeypatch.setattr(simulator, "derive_rng", lambda seed, *ids: (
+            NoMemory() if ids == (3,) else derive_rng(seed, *ids)))  # (3,): the sources
         out = tmp_path / "scen.csv"
         capsys.readouterr()
         rc = run_cli("scenario", "--nodes", "3", "--codec", codec_file,
                      "--trials", "100000000000", "--seed", "1", "-o", out)
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: out of memory (Unable to allocate 2400000000000 bytes)\n"
+        assert re.fullmatch(
+            r"error: out of memory \(Unable to allocate \d+ bytes( of shared memory)?\)\n",
+            capsys.readouterr().err,
         )
         assert not out.exists()
 

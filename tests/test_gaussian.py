@@ -118,6 +118,21 @@ class TestQuantizeRho:
         assert got.tolist() == [[quantize_rho(float(v)) for v in row] for row in rho]
         assert isinstance(quantize_rho(0.5), int)
 
+    def test_equals_argmin_over_the_ladder(self):
+        # The running minimum keeps argmin's rule, the first of equal
+        # distances: on random correlations, every level, 1, and each
+        # midpoint with its neighbours one ulp either side.
+        mids = (RHO_LADDER[1:] + RHO_LADDER[:-1]) / 2
+        rho = np.concatenate([
+            np.random.default_rng(0).random(2_000_000), RHO_LADDER, [1.0],
+            mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0),
+        ])
+        expect = np.concatenate([
+            np.argmin(np.abs(RHO_LADDER - part[:, None]), axis=1)
+            for part in np.array_split(rho, 20)
+        ])
+        assert np.array_equal(quantize_rho(rho), expect)
+
 
 class TestIntervalMoments:
     def test_against_simpson(self):

@@ -86,6 +86,25 @@ class TestSameResultsAsSerial:
         per_run = 2 + 3 if method == "distance" else 2 * (2 + 3)
         assert len(started) == per_run
 
+    @needs_workers
+    def test_source_blocks_drawn_here_equal_those_drawn_in_workers(self, tiny_bundle):
+        # At 100 nodes a (64, 100) @ (100, 100) chunk product rounds
+        # differently on one BLAS thread and on two; a block's sources are
+        # the same bits in this process, with its thread pool, as in a worker.
+        nodes = 100
+        scen = generate_scenario(nodes, tiny_bundle.channels, seed=3)
+        factor, _ = simulator._source_factor(scen.pairwise_rho)
+        blocks = [slice(0, 70), slice(70, 200), slice(200, 203)]
+        items = list(zip(blocks, simulator._source_states(5, blocks, nodes)))
+
+        def draw(item):
+            blk, state = item
+            return simulator._block_sources(5, state, blk, factor)
+
+        here = [draw(item) for item in items]
+        for got, expect in zip(forking.fork_map(draw, items), here):
+            assert np.array_equal(got, expect)
+
     def test_default_tol_stops_estimated_blocks_early(self, tiny_bundle, monkeypatch):
         # So the default-tol cases above cover blocks that stop on their own change.
         small_blocks(monkeypatch, tiny_bundle)

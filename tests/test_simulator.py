@@ -110,6 +110,24 @@ class TestScenario:
         assert np.max(np.abs(emp - s.pairwise_rho)) < 0.02
         assert not projected
 
+    @pytest.mark.parametrize("nodes", [6, 40, 300])
+    @pytest.mark.parametrize("block", [1, 2, 12, 13, "default"])
+    def test_block_draws_equal_the_one_block_draw(self, nodes, block):
+        # A field redraws each block's sources from the stream state kept at
+        # its first trial; each row equals the one-block draw's bit for bit.
+        # At 300 nodes a row of a chunk product rounds by its place in it.
+        s = generate_scenario(nodes, bsc_channels(0.0, 0.05), seed=3)
+        if block == "default":
+            block = simulator.BLOCK_ENTRIES // (nodes * tuple_space(s.channels).size)
+        trials = 2 * block + 5
+        whole, _ = sample_correlated_sources(s, trials, 5)
+        factor, _ = simulator._source_factor(s.pairwise_rho)
+        blocks = [slice(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
+        states = simulator._source_states(5, blocks, nodes)
+        for blk, state in zip(blocks, states):
+            got = simulator._block_sources(5, state, blk, factor)
+            assert np.array_equal(got, whole[blk]), blk
+
     @pytest.mark.parametrize("gap,projected", [(1.1e-9, False), (0.9e-9, True)])
     def test_psd_eigen_floor_edge(self, gap, projected):
         # A two-node field with rho = 1 - gap has smallest eigenvalue gap, just
@@ -510,7 +528,7 @@ class TestSymConfig:
         def must_not_draw(*args):
             raise AssertionError("a draw started before the configuration was checked")
 
-        monkeypatch.setattr(simulator, "sample_correlated_sources", must_not_draw)
+        monkeypatch.setattr(simulator, "derive_rng", must_not_draw)
         with pytest.raises(
             ValueError, match=f"^trials must be at least 2 for a standard error, got {trials}$"
         ):
@@ -982,7 +1000,7 @@ class TestSymBlocks:
 
 @pytest.mark.usefixtures("one_worker")
 class TestSymMemory:
-    """The peak grows by at most 4 float64 per trial and node from T to 2T trials.
+    """The peak grows by at most 0.25 float64 per trial and node from T to 2T trials.
 
     The blocks run in this process, where tracemalloc sees them, and the
     growth counts the shared per-trial errors (:func:`peak_with_shared_arrays`).
@@ -1007,7 +1025,7 @@ class TestSymMemory:
             peak_with_shared_arrays(lambda: run(n), monkeypatch)
             for n in (self.TRIALS, 2 * self.TRIALS)
         )
-        assert (large - small) / (self.TRIALS * self.NODES * 8) <= 4
+        assert (large - small) / (self.TRIALS * self.NODES * 8) <= 0.25
 
     def test_soft_decode_holds_two_posterior_buffers(self, k16_bundle, monkeypatch):
         # A soft block keeps its likelihood rows and two posterior buffers of
